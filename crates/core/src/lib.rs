@@ -540,18 +540,8 @@ impl CompiledProgram {
         sample_period: u32,
     ) -> Result<(Vec<f64>, sched::ProfileReport), Diag> {
         let cg = self.compile_exec()?;
-        let s_init = cg.init_outputs();
-        let s_round = cg.outputs_per_iteration();
-        let k = if n as u64 <= s_init {
-            0
-        } else if s_round == 0 {
-            return Err(Diag::from(exec::ExecError::NoSteadyOutput));
-        } else {
-            (n as u64 - s_init).div_ceil(s_round)
-        };
-        let (mut out, prof) = cg
-            .run_steady_profiled(input, k, sample_period)
-            .map_err(Diag::from)?;
+        let k = cg.plan().stats.iterations_for(n as u64)?;
+        let (mut out, prof) = cg.run(input, k, None, Some(sample_period))?;
         out.truncate(n);
         Ok((out, prof))
     }
@@ -587,35 +577,37 @@ impl CompiledProgram {
         n: usize,
         cfg: &SupervisorConfig,
     ) -> Result<Vec<f64>, (Diag, FaultClass)> {
-        match engine {
-            Engine::Reference => self
-                .run_with_budget(input, n, cfg.budget)
-                .map_err(|e| (Diag::from(e), FaultClass::Fatal)),
+        let unsupported = |e: exec::ExecError| (Diag::from(e), FaultClass::Unsupported);
+        // The fast engines' configured runs count steady iterations:
+        // enough of them for `n` outputs, then the first `n`.
+        let run = match engine {
+            Engine::Reference => {
+                return self
+                    .run_with_budget(input, n, cfg.budget)
+                    .map_err(|e| (Diag::from(e), FaultClass::Fatal))
+            }
             Engine::Compiled => {
-                let cg = self
-                    .compile_exec()
-                    .map_err(|e| (Diag::from(e), FaultClass::Unsupported))?;
-                cg.run_collect_with(input, n, cfg.fault_plan.as_ref())
-                    .map_err(|e| {
-                        let class = classify_exec(&e);
-                        (Diag::from(e), class)
-                    })
+                let cg = self.compile_exec().map_err(unsupported)?;
+                let k = cg.plan().stats.iterations_for(n as u64);
+                k.and_then(|k| Ok(cg.run(input, k, cfg.fault_plan, None)?.0))
             }
             Engine::Parallel { threads } => {
-                let pg = self
-                    .compile_parallel(threads)
-                    .map_err(|e| (Diag::from(e), FaultClass::Unsupported))?;
+                let pg = self.compile_parallel(threads).map_err(unsupported)?;
                 let rc = rt::RunConfig {
                     watchdog: cfg.watchdog_ms.map(std::time::Duration::from_millis),
                     fault: cfg.fault_plan,
                     replan_threshold: cfg.replan_threshold,
                 };
-                pg.run_collect_cfg(input, n, &rc).map_err(|e| {
-                    let class = classify_exec(&e);
-                    (Diag::from(e), class)
-                })
+                let k = pg.plan().stats.iterations_for(n as u64);
+                k.and_then(|k| Ok(pg.run(input, k, &rc)?.0))
             }
-        }
+        };
+        let mut out = run.map_err(|e| {
+            let class = classify_exec(&e);
+            (Diag::from(e), class)
+        })?;
+        out.truncate(n);
+        Ok(out)
     }
 
     /// Execute on `engine` under supervision: the parallel rung gets

@@ -1,0 +1,312 @@
+//! The steady-state driver: the one place the execution model — an
+//! initialization schedule, then a repeated steady-state schedule — is
+//! walked.
+//!
+//! A [`Driver`] owns a run's shards, its position (initialization done,
+//! steady iterations completed) and its per-iteration hooks (an injected
+//! [`FaultPlan`], an [`OpProfiler`]).  The op lists stay with the plan
+//! that owns them and are lent per call as a [`Schedule`], so a
+//! [`crate::Session`] can keep a driver beside its `Arc`'d graph and the
+//! multicore runtime can swap plans between calls.  A one-shot run
+//! [`preload`]s the whole input and calls [`Driver::drive`]`(k)`; a
+//! session drives over bounded staging rings; a multicore stage worker
+//! calls the ungated [`Driver::iterate`] between its channel drain and
+//! publish.
+//!
+//! # Injected faults
+//!
+//! A fault fires at the start of the steady iteration it names, on the
+//! driver whose shard base equals its stage.  `panic` panics (reported
+//! as [`ExecError::WorkerPanic`]); `delay` sleeps after the iteration's
+//! ops, before anyone can see its outputs.  `stall` runs nothing and is
+//! surfaced — [`Stop::StallInjected`] from `drive`, `false` from
+//! `iterate` — because what a stall *means* belongs to the caller: a
+//! one-shot run has no peer to block on and nobody watching, so it
+//! never arms one; a session stays frozen at that iteration while its
+//! gate still says runnable (the signature a supervising daemon evicts
+//! on); a stage worker parks until the run is aborted (what the
+//! pipeline watchdog detects).
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
+
+use streamit_graph::{DataType, Value};
+
+use crate::bytecode::FilterCode;
+use crate::engine::{run_ops, run_ops_profiled, Frame, OpProfiler, Shard};
+use crate::plan::{Loc, Op, Stats, TapeSpec};
+use crate::tape::Tape;
+use crate::{panic_payload, ExecError, FaultKind, FaultPlan};
+
+/// What a driver needs from a plan, borrowed from whichever plan owns
+/// it.  One steady iteration is `pre`, then each of `branches`, then
+/// `post`; `Loc`s resolve against the driver's shards.
+#[derive(Debug, Clone, Copy)]
+pub struct Schedule<'p> {
+    pub codes: &'p [FilterCode],
+    pub tapes: &'p [Vec<TapeSpec>],
+    pub frames: &'p [Vec<u32>],
+    pub input_ty: DataType,
+    pub stats: Stats,
+    /// Where the external streams live; `None` when no node reads
+    /// (writes) one, which also switches that side of the gate off.
+    pub ext_in: Option<Loc>,
+    pub ext_out: Option<Loc>,
+    pub init: &'p [Op],
+    pub pre: &'p [Op],
+    pub branches: &'p [Vec<Op>],
+    pub post: &'p [Op],
+}
+
+/// Why [`Driver::drive`] returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stop {
+    /// The requested iterations all ran.
+    Budget,
+    /// The external input ring is short this many items of the next
+    /// phase's required window.
+    NeedInput(u64),
+    /// The external output ring is short this many free slots of the
+    /// next phase's emissions.
+    NeedOutputSpace(u64),
+    /// An injected stall is holding the next iteration.
+    StallInjected,
+}
+
+/// Run `f`, converting a panic into [`ExecError::WorkerPanic`]
+/// attributed to `label`.  The engines' only `catch_unwind`.
+pub fn contain<T>(label: &str, f: impl FnOnce() -> Result<T, ExecError>) -> Result<T, ExecError> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|p| {
+        Err(ExecError::WorkerPanic {
+            stage: label.to_string(),
+            payload: panic_payload(p.as_ref()),
+        })
+    })
+}
+
+/// Materialize a run's shards: the external input ring holding `input`
+/// (coerced to the plan's input type, like the reference machine's
+/// feed) with room for at least `in_cap` items, the external output
+/// ring with room for `out_cap`, every channel tape sized by the count
+/// simulation and preloaded with its initial items.
+pub fn build_shards(s: &Schedule<'_>, input: &[f64], in_cap: u64, out_cap: u64) -> Vec<Shard> {
+    let tape = |here: Loc, spec: &TapeSpec| {
+        if Some(here) == s.ext_in {
+            let mut t = Tape::with_capacity(s.input_ty, in_cap.max(input.len() as u64));
+            t.extend_from_f64(input);
+            return t;
+        }
+        if Some(here) == s.ext_out {
+            return Tape::with_capacity(DataType::Float, out_cap);
+        }
+        let mut t = Tape::with_capacity(spec.ty, spec.cap);
+        for v in &spec.initial {
+            let _ = match v {
+                Value::Int(x) => t.push_i(*x),
+                Value::Float(x) => t.push_f(*x),
+            };
+        }
+        t
+    };
+    s.tapes
+        .iter()
+        .zip(s.frames)
+        .enumerate()
+        .map(|(shard, (specs, frames))| Shard {
+            tapes: specs
+                .iter()
+                .enumerate()
+                .map(|(slot, spec)| {
+                    let here = Loc {
+                        shard: shard as u16,
+                        slot: slot as u16,
+                    };
+                    tape(here, spec)
+                })
+                .collect(),
+            frames: frames
+                .iter()
+                .map(|&c| Frame::new(&s.codes[c as usize]))
+                .collect(),
+        })
+        .collect()
+}
+
+/// The one-shot prelude: check `input` covers initialization plus `k`
+/// steady iterations ([`ExecError::Starved`] otherwise), preload it, and
+/// size the output ring for everything those iterations emit.
+pub fn preload(s: &Schedule<'_>, input: &[f64], k: u64) -> Result<Vec<Shard>, ExecError> {
+    let (needed, have) = (s.stats.required_input(k), input.len() as u64);
+    if have < needed {
+        return Err(ExecError::Starved { needed, have });
+    }
+    let emitted = k.saturating_mul(s.stats.round_out);
+    let out_cap = s.stats.init_out.saturating_add(emitted);
+    contain("shard allocation", || {
+        Ok(build_shards(s, input, 0, out_cap))
+    })
+}
+
+/// Copy out everything on the external output tape (empty when the
+/// graph has no output site).
+pub fn read_output(shards: &[Shard], ext_out: Option<Loc>) -> Result<Vec<f64>, ExecError> {
+    let Some(l) = ext_out else {
+        return Ok(Vec::new());
+    };
+    match &shards[l.shard as usize].tapes[l.slot as usize] {
+        Tape::F(r) => Ok(r.to_vec()),
+        Tape::I(_) => Err(ExecError::Fault {
+            node: "output".into(),
+            reason: "external output tape has wrong type".into(),
+        }),
+    }
+}
+
+/// One run's shards, position and hooks.  See the module docs.
+#[derive(Debug)]
+pub struct Driver {
+    shards: Vec<Shard>,
+    /// Shard index of `shards[0]` in the plan's `Loc` addressing.
+    base: u16,
+    /// Attributes panics caught by [`Driver::drive`].
+    label: &'static str,
+    init_done: bool,
+    iterations: u64,
+    fault: Option<FaultPlan>,
+    prof: Option<OpProfiler>,
+}
+
+impl Driver {
+    /// A driver at the start of a run, initialization pending.  `fault`
+    /// is armed only if it targets this driver's stage (its shard
+    /// base); `prof` is told about every steady iteration and times the
+    /// ones it samples (initialization is never attributed).
+    pub fn new(
+        shards: Vec<Shard>,
+        base: u16,
+        label: &'static str,
+        fault: Option<FaultPlan>,
+        prof: Option<OpProfiler>,
+    ) -> Driver {
+        Driver {
+            shards,
+            base,
+            label,
+            init_done: false,
+            iterations: 0,
+            fault: fault.filter(|f| f.stage == base),
+            prof,
+        }
+    }
+
+    /// Mark initialization as already run elsewhere (a stage worker:
+    /// initialization runs serially over all shards before they are
+    /// dealt out).
+    pub fn primed(mut self) -> Driver {
+        self.init_done = true;
+        self
+    }
+
+    /// Steady iterations completed.
+    pub fn iterations(&self) -> u64 {
+        self.iterations
+    }
+
+    pub fn tape(&self, l: Loc) -> &Tape {
+        &self.shards[(l.shard - self.base) as usize].tapes[l.slot as usize]
+    }
+
+    pub fn tape_mut(&mut self, l: Loc) -> &mut Tape {
+        &mut self.shards[(l.shard - self.base) as usize].tapes[l.slot as usize]
+    }
+
+    /// Give the shards (and the profiler, if one was attached) back.
+    pub fn into_parts(self) -> (Vec<Shard>, Option<OpProfiler>) {
+        (self.shards, self.prof)
+    }
+
+    /// Why the next phase (initialization, or one steady iteration)
+    /// cannot run against the external rings as they stand, or `None`
+    /// when it can.
+    pub fn gate(&self, s: &Schedule<'_>) -> Option<Stop> {
+        let (need_in, need_out) = if self.init_done {
+            (s.stats.round_in_required, s.stats.round_out)
+        } else {
+            (s.stats.init_in_required, s.stats.init_out)
+        };
+        let staged = s.ext_in.map_or(u64::MAX, |l| self.tape(l).len());
+        if staged < need_in {
+            return Some(Stop::NeedInput(need_in - staged));
+        }
+        let free = s.ext_out.map_or(u64::MAX, |l| self.tape(l).free());
+        if free < need_out {
+            return Some(Stop::NeedOutputSpace(need_out - free));
+        }
+        None
+    }
+
+    /// Run initialization once the gate admits it, then up to
+    /// `max_iters` steady iterations while the gate keeps admitting
+    /// them.  Returns how many ran and why it stopped.  Op faults come
+    /// back as errors and so do panics, as [`ExecError::WorkerPanic`];
+    /// after either the shards are in no defined state.
+    pub fn drive(&mut self, s: &Schedule<'_>, max_iters: u64) -> Result<(u64, Stop), ExecError> {
+        contain(self.label, || {
+            if !self.init_done {
+                if let Some(stop) = self.gate(s) {
+                    return Ok((0, stop));
+                }
+                run_ops(s.init, &mut self.shards, self.base, s.codes)?;
+                self.init_done = true;
+            }
+            let mut ran = 0;
+            while ran < max_iters {
+                if let Some(stop) = self.gate(s) {
+                    return Ok((ran, stop));
+                }
+                if !self.iterate(s)? {
+                    return Ok((ran, Stop::StallInjected));
+                }
+                ran += 1;
+            }
+            Ok((ran, Stop::Budget))
+        })
+    }
+
+    /// One ungated steady iteration: hooks, `pre`, every branch, `post`.
+    /// Returns `false`, having run nothing, when an injected stall holds
+    /// this iteration.  Panics propagate: a caller other than
+    /// [`Driver::drive`] [`contain`]s them at its thread boundary.
+    pub fn iterate(&mut self, s: &Schedule<'_>) -> Result<bool, ExecError> {
+        let inj = self.fault.filter(|f| f.iteration == self.iterations);
+        match inj.map(|f| f.kind) {
+            Some(FaultKind::Panic) => panic!(
+                "injected fault: worker panic at stage {} iteration {}",
+                self.base, self.iterations
+            ),
+            Some(FaultKind::Stall) => return Ok(false),
+            Some(FaultKind::DelayPublish) | None => {}
+        }
+        if let Some(p) = self.prof.as_mut() {
+            p.begin_iteration();
+        }
+        self.fire(s.pre, s.codes)?;
+        for ops in s.branches {
+            self.fire(ops, s.codes)?;
+        }
+        self.fire(s.post, s.codes)?;
+        if let Some(f) = inj {
+            // Only a delay gets this far: the iteration is complete, late.
+            std::thread::sleep(Duration::from_millis(f.delay_ms));
+        }
+        self.iterations += 1;
+        Ok(true)
+    }
+
+    fn fire(&mut self, ops: &[Op], codes: &[FilterCode]) -> Result<(), ExecError> {
+        match self.prof.as_mut() {
+            Some(p) => run_ops_profiled(ops, &mut self.shards, self.base, codes, p),
+            None => run_ops(ops, &mut self.shards, self.base, codes),
+        }
+    }
+}

@@ -7,16 +7,17 @@
 //! disjointly.  Ops address resources by [`Loc`]; `run_ops` resolves
 //! them against a shard slice starting at `base`, which lets the same
 //! code run the serial stages (full slice, base 0) and a worker's chunk
-//! (sub-slice, shifted base).
+//! (sub-slice, shifted base).  The op executor is crate-private: the
+//! only code that walks a plan's op lists is [`crate::driver::Driver`].
 
 use std::mem;
 use std::time::Instant;
 
-use streamit_graph::{DataType, Intrinsic, Value};
+use streamit_graph::Intrinsic;
 use streamit_sched::ProfileReport;
 
 use crate::bytecode::{FilterCode, Inst, Program};
-use crate::plan::{Loc, Op, Plan};
+use crate::plan::{Loc, Op};
 use crate::tape::{move_items, Raw, Tape};
 use crate::ExecError;
 
@@ -69,55 +70,10 @@ impl Frame {
 }
 
 /// A disjointly borrowable bundle of tapes and frames.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Shard {
     pub tapes: Vec<Tape>,
     pub frames: Vec<Frame>,
-}
-
-/// Materialize the run's shards: external input preloaded (coerced per
-/// the plan's input type, like the reference machine's feed), external
-/// output sized for the requested iterations, every channel tape sized
-/// by the count simulation and preloaded with its initial items.
-pub fn build_shards(plan: &Plan, input: &[f64], out_cap: u64) -> Vec<Shard> {
-    plan.tapes
-        .iter()
-        .enumerate()
-        .map(|(s, specs)| {
-            let tapes = specs
-                .iter()
-                .enumerate()
-                .map(|(slot, spec)| {
-                    if s == 0 && slot == 0 {
-                        let mut t = Tape::with_capacity(plan.input_ty, input.len() as u64);
-                        for &v in input {
-                            let _ = match plan.input_ty {
-                                DataType::Int => t.push_i(v as i64),
-                                DataType::Float => t.push_f(v),
-                            };
-                        }
-                        t
-                    } else if s == 0 && slot == 1 {
-                        Tape::with_capacity(DataType::Float, out_cap)
-                    } else {
-                        let mut t = Tape::with_capacity(spec.ty, spec.cap);
-                        for v in &spec.initial {
-                            let _ = match v {
-                                Value::Int(x) => t.push_i(*x),
-                                Value::Float(x) => t.push_f(*x),
-                            };
-                        }
-                        t
-                    }
-                })
-                .collect();
-            let frames = plan.frames[s]
-                .iter()
-                .map(|&c| Frame::new(&plan.codes[c as usize]))
-                .collect();
-            Shard { tapes, frames }
-        })
-        .collect()
 }
 
 #[inline]
@@ -366,19 +322,17 @@ fn peek_offset(ix: i64, pops: u64) -> Result<u64, String> {
 ///
 /// Counters are indexed by filter-code index (one per lowered filter
 /// instance).  Sampling is decided per *steady iteration*, not per op:
-/// the caller announces each iteration with
-/// [`OpProfiler::begin_iteration`], and one iteration in `period` is a
-/// *sampled* iteration during which every work-op invocation is timed
-/// with the monotonic clock (the whole firing batch `times` attributed
-/// to the sample).  Unsampled iterations execute through plain
-/// [`run_ops`] calls — zero per-op bookkeeping — which keeps profiler
-/// overhead flat even for graphs of many tiny filters.  Because a
+/// the driver announces each iteration, and one iteration in `period`
+/// is a *sampled* iteration during which every work-op invocation is
+/// timed with the monotonic clock (the whole firing batch `times`
+/// attributed to the sample).  Unsampled iterations execute through
+/// plain `run_ops` calls — zero per-op bookkeeping — which keeps
+/// profiler overhead flat even for graphs of many tiny filters.  Because a
 /// steady iteration executes the same op list every time, per-code
 /// firing totals scale exactly from the sampled iterations
 /// (`recorded × iterations / sampled_iterations`).  The first
 /// iteration is always sampled so short runs still cover every filter.
-/// When profiling is off the hot path ([`run_ops`]) is untouched —
-/// zero overhead by construction.
+/// With no profiler attached the hot path (`run_ops`) is all that runs.
 #[derive(Debug, Clone)]
 pub struct OpProfiler {
     period: u32,
@@ -414,7 +368,7 @@ impl OpProfiler {
     /// work ops will be timed.  Must be called once per iteration,
     /// before any of that iteration's [`run_ops_profiled`] calls.
     #[inline]
-    pub fn begin_iteration(&mut self) {
+    pub(crate) fn begin_iteration(&mut self) {
         self.iterations += 1;
         if self.tick == 0 {
             self.tick = self.period - 1;
@@ -466,7 +420,7 @@ impl OpProfiler {
 /// with synchronization ops executed in contiguous batches between
 /// samples.  Execution semantics are identical to `run_ops` — this
 /// wrapper only decides when to look at the clock.
-pub fn run_ops_profiled(
+pub(crate) fn run_ops_profiled(
     ops: &[Op],
     shards: &mut [Shard],
     base: u16,
@@ -505,7 +459,7 @@ pub fn run_ops_profiled(
 
 /// Execute a flat op list against a shard slice whose first element is
 /// shard `base`.
-pub fn run_ops(
+pub(crate) fn run_ops(
     ops: &[Op],
     shards: &mut [Shard],
     base: u16,

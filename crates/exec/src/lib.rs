@@ -11,9 +11,9 @@
 //! simulation of the schedule, and freezes the steady-state schedule
 //! into flat op arrays (splitter/joiner firings become bulk slice
 //! moves).  Running `k` steady iterations is then a loop over those
-//! arrays with no per-item boxing, no hashing, and no allocation.
-//! Uniform split-join branches can additionally fan out across scoped
-//! worker threads — the paper's data-parallelism story on real cores.
+//! arrays with no per-item boxing, no hashing, and no allocation — one
+//! loop, in [`driver`], which every entry point of this crate and the
+//! multicore runtime's stage workers are clients of.
 //!
 //! Graphs outside the engine's statically provable subset (teleport
 //! messaging, work functions the analysis cannot bound, multiple
@@ -22,25 +22,29 @@
 //! interpreter, which remains the semantics oracle.
 //!
 //! The building blocks — bytecode lowering, ring tapes, firing-plan
-//! assembly, and the op executor — are public modules: the multicore
-//! runtime (`streamit-rt`) reuses them to build per-stage plans and run
-//! them on worker threads.  This crate itself stays single-threaded;
+//! assembly, and the driver — are public modules: the multicore
+//! runtime (`streamit-rt`) reuses them to build per-stage plans and
+//! drive them on worker threads.  This crate itself stays single-threaded;
 //! all threading lives in `streamit-rt`.
 
 pub mod bytecode;
+pub mod driver;
 pub mod engine;
 pub mod kernel;
 pub mod plan;
 pub mod session;
 pub mod tape;
 
-pub use session::{Blocked, Session, SessionConfig};
+pub use driver::Stop;
+pub use session::{Session, SessionConfig};
 
 use std::fmt;
 
 use streamit_graph::{DataType, FlatGraph};
+use streamit_sched::ProfileReport;
 
-use crate::tape::Tape;
+use crate::driver::Driver;
+use crate::engine::OpProfiler;
 
 /// Why a compiled run could not proceed (or produce).
 #[derive(Debug, Clone, PartialEq)]
@@ -136,9 +140,8 @@ pub fn panic_payload(p: &(dyn std::any::Any + Send)) -> String {
 pub enum FaultKind {
     /// Panic inside the stage's worker at the chosen iteration.
     Panic,
-    /// Stop making progress at the chosen iteration (the worker parks
-    /// until the run is aborted — simulating a hang while remaining
-    /// joinable, so an injected stall can never wedge the test suite).
+    /// Make no progress from the chosen iteration on; what that looks
+    /// like is each front end's call (see [`driver`]).
     Stall,
     /// Sleep before publishing the chosen iteration's batch (a slow
     /// producer; output must still be bit-identical).
@@ -245,13 +248,7 @@ impl CompiledGraph {
     /// External input items that must be provided to run `k` steady
     /// iterations (peek windows can require more than is consumed).
     pub fn required_input(&self, k: u64) -> u64 {
-        let s = &self.plan.stats;
-        if k == 0 {
-            s.init_in_required
-        } else {
-            s.init_in_required
-                .max(s.init_in + (k - 1) * s.round_in + s.round_in_required)
-        }
+        self.plan.stats.required_input(k)
     }
 
     /// External output items produced by the initialization phase.
@@ -267,13 +264,6 @@ impl CompiledGraph {
     /// External input items consumed per steady iteration.
     pub fn inputs_per_iteration(&self) -> u64 {
         self.plan.stats.round_in
-    }
-
-    /// Number of data-parallel split-join branches the plan identifies
-    /// (0 means fully serial).  This engine runs them in order on one
-    /// core; the multicore runtime (`streamit-rt`) is the threaded path.
-    pub fn parallel_branches(&self) -> usize {
-        self.plan.branch_ops.len()
     }
 
     /// The underlying firing plan (consumed by `streamit-rt`).
@@ -317,169 +307,57 @@ impl CompiledGraph {
             .count()
     }
 
-    /// Run initialization plus `k` steady iterations on one core and
-    /// return the external output stream (as `f64`, the reference
-    /// engine's output convention).
-    pub fn run_steady(&self, input: &[f64], k: u64) -> Result<Vec<f64>, ExecError> {
-        self.run_steady_with(input, k, None)
-    }
-
-    /// [`CompiledGraph::run_steady`] with an optional fault-injection
-    /// plan (the chaos harness's hook).  This engine is a single stage,
-    /// so only faults targeting stage 0 fire: `panic` panics at the
-    /// chosen iteration (caught and reported as
-    /// [`ExecError::WorkerPanic`]), `delay` sleeps before that
-    /// iteration's outputs land.  An injected `stall` is ignored —
-    /// stalls are a pipeline phenomenon (a worker blocked on a peer)
-    /// and this engine has no peers to block on, so it just runs to
-    /// completion, which is exactly what the degradation ladder needs
-    /// from its serial rungs.
-    pub fn run_steady_with(
+    /// The engine's one configured run: initialization plus `k` steady
+    /// iterations on one core.  Returns the external output stream (as
+    /// `f64`, the reference engine's output convention) and the measured
+    /// per-filter costs (empty without `sample_period`).
+    ///
+    /// `fault` is the chaos harness's hook (see [`driver`]): only plans
+    /// for stage 0 fire, and a `stall` is never armed — a one-shot run
+    /// has no peer to block on, so it runs to completion, which is what
+    /// the degradation ladder needs from its serial rungs.
+    /// `sample_period` attaches the sampling profiler (1 times every
+    /// steady iteration, `n` one in `n`); only clock reads are added, so
+    /// output stays bit-identical.
+    pub fn run(
         &self,
         input: &[f64],
         k: u64,
-        fault: Option<&FaultPlan>,
-    ) -> Result<Vec<f64>, ExecError> {
-        let needed = self.required_input(k);
-        if (input.len() as u64) < needed {
-            return Err(ExecError::Starved {
-                needed,
-                have: input.len() as u64,
-            });
-        }
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-            || -> Result<Vec<f64>, ExecError> {
-                let out_cap = (self.plan.stats.init_out + k * self.plan.stats.round_out).max(1);
-                let mut shards = engine::build_shards(&self.plan, input, out_cap);
-                engine::run_ops(&self.plan.init_ops, &mut shards, 0, &self.plan.codes)?;
-                for i in 0..k {
-                    let inj = fault.filter(|f| f.stage == 0 && f.iteration == i);
-                    if let Some(f) = inj {
-                        if f.kind == FaultKind::Panic {
-                            panic!("injected fault: worker panic at stage 0 iteration {i}");
-                        }
-                    }
-                    engine::run_ops(&self.plan.pre_ops, &mut shards, 0, &self.plan.codes)?;
-                    for ops in &self.plan.branch_ops {
-                        engine::run_ops(ops, &mut shards, 0, &self.plan.codes)?;
-                    }
-                    if let Some(f) = inj {
-                        if f.kind == FaultKind::DelayPublish {
-                            std::thread::sleep(std::time::Duration::from_millis(f.delay_ms));
-                        }
-                    }
-                    engine::run_ops(&self.plan.post_ops, &mut shards, 0, &self.plan.codes)?;
-                }
-                match &shards[0].tapes[1] {
-                    Tape::F(r) => Ok(r.to_vec()),
-                    Tape::I(_) => Err(ExecError::Fault {
-                        node: "output".into(),
-                        reason: "external output tape has wrong type".into(),
-                    }),
-                }
-            },
-        ));
-        match run {
-            Ok(result) => result,
-            Err(p) => Err(ExecError::WorkerPanic {
-                stage: "serial engine".into(),
-                payload: panic_payload(p.as_ref()),
-            }),
-        }
+        fault: Option<FaultPlan>,
+        sample_period: Option<u32>,
+    ) -> Result<(Vec<f64>, ProfileReport), ExecError> {
+        let s = self.plan.schedule();
+        let fault = fault.filter(|f| f.kind != FaultKind::Stall);
+        let prof = sample_period.map(|p| OpProfiler::new(s.codes.len(), p));
+        let shards = driver::preload(&s, input, k)?;
+        let mut d = Driver::new(shards, 0, "serial engine", fault, prof);
+        d.drive(&s, k)?;
+        let (shards, prof) = d.into_parts();
+        let profile = prof.map(|p| p.report(s.codes)).unwrap_or_default();
+        Ok((driver::read_output(&shards, s.ext_out)?, profile))
     }
 
-    /// [`CompiledGraph::run_steady`] with the amortized-sampling
-    /// profiler attached: returns the output stream *and* a
-    /// [`streamit_sched::ProfileReport`] of measured per-filter cost.
-    ///
-    /// `sample_period` trades accuracy for overhead: 1 times every
-    /// work-op invocation, `n` times one in `n` (the others are merely
-    /// counted).  Execution semantics are identical to the unprofiled
-    /// path — only clock reads are added — so output stays
-    /// bit-identical.
+    /// [`CompiledGraph::run`] with no hooks.
+    pub fn run_steady(&self, input: &[f64], k: u64) -> Result<Vec<f64>, ExecError> {
+        Ok(self.run(input, k, None, None)?.0)
+    }
+
+    /// [`CompiledGraph::run`] with the profiler attached.
     pub fn run_steady_profiled(
         &self,
         input: &[f64],
         k: u64,
         sample_period: u32,
-    ) -> Result<(Vec<f64>, streamit_sched::ProfileReport), ExecError> {
-        let needed = self.required_input(k);
-        if (input.len() as u64) < needed {
-            return Err(ExecError::Starved {
-                needed,
-                have: input.len() as u64,
-            });
-        }
-        let mut prof = engine::OpProfiler::new(self.plan.codes.len(), sample_period);
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-            || -> Result<Vec<f64>, ExecError> {
-                let out_cap = (self.plan.stats.init_out + k * self.plan.stats.round_out).max(1);
-                let mut shards = engine::build_shards(&self.plan, input, out_cap);
-                // Initialization is one-shot (prework, priming); it is
-                // deliberately not attributed to steady-state cost.
-                engine::run_ops(&self.plan.init_ops, &mut shards, 0, &self.plan.codes)?;
-                for _ in 0..k {
-                    prof.begin_iteration();
-                    engine::run_ops_profiled(
-                        &self.plan.pre_ops,
-                        &mut shards,
-                        0,
-                        &self.plan.codes,
-                        &mut prof,
-                    )?;
-                    for ops in &self.plan.branch_ops {
-                        engine::run_ops_profiled(ops, &mut shards, 0, &self.plan.codes, &mut prof)?;
-                    }
-                    engine::run_ops_profiled(
-                        &self.plan.post_ops,
-                        &mut shards,
-                        0,
-                        &self.plan.codes,
-                        &mut prof,
-                    )?;
-                }
-                match &shards[0].tapes[1] {
-                    Tape::F(r) => Ok(r.to_vec()),
-                    Tape::I(_) => Err(ExecError::Fault {
-                        node: "output".into(),
-                        reason: "external output tape has wrong type".into(),
-                    }),
-                }
-            },
-        ));
-        match run {
-            Ok(result) => result.map(|out| (out, prof.report(&self.plan.codes))),
-            Err(p) => Err(ExecError::WorkerPanic {
-                stage: "serial engine".into(),
-                payload: panic_payload(p.as_ref()),
-            }),
-        }
+    ) -> Result<(Vec<f64>, ProfileReport), ExecError> {
+        self.run(input, k, None, Some(sample_period))
     }
 
     /// Run enough steady iterations to produce at least `n` output
     /// items, returning exactly the first `n` (the deterministic prefix
     /// shared with the reference interpreter).
     pub fn run_collect(&self, input: &[f64], n: usize) -> Result<Vec<f64>, ExecError> {
-        self.run_collect_with(input, n, None)
-    }
-
-    /// [`CompiledGraph::run_collect`] with an optional fault-injection
-    /// plan; see [`CompiledGraph::run_steady_with`].
-    pub fn run_collect_with(
-        &self,
-        input: &[f64],
-        n: usize,
-        fault: Option<&FaultPlan>,
-    ) -> Result<Vec<f64>, ExecError> {
-        let s = &self.plan.stats;
-        let k = if n as u64 <= s.init_out {
-            0
-        } else if s.round_out == 0 {
-            return Err(ExecError::NoSteadyOutput);
-        } else {
-            (n as u64 - s.init_out).div_ceil(s.round_out)
-        };
-        let mut out = self.run_steady_with(input, k, fault)?;
+        let k = self.plan.stats.iterations_for(n as u64)?;
+        let mut out = self.run_steady(input, k)?;
         out.truncate(n);
         Ok(out)
     }
@@ -557,7 +435,7 @@ mod tests {
         );
         let g = streamit_graph::FlatGraph::from_stream(&s);
         let c = CompiledGraph::compile(&g, None).expect("supported");
-        assert_eq!(c.parallel_branches(), 2);
+        assert_eq!(c.plan().branch_ops.len(), 2);
         let out = c.run_steady(&[], 8).expect("runs");
         assert_eq!(&out[..4], &[0.0, 0.0, 3.0, 5.0]);
     }
@@ -603,7 +481,7 @@ mod tests {
         let g = streamit_graph::FlatGraph::from_stream(&s);
         let c = CompiledGraph::compile(&g, None).expect("supported");
         let fault: FaultPlan = "panic@0:1".parse().expect("parses");
-        match c.run_steady_with(&[], 5, Some(&fault)) {
+        match c.run(&[], 5, Some(fault), None) {
             Err(ExecError::WorkerPanic { stage, payload }) => {
                 assert_eq!(stage, "serial engine");
                 assert!(payload.contains("injected fault"), "payload: {payload}");
@@ -620,26 +498,35 @@ mod tests {
         let clean = c.run_steady(&[], 4).expect("runs");
         let mut delay: FaultPlan = "delay@0:1".parse().expect("parses");
         delay.delay_ms = 1;
-        let delayed = c.run_steady_with(&[], 4, Some(&delay)).expect("runs");
+        let (delayed, _) = c.run(&[], 4, Some(delay), None).expect("runs");
         assert_eq!(clean, delayed);
         // A serial engine cannot stall (no peers); the plan is ignored.
         let stall: FaultPlan = "stall@0:1".parse().expect("parses");
-        let stalled = c.run_steady_with(&[], 4, Some(&stall)).expect("runs");
+        let (stalled, _) = c.run(&[], 4, Some(stall), None).expect("runs");
         assert_eq!(clean, stalled);
         // Faults aimed at other stages never fire here.
         let far: FaultPlan = "panic@3:1".parse().expect("parses");
-        assert_eq!(c.run_steady_with(&[], 4, Some(&far)).expect("runs"), clean);
+        assert_eq!(c.run(&[], 4, Some(far), None).expect("runs").0, clean);
     }
 
     #[test]
     fn panic_payload_extracts_strings() {
-        let p = std::panic::catch_unwind(|| panic!("plain str")).expect_err("panics");
-        assert_eq!(panic_payload(p.as_ref()), "plain str");
-        let x = 7;
-        let p = std::panic::catch_unwind(|| panic!("formatted {x}")).expect_err("panics");
-        assert_eq!(panic_payload(p.as_ref()), "formatted 7");
-        let p = std::panic::catch_unwind(|| std::panic::panic_any(42i32)).expect_err("panics");
-        assert_eq!(panic_payload(p.as_ref()), "non-string panic payload");
+        let payload = |f: fn()| match driver::contain("t", || {
+            f();
+            Ok(())
+        }) {
+            Err(ExecError::WorkerPanic { stage, payload }) => {
+                assert_eq!(stage, "t");
+                payload
+            }
+            other => panic!("expected WorkerPanic, got {other:?}"),
+        };
+        assert_eq!(payload(|| panic!("plain str")), "plain str");
+        assert_eq!(payload(|| panic!("formatted {}", 7)), "formatted 7");
+        assert_eq!(
+            payload(|| std::panic::panic_any(42i32)),
+            "non-string panic payload"
+        );
     }
 
     #[test]
@@ -663,6 +550,28 @@ mod tests {
         // Sampling period 8 over 32 one-firing invocations: 4 samples.
         let (_, prof) = c.run_steady_profiled(&[], 32, 8).expect("runs");
         assert_eq!(prof.get("p/src").expect("present").sampled_firings, 4);
+    }
+
+    #[test]
+    fn absurd_iteration_counts_starve_instead_of_wrapping() {
+        // peek 3 / pop 1: (k - 1) * round_in + window overflows u64.
+        let f = FilterBuilder::new("avg", DataType::Float)
+            .rates(3, 1, 1)
+            .work(|b| {
+                b.push((peek(lit(0i64)) + peek(lit(1i64)) + peek(lit(2i64))) / lit(3.0))
+                    .pop_discard()
+            })
+            .build_node();
+        let g = streamit_graph::FlatGraph::from_stream(&f);
+        let c = CompiledGraph::compile(&g, None).expect("supported");
+        assert!(c.inputs_per_iteration() > 0);
+        match c.run_steady(&[1.0, 2.0, 3.0], u64::MAX) {
+            Err(ExecError::Starved {
+                needed: u64::MAX,
+                have: 3,
+            }) => {}
+            other => panic!("expected Starved, got {other:?}"),
+        }
     }
 
     #[test]

@@ -21,6 +21,8 @@ use streamit_graph::{
 };
 
 use crate::bytecode::{initial_items_typed, lower_filter, FilterCode, Rates};
+use crate::driver::Schedule;
+use crate::ExecError;
 
 /// Address of a tape or frame: which shard owns it, and the index inside
 /// that shard.  Shard 0 is the serial shard; shard `b + 1` holds branch
@@ -105,12 +107,42 @@ pub struct Stats {
     /// Input items consumed per steady round.
     pub round_in: u64,
     /// Input items that must be present at a round's start, beyond those
-    /// already consumed (again, peek windows can exceed pops).
+    /// already consumed (again, peek windows can exceed pops; never less
+    /// than `round_in`).
     pub round_in_required: u64,
     /// Output items produced by initialization.
     pub init_out: u64,
     /// Output items produced per steady round.
     pub round_out: u64,
+}
+
+impl Stats {
+    /// External input items that must be supplied to run initialization
+    /// plus `k` steady iterations (peek windows can require more than is
+    /// consumed).  Saturates, so an absurd `k` reads as "more input than
+    /// can exist" instead of wrapping past the starvation check.
+    pub fn required_input(&self, k: u64) -> u64 {
+        match k.checked_sub(1) {
+            None => self.init_in_required,
+            Some(full_rounds) => self.init_in_required.max(
+                full_rounds
+                    .saturating_mul(self.round_in)
+                    .saturating_add(self.init_in)
+                    .saturating_add(self.round_in_required),
+            ),
+        }
+    }
+
+    /// Steady iterations needed before `n` output items exist.
+    pub fn iterations_for(&self, n: u64) -> Result<u64, ExecError> {
+        if n <= self.init_out {
+            Ok(0)
+        } else if self.round_out == 0 {
+            Err(ExecError::NoSteadyOutput)
+        } else {
+            Ok((n - self.init_out).div_ceil(self.round_out))
+        }
+    }
 }
 
 /// Options controlling work-IR lowering.
@@ -150,6 +182,26 @@ pub struct Plan {
     /// Typed lowering notes (e.g. `L0701` dropped-kernel-hint warnings),
     /// formatted like analysis findings.
     pub notes: Vec<String>,
+}
+
+impl Plan {
+    /// The driver's view of this plan: all shards from base 0, the
+    /// external streams at [`EXT_IN`] / [`EXT_OUT`].
+    pub fn schedule(&self) -> Schedule<'_> {
+        Schedule {
+            codes: &self.codes,
+            tapes: &self.tapes,
+            frames: &self.frames,
+            input_ty: self.input_ty,
+            stats: self.stats,
+            ext_in: Some(EXT_IN),
+            ext_out: Some(EXT_OUT),
+            init: &self.init_ops,
+            pre: &self.pre_ops,
+            branches: &self.branch_ops,
+            post: &self.post_ops,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

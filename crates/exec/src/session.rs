@@ -10,23 +10,24 @@
 //! unbounded queue), [`Session::step`] runs iterations only while the
 //! staged input covers the round's peek window *and* the output ring
 //! has room for the round's emissions, and [`Session::pull_output`]
-//! drains what has landed.  Because the channel tapes, frames, and op
-//! arrays are exactly those of the one-shot path, the output stream is
-//! bit-identical to `run_steady` no matter how the input is chunked.
+//! drains what has landed.  Both paths are the same
+//! [`crate::driver::Driver`] over the same op arrays — a one-shot run
+//! is a session whose rings happen to hold everything — so the output
+//! stream is bit-identical to `run_steady` no matter how the input is
+//! chunked.
 //!
 //! A panic inside a step (including one injected by a [`FaultPlan`])
-//! is caught at the session boundary and *poisons* the session: the
-//! error is returned from that and every later call, the shards are
+//! comes back from the driver as an error and *poisons* the session:
+//! the error is returned from that and every later call, the shards are
 //! never touched again, and nothing leaks to other sessions — the
 //! isolation contract `streamd` builds its multi-tenant supervision on.
 
 use std::sync::Arc;
 
-use streamit_graph::DataType;
-
-use crate::engine::{self, Shard};
+use crate::driver::{build_shards, Driver, Stop};
+use crate::plan::{EXT_IN, EXT_OUT};
 use crate::tape::Tape;
-use crate::{panic_payload, CompiledGraph, ExecError, FaultKind, FaultPlan};
+use crate::{CompiledGraph, ExecError, FaultPlan};
 
 /// Staging-buffer sizing (and optional chaos injection) for a session.
 ///
@@ -41,12 +42,10 @@ pub struct SessionConfig {
     pub in_capacity: u64,
     /// Requested capacity of the external-output staging ring, in items.
     pub out_capacity: u64,
-    /// Deterministic fault injection (the chaos harness's hook): only
-    /// stage-0 plans fire in a session.  `panic` panics at the chosen
-    /// steady iteration (caught; the session is poisoned), `stall`
-    /// permanently stops progress at that iteration while the session
-    /// reports itself runnable — the signature a supervising daemon's
-    /// watchdog must detect — and `delay` sleeps once before it.
+    /// Deterministic fault injection (the chaos harness's hook, see
+    /// [`crate::driver`]): only stage-0 plans fire in a session.  An
+    /// injected `panic` poisons it; a `stall` freezes it while it still
+    /// reports itself runnable.
     pub fault: Option<FaultPlan>,
 }
 
@@ -61,29 +60,14 @@ impl SessionConfig {
     }
 }
 
-/// What prevents the next schedule phase from running.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Blocked {
-    /// The staged input is short this many items of the phase's
-    /// required window (push more input).
-    NeedInput(u64),
-    /// The output ring is short this many free slots of the phase's
-    /// emissions (drain output).
-    NeedOutputSpace(u64),
-}
-
-/// An in-flight incremental run over one compiled graph.  See the
+/// An in-flight incremental run over one compiled graph: a
+/// [`Driver`] over bounded staging rings, plus poisoning.  See the
 /// module docs for the contract; obtain one via
 /// [`CompiledGraph::open_session`].
 #[derive(Debug)]
 pub struct Session {
     graph: Arc<CompiledGraph>,
-    shards: Vec<Shard>,
-    init_done: bool,
-    iterations: u64,
-    items_in: u64,
-    items_out: u64,
-    fault: Option<FaultPlan>,
+    driver: Driver,
     poisoned: Option<ExecError>,
 }
 
@@ -93,33 +77,21 @@ impl Session {
     /// [`ExecError::NoSteadyOutput`]: a stream served incrementally
     /// must produce a stream.
     pub fn open(graph: Arc<CompiledGraph>, cfg: &SessionConfig) -> Result<Session, ExecError> {
-        let stats = graph.plan().stats;
+        let sched = graph.plan().schedule();
+        let stats = sched.stats;
         if stats.round_out == 0 {
             return Err(ExecError::NoSteadyOutput);
         }
         let in_cap = cfg
             .in_capacity
             .max(stats.init_in_required)
-            .max(stats.round_in_required)
-            .max(stats.round_in)
-            .max(1);
-        let out_cap = cfg
-            .out_capacity
-            .max(stats.init_out)
-            .max(stats.round_out)
-            .max(1);
-        let input_ty = graph.plan().input_ty;
-        let mut shards = engine::build_shards(graph.plan(), &[], 1);
-        shards[0].tapes[0] = Tape::with_capacity(input_ty, in_cap);
-        shards[0].tapes[1] = Tape::with_capacity(DataType::Float, out_cap);
+            .max(stats.round_in_required);
+        let out_cap = cfg.out_capacity.max(stats.init_out).max(stats.round_out);
+        let shards = build_shards(&sched, &[], in_cap, out_cap);
+        let driver = Driver::new(shards, 0, "session", cfg.fault, None);
         Ok(Session {
             graph,
-            shards,
-            init_done: false,
-            iterations: 0,
-            items_in: 0,
-            items_out: 0,
-            fault: cfg.fault,
+            driver,
             poisoned: None,
         })
     }
@@ -134,32 +106,17 @@ impl Session {
     /// were accepted — fewer than `items.len()` when the staging ring
     /// fills, which is the backpressure signal.
     pub fn push_input(&mut self, items: &[f64]) -> usize {
-        let ty = self.graph.plan().input_ty;
-        let tape = &mut self.shards[0].tapes[0];
-        let n = (items.len() as u64).min(tape.free()) as usize;
-        for &v in &items[..n] {
-            let _ = match ty {
-                DataType::Int => tape.push_i(v as i64),
-                DataType::Float => tape.push_f(v),
-            };
-        }
-        self.items_in += n as u64;
-        n
+        self.driver.tape_mut(EXT_IN).extend_from_f64(items)
     }
 
     /// Drain up to `max` produced items in stream order.
     pub fn pull_output(&mut self, max: usize) -> Vec<f64> {
-        match &mut self.shards[0].tapes[1] {
+        match self.driver.tape_mut(EXT_OUT) {
             Tape::F(ring) => {
                 let n = (max as u64).min(ring.len());
-                let mut out = Vec::with_capacity(n as usize);
-                for i in 0..n {
-                    if let Some(v) = ring.get(i) {
-                        out.push(v);
-                    }
-                }
+                let mut out = vec![0.0; n as usize];
+                ring.copy_out(n, &mut out);
                 ring.advance(n);
-                self.items_out += n;
                 out
             }
             // The output slot is always built as a Float ring.
@@ -179,127 +136,41 @@ impl Session {
         if let Some(e) = &self.poisoned {
             return Err(e.clone());
         }
-        let run =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.step_inner(max_iters)));
-        match run {
-            Ok(Ok(ran)) => Ok(ran),
-            Ok(Err(e)) => {
-                self.poisoned = Some(e.clone());
-                Err(e)
-            }
-            Err(p) => {
-                let e = ExecError::WorkerPanic {
-                    stage: "session".into(),
-                    payload: panic_payload(p.as_ref()),
-                };
+        match self.driver.drive(&self.graph.plan().schedule(), max_iters) {
+            Ok((ran, _)) => Ok(ran),
+            Err(e) => {
                 self.poisoned = Some(e.clone());
                 Err(e)
             }
         }
     }
 
-    fn step_inner(&mut self, max_iters: u64) -> Result<u64, ExecError> {
-        let plan = Arc::clone(&self.graph);
-        let plan = plan.plan();
-        let stats = plan.stats;
-        if !self.init_done {
-            if self.staged_input() < stats.init_in_required || self.output_free() < stats.init_out {
-                return Ok(0);
-            }
-            engine::run_ops(&plan.init_ops, &mut self.shards, 0, &plan.codes)?;
-            self.init_done = true;
-        }
-        let need_in = stats.round_in_required.max(stats.round_in);
-        let mut ran = 0u64;
-        while ran < max_iters {
-            if self.staged_input() < need_in || self.output_free() < stats.round_out {
-                break;
-            }
-            if let Some(f) = self.fault.filter(|f| f.stage == 0) {
-                if self.iterations == f.iteration {
-                    match f.kind {
-                        FaultKind::Panic => {
-                            panic!("injected fault: session panic at iteration {}", f.iteration);
-                        }
-                        // A stalled session stops advancing forever while
-                        // still looking runnable from the outside.
-                        FaultKind::Stall => break,
-                        FaultKind::DelayPublish => {
-                            std::thread::sleep(std::time::Duration::from_millis(f.delay_ms));
-                        }
-                    }
-                }
-            }
-            engine::run_ops(&plan.pre_ops, &mut self.shards, 0, &plan.codes)?;
-            for ops in &plan.branch_ops {
-                engine::run_ops(ops, &mut self.shards, 0, &plan.codes)?;
-            }
-            engine::run_ops(&plan.post_ops, &mut self.shards, 0, &plan.codes)?;
-            self.iterations += 1;
-            ran += 1;
-        }
-        Ok(ran)
-    }
-
-    /// Why the next phase cannot run right now, or `None` when a `step`
-    /// would make progress.  A session that reports `None` yet steps
-    /// zero iterations is stalled — the signal a supervisor acts on.
-    pub fn blocked(&self) -> Option<Blocked> {
-        let stats = self.graph.plan().stats;
-        let (need_in, need_out) = if self.init_done {
-            (stats.round_in_required.max(stats.round_in), stats.round_out)
-        } else {
-            (stats.init_in_required, stats.init_out)
-        };
-        let live = self.staged_input();
-        if live < need_in {
-            return Some(Blocked::NeedInput(need_in - live));
-        }
-        let free = self.output_free();
-        if free < need_out {
-            return Some(Blocked::NeedOutputSpace(need_out - free));
-        }
-        None
+    /// Why the next phase cannot run right now ([`Stop::NeedInput`] or
+    /// [`Stop::NeedOutputSpace`]), or `None` when a `step` would make
+    /// progress.  A session that reports `None` yet steps zero
+    /// iterations is stalled — the signal a supervisor acts on.
+    pub fn blocked(&self) -> Option<Stop> {
+        self.driver.gate(&self.graph.plan().schedule())
     }
 
     /// Items currently staged on the input ring (pushed, not consumed).
     pub fn staged_input(&self) -> u64 {
-        self.shards[0].tapes[0].len()
+        self.driver.tape(EXT_IN).len()
     }
 
     /// Free slots on the input staging ring.
     pub fn input_free(&self) -> u64 {
-        self.shards[0].tapes[0].free()
+        self.driver.tape(EXT_IN).free()
     }
 
     /// Produced items waiting to be pulled.
     pub fn available_output(&self) -> u64 {
-        self.shards[0].tapes[1].len()
-    }
-
-    /// Free slots on the output staging ring.
-    pub fn output_free(&self) -> u64 {
-        self.shards[0].tapes[1].free()
+        self.driver.tape(EXT_OUT).len()
     }
 
     /// Steady iterations completed over the session's lifetime.
     pub fn iterations(&self) -> u64 {
-        self.iterations
-    }
-
-    /// Whether the one-shot initialization phase has run.
-    pub fn init_done(&self) -> bool {
-        self.init_done
-    }
-
-    /// Items accepted by [`Session::push_input`] over the lifetime.
-    pub fn items_in(&self) -> u64 {
-        self.items_in
-    }
-
-    /// Items drained by [`Session::pull_output`] over the lifetime.
-    pub fn items_out(&self) -> u64 {
-        self.items_out
+        self.driver.iterations()
     }
 
     /// The error that poisoned this session, if any.
@@ -312,7 +183,7 @@ impl Session {
 mod tests {
     use super::*;
     use streamit_graph::builder::*;
-    use streamit_graph::{FlatGraph, StreamNode};
+    use streamit_graph::{DataType, FlatGraph, StreamNode};
 
     fn compile(s: &StreamNode) -> Arc<CompiledGraph> {
         let g = FlatGraph::from_stream(s);
@@ -369,7 +240,7 @@ mod tests {
         let ran = s.step(100).expect("steps");
         assert_eq!(ran, s.available_output());
         assert!(ran <= 4 + 3, "bounded by ring capacity, ran {ran}");
-        assert_eq!(s.blocked(), Some(Blocked::NeedOutputSpace(1)));
+        assert_eq!(s.blocked(), Some(Stop::NeedOutputSpace(1)));
         let first = s.pull_output(2);
         assert_eq!(first, vec![0.0, 1.0]);
         let ran2 = s.step(100).expect("steps");

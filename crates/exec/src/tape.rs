@@ -198,6 +198,16 @@ impl Tape {
         }
     }
 
+    /// Append as many of `items` as fit, coercing each to the tape's
+    /// element type; returns how many were taken.
+    pub fn extend_from_f64(&mut self, items: &[f64]) -> usize {
+        let n = (items.len() as u64).min(self.free()) as usize;
+        for &v in &items[..n] {
+            let _ = self.push_f(v);
+        }
+        n
+    }
+
     /// Read the front item without consuming it, preserving its type.
     #[inline]
     pub fn front(&self) -> Option<Raw> {

@@ -38,6 +38,9 @@ pub mod run;
 pub mod spsc;
 pub mod transform;
 
+use streamit_exec::driver::{build_shards, preload, read_output, Driver};
+use streamit_exec::engine::Shard;
+use streamit_exec::plan::Loc;
 pub use streamit_exec::plan::LowerOptions;
 use streamit_exec::tape::Tape;
 pub use streamit_exec::{ExecError, FaultKind, FaultPlan, StageSnapshot};
@@ -63,12 +66,14 @@ pub struct ReplanEvent {
     pub moved_nodes: usize,
 }
 
-/// What the adaptive re-planner did during a run.
+/// What the adaptive re-planner measured and did during a run.
 #[derive(Debug, Clone, Default)]
 pub struct ReplanReport {
     /// Measured segments executed (each segment ends at a steady
     /// iteration boundary, where re-planning is safe).
     pub segments: u64,
+    /// Per-filter costs merged over the measured segments.
+    pub profile: ProfileReport,
     /// Re-partitions actually applied (empty when the pipeline stayed
     /// balanced, or when re-planning never improved the partition).
     pub events: Vec<ReplanEvent>,
@@ -202,13 +207,7 @@ impl ParallelGraph {
 
     /// External input items needed to run `k` steady iterations.
     pub fn required_input(&self, k: u64) -> u64 {
-        let s = &self.plan.stats;
-        if k == 0 {
-            s.init_in_required
-        } else {
-            s.init_in_required
-                .max(s.init_in + (k - 1) * s.round_in + s.round_in_required)
-        }
+        self.plan.stats.required_input(k)
     }
 
     /// External output items produced by the initialization phase.
@@ -221,98 +220,36 @@ impl ParallelGraph {
         self.plan.stats.round_out
     }
 
-    /// External input items consumed per steady iteration.
-    pub fn inputs_per_iteration(&self) -> u64 {
-        self.plan.stats.round_in
-    }
-
-    /// Run initialization plus `k` steady iterations and return the
-    /// external output stream.  Initialization runs serially; the
-    /// steady rounds run one worker thread per stage (single-stage
-    /// plans skip the threading entirely).
+    /// [`ParallelGraph::run`] with the default (bare) [`RunConfig`].
     pub fn run_steady(&self, input: &[f64], k: u64) -> Result<Vec<f64>, ExecError> {
-        self.run_steady_cfg(input, k, &RunConfig::default())
+        Ok(self.run(input, k, &RunConfig::default())?.0)
     }
 
-    /// [`ParallelGraph::run_steady`] under supervision: an optional
-    /// stall watchdog, an optional chaos fault plan, and an optional
-    /// adaptive re-plan threshold (see [`RunConfig`]).  When watchdog
-    /// or fault is set, even single-stage plans go through the
-    /// pipelined path so the supervisor exists — an injected stall
-    /// without a watchdog thread would otherwise hang.  Re-planning is
-    /// skipped under fault injection (fault iteration indices are
-    /// relative to one pipelined run, which segmenting would reset).
-    pub fn run_steady_cfg(
-        &self,
-        input: &[f64],
-        k: u64,
-        cfg: &RunConfig,
-    ) -> Result<Vec<f64>, ExecError> {
-        if cfg.replan_threshold.is_some() && self.plan.stages() > 1 && cfg.fault.is_none() {
-            return self.run_steady_replan(input, k, cfg).map(|(out, _)| out);
-        }
-        let needed = self.required_input(k);
-        if (input.len() as u64) < needed {
-            return Err(ExecError::Starved {
-                needed,
-                have: input.len() as u64,
-            });
-        }
-        let out_cap = (self.plan.stats.init_out + k * self.plan.stats.round_out).max(1);
-        let mut shards = run::build_shards(&self.plan, input, out_cap);
-        streamit_exec::engine::run_ops(&self.plan.init_ops, &mut shards, 0, &self.plan.codes)?;
-        let supervised = cfg.watchdog.is_some() || cfg.fault.is_some();
-        let shards = if self.plan.stages() == 1 && !supervised {
-            for _ in 0..k {
-                streamit_exec::engine::run_ops(
-                    &self.plan.stage_ops[0],
-                    &mut shards,
-                    0,
-                    &self.plan.codes,
-                )?;
-            }
-            shards
-        } else {
-            run::run_pipelined(&self.plan, shards, k, cfg)?
-        };
-        Self::extract_output(&self.plan, &shards)
+    /// Run enough steady iterations to produce at least `n` output
+    /// items, returning exactly the first `n` (the deterministic prefix
+    /// shared with the serial engines).
+    pub fn run_collect(&self, input: &[f64], n: usize) -> Result<Vec<f64>, ExecError> {
+        let k = self.plan.stats.iterations_for(n as u64)?;
+        let mut out = self.run_steady(input, k)?;
+        out.truncate(n);
+        Ok(out)
     }
 
-    /// Run `k` steady iterations with per-filter measurement on and
-    /// return the output alongside the merged [`ProfileReport`].
-    /// Bit-identical to [`ParallelGraph::run_steady`]; the profiler
-    /// only reads a monotonic clock around firings.
-    pub fn run_steady_measured(
-        &self,
-        input: &[f64],
-        k: u64,
-    ) -> Result<(Vec<f64>, ProfileReport), ExecError> {
-        let needed = self.required_input(k);
-        if (input.len() as u64) < needed {
-            return Err(ExecError::Starved {
-                needed,
-                have: input.len() as u64,
-            });
-        }
-        let out_cap = (self.plan.stats.init_out + k * self.plan.stats.round_out).max(1);
-        let mut shards = run::build_shards(&self.plan, input, out_cap);
-        streamit_exec::engine::run_ops(&self.plan.init_ops, &mut shards, 0, &self.plan.codes)?;
-        let (shards, prof) =
-            run::run_pipelined_measured(&self.plan, shards, k, &RunConfig::default())?;
-        Self::extract_output(&self.plan, &shards).map(|out| (out, prof))
-    }
-
-    /// Run with the adaptive re-planner: execute in measured segments,
-    /// and whenever the observed stage-imbalance ratio exceeds
-    /// `cfg.replan_threshold`, stop at the steady iteration boundary
-    /// (the workers have drained: every channel is empty and every
-    /// consumer tape holds exactly the steady snapshot), re-cut the
-    /// stage partition of the *same* fissed graph with the measured
-    /// costs, migrate tapes and filter state to the new partition, and
-    /// resume.  Output is bit-identical to the unplanned run because
-    /// nothing about filter semantics changes — only which thread runs
-    /// which filter.
-    pub fn run_steady_replan(
+    /// The runtime's one configured run: initialization (serially, over
+    /// all shards) plus `k` steady iterations on one worker thread per
+    /// stage, under `cfg`'s watchdog, fault plan and re-plan threshold.
+    /// A one-stage plan is the same path with one worker and no links.
+    ///
+    /// With a threshold (and no fault plan: fault iterations count from
+    /// a segment's start) the run executes in measured segments.  When a
+    /// segment's stage-imbalance ratio exceeds the threshold, the run
+    /// stops at that steady iteration boundary (every channel empty,
+    /// every consumer tape at the steady snapshot), re-cuts the stage
+    /// partition of the *same* fissed graph with the measured costs,
+    /// migrates tapes and filter state, and resumes.  Output is
+    /// bit-identical throughout: only which thread runs which filter
+    /// changes.
+    pub fn run(
         &self,
         input: &[f64],
         k: u64,
@@ -324,44 +261,36 @@ impl ParallelGraph {
         /// Re-partitions per run: the measured costs converge after one
         /// or two cuts; anything more is thrash.
         const MAX_REPLANS: usize = 3;
-        let threshold = match cfg.replan_threshold {
-            Some(t) => t.max(1.0),
-            None => {
-                return self
-                    .run_steady_cfg(input, k, cfg)
-                    .map(|o| (o, ReplanReport::default()))
-            }
-        };
-        let needed = self.required_input(k);
-        if (input.len() as u64) < needed {
-            return Err(ExecError::Starved {
-                needed,
-                have: input.len() as u64,
-            });
-        }
-        let out_cap = (self.plan.stats.init_out + k * self.plan.stats.round_out).max(1);
-        let mut cur = self.plan.clone();
-        let mut shards = run::build_shards(&cur, input, out_cap);
-        streamit_exec::engine::run_ops(&cur.init_ops, &mut shards, 0, &cur.codes)?;
+        let threshold = cfg
+            .replan_threshold
+            .filter(|_| cfg.fault.is_none())
+            .map(|t| t.max(1.0));
+        let sched = self.plan.schedule();
+        let mut init = Driver::new(preload(&sched, input, k)?, 0, "initialization", None, None);
+        init.drive(&sched, 0)?;
+        let (mut shards, _) = init.into_parts();
+        let mut recut: Option<StagedPlan> = None;
         let mut report = ReplanReport::default();
-        let mut acc = ProfileReport::default();
         let mut done = 0u64;
         let mut replans = 0usize;
         let mut calm = 0u32;
         while done < k {
-            // Converged (two consecutive balanced segments), gave up, or
-            // collapsed to one stage: run the remainder unmeasured.
-            if cur.stages() == 1 || replans >= MAX_REPLANS || calm >= 2 {
-                shards = run::run_pipelined(&cur, shards, k - done, cfg)?;
-                break;
-            }
-            let k_seg = SEG.min(k - done);
-            let (s, prof) = run::run_pipelined_measured(&cur, shards, k_seg, cfg)?;
+            let cur = recut.as_ref().unwrap_or(&self.plan);
+            // Measure until converged (two consecutive balanced
+            // segments), out of re-plans, or down to one stage; then run
+            // the remainder in one unmeasured stretch.
+            let measuring =
+                threshold.filter(|_| cur.stages() > 1 && replans < MAX_REPLANS && calm < 2);
+            let k_seg = measuring.map_or(k - done, |_| SEG.min(k - done));
+            let (s, prof) = run::run_pipelined(cur, shards, k_seg, cfg, measuring.is_some())?;
             shards = s;
             done += k_seg;
+            let Some(threshold) = measuring else {
+                break;
+            };
             report.segments += 1;
-            acc.merge(&prof);
-            let imb = imbalance(&stage_busy_ns(&cur, &prof));
+            report.profile.merge(&prof);
+            let imb = imbalance(&stage_busy_ns(cur, &prof));
             if imb <= threshold {
                 calm += 1;
                 continue;
@@ -375,7 +304,7 @@ impl ParallelGraph {
             // and edge ids (and lowered codes) are identical across
             // cuts, which is what makes state migration well-defined;
             // re-fissing here is deliberately off the table.
-            let cost = CostModel::Measured(acc.clone());
+            let cost = CostModel::Measured(report.profile.clone());
             let next = match plan::build_staged_plan_costed(
                 &self.fissed,
                 self.input_ty,
@@ -399,7 +328,7 @@ impl ParallelGraph {
                 .zip(&next.stage_of_node)
                 .filter(|(a, b)| a != b)
                 .count();
-            shards = migrate_shards(&cur, &next, shards);
+            shards = migrate_shards(cur, &next, shards);
             report.events.push(ReplanEvent {
                 at_iteration: done,
                 imbalance: imb,
@@ -407,57 +336,10 @@ impl ParallelGraph {
                 stages_after: next.stages(),
                 moved_nodes: moved,
             });
-            cur = next;
+            recut = Some(next);
         }
-        Self::extract_output(&cur, &shards).map(|out| (out, report))
-    }
-
-    fn extract_output(
-        sp: &StagedPlan,
-        shards: &[streamit_exec::engine::Shard],
-    ) -> Result<Vec<f64>, ExecError> {
-        if sp.ext_out == plan::NO_EXT {
-            return Ok(Vec::new());
-        }
-        let l = sp.ext_out;
-        match shards
-            .get(l.shard as usize)
-            .and_then(|s| s.tapes.get(l.slot as usize))
-        {
-            Some(Tape::F(r)) => Ok(r.to_vec()),
-            _ => Err(ExecError::Fault {
-                node: "output".into(),
-                reason: "external output tape has wrong type".into(),
-            }),
-        }
-    }
-
-    /// Run enough steady iterations to produce at least `n` output
-    /// items, returning exactly the first `n` (the deterministic prefix
-    /// shared with the serial engines).
-    pub fn run_collect(&self, input: &[f64], n: usize) -> Result<Vec<f64>, ExecError> {
-        self.run_collect_cfg(input, n, &RunConfig::default())
-    }
-
-    /// [`ParallelGraph::run_collect`] under supervision; see
-    /// [`ParallelGraph::run_steady_cfg`].
-    pub fn run_collect_cfg(
-        &self,
-        input: &[f64],
-        n: usize,
-        cfg: &RunConfig,
-    ) -> Result<Vec<f64>, ExecError> {
-        let s = &self.plan.stats;
-        let k = if n as u64 <= s.init_out {
-            0
-        } else if s.round_out == 0 {
-            return Err(ExecError::NoSteadyOutput);
-        } else {
-            (n as u64 - s.init_out).div_ceil(s.round_out)
-        };
-        let mut out = self.run_steady_cfg(input, k, cfg)?;
-        out.truncate(n);
-        Ok(out)
+        let ext_out = recut.as_ref().unwrap_or(&self.plan).schedule().ext_out;
+        read_output(&shards, ext_out).map(|out| (out, report))
     }
 }
 
@@ -496,36 +378,23 @@ fn imbalance(busy: &[f64]) -> f64 {
 /// Called at a steady iteration boundary, where channels are empty and
 /// staging tapes drained — so consumer tapes, the external tapes, and
 /// filter frames are the whole live state.
-fn migrate_shards(
-    old_plan: &StagedPlan,
-    new_plan: &StagedPlan,
-    mut old: Vec<streamit_exec::engine::Shard>,
-) -> Vec<streamit_exec::engine::Shard> {
-    let mut fresh = run::build_shards(new_plan, &[], 1);
-    let mv = |from: streamit_exec::plan::Loc,
-              to: streamit_exec::plan::Loc,
-              old: &mut Vec<streamit_exec::engine::Shard>,
-              fresh: &mut Vec<streamit_exec::engine::Shard>| {
-        let t = std::mem::replace(
-            &mut old[from.shard as usize].tapes[from.slot as usize],
-            Tape::placeholder(),
-        );
-        fresh[to.shard as usize].tapes[to.slot as usize] = t;
-    };
-    for (eid, &from) in old_plan.edge_tape.iter().enumerate() {
-        let to = new_plan.edge_tape[eid];
+fn migrate_shards(old_plan: &StagedPlan, new_plan: &StagedPlan, mut old: Vec<Shard>) -> Vec<Shard> {
+    let mut fresh = build_shards(&new_plan.schedule(), &[], 0, 1);
+    let mut mv = |from: Loc, to: Loc| {
         if from != plan::NO_EXT && to != plan::NO_EXT {
-            mv(from, to, &mut old, &mut fresh);
+            fresh[to.shard as usize].tapes[to.slot as usize] = std::mem::replace(
+                &mut old[from.shard as usize].tapes[from.slot as usize],
+                Tape::placeholder(),
+            );
         }
+    };
+    for (&from, &to) in old_plan.edge_tape.iter().zip(&new_plan.edge_tape) {
+        mv(from, to);
     }
-    if old_plan.ext_in != plan::NO_EXT && new_plan.ext_in != plan::NO_EXT {
-        mv(old_plan.ext_in, new_plan.ext_in, &mut old, &mut fresh);
-    }
-    if old_plan.ext_out != plan::NO_EXT && new_plan.ext_out != plan::NO_EXT {
-        mv(old_plan.ext_out, new_plan.ext_out, &mut old, &mut fresh);
-    }
-    for (nid, &from) in old_plan.node_frame.iter().enumerate() {
-        if let (Some(f), Some(t)) = (from, new_plan.node_frame[nid]) {
+    mv(old_plan.ext_in, new_plan.ext_in);
+    mv(old_plan.ext_out, new_plan.ext_out);
+    for (&from, &to) in old_plan.node_frame.iter().zip(&new_plan.node_frame) {
+        if let (Some(f), Some(t)) = (from, to) {
             fresh[t.shard as usize].frames[t.slot as usize] =
                 std::mem::take(&mut old[f.shard as usize].frames[f.slot as usize]);
         }
@@ -715,12 +584,25 @@ mod tests {
             .build_node()
     }
 
+    /// One fully measured segment: a threshold no imbalance reaches
+    /// measures every worker without ever re-cutting.
+    fn measured_run(pg: &ParallelGraph, k: u64) -> (Vec<f64>, ProfileReport) {
+        assert!(pg.stages() > 1 && k <= 8, "one measured segment");
+        let cfg = RunConfig {
+            replan_threshold: Some(f64::INFINITY),
+            ..RunConfig::default()
+        };
+        let (out, rep) = pg.run(&[], k, &cfg).expect("runs");
+        assert!(rep.events.is_empty());
+        (out, rep.profile)
+    }
+
     #[test]
     fn measured_run_is_bit_identical_and_profiles_every_filter() {
         let g = FlatGraph::from_stream(&staged_pipeline());
         let pg = ParallelGraph::compile(&g, None, 2).expect("accepts");
         let clean = pg.run_steady(&[], 8).expect("runs");
-        let (measured, prof) = pg.run_steady_measured(&[], 8).expect("runs");
+        let (measured, prof) = measured_run(&pg, 8);
         let cb: Vec<u64> = clean.iter().map(|v| v.to_bits()).collect();
         let mb: Vec<u64> = measured.iter().map(|v| v.to_bits()).collect();
         assert_eq!(cb, mb, "measurement must not change the stream");
@@ -759,7 +641,7 @@ mod tests {
             fault: None,
             replan_threshold: Some(1.2),
         };
-        let (out, rep) = pg.run_steady_replan(&[], k, &cfg).expect("replanned run");
+        let (out, rep) = pg.run(&[], k, &cfg).expect("replanned run");
         assert!(
             !rep.events.is_empty(),
             "expected at least one re-partition, report: {rep:?}"
@@ -783,7 +665,7 @@ mod tests {
             // Effectively unreachable imbalance: never re-partition.
             replan_threshold: Some(1e9),
         };
-        let (out, rep) = pg.run_steady_replan(&[], 32, &cfg).expect("runs");
+        let (out, rep) = pg.run(&[], 32, &cfg).expect("runs");
         assert!(rep.events.is_empty(), "spurious re-plan: {rep:?}");
         assert!(rep.segments >= 1);
         let cb: Vec<u64> = clean.iter().map(|v| v.to_bits()).collect();
@@ -806,7 +688,7 @@ mod tests {
         );
         let g = FlatGraph::from_stream(&s);
         let pg = ParallelGraph::compile(&g, None, 2).expect("accepts");
-        let (clean, prof) = pg.run_steady_measured(&[], 8).expect("runs");
+        let (clean, prof) = measured_run(&pg, 8);
         let cost = CostModel::Measured(prof);
         let pg2 = ParallelGraph::compile_costed(&g, None, 2, LowerOptions::default(), &cost)
             .expect("profiled compile accepts");
@@ -833,7 +715,7 @@ mod tests {
             fault: Some("panic@0:1".parse().expect("parses")),
             replan_threshold: None,
         };
-        match pg.run_steady_cfg(&[], 6, &cfg) {
+        match pg.run(&[], 6, &cfg) {
             Err(ExecError::WorkerPanic { stage, payload }) => {
                 assert_eq!(stage, "stage 0");
                 assert!(
@@ -855,7 +737,7 @@ mod tests {
             fault: Some("stall@0:1".parse().expect("parses")),
             replan_threshold: None,
         };
-        match pg.run_steady_cfg(&[], 64, &cfg) {
+        match pg.run(&[], 64, &cfg) {
             Err(ExecError::Stalled {
                 deadline_ms,
                 stages: snap,
@@ -884,7 +766,7 @@ mod tests {
             fault: Some(fault),
             replan_threshold: None,
         };
-        let delayed = pg.run_steady_cfg(&[], 6, &cfg).expect("runs");
+        let (delayed, _) = pg.run(&[], 6, &cfg).expect("runs");
         let cb: Vec<u64> = clean.iter().map(|v| v.to_bits()).collect();
         let db: Vec<u64> = delayed.iter().map(|v| v.to_bits()).collect();
         assert_eq!(cb, db, "a slow producer must not corrupt the stream");
@@ -900,7 +782,7 @@ mod tests {
             fault: None,
             replan_threshold: None,
         };
-        let watched = pg.run_steady_cfg(&[], 8, &cfg).expect("runs");
+        let (watched, _) = pg.run(&[], 8, &cfg).expect("runs");
         let cb: Vec<u64> = clean.iter().map(|v| v.to_bits()).collect();
         let wb: Vec<u64> = watched.iter().map(|v| v.to_bits()).collect();
         assert_eq!(cb, wb);
@@ -908,9 +790,9 @@ mod tests {
 
     #[test]
     fn single_stage_plans_are_supervisable() {
-        // A plan with one stage normally skips threading; with a fault
-        // configured it must still be supervised (an injected stall
-        // needs a watchdog to be detected at all).
+        // A one-stage plan is one worker and no links: supervised like
+        // any other (an injected stall needs a watchdog to be detected
+        // at all).
         let f = FilterBuilder::new("id", DataType::Float)
             .rates(1, 1, 1)
             .work(|b| b.push(pop()))
@@ -923,7 +805,7 @@ mod tests {
             fault: Some("stall@0:0".parse().expect("parses")),
             replan_threshold: None,
         };
-        match pg.run_steady_cfg(&[1.0, 2.0, 3.0], 3, &cfg) {
+        match pg.run(&[1.0, 2.0, 3.0], 3, &cfg) {
             Err(ExecError::Stalled { .. }) => {}
             other => panic!("expected Stalled, got {other:?}"),
         }

@@ -21,6 +21,7 @@
 //! shards in one slice) against the consumer layout.
 
 use streamit_exec::bytecode::FilterCode;
+use streamit_exec::driver::Schedule;
 use streamit_exec::plan::{
     build_init, check_io_sites, firing_io, init_ops_from_seq, lower_graph, node_op, CountSim,
     Layout, Loc, LowerOptions, LoweredFilters, Op, Stats, TapeSpec,
@@ -93,6 +94,36 @@ pub struct StagedPlan {
 impl StagedPlan {
     pub fn stages(&self) -> usize {
         self.stage_ops.len()
+    }
+
+    /// The driver's view of the serial phase: all shards from base 0,
+    /// the initialization ops, and no steady ops (steady rounds run per
+    /// stage, see [`StagedPlan::stage_schedule`]).
+    pub fn schedule(&self) -> Schedule<'_> {
+        Schedule {
+            codes: &self.codes,
+            tapes: &self.tapes,
+            frames: &self.frames,
+            input_ty: self.input_ty,
+            stats: self.stats,
+            ext_in: (self.ext_in != NO_EXT).then_some(self.ext_in),
+            ext_out: (self.ext_out != NO_EXT).then_some(self.ext_out),
+            init: &self.init_ops,
+            pre: &[],
+            branches: &[],
+            post: &[],
+        }
+    }
+
+    /// The driver's view of stage `s`: its steady round, run ungated
+    /// over its own shard (base `s`) between the worker's channel drain
+    /// and publish.
+    pub fn stage_schedule(&self, s: usize) -> Schedule<'_> {
+        Schedule {
+            init: &[],
+            pre: &self.stage_ops[s],
+            ..self.schedule()
+        }
     }
 }
 

@@ -4,7 +4,8 @@
 //!
 //! 1. **Drain**: for every in-link, wait until the channel holds a full
 //!    round's flow, bulk-copy it into the consumer tape, retire it.
-//! 2. **Fire**: run the stage's op list against its own shard.
+//! 2. **Fire**: one ungated iteration of the stage's
+//!    [`Driver`] over its own shard (hooks and op walk live there).
 //! 3. **Publish**: for every out-link, wait until the channel has a
 //!    full round of free space, bulk-copy the staging tape into it,
 //!    publish, drain the staging tape.
@@ -25,8 +26,8 @@
 //! * **Faults** abort the whole pipeline: the failing worker stores the
 //!   first error, raises the abort flag, and every wait loop checks the
 //!   flag so no worker spins forever on a dead neighbour.
-//! * **Panics** are caught at the stage boundary (`catch_unwind` around
-//!   each worker body) and converted into
+//! * **Panics** are contained at the stage boundary (each worker body
+//!   runs under [`streamit_exec::driver::contain`]) and come back as
 //!   [`ExecError::WorkerPanic`] with the stage's name and the panic
 //!   payload; threads are named `rt-stage-N` so native backtraces
 //!   attribute too.
@@ -43,15 +44,13 @@
 //! oversubscribed host does not burn a core, and the park cap bounds
 //! how stale an abort check can be.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use streamit_exec::engine::{run_ops, run_ops_profiled, Frame, OpProfiler, Shard};
-use streamit_exec::tape::Tape;
-use streamit_exec::{panic_payload, ExecError, FaultKind, FaultPlan, StageSnapshot};
-use streamit_graph::{DataType, Value};
+use streamit_exec::driver::{contain, Driver};
+use streamit_exec::engine::{OpProfiler, Shard};
+use streamit_exec::{panic_payload, ExecError, FaultPlan, StageSnapshot};
 use streamit_sched::ProfileReport;
 
 use crate::plan::{Link, StagedPlan};
@@ -63,8 +62,7 @@ use crate::spsc::{CachePadded, Channel};
 const CHANNEL_ROUNDS: u64 = 4;
 
 /// Per-run supervision knobs.  The default is a bare run: no watchdog,
-/// no fault injection, no adaptive re-planning — byte-for-byte the old
-/// behaviour.
+/// no fault injection, no adaptive re-planning.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunConfig {
     /// Abort with [`ExecError::Stalled`] when no stage completes an
@@ -79,55 +77,6 @@ pub struct RunConfig {
     /// disables re-planning entirely; values ≥ 1.0 make sense (1.0 is
     /// perfectly balanced).
     pub replan_threshold: Option<f64>,
-}
-
-/// Materialize the run's shards: every tape from its spec, the external
-/// input preloaded (coerced per the plan's input type, exactly like the
-/// serial engine), the external output sized for the requested
-/// iterations.
-pub fn build_shards(plan: &StagedPlan, input: &[f64], out_cap: u64) -> Vec<Shard> {
-    plan.tapes
-        .iter()
-        .enumerate()
-        .map(|(s, specs)| {
-            let tapes = specs
-                .iter()
-                .enumerate()
-                .map(|(slot, spec)| {
-                    let here = streamit_exec::plan::Loc {
-                        shard: s as u16,
-                        slot: slot as u16,
-                    };
-                    if here == plan.ext_in {
-                        let mut t = Tape::with_capacity(plan.input_ty, input.len() as u64);
-                        for &v in input {
-                            let _ = match plan.input_ty {
-                                DataType::Int => t.push_i(v as i64),
-                                DataType::Float => t.push_f(v),
-                            };
-                        }
-                        t
-                    } else if here == plan.ext_out {
-                        Tape::with_capacity(DataType::Float, out_cap)
-                    } else {
-                        let mut t = Tape::with_capacity(spec.ty, spec.cap);
-                        for v in &spec.initial {
-                            let _ = match v {
-                                Value::Int(x) => t.push_i(*x),
-                                Value::Float(x) => t.push_f(*x),
-                            };
-                        }
-                        t
-                    }
-                })
-                .collect();
-            let frames = plan.frames[s]
-                .iter()
-                .map(|&c| Frame::new(&plan.codes[c as usize]))
-                .collect();
-            Shard { tapes, frames }
-        })
-        .collect()
 }
 
 // Staged-backoff schedule for `wait_until`: pure spins first (the
@@ -208,9 +157,9 @@ struct Pipeline<'p> {
     error: Mutex<Option<ExecError>>,
     status: Vec<StageStatus>,
     fault: Option<FaultPlan>,
-    /// When set, every worker times its work ops (sampling period 1,
-    /// for re-planning accuracy) and deposits its profiler here before
-    /// exiting.  `false` leaves the hot loop byte-for-byte unchanged.
+    /// When set, every worker's driver carries a profiler (sampling
+    /// period 1, for re-planning accuracy) and the worker deposits it
+    /// in `profilers` before exiting.
     measure: bool,
     profilers: Mutex<Vec<OpProfiler>>,
 }
@@ -302,62 +251,62 @@ impl Pipeline<'_> {
         }
     }
 
-    /// The body of worker `s`: `k` drain/fire/publish iterations.
-    /// Returns the shard so the output tape survives the scope.  Under
-    /// measurement the worker's profiler is deposited in
-    /// `self.profilers` on every exit path (including aborts).
+    /// Worker `s`: `k` drain/fire/publish iterations under panic
+    /// containment.  Returns the shard so the output tape survives the
+    /// scope (an empty one after a panic).  Under measurement the
+    /// driver's profiler is deposited in `self.profilers` on every
+    /// non-panicking exit path (including aborts).
     fn worker(&self, s: usize, shard: Shard, k: u64) -> Shard {
-        let mut prof = self
-            .measure
-            .then(|| OpProfiler::new(self.plan.codes.len(), 1));
-        let shard = self.worker_iters(s, shard, k, prof.as_mut());
-        if let Some(p) = prof {
-            if let Ok(mut slot) = self.profilers.lock() {
+        contain(&format!("stage {s}"), || {
+            let prof = self
+                .measure
+                .then(|| OpProfiler::new(self.plan.codes.len(), 1));
+            let mut driver = Driver::new(vec![shard], s as u16, "stage", self.fault, prof).primed();
+            self.worker_iters(s, &mut driver, k);
+            let (mut shards, prof) = driver.into_parts();
+            if let (Some(p), Ok(mut slot)) = (prof, self.profilers.lock()) {
                 slot.push(p);
             }
-        }
-        shard
+            Ok(shards.pop().unwrap_or_default())
+        })
+        .unwrap_or_else(|e| {
+            self.fail(e);
+            Shard::default()
+        })
     }
 
-    fn worker_iters(
-        &self,
-        s: usize,
-        mut shard: Shard,
-        k: u64,
-        mut prof: Option<&mut OpProfiler>,
-    ) -> Shard {
+    fn worker_iters(&self, s: usize, driver: &mut Driver, k: u64) {
         let fault = |reason: String| ExecError::Fault {
             node: format!("stage {s}"),
             reason,
         };
         let status = &self.status[s];
-        let in_links: Vec<(usize, &Link)> = self
-            .plan
-            .links
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.dst_stage == s)
-            .collect();
-        let out_links: Vec<(usize, &Link)> = self
-            .plan
-            .links
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.src_stage == s)
-            .collect();
-        for i in 0..k {
-            let inj = self
-                .fault
-                .filter(|f| f.stage as usize == s && f.iteration == i);
-            match inj.map(|f| f.kind) {
-                Some(FaultKind::Panic) => {
-                    panic!("injected fault: worker panic at stage {s} iteration {i}")
+        let sched = self.plan.stage_schedule(s);
+        let links_where = |pick: fn(&Link) -> usize| -> Vec<(usize, &Link)> {
+            let links = self.plan.links.iter().enumerate();
+            links.filter(|(_, l)| pick(l) == s).collect()
+        };
+        let in_links = links_where(|l| l.dst_stage);
+        let out_links = links_where(|l| l.src_stage);
+        for _ in 0..k {
+            for &(c, l) in &in_links {
+                let ch = &self.channels[c];
+                status.state.0.store(state_draining(c), Ordering::Relaxed);
+                if !wait_until(&self.abort, || ch.available() >= l.flow) {
+                    return;
                 }
-                Some(FaultKind::Stall) => {
-                    // Simulate a hung worker: publish nothing and make
-                    // no progress, but keep checking the abort flag so
-                    // the scope can always join us — an injected stall
-                    // must be detectable, never an actual test hang.
+                if let Err(reason) = ch.consume_into_tape(driver.tape_mut(l.dst), l.flow) {
+                    return self.fail(fault(reason));
+                }
+            }
+            status.state.0.store(STATE_RUNNING, Ordering::Relaxed);
+            match driver.iterate(&sched) {
+                Ok(true) => {}
+                Ok(false) => {
+                    // An injected stall simulates a hung worker: publish
+                    // nothing and make no progress, but keep checking
+                    // the abort flag so the scope can always join us —
+                    // it must be detectable, never an actual test hang.
                     status
                         .state
                         .0
@@ -365,110 +314,42 @@ impl Pipeline<'_> {
                     while !self.abort.load(Ordering::Acquire) {
                         std::thread::park_timeout(Duration::from_millis(1));
                     }
-                    return shard;
+                    return;
                 }
-                Some(FaultKind::DelayPublish) | None => {}
+                Err(e) => return self.fail(e),
             }
-            for &(c, l) in &in_links {
-                let ch = &self.channels[c];
-                status.state.0.store(state_draining(c), Ordering::Relaxed);
-                if !wait_until(&self.abort, || ch.available() >= l.flow) {
-                    return shard;
-                }
-                let tape = &mut shard.tapes[l.dst.slot as usize];
-                if let Err(reason) = ch.consume_into_tape(tape, l.flow) {
-                    self.fail(fault(reason));
-                    return shard;
-                }
-            }
-            status.state.0.store(STATE_RUNNING, Ordering::Relaxed);
-            let fired = match prof.as_deref_mut() {
-                Some(p) => {
-                    p.begin_iteration();
-                    run_ops_profiled(
-                        &self.plan.stage_ops[s],
-                        std::slice::from_mut(&mut shard),
-                        s as u16,
-                        &self.plan.codes,
-                        p,
-                    )
-                }
-                None => run_ops(
-                    &self.plan.stage_ops[s],
-                    std::slice::from_mut(&mut shard),
-                    s as u16,
-                    &self.plan.codes,
-                ),
-            };
-            if let Err(e) = fired {
-                self.fail(e);
-                return shard;
-            }
-            if let Some(f) = inj {
-                if f.kind == FaultKind::DelayPublish {
-                    // A slow producer: the batch still publishes
-                    // atomically afterwards, so consumers only ever see
-                    // completed iterations — late, never partial.
-                    std::thread::sleep(Duration::from_millis(f.delay_ms));
-                }
-            }
+            // The batch publishes atomically after the iteration, so
+            // consumers only ever see completed iterations — late under
+            // an injected delay, never partial.
             for &(c, l) in &out_links {
                 let ch = &self.channels[c];
                 status.state.0.store(state_publishing(c), Ordering::Relaxed);
                 if !wait_until(&self.abort, || ch.free() >= l.flow) {
-                    return shard;
+                    return;
                 }
-                let tape = &mut shard.tapes[l.staging.slot as usize];
+                let tape = driver.tape_mut(l.staging);
                 if let Err(reason) = ch.produce_from_tape(tape, l.flow) {
-                    self.fail(fault(reason));
-                    return shard;
+                    return self.fail(fault(reason));
                 }
                 tape.advance(l.flow);
             }
             status.state.0.store(STATE_RUNNING, Ordering::Relaxed);
-            status.progress.0.store(i + 1, Ordering::Relaxed);
+            let done = driver.iterations();
+            status.progress.0.store(done, Ordering::Relaxed);
         }
         status.state.0.store(STATE_FINISHED, Ordering::Relaxed);
-        shard
     }
 }
 
-fn empty_shard() -> Shard {
-    Shard {
-        tapes: Vec::new(),
-        frames: Vec::new(),
-    }
-}
-
-/// Run `k` steady iterations of a multi-stage plan on one worker thread
-/// per stage, returning the shards (the caller extracts the output
-/// tape) or the first fault.  Workers are named `rt-stage-N`, panics
-/// are caught and attributed, and — when configured — a watchdog
-/// converts silent stalls into [`ExecError::Stalled`].
-pub fn run_pipelined(
-    plan: &StagedPlan,
-    shards: Vec<Shard>,
-    k: u64,
-    cfg: &RunConfig,
-) -> Result<Vec<Shard>, ExecError> {
-    run_pipelined_inner(plan, shards, k, cfg, false).map(|(shards, _)| shards)
-}
-
-/// [`run_pipelined`] with per-filter cost measurement: every worker
-/// times its work ops (sampling period 1) and the merged
-/// [`ProfileReport`] comes back alongside the shards.  Execution
-/// semantics — and therefore output — are identical to the unmeasured
-/// path; only clock reads are added inside each worker.
-pub fn run_pipelined_measured(
-    plan: &StagedPlan,
-    shards: Vec<Shard>,
-    k: u64,
-    cfg: &RunConfig,
-) -> Result<(Vec<Shard>, ProfileReport), ExecError> {
-    run_pipelined_inner(plan, shards, k, cfg, true)
-}
-
-fn run_pipelined_inner(
+/// Run `k` steady iterations of a staged plan on one worker thread per
+/// stage, returning the shards (the caller extracts the output tape) or
+/// the first fault.  Workers are named `rt-stage-N`, panics are caught
+/// and attributed, and — when configured — a watchdog converts silent
+/// stalls into [`ExecError::Stalled`].  With `measure` every worker
+/// times its work ops and the merged [`ProfileReport`] comes back
+/// alongside the shards (empty otherwise); only clock reads are added,
+/// so output is identical either way.
+pub(crate) fn run_pipelined(
     plan: &StagedPlan,
     shards: Vec<Shard>,
     k: u64,
@@ -500,18 +381,7 @@ fn run_pipelined_inner(
             .map(|(s, shard)| {
                 std::thread::Builder::new()
                     .name(format!("rt-stage-{s}"))
-                    .spawn_scoped(scope, move || {
-                        match catch_unwind(AssertUnwindSafe(|| pipe_ref.worker(s, shard, k))) {
-                            Ok(shard) => shard,
-                            Err(p) => {
-                                pipe_ref.fail(ExecError::WorkerPanic {
-                                    stage: format!("stage {s}"),
-                                    payload: panic_payload(p.as_ref()),
-                                });
-                                empty_shard()
-                            }
-                        }
-                    })
+                    .spawn_scoped(scope, move || pipe_ref.worker(s, shard, k))
             })
             .collect();
         // A failed spawn must abort *before* we join anything: the
@@ -537,9 +407,9 @@ fn run_pipelined_inner(
                         stage: "pipeline".into(),
                         payload: panic_payload(p.as_ref()),
                     });
-                    empty_shard()
+                    Shard::default()
                 }),
-                Err(_) => empty_shard(),
+                Err(_) => Shard::default(),
             })
             .collect();
         done.store(true, Ordering::Release);

@@ -13,9 +13,12 @@
 //! that reintroduces a hang fails the test instead of wedging CI.
 
 use std::sync::mpsc;
+use std::sync::Arc;
 use std::time::Duration;
 
+use streamit::exec::{ExecError, FaultPlan, SessionConfig};
 use streamit::graph::StreamNode;
+use streamit::rt::RunConfig;
 use streamit::{apps, CompiledProgram, Compiler, Engine, OnEngineFault, SupervisorConfig};
 
 /// Hard per-case bound: generous next to the watchdog deadlines used
@@ -447,4 +450,120 @@ fn chaos_watchdog_is_zero_interference_without_injection() {
             }
         });
     }
+}
+
+/// What one front end made of one injected fault.
+#[derive(Debug, Clone, PartialEq)]
+enum Outcome {
+    /// Ran to completion; the first `n` outputs, as bits.
+    Output(Vec<u64>),
+    /// Typed `WorkerPanic` whose payload names the injected fault.
+    Panicked,
+    /// Stopped after this many iterations while still reporting itself
+    /// runnable, and a further step ran nothing.
+    Frozen(u64),
+    /// The watchdog declared a stall.
+    Stalled,
+}
+
+fn outcome(run: Result<Vec<f64>, ExecError>, n: usize) -> Outcome {
+    match run {
+        Ok(out) => Outcome::Output(bits(&out[..n])),
+        Err(ExecError::WorkerPanic { payload, .. }) => {
+            assert!(payload.contains("injected fault"), "payload: {payload}");
+            Outcome::Panicked
+        }
+        Err(ExecError::Stalled { .. }) => Outcome::Stalled,
+        Err(e) => panic!("untyped outcome: {e}"),
+    }
+}
+
+#[test]
+fn chaos_fault_contract_is_the_same_driver_behind_every_front_end() {
+    // One driver implements the three fault kinds; each front end only
+    // decides what a stall means.  The same plans through all of them,
+    // against the documented outcome per front end.
+    with_timeout("fault-parity", || {
+        const AT: u64 = 1;
+        let p = compile("filterbank", apps::filterbank::filterbank(8, 32));
+        let cg = Arc::new(p.compile_exec().expect("compiled engine accepts"));
+        let pgs = [1usize, 2].map(|t| p.compile_parallel(t).expect("parallel engine accepts"));
+        assert_eq!(pgs.each_ref().map(|pg| pg.stages()), [1, 2]);
+
+        // Enough outputs that every front end runs past iteration AT.
+        let widest = pgs
+            .iter()
+            .map(|pg| pg.outputs_per_iteration())
+            .fold(cg.outputs_per_iteration(), u64::max);
+        let n = (cg.init_outputs() + 4 * widest) as usize;
+        let input = sized_input(&p, n);
+        let k = cg.plan().stats.iterations_for(n as u64).expect("emits");
+        assert!(k > AT);
+
+        let one_shot = |f: Option<FaultPlan>| cg.run(&input, k, f, None).map(|(out, _)| out);
+        let parallel = |pg: &streamit::rt::ParallelGraph, f: Option<FaultPlan>| {
+            let k = pg.plan().stats.iterations_for(n as u64).expect("emits");
+            assert!(k > AT);
+            let cfg = RunConfig {
+                watchdog: Some(Duration::from_millis(STALL_DEADLINE_MS)),
+                fault: f,
+                replan_threshold: None,
+            };
+            pg.run(&input, k, &cfg).map(|(out, _)| out)
+        };
+        let session = |f: Option<FaultPlan>| {
+            let cfg = SessionConfig {
+                in_capacity: input.len() as u64,
+                out_capacity: n as u64 + cg.outputs_per_iteration(),
+                fault: f,
+            };
+            let mut s = cg.open_session(&cfg).expect("opens");
+            assert_eq!(s.push_input(&input), input.len());
+            match s.step(k) {
+                Ok(ran) if ran < k => {
+                    assert_eq!(s.blocked(), None, "frozen, not blocked");
+                    assert_eq!(s.step(k), Ok(0));
+                    Outcome::Frozen(s.iterations())
+                }
+                ran => outcome(ran.map(|_| s.pull_output(usize::MAX)), n),
+            }
+        };
+
+        let clean = outcome(one_shot(None), n);
+        assert_eq!(clean, session(None));
+        for pg in &pgs {
+            assert_eq!(clean, outcome(parallel(pg, None), n));
+        }
+        assert!(matches!(clean, Outcome::Output(_)));
+        // (plan, one-shot, session, parallel at 1 and 2 stages)
+        let table = [
+            (
+                "panic",
+                Outcome::Panicked,
+                Outcome::Panicked,
+                Outcome::Panicked,
+            ),
+            ("delay", clean.clone(), clean.clone(), clean.clone()),
+            (
+                "stall",
+                clean.clone(),
+                Outcome::Frozen(AT),
+                Outcome::Stalled,
+            ),
+        ];
+        for (kind, want_one_shot, want_session, want_parallel) in table {
+            let f: Option<FaultPlan> = format!("{kind}@0:{AT}").parse().ok();
+            assert!(f.is_some());
+            assert_eq!(outcome(one_shot(f), n), want_one_shot, "{kind}: one-shot");
+            assert_eq!(session(f), want_session, "{kind}: session");
+            for pg in &pgs {
+                let stages = pg.stages();
+                assert_eq!(
+                    outcome(parallel(pg, f), n),
+                    want_parallel,
+                    "{kind}: parallel at {stages} stage(s)"
+                );
+            }
+        }
+    });
 }

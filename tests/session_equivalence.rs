@@ -2,13 +2,18 @@
 //! every app graph the compiled engine accepts, driving a [`Session`]
 //! with deliberately awkward push/step/pull chunk sizes must produce a
 //! stream bit-identical to the one-shot `run_collect` path — no matter
-//! how the input is sliced, because sessions reuse the exact op arrays,
-//! frames, and channel tapes of the one-shot engine.
+//! how the input is sliced, because a session and a one-shot run are
+//! the same driver over the same op arrays.  The slicing is an input
+//! mode of one harness: fixed mutually prime sizes over the whole
+//! corpus, and random sizes (plus random `drive` splits one level
+//! down) as a property over three representative graphs.
 
 use std::sync::Arc;
 
-use streamit::exec::{ExecError, SessionConfig};
-use streamit::graph::StreamNode;
+use streamit::exec::driver::{preload, read_output, Driver, Stop};
+use streamit::exec::{CompiledGraph, ExecError, SessionConfig};
+use streamit::graph::builder::{lit, pipeline, pop, var, FilterBuilder};
+use streamit::graph::{DataType, StreamNode, Value};
 use streamit::{apps, CompiledProgram, Compiler};
 
 /// Deterministic varied input (same convention as `exec_equivalence`).
@@ -22,11 +27,20 @@ fn compile(name: &str, stream: StreamNode) -> CompiledProgram {
         .unwrap_or_else(|e| panic!("{name}: app graph must compile: {e}"))
 }
 
-/// Incrementally serve `n` outputs through a session with mutually
-/// prime chunk sizes and compare against one-shot `run_collect`.
-/// Returns the decline reason when the graph is outside the engine's
-/// (or the session's) subset.
-fn differential(name: &str, p: &CompiledProgram, n: usize) -> Option<String> {
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// How a run is sliced: each call yields the next round's `(push, step,
+/// pull)` sizes.  Every size must be at least 1 so a round can always
+/// move something.
+type Chunks<'a> = &'a mut dyn FnMut() -> (usize, u64, usize);
+
+/// Incrementally serve `n` outputs through a session sliced by `chunks`
+/// and compare against one-shot `run_collect`.  Returns the decline
+/// reason when the graph is outside the engine's (or the session's)
+/// subset.
+fn differential(name: &str, p: &CompiledProgram, n: usize, chunks: Chunks) -> Option<String> {
     let cg = match p.compile_exec() {
         Ok(cg) => Arc::new(cg),
         Err(ExecError::Unsupported { reason }) => return Some(reason),
@@ -55,13 +69,14 @@ fn differential(name: &str, p: &CompiledProgram, n: usize) -> Option<String> {
     let mut idle_rounds = 0;
     while got.len() < want.len() {
         let before = (fed, got.len());
+        let (push, step, pull) = chunks();
         if fed < input.len() {
-            fed += session.push_input(&input[fed..input.len().min(fed + 13)]);
+            fed += session.push_input(&input[fed..input.len().min(fed + push)]);
         }
         session
-            .step(3)
+            .step(step)
             .unwrap_or_else(|e| panic!("{name}: session step failed: {e}"));
-        got.extend(session.pull_output(7));
+        got.extend(session.pull_output(pull));
         // A session fed the full one-shot input must keep advancing;
         // a livelock here means the gating logic lost items.
         idle_rounds = if (fed, got.len()) == before {
@@ -79,11 +94,33 @@ fn differential(name: &str, p: &CompiledProgram, n: usize) -> Option<String> {
     }
     got.truncate(want.len());
     assert_eq!(
-        want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        bits(&want),
+        bits(&got),
         "{name}: incremental session diverged from one-shot run"
     );
     None
+}
+
+/// The same invariance one level down: a driver resumed across
+/// `drive(k1); drive(k2); …` ends exactly where one `drive(Σk)` does.
+fn drive_splits_match_one_drive(name: &str, cg: &CompiledGraph, splits: &[u64]) {
+    let total: u64 = splits.iter().sum();
+    let input = varied_input(cg.required_input(total) as usize);
+    let want = cg
+        .run_steady(&input, total)
+        .unwrap_or_else(|e| panic!("{name}: one-shot run failed: {e}"));
+    let s = cg.plan().schedule();
+    let shards = preload(&s, &input, total).expect("input covers the run");
+    let mut d = Driver::new(shards, 0, "split drive", None, None);
+    for &k in splits {
+        let stop = d
+            .drive(&s, k)
+            .unwrap_or_else(|e| panic!("{name}: drive({k}) failed: {e}"));
+        assert_eq!(stop, (k, Stop::Budget), "{name}: splits {splits:?}");
+    }
+    assert_eq!(d.iterations(), total);
+    let got = read_output(&d.into_parts().0, s.ext_out).expect("float output tape");
+    assert_eq!(bits(&want), bits(&got), "{name}: splits {splits:?}");
 }
 
 /// The fifteen-benchmark corpus, served incrementally.  The four
@@ -116,7 +153,8 @@ fn apps_serve_incrementally_bit_identical_to_one_shot() {
     let mut declined = Vec::new();
     for (name, stream, n) in graphs {
         let p = compile(name, stream);
-        if let Some(reason) = differential(name, &p, n) {
+        // Mutually prime sizes, the same every round.
+        if let Some(reason) = differential(name, &p, n, &mut || (13, 3, 7)) {
             assert!(
                 !must_serve.contains(&name),
                 "{name} must be servable incrementally, but declined: {reason}"
@@ -132,4 +170,48 @@ fn apps_serve_incrementally_bit_identical_to_one_shot() {
         declined.len() <= 7,
         "session serving declined too many apps: {declined:#?}"
     );
+}
+
+/// A stateful source feeding a doubler: no external input at all, so
+/// output space is the only thing that ever gates it.
+fn source_only() -> StreamNode {
+    let src = FilterBuilder::source("src", DataType::Int)
+        .rates(0, 0, 1)
+        .state("i", DataType::Int, Value::Int(0))
+        .work(|b| b.push(var("i")).set("i", var("i") + lit(1i64)))
+        .build_node();
+    let x2 = FilterBuilder::new("x2", DataType::Int)
+        .rates(1, 1, 1)
+        .work(|b| b.push(pop() * lit(2i64)))
+        .build_node();
+    pipeline("p", vec![src, x2])
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+    /// Chunking invariance as a property: random push sizes, step
+    /// budgets and pull sizes (a fresh draw every round) over a peeking
+    /// float graph, an int-tape graph and a source-only graph, and
+    /// random `drive` splits of the same runs.
+    #[test]
+    fn prop_random_chunking_is_bit_identical_to_one_shot(
+        sizes in proptest::collection::vec((1usize..48, 1u64..6, 1usize..48), 1..32),
+        splits in proptest::collection::vec(0u64..5, 1..8),
+    ) {
+        let graphs: Vec<(&str, StreamNode, usize)> = vec![
+            ("fmradio", apps::fmradio::fmradio(10, 64), 24),
+            ("bitonic", apps::bitonic::bitonic_sort(32), 96),
+            ("source-only", source_only(), 40),
+        ];
+        for (name, stream, n) in graphs {
+            let p = compile(name, stream);
+            let mut round = sizes.iter().cycle();
+            let mut chunks = || *round.next().expect("sizes is non-empty");
+            let declined = differential(name, &p, n, &mut chunks);
+            proptest::prop_assert!(declined.is_none(), "{name} declined: {declined:?}");
+            let cg = p.compile_exec().expect("served above");
+            drive_splits_match_one_drive(name, &cg, &splits);
+        }
+    }
 }
