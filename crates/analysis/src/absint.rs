@@ -17,6 +17,15 @@
 //! anything else runs to a widened fixpoint, which loses exactness but
 //! never soundness.
 //!
+//! Float values are not tracked: a float literal, a local declared
+//! `float` and every float-valued intrinsic evaluate to ⊤ *and* carry a
+//! may-be-float mark through arithmetic, because the integer identities
+//! the interval operators rely on (`x * 0 == 0`, `|x| >= 0`) fail for
+//! NaN and ±inf, and NaN is truthy.  Tape reads, array elements and
+//! names the block does not declare are assumed integer — the analysis
+//! knows neither tape nor state types — which keeps idioms like
+//! `peek(pop() % N)` bounded.
+//!
 //! Soundness invariant (property-tested from `tests/static_analysis.rs`):
 //! for every concrete execution of the block, the observed pop count,
 //! push count and maximum tape requirement lie inside the corresponding
@@ -31,7 +40,7 @@
 
 use crate::interval::Interval;
 use std::collections::HashMap;
-use streamit_graph::{BinOp, Expr, Intrinsic, LValue, Stmt, UnOp};
+use streamit_graph::{BinOp, DataType, Expr, Intrinsic, LValue, Stmt, UnOp};
 
 /// Total statements the analyzer may execute while unrolling loops.
 const UNROLL_FUEL: u64 = 2_000_000;
@@ -60,11 +69,30 @@ pub struct BodyAnalysis {
     pub dead_code: Vec<String>,
 }
 
+/// What the walk knows about one scalar local.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Slot {
+    Int(Interval),
+    /// Declared `float`: never tracked, whatever is assigned to it.
+    Float,
+}
+
+impl Slot {
+    /// A name that is float on either path is float (the environment
+    /// is flat, so two scopes may reuse a name with different types).
+    fn merge(self, other: Slot, f: impl FnOnce(&Interval, &Interval) -> Interval) -> Slot {
+        match (self, other) {
+            (Slot::Int(a), Slot::Int(b)) => Slot::Int(f(&a, &b)),
+            _ => Slot::Float,
+        }
+    }
+}
+
 /// Abstract machine state threaded through the walk.
 #[derive(Debug, Clone, PartialEq)]
 struct AbsState {
-    /// Known integer-scalar variables; absent means unknown (⊤).
-    env: HashMap<String, Interval>,
+    /// Known scalar variables; absent means an unknown integer (⊤).
+    env: HashMap<String, Slot>,
     pops: Interval,
     pushes: Interval,
     need: Interval,
@@ -77,7 +105,7 @@ impl AbsState {
         AbsState {
             env: seed
                 .iter()
-                .map(|(k, &v)| (k.clone(), Interval::constant(v)))
+                .map(|(k, &v)| (k.clone(), Slot::Int(Interval::constant(v))))
                 .collect(),
             pops: Interval::constant(0),
             pushes: Interval::constant(0),
@@ -110,7 +138,7 @@ fn join(a: &AbsState, b: &AbsState) -> AbsState {
     let mut env = HashMap::new();
     for (k, va) in &a.env {
         if let Some(vb) = b.env.get(k) {
-            env.insert(k.clone(), va.join(vb));
+            env.insert(k.clone(), va.merge(*vb, Interval::join));
         }
     }
     AbsState {
@@ -128,7 +156,7 @@ fn widen(next: &AbsState, prev: &AbsState) -> AbsState {
     let mut env = HashMap::new();
     for (k, vn) in &next.env {
         let w = match prev.env.get(k) {
-            Some(vp) => vn.widen(vp),
+            Some(vp) => vn.merge(*vp, Interval::widen),
             None => *vn,
         };
         env.insert(k.clone(), w);
@@ -212,9 +240,13 @@ impl Analyzer {
     fn exec_stmt(&mut self, s: &Stmt, st: &mut AbsState) {
         self.fuel = self.fuel.saturating_sub(1);
         match s {
-            Stmt::Let { name, init, .. } => {
+            Stmt::Let { name, ty, init } => {
                 let v = self.eval(init, st);
-                st.env.insert(name.clone(), v);
+                let slot = match ty {
+                    DataType::Int => Slot::Int(v),
+                    DataType::Float => Slot::Float,
+                };
+                st.env.insert(name.clone(), slot);
             }
             Stmt::LetArray { name, .. } => {
                 // Array contents are not tracked; shadow any scalar.
@@ -226,7 +258,13 @@ impl Analyzer {
                 }
                 let v = self.eval(value, st);
                 if let LValue::Var(n) = target {
-                    st.env.insert(n.clone(), v);
+                    match st.env.get_mut(n) {
+                        Some(Slot::Float) => {}
+                        Some(slot) => *slot = Slot::Int(v),
+                        None => {
+                            st.env.insert(n.clone(), Slot::Int(v));
+                        }
+                    }
                 }
             }
             Stmt::Push(e) => {
@@ -321,7 +359,8 @@ impl Analyzer {
             if trips <= UNROLL_LIMIT as i128 && cost <= self.fuel {
                 self.fuel -= cost;
                 for i in lo..hi {
-                    st.env.insert(var.to_string(), Interval::constant(i));
+                    st.env
+                        .insert(var.to_string(), Slot::Int(Interval::constant(i)));
                     self.exec_block(body, st);
                 }
                 return;
@@ -351,7 +390,7 @@ impl Analyzer {
         let mut cur = st.clone();
         for round in 0..FIXPOINT_CAP {
             let mut it = cur.clone();
-            it.env.insert(var.to_string(), var_range);
+            it.env.insert(var.to_string(), Slot::Int(var_range));
             self.exec_block(body, &mut it);
             let mut next = join(&cur, &it);
             if round >= 2 {
@@ -374,19 +413,29 @@ impl Analyzer {
     }
 
     fn eval(&mut self, e: &Expr, st: &mut AbsState) -> Interval {
+        self.eval_f(e, st).0
+    }
+
+    /// The interval of `e`, and whether its value may be a float — in
+    /// which case the interval is ⊤ (see the module docs).
+    fn eval_f(&mut self, e: &Expr, st: &mut AbsState) -> (Interval, bool) {
+        const FLOAT: (Interval, bool) = (Interval::TOP, true);
         match e {
-            Expr::IntLit(i) => Interval::constant(*i),
-            // Float values are not tracked; conditions over them are ⊤.
-            Expr::FloatLit(_) => Interval::TOP,
-            Expr::Var(n) => st.env.get(n).copied().unwrap_or(Interval::TOP),
+            Expr::IntLit(i) => (Interval::constant(*i), false),
+            Expr::FloatLit(_) => FLOAT,
+            Expr::Var(n) => match st.env.get(n) {
+                Some(Slot::Int(v)) => (*v, false),
+                Some(Slot::Float) => FLOAT,
+                None => (Interval::TOP, false),
+            },
             Expr::Index(_, i) => {
                 self.eval(i, st);
-                Interval::TOP
+                (Interval::TOP, false)
             }
             Expr::Pop => {
                 st.pops = st.pops.add(&Interval::constant(1));
                 st.need = imax(&st.need, &st.pops);
-                Interval::TOP
+                (Interval::TOP, false)
             }
             Expr::Peek(i) => {
                 let vi = self.eval(i, st);
@@ -398,44 +447,59 @@ impl Analyzer {
                 // reaching backwards.
                 let req = st.pops.add(&vi.max_with(0)).add(&Interval::constant(1));
                 st.need = imax(&st.need, &req);
-                Interval::TOP
+                (Interval::TOP, false)
             }
             Expr::Unary(op, a) => {
-                let v = self.eval(a, st);
+                let (v, float) = self.eval_f(a, st);
                 match op {
-                    UnOp::Neg => v.neg(),
-                    UnOp::Not => truth_interval(match truth(&v) {
-                        Truth::True => Truth::False,
-                        Truth::False => Truth::True,
-                        Truth::Unknown => Truth::Unknown,
-                    }),
-                    UnOp::BitNot => Interval::TOP,
+                    UnOp::Neg => (v.neg(), float),
+                    UnOp::Not => (
+                        truth_interval(match truth(&v) {
+                            Truth::True => Truth::False,
+                            Truth::False => Truth::True,
+                            Truth::Unknown => Truth::Unknown,
+                        }),
+                        false,
+                    ),
+                    UnOp::BitNot => (Interval::TOP, false),
                 }
             }
             Expr::Binary(op, a, b) => {
-                let va = self.eval(a, st);
-                let vb = self.eval(b, st);
-                self.binop(*op, va, vb)
+                let (va, fa) = self.eval_f(a, st);
+                let (vb, fb) = self.eval_f(b, st);
+                let arith = matches!(
+                    op,
+                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem
+                );
+                if arith && (fa || fb) {
+                    FLOAT
+                } else {
+                    // Comparisons and logic yield an int; a float operand
+                    // is ⊤, so they come out unknown.
+                    (self.binop(*op, va, vb), false)
+                }
             }
             Expr::Call(f, args) => {
-                let vs: Vec<Interval> = args.iter().map(|a| self.eval(a, st)).collect();
+                let vs: Vec<(Interval, bool)> = args.iter().map(|a| self.eval_f(a, st)).collect();
+                let float_arg = vs.iter().any(|v| v.1);
+                let int = |v: Interval| (v, false);
                 match (f, vs.as_slice()) {
-                    (Intrinsic::ToInt, [v]) => *v,
-                    (Intrinsic::Abs, [v]) => {
-                        if v.lo >= 0 {
-                            *v
-                        } else if v.hi <= 0 {
-                            v.neg()
-                        } else {
-                            Interval::range(0, v.neg().hi.max(v.hi))
-                        }
-                    }
-                    (Intrinsic::Min, [a, b]) => Interval {
+                    (Intrinsic::ToInt, [v]) => int(v.0),
+                    (Intrinsic::Abs | Intrinsic::Min | Intrinsic::Max, _) if float_arg => FLOAT,
+                    (Intrinsic::Abs, [(v, _)]) => int(if v.lo >= 0 {
+                        *v
+                    } else if v.hi <= 0 {
+                        v.neg()
+                    } else {
+                        Interval::range(0, v.neg().hi.max(v.hi))
+                    }),
+                    (Intrinsic::Min, [(a, _), (b, _)]) => int(Interval {
                         lo: a.lo.min(b.lo),
                         hi: a.hi.min(b.hi),
-                    },
-                    (Intrinsic::Max, [a, b]) => imax(a, b),
-                    _ => Interval::TOP,
+                    }),
+                    (Intrinsic::Max, [(a, _), (b, _)]) => int(imax(a, b)),
+                    // Everything else returns a float.
+                    _ => FLOAT,
                 }
             }
         }
@@ -574,6 +638,28 @@ mod tests {
         // i*i is TOP here, but a non-negative-looking dividend cannot be
         // assumed; the modulus still clamps the magnitude.
         assert_eq!(r.need.hi, 5);
+    }
+
+    #[test]
+    fn float_values_never_decide_a_branch() {
+        // `0 * inf` is NaN, and NaN is truthy: a float local holding 0,
+        // or a float literal times 0, must not fold the condition.
+        let r = analyze(|b| {
+            b.let_("f", DataType::Float, lit(0i64))
+                .if_(var("f") * lit(f64::NEG_INFINITY), |t| t.pop_discard())
+                .set("f", lit(0i64))
+                .if_(var("f") * lit(2i64), |t| t.pop_discard())
+                .if_(lit(f64::INFINITY) * lit(0i64), |t| t.pop_discard())
+        });
+        assert_eq!(r.pops, Interval::range(0, 3));
+        assert!(r.dead_code.is_empty(), "{:?}", r.dead_code);
+        // Casting back to int re-enters the tracked domain.
+        let r = analyze(|b| {
+            b.let_("f", DataType::Float, lit(1.5)).push(peek(
+                call1(streamit_graph::Intrinsic::ToInt, var("f")) % lit(4i64),
+            ))
+        });
+        assert_eq!(r.need.hi, 4);
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! * **Loop unrolling** requires literal bounds, a body that declares no
 //!   locals and never writes the loop variable, and stays under a fuel
 //!   budget sized so the bytecode register/code limits cannot overflow.
+//!   Loops that reuse one variable name unroll as long as nothing but
+//!   loops binds that name ([`loop_only_names`]).
 //! * **Dead-store elimination** only deletes a store whose value
 //!   expression is provably total (no `pop`/`peek`, no possible trap);
 //!   an impure dead store is rewritten to a bare expression statement so
@@ -107,6 +109,7 @@ fn one_round(f: &Filter, block: Vec<Stmt>, stats: &mut OptStats) -> Vec<Stmt> {
     let pinned = pinned_names(f, &block);
     let seeds = state_seeds(f, &pinned);
     let tys = scalar_types(f, &block, &pinned);
+    let loop_only = loop_only_names(f, &block, &pinned);
 
     // Interval-proven branch decisions on the current block, keyed by
     // statement identity.
@@ -114,6 +117,7 @@ fn one_round(f: &Filter, block: Vec<Stmt>, stats: &mut OptStats) -> Vec<Stmt> {
 
     let mut fold = Folder {
         pinned: &pinned,
+        loop_only: &loop_only,
         seeds: &seeds,
         tys: &tys,
         decisions: &decisions,
@@ -319,6 +323,7 @@ fn branch_decisions(f: &Filter, block: &[Stmt]) -> HashMap<*const Stmt, bool> {
 
 struct Folder<'c> {
     pinned: &'c HashSet<String>,
+    loop_only: &'c HashSet<String>,
     seeds: &'c StateSeeds,
     tys: &'c HashMap<String, DataType>,
     decisions: &'c HashMap<*const Stmt, bool>,
@@ -576,7 +581,7 @@ impl Folder<'_> {
             let unrollable = trips <= MAX_UNROLL_TRIPS
                 && cost <= MAX_UNROLL_BODY
                 && cost <= self.fuel
-                && !self.pinned.contains(var)
+                && (!self.pinned.contains(var) || self.loop_only.contains(var))
                 && !body_blocks_unroll(body, var);
             if unrollable {
                 self.fuel -= cost;
@@ -618,6 +623,30 @@ impl Folder<'_> {
             body,
         });
     }
+}
+
+/// Pinned names that only loops introduce: no state field, `let` or
+/// array shares them.  A `for` binds its variable in a scope of its
+/// own, so once [`body_blocks_unroll`] has ruled out a re-binding
+/// inside the body, every use of the name there is this loop's counter
+/// and literal substitution is exact — sibling loops reusing one name
+/// (`for c {..} for c {..}`) each unroll.  A name a state field or a
+/// local also carries stays excluded: substituting it could change
+/// which binding an `x[i]` or a later read resolves to.
+fn loop_only_names(f: &Filter, block: &[Stmt], pinned: &HashSet<String>) -> HashSet<String> {
+    if pinned.is_empty() {
+        return HashSet::new();
+    }
+    let mut out = pinned.clone();
+    for sv in &f.state {
+        out.remove(&sv.name);
+    }
+    streamit_graph::work::visit_block(block, &mut |s| {
+        if let Stmt::Let { name, .. } | Stmt::LetArray { name, .. } = s {
+            out.remove(name);
+        }
+    });
+    out
 }
 
 /// `true` when the loop body prevents literal substitution of `var`:
@@ -1052,6 +1081,83 @@ mod tests {
         });
         assert!(!has_index, "weight reads folded to literals");
         assert_equivalent(&f, &[1.0, -2.0, 3.5, 0.25]);
+    }
+
+    fn for_(var: &str, to: i64, body: Vec<Stmt>) -> Stmt {
+        Stmt::For {
+            var: var.into(),
+            from: Expr::IntLit(0),
+            to: Expr::IntLit(to),
+            body,
+        }
+    }
+
+    #[test]
+    fn loops_reusing_one_variable_name_all_unroll() {
+        // beamformer's `Steer`: `for c { s = s + peek(c) } push(s);
+        // for c { pop() }`, plus a nest over the same name.  Every
+        // binding of `c` is a loop's own, so each loop unrolls.
+        let f = filter_with(
+            vec![],
+            vec![
+                let_("s", DataType::Float, Expr::FloatLit(0.0)),
+                for_(
+                    "c",
+                    3,
+                    vec![assign(
+                        "s",
+                        bin(BinOp::Add, var("s"), Expr::Peek(Box::new(var("c")))),
+                    )],
+                ),
+                Stmt::Push(var("s")),
+                for_("c", 2, vec![for_("c", 2, vec![Stmt::Push(var("c"))])]),
+                for_("c", 3, vec![Stmt::Expr(Expr::Pop)]),
+            ],
+        );
+        let (opt, stats) = optimize_filter(&f);
+        assert_eq!(stats.unrolled_loops, 4);
+        let mut loops = 0;
+        streamit_graph::work::visit_block(&opt.work, &mut |s| {
+            loops += matches!(s, Stmt::For { .. }) as u32;
+        });
+        assert_eq!(loops, 0, "{:?}", opt.work);
+        assert_equivalent(&f, &[1.0, -2.0, 3.5]);
+    }
+
+    #[test]
+    fn loop_variable_sharing_a_name_with_a_local_or_state_stays_rolled() {
+        // Inside the loop `n[0]` names the counter, not the state array,
+        // and faults; substituting the counter away must not turn that
+        // into a read of the array.
+        let shadowed_state = filter_with(
+            vec![StateVar::array(
+                "n",
+                DataType::Float,
+                vec![Value::Float(1.0)],
+            )],
+            vec![for_(
+                "n",
+                2,
+                vec![Stmt::Push(Expr::Index(
+                    "n".into(),
+                    Box::new(Expr::IntLit(0)),
+                ))],
+            )],
+        );
+        let shadowed_local = filter_with(
+            vec![],
+            vec![
+                let_("n", DataType::Float, Expr::FloatLit(7.0)),
+                for_("n", 2, vec![Stmt::Push(var("n"))]),
+                Stmt::Push(var("n")),
+            ],
+        );
+        for f in [&shadowed_state, &shadowed_local] {
+            let (opt, stats) = optimize_filter(f);
+            assert_eq!(stats.unrolled_loops, 0);
+            assert!(opt.work.iter().any(|s| matches!(s, Stmt::For { .. })));
+        }
+        assert_equivalent(&shadowed_local, &[]);
     }
 
     #[test]

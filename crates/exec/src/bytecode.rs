@@ -11,6 +11,14 @@
 //! `Value::coerce` / `as_f64` / `as_i64` conversions occur, so compiled
 //! results are bit-identical to the tree-walker's.
 //!
+//! Lowering *selects* instructions from the expression tree rather than
+//! emitting one generic instruction per node (DESIGN.md, "Instruction
+//! selection"): a literal peek index, a float literal operand, the
+//! `x + peek(k) * c` tap, whole runs of such taps and runs of discarded
+//! pops each become one instruction.  Every rule keeps operand order and
+//! evaluation order, so results stay bit-identical; shapes no rule
+//! matches take the generic instructions.
+//!
 //! Anything outside the statically typable subset (teleport `send`,
 //! variables whose type the interpreter would mutate dynamically,
 //! unknown names that only fail at runtime) is rejected with a reason —
@@ -176,6 +184,47 @@ pub enum Inst {
         d: u16,
         idx: u16,
     },
+    /// `i[d] = input[cursor + k]` for a literal `k >= 0`: no index
+    /// register.  Faults beyond the available window like `PeekI`.
+    PeekIK {
+        d: u16,
+        k: u32,
+    },
+    PeekFK {
+        d: u16,
+        k: u32,
+    },
+    /// `f[d] = f[a] op imm` — float arithmetic, literal on the right.
+    ArithFK {
+        op: BinOp,
+        d: u16,
+        a: u16,
+        imm: f64,
+    },
+    /// `f[d] = imm op f[b]` — literal on the left.  A separate form
+    /// because operands are never commuted (NaN payloads differ).
+    ArithKF {
+        op: BinOp,
+        d: u16,
+        b: u16,
+        imm: f64,
+    },
+    /// `f[d] = f[a] + Σ_j input[cursor + k + j] * pool[at + j]` for
+    /// `j < n` on a float tape, summed in ascending `j` with plain
+    /// `sum += p * c` — the same roundings, in the same order, as `n`
+    /// generic taps.  A lone tap is the `n == 1` case.
+    DotPeekF {
+        d: u16,
+        a: u16,
+        k: u16,
+        n: u16,
+        at: u32,
+    },
+    /// `n` pops whose values are discarded: moves the read cursor only.
+    /// Faults like the first `Pop` that finds the tape empty would.
+    Skip {
+        n: u32,
+    },
     PopI {
         d: u16,
     },
@@ -199,6 +248,57 @@ pub enum Inst {
     },
 }
 
+impl Inst {
+    /// The register this instruction writes, if it writes one, and its
+    /// bank.  Every such instruction reads its operands before writing,
+    /// so the destination may be renamed to any register of that bank.
+    fn dest_mut(&mut self) -> Option<(Ty, &mut u16)> {
+        match self {
+            Inst::ConstI { d, .. }
+            | Inst::MovI { d, .. }
+            | Inst::CastFI { d, .. }
+            | Inst::BinI { d, .. }
+            | Inst::CmpF { d, .. }
+            | Inst::NegI { d, .. }
+            | Inst::NotI { d, .. }
+            | Inst::NotF { d, .. }
+            | Inst::BitNotI { d, .. }
+            | Inst::TruthyF { d, .. }
+            | Inst::AbsI { d, .. }
+            | Inst::MinMaxI { d, .. }
+            | Inst::LoadI { d, .. }
+            | Inst::PeekI { d, .. }
+            | Inst::PeekIK { d, .. }
+            | Inst::PopI { d } => Some((Ty::I, d)),
+            Inst::ConstF { d, .. }
+            | Inst::MovF { d, .. }
+            | Inst::CastIF { d, .. }
+            | Inst::ArithF { d, .. }
+            | Inst::ArithFK { d, .. }
+            | Inst::ArithKF { d, .. }
+            | Inst::NegF { d, .. }
+            | Inst::Call1F { d, .. }
+            | Inst::AbsF { d, .. }
+            | Inst::PowF { d, .. }
+            | Inst::MinMaxF { d, .. }
+            | Inst::LoadF { d, .. }
+            | Inst::PeekF { d, .. }
+            | Inst::PeekFK { d, .. }
+            | Inst::DotPeekF { d, .. }
+            | Inst::PopF { d } => Some((Ty::F, d)),
+            Inst::StoreI { .. }
+            | Inst::StoreF { .. }
+            | Inst::ZeroI { .. }
+            | Inst::ZeroF { .. }
+            | Inst::PushI { .. }
+            | Inst::PushF { .. }
+            | Inst::Skip { .. }
+            | Inst::Jmp { .. }
+            | Inst::Jz { .. } => None,
+        }
+    }
+}
+
 /// Declared (pop, window, push) rates of one body, where `window` is
 /// `peek.max(pop)` — the tape requirement the scheduler must satisfy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,6 +314,8 @@ pub struct Rates {
 #[derive(Debug, Clone)]
 pub struct Program {
     pub code: Vec<Inst>,
+    /// Float constants addressed by `DotPeekF { at, n }`.
+    pub pool: Vec<f64>,
     pub rates: Rates,
 }
 
@@ -273,6 +375,7 @@ const MAX_CODE: usize = 1 << 20;
 
 struct Lowerer {
     code: Vec<Inst>,
+    pool: Vec<f64>,
     next_i: u32,
     next_f: u32,
     arena_i: u32,
@@ -300,6 +403,13 @@ impl Lowerer {
         }
         self.next_f += 1;
         Ok((self.next_f - 1) as u16)
+    }
+
+    fn reg(&mut self, ty: Ty) -> Result<u16, String> {
+        match ty {
+            Ty::I => self.ri(),
+            Ty::F => self.rf(),
+        }
     }
 
     fn emit(&mut self, i: Inst) -> Result<(), String> {
@@ -428,20 +538,40 @@ impl Lowerer {
                 let in_ty = self
                     .in_ty
                     .ok_or_else(|| "peek in a filter with no input".to_string())?;
-                let iv = self.lower_expr(iexpr)?;
-                let idx = self.coerce_i(iv)?;
-                match Ty::of(in_ty) {
-                    Ty::I => {
-                        let d = self.ri()?;
-                        self.emit(Inst::PeekI { d, idx })?;
-                        Ok((d, Ty::I))
+                // Rule 1: a non-negative literal index is baked into the
+                // instruction.  Negative literals keep the generic path
+                // and its `peek at negative index` fault.
+                let lit = match **iexpr {
+                    Expr::IntLit(k) => u32::try_from(k).ok(),
+                    _ => None,
+                };
+                let ty = Ty::of(in_ty);
+                let (d, inst) = match lit {
+                    Some(k) => {
+                        let d = self.reg(ty)?;
+                        (
+                            d,
+                            match ty {
+                                Ty::I => Inst::PeekIK { d, k },
+                                Ty::F => Inst::PeekFK { d, k },
+                            },
+                        )
                     }
-                    Ty::F => {
-                        let d = self.rf()?;
-                        self.emit(Inst::PeekF { d, idx })?;
-                        Ok((d, Ty::F))
+                    None => {
+                        let iv = self.lower_expr(iexpr)?;
+                        let idx = self.coerce_i(iv)?;
+                        let d = self.reg(ty)?;
+                        (
+                            d,
+                            match ty {
+                                Ty::I => Inst::PeekI { d, idx },
+                                Ty::F => Inst::PeekF { d, idx },
+                            },
+                        )
                     }
-                }
+                };
+                self.emit(inst)?;
+                Ok((d, ty))
             }
             Expr::Pop => {
                 let in_ty = self
@@ -496,7 +626,61 @@ impl Lowerer {
         }
     }
 
+    /// `peek(k) * c` with literal `k` and `c`, read from a float tape:
+    /// the FIR tap shape rules 3 and 5 select.
+    fn tap(&self, e: &Expr) -> Option<(u16, f64)> {
+        if self.in_ty != Some(DataType::Float) {
+            return None;
+        }
+        let Expr::Binary(BinOp::Mul, p, c) = e else {
+            return None;
+        };
+        match (&**p, &**c) {
+            (Expr::Peek(i), Expr::FloatLit(c)) => match **i {
+                Expr::IntLit(k) => Some((u16::try_from(k).ok()?, *c)),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
     fn lower_binary(&mut self, op: BinOp, a: &Expr, b: &Expr) -> Result<(u16, Ty), String> {
+        let arith = matches!(
+            op,
+            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem
+        );
+        // Rule 3: `x + peek(k) * c`.  `x` is lowered first, as in the
+        // generic order, so its pops and faults still precede the peek.
+        if let (BinOp::Add, Some((k, c))) = (op, self.tap(b)) {
+            return Ok((self.dot(None, a, k, &[c])?, Ty::F));
+        }
+        // Rule 2: float arithmetic with a literal operand.  A float
+        // literal makes the operation float whatever the other side is;
+        // it stays on its own side of the operator.
+        if let (true, Expr::FloatLit(imm)) = (arith, b) {
+            let va = self.lower_expr(a)?;
+            let a = self.coerce_f(va)?;
+            let d = self.rf()?;
+            self.emit(Inst::ArithFK {
+                op,
+                d,
+                a,
+                imm: *imm,
+            })?;
+            return Ok((d, Ty::F));
+        }
+        if let (true, Expr::FloatLit(imm)) = (arith, a) {
+            let vb = self.lower_expr(b)?;
+            let b = self.coerce_f(vb)?;
+            let d = self.rf()?;
+            self.emit(Inst::ArithKF {
+                op,
+                d,
+                b,
+                imm: *imm,
+            })?;
+            return Ok((d, Ty::F));
+        }
         let va = self.lower_expr(a)?;
         let vb = self.lower_expr(b)?;
         if va.1 == Ty::I && vb.1 == Ty::I {
@@ -647,33 +831,152 @@ impl Lowerer {
         }
     }
 
+    /// `acc = x + peek(k) * c` with `acc` a float scalar: one step of
+    /// an accumulator chain, as `(acc, register, x, k, c)`.
+    fn mac_stmt<'a>(&self, s: &'a Stmt) -> Option<(&'a str, u16, &'a Expr, u16, f64)> {
+        let Stmt::Assign {
+            target: LValue::Var(acc),
+            value: Expr::Binary(BinOp::Add, x, t),
+        } = s
+        else {
+            return None;
+        };
+        let Some(Sym::ScalarF(d)) = self.lookup(acc) else {
+            return None;
+        };
+        let (k, c) = self.tap(t)?;
+        Some((acc, d, x, k, c))
+    }
+
+    /// Rule 5: the accumulator chain at the front of `stmts` —
+    /// `acc = x + peek(k) * c0` followed by `acc = acc + peek(k + j) * cj`
+    /// for consecutive `j` — as `(acc's register, x, k, coefficients)`.
+    /// A chain is a slice of one block, so no jump can land inside it.
+    fn dot_run<'a>(&self, stmts: &'a [Stmt]) -> Option<(u16, &'a Expr, u16, Vec<f64>)> {
+        let (acc, d, x, k0, c0) = self.mac_stmt(stmts.first()?)?;
+        let mut cs = vec![c0];
+        for s in &stmts[1..] {
+            match self.mac_stmt(s) {
+                Some((name, _, Expr::Var(v), k, c))
+                    if name == acc
+                        && v == acc
+                        && k as usize == k0 as usize + cs.len()
+                        && cs.len() < u16::MAX as usize =>
+                {
+                    cs.push(c)
+                }
+                _ => break,
+            }
+        }
+        Some((d, x, k0, cs))
+    }
+
+    /// `f[d] = x + Σ_j peek(k + j) * cs[j]`, into `d` or a fresh
+    /// temporary: rules 3 and 5's one instruction.  `x` is lowered
+    /// first, as in the generic order, so its pops and faults still
+    /// precede the peeks.
+    fn dot(&mut self, d: Option<u16>, x: &Expr, k: u16, cs: &[f64]) -> Result<u16, String> {
+        let at =
+            u32::try_from(self.pool.len()).map_err(|_| "constant pool exhausted".to_string())?;
+        self.pool.extend_from_slice(cs);
+        let vx = self.lower_expr(x)?;
+        let a = self.coerce_f(vx)?;
+        let d = match d {
+            Some(d) => d,
+            None => self.rf()?,
+        };
+        self.emit(Inst::DotPeekF {
+            d,
+            a,
+            k,
+            n: cs.len() as u16,
+            at,
+        })?;
+        Ok(d)
+    }
+
     fn lower_stmts(&mut self, stmts: &[Stmt]) -> Result<(), String> {
-        for s in stmts {
-            self.lower_stmt(s)?;
+        let mut rest = stmts;
+        while let Some(s) = rest.first() {
+            // Rule 6: a maximal run of discarded pops.
+            let pops = rest
+                .iter()
+                .take_while(|s| matches!(s, Stmt::Expr(Expr::Pop)))
+                .count();
+            if let (Some(_), Ok(n @ 1..)) = (self.in_ty, u32::try_from(pops)) {
+                self.emit(Inst::Skip { n })?;
+                rest = &rest[pops..];
+            } else if let Some((d, x, k, cs)) = self.dot_run(rest) {
+                self.dot(Some(d), x, k, &cs)?;
+                rest = &rest[cs.len()..];
+            } else {
+                self.lower_stmt(s)?;
+                rest = &rest[1..];
+            }
         }
         Ok(())
+    }
+
+    /// Rule 4: `d = <value in s>`.  When `s` is a temporary allocated
+    /// since `mark` and the instruction just emitted is the one that
+    /// writes it, that instruction writes `d` directly; otherwise copy.
+    fn store(&mut self, ty: Ty, d: u16, s: u16, mark: (u32, u32)) -> Result<(), String> {
+        if self.is_fresh(ty, s, mark) {
+            if let Some((t, r)) = self.code.last_mut().and_then(Inst::dest_mut) {
+                if t == ty && *r == s {
+                    *r = d;
+                    return Ok(());
+                }
+            }
+        }
+        self.mov(ty, d, s)
+    }
+
+    fn mov(&mut self, ty: Ty, d: u16, s: u16) -> Result<(), String> {
+        self.emit(match ty {
+            Ty::I => Inst::MovI { d, s },
+            Ty::F => Inst::MovF { d, s },
+        })
+    }
+
+    /// The register-allocation high-water marks, for [`Self::is_fresh`].
+    fn mark(&self) -> (u32, u32) {
+        (self.next_i, self.next_f)
+    }
+
+    /// Was `r` allocated after `mark`?  Such a temporary is written by
+    /// exactly one instruction and no name is bound to it.
+    fn is_fresh(&self, ty: Ty, r: u16, mark: (u32, u32)) -> bool {
+        match ty {
+            Ty::I => r as u32 >= mark.0,
+            Ty::F => r as u32 >= mark.1,
+        }
     }
 
     fn lower_stmt(&mut self, s: &Stmt) -> Result<(), String> {
         match s {
             Stmt::Let { name, ty, init } => {
+                let mark = self.mark();
                 let v = self.lower_expr(init)?;
                 let ty = Ty::of(*ty);
                 let src = self.coerce_ty(v, ty)?;
-                // Copy into a dedicated register: the initializer may
-                // alias another variable's register.
-                match ty {
-                    Ty::I => {
-                        let d = self.ri()?;
-                        self.emit(Inst::MovI { d, s: src })?;
-                        self.declare(name, Sym::ScalarI(d));
-                    }
-                    Ty::F => {
-                        let d = self.rf()?;
-                        self.emit(Inst::MovF { d, s: src })?;
-                        self.declare(name, Sym::ScalarF(d));
-                    }
-                }
+                // Rule 4: a fresh temporary becomes the variable.  Any
+                // other register may alias another variable's, so it is
+                // copied into a dedicated one.
+                let d = if self.is_fresh(ty, src, mark) {
+                    src
+                } else {
+                    let d = self.reg(ty)?;
+                    self.mov(ty, d, src)?;
+                    d
+                };
+                self.declare(
+                    name,
+                    match ty {
+                        Ty::I => Sym::ScalarI(d),
+                        Ty::F => Sym::ScalarF(d),
+                    },
+                );
                 Ok(())
             }
             Stmt::LetArray { name, ty, len } => {
@@ -694,15 +997,16 @@ impl Lowerer {
             }
             Stmt::Assign { target, value } => match target {
                 LValue::Var(name) => {
+                    let mark = self.mark();
                     let v = self.lower_expr(value)?;
                     match self.lookup(name) {
                         Some(Sym::ScalarI(d)) => {
                             let s = self.coerce_i(v)?;
-                            self.emit(Inst::MovI { d, s })
+                            self.store(Ty::I, d, s, mark)
                         }
                         Some(Sym::ScalarF(d)) => {
                             let s = self.coerce_f(v)?;
-                            self.emit(Inst::MovF { d, s })
+                            self.store(Ty::F, d, s, mark)
                         }
                         _ => Err(format!("assignment to unknown variable `{name}`")),
                     }
@@ -857,6 +1161,7 @@ pub fn lower_filter(
 ) -> Result<FilterCode, String> {
     let mut lw = Lowerer {
         code: Vec::new(),
+        pool: Vec::new(),
         next_i: 0,
         next_f: 0,
         arena_i: 0,
@@ -910,6 +1215,7 @@ pub fn lower_filter(
     lw.scopes.truncate(1);
     let work = Program {
         code: std::mem::take(&mut lw.code),
+        pool: std::mem::take(&mut lw.pool),
         rates: Rates {
             pop: f.pop as u64,
             window: f.peek.max(f.pop) as u64,
@@ -926,6 +1232,7 @@ pub fn lower_filter(
                 .map_err(|e| format!("{name} (prework): {e}"))?;
             Some(Program {
                 code: std::mem::take(&mut lw.code),
+                pool: std::mem::take(&mut lw.pool),
                 rates: Rates {
                     pop: pw.pop as u64,
                     window: pw.peek.max(pw.pop) as u64,
@@ -960,5 +1267,200 @@ pub fn initial_items_typed(initial: &[Value], ty: DataType) -> Result<(), String
         Ok(())
     } else {
         Err("feedback initial items differ from edge type".into())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use streamit_graph::builder::*;
+
+    /// Lower a float→float (or int→int) work body and return its program.
+    fn lower(ty: DataType, body: impl FnOnce(BlockBuilder) -> BlockBuilder) -> Program {
+        let f = FilterBuilder::new("f", ty)
+            .rates(8, 1, 1)
+            .work(body)
+            .build();
+        lower_filter(&f, "f", Some(ty), Some(ty))
+            .expect("lowers")
+            .work
+    }
+
+    fn tap(k: i64, c: f64) -> Ex {
+        peek(lit(k)) * lit(c)
+    }
+
+    #[test]
+    fn literal_peek_takes_no_index_register() {
+        let p = lower(DataType::Float, |b| b.push(peek(lit(2i64))));
+        assert_eq!(p.code[0], Inst::PeekFK { d: 0, k: 2 });
+        let p = lower(DataType::Int, |b| b.push(peek(lit(2i64))));
+        assert_eq!(p.code[0], Inst::PeekIK { d: 0, k: 2 });
+        // A negative literal keeps the generic instruction, whose
+        // runtime check names the index.
+        let p = lower(DataType::Float, |b| b.push(peek(lit(-1i64))));
+        assert_eq!(
+            p.code[..2],
+            [Inst::ConstI { d: 0, v: -1 }, Inst::PeekF { d: 0, idx: 0 }]
+        );
+    }
+
+    #[test]
+    fn float_literal_stays_on_its_side_of_the_operator() {
+        let p = lower(DataType::Float, |b| b.push(pop() - lit(1.5)));
+        assert_eq!(
+            p.code[1],
+            Inst::ArithFK {
+                op: BinOp::Sub,
+                d: 1,
+                a: 0,
+                imm: 1.5
+            }
+        );
+        let p = lower(DataType::Float, |b| b.push(lit(1.5) - pop()));
+        assert_eq!(
+            p.code[1],
+            Inst::ArithKF {
+                op: BinOp::Sub,
+                d: 1,
+                b: 0,
+                imm: 1.5
+            }
+        );
+        // An int operand is cast first: the literal makes the op float.
+        let p = lower(DataType::Int, |b| b.push(pop() * lit(0.5)));
+        assert!(matches!(p.code[1], Inst::CastIF { .. }));
+        assert!(matches!(p.code[2], Inst::ArithFK { .. }));
+    }
+
+    #[test]
+    fn tap_is_fused_only_in_source_operand_order() {
+        let dot = |p: &Program| p.code.iter().any(|i| matches!(i, Inst::DotPeekF { .. }));
+        let p = lower(DataType::Float, |b| b.push(pop() + tap(1, 2.0)));
+        assert_eq!(
+            p.code[1],
+            Inst::DotPeekF {
+                d: 1,
+                a: 0,
+                k: 1,
+                n: 1,
+                at: 0
+            }
+        );
+        assert_eq!(p.pool, [2.0]);
+        // Commuted forms are different float expressions (NaN payloads),
+        // and an int tape's peek is cast before the multiply.
+        assert!(!dot(&lower(DataType::Float, |b| b
+            .push(pop() + lit(2.0) * peek(lit(1i64))))));
+        assert!(!dot(
+            &lower(DataType::Float, |b| b.push(tap(1, 2.0) + pop()))
+        ));
+        assert!(!dot(&lower(DataType::Int, |b| b.push(pop() + tap(1, 2.0)))));
+    }
+
+    #[test]
+    fn discarded_pops_become_one_skip_per_run() {
+        let p = lower(DataType::Int, |b| {
+            b.pop_discard()
+                .pop_discard()
+                .push(pop())
+                .pop_discard()
+                .if_(pop(), |b| b.pop_discard())
+        });
+        let skips: Vec<u32> = p
+            .code
+            .iter()
+            .filter_map(|i| match i {
+                Inst::Skip { n } => Some(*n),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(skips, [2, 1, 1]);
+        // Pops whose value is used stay pops.
+        let pops = p.code.iter().filter(|i| matches!(i, Inst::PopI { .. }));
+        assert_eq!(pops.count(), 2);
+    }
+
+    #[test]
+    fn assignment_writes_the_variable_directly_unless_it_aliases() {
+        let p = lower(DataType::Float, |b| {
+            b.let_("x", DataType::Float, pop())
+                .let_("y", DataType::Float, var("x"))
+                .set("y", var("y") + lit(1.0))
+                .set("x", var("y"))
+                .push(var("x"))
+        });
+        assert_eq!(
+            p.code,
+            vec![
+                Inst::PopF { d: 0 },
+                // `y` must not share `x`'s register.
+                Inst::MovF { d: 1, s: 0 },
+                Inst::ArithFK {
+                    op: BinOp::Add,
+                    d: 1,
+                    a: 1,
+                    imm: 1.0
+                },
+                Inst::MovF { d: 0, s: 1 },
+                Inst::PushF { s: 0 },
+            ]
+        );
+    }
+
+    #[test]
+    fn accumulator_chain_becomes_one_dot_product() {
+        let step = |b: BlockBuilder, k: i64, c: f64| b.set("s", var("s") + tap(k, c));
+        let p = lower(DataType::Float, |b| {
+            let b = b
+                .let_("s", DataType::Float, lit(0.0))
+                .set("s", lit(0.0) + tap(0, 1.0));
+            let b = step(step(b, 1, 2.0), 2, 3.0);
+            // A gap, a branch, and a descending index each end a chain.
+            let b = step(step(b, 4, 4.0), 5, 5.0);
+            let b = b.if_(pop(), |b| b);
+            let b = step(step(b, 7, 7.0), 6, 6.0);
+            b.push(var("s"))
+        });
+        let shape: Vec<&Inst> = p
+            .code
+            .iter()
+            .filter(|i| matches!(i, Inst::DotPeekF { .. }))
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                &Inst::DotPeekF {
+                    d: 0,
+                    a: 1,
+                    k: 0,
+                    n: 3,
+                    at: 0
+                },
+                &Inst::DotPeekF {
+                    d: 0,
+                    a: 0,
+                    k: 4,
+                    n: 2,
+                    at: 3
+                },
+                &Inst::DotPeekF {
+                    d: 0,
+                    a: 0,
+                    k: 7,
+                    n: 1,
+                    at: 5
+                },
+                &Inst::DotPeekF {
+                    d: 0,
+                    a: 0,
+                    k: 6,
+                    n: 1,
+                    at: 6
+                },
+            ]
+        );
+        assert_eq!(p.pool, [1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 6.0]);
+        assert!(!p.code.iter().any(|i| matches!(i, Inst::MovF { .. })));
     }
 }

@@ -78,15 +78,17 @@ pub struct Shard {
 
 #[inline]
 fn take_tape(shards: &mut [Shard], loc: Loc, base: u16) -> Tape {
-    mem::replace(
-        &mut shards[(loc.shard - base) as usize].tapes[loc.slot as usize],
-        Tape::placeholder(),
-    )
+    mem::replace(tape_mut(shards, loc, base), Tape::placeholder())
+}
+
+#[inline]
+fn tape_mut(shards: &mut [Shard], loc: Loc, base: u16) -> &mut Tape {
+    &mut shards[(loc.shard - base) as usize].tapes[loc.slot as usize]
 }
 
 #[inline]
 fn put_tape(shards: &mut [Shard], loc: Loc, base: u16, t: Tape) {
-    shards[(loc.shard - base) as usize].tapes[loc.slot as usize] = t;
+    *tape_mut(shards, loc, base) = t;
 }
 
 /// Execute one firing of a lowered body against a frame and its tapes.
@@ -132,15 +134,13 @@ fn exec_program(
                 fr.i[d as usize] = int_binop(op, a, b)?;
             }
             Inst::ArithF { op, d, a, b } => {
-                let (a, b) = (fr.f[a as usize], fr.f[b as usize]);
-                fr.f[d as usize] = match op {
-                    streamit_graph::BinOp::Add => a + b,
-                    streamit_graph::BinOp::Sub => a - b,
-                    streamit_graph::BinOp::Mul => a * b,
-                    streamit_graph::BinOp::Div => a / b,
-                    streamit_graph::BinOp::Rem => a % b,
-                    _ => return Err("non-arithmetic op in ArithF".into()),
-                };
+                fr.f[d as usize] = float_arith(op, fr.f[a as usize], fr.f[b as usize])?;
+            }
+            Inst::ArithFK { op, d, a, imm } => {
+                fr.f[d as usize] = float_arith(op, fr.f[a as usize], imm)?;
+            }
+            Inst::ArithKF { op, d, b, imm } => {
+                fr.f[d as usize] = float_arith(op, imm, fr.f[b as usize])?;
             }
             Inst::CmpF { op, d, a, b } => {
                 let (a, b) = (fr.f[a as usize], fr.f[b as usize]);
@@ -210,23 +210,48 @@ fn exec_program(
                 fr.af[base as usize..(base + len) as usize].fill(0.0);
             }
             Inst::PeekI { d, idx } => {
-                let k = peek_offset(fr.i[idx as usize], pops)?;
-                match input.as_deref() {
-                    Some(Tape::I(r)) => {
-                        fr.i[d as usize] = r.get(k).ok_or("peek beyond available input")?;
-                    }
-                    _ => return Err("int peek on non-int tape".into()),
-                }
+                let at = peek_offset(fr.i[idx as usize], pops)?;
+                fr.i[d as usize] = peek_i(input.as_deref(), at)?;
             }
             Inst::PeekF { d, idx } => {
-                let k = peek_offset(fr.i[idx as usize], pops)?;
-                match input.as_deref() {
-                    Some(Tape::F(r)) => {
-                        fr.f[d as usize] = r.get(k).ok_or("peek beyond available input")?;
-                    }
-                    _ => return Err("float peek on non-float tape".into()),
-                }
+                let at = peek_offset(fr.i[idx as usize], pops)?;
+                fr.f[d as usize] = peek_f(input.as_deref(), at)?;
             }
+            Inst::PeekIK { d, k } => {
+                fr.i[d as usize] = peek_i(input.as_deref(), pops + k as u64)?;
+            }
+            Inst::PeekFK { d, k } => {
+                fr.f[d as usize] = peek_f(input.as_deref(), pops + k as u64)?;
+            }
+            Inst::DotPeekF { d, a, k, n, at } => match input.as_deref() {
+                Some(Tape::F(r)) => {
+                    let coef = prog
+                        .pool
+                        .get(at as usize..at as usize + n as usize)
+                        .ok_or("constant pool index out of range")?;
+                    let (head, tail) = r
+                        .window(pops + k as u64, n as u64)
+                        .ok_or("peek beyond available input")?;
+                    // The sum stays in a machine register; taps are
+                    // added in source order with separate roundings
+                    // (never `mul_add`), exactly as `n` generic taps.
+                    let (ch, ct) = coef.split_at(head.len());
+                    let mut sum = fr.f[a as usize];
+                    for (p, c) in head.iter().zip(ch) {
+                        sum += p * c;
+                    }
+                    for (p, c) in tail.iter().zip(ct) {
+                        sum += p * c;
+                    }
+                    fr.f[d as usize] = sum;
+                }
+                _ => return Err("float peek on non-float tape".into()),
+            },
+            Inst::Skip { n } => match input.as_deref() {
+                Some(t) if pops + n as u64 <= t.len() => pops += n as u64,
+                Some(_) => return Err("pop from empty tape".into()),
+                None => return Err("pop without input tape".into()),
+            },
             Inst::PopI { d } => match input.as_deref() {
                 Some(Tape::I(r)) => {
                     fr.i[d as usize] = r.get(pops).ok_or("pop from empty tape")?;
@@ -276,6 +301,19 @@ fn exec_program(
 }
 
 #[inline]
+fn float_arith(op: streamit_graph::BinOp, a: f64, b: f64) -> Result<f64, String> {
+    use streamit_graph::BinOp;
+    Ok(match op {
+        BinOp::Add => a + b,
+        BinOp::Sub => a - b,
+        BinOp::Mul => a * b,
+        BinOp::Div => a / b,
+        BinOp::Rem => a % b,
+        _ => return Err("non-arithmetic op in float arithmetic".into()),
+    })
+}
+
+#[inline]
 fn int_binop(op: streamit_graph::BinOp, a: i64, b: i64) -> Result<i64, String> {
     use streamit_graph::BinOp;
     Ok(match op {
@@ -306,6 +344,23 @@ fn arena_index(ix: i64, len: u32) -> Result<usize, String> {
         Err(format!("array index {ix} out of bounds (len {len})"))
     } else {
         Ok(ix as usize)
+    }
+}
+
+/// The item `at` positions past the read cursor of an int tape.
+#[inline]
+fn peek_i(input: Option<&Tape>, at: u64) -> Result<i64, &'static str> {
+    match input {
+        Some(Tape::I(r)) => r.get(at).ok_or("peek beyond available input"),
+        _ => Err("int peek on non-int tape"),
+    }
+}
+
+#[inline]
+fn peek_f(input: Option<&Tape>, at: u64) -> Result<f64, &'static str> {
+    match input {
+        Some(Tape::F(r)) => r.get(at).ok_or("peek beyond available input"),
+        _ => Err("float peek on non-float tape"),
     }
 }
 
@@ -523,29 +578,28 @@ pub(crate) fn run_ops(
                 outputs,
                 times,
             } => {
+                // One output at a time, then release the input once:
+                // each output sees the same items in the same order as
+                // item-at-a-time duplication, and nothing is allocated.
                 let mut src = take_tape(shards, *input, base);
-                let mut outs: Vec<Tape> = outputs
-                    .iter()
-                    .map(|&l| take_tape(shards, l, base))
-                    .collect();
                 let mut res = Ok(());
-                'firing: for _ in 0..*times {
-                    let Some(v) = src.front() else {
-                        res = Err("duplicate splitter input underflow".to_string());
-                        break;
-                    };
-                    src.advance(1);
-                    for o in &mut outs {
-                        if o.push_raw(v).is_err() {
+                'outputs: for &l in outputs.iter() {
+                    let out = tape_mut(shards, l, base);
+                    for i in 0..*times as u64 {
+                        let Some(v) = src.get(i) else {
+                            res = Err("duplicate splitter input underflow".to_string());
+                            break 'outputs;
+                        };
+                        if out.push_raw(v).is_err() {
                             res = Err("duplicate splitter output overflow".to_string());
-                            break 'firing;
+                            break 'outputs;
                         }
                     }
                 }
-                put_tape(shards, *input, base, src);
-                for (&l, t) in outputs.iter().zip(outs) {
-                    put_tape(shards, l, base, t);
+                if res.is_ok() {
+                    src.advance(*times as u64);
                 }
+                put_tape(shards, *input, base, src);
                 res.map_err(|reason| fault("duplicate splitter", reason))?;
             }
             Op::Moves { moves, times } => {
@@ -565,18 +619,17 @@ pub(crate) fn run_ops(
                 output,
                 times,
             } => {
-                let mut ins: Vec<Tape> =
-                    inputs.iter().map(|&l| take_tape(shards, l, base)).collect();
-                let mut out = take_tape(shards, *output, base);
+                // Inputs are read in place and released once at the
+                // end, so no tape leaves its slot and nothing is
+                // allocated.
                 let mut res = Ok(());
-                'combine: for _ in 0..*times {
+                'combine: for i in 0..*times as u64 {
                     let mut acc: Option<Raw> = None;
-                    for t in &mut ins {
-                        let Some(v) = t.front() else {
+                    for &l in inputs.iter() {
+                        let Some(v) = tape_mut(shards, l, base).get(i) else {
                             res = Err("combine joiner input underflow".to_string());
                             break 'combine;
                         };
-                        t.advance(1);
                         acc = Some(match acc {
                             None => v,
                             Some(Raw::I(a)) => Raw::I(a.wrapping_add(v.as_i64())),
@@ -584,19 +637,140 @@ pub(crate) fn run_ops(
                         });
                     }
                     if let Some(v) = acc {
-                        if out.push_raw(v).is_err() {
+                        if tape_mut(shards, *output, base).push_raw(v).is_err() {
                             res = Err("combine joiner output overflow".to_string());
                             break;
                         }
                     }
                 }
-                for (&l, t) in inputs.iter().zip(ins) {
-                    put_tape(shards, l, base, t);
-                }
-                put_tape(shards, *output, base, out);
                 res.map_err(|reason| fault("combine joiner", reason))?;
+                for &l in inputs.iter() {
+                    tape_mut(shards, l, base).advance(*times as u64);
+                }
             }
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use streamit_graph::DataType;
+
+    /// An eight-slot tape of `ty` holding `items`.
+    fn tape(ty: DataType, items: &[f64]) -> Tape {
+        let mut t = Tape::with_capacity(ty, 8);
+        assert_eq!(t.extend_from_f64(items), items.len());
+        t
+    }
+
+    fn tape_f(items: &[f64]) -> Tape {
+        tape(DataType::Float, items)
+    }
+
+    fn tape_i(items: &[f64]) -> Tape {
+        tape(DataType::Int, items)
+    }
+
+    fn contents(shards: &[Shard]) -> Vec<Vec<f64>> {
+        shards[0]
+            .tapes
+            .iter()
+            .map(|t| match t {
+                Tape::I(r) => r.to_vec().into_iter().map(|v| v as f64).collect(),
+                Tape::F(r) => r.to_vec(),
+            })
+            .collect()
+    }
+
+    /// Run `op(times)` once with `times = 3` and three times with
+    /// `times = 1`: the batched form must leave every tape exactly as
+    /// item-at-a-time execution does.
+    fn batched_matches_single(tapes: &[Tape], op: impl Fn(u32) -> Op) -> Vec<Vec<f64>> {
+        let shard = || {
+            vec![Shard {
+                tapes: tapes.to_vec(),
+                frames: Vec::new(),
+            }]
+        };
+        let (mut batched, mut single) = (shard(), shard());
+        run_ops(&[op(3)], &mut batched, 0, &[]).expect("batched runs");
+        for _ in 0..3 {
+            run_ops(&[op(1)], &mut single, 0, &[]).expect("single runs");
+        }
+        assert_eq!(contents(&batched), contents(&single));
+        contents(&batched)
+    }
+
+    #[test]
+    fn batched_dup_matches_item_at_a_time_order() {
+        let loc = |slot| Loc { shard: 0, slot };
+        // A float input duplicated onto a float and an int output (the
+        // int one coerces); one item stays behind on the input.
+        let after = batched_matches_single(
+            &[tape_f(&[1.5, -2.5, 3.5, 4.5]), tape_f(&[9.0]), tape_i(&[])],
+            |times| Op::Dup {
+                input: loc(0),
+                outputs: vec![loc(1), loc(2)].into(),
+                times,
+            },
+        );
+        assert_eq!(
+            after,
+            vec![vec![4.5], vec![9.0, 1.5, -2.5, 3.5], vec![1.0, -2.0, 3.0]]
+        );
+    }
+
+    #[test]
+    fn batched_combine_matches_item_at_a_time_order() {
+        let loc = |slot| Loc { shard: 0, slot };
+        // The sum takes the first input's type (int, so the float input
+        // is truncated per item) and is coerced onto the float output.
+        let after = batched_matches_single(
+            &[
+                tape_i(&[1.0, 2.0, 3.0, 4.0]),
+                tape_f(&[0.5, 1.5, 2.5]),
+                tape_f(&[]),
+            ],
+            |times| Op::Combine {
+                inputs: vec![loc(0), loc(1)].into(),
+                output: loc(2),
+                times,
+            },
+        );
+        assert_eq!(after, vec![vec![4.0], vec![], vec![1.0, 3.0, 5.0]]);
+    }
+
+    #[test]
+    fn dup_underflow_and_overflow_fault() {
+        let loc = |slot| Loc { shard: 0, slot };
+        let dup = Op::Dup {
+            input: loc(0),
+            outputs: vec![loc(1)].into(),
+            times: 2,
+        };
+        let reason = |tapes: Vec<Tape>| {
+            let mut shards = vec![Shard {
+                tapes,
+                frames: Vec::new(),
+            }];
+            match run_ops(std::slice::from_ref(&dup), &mut shards, 0, &[]) {
+                Err(ExecError::Fault { node, reason }) => {
+                    assert_eq!(node, "duplicate splitter");
+                    reason
+                }
+                other => panic!("expected a fault, got {other:?}"),
+            }
+        };
+        assert_eq!(
+            reason(vec![tape_f(&[1.0]), tape_f(&[])]),
+            "duplicate splitter input underflow"
+        );
+        let full = tape_f(&[0.0; 7]);
+        assert_eq!(
+            reason(vec![tape_f(&[1.0, 2.0]), full]),
+            "duplicate splitter output overflow"
+        );
+    }
 }

@@ -70,6 +70,20 @@ impl<T: Copy + Default> Ring<T> {
         }
     }
 
+    /// The `n` items starting `off` past the read cursor, as the (at
+    /// most two) contiguous runs they occupy in the buffer, in FIFO
+    /// order; `None` unless all `n` are present.
+    #[inline]
+    pub fn window(&self, off: u64, n: u64) -> Option<(&[T], &[T])> {
+        let start = self.head.checked_add(off)?;
+        if start.checked_add(n)? > self.tail {
+            return None;
+        }
+        let at = (start & self.mask) as usize;
+        let first = (n as usize).min(self.buf.len() - at);
+        Some((&self.buf[at..at + first], &self.buf[..n as usize - first]))
+    }
+
     /// Append one item; fails when the ring is full (the firing plan
     /// sizes capacities so this cannot happen in steady state).  The
     /// unit error is deliberate: overflow is a planner bug the caller
@@ -208,12 +222,13 @@ impl Tape {
         n
     }
 
-    /// Read the front item without consuming it, preserving its type.
+    /// Read the item `i` positions past the read cursor without
+    /// consuming it, preserving its type.
     #[inline]
-    pub fn front(&self) -> Option<Raw> {
+    pub fn get(&self, i: u64) -> Option<Raw> {
         match self {
-            Tape::I(r) => r.get(0).map(Raw::I),
-            Tape::F(r) => r.get(0).map(Raw::F),
+            Tape::I(r) => r.get(i).map(Raw::I),
+            Tape::F(r) => r.get(i).map(Raw::F),
         }
     }
 
@@ -335,6 +350,23 @@ mod tests {
         }
         dst.copy_in_from(&src, 0, 4);
         assert_eq!(dst.to_vec(), vec![10, 11, 12, 13]);
+    }
+
+    #[test]
+    fn window_splits_at_the_wrap_and_refuses_absent_items() {
+        let mut r: Ring<i64> = Ring::with_capacity(4);
+        for i in 0..3 {
+            r.push(i).expect("fits");
+        }
+        r.advance(3);
+        for i in 0..4 {
+            r.push(10 + i).expect("fits");
+        }
+        // Live items 10..=13 sit at buffer slots 3, 0, 1, 2.
+        assert_eq!(r.window(0, 4), Some((&[10][..], &[11, 12, 13][..])));
+        assert_eq!(r.window(1, 2), Some((&[11, 12][..], &[][..])));
+        assert_eq!(r.window(2, 3), None);
+        assert_eq!(r.window(u64::MAX, 2), None);
     }
 
     #[test]

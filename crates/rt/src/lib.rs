@@ -21,7 +21,9 @@
 //! 3. **Pipelined execution** (`run`, `spsc`): one worker thread per
 //!    stage over lock-free bounded SPSC channels with one batch publish
 //!    per steady iteration — software pipelining with backpressure
-//!    instead of barriers.
+//!    instead of barriers.  A run starts with the stages taking turns on
+//!    the calling thread and gets its workers once it has outlasted what
+//!    starting them costs.
 //!
 //! The runtime accepts exactly the compiled engine's subset minus
 //! feedback loops (a back edge would make a stage wait on a later
@@ -249,11 +251,32 @@ impl ParallelGraph {
     /// migrates tapes and filter state, and resumes.  Output is
     /// bit-identical throughout: only which thread runs which filter
     /// changes.
+    ///
+    /// A bare run (the default [`RunConfig`]) starts on the calling
+    /// thread, its stages taking turns (`run::run_inline`), and starts
+    /// workers only if it is still going after `run::INLINE_BUDGET`: a
+    /// run shorter than that is over before two workers could have been
+    /// started and joined, and a longer one loses at most that much
+    /// overlap.  A one-stage plan stays on the calling thread throughout.
+    /// Supervised, fault-injected and re-planning runs are about the
+    /// workers and get them from the first iteration.
     pub fn run(
         &self,
         input: &[f64],
         k: u64,
         cfg: &RunConfig,
+    ) -> Result<(Vec<f64>, ReplanReport), ExecError> {
+        self.run_budgeted(input, k, cfg, run::INLINE_BUDGET)
+    }
+
+    /// [`ParallelGraph::run`] with the inline budget as a parameter, so
+    /// that tests can put the hand-over to the workers where they want.
+    fn run_budgeted(
+        &self,
+        input: &[f64],
+        k: u64,
+        cfg: &RunConfig,
+        inline_budget: std::time::Duration,
     ) -> Result<(Vec<f64>, ReplanReport), ExecError> {
         /// Steady iterations per measured segment: long enough to
         /// amortize the per-segment thread spawn, short enough to react.
@@ -272,6 +295,14 @@ impl ParallelGraph {
         let mut recut: Option<StagedPlan> = None;
         let mut report = ReplanReport::default();
         let mut done = 0u64;
+        if cfg.watchdog.is_none() && cfg.fault.is_none() && threshold.is_none() {
+            let budget = if self.plan.stages() > 1 {
+                inline_budget
+            } else {
+                std::time::Duration::MAX
+            };
+            (shards, done) = run::run_inline(&self.plan, shards, k, budget)?;
+        }
         let mut replans = 0usize;
         let mut calm = 0u32;
         while done < k {
@@ -405,6 +436,7 @@ fn migrate_shards(old_plan: &StagedPlan, new_plan: &StagedPlan, mut old: Vec<Sha
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
     use streamit_exec::CompiledGraph;
     use streamit_graph::builder::*;
     use streamit_graph::Value;
@@ -450,6 +482,24 @@ mod tests {
         let sb: Vec<u64> = serial.iter().map(|v| v.to_bits()).collect();
         let pb: Vec<u64> = par.iter().map(|v| v.to_bits()).collect();
         assert_eq!(sb, pb, "engines disagree at {threads} threads");
+        // Wherever the run leaves the calling thread for the workers, the
+        // items are the same: never, after one round, before the first.
+        let kp = pg.plan.stats.iterations_for(n as u64).expect("iterations");
+        let bare = RunConfig::default();
+        let supervised = RunConfig {
+            watchdog: Some(Duration::from_secs(60)),
+            ..bare
+        };
+        for (what, cfg, budget) in [
+            ("inline throughout", &bare, Duration::MAX),
+            ("workers after one inline round", &bare, Duration::ZERO),
+            ("workers from the start", &supervised, Duration::MAX),
+        ] {
+            let (mut out, _) = pg.run_budgeted(&input, kp, cfg, budget).expect(what);
+            out.truncate(n);
+            let ob: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(sb, ob, "{what} disagrees at {threads} threads");
+        }
     }
 
     #[test]

@@ -18,6 +18,14 @@
 //! point forward and every channel holds at least one full round, so
 //! the wait graph is acyclic and the pipeline cannot deadlock.
 //!
+//! # Inline first
+//!
+//! Starting and joining the workers costs a few hundred microseconds
+//! whose length the host's scheduler decides.  A bare run therefore
+//! begins in [`run_inline`]: the same rounds over the same channels, the
+//! stages taking turns on the calling thread, and workers only for what
+//! is left once [`INLINE_BUDGET`] has passed (`ParallelGraph::run`).
+//!
 //! # Supervision
 //!
 //! Three fault classes are contained here rather than leaking to the
@@ -48,7 +56,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use streamit_exec::driver::{contain, Driver};
+use streamit_exec::driver::{contain, Driver, Schedule};
 use streamit_exec::engine::{OpProfiler, Shard};
 use streamit_exec::{panic_payload, ExecError, FaultPlan, StageSnapshot};
 use streamit_sched::ProfileReport;
@@ -162,9 +170,59 @@ struct Pipeline<'p> {
     /// in `profilers` before exiting.
     measure: bool,
     profilers: Mutex<Vec<OpProfiler>>,
+    /// The stages take turns on one thread ([`run_inline`]): a link that
+    /// is not ready will not become so by waiting.
+    lockstep: bool,
 }
 
-impl Pipeline<'_> {
+/// What a round of stage `s` works on: its ops, and the links it drains
+/// before them and publishes after, each with its channel index.
+struct StageLinks<'p> {
+    sched: Schedule<'p>,
+    ins: Vec<(usize, &'p Link)>,
+    outs: Vec<(usize, &'p Link)>,
+}
+
+impl<'p> Pipeline<'p> {
+    fn new(plan: &'p StagedPlan, fault: Option<FaultPlan>, measure: bool) -> Pipeline<'p> {
+        Pipeline {
+            plan,
+            channels: plan
+                .links
+                .iter()
+                .map(|l| Channel::with_capacity(l.ty, l.flow.saturating_mul(CHANNEL_ROUNDS)))
+                .collect(),
+            abort: AtomicBool::new(false),
+            error: Mutex::new(None),
+            status: (0..plan.stages()).map(|_| StageStatus::new()).collect(),
+            fault,
+            measure,
+            profilers: Mutex::new(Vec::new()),
+            lockstep: false,
+        }
+    }
+
+    fn stage_links(&self, s: usize) -> StageLinks<'p> {
+        let links_where = |pick: fn(&Link) -> usize| -> Vec<(usize, &'p Link)> {
+            let links = self.plan.links.iter().enumerate();
+            links.filter(|(_, l)| pick(l) == s).collect()
+        };
+        StageLinks {
+            sched: self.plan.stage_schedule(s),
+            ins: links_where(|l| l.dst_stage),
+            outs: links_where(|l| l.src_stage),
+        }
+    }
+
+    /// A worker waits for its neighbour; a lock-step round only looks.
+    fn wait(&self, mut ready: impl FnMut() -> bool) -> bool {
+        if self.lockstep {
+            ready()
+        } else {
+            wait_until(&self.abort, ready)
+        }
+    }
+
     fn fail(&self, e: ExecError) {
         if let Ok(mut slot) = self.error.lock() {
             slot.get_or_insert(e);
@@ -276,69 +334,139 @@ impl Pipeline<'_> {
     }
 
     fn worker_iters(&self, s: usize, driver: &mut Driver, k: u64) {
+        let links = self.stage_links(s);
+        for _ in 0..k {
+            if !self.round(s, driver, &links) {
+                return;
+            }
+        }
+        self.status[s]
+            .state
+            .0
+            .store(STATE_FINISHED, Ordering::Relaxed);
+    }
+
+    /// One drain/fire/publish round of stage `s`.  Returns `false` when
+    /// the run must stop: the pipeline aborted, this stage failed (the
+    /// error is recorded), or a lock-step round found a link not ready.
+    fn round(&self, s: usize, driver: &mut Driver, links: &StageLinks<'_>) -> bool {
         let fault = |reason: String| ExecError::Fault {
             node: format!("stage {s}"),
             reason,
         };
         let status = &self.status[s];
-        let sched = self.plan.stage_schedule(s);
-        let links_where = |pick: fn(&Link) -> usize| -> Vec<(usize, &Link)> {
-            let links = self.plan.links.iter().enumerate();
-            links.filter(|(_, l)| pick(l) == s).collect()
-        };
-        let in_links = links_where(|l| l.dst_stage);
-        let out_links = links_where(|l| l.src_stage);
-        for _ in 0..k {
-            for &(c, l) in &in_links {
-                let ch = &self.channels[c];
-                status.state.0.store(state_draining(c), Ordering::Relaxed);
-                if !wait_until(&self.abort, || ch.available() >= l.flow) {
-                    return;
-                }
-                if let Err(reason) = ch.consume_into_tape(driver.tape_mut(l.dst), l.flow) {
-                    return self.fail(fault(reason));
-                }
+        for &(c, l) in &links.ins {
+            let ch = &self.channels[c];
+            status.state.0.store(state_draining(c), Ordering::Relaxed);
+            if !self.wait(|| ch.available() >= l.flow) {
+                return false;
             }
-            status.state.0.store(STATE_RUNNING, Ordering::Relaxed);
-            match driver.iterate(&sched) {
-                Ok(true) => {}
-                Ok(false) => {
-                    // An injected stall simulates a hung worker: publish
-                    // nothing and make no progress, but keep checking
-                    // the abort flag so the scope can always join us —
-                    // it must be detectable, never an actual test hang.
-                    status
-                        .state
-                        .0
-                        .store(STATE_STALL_INJECTED, Ordering::Relaxed);
-                    while !self.abort.load(Ordering::Acquire) {
-                        std::thread::park_timeout(Duration::from_millis(1));
-                    }
-                    return;
-                }
-                Err(e) => return self.fail(e),
+            if let Err(reason) = ch.consume_into_tape(driver.tape_mut(l.dst), l.flow) {
+                self.fail(fault(reason));
+                return false;
             }
-            // The batch publishes atomically after the iteration, so
-            // consumers only ever see completed iterations — late under
-            // an injected delay, never partial.
-            for &(c, l) in &out_links {
-                let ch = &self.channels[c];
-                status.state.0.store(state_publishing(c), Ordering::Relaxed);
-                if !wait_until(&self.abort, || ch.free() >= l.flow) {
-                    return;
-                }
-                let tape = driver.tape_mut(l.staging);
-                if let Err(reason) = ch.produce_from_tape(tape, l.flow) {
-                    return self.fail(fault(reason));
-                }
-                tape.advance(l.flow);
-            }
-            status.state.0.store(STATE_RUNNING, Ordering::Relaxed);
-            let done = driver.iterations();
-            status.progress.0.store(done, Ordering::Relaxed);
         }
-        status.state.0.store(STATE_FINISHED, Ordering::Relaxed);
+        status.state.0.store(STATE_RUNNING, Ordering::Relaxed);
+        match driver.iterate(&links.sched) {
+            Ok(true) => {}
+            Ok(false) => {
+                // An injected stall simulates a hung worker: publish
+                // nothing and make no progress, but keep checking
+                // the abort flag so the scope can always join us —
+                // it must be detectable, never an actual test hang.
+                status
+                    .state
+                    .0
+                    .store(STATE_STALL_INJECTED, Ordering::Relaxed);
+                while !self.abort.load(Ordering::Acquire) {
+                    std::thread::park_timeout(Duration::from_millis(1));
+                }
+                return false;
+            }
+            Err(e) => {
+                self.fail(e);
+                return false;
+            }
+        }
+        // The batch publishes atomically after the iteration, so
+        // consumers only ever see completed iterations — late under
+        // an injected delay, never partial.
+        for &(c, l) in &links.outs {
+            let ch = &self.channels[c];
+            status.state.0.store(state_publishing(c), Ordering::Relaxed);
+            if !self.wait(|| ch.free() >= l.flow) {
+                return false;
+            }
+            let tape = driver.tape_mut(l.staging);
+            if let Err(reason) = ch.produce_from_tape(tape, l.flow) {
+                self.fail(fault(reason));
+                return false;
+            }
+            tape.advance(l.flow);
+        }
+        status.state.0.store(STATE_RUNNING, Ordering::Relaxed);
+        let done = driver.iterations();
+        status.progress.0.store(done, Ordering::Relaxed);
+        true
     }
+}
+
+/// How long a bare run of several stages goes on in lock-step on the
+/// calling thread before it starts workers: ten times what starting and
+/// joining two of them costs (about 0.2 ms).
+pub(crate) const INLINE_BUDGET: Duration = Duration::from_millis(2);
+
+/// Run steady iterations of a staged plan on the calling thread, the
+/// stages taking turns: stage 0's round, stage 1's, and so on, each
+/// draining what the one before has just published.  Links only point
+/// forward, so every drain finds its round there and every channel is
+/// empty again when the iteration ends: the shards alone carry the run
+/// on, here or in [`run_pipelined`].  Stops after `k` iterations, or
+/// after the first one that ends past `budget`; returns the shards and
+/// how many ran.  The rounds are the workers' own ([`Pipeline::round`]),
+/// so the output is the same items in the same order.
+pub(crate) fn run_inline(
+    plan: &StagedPlan,
+    shards: Vec<Shard>,
+    k: u64,
+    budget: Duration,
+) -> Result<(Vec<Shard>, u64), ExecError> {
+    let pipe = Pipeline {
+        lockstep: true,
+        ..Pipeline::new(plan, None, false)
+    };
+    contain("inline stages", || {
+        let mut stages: Vec<(Driver, StageLinks<'_>)> = shards
+            .into_iter()
+            .enumerate()
+            .map(|(s, shard)| {
+                let driver = Driver::new(vec![shard], s as u16, "stage", None, None).primed();
+                (driver, pipe.stage_links(s))
+            })
+            .collect();
+        let start = Instant::now();
+        let mut done = 0;
+        while done < k {
+            for (s, (driver, links)) in stages.iter_mut().enumerate() {
+                if !pipe.round(s, driver, links) {
+                    let recorded = pipe.error.lock().ok().and_then(|mut slot| slot.take());
+                    return Err(recorded.unwrap_or_else(|| ExecError::Fault {
+                        node: format!("stage {s}"),
+                        reason: "a lock-step round found a link not ready".into(),
+                    }));
+                }
+            }
+            done += 1;
+            if start.elapsed() >= budget {
+                break;
+            }
+        }
+        let shards = stages
+            .into_iter()
+            .map(|(driver, _)| driver.into_parts().0.pop().unwrap_or_default())
+            .collect();
+        Ok((shards, done))
+    })
 }
 
 /// Run `k` steady iterations of a staged plan on one worker thread per
@@ -356,21 +484,7 @@ pub(crate) fn run_pipelined(
     cfg: &RunConfig,
     measure: bool,
 ) -> Result<(Vec<Shard>, ProfileReport), ExecError> {
-    let n_stages = plan.stages();
-    let pipe = Pipeline {
-        plan,
-        channels: plan
-            .links
-            .iter()
-            .map(|l| Channel::with_capacity(l.ty, l.flow.saturating_mul(CHANNEL_ROUNDS)))
-            .collect(),
-        abort: AtomicBool::new(false),
-        error: Mutex::new(None),
-        status: (0..n_stages).map(|_| StageStatus::new()).collect(),
-        fault: cfg.fault,
-        measure,
-        profilers: Mutex::new(Vec::new()),
-    };
+    let pipe = Pipeline::new(plan, cfg.fault, measure);
     let pipe_ref = &pipe;
     let done = AtomicBool::new(false);
     let done_ref = &done;

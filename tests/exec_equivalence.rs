@@ -126,7 +126,7 @@ mod generated {
     use streamit::graph::DataType;
     use streamit::Compiler;
 
-    use super::irgen::{gen_block, Gen, Scope};
+    use super::irgen::{gen_block, selected, Gen, Scope, Selected};
     use super::varied_input;
 
     /// Outcome of one generated case.
@@ -135,14 +135,21 @@ mod generated {
         Skipped,
         /// Compiled engine declined the filter.
         Declined,
-        /// Both engines ran and agreed.
-        Compared,
+        /// Both engines ran and agreed; which of `irgen::SELECTED` the
+        /// compared bytecode contained.
+        Compared(Selected),
     }
 
     pub(super) fn run_case(seed: u64) -> Case {
         let mut g = Gen(seed | 1);
         let mut sc = Scope::default();
         let block = gen_block(&mut g, &mut sc, 2);
+        // Int and float tapes lower peeks and mixed arithmetic differently.
+        let ty = if g.below(2) == 0 {
+            DataType::Int
+        } else {
+            DataType::Float
+        };
 
         // Only bodies with exact (point-interval) rates can be declared
         // conformant; everything else is covered by the decline path.
@@ -160,7 +167,7 @@ mod generated {
         let peek = need.max(pop) as usize;
 
         let body = block.clone();
-        let f = FilterBuilder::new("gen", DataType::Int)
+        let f = FilterBuilder::new("gen", ty)
             .rates(peek, pop as usize, push as usize)
             .work(move |b| body.iter().cloned().fold(b, |b, s| b.stmt(s)))
             .build_node();
@@ -191,7 +198,13 @@ mod generated {
             cb, rb,
             "seed {seed}: engines disagree\ncompiled:  {compiled:?}\nreference: {reference:?}\n{block:#?}"
         );
-        Case::Compared
+        let mut seen = Selected::default();
+        for fc in &cg.plan().codes {
+            for (s, hit) in seen.iter_mut().zip(selected(&fc.work.code)) {
+                *s |= hit;
+            }
+        }
+        Case::Compared(seen)
     }
 
     proptest::proptest! {
@@ -209,21 +222,223 @@ mod generated {
 
 /// Non-vacuity guard for the proptest above: over a fixed seed sweep, a
 /// healthy fraction of generated bodies must actually reach the
-/// bit-compare path (exact rates, accepted by the compiled engine).
+/// bit-compare path (exact rates, accepted by the compiled engine), and
+/// every instruction the selection rules emit must be in the compared
+/// bytecode of at least 5 % of the sweep.
 #[test]
 fn generated_sweep_compares_a_healthy_fraction() {
+    const SWEEP: u64 = 512;
     let mut compared = 0usize;
     let mut declined = 0usize;
-    for seed in 0..512u64 {
+    let mut emitted = [0usize; irgen::SELECTED.len()];
+    for seed in 0..SWEEP {
         match generated::run_case(seed) {
-            generated::Case::Compared => compared += 1,
+            generated::Case::Compared(seen) => {
+                compared += 1;
+                for (n, hit) in emitted.iter_mut().zip(seen) {
+                    *n += hit as usize;
+                }
+            }
             generated::Case::Declined => declined += 1,
             generated::Case::Skipped => {}
         }
     }
+    eprintln!("generated sweep: {compared} compared, {declined} declined, emitted {emitted:?}");
     assert!(
         compared >= 32,
-        "only {compared} of 512 generated cases were bit-compared ({declined} declined) — \
+        "only {compared} of {SWEEP} generated cases were bit-compared ({declined} declined) — \
          the differential property is near-vacuous"
     );
+    for (name, n) in irgen::SELECTED.iter().zip(emitted) {
+        assert!(
+            n * 20 >= SWEEP as usize,
+            "{name} was in the compared bytecode of only {n} of {SWEEP} cases — \
+             its selection rule is outside the differential net"
+        );
+    }
+}
+
+// ---- fault parity ------------------------------------------------------
+//
+// The static-analysis gate refuses any body that could peek outside its
+// declared window, so the VM's own tape checks are the net *behind* the
+// gate.  These goldens bypass the gate — a well-formed filter is
+// compiled, then its bytecode is swapped for an out-of-contract body
+// with the same declared rates — and pin the fault each selected
+// instruction raises to the one the generic instructions always raised.
+
+mod faults {
+    use streamit::exec::bytecode::{lower_filter, Inst};
+    use streamit::exec::driver::{preload, Driver};
+    use streamit::exec::{CompiledGraph, ExecError};
+    use streamit::graph::builder::*;
+    use streamit::graph::{DataType, FlatGraph};
+
+    /// Declared `peek 4 pop 1 push 1`, float to float.
+    fn filter(work: impl FnOnce(BlockBuilder) -> BlockBuilder) -> FilterBuilder {
+        FilterBuilder::new("f", DataType::Float)
+            .rates(4, 1, 1)
+            .work(work)
+    }
+
+    /// The fault `work` raises on the second of two steady iterations,
+    /// when exactly the declared four-item window is left on the tape,
+    /// and the bytecode that raised it.
+    fn fault_of(work: impl FnOnce(BlockBuilder) -> BlockBuilder) -> (ExecError, Vec<Inst>) {
+        let legit = filter(|b| b.push(peek(lit(3i64))).pop_discard()).build_node();
+        let cg = CompiledGraph::compile(&FlatGraph::from_stream(&legit), None)
+            .expect("the well-formed filter compiles");
+        let mut plan = cg.plan().clone();
+        let float = Some(DataType::Float);
+        plan.codes[0] =
+            lower_filter(&filter(work).build(), "f", float, float).expect("body lowers");
+        let code = plan.codes[0].work.code.clone();
+        let s = plan.schedule();
+        let input = vec![1.0; s.stats.required_input(2) as usize];
+        assert_eq!(input.len(), 5);
+        let shards = preload(&s, &input, 2).expect("input suffices");
+        let err = Driver::new(shards, 0, "golden", None, None)
+            .drive(&s, 2)
+            .expect_err("the out-of-window peek must fault");
+        (err, code)
+    }
+
+    fn fault(reason: &str) -> ExecError {
+        ExecError::Fault {
+            node: "f".into(),
+            reason: reason.into(),
+        }
+    }
+
+    #[test]
+    fn literal_peek_at_and_after_the_window_faults_like_the_generic_peek() {
+        for k in [4i64, 9] {
+            let (err, code) = fault_of(|b| b.push(peek(lit(k))).pop_discard());
+            assert!(matches!(code[0], Inst::PeekFK { .. }), "{code:?}");
+            assert_eq!(err, fault("peek beyond available input"), "peek({k})");
+        }
+    }
+
+    #[test]
+    fn negative_literal_peek_stays_generic_and_names_the_index() {
+        let (err, code) = fault_of(|b| b.push(peek(lit(-1i64))).pop_discard());
+        assert!(matches!(code[1], Inst::PeekF { .. }), "{code:?}");
+        assert_eq!(err, fault("peek at negative index -1"));
+    }
+
+    #[test]
+    fn dot_product_crossing_the_end_of_input_faults_like_its_first_absent_tap() {
+        let (err, code) = fault_of(|b| {
+            let b = b.let_("s", DataType::Float, lit(0.0));
+            (2..6i64)
+                .fold(b, |b, k| b.set("s", var("s") + peek(lit(k)) * lit(0.5)))
+                .push(var("s"))
+                .pop_discard()
+        });
+        assert!(
+            code.iter()
+                .any(|i| matches!(i, Inst::DotPeekF { k: 2, n: 4, .. })),
+            "{code:?}"
+        );
+        assert_eq!(err, fault("peek beyond available input"));
+    }
+
+    #[test]
+    fn skip_crossing_the_end_of_input_faults_like_its_first_empty_pop() {
+        let (err, code) =
+            fault_of(|b| (0..6).fold(b.push(peek(lit(0i64))), |b, _| b.pop_discard()));
+        assert!(matches!(code[..], [_, _, Inst::Skip { n: 6 }]), "{code:?}");
+        assert_eq!(err, fault("pop from empty tape"));
+    }
+
+    #[test]
+    fn instructions_stay_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Inst>(), 16);
+    }
+}
+
+// ---- performance-cliff guards -------------------------------------------
+//
+// The VM's speed on the benchmark apps rests on two things staying
+// true: the mid-end unrolls and folds their tap loops, and the lowering
+// selects the fused instructions for what comes out.  Either one
+// silently regressing costs 4x and no output changes, so the
+// instruction counts themselves are pinned.
+
+mod cliffs {
+    use streamit::apps;
+    use streamit::exec::bytecode::Inst;
+
+    use super::{compile, differential};
+
+    /// `(name, work-body length)` of every filter whose name has `part`.
+    fn body_lengths(p: &streamit::CompiledProgram, part: &str) -> Vec<(String, usize)> {
+        let cg = p.compile_exec().expect("app compiles");
+        cg.plan()
+            .codes
+            .iter()
+            .filter(|fc| fc.name.contains(part))
+            .map(|fc| (fc.name.clone(), fc.work.code.len()))
+            .collect()
+    }
+
+    #[test]
+    fn fmradio_fir_bodies_stay_one_dot_product() {
+        let p = compile("fmradio", apps::fmradio::fmradio(10, 64));
+        let firs: Vec<_> = ["LowPass", "BPF"]
+            .iter()
+            .flat_map(|part| body_lengths(&p, part))
+            .collect();
+        assert_eq!(firs.len(), 11, "{firs:?}");
+        for (name, len) in firs {
+            assert!(
+                len <= 8,
+                "{name}: a 64-tap FIR lowered to {len} instructions"
+            );
+        }
+    }
+
+    #[test]
+    fn bitonic_comparators_stay_ten_instructions() {
+        let p = compile("bitonic", apps::bitonic::bitonic_sort(32));
+        let cmps = body_lengths(&p, "/cmp_");
+        assert!(cmps.len() >= 80, "{} comparators", cmps.len());
+        for (name, len) in cmps {
+            assert!(
+                len <= 10,
+                "{name}: a comparator lowered to {len} instructions"
+            );
+        }
+    }
+
+    /// `Steer` runs two loops over one variable name (`for c` taps,
+    /// then `for c` pops): both must unroll, the taps into one dot
+    /// product and the pops into one `Skip`.  Left rolled it was 132
+    /// dispatches a firing and measured hotter than a 32-tap FIR.
+    #[test]
+    fn beamformer_steering_filters_stay_one_dot_product_and_one_skip() {
+        let p = compile("beamformer", apps::beamformer::beamformer(12, 4, 32));
+        let steers = body_lengths(&p, "/Steer");
+        assert_eq!(steers.len(), 4, "{steers:?}");
+        for (name, len) in steers {
+            assert!(len <= 6, "{name}: lowered to {len} instructions");
+        }
+    }
+
+    /// Past the optimizer's unroll limit the tap loop stays rolled, so
+    /// no selection rule applies to its body (the index is the loop
+    /// variable, the coefficient an array element): the generic path
+    /// must still agree with the interpreter bit for bit.
+    #[test]
+    fn fir_past_the_unroll_limit_stays_rolled_and_bit_identical() {
+        let p = compile("fir257", apps::common::lowpass_fir("fir257", 257, 0.25));
+        let cg = p.compile_exec().expect("compiles");
+        let code = &cg.plan().codes[0].work.code;
+        assert!(
+            code.iter().any(|i| matches!(i, Inst::Jmp { .. }))
+                && !code.iter().any(|i| matches!(i, Inst::DotPeekF { .. })),
+            "{code:?}"
+        );
+        assert_eq!(differential("fir257", &p, 16), None);
+    }
 }

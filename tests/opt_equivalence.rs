@@ -6,7 +6,9 @@
 //!    reference interpreter twice — once as written, once after
 //!    [`streamit::analysis::optimize_filter`] — and requires the pushed
 //!    streams (and consumed-item counts) to be bit-identical.  This
-//!    isolates the optimizer from engine lowering entirely.
+//!    isolates the optimizer from engine lowering entirely; the
+//!    optimized body is lowered only to count which selected
+//!    instructions the optimizer's output reaches.
 //! 2. A metamorphic sweep over all fifteen benchmark apps: the compiled
 //!    engine and the parallel runtime at 1/2/4 threads must produce
 //!    bit-identical output at `--opt-level 0` and `--opt-level 1`, and
@@ -15,6 +17,7 @@
 use std::collections::HashMap;
 
 use streamit::analysis::optimize_filter;
+use streamit::exec::bytecode::lower_filter;
 use streamit::graph::builder::FilterBuilder;
 use streamit::graph::{DataType, Filter, Value};
 use streamit::interp::{eval_block_bounded, EvalCtx, RuntimeError};
@@ -22,7 +25,7 @@ use streamit::interp::{eval_block_bounded, EvalCtx, RuntimeError};
 #[path = "support/irgen.rs"]
 mod irgen;
 
-use irgen::{gen_block, Gen, Scope};
+use irgen::{gen_block, selected, Gen, Scope, Selected, SELECTED};
 
 /// Deterministic varied input, matching the engine differential suite.
 fn varied_input(len: usize) -> Vec<f64> {
@@ -101,23 +104,33 @@ enum Case {
     Optimized,
 }
 
-fn run_case(seed: u64) -> Case {
+/// One case's outcome, and which of `irgen::SELECTED` the compared
+/// optimized body lowers to (all false when skipped or not lowerable).
+type Outcome = (Case, Selected);
+
+fn run_case(seed: u64) -> Outcome {
     let mut g = Gen(seed | 1);
     let mut sc = Scope::default();
     let block = gen_block(&mut g, &mut sc, 2);
+    // Int and float tapes lower peeks and mixed arithmetic differently.
+    let ty = if g.below(2) == 0 {
+        DataType::Int
+    } else {
+        DataType::Float
+    };
 
     let body = block.clone();
-    let f = FilterBuilder::new("gen", DataType::Int)
+    let f = FilterBuilder::new("gen", ty)
         .rates(0, 0, 0)
         .work(move |b| body.iter().cloned().fold(b, |b, s| b.stmt(s)))
         .build();
     let (of, stats) = optimize_filter(&f);
 
     let input: Vec<Value> = (0..65_536)
-        .map(|i| Value::Int(((i * 37) % 101) as i64 - 50))
+        .map(|i| Value::Int(((i * 37) % 101) as i64 - 50).coerce(ty))
         .collect();
     let Ok((want, want_pops)) = firings(&f, &input) else {
-        return Case::Skipped;
+        return (Case::Skipped, Selected::default());
     };
     let (got, got_pops) = firings(&of, &input).unwrap_or_else(|e| {
         panic!("seed {seed}: optimized body errors where the original ran: {e}\n{block:#?}")
@@ -132,11 +145,15 @@ fn run_case(seed: u64) -> Case {
         "seed {seed}: optimizer changed the consumed-item count\noriginal: {:#?}\noptimized: {:#?}",
         f.work, of.work
     );
-    if stats.changed() {
+    let emitted = lower_filter(&of, "gen", Some(ty), Some(ty))
+        .map(|fc| selected(&fc.work.code))
+        .unwrap_or_default();
+    let case = if stats.changed() {
         Case::Optimized
     } else {
         Case::Unchanged
-    }
+    };
+    (case, emitted)
 }
 
 proptest::proptest! {
@@ -151,26 +168,44 @@ proptest::proptest! {
 }
 
 /// Non-vacuity guard: over a fixed seed sweep the optimizer must both
-/// rewrite a healthy fraction of bodies *and* leave some untouched.
+/// rewrite a healthy fraction of bodies *and* leave some untouched, and
+/// its output must reach every instruction-selection rule: each selected
+/// instruction is in the lowering of at least 5 % of the sweep.
 #[test]
 fn optimizer_sweep_rewrites_a_healthy_fraction() {
+    const SWEEP: u64 = 512;
     let (mut optimized, mut unchanged, mut skipped) = (0usize, 0usize, 0usize);
-    for seed in 0..512u64 {
-        match run_case(seed) {
+    let mut emitted = [0usize; SELECTED.len()];
+    for seed in 0..SWEEP {
+        let (case, seen) = run_case(seed);
+        match case {
             Case::Optimized => optimized += 1,
             Case::Unchanged => unchanged += 1,
             Case::Skipped => skipped += 1,
         }
+        for (n, hit) in emitted.iter_mut().zip(seen) {
+            *n += hit as usize;
+        }
     }
-    eprintln!("optimizer sweep: {optimized} rewritten, {unchanged} unchanged, {skipped} skipped");
+    eprintln!(
+        "optimizer sweep: {optimized} rewritten, {unchanged} unchanged, {skipped} skipped, \
+         emitted {emitted:?}"
+    );
     assert!(
         optimized >= 64,
-        "only {optimized} of 512 generated bodies were rewritten — the property is near-vacuous"
+        "only {optimized} of {SWEEP} generated bodies were rewritten — the property is near-vacuous"
     );
     assert!(
         skipped <= 448,
-        "{skipped} of 512 generated bodies failed to run at all"
+        "{skipped} of {SWEEP} generated bodies failed to run at all"
     );
+    for (name, n) in SELECTED.iter().zip(emitted) {
+        assert!(
+            n * 20 >= SWEEP as usize,
+            "{name} was in the lowering of only {n} of {SWEEP} optimized bodies — \
+             the optimizer's output no longer reaches its selection rule"
+        );
+    }
 }
 
 // ---- 2. metamorphic opt-0 == opt-1 over the benchmark corpus ----------

@@ -5,8 +5,11 @@
 //! -preserving transforms of the same deterministic Kahn stream.
 //! Graphs it declines must fail with a clear `Unsupported` reason.
 
+use std::time::Duration;
+
 use streamit::exec::ExecError;
 use streamit::graph::StreamNode;
+use streamit::rt::RunConfig;
 use streamit::{apps, CompiledProgram, Compiler};
 
 #[path = "support/irgen.rs"]
@@ -65,6 +68,24 @@ fn compare_parallel(name: &str, p: &CompiledProgram, reference: &[f64], n: usize
             ),
             tolerance::Tolerance::Bit,
             &parallel,
+            reference,
+        );
+        // A bare run this short is over inside the inline budget, its
+        // stages taking turns on this thread; a supervised run gets its
+        // workers from the first iteration, so this is the comparison
+        // that has one thread per stage.
+        let supervised = RunConfig {
+            watchdog: Some(Duration::from_secs(120)),
+            ..RunConfig::default()
+        };
+        let (mut threaded, _) = pg.run(&pin, kp, &supervised).unwrap_or_else(|e| {
+            panic!("{name}: supervised parallel run ({threads} threads, {label}) failed: {e}")
+        });
+        threaded.truncate(n);
+        tolerance::assert_streams_match(
+            &format!("{name}: parallel@{threads} ({label}, one worker per stage) vs reference"),
+            tolerance::Tolerance::Bit,
+            &threaded,
             reference,
         );
     }
@@ -210,6 +231,7 @@ mod generated {
 
     use super::irgen::{gen_block, Gen, Scope};
     use super::varied_input;
+    use super::{Duration, RunConfig};
 
     /// A heavy stateless 1->1 stage: enough work per item that the
     /// coarse-grained fission heuristic elects to replicate it.
@@ -283,11 +305,25 @@ mod generated {
         let parallel = pg
             .run_steady(&input, k)
             .unwrap_or_else(|e| panic!("seed {seed}: parallel run failed: {e}\n{block:#?}"));
+        // Three iterations end inside the inline budget; a supervised
+        // run has a worker per stage from the first.
+        let supervised = RunConfig {
+            watchdog: Some(Duration::from_secs(120)),
+            ..RunConfig::default()
+        };
+        let (threaded, _) = pg
+            .run(&input, k, &supervised)
+            .unwrap_or_else(|e| panic!("seed {seed}: supervised run failed: {e}\n{block:#?}"));
+        let tb: Vec<u64> = threaded.iter().map(|v| v.to_bits()).collect();
         let mut reference = p
             .run(&input, n)
             .unwrap_or_else(|e| panic!("seed {seed}: reference run failed: {e}\n{block:#?}"));
         reference.truncate(n);
         let pb: Vec<u64> = parallel.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(
+            tb, pb,
+            "seed {seed}: workers and inline stages disagree\nworkers: {threaded:?}\ninline:  {parallel:?}\n{block:#?}"
+        );
         let rb: Vec<u64> = reference.iter().map(|v| v.to_bits()).collect();
         assert_eq!(
             pb, rb,
