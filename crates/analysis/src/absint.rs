@@ -17,14 +17,15 @@
 //! anything else runs to a widened fixpoint, which loses exactness but
 //! never soundness.
 //!
-//! Float values are not tracked: a float literal, a local declared
-//! `float` and every float-valued intrinsic evaluate to ⊤ *and* carry a
-//! may-be-float mark through arithmetic, because the integer identities
-//! the interval operators rely on (`x * 0 == 0`, `|x| >= 0`) fail for
-//! NaN and ±inf, and NaN is truthy.  Tape reads, array elements and
-//! names the block does not declare are assumed integer — the analysis
-//! knows neither tape nor state types — which keeps idioms like
-//! `peek(pop() % N)` bounded.
+//! Float values are not tracked: a float literal, a scalar or array
+//! declared `float` (local or state), a read of a `float` input tape and
+//! every float-valued intrinsic evaluate to ⊤ *and* carry a may-be-float
+//! mark through arithmetic, because the integer identities the interval
+//! operators rely on (`x * 0 == 0`, `|x| >= 0`) fail for NaN and ±inf,
+//! and NaN is truthy.  [`analyze_body`] takes the tape and state types
+//! from the filter; [`analyze_block`] sees a bare block, so there tape
+//! reads and names the block does not declare are integers — which keeps
+//! idioms like `peek(pop() % N)` bounded.
 //!
 //! Soundness invariant (property-tested from `tests/static_analysis.rs`):
 //! for every concrete execution of the block, the observed pop count,
@@ -40,7 +41,10 @@
 
 use crate::interval::Interval;
 use std::collections::HashMap;
-use streamit_graph::{BinOp, DataType, Expr, Intrinsic, LValue, Stmt, UnOp};
+use streamit_graph::work::int_binop;
+use streamit_graph::{
+    BinOp, DataType, Expr, Filter, Intrinsic, LValue, StateInit, Stmt, UnOp, Value,
+};
 
 /// Total statements the analyzer may execute while unrolling loops.
 const UNROLL_FUEL: u64 = 2_000_000;
@@ -69,15 +73,23 @@ pub struct BodyAnalysis {
     pub dead_code: Vec<String>,
 }
 
-/// What the walk knows about one scalar local.
+/// What the walk knows about one name (scalar or array).
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Slot {
     Int(Interval),
-    /// Declared `float`: never tracked, whatever is assigned to it.
+    /// Declared `float`: never tracked, whatever is assigned to it.  For
+    /// an array, every element.
     Float,
 }
 
 impl Slot {
+    fn declared(ty: DataType, v: Interval) -> Slot {
+        match ty {
+            DataType::Int => Slot::Int(v),
+            DataType::Float => Slot::Float,
+        }
+    }
+
     /// A name that is float on either path is float (the environment
     /// is flat, so two scopes may reuse a name with different types).
     fn merge(self, other: Slot, f: impl FnOnce(&Interval, &Interval) -> Interval) -> Slot {
@@ -91,7 +103,7 @@ impl Slot {
 /// Abstract machine state threaded through the walk.
 #[derive(Debug, Clone, PartialEq)]
 struct AbsState {
-    /// Known scalar variables; absent means an unknown integer (⊤).
+    /// Known variables; absent means an unknown integer (⊤).
     env: HashMap<String, Slot>,
     pops: Interval,
     pushes: Interval,
@@ -206,19 +218,45 @@ fn body_size(block: &[Stmt]) -> u64 {
 }
 
 struct Analyzer {
+    /// Reads of the input tape may be floats.
+    float_tape: bool,
     fuel: u64,
     dead_code: Vec<String>,
 }
 
-/// Abstractly interpret `block`.  `seed` pre-binds variables with known
-/// constant values (immutable integer state fields), improving precision
-/// for loop bounds and peek indices drawn from filter parameters.
+/// Abstractly interpret a bare `block` (integer tape, no declared
+/// state).  `seed` pre-binds variables with known constant values.
 pub fn analyze_block(block: &[Stmt], seed: &HashMap<String, i64>) -> BodyAnalysis {
+    run(block, AbsState::initial(seed), false)
+}
+
+/// Abstractly interpret one body of `f` with the types `f` declares: a
+/// `float` input tape and `float` state read as may-be-float ⊤, and
+/// integer scalar state no body of `f` assigns keeps its
+/// elaboration-time value, which makes loop bounds and peek indices
+/// drawn from filter parameters exact.
+pub fn analyze_body(f: &Filter, block: &[Stmt]) -> BodyAnalysis {
+    let assigned = crate::sccp::assigned_state_names(f);
+    let mut st = AbsState::initial(&HashMap::new());
+    for sv in &f.state {
+        let slot = match (sv.ty, &sv.init) {
+            (DataType::Float, _) => Slot::Float,
+            (DataType::Int, StateInit::Scalar(Value::Int(v))) if !assigned.contains(&sv.name) => {
+                Slot::Int(Interval::constant(*v))
+            }
+            _ => continue,
+        };
+        st.env.insert(sv.name.clone(), slot);
+    }
+    run(block, st, f.input == Some(DataType::Float))
+}
+
+fn run(block: &[Stmt], mut st: AbsState, float_tape: bool) -> BodyAnalysis {
     let mut a = Analyzer {
+        float_tape,
         fuel: UNROLL_FUEL,
         dead_code: Vec::new(),
     };
-    let mut st = AbsState::initial(seed);
     a.exec_block(block, &mut st);
     BodyAnalysis {
         pops: st.pops,
@@ -242,15 +280,12 @@ impl Analyzer {
         match s {
             Stmt::Let { name, ty, init } => {
                 let v = self.eval(init, st);
-                let slot = match ty {
-                    DataType::Int => Slot::Int(v),
-                    DataType::Float => Slot::Float,
-                };
-                st.env.insert(name.clone(), slot);
+                st.env.insert(name.clone(), Slot::declared(*ty, v));
             }
-            Stmt::LetArray { name, .. } => {
-                // Array contents are not tracked; shadow any scalar.
-                st.env.remove(name);
+            Stmt::LetArray { name, ty, .. } => {
+                // Array contents are not tracked beyond their type.
+                st.env
+                    .insert(name.clone(), Slot::declared(*ty, Interval::TOP));
             }
             Stmt::Assign { target, value } => {
                 if let LValue::Index(_, i) = target {
@@ -359,8 +394,12 @@ impl Analyzer {
             if trips <= UNROLL_LIMIT as i128 && cost <= self.fuel {
                 self.fuel -= cost;
                 for i in lo..hi {
-                    st.env
-                        .insert(var.to_string(), Slot::Int(Interval::constant(i)));
+                    let v = Slot::Int(Interval::constant(i));
+                    // No key allocation per iteration.
+                    match st.env.get_mut(var) {
+                        Some(slot) => *slot = v,
+                        None => drop(st.env.insert(var.to_string(), v)),
+                    }
                     self.exec_block(body, st);
                 }
                 return;
@@ -428,14 +467,14 @@ impl Analyzer {
                 Some(Slot::Float) => FLOAT,
                 None => (Interval::TOP, false),
             },
-            Expr::Index(_, i) => {
+            Expr::Index(n, i) => {
                 self.eval(i, st);
-                (Interval::TOP, false)
+                (Interval::TOP, st.env.get(n) == Some(&Slot::Float))
             }
             Expr::Pop => {
                 st.pops = st.pops.add(&Interval::constant(1));
                 st.need = imax(&st.need, &st.pops);
-                (Interval::TOP, false)
+                (Interval::TOP, self.float_tape)
             }
             Expr::Peek(i) => {
                 let vi = self.eval(i, st);
@@ -447,7 +486,7 @@ impl Analyzer {
                 // reaching backwards.
                 let req = st.pops.add(&vi.max_with(0)).add(&Interval::constant(1));
                 st.need = imax(&st.need, &req);
-                (Interval::TOP, false)
+                (Interval::TOP, self.float_tape)
             }
             Expr::Unary(op, a) => {
                 let (v, float) = self.eval_f(a, st);
@@ -512,12 +551,7 @@ impl Analyzer {
             BinOp::Mul => a.mul(&b),
             BinOp::Div | BinOp::Rem => match (a.as_constant(), b.as_constant()) {
                 (Some(x), Some(y)) if y != 0 => {
-                    let r = if op == BinOp::Div {
-                        x.checked_div(y)
-                    } else {
-                        x.checked_rem(y)
-                    };
-                    r.map(Interval::constant).unwrap_or(Interval::TOP)
+                    int_binop(op, x, y).map_or(Interval::TOP, Interval::constant)
                 }
                 // `v % d` with a positive constant divisor stays within
                 // `(-d, d)` (and `[0, d)` for a non-negative dividend) —

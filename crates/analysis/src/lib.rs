@@ -53,8 +53,8 @@ pub use absint::{analyze_block, BodyAnalysis};
 pub use interval::Interval;
 pub use opt::{optimize_filter, OptStats};
 
-use std::collections::HashMap;
-use streamit_graph::{Filter, StateInit, Stmt, StreamNode, Value};
+use streamit_graph::work::{eval_const, ConstEnv};
+use streamit_graph::{Filter, Stmt, StreamNode};
 
 /// How severe a finding is: errors gate execution, warnings print.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -128,38 +128,6 @@ fn finding(code: &'static str, path: &str, message: String) -> Finding {
         path: path.to_string(),
         message,
     }
-}
-
-/// Integer scalar state fields never assigned by work, prework or a
-/// handler keep their elaboration-time value forever; seeding the
-/// abstract environment with them makes loop bounds and peek indices
-/// drawn from filter parameters exact.
-fn immutable_int_state(f: &Filter) -> HashMap<String, i64> {
-    let mut assigned: std::collections::HashSet<String> = std::collections::HashSet::new();
-    let mut scan = |block: &[Stmt]| {
-        for s in block {
-            s.visit(&mut |s| {
-                if let Stmt::Assign { target, .. } = s {
-                    assigned.insert(target.name().to_string());
-                }
-            });
-        }
-    };
-    scan(&f.work);
-    if let Some(pw) = &f.prework {
-        scan(&pw.body);
-    }
-    for h in &f.handlers {
-        scan(&h.body);
-    }
-    f.state
-        .iter()
-        .filter(|sv| !assigned.contains(&sv.name))
-        .filter_map(|sv| match &sv.init {
-            StateInit::Scalar(Value::Int(v)) => Some((sv.name.clone(), *v)),
-            _ => None,
-        })
-        .collect()
 }
 
 /// Check one analyzed body against declared rates.  `what` prefixes
@@ -304,13 +272,12 @@ fn check_conformance(
 /// (used verbatim in findings; matches flat-graph node names).
 pub fn analyze_filter(f: &Filter, path: &str) -> Vec<Finding> {
     let mut out = Vec::new();
-    let seed = immutable_int_state(f);
 
-    let work = analyze_block(&f.work, &seed);
+    let work = absint::analyze_body(f, &f.work);
     check_conformance(&work, f.peek, f.pop, f.push, "", path, &mut out);
 
     if let Some(pw) = &f.prework {
-        let pre = analyze_block(&pw.body, &seed);
+        let pre = absint::analyze_body(f, &pw.body);
         check_conformance(&pre, pw.peek, pw.pop, pw.push, "prework ", path, &mut out);
     }
 
@@ -376,11 +343,7 @@ fn dataflow_lints(f: &Filter, block: &[Stmt], what: &str, path: &str, out: &mut 
         // literal arithmetic) is already reported as unreachable code
         // (L0602) by the abstract-interpretation walk; L0607 only adds
         // conditions that *become* constant through propagation.
-        let empty = sccp::ConstEnv {
-            vars: &|_| None,
-            arrays: &|_, _| None,
-        };
-        if sccp::eval_const(cond, &empty).is_some() {
+        if eval_const(cond, &ConstEnv::EMPTY).is_some() {
             continue;
         }
         let by_const = csol

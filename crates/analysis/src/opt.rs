@@ -5,9 +5,9 @@
 //! reference interpreter's semantics *exactly* — wrapping integer
 //! arithmetic, NaN propagation, evaluation order, and every trap:
 //!
-//! * **Constant folding** uses [`crate::sccp::eval_const`], the verbatim
-//!   mirror of `eval.rs` (a fold that could change a trap — division by
-//!   zero, `abs(i64::MIN)` — is refused).
+//! * **Constant folding** uses [`streamit_graph::work::eval_const`], the
+//!   evaluator the interpreter's own arithmetic is defined by (a fold
+//!   that would hide a trap — integer division by zero — is refused).
 //! * **Branch pruning** fires only when the condition folds to a literal
 //!   (or the interval analysis proves it) *and* evaluating the original
 //!   condition could not trap or touch the tape.
@@ -32,13 +32,12 @@
 
 use std::collections::{HashMap, HashSet};
 
-use streamit_graph::{DataType, Expr, Filter, Intrinsic, LValue, Stmt, Value};
+use streamit_graph::work::{eval_const, ConstEnv};
+use streamit_graph::{DataType, Expr, Filter, LValue, Stmt, Value};
 
 use crate::cfg::{Cfg, Node};
 use crate::liveness::{dead_stores, solve_liveness, Liveness};
-use crate::sccp::{
-    eval_const, pinned_names, scalar_types, solve_ranges, state_seeds, ConstEnv, Ranges, StateSeeds,
-};
+use crate::sccp::{pinned_names, scalar_types, solve_ranges, state_seeds, Ranges, StateSeeds};
 
 /// Maximum trip count a single loop may be unrolled by.
 const MAX_UNROLL_TRIPS: i64 = 256;
@@ -145,18 +144,8 @@ fn bit_eq(a: Value, b: Value) -> bool {
     }
 }
 
-fn lit(v: Value) -> Expr {
-    match v {
-        Value::Int(i) => Expr::IntLit(i),
-        Value::Float(f) => Expr::FloatLit(f),
-    }
-}
-
 fn zero_lit(ty: DataType) -> Expr {
-    match ty {
-        DataType::Int => Expr::IntLit(0),
-        DataType::Float => Expr::FloatLit(0.0),
-    }
+    ty.zero().into()
 }
 
 /// Is evaluating `e` provably free of traps, tape access, and message
@@ -177,24 +166,16 @@ pub(crate) fn pure_total(e: &Expr) -> bool {
             match op {
                 BinOp::Div | BinOp::Rem => {
                     // Total only when the division is provably float
-                    // (IEEE: no trap) or by a nonzero integer literal.
+                    // (IEEE: no trap) or by an integer literal other
+                    // than 0 and -1 (`i64::MIN / -1` traps).
                     matches!(**a, Expr::FloatLit(_))
                         || matches!(**b, Expr::FloatLit(_))
-                        || matches!(**b, Expr::IntLit(n) if n != 0)
+                        || matches!(**b, Expr::IntLit(n) if n != 0 && n != -1)
                 }
                 _ => true,
             }
         }
-        Expr::Call(g, args) => {
-            if args.len() != g.arity() || !args.iter().all(pure_total) {
-                return false;
-            }
-            // `abs` overflows (debug) on i64::MIN; only allow it when
-            // the argument is a literal that provably can't be that.
-            *g != Intrinsic::Abs
-                || matches!(args[0], Expr::IntLit(n) if n != i64::MIN)
-                || matches!(args[0], Expr::FloatLit(_))
-        }
+        Expr::Call(g, args) => args.len() == g.arity() && args.iter().all(pure_total),
     }
 }
 
@@ -223,7 +204,7 @@ fn count_stmts(block: &[Stmt]) -> usize {
 /// `var` exist below — callers check).
 fn subst_var_expr(e: &Expr, var: &str, v: Value) -> Expr {
     match e {
-        Expr::Var(n) if n == var => lit(v),
+        Expr::Var(n) if n == var => v.into(),
         Expr::IntLit(_) | Expr::FloatLit(_) | Expr::Var(_) | Expr::Pop => e.clone(),
         Expr::Index(n, i) => Expr::Index(n.clone(), Box::new(subst_var_expr(i, var, v))),
         Expr::Peek(i) => Expr::Peek(Box::new(subst_var_expr(i, var, v))),
@@ -358,7 +339,7 @@ impl Folder<'_> {
             if !already {
                 self.stats.folds += 1;
             }
-            return lit(v);
+            return v.into();
         }
         match e {
             Expr::IntLit(_) | Expr::FloatLit(_) | Expr::Var(_) | Expr::Pop => e.clone(),
@@ -1190,6 +1171,21 @@ mod tests {
         let (opt, _) = optimize_filter(&f);
         assert!(matches!(opt.work[0], Stmt::Expr(Expr::Pop)));
         assert_equivalent(&f, &[10.0, 20.0]);
+    }
+
+    #[test]
+    fn division_by_minus_one_is_not_total() {
+        // `i64::MIN / -1` is the table's one trap besides a zero
+        // divisor, so a dead `x / -1` may not be deleted; `abs` wraps
+        // and is total.
+        let x = || var("x");
+        assert!(!pure_total(&bin(BinOp::Div, x(), Expr::IntLit(-1))));
+        assert!(!pure_total(&bin(BinOp::Rem, x(), Expr::IntLit(-1))));
+        assert!(pure_total(&bin(BinOp::Div, x(), Expr::IntLit(-2))));
+        assert!(pure_total(&Expr::Call(
+            streamit_graph::Intrinsic::Abs,
+            vec![x()]
+        )));
     }
 
     #[test]

@@ -1,15 +1,9 @@
 //! Sparse conditional constant propagation over the work IR, plus the
 //! interval-domain value-range instance of the same solver.
 //!
-//! The constant-evaluation core ([`const_binop`], [`const_unary`],
-//! [`const_call`], [`eval_const`]) mirrors the reference interpreter's
-//! `eval.rs` *exactly*: wrapping integer arithmetic, `checked_div`/
-//! `checked_rem` (a division by zero is **never** folded — `None`
-//! preserves the runtime diagnostic), non-short-circuit `&&`/`||`,
-//! comparisons yielding `0`/`1`, mixed int/float promotion through
-//! `as_f64`, and bitwise-on-float falling back through `as i64` casts.
-//! The optimizer's bit-identical guarantee rests on this mirror; the
-//! unit tests below check it differentially against the interpreter.
+//! Constants are evaluated by [`streamit_graph::work::eval_const`], the
+//! one definition of the work language's arithmetic that the reference
+//! interpreter runs too; this module keeps only the lattices.
 //!
 //! Constants are wrapped in [`CVal`], whose equality is *bitwise* on
 //! floats — `NaN == NaN` — so lattice facts compare reflexively and the
@@ -17,6 +11,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use streamit_graph::work::{eval_const, ConstEnv};
 use streamit_graph::{
     BinOp, DataType, Expr, Filter, Intrinsic, LValue, StateInit, Stmt, UnOp, Value,
 };
@@ -24,8 +19,6 @@ use streamit_graph::{
 use crate::cfg::{Cfg, Node};
 use crate::dataflow::{solve, Analysis, Direction, Solution};
 use crate::interval::Interval;
-
-// ---- constant evaluation (the interpreter mirror) ----------------------
 
 /// A constant value with bitwise (reflexive) float equality.
 #[derive(Debug, Clone, Copy)]
@@ -41,120 +34,6 @@ impl PartialEq for CVal {
     }
 }
 impl Eq for CVal {}
-
-/// `int_binop` from the reference interpreter, minus the trapping cases:
-/// division/remainder by zero return `None` and are never folded.
-fn int_binop(op: BinOp, a: i64, b: i64) -> Option<Value> {
-    Some(Value::Int(match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::Div => a.checked_div(b)?,
-        BinOp::Rem => a.checked_rem(b)?,
-        BinOp::Eq => (a == b) as i64,
-        BinOp::Ne => (a != b) as i64,
-        BinOp::Lt => (a < b) as i64,
-        BinOp::Le => (a <= b) as i64,
-        BinOp::Gt => (a > b) as i64,
-        BinOp::Ge => (a >= b) as i64,
-        BinOp::And => ((a != 0) && (b != 0)) as i64,
-        BinOp::Or => ((a != 0) || (b != 0)) as i64,
-        BinOp::BitAnd => a & b,
-        BinOp::BitOr => a | b,
-        BinOp::BitXor => a ^ b,
-        BinOp::Shl => a.wrapping_shl(b as u32),
-        BinOp::Shr => a.wrapping_shr(b as u32),
-    }))
-}
-
-/// `float_binop` from the reference interpreter (total: IEEE float
-/// division never traps; bitwise falls back through `as i64`).
-fn float_binop(op: BinOp, a: f64, b: f64) -> Option<Value> {
-    Some(match op {
-        BinOp::Add => Value::Float(a + b),
-        BinOp::Sub => Value::Float(a - b),
-        BinOp::Mul => Value::Float(a * b),
-        BinOp::Div => Value::Float(a / b),
-        BinOp::Rem => Value::Float(a % b),
-        BinOp::Eq => Value::Int((a == b) as i64),
-        BinOp::Ne => Value::Int((a != b) as i64),
-        BinOp::Lt => Value::Int((a < b) as i64),
-        BinOp::Le => Value::Int((a <= b) as i64),
-        BinOp::Gt => Value::Int((a > b) as i64),
-        BinOp::Ge => Value::Int((a >= b) as i64),
-        BinOp::And => Value::Int(((a != 0.0) && (b != 0.0)) as i64),
-        BinOp::Or => Value::Int(((a != 0.0) || (b != 0.0)) as i64),
-        BinOp::BitAnd | BinOp::BitOr | BinOp::BitXor | BinOp::Shl | BinOp::Shr => {
-            return int_binop(op, a as i64, b as i64)
-        }
-    })
-}
-
-/// Fold a binary operation on constants, `None` when the interpreter
-/// would raise (integer division/remainder by zero).
-pub fn const_binop(op: BinOp, a: Value, b: Value) -> Option<Value> {
-    match (a, b) {
-        (Value::Int(x), Value::Int(y)) => int_binop(op, x, y),
-        (x, y) => float_binop(op, x.as_f64(), y.as_f64()),
-    }
-}
-
-/// Fold a unary operation (total: never traps).
-pub fn const_unary(op: UnOp, v: Value) -> Value {
-    match (op, v) {
-        (UnOp::Neg, Value::Int(i)) => Value::Int(i.wrapping_neg()),
-        (UnOp::Neg, Value::Float(f)) => Value::Float(-f),
-        (UnOp::Not, v) => Value::Int(!v.is_truthy() as i64),
-        (UnOp::BitNot, v) => Value::Int(!v.as_i64()),
-    }
-}
-
-/// Fold an intrinsic call.  `None` on an arity mismatch (the interpreter
-/// would fault) and on `abs(i64::MIN)`, which overflows in debug builds
-/// — the fold must never panic where the interpreter's behavior is
-/// build-dependent.
-pub fn const_call(g: Intrinsic, args: &[Value]) -> Option<Value> {
-    if args.len() != g.arity() {
-        return None;
-    }
-    if g == Intrinsic::Abs && matches!(args[0], Value::Int(i64::MIN)) {
-        return None;
-    }
-    Some(g.eval(args))
-}
-
-/// Environment for [`eval_const`]: known-constant scalars and immutable
-/// constant arrays (state arrays never written by any body).
-pub struct ConstEnv<'e> {
-    pub vars: &'e dyn Fn(&str) -> Option<Value>,
-    pub arrays: &'e dyn Fn(&str, i64) -> Option<Value>,
-}
-
-/// Evaluate an expression to a constant under `env`, or `None` when it
-/// depends on the tape, a non-constant variable, or would trap.  Purely
-/// side-effect free by construction: any expression containing `pop` is
-/// rejected (its subtree can never be constant).
-pub fn eval_const(e: &Expr, env: &ConstEnv<'_>) -> Option<Value> {
-    match e {
-        Expr::IntLit(i) => Some(Value::Int(*i)),
-        Expr::FloatLit(f) => Some(Value::Float(*f)),
-        Expr::Var(name) => (env.vars)(name),
-        Expr::Index(name, i) => {
-            let iv = eval_const(i, env)?.as_i64();
-            (env.arrays)(name, iv)
-        }
-        Expr::Peek(_) | Expr::Pop => None,
-        Expr::Unary(op, a) => Some(const_unary(*op, eval_const(a, env)?)),
-        Expr::Binary(op, a, b) => const_binop(*op, eval_const(a, env)?, eval_const(b, env)?),
-        Expr::Call(g, args) => {
-            let mut vs = Vec::with_capacity(args.len());
-            for a in args {
-                vs.push(eval_const(a, env)?);
-            }
-            const_call(*g, &vs)
-        }
-    }
-}
 
 // ---- immutable state seeds ---------------------------------------------
 
@@ -735,10 +614,12 @@ mod tests {
 
     #[test]
     fn division_by_zero_is_never_folded() {
-        assert_eq!(const_binop(BinOp::Div, Value::Int(1), Value::Int(0)), None);
-        assert_eq!(const_binop(BinOp::Rem, Value::Int(1), Value::Int(0)), None);
+        assert_eq!(BinOp::Div.eval(Value::Int(1), Value::Int(0)), None);
+        assert_eq!(BinOp::Rem.eval(Value::Int(1), Value::Int(0)), None);
         // Float division is total.
-        assert!(const_binop(BinOp::Div, Value::Float(1.0), Value::Float(0.0)).is_some());
+        assert!(BinOp::Div
+            .eval(Value::Float(1.0), Value::Float(0.0))
+            .is_some());
     }
 
     #[test]
@@ -787,8 +668,9 @@ mod tests {
         assert!(sol.converged);
     }
 
-    // Differential check: the fold mirror must agree with the reference
-    // interpreter on every operator over a value grid, bit for bit.
+    // Differential check: the reference interpreter must agree with the
+    // shared scalar table on every operator over a value grid, bit for
+    // bit (`tests/scalar_semantics.rs` adds the other evaluators).
     #[test]
     fn const_fold_mirrors_the_interpreter() {
         use streamit_interp::eval_block_bounded;
@@ -854,7 +736,7 @@ mod tests {
         for &op in &ops {
             for &a in &vals {
                 for &b in &vals {
-                    let folded = const_binop(op, a, b);
+                    let folded = op.eval(a, b);
                     // Interpreter result captured through a raw `push`.
                     let body = vec![Stmt::Push(bin(op, lit(a), lit(b)))];
                     let mut state = std::collections::HashMap::new();

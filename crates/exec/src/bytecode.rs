@@ -694,7 +694,7 @@ impl Lowerer {
             })?;
             return Ok((d, Ty::I));
         }
-        // Mixed or float: `float_binop(a.as_f64(), b.as_f64())`.
+        // Mixed or float: `BinOp::eval` promotes both sides with `as_f64`.
         let fa = self.coerce_f(va)?;
         let fb = self.coerce_f(vb)?;
         match op {
@@ -735,7 +735,7 @@ impl Lowerer {
                 Ok((d, Ty::I))
             }
             BinOp::BitAnd | BinOp::BitOr | BinOp::BitXor | BinOp::Shl | BinOp::Shr => {
-                // float_binop falls back to `int_binop(a as i64, b as i64)`
+                // `BinOp::eval` falls back to `int_binop(a as i64, b as i64)`
                 // — the cast goes *through f64* even for int operands, so
                 // mixed-type bitwise stays bit-identical for huge ints.
                 let ia = self.ri()?;

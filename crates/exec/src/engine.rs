@@ -13,7 +13,10 @@
 use std::mem;
 use std::time::Instant;
 
-use streamit_graph::Intrinsic;
+use streamit_graph::work::{
+    float_arith, float_cmp, float_neg, float_not, int_abs, int_binop, int_unop,
+};
+use streamit_graph::{BinOp, Intrinsic, UnOp};
 use streamit_sched::ProfileReport;
 
 use crate::bytecode::{FilterCode, Inst, Program};
@@ -130,35 +133,27 @@ fn exec_program(
             Inst::CastIF { d, s } => fr.f[d as usize] = fr.i[s as usize] as f64,
             Inst::CastFI { d, s } => fr.i[d as usize] = fr.f[s as usize] as i64,
             Inst::BinI { op, d, a, b } => {
-                let (a, b) = (fr.i[a as usize], fr.i[b as usize]);
-                fr.i[d as usize] = int_binop(op, a, b)?;
+                fr.i[d as usize] =
+                    int_binop(op, fr.i[a as usize], fr.i[b as usize]).ok_or("division by zero")?;
             }
             Inst::ArithF { op, d, a, b } => {
-                fr.f[d as usize] = float_arith(op, fr.f[a as usize], fr.f[b as usize])?;
+                fr.f[d as usize] = arith_f(op, fr.f[a as usize], fr.f[b as usize])?;
             }
             Inst::ArithFK { op, d, a, imm } => {
-                fr.f[d as usize] = float_arith(op, fr.f[a as usize], imm)?;
+                fr.f[d as usize] = arith_f(op, fr.f[a as usize], imm)?;
             }
             Inst::ArithKF { op, d, b, imm } => {
-                fr.f[d as usize] = float_arith(op, imm, fr.f[b as usize])?;
+                fr.f[d as usize] = arith_f(op, imm, fr.f[b as usize])?;
             }
             Inst::CmpF { op, d, a, b } => {
-                let (a, b) = (fr.f[a as usize], fr.f[b as usize]);
-                fr.i[d as usize] = match op {
-                    streamit_graph::BinOp::Eq => (a == b) as i64,
-                    streamit_graph::BinOp::Ne => (a != b) as i64,
-                    streamit_graph::BinOp::Lt => (a < b) as i64,
-                    streamit_graph::BinOp::Le => (a <= b) as i64,
-                    streamit_graph::BinOp::Gt => (a > b) as i64,
-                    streamit_graph::BinOp::Ge => (a >= b) as i64,
-                    _ => return Err("non-comparison op in CmpF".into()),
-                };
+                fr.i[d as usize] = float_cmp(op, fr.f[a as usize], fr.f[b as usize])
+                    .ok_or("non-comparison op in CmpF")?;
             }
-            Inst::NegI { d, s } => fr.i[d as usize] = fr.i[s as usize].wrapping_neg(),
-            Inst::NegF { d, s } => fr.f[d as usize] = -fr.f[s as usize],
-            Inst::NotI { d, s } => fr.i[d as usize] = (fr.i[s as usize] == 0) as i64,
-            Inst::NotF { d, s } => fr.i[d as usize] = (fr.f[s as usize] == 0.0) as i64,
-            Inst::BitNotI { d, s } => fr.i[d as usize] = !fr.i[s as usize],
+            Inst::NegI { d, s } => fr.i[d as usize] = int_unop(UnOp::Neg, fr.i[s as usize]),
+            Inst::NegF { d, s } => fr.f[d as usize] = float_neg(fr.f[s as usize]),
+            Inst::NotI { d, s } => fr.i[d as usize] = int_unop(UnOp::Not, fr.i[s as usize]),
+            Inst::NotF { d, s } => fr.i[d as usize] = float_not(fr.f[s as usize]),
+            Inst::BitNotI { d, s } => fr.i[d as usize] = int_unop(UnOp::BitNot, fr.i[s as usize]),
             Inst::TruthyF { d, s } => fr.i[d as usize] = (fr.f[s as usize] != 0.0) as i64,
             Inst::Call1F { g, d, s } => {
                 let x = fr.f[s as usize];
@@ -176,7 +171,7 @@ fn exec_program(
                     _ => return Err("non-unary intrinsic in Call1F".into()),
                 };
             }
-            Inst::AbsI { d, s } => fr.i[d as usize] = fr.i[s as usize].wrapping_abs(),
+            Inst::AbsI { d, s } => fr.i[d as usize] = int_abs(fr.i[s as usize]),
             Inst::AbsF { d, s } => fr.f[d as usize] = fr.f[s as usize].abs(),
             Inst::PowF { d, a, b } => fr.f[d as usize] = fr.f[a as usize].powf(fr.f[b as usize]),
             Inst::MinMaxI { max, d, a, b } => {
@@ -300,42 +295,11 @@ fn exec_program(
     Ok(())
 }
 
+/// [`float_arith`], or the fault for an operator the lowering never
+/// puts in an `ArithF*` instruction.
 #[inline]
-fn float_arith(op: streamit_graph::BinOp, a: f64, b: f64) -> Result<f64, String> {
-    use streamit_graph::BinOp;
-    Ok(match op {
-        BinOp::Add => a + b,
-        BinOp::Sub => a - b,
-        BinOp::Mul => a * b,
-        BinOp::Div => a / b,
-        BinOp::Rem => a % b,
-        _ => return Err("non-arithmetic op in float arithmetic".into()),
-    })
-}
-
-#[inline]
-fn int_binop(op: streamit_graph::BinOp, a: i64, b: i64) -> Result<i64, String> {
-    use streamit_graph::BinOp;
-    Ok(match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::Div => a.checked_div(b).ok_or("division by zero")?,
-        BinOp::Rem => a.checked_rem(b).ok_or("division by zero")?,
-        BinOp::Eq => (a == b) as i64,
-        BinOp::Ne => (a != b) as i64,
-        BinOp::Lt => (a < b) as i64,
-        BinOp::Le => (a <= b) as i64,
-        BinOp::Gt => (a > b) as i64,
-        BinOp::Ge => (a >= b) as i64,
-        BinOp::And => ((a != 0) && (b != 0)) as i64,
-        BinOp::Or => ((a != 0) || (b != 0)) as i64,
-        BinOp::BitAnd => a & b,
-        BinOp::BitOr => a | b,
-        BinOp::BitXor => a ^ b,
-        BinOp::Shl => a.wrapping_shl(b as u32),
-        BinOp::Shr => a.wrapping_shr(b as u32),
-    })
+fn arith_f(op: BinOp, a: f64, b: f64) -> Result<f64, &'static str> {
+    float_arith(op, a, b).ok_or("non-arithmetic op in float arithmetic")
 }
 
 #[inline]

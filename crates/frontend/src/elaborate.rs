@@ -883,10 +883,7 @@ impl<'p> Elaborator<'p> {
             AExpr::Var(n) => {
                 if !shadow.contains(n) {
                     if let Some(v) = env.get(n) {
-                        return Ok(match v {
-                            Value::Int(i) => Expr::IntLit(*i),
-                            Value::Float(f) => Expr::FloatLit(*f),
-                        });
+                        return Ok((*v).into());
                     }
                 }
                 Expr::Var(n.clone())
@@ -922,71 +919,32 @@ impl<'p> Elaborator<'p> {
                     .map(|a| self.lower_expr(a, env, shadow, pos))
                     .collect::<Result<Vec<_>, _>>()?;
                 // Fold constant intrinsic calls (e.g. sin of a literal).
-                if args
-                    .iter()
-                    .all(|a| matches!(a, Expr::IntLit(_) | Expr::FloatLit(_)))
-                {
-                    let vals: Vec<Value> = args
-                        .iter()
-                        .map(|a| match a {
-                            Expr::IntLit(i) => Value::Int(*i),
-                            Expr::FloatLit(x) => Value::Float(*x),
-                            _ => unreachable!(),
-                        })
-                        .collect();
-                    match f.eval(&vals) {
-                        Value::Int(i) => Expr::IntLit(i),
-                        Value::Float(x) => Expr::FloatLit(x),
-                    }
-                } else {
-                    Expr::Call(f, args)
+                match args.iter().map(Expr::as_lit).collect::<Option<Vec<_>>>() {
+                    Some(vals) => f.eval(&vals).into(),
+                    None => Expr::Call(f, args),
                 }
             }
         })
     }
 }
 
-/// Fold literal-only binary operations at elaboration time.
+/// Fold literal-only binary operations at elaboration time: every
+/// int-int operator but comparisons and logic, and `+ - * /` once a float
+/// literal is involved.  The value is the run-time one (`BinOp::eval`);
+/// a trapping division stays in the body for the run to report.
 fn fold_binary(op: streamit_graph::BinOp, l: Expr, r: Expr) -> Expr {
     use streamit_graph::BinOp as B;
-    if let (Expr::IntLit(a), Expr::IntLit(b)) = (&l, &r) {
-        // Wrapping arithmetic matches the interpreter's runtime
-        // semantics (and avoids debug-build overflow panics on
-        // adversarial literals).
-        let v = match op {
-            B::Add => Some(a.wrapping_add(*b)),
-            B::Sub => Some(a.wrapping_sub(*b)),
-            B::Mul => Some(a.wrapping_mul(*b)),
-            B::Div if *b != 0 => a.checked_div(*b),
-            B::Rem if *b != 0 => a.checked_rem(*b),
-            B::Shl => Some(a << (*b as u32 % 64)),
-            B::Shr => Some(a >> (*b as u32 % 64)),
-            B::BitAnd => Some(a & b),
-            B::BitOr => Some(a | b),
-            B::BitXor => Some(a ^ b),
-            _ => None,
-        };
-        if let Some(v) = v {
-            return Expr::IntLit(v);
+    let folds = match (&l, &r) {
+        (Expr::IntLit(_), Expr::IntLit(_)) => {
+            !op.is_integral() || matches!(op, B::BitAnd | B::BitOr | B::BitXor | B::Shl | B::Shr)
         }
-    }
-    let as_f = |e: &Expr| match e {
-        Expr::IntLit(i) => Some(*i as f64),
-        Expr::FloatLit(f) => Some(*f),
-        _ => None,
+        _ => matches!(op, B::Add | B::Sub | B::Mul | B::Div),
     };
-    if matches!(op, B::Add | B::Sub | B::Mul | B::Div)
-        && matches!((&l, &r), (Expr::FloatLit(_), _) | (_, Expr::FloatLit(_)))
-    {
-        if let (Some(a), Some(b)) = (as_f(&l), as_f(&r)) {
-            let v = match op {
-                B::Add => a + b,
-                B::Sub => a - b,
-                B::Mul => a * b,
-                B::Div => a / b,
-                _ => unreachable!(),
-            };
-            return Expr::FloatLit(v);
+    if folds {
+        if let (Some(a), Some(b)) = (l.as_lit(), r.as_lit()) {
+            if let Some(v) = op.eval(a, b) {
+                return v.into();
+            }
         }
     }
     Expr::Binary(op, Box::new(l), Box::new(r))
@@ -1000,20 +958,11 @@ fn const_eval(e: &AExpr, env: &ConstEnv, pos: SourcePos) -> Result<Value, ElabEr
         AExpr::Var(n) => *env
             .get(n)
             .ok_or_else(|| err(pos, format!("`{n}` is not a compile-time constant")))?,
-        AExpr::Unary(op, a) => {
-            let v = const_eval(a, env, pos)?;
-            match op {
-                streamit_graph::UnOp::Neg => match v {
-                    Value::Int(i) => Value::Int(i.wrapping_neg()),
-                    Value::Float(f) => Value::Float(-f),
-                },
-                streamit_graph::UnOp::Not => Value::Int(!v.is_truthy() as i64),
-                streamit_graph::UnOp::BitNot => Value::Int(!v.as_i64()),
-            }
-        }
+        AExpr::Unary(op, a) => op.eval(const_eval(a, env, pos)?),
         AExpr::Binary(op, a, b) => {
             let (va, vb) = (const_eval(a, env, pos)?, const_eval(b, env, pos)?);
-            const_binop(*op, va, vb).ok_or_else(|| err(pos, "division by zero in constant"))?
+            op.eval(va, vb)
+                .ok_or_else(|| err(pos, "division by zero in constant"))?
         }
         AExpr::Call(name, args) => {
             let f = Intrinsic::from_name(name)
@@ -1035,51 +984,6 @@ fn const_eval(e: &AExpr, env: &ConstEnv, pos: SourcePos) -> Result<Value, ElabEr
 
 fn const_eval_lowered(e: &AExpr, env: &ConstEnv, pos: SourcePos) -> Result<i64, ElabError> {
     Ok(const_eval(e, env, pos)?.as_i64())
-}
-
-fn const_binop(op: streamit_graph::BinOp, a: Value, b: Value) -> Option<Value> {
-    use streamit_graph::BinOp as B;
-    Some(match (a, b) {
-        (Value::Int(x), Value::Int(y)) => match op {
-            B::Add => Value::Int(x.wrapping_add(y)),
-            B::Sub => Value::Int(x.wrapping_sub(y)),
-            B::Mul => Value::Int(x.wrapping_mul(y)),
-            B::Div => Value::Int(x.checked_div(y)?),
-            B::Rem => Value::Int(x.checked_rem(y)?),
-            B::Eq => Value::Int((x == y) as i64),
-            B::Ne => Value::Int((x != y) as i64),
-            B::Lt => Value::Int((x < y) as i64),
-            B::Le => Value::Int((x <= y) as i64),
-            B::Gt => Value::Int((x > y) as i64),
-            B::Ge => Value::Int((x >= y) as i64),
-            B::And => Value::Int(((x != 0) && (y != 0)) as i64),
-            B::Or => Value::Int(((x != 0) || (y != 0)) as i64),
-            B::BitAnd => Value::Int(x & y),
-            B::BitOr => Value::Int(x | y),
-            B::BitXor => Value::Int(x ^ y),
-            B::Shl => Value::Int(x << (y as u32 % 64)),
-            B::Shr => Value::Int(x >> (y as u32 % 64)),
-        },
-        (x, y) => {
-            let (x, y) = (x.as_f64(), y.as_f64());
-            match op {
-                B::Add => Value::Float(x + y),
-                B::Sub => Value::Float(x - y),
-                B::Mul => Value::Float(x * y),
-                B::Div => Value::Float(x / y),
-                B::Rem => Value::Float(x % y),
-                B::Eq => Value::Int((x == y) as i64),
-                B::Ne => Value::Int((x != y) as i64),
-                B::Lt => Value::Int((x < y) as i64),
-                B::Le => Value::Int((x <= y) as i64),
-                B::Gt => Value::Int((x > y) as i64),
-                B::Ge => Value::Int((x >= y) as i64),
-                B::And => Value::Int(((x != 0.0) && (y != 0.0)) as i64),
-                B::Or => Value::Int(((x != 0.0) || (y != 0.0)) as i64),
-                _ => return None,
-            }
-        }
-    })
 }
 
 fn eval_weights(ws: &[AExpr], env: &ConstEnv, pos: SourcePos) -> Result<Vec<u64>, ElabError> {

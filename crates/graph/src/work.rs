@@ -12,6 +12,29 @@
 //! * `streamit-interp` evaluates it concretely over FIFO tapes;
 //! * `streamit-linear` evaluates it *abstractly* over an affine-value
 //!   domain to perform the paper's linear-extraction analysis.
+//!
+//! # Scalar semantics
+//!
+//! What `a op b`, `op a` and `g(args)` *mean* is defined here and nowhere
+//! else: the typed primitives ([`int_binop`], [`float_arith`],
+//! [`float_cmp`], [`int_unop`], [`float_neg`], [`float_not`],
+//! [`int_abs`]), [`BinOp::eval`] / [`UnOp::eval`] / [`Intrinsic::eval`]
+//! over [`Value`]s, and the side-effect-free constant evaluator
+//! [`eval_const`].  The reference interpreter, the constant folders
+//! (elaborator, SCCP, optimizer, static estimators) and the bytecode VM
+//! all call these, so "bit-identical under optimization" cannot drift.
+//!
+//! * Integer arithmetic wraps; shifts take the count modulo 64.
+//! * `(Int, Int)` operands use the integer table; anything else promotes
+//!   both sides with [`Value::as_f64`].  Float `+ - * / %` is IEEE and
+//!   total; comparisons and the (non-short-circuit) `&&`/`||` yield `int`
+//!   0/1, with NaN truthy; bitwise operators on a float go through
+//!   `as i64`.
+//! * `None` means exactly one thing: an integer `/` or `%` by zero, or
+//!   `i64::MIN / -1` (`% -1`).  The interpreter reports it as
+//!   `DivisionByZero`, the VM as its `division by zero` fault, and a
+//!   folder leaves the expression alone so the run-time diagnostic
+//!   survives.
 
 use crate::types::{DataType, Value};
 
@@ -71,6 +94,81 @@ impl BinOp {
             BinOp::Shr => ">>",
         }
     }
+
+    /// `a op b` on concrete values (the promotion rule of the module
+    /// docs).  `None` only where [`int_binop`] is.
+    #[inline]
+    pub fn eval(self, a: Value, b: Value) -> Option<Value> {
+        if let (Value::Int(x), Value::Int(y)) = (a, b) {
+            return int_binop(self, x, y).map(Value::Int);
+        }
+        let (x, y) = (a.as_f64(), b.as_f64());
+        if !self.is_integral() {
+            return float_arith(self, x, y).map(Value::Float);
+        }
+        // Bitwise on floats goes through integers (rare; DES-style
+        // kernels run on int channels anyway).
+        float_cmp(self, x, y)
+            .or_else(|| int_binop(self, x as i64, y as i64))
+            .map(Value::Int)
+    }
+}
+
+/// Integer `a op b`: wrapping `+ - *`, shift counts modulo 64,
+/// comparisons and logic yielding 0/1.  `None` only for `/` and `%` by
+/// zero or of `i64::MIN` by `-1`.
+#[inline]
+pub fn int_binop(op: BinOp, a: i64, b: i64) -> Option<i64> {
+    Some(match op {
+        BinOp::Add => a.wrapping_add(b),
+        BinOp::Sub => a.wrapping_sub(b),
+        BinOp::Mul => a.wrapping_mul(b),
+        BinOp::Div => a.checked_div(b)?,
+        BinOp::Rem => a.checked_rem(b)?,
+        BinOp::Eq => (a == b) as i64,
+        BinOp::Ne => (a != b) as i64,
+        BinOp::Lt => (a < b) as i64,
+        BinOp::Le => (a <= b) as i64,
+        BinOp::Gt => (a > b) as i64,
+        BinOp::Ge => (a >= b) as i64,
+        BinOp::And => ((a != 0) && (b != 0)) as i64,
+        BinOp::Or => ((a != 0) || (b != 0)) as i64,
+        BinOp::BitAnd => a & b,
+        BinOp::BitOr => a | b,
+        BinOp::BitXor => a ^ b,
+        BinOp::Shl => a.wrapping_shl(b as u32),
+        BinOp::Shr => a.wrapping_shr(b as u32),
+    })
+}
+
+/// Float `+ - * / %` (IEEE: never traps); `None` for any other operator.
+#[inline]
+pub fn float_arith(op: BinOp, a: f64, b: f64) -> Option<f64> {
+    Some(match op {
+        BinOp::Add => a + b,
+        BinOp::Sub => a - b,
+        BinOp::Mul => a * b,
+        BinOp::Div => a / b,
+        BinOp::Rem => a % b,
+        _ => return None,
+    })
+}
+
+/// Float comparison and logic, yielding 0/1 (NaN compares unequal to
+/// everything and is truthy); `None` for any other operator.
+#[inline]
+pub fn float_cmp(op: BinOp, a: f64, b: f64) -> Option<i64> {
+    Some(match op {
+        BinOp::Eq => (a == b) as i64,
+        BinOp::Ne => (a != b) as i64,
+        BinOp::Lt => (a < b) as i64,
+        BinOp::Le => (a <= b) as i64,
+        BinOp::Gt => (a > b) as i64,
+        BinOp::Ge => (a >= b) as i64,
+        BinOp::And => ((a != 0.0) && (b != 0.0)) as i64,
+        BinOp::Or => ((a != 0.0) || (b != 0.0)) as i64,
+        _ => return None,
+    })
 }
 
 /// Unary operators.
@@ -82,6 +180,47 @@ pub enum UnOp {
     Not,
     /// Bitwise complement (`~`), integer only.
     BitNot,
+}
+
+impl UnOp {
+    /// `op v` on a concrete value (total).  `~` on a float goes through
+    /// `as i64`.
+    #[inline]
+    pub fn eval(self, v: Value) -> Value {
+        match (self, v) {
+            (UnOp::Neg, Value::Float(f)) => Value::Float(float_neg(f)),
+            (UnOp::Not, Value::Float(f)) => Value::Int(float_not(f)),
+            (op, v) => Value::Int(int_unop(op, v.as_i64())),
+        }
+    }
+}
+
+/// Integer `op a`: wrapping negation, logical not (0/1), complement.
+#[inline]
+pub fn int_unop(op: UnOp, a: i64) -> i64 {
+    match op {
+        UnOp::Neg => a.wrapping_neg(),
+        UnOp::Not => (a == 0) as i64,
+        UnOp::BitNot => !a,
+    }
+}
+
+/// Float negation (flips the sign bit, NaN included).
+#[inline]
+pub fn float_neg(a: f64) -> f64 {
+    -a
+}
+
+/// Logical not of a float: 1 for `±0.0`, else 0 (NaN is truthy).
+#[inline]
+pub fn float_not(a: f64) -> i64 {
+    (a == 0.0) as i64
+}
+
+/// Integer `abs`, wrapping: `abs(i64::MIN)` is `i64::MIN`.
+#[inline]
+pub fn int_abs(a: i64) -> i64 {
+    a.wrapping_abs()
 }
 
 /// Intrinsic (built-in) functions available inside work functions.
@@ -164,7 +303,9 @@ impl Intrinsic {
         })
     }
 
-    /// Evaluate the intrinsic on concrete values.
+    /// Evaluate the intrinsic on concrete values.  Total on `arity()`
+    /// arguments (callers check the arity; the frontend rejects a
+    /// mismatch).
     pub fn eval(self, args: &[Value]) -> Value {
         debug_assert_eq!(args.len(), self.arity());
         let f = |i: usize| args[i].as_f64();
@@ -177,7 +318,7 @@ impl Intrinsic {
             Intrinsic::Exp => Value::Float(f(0).exp()),
             Intrinsic::Log => Value::Float(f(0).ln()),
             Intrinsic::Abs => match args[0] {
-                Value::Int(i) => Value::Int(i.abs()),
+                Value::Int(i) => Value::Int(int_abs(i)),
                 Value::Float(x) => Value::Float(x.abs()),
             },
             Intrinsic::Floor => Value::Float(f(0).floor()),
@@ -222,7 +363,25 @@ pub enum Expr {
     Call(Intrinsic, Vec<Expr>),
 }
 
+impl From<Value> for Expr {
+    fn from(v: Value) -> Expr {
+        match v {
+            Value::Int(i) => Expr::IntLit(i),
+            Value::Float(f) => Expr::FloatLit(f),
+        }
+    }
+}
+
 impl Expr {
+    /// The value of a literal, `None` for anything else.
+    pub fn as_lit(&self) -> Option<Value> {
+        match self {
+            Expr::IntLit(i) => Some(Value::Int(*i)),
+            Expr::FloatLit(f) => Some(Value::Float(*f)),
+            _ => None,
+        }
+    }
+
     /// Fold a slice of expressions with a binary operator (left
     /// associative).  Empty input yields `IntLit(0)`.
     pub fn fold(op: BinOp, items: Vec<Expr>) -> Expr {
@@ -262,6 +421,50 @@ impl Expr {
                     a.visit(f);
                 }
             }
+        }
+    }
+}
+
+/// Environment for [`eval_const`]: known-constant scalars and immutable
+/// constant arrays (state arrays never written by any body).
+pub struct ConstEnv<'e> {
+    pub vars: &'e dyn Fn(&str) -> Option<Value>,
+    pub arrays: &'e dyn Fn(&str, i64) -> Option<Value>,
+}
+
+impl ConstEnv<'static> {
+    /// No variable and no array is known: only literal arithmetic folds.
+    pub const EMPTY: ConstEnv<'static> = ConstEnv {
+        vars: &|_| None,
+        arrays: &|_, _| None,
+    };
+}
+
+/// Evaluate an expression to a constant under `env`, or `None` when it
+/// depends on the tape, a non-constant variable, or would trap (see the
+/// module docs; a call with the wrong number of arguments faults at run
+/// time too).  Purely side-effect free by construction: any expression
+/// containing `pop` is rejected (its subtree can never be constant).
+pub fn eval_const(e: &Expr, env: &ConstEnv<'_>) -> Option<Value> {
+    match e {
+        Expr::IntLit(_) | Expr::FloatLit(_) => e.as_lit(),
+        Expr::Var(name) => (env.vars)(name),
+        Expr::Index(name, i) => {
+            let iv = eval_const(i, env)?.as_i64();
+            (env.arrays)(name, iv)
+        }
+        Expr::Peek(_) | Expr::Pop => None,
+        Expr::Unary(op, a) => Some(op.eval(eval_const(a, env)?)),
+        Expr::Binary(op, a, b) => op.eval(eval_const(a, env)?, eval_const(b, env)?),
+        Expr::Call(g, args) => {
+            if args.len() != g.arity() {
+                return None;
+            }
+            let mut vs = Vec::with_capacity(args.len());
+            for a in args {
+                vs.push(eval_const(a, env)?);
+            }
+            Some(g.eval(&vs))
         }
     }
 }
@@ -397,24 +600,29 @@ pub fn visit_block<'a>(block: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
 /// This is used by the frontend to check declared filter rates against the
 /// body, and by tests as an oracle.
 pub fn static_rates(block: &[Stmt]) -> Option<(usize, usize, usize)> {
-    fn expr_effects(
-        e: &Expr,
-        pops: &mut usize,
-        peek_hi: &mut usize,
-        env: &std::collections::HashMap<String, i64>,
-    ) -> Option<()> {
+    /// Constant scalars known at this point, typed as declared.
+    type Env = std::collections::HashMap<String, Value>;
+
+    fn const_eval(e: &Expr, env: &Env) -> Option<Value> {
+        eval_const(
+            e,
+            &ConstEnv {
+                vars: &|n| env.get(n).copied(),
+                arrays: &|_, _| None,
+            },
+        )
+    }
+
+    fn expr_effects(e: &Expr, pops: &mut usize, peek_hi: &mut usize, env: &Env) -> Option<()> {
         match e {
             Expr::Pop => {
                 *pops += 1;
             }
             Expr::Peek(i) => {
-                let idx = const_eval(i, env)?;
-                if idx < 0 {
-                    return None;
-                }
+                let idx = usize::try_from(const_eval(i, env)?.as_i64()).ok()?;
                 // A peek at index i (relative to current head) requires
                 // pops_so_far + i + 1 items available.
-                let need = *pops + idx as usize + 1;
+                let need = pops.checked_add(idx)?.checked_add(1)?;
                 *peek_hi = (*peek_hi).max(need);
                 expr_effects(i, pops, peek_hi, env)?;
             }
@@ -433,23 +641,16 @@ pub fn static_rates(block: &[Stmt]) -> Option<(usize, usize, usize)> {
         Some(())
     }
 
-    fn const_eval(e: &Expr, env: &std::collections::HashMap<String, i64>) -> Option<i64> {
-        match e {
-            Expr::IntLit(i) => Some(*i),
-            Expr::Var(n) => env.get(n).copied(),
-            Expr::Unary(UnOp::Neg, e) => Some(-const_eval(e, env)?),
-            Expr::Binary(op, a, b) => {
-                let (a, b) = (const_eval(a, env)?, const_eval(b, env)?);
-                Some(match op {
-                    BinOp::Add => a + b,
-                    BinOp::Sub => a - b,
-                    BinOp::Mul => a * b,
-                    BinOp::Div => a.checked_div(b)?,
-                    BinOp::Rem => a.checked_rem(b)?,
-                    _ => return None,
-                })
+    /// Record what is now known about `name`: a constant coerced to the
+    /// variable's type (as the assignment does), or nothing.
+    fn bind(env: &mut Env, name: &str, v: Option<Value>, ty: Option<DataType>) {
+        match (v, ty) {
+            (Some(v), Some(ty)) => {
+                env.insert(name.to_string(), v.coerce(ty));
             }
-            _ => None,
+            _ => {
+                env.remove(name);
+            }
         }
     }
 
@@ -458,19 +659,15 @@ pub fn static_rates(block: &[Stmt]) -> Option<(usize, usize, usize)> {
         pops: &mut usize,
         peek_hi: &mut usize,
         pushes: &mut usize,
-        env: &mut std::collections::HashMap<String, i64>,
+        env: &mut Env,
     ) -> Option<()> {
         for s in block {
             match s {
-                Stmt::Let { name, init, .. } => {
+                Stmt::Let { name, ty, init } => {
                     expr_effects(init, pops, peek_hi, env)?;
                     // Track constant locals so peek indices like
                     // `peek(i*2+1)` inside unrollable loops stay static.
-                    if let Some(v) = const_eval(init, env) {
-                        env.insert(name.clone(), v);
-                    } else {
-                        env.remove(name);
-                    }
+                    bind(env, name, const_eval(init, env), Some(*ty));
                 }
                 Stmt::LetArray { .. } => {}
                 Stmt::Assign { target, value } => {
@@ -479,11 +676,9 @@ pub fn static_rates(block: &[Stmt]) -> Option<(usize, usize, usize)> {
                     }
                     expr_effects(value, pops, peek_hi, env)?;
                     if let LValue::Var(n) = target {
-                        if let Some(v) = const_eval(value, env) {
-                            env.insert(n.clone(), v);
-                        } else {
-                            env.remove(n);
-                        }
+                        // Only a variable tracked so far has a known type.
+                        let ty = env.get(n).map(|v| v.data_type());
+                        bind(env, n, const_eval(value, env), ty);
                     }
                 }
                 Stmt::Push(e) => {
@@ -497,13 +692,14 @@ pub fn static_rates(block: &[Stmt]) -> Option<(usize, usize, usize)> {
                     to,
                     body,
                 } => {
-                    let (lo, hi) = (const_eval(from, env)?, const_eval(to, env)?);
-                    if hi - lo > 1_000_000 {
+                    let lo = const_eval(from, env)?.as_i64();
+                    let hi = const_eval(to, env)?.as_i64();
+                    if hi.saturating_sub(lo) > 1_000_000 {
                         return None; // refuse absurd unrolls
                     }
                     let saved = env.get(var).copied();
                     for i in lo..hi {
-                        env.insert(var.clone(), i);
+                        env.insert(var.clone(), Value::Int(i));
                         go(body, pops, peek_hi, pushes, env)?;
                     }
                     match saved {
@@ -523,7 +719,7 @@ pub fn static_rates(block: &[Stmt]) -> Option<(usize, usize, usize)> {
                     expr_effects(cond, pops, peek_hi, env)?;
                     // Statically-resolvable condition: follow one arm.
                     if let Some(c) = const_eval(cond, env) {
-                        let arm = if c != 0 { then_body } else { else_body };
+                        let arm = if c.is_truthy() { then_body } else { else_body };
                         go(arm, pops, peek_hi, pushes, env)?;
                     } else {
                         // Both arms must have identical tape effects.
@@ -554,7 +750,7 @@ pub fn static_rates(block: &[Stmt]) -> Option<(usize, usize, usize)> {
     }
 
     let (mut pops, mut peek_hi, mut pushes) = (0usize, 0usize, 0usize);
-    let mut env = std::collections::HashMap::new();
+    let mut env = Env::new();
     go(block, &mut pops, &mut peek_hi, &mut pushes, &mut env)?;
     Some((pops, peek_hi.max(pops), pushes))
 }
@@ -614,6 +810,38 @@ mod tests {
             Stmt::Expr(Expr::Pop),
         ];
         assert_eq!(static_rates(&body), Some((1, 1, 1)));
+    }
+
+    #[test]
+    fn static_rates_use_run_time_arithmetic() {
+        let bin = |op, a, b| Expr::Binary(op, Box::new(a), Box::new(b));
+        let let_ = |name: &str, ty, init| Stmt::Let {
+            name: name.into(),
+            ty,
+            init,
+        };
+        let var = |n: &str| Expr::Var(n.into());
+        let peek = |e| Stmt::Push(Expr::Peek(Box::new(e)));
+        // 2^62 * 4 wraps to 0, as at run time: peek(0).
+        let body = vec![
+            let_("a", DataType::Int, Expr::IntLit(1 << 62)),
+            peek(bin(BinOp::Mul, var("a"), Expr::IntLit(4))),
+        ];
+        assert_eq!(static_rates(&body), Some((0, 1, 1)));
+        // A float local keeps its fraction: 1.5 * 2 is index 3.
+        let body = vec![
+            let_("x", DataType::Float, Expr::FloatLit(1.5)),
+            peek(bin(BinOp::Mul, var("x"), Expr::IntLit(2))),
+        ];
+        assert_eq!(static_rates(&body), Some((0, 4, 1)));
+        // A loop over (almost) all of `i64` is not analysable.
+        let body = vec![Stmt::For {
+            var: "i".into(),
+            from: Expr::IntLit(-2),
+            to: Expr::IntLit(i64::MAX),
+            body: vec![],
+        }];
+        assert_eq!(static_rates(&body), None);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::error::RuntimeError;
 use std::collections::HashMap;
-use streamit_graph::{BinOp, Expr, LValue, Stmt, UnOp, Value};
+use streamit_graph::{Expr, LValue, Stmt, Value};
 
 /// A variable slot: scalar or array.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,53 +107,6 @@ impl<'a> Env<'a> {
     }
 }
 
-fn int_binop(node: &str, op: BinOp, a: i64, b: i64) -> Result<Value, RuntimeError> {
-    let div0 = || RuntimeError::DivisionByZero { node: node.into() };
-    Ok(Value::Int(match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::Div => a.checked_div(b).ok_or_else(div0)?,
-        BinOp::Rem => a.checked_rem(b).ok_or_else(div0)?,
-        BinOp::Eq => (a == b) as i64,
-        BinOp::Ne => (a != b) as i64,
-        BinOp::Lt => (a < b) as i64,
-        BinOp::Le => (a <= b) as i64,
-        BinOp::Gt => (a > b) as i64,
-        BinOp::Ge => (a >= b) as i64,
-        BinOp::And => ((a != 0) && (b != 0)) as i64,
-        BinOp::Or => ((a != 0) || (b != 0)) as i64,
-        BinOp::BitAnd => a & b,
-        BinOp::BitOr => a | b,
-        BinOp::BitXor => a ^ b,
-        BinOp::Shl => a.wrapping_shl(b as u32),
-        BinOp::Shr => a.wrapping_shr(b as u32),
-    }))
-}
-
-fn float_binop(node: &str, op: BinOp, a: f64, b: f64) -> Result<Value, RuntimeError> {
-    Ok(match op {
-        BinOp::Add => Value::Float(a + b),
-        BinOp::Sub => Value::Float(a - b),
-        BinOp::Mul => Value::Float(a * b),
-        BinOp::Div => Value::Float(a / b),
-        BinOp::Rem => Value::Float(a % b),
-        BinOp::Eq => Value::Int((a == b) as i64),
-        BinOp::Ne => Value::Int((a != b) as i64),
-        BinOp::Lt => Value::Int((a < b) as i64),
-        BinOp::Le => Value::Int((a <= b) as i64),
-        BinOp::Gt => Value::Int((a > b) as i64),
-        BinOp::Ge => Value::Int((a >= b) as i64),
-        BinOp::And => Value::Int(((a != 0.0) && (b != 0.0)) as i64),
-        BinOp::Or => Value::Int(((a != 0.0) || (b != 0.0)) as i64),
-        BinOp::BitAnd | BinOp::BitOr | BinOp::BitXor | BinOp::Shl | BinOp::Shr => {
-            // Bitwise on floats: coerce through integers (rare; DES-style
-            // kernels run on int channels anyway).
-            return int_binop(node, op, a as i64, b as i64);
-        }
-    })
-}
-
 fn eval_expr(e: &Expr, env: &mut Env<'_>, ctx: &mut dyn EvalCtx) -> Result<Value, RuntimeError> {
     match e {
         Expr::IntLit(i) => Ok(Value::Int(*i)),
@@ -199,21 +152,13 @@ fn eval_expr(e: &Expr, env: &mut Env<'_>, ctx: &mut dyn EvalCtx) -> Result<Value
             ctx.peek(iv as u64)
         }
         Expr::Pop => ctx.pop(),
-        Expr::Unary(op, a) => {
-            let v = eval_expr(a, env, ctx)?;
-            Ok(match (op, v) {
-                (UnOp::Neg, Value::Int(i)) => Value::Int(i.wrapping_neg()),
-                (UnOp::Neg, Value::Float(f)) => Value::Float(-f),
-                (UnOp::Not, v) => Value::Int(!v.is_truthy() as i64),
-                (UnOp::BitNot, v) => Value::Int(!v.as_i64()),
-            })
-        }
+        Expr::Unary(op, a) => Ok(op.eval(eval_expr(a, env, ctx)?)),
         Expr::Binary(op, a, b) => {
             let (va, vb) = (eval_expr(a, env, ctx)?, eval_expr(b, env, ctx)?);
-            match (va, vb) {
-                (Value::Int(x), Value::Int(y)) => int_binop(ctx.node_name(), *op, x, y),
-                (x, y) => float_binop(ctx.node_name(), *op, x.as_f64(), y.as_f64()),
-            }
+            // The one trap of the scalar table (`streamit_graph::work`).
+            op.eval(va, vb).ok_or_else(|| RuntimeError::DivisionByZero {
+                node: ctx_name_owned(ctx),
+            })
         }
         Expr::Call(f, args) => {
             let mut vs = Vec::with_capacity(args.len());

@@ -17,7 +17,7 @@
 
 use crate::rep::LinearRep;
 use std::collections::HashMap;
-use streamit_graph::{BinOp, Expr, Filter, Intrinsic, LValue, StateInit, Stmt, UnOp};
+use streamit_graph::{BinOp, Expr, Filter, Intrinsic, LValue, StateInit, Stmt, UnOp, Value};
 
 /// An abstract value: affine in the input window, or unknown.
 #[derive(Debug, Clone, PartialEq)]
@@ -181,14 +181,7 @@ impl Extractor {
                 match op {
                     UnOp::Neg => v.scale(-1.0),
                     UnOp::Not | UnOp::BitNot => match v.as_const() {
-                        Some(c) => {
-                            let i = c as i64;
-                            Abs::konst(match op {
-                                UnOp::Not => (i == 0) as i64 as f64,
-                                UnOp::BitNot => !i as f64,
-                                UnOp::Neg => unreachable!(),
-                            })
-                        }
+                        Some(c) => Abs::konst(op.eval(Value::Float(c)).as_f64()),
                         None => Abs::Top,
                     },
                 }
@@ -208,34 +201,15 @@ impl Extractor {
                         Some(k) if k != 0.0 => va.scale(1.0 / k),
                         _ => Abs::Top,
                     },
+                    // Constant remainder, comparison, logic and bitwise
+                    // arithmetic folds (constants are floats here).
                     _ => match (va.as_const(), vb.as_const()) {
-                        // Constant integral/comparison arithmetic folds.
-                        (Some(x), Some(y)) => {
-                            let (xi, yi) = (x as i64, y as i64);
-                            let v = match op {
-                                BinOp::Rem => {
-                                    if yi == 0 {
-                                        return Ok(Abs::Top);
-                                    }
-                                    (xi % yi) as f64
-                                }
-                                BinOp::Eq => ((x == y) as i64) as f64,
-                                BinOp::Ne => ((x != y) as i64) as f64,
-                                BinOp::Lt => ((x < y) as i64) as f64,
-                                BinOp::Le => ((x <= y) as i64) as f64,
-                                BinOp::Gt => ((x > y) as i64) as f64,
-                                BinOp::Ge => ((x >= y) as i64) as f64,
-                                BinOp::And => (((x != 0.0) && (y != 0.0)) as i64) as f64,
-                                BinOp::Or => (((x != 0.0) || (y != 0.0)) as i64) as f64,
-                                BinOp::BitAnd => (xi & yi) as f64,
-                                BinOp::BitOr => (xi | yi) as f64,
-                                BinOp::BitXor => (xi ^ yi) as f64,
-                                BinOp::Shl => ((xi as i128) << (yi as u32 % 64)) as f64,
-                                BinOp::Shr => (xi >> (yi as u32 % 64)) as f64,
-                                _ => unreachable!("handled above"),
-                            };
-                            Abs::konst(v)
-                        }
+                        // On ints `%` by zero traps, and the types are
+                        // gone: leave it to the run.
+                        (_, Some(y)) if *op == BinOp::Rem && y == 0.0 => Abs::Top,
+                        (Some(x), Some(y)) => op
+                            .eval(Value::Float(x), Value::Float(y))
+                            .map_or(Abs::Top, |v| Abs::konst(v.as_f64())),
                         _ => Abs::Top,
                     },
                 }
@@ -254,8 +228,7 @@ impl Extractor {
                         let consts: Option<Vec<f64>> = vals.iter().map(|v| v.as_const()).collect();
                         match consts {
                             Some(cs) => {
-                                let vs: Vec<streamit_graph::Value> =
-                                    cs.into_iter().map(streamit_graph::Value::Float).collect();
+                                let vs: Vec<Value> = cs.into_iter().map(Value::Float).collect();
                                 Abs::konst(f.eval(&vs).as_f64())
                             }
                             None => Abs::Top,

@@ -14,7 +14,8 @@
 //! for the MFLOPS metric of Figure `thruput`.
 
 use crate::profile::ProfileReport;
-use streamit_graph::{BinOp, DataType, Expr, Filter, Intrinsic, Stmt};
+use streamit_graph::work::{eval_const, ConstEnv};
+use streamit_graph::{BinOp, DataType, Expr, Filter, Intrinsic, Stmt, Value};
 
 /// Where per-filter costs come from when building a
 /// [`WorkGraph`](crate::workgraph::WorkGraph) for the partitioners.
@@ -44,18 +45,26 @@ pub struct WorkEstimate {
     pub flops: u64,
 }
 
+/// Where an estimate saturates.  Loop bounds come from the program text,
+/// so an absurd trip count must be a huge estimate, never an overflow —
+/// here or in the partitioners and the simulator, which multiply by
+/// repetition counts and sum over nodes in plain `u64`.  2^40 cycles is
+/// far past anything that can run (the engines stop a firing after 5e7
+/// steps) and leaves those sums 2^24 of headroom.
+const CEILING: u64 = 1 << 40;
+
 impl WorkEstimate {
     fn add(self, other: WorkEstimate) -> WorkEstimate {
         WorkEstimate {
-            cycles: self.cycles + other.cycles,
-            flops: self.flops + other.flops,
+            cycles: self.cycles.saturating_add(other.cycles).min(CEILING),
+            flops: self.flops.saturating_add(other.flops).min(CEILING),
         }
     }
 
     fn scale(self, k: u64) -> WorkEstimate {
         WorkEstimate {
-            cycles: self.cycles * k,
-            flops: self.flops * k,
+            cycles: self.cycles.saturating_mul(k).min(CEILING),
+            flops: self.flops.saturating_mul(k).min(CEILING),
         }
     }
 
@@ -113,25 +122,10 @@ fn intrinsic_flops(f: Intrinsic) -> u64 {
     }
 }
 
-/// Try to evaluate an expression to an integer constant for loop trip
-/// counts (parameters were substituted as literals by elaboration).
+/// A loop bound as an integer constant (parameters were substituted as
+/// literals by elaboration), with the interpreter's arithmetic.
 fn const_int(e: &Expr) -> Option<i64> {
-    match e {
-        Expr::IntLit(i) => Some(*i),
-        Expr::FloatLit(f) => Some(*f as i64),
-        Expr::Unary(streamit_graph::UnOp::Neg, a) => Some(-const_int(a)?),
-        Expr::Binary(op, a, b) => {
-            let (a, b) = (const_int(a)?, const_int(b)?);
-            Some(match op {
-                BinOp::Add => a + b,
-                BinOp::Sub => a - b,
-                BinOp::Mul => a * b,
-                BinOp::Div => a.checked_div(b)?,
-                _ => return None,
-            })
-        }
-        _ => None,
-    }
+    eval_const(e, &ConstEnv::EMPTY).map(Value::as_i64)
 }
 
 struct Estimator {
@@ -193,7 +187,7 @@ impl Estimator {
             }
             Stmt::LetArray { len, .. } => WorkEstimate {
                 // Zero-initialization of a stack array.
-                cycles: 1 + *len as u64,
+                cycles: (*len as u64).saturating_add(1).min(CEILING),
                 flops: 0,
             },
             Stmt::Assign { target, value } => {
@@ -219,7 +213,7 @@ impl Estimator {
                 }; // cmp + branch
                 let per_iter = body_w.add(overhead);
                 let trips = match (const_int(from), const_int(to)) {
-                    (Some(a), Some(b)) if b > a => (b - a) as u64,
+                    (Some(a), Some(b)) if b > a => b.abs_diff(a),
                     // Data-dependent loop bounds: assume a nominal 8
                     // iterations (rare after elaboration).
                     _ => 8,
@@ -302,6 +296,24 @@ mod tests {
             w64.cycles,
             w8.cycles
         );
+    }
+
+    #[test]
+    fn absurd_trip_counts_saturate() {
+        // Nested loops over all of `i64`: trip counts and their product
+        // are far outside `u64`.
+        let f = FilterBuilder::new("f", DataType::Float)
+            .rates(1, 1, 1)
+            .work(|b| {
+                b.let_("s", DataType::Float, lit(0.0))
+                    .for_("i", i64::MIN, i64::MAX, |b| {
+                        b.for_("j", -1, i64::MAX, |b| b.set("s", var("s") * lit(2.0)))
+                    })
+                    .push(var("s") + pop())
+            })
+            .build();
+        let w = estimate_filter(&f);
+        assert_eq!((w.cycles, w.flops), (CEILING, CEILING));
     }
 
     #[test]

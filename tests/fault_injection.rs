@@ -91,6 +91,35 @@ fn adversarial_corpus() -> Vec<String> {
         "float->float filter F { work pop 1 push 1 { push(1e308 * 1e308); } } \
          float->float pipeline Main() { add F(); }"
             .into(),
+        // i64::MIN reaching `abs`, unary `-`, `/ -1` and `% -1` from the
+        // tape (the input starts at 0), where hand-copied arithmetic
+        // tables once disagreed between the engines.
+        "int->int filter F() { work pop 1 push 1 { \
+         int x = pop() * 0 - 9223372036854775807 - 1; push(abs(x)); } } \
+         int->int pipeline Main() { add F(); }"
+            .into(),
+        "int->int filter F() { work pop 1 push 1 { \
+         int x = pop() * 0 - 9223372036854775807 - 1; push(-x); } } \
+         int->int pipeline Main() { add F(); }"
+            .into(),
+        "int->int filter F() { work pop 1 push 1 { \
+         int x = pop() * 0 - 9223372036854775807 - 1; push(x / -1); } } \
+         int->int pipeline Main() { add F(); }"
+            .into(),
+        "int->int filter F() { work pop 1 push 1 { \
+         int x = pop() * 0 - 9223372036854775807 - 1; push(x % -1); } } \
+         int->int pipeline Main() { add F(); }"
+            .into(),
+        // Overflow inside the static estimators: a wrapping constant as
+        // a peek index (rate inference), an absurd trip count (work
+        // estimation; on a branch the non-negative input never takes).
+        "int->int filter F() { work pop 1 push 1 { int a = 4611686018427387904; \
+         int b = a * 4; push(peek(b)); pop(); } } int->int pipeline Main() { add F(); }"
+            .into(),
+        "int->int filter F() { work pop 1 push 1 { int v = pop(); int s = 0; \
+         if (v < 0) { for (int i = 0; i < 9223372036854775807; i++) { s = s + 1; } } \
+         push(v + s); } } int->int pipeline Main() { add F(); }"
+            .into(),
         // Division / modulo by zero in constant position.
         "int->int filter F { work pop 1 push 1 { push(1 / 0); } } \
          int->int pipeline Main() { add F(); }"
@@ -161,8 +190,12 @@ fn adversarial_corpus() -> Vec<String> {
 fn adversarial_corpus_never_panics() {
     for (i, src) in adversarial_corpus().into_iter().enumerate() {
         let result = catch_unwind(AssertUnwindSafe(|| {
-            // Full pipeline: parse, elaborate, validate, verify.
-            let _ = compile_diag(&src);
+            // Full pipeline: parse, elaborate, validate, verify — and the
+            // static work estimate of whatever compiles.
+            match Compiler::default().compile_source(&src, "Main") {
+                Ok(p) => drop(p.work_graph()),
+                Err(e) => drop(Diag::from(e)),
+            }
             let _ = compile_strict_diag(&src);
         }));
         assert!(
@@ -393,6 +426,72 @@ fn golden_runaway_init_is_semantic_error() {
     .expect("divergent init must be rejected");
     assert_eq!(d.code, "E0201", "{d}");
     assert_eq!(d.exit_code(), 3);
+}
+
+#[test]
+fn golden_constant_arguments_mean_what_work_expressions_mean() {
+    // A composite argument is evaluated at elaboration time, the same
+    // text inside `work` at run time: one table, so one value.
+    for expr in [
+        "2.5 | 1",
+        "7.5 % 2",
+        "1 << 65",
+        "-9223372036854775807 - 1",
+        "~2.5",
+        "!0.5",
+        "abs(-9223372036854775807 - 1)",
+    ] {
+        let as_argument = format!(
+            "float->float filter F(float k) {{ work pop 1 push 1 {{ push(pop() * 0.0 + k); }} }} \
+             float->float pipeline Main() {{ add F({expr}); }}"
+        );
+        let in_work = format!(
+            "float->float filter F() {{ work pop 1 push 1 {{ float k = {expr}; \
+             push(pop() * 0.0 + k); }} }} float->float pipeline Main() {{ add F(); }}"
+        );
+        let run = |src: &str| -> Vec<u64> {
+            let p = Compiler::default()
+                .compile_source(src, "Main")
+                .unwrap_or_else(|e| panic!("`{expr}` must compile: {}", Diag::from(e)));
+            let out = p.run(&[1.0, 2.0], 2).expect("runs");
+            out.iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(run(&as_argument), run(&in_work), "`{expr}`");
+    }
+    // Defect (d): bitwise-on-float in constant position was refused as
+    // a division by zero; it is 3, as at run time.
+    let p = Compiler::default()
+        .compile_source(
+            "int->int filter F(int k) { work pop 1 push 1 { push(pop() * 0 + k); } } \
+             int->int pipeline Main() { add F(2.5 | 1); }",
+            "Main",
+        )
+        .expect("`2.5 | 1` is a constant");
+    assert_eq!(p.run(&[0.0], 1).expect("runs"), vec![3.0]);
+}
+
+#[test]
+fn golden_division_by_zero_in_constant_is_integer_only() {
+    let with_arg = |arg: &str| {
+        format!(
+            "float->float filter F(float k) {{ work pop 1 push 1 {{ push(pop() + k); }} }}\n\
+             float->float pipeline Main() {{ add F({arg}); }}"
+        )
+    };
+    for arg in ["1 / 0", "1 % 0", "(-9223372036854775807 - 1) / -1"] {
+        let d = compile_diag(&with_arg(arg)).expect("an integer division by zero is no constant");
+        assert_eq!(d.code, "E0201", "{d}");
+        assert_eq!(d.exit_code(), 3);
+        assert!(d.message.contains("division by zero in constant"), "{d}");
+        assert_eq!(d.span.map(|s| s.line), Some(2), "{d}");
+    }
+    // Float division and remainder are IEEE and total.
+    for arg in ["1.0 / 0", "1 % 0.0", "2.5 | 1", "1.5 << 2"] {
+        assert!(
+            compile_diag(&with_arg(arg)).is_none(),
+            "`{arg}` is a constant"
+        );
+    }
 }
 
 #[test]

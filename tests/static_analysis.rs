@@ -139,6 +139,48 @@ fn golden_l0602_unreachable_code() {
 }
 
 #[test]
+fn golden_float_reads_never_decide_a_branch() {
+    // `x * 0` is 0 for every integer but NaN for a float infinity, and
+    // NaN is truthy.  Read from a float tape, float state or a float
+    // array, `x * 0` must not fold the condition: no false L0602, no
+    // exact-rate verdict, no admission to the compiled engine.  With the
+    // branch undecided its arms push 2 and 1 items, which is the
+    // static-rate violation the program really has (E0601).
+    let cases = [
+        ("", "", "pop() * 0"),
+        ("float s;", "s = pop();", "s * 0"),
+        ("float[2] a;", "a[1] = pop();", "a[1] * 0"),
+    ];
+    for (state, store, cond) in cases {
+        let p = compile(&format!(
+            "float->float filter Src() {{ work pop 1 push 1 {{ push(1.0 / (pop() * 0.0)); }} }}\n\
+             float->float filter F() {{\n\
+             \x20   {state}\n\
+             \x20   work pop 1 push 1 {{\n\
+             \x20       {store}\n\
+             \x20       if ({cond}) {{ push(1.0); push(2.0); }} else {{ push(3.0); }}\n\
+             \x20   }}\n\
+             }}\n\
+             float->float pipeline Main() {{ add Src(); add F(); }}\n"
+        ));
+        let codes: Vec<_> = p.analysis.findings.iter().map(|f| f.code).collect();
+        assert!(!codes.contains(&"L0602"), "`{cond}`: {codes:?}");
+        assert!(codes.contains(&"E0601"), "`{cond}`: {codes:?}");
+        assert!(
+            matches!(
+                p.compile_exec(),
+                Err(streamit::exec::ExecError::Unsupported { .. })
+            ),
+            "`{cond}`: the compiled engine must decline"
+        );
+        // `Src` feeds +inf: the condition is NaN, the `then` arm runs,
+        // and the reference's rate check reports the fault.
+        let e = p.run(&[1.0, 2.0], 1).expect_err("`then` arm pushes 2");
+        assert_eq!(streamit::Diag::from(e).code, "E0405", "`{cond}`");
+    }
+}
+
+#[test]
 fn golden_l0603_tape_in_branch_condition() {
     let p = compile(
         "int->int filter F() {\n\
