@@ -13,9 +13,11 @@
 //! to a constant follows one arm (recording the dead arm for the lint
 //! pass); an unresolvable condition analyzes both arms and joins with the
 //! interval hull.  `for` loops with constant bounds are unrolled exactly
-//! (under a fuel budget, so nested loops cannot blow up compilation);
-//! anything else runs to a widened fixpoint, which loses exactness but
-//! never soundness.
+//! (under a fuel budget, so nested loops cannot blow up compilation) —
+//! trip by trip, or in closed form when one pass over the loop
+//! variable's whole range shows every trip does the same thing
+//! ([`Analyzer::summarize_trips`]); anything else runs to a widened
+//! fixpoint, which loses exactness but never soundness.
 //!
 //! Float values are not tracked: a float literal, a scalar or array
 //! declared `float` (local or state), a read of a `float` input tape and
@@ -80,6 +82,9 @@ enum Slot {
     /// Declared `float`: never tracked, whatever is assigned to it.  For
     /// an array, every element.
     Float,
+    /// The variable of a loop being summarized, bound to every value it
+    /// takes at once; reads are counted (`Analyzer::ranged_reads`).
+    Ranged(Interval),
 }
 
 impl Slot {
@@ -94,7 +99,9 @@ impl Slot {
     /// is flat, so two scopes may reuse a name with different types).
     fn merge(self, other: Slot, f: impl FnOnce(&Interval, &Interval) -> Interval) -> Slot {
         match (self, other) {
-            (Slot::Int(a), Slot::Int(b)) => Slot::Int(f(&a, &b)),
+            (Slot::Int(a) | Slot::Ranged(a), Slot::Int(b) | Slot::Ranged(b)) => {
+                Slot::Int(f(&a, &b))
+            }
             _ => Slot::Float,
         }
     }
@@ -222,12 +229,24 @@ struct Analyzer {
     float_tape: bool,
     fuel: u64,
     dead_code: Vec<String>,
+    /// Counted loops may be summarized; `false` only in the test oracle.
+    summarize: bool,
+    /// Trips of this walk (not of a whole-range pass) summarized away.
+    skipped: u64,
+    /// Whole-range passes in progress.
+    ranging: u32,
+    /// Reads of [`Slot::Ranged`] variables so far.
+    ranged_reads: u64,
+    /// Something ran that can make one trip of an enclosing loop differ
+    /// from the next: an undecided branch, a widened loop, or an integer
+    /// that took a non-constant value computed from a ranged variable.
+    irregular: bool,
 }
 
 /// Abstractly interpret a bare `block` (integer tape, no declared
 /// state).  `seed` pre-binds variables with known constant values.
 pub fn analyze_block(block: &[Stmt], seed: &HashMap<String, i64>) -> BodyAnalysis {
-    run(block, AbsState::initial(seed), false)
+    run(block, AbsState::initial(seed), false, true).analysis
 }
 
 /// Abstractly interpret one body of `f` with the types `f` declares: a
@@ -236,6 +255,25 @@ pub fn analyze_block(block: &[Stmt], seed: &HashMap<String, i64>) -> BodyAnalysi
 /// elaboration-time value, which makes loop bounds and peek indices
 /// drawn from filter parameters exact.
 pub fn analyze_body(f: &Filter, block: &[Stmt]) -> BodyAnalysis {
+    walk_body(f, block, true).analysis
+}
+
+/// What the tests compare between the summary and the walk.
+#[doc(hidden)]
+#[derive(Debug, Clone, PartialEq)]
+pub struct Walked {
+    pub analysis: BodyAnalysis,
+    /// Unrolling fuel left over.
+    pub fuel: u64,
+    /// Loop trips finished in closed form instead of executed.
+    pub skipped: u64,
+}
+
+/// [`analyze_body`], observed.  With `summarize` off every counted loop
+/// is walked trip by trip: the oracle the summary is tested against,
+/// fuel included.  Production code calls [`analyze_body`].
+#[doc(hidden)]
+pub fn walk_body(f: &Filter, block: &[Stmt], summarize: bool) -> Walked {
     let assigned = crate::sccp::assigned_state_names(f);
     let mut st = AbsState::initial(&HashMap::new());
     for sv in &f.state {
@@ -248,23 +286,33 @@ pub fn analyze_body(f: &Filter, block: &[Stmt]) -> BodyAnalysis {
         };
         st.env.insert(sv.name.clone(), slot);
     }
-    run(block, st, f.input == Some(DataType::Float))
+    run(block, st, f.input == Some(DataType::Float), summarize)
 }
 
-fn run(block: &[Stmt], mut st: AbsState, float_tape: bool) -> BodyAnalysis {
+fn run(block: &[Stmt], mut st: AbsState, float_tape: bool, summarize: bool) -> Walked {
     let mut a = Analyzer {
         float_tape,
         fuel: UNROLL_FUEL,
         dead_code: Vec::new(),
+        summarize,
+        skipped: 0,
+        ranging: 0,
+        ranged_reads: 0,
+        irregular: false,
     };
     a.exec_block(block, &mut st);
-    BodyAnalysis {
+    let analysis = BodyAnalysis {
         pops: st.pops,
         pushes: st.pushes,
         need: st.need,
         exact: st.exact,
         neg_peek: st.neg_peek,
         dead_code: a.dead_code,
+    };
+    Walked {
+        analysis,
+        fuel: a.fuel,
+        skipped: a.skipped,
     }
 }
 
@@ -279,7 +327,10 @@ impl Analyzer {
         self.fuel = self.fuel.saturating_sub(1);
         match s {
             Stmt::Let { name, ty, init } => {
-                let v = self.eval(init, st);
+                let v = match ty {
+                    DataType::Int => self.eval_stored(init, st),
+                    DataType::Float => self.eval(init, st),
+                };
                 st.env.insert(name.clone(), Slot::declared(*ty, v));
             }
             Stmt::LetArray { name, ty, .. } => {
@@ -287,21 +338,22 @@ impl Analyzer {
                 st.env
                     .insert(name.clone(), Slot::declared(*ty, Interval::TOP));
             }
-            Stmt::Assign { target, value } => {
-                if let LValue::Index(_, i) = target {
+            Stmt::Assign { target, value } => match target {
+                LValue::Index(_, i) => {
                     self.eval(i, st);
+                    self.eval(value, st);
                 }
-                let v = self.eval(value, st);
-                if let LValue::Var(n) = target {
+                LValue::Var(n) if st.env.get(n) == Some(&Slot::Float) => {
+                    self.eval(value, st);
+                }
+                LValue::Var(n) => {
+                    let v = Slot::Int(self.eval_stored(value, st));
                     match st.env.get_mut(n) {
-                        Some(Slot::Float) => {}
-                        Some(slot) => *slot = Slot::Int(v),
-                        None => {
-                            st.env.insert(n.clone(), Slot::Int(v));
-                        }
+                        Some(slot) => *slot = v,
+                        None => drop(st.env.insert(n.clone(), v)),
                     }
                 }
-            }
+            },
             Stmt::Push(e) => {
                 self.eval(e, st);
                 st.pushes = st.pushes.add(&Interval::constant(1));
@@ -340,6 +392,7 @@ impl Analyzer {
                         self.exec_block(else_body, st);
                     }
                     Truth::Unknown => {
+                        self.irregular = true;
                         let mut s1 = st.clone();
                         self.exec_block(then_body, &mut s1);
                         let mut s2 = st.clone();
@@ -393,19 +446,124 @@ impl Analyzer {
             let cost = (trips as u64).saturating_mul(body_size(body));
             if trips <= UNROLL_LIMIT as i128 && cost <= self.fuel {
                 self.fuel -= cost;
-                for i in lo..hi {
-                    let v = Slot::Int(Interval::constant(i));
-                    // No key allocation per iteration.
-                    match st.env.get_mut(var) {
-                        Some(slot) => *slot = v,
-                        None => drop(st.env.insert(var.to_string(), v)),
-                    }
-                    self.exec_block(body, st);
+                let before = (st.pops, st.pushes);
+                let at = |i| Slot::Int(Interval::constant(i));
+                self.exec_trip(var, at(lo), body, st);
+                let summarized = self.summarize
+                    && trips >= 3
+                    && self.summarize_trips(var, lo, hi, body, st, before);
+                for i in if summarized { hi } else { lo + 1 }..hi {
+                    self.exec_trip(var, at(i), body, st);
                 }
                 return;
             }
         }
         self.exec_for_fixpoint(var, fv, tv, body, st);
+    }
+
+    fn exec_trip(&mut self, var: &str, v: Slot, body: &[Stmt], st: &mut AbsState) {
+        // No key allocation per iteration.
+        match st.env.get_mut(var) {
+            Some(slot) => *slot = v,
+            None => drop(st.env.insert(var.to_string(), v)),
+        }
+        self.exec_block(body, st);
+    }
+
+    /// Counted-loop summary: finish the loop `var in lo..hi` (three or
+    /// more trips) in closed form.  `st` is the state after the first
+    /// trip and `before` the pop and push counters before it, so one
+    /// trip moved them by Δ.  A scratch copy of `st` then runs the body
+    /// once with `var` bound to its whole range `[lo, hi-1]` and the
+    /// counters where the last trip will start.  If that pass
+    ///
+    /// * decides every branch and finds every nested bound constant,
+    /// * records no dead code and no possibly-negative peek index,
+    /// * stores no non-constant integer computed from `var`,
+    /// * moves the counters by Δ and leaves the environment as it found it,
+    ///
+    /// then every later trip, whose state lies inside the pass's at every
+    /// statement, executes the same statements with the same integers:
+    /// the trips between the first and the last are skipped by adding
+    /// their Δ and charging the fuel the pass used once per trip (it had
+    /// no less fuel than any of them will, and the check below leaves
+    /// each at least that much).  The last trip then runs for real.  The
+    /// pass's `need.hi` bounds what any trip can require; the summary
+    /// stands only if the first and last trips *attain* that bound, so
+    /// `need` is the walk's and `exact` keeps its meaning.  On `false`,
+    /// `st`, fuel and dead code are as they were: walk on from trip two.
+    fn summarize_trips(
+        &mut self,
+        var: &str,
+        lo: i64,
+        hi: i64,
+        body: &[Stmt],
+        st: &mut AbsState,
+        (pops0, pushes0): (Interval, Interval),
+    ) -> bool {
+        let skipped = hi - lo - 2;
+        // Counter lower ends are finite: they start at 0 and only grow.
+        let step = |now: Interval, was: Interval| now.lo.saturating_sub(was.lo);
+        let (d_pops, d_pushes) = (step(st.pops, pops0), step(st.pushes, pushes0));
+        let plus = |c: Interval, d: i64, n: i64| c.add(&Interval::constant(d.saturating_mul(n)));
+
+        let mut s = st.clone();
+        s.pops = plus(st.pops, d_pops, skipped);
+        s.pushes = plus(st.pushes, d_pushes, skipped);
+        s.neg_peek = None;
+        let (pops, pushes) = (s.pops, s.pushes);
+        let (fuel, dead) = (self.fuel, self.dead_code.len());
+        let irregular = std::mem::replace(&mut self.irregular, false);
+        self.ranging += 1;
+        let range = Slot::Ranged(Interval::range(lo, hi - 1));
+        self.exec_trip(var, range, body, &mut s);
+        self.ranging -= 1;
+        let per_trip = fuel - self.fuel;
+        let bound = s.need.hi;
+        // The next trip rebinds `var`; whatever the body left there is
+        // not carried.
+        if let (Some(slot), Some(v)) = (s.env.get_mut(var), st.env.get(var)) {
+            *slot = *v;
+        }
+        let uniform = !self.irregular
+            && self.dead_code.len() == dead
+            && s.neg_peek.is_none()
+            && s.pops == plus(pops, d_pops, 1)
+            && s.pushes == plus(pushes, d_pushes, 1)
+            && s.env == st.env
+            && per_trip
+                .checked_mul(skipped as u64)
+                .is_some_and(|all| all <= fuel);
+        // The pass ran on a copy: what it met is not part of this walk.
+        self.irregular = irregular;
+        self.dead_code.truncate(dead);
+        self.fuel = fuel;
+        if !uniform {
+            return false;
+        }
+
+        self.fuel -= per_trip * skipped as u64;
+        s.pops = pops;
+        s.pushes = pushes;
+        s.need = st.need;
+        s.neg_peek = st.neg_peek;
+        self.exec_trip(var, Slot::Int(Interval::constant(hi - 1)), body, &mut s);
+        // Inside an enclosing whole-range pass only `need.hi` is read.
+        let attained = if self.ranging > 0 {
+            s.need.hi == bound
+        } else {
+            s.need == Interval::constant(bound)
+        };
+        if attained {
+            *st = s;
+            if self.ranging == 0 {
+                self.skipped += skipped as u64;
+            }
+        } else {
+            self.fuel = fuel;
+            self.dead_code.truncate(dead);
+        }
+        attained
     }
 
     /// Non-constant (or too-large) bounds: iterate the loop transfer
@@ -420,6 +578,7 @@ impl Analyzer {
         st: &mut AbsState,
     ) {
         st.exact = false;
+        self.irregular = true;
         let var_hi = if tv.hi == Interval::POS_INF {
             Interval::POS_INF
         } else {
@@ -455,6 +614,25 @@ impl Analyzer {
         self.eval_f(e, st).0
     }
 
+    /// The value of `e`, about to be stored in an integer variable.  One
+    /// computed from a ranged loop variable must come out constant: only
+    /// then is it the same on every trip.
+    fn eval_stored(&mut self, e: &Expr, st: &mut AbsState) -> Interval {
+        let reads = self.ranged_reads;
+        let v = self.eval(e, st);
+        self.irregular |= self.ranged_reads != reads && !v.is_constant();
+        v
+    }
+
+    /// The value of a tape or array index: the item read is ⊤ whatever
+    /// the index, so reads of ranged variables in it do not count.
+    fn eval_index(&mut self, e: &Expr, st: &mut AbsState) -> Interval {
+        let reads = self.ranged_reads;
+        let v = self.eval(e, st);
+        self.ranged_reads = reads;
+        v
+    }
+
     /// The interval of `e`, and whether its value may be a float — in
     /// which case the interval is ⊤ (see the module docs).
     fn eval_f(&mut self, e: &Expr, st: &mut AbsState) -> (Interval, bool) {
@@ -464,11 +642,15 @@ impl Analyzer {
             Expr::FloatLit(_) => FLOAT,
             Expr::Var(n) => match st.env.get(n) {
                 Some(Slot::Int(v)) => (*v, false),
+                Some(Slot::Ranged(v)) => {
+                    self.ranged_reads += 1;
+                    (*v, false)
+                }
                 Some(Slot::Float) => FLOAT,
                 None => (Interval::TOP, false),
             },
             Expr::Index(n, i) => {
-                self.eval(i, st);
+                self.eval_index(i, st);
                 (Interval::TOP, st.env.get(n) == Some(&Slot::Float))
             }
             Expr::Pop => {
@@ -477,7 +659,7 @@ impl Analyzer {
                 (Interval::TOP, self.float_tape)
             }
             Expr::Peek(i) => {
-                let vi = self.eval(i, st);
+                let vi = self.eval_index(i, st);
                 if vi.lo < 0 {
                     st.neg_peek = join_opt(&st.neg_peek, &Some(vi));
                 }

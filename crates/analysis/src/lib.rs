@@ -268,9 +268,11 @@ fn check_conformance(
     }
 }
 
-/// Analyze a single filter.  `path` is its hierarchical instance path
-/// (used verbatim in findings; matches flat-graph node names).
-pub fn analyze_filter(f: &Filter, path: &str) -> Vec<Finding> {
+/// Rate conformance and the peek-bounds proof for `f`'s work and
+/// prework: every hard finding (E0601–E0603) and the lints the same
+/// walk yields (L0602, L0604, L0605), none of the others.  This is all
+/// an engine's admission gate reads.
+pub fn analyze_rates(f: &Filter, path: &str) -> Vec<Finding> {
     let mut out = Vec::new();
 
     let work = absint::analyze_body(f, &f.work);
@@ -280,6 +282,14 @@ pub fn analyze_filter(f: &Filter, path: &str) -> Vec<Finding> {
         let pre = absint::analyze_body(f, &pw.body);
         check_conformance(&pre, pw.peek, pw.pop, pw.push, "prework ", path, &mut out);
     }
+
+    out
+}
+
+/// Analyze a single filter.  `path` is its hierarchical instance path
+/// (used verbatim in findings; matches flat-graph node names).
+pub fn analyze_filter(f: &Filter, path: &str) -> Vec<Finding> {
+    let mut out = analyze_rates(f, path);
 
     for name in lint::unused_state_fields(f) {
         out.push(finding(

@@ -995,6 +995,46 @@ mod tests {
     }
 
     #[test]
+    fn state_seeds_take_the_declared_type() {
+        // The interpreter coerces an initialiser to the declared type:
+        // `float g = 1` holds 1.0, so `g / 2` is 0.5 and not the integer
+        // quotient 0; `int n = 2.9` holds 2.  Arrays element-wise.
+        let f = filter_with(
+            vec![
+                StateVar::scalar("g", DataType::Float, Value::Int(1)),
+                StateVar::scalar("n", DataType::Int, Value::Float(2.9)),
+                StateVar {
+                    name: "a".into(),
+                    ty: DataType::Float,
+                    init: streamit_graph::StateInit::Array(vec![Value::Int(3)]),
+                },
+            ],
+            vec![
+                Stmt::Push(bin(
+                    BinOp::Mul,
+                    Expr::Pop,
+                    bin(BinOp::Div, var("g"), Expr::IntLit(2)),
+                )),
+                Stmt::Push(bin(BinOp::Mul, var("n"), Expr::IntLit(2))),
+                Stmt::Push(bin(
+                    BinOp::Div,
+                    Expr::Index("a".into(), Box::new(Expr::IntLit(0))),
+                    Expr::IntLit(2),
+                )),
+            ],
+        );
+        let (opt, _) = optimize_filter(&f);
+        assert_eq!(
+            opt.work,
+            vec![
+                Stmt::Push(bin(BinOp::Mul, Expr::Pop, Expr::FloatLit(0.5))),
+                Stmt::Push(Expr::IntLit(4)),
+                Stmt::Push(Expr::FloatLit(1.5)),
+            ]
+        );
+    }
+
+    #[test]
     fn constant_branches_are_pruned() {
         let f = filter_with(
             vec![],

@@ -76,12 +76,15 @@ pub fn state_seeds(f: &Filter, pinned: &HashSet<String>) -> StateSeeds {
         if assigned.contains(&sv.name) || pinned.contains(&sv.name) {
             continue;
         }
+        // Coerced to the declared type, as the interpreter initialises
+        // state: `float g = 1` holds 1.0, and `g / 2` is 0.5.
         match &sv.init {
             StateInit::Scalar(v) => {
-                seeds.scalars.insert(sv.name.clone(), *v);
+                seeds.scalars.insert(sv.name.clone(), v.coerce(sv.ty));
             }
             StateInit::Array(vs) => {
-                seeds.arrays.insert(sv.name.clone(), vs.clone());
+                let vs = vs.iter().map(|v| v.coerce(sv.ty)).collect();
+                seeds.arrays.insert(sv.name.clone(), vs);
             }
         }
     }

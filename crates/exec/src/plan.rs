@@ -15,7 +15,7 @@
 
 use std::collections::HashSet;
 
-use streamit_analysis::{analyze_filter, Severity};
+use streamit_analysis::{analyze_rates, Severity};
 use streamit_graph::{
     repetition_vector, DataType, EdgeId, FlatGraph, FlatNodeKind, Joiner, NodeId, Splitter,
 };
@@ -1061,7 +1061,7 @@ pub fn lower_graph(
         let FlatNodeKind::Filter(f) = &n.kind else {
             continue;
         };
-        for finding in analyze_filter(f, &n.name) {
+        for finding in analyze_rates(f, &n.name) {
             if finding.severity == Severity::Error || finding.code == "L0605" {
                 return Err(format!(
                     "{}: work function not statically safe ({}: {})",

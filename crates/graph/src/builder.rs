@@ -301,12 +301,15 @@ impl BlockBuilder {
         then: impl FnOnce(BlockBuilder) -> BlockBuilder,
         els: impl FnOnce(BlockBuilder) -> BlockBuilder,
     ) -> Self {
-        let t = then(BlockBuilder::new());
-        let e = els(BlockBuilder::new());
+        // Each arm is finished into its own `Vec` before the next
+        // starts: with rustc 1.95 `--release`, two `BlockBuilder::new()`
+        // values taken apart field by field came out sharing a buffer.
+        let then_body = then(BlockBuilder { stmts: Vec::new() }).build();
+        let else_body = els(BlockBuilder { stmts: Vec::new() }).build();
         self.stmts.push(Stmt::If {
             cond: cond.into_ex().0,
-            then_body: t.stmts,
-            else_body: e.stmts,
+            then_body,
+            else_body,
         });
         self
     }
@@ -552,6 +555,47 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// Two distinct non-empty arms come out as written.  With rustc
+    /// 1.95 `--release` the arms of an earlier `if_else` shared one
+    /// buffer (`else [1, 2, 3]`, then a double free).
+    #[test]
+    fn if_else_keeps_its_arms_apart() {
+        let block = BlockBuilder::new()
+            .if_else(
+                pop(),
+                |t| t.push(lit(1i64)),
+                |e| e.push(lit(2i64)).push(lit(3i64)),
+            )
+            .if_(pop(), |t| t.push(lit(4i64)))
+            .for_("i", 0, 2, |b| b.push(lit(5i64)).push(lit(6i64)))
+            .build();
+        let pushes = |body: &[Stmt]| -> Vec<i64> {
+            body.iter()
+                .map(|s| match s {
+                    Stmt::Push(Expr::IntLit(i)) => *i,
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect()
+        };
+        let [Stmt::If {
+            then_body,
+            else_body,
+            ..
+        }, Stmt::If {
+            then_body: then2,
+            else_body: else2,
+            ..
+        }, Stmt::For { body, .. }] = block.as_slice()
+        else {
+            panic!("unexpected {block:?}");
+        };
+        assert_eq!(pushes(then_body), [1]);
+        assert_eq!(pushes(else_body), [2, 3]);
+        assert_eq!(pushes(then2), [4]);
+        assert!(else2.is_empty());
+        assert_eq!(pushes(body), [5, 6]);
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! Connections are served thread-per-connection (the instance table,
 //! not the connection count, is the scaling axis: one connection can
 //! multiplex any number of instances, which is how `streamd-load`
-//! drives hundreds).  Every read uses a short timeout so handlers
-//! observe the shutdown flag promptly; `Server::run` returns only after
-//! the accept loops have stopped, the handlers have drained, and every
-//! instance has been closed — the clean-shutdown contract the CI smoke
-//! asserts over SIGTERM.
+//! drives hundreds).  The accept loop waits on the listener for at most
+//! `poll_ms` and every read uses the same short timeout, so a client is
+//! served when it arrives and the shutdown flag is still seen promptly;
+//! `Server::run` returns only after the accept loops have stopped, the
+//! handlers have drained, and every instance has been closed — the
+//! clean-shutdown contract the CI smoke asserts over SIGTERM.
 //!
 //! ## Protocol
 //!
@@ -30,7 +31,10 @@
 //! ```
 //!
 //! Errors are `ERR <code> <message>` with an `E08xx` (or mapped
-//! engine) code — see the crate docs for the taxonomy.
+//! engine) code — see the crate docs for the taxonomy.  A request may
+//! arrive in any number of pieces, however slowly; one longer than the
+//! instance buffer could ever admit (`max_line_bytes`) is answered with
+//! `E0806` and the connection is closed.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -204,6 +208,35 @@ impl Listener {
         }
     }
 
+    /// Block until a connection is waiting (or the wait is interrupted),
+    /// for at most `timeout`.
+    #[cfg(unix)]
+    fn wait(&self, timeout: Duration) {
+        use std::os::fd::AsRawFd;
+        let fd = match self {
+            Listener::Tcp(l) => l.as_raw_fd(),
+            Listener::Unix(l, _) => l.as_raw_fd(),
+        };
+        let mut fds = [sys::PollFd {
+            fd,
+            events: sys::POLLIN,
+            revents: 0,
+        }];
+        let ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+        // SAFETY: `fds` is one initialised `pollfd` that outlives the
+        // call, and the count passed is its length; `poll` writes only
+        // `revents`.  The descriptor belongs to `self`, which is
+        // borrowed for the whole call.  The result is not needed: ready,
+        // timed out, interrupted or failed, the caller tries `accept`
+        // again, and that reports what there is to report.
+        unsafe { sys::poll(fds.as_mut_ptr(), 1, ms) };
+    }
+
+    #[cfg(not(unix))]
+    fn wait(&self, timeout: Duration) {
+        std::thread::sleep(timeout);
+    }
+
     fn local_addr(&self) -> String {
         match self {
             Listener::Tcp(l) => l
@@ -222,6 +255,29 @@ impl Drop for Listener {
         if let Listener::Unix(_, p) = self {
             let _ = std::fs::remove_file(p);
         }
+    }
+}
+
+/// `poll(2)`, the one system call std has no wrapper for: wait on a
+/// listener with a timeout.
+#[cfg(unix)]
+mod sys {
+    #[repr(C)]
+    pub struct PollFd {
+        pub fd: i32,
+        pub events: i16,
+        pub revents: i16,
+    }
+
+    pub const POLLIN: i16 = 1;
+
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type Nfds = std::ffi::c_uint;
+
+    extern "C" {
+        pub fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: i32) -> i32;
     }
 }
 
@@ -320,7 +376,9 @@ impl Server {
                         active.fetch_sub(1, Ordering::SeqCst);
                     });
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(poll),
+                // Nobody waiting: sleep until somebody is, or `poll`
+                // passes and the flag is due another look.
+                Err(e) if e.kind() == ErrorKind::WouldBlock => self.listener.wait(poll),
                 Err(_) => std::thread::sleep(poll),
             }
         }
@@ -354,33 +412,56 @@ fn serve_metrics_once(daemon: &Daemon, mut conn: Conn) {
     let _ = conn.flush();
 }
 
+/// Longest request line served, in bytes: several times the largest
+/// `XFER` the instance buffer admits (an item in shortest round-trip
+/// form is at most 25 bytes with its separator).
+fn max_line_bytes(daemon: &Daemon) -> usize {
+    let items = usize::try_from(daemon.config().budget.in_capacity).unwrap_or(usize::MAX);
+    items.saturating_mul(64).saturating_add(4096)
+}
+
 fn handle_conn(daemon: &Daemon, conn: Conn, shutdown: &AtomicBool, poll: Duration) {
     if conn.set_read_timeout(poll).is_err() {
         return;
     }
-    let writer = match conn.try_clone() {
+    let mut writer = match conn.try_clone() {
         Ok(w) => w,
         Err(_) => return,
     };
-    let mut writer = writer;
     let mut reader = BufReader::new(conn);
-    let mut line = String::new();
+    let cap = max_line_bytes(daemon);
+    // The request being received.  A read that times out keeps what has
+    // arrived so far; only a served line is cleared.
+    let mut line = Vec::new();
     while !shutdown.load(Ordering::SeqCst) {
-        line.clear();
-        match reader.read_line(&mut line) {
+        // One byte past the cap is enough to see a line is too long.
+        let room = (cap + 1).saturating_sub(line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => return, // EOF
+            Ok(_) if line.len() > cap && !line.ends_with(b"\n") => {
+                let refusal =
+                    crate::protocol_error(format!("request line longer than {cap} bytes"));
+                let _ = writer.write_all(err_line(&refusal).as_bytes());
+                return;
+            }
+            // A whole line, or the last one cut short by EOF.
             Ok(_) => {
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    continue;
-                }
-                if trimmed.eq_ignore_ascii_case("QUIT") {
-                    let _ = writer.write_all(b"OK bye\n");
-                    return;
-                }
-                let resp = handle_line(daemon, trimmed);
-                if writer.write_all(resp.as_bytes()).is_err() || writer.flush().is_err() {
-                    return;
+                let resp = match std::str::from_utf8(&line).map(str::trim) {
+                    Ok("") => None,
+                    Ok(req) if req.eq_ignore_ascii_case("QUIT") => {
+                        let _ = writer.write_all(b"OK bye\n");
+                        return;
+                    }
+                    Ok(req) => Some(handle_line(daemon, req)),
+                    Err(_) => Some(err_line(&crate::protocol_error(
+                        "request is not valid UTF-8",
+                    ))),
+                };
+                line.clear();
+                if let Some(resp) = resp {
+                    if writer.write_all(resp.as_bytes()).is_err() || writer.flush().is_err() {
+                        return;
+                    }
                 }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {

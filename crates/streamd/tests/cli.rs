@@ -65,9 +65,31 @@ fn unknown_flags_and_programs_are_rejected() {
 struct Conn {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    addr: String,
 }
 
 impl Conn {
+    fn connect(addr: &str) -> Conn {
+        let stream = TcpStream::connect(addr).expect("connects");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        Conn {
+            reader: BufReader::new(stream.try_clone().expect("clones")),
+            writer: stream,
+            addr: addr.to_string(),
+        }
+    }
+
+    /// Send `line` in two pieces, `split` bytes and the rest, with a
+    /// pause between them longer than the server's read timeout.
+    fn request_split(&mut self, line: &str, split: usize) -> String {
+        let (head, tail) = line.split_at(split);
+        self.writer.write_all(head.as_bytes()).expect("writes");
+        std::thread::sleep(Duration::from_millis(250));
+        self.request(tail)
+    }
+
     fn request(&mut self, line: &str) -> String {
         self.writer
             .write_all(format!("{line}\n").as_bytes())
@@ -76,6 +98,16 @@ impl Conn {
         self.reader.read_line(&mut resp).expect("reads");
         resp.trim_end().to_string()
     }
+}
+
+/// `OPEN …` and the id of the instance it admits.
+fn open_id(conn: &mut Conn, spec: &str) -> u64 {
+    let resp = conn.request(spec);
+    assert!(resp.starts_with("OK "), "{resp}");
+    resp.split_whitespace()
+        .nth(1)
+        .and_then(|t| t.parse().ok())
+        .expect("id")
 }
 
 /// Spawn `streamd` on an ephemeral port and connect to it.
@@ -106,14 +138,7 @@ fn spawn_daemon(extra: &[&str]) -> (Child, Conn) {
         }
         rest
     });
-    let stream = TcpStream::connect(&addr).expect("connects");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("timeout");
-    let conn = Conn {
-        reader: BufReader::new(stream.try_clone().expect("clones")),
-        writer: stream,
-    };
+    let conn = Conn::connect(&addr);
     // Stash the collector where teardown can find it.
     COLLECTORS.with(|c| c.borrow_mut().push(collector));
     (child, conn)
@@ -145,13 +170,7 @@ fn daemon_serves_protocol_and_shuts_down_cleanly_on_sigterm() {
     let (child, mut conn) = spawn_daemon(&[]);
     assert_eq!(conn.request("PING"), "OK pong");
 
-    let open = conn.request("OPEN fmradio-small");
-    assert!(open.starts_with("OK "), "{open}");
-    let id: u64 = open
-        .split_whitespace()
-        .nth(1)
-        .and_then(|t| t.parse().ok())
-        .expect("id");
+    let id = open_id(&mut conn, "OPEN fmradio-small");
     let resp = conn.request(&format!(
         "XFER {id} 8 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16"
     ));
@@ -174,14 +193,6 @@ fn daemon_serves_protocol_and_shuts_down_cleanly_on_sigterm() {
 #[test]
 fn injected_panic_over_the_wire_spares_daemon_and_siblings() {
     let (child, mut conn) = spawn_daemon(&[]);
-    let open_id = |conn: &mut Conn, spec: &str| -> u64 {
-        let resp = conn.request(spec);
-        assert!(resp.starts_with("OK "), "{resp}");
-        resp.split_whitespace()
-            .nth(1)
-            .and_then(|t| t.parse().ok())
-            .expect("id")
-    };
     let left = open_id(&mut conn, "OPEN fmradio-small");
     let victim = open_id(&mut conn, "OPEN fmradio-small fault=panic@0:1");
     let right = open_id(&mut conn, "OPEN fmradio-small");
@@ -216,4 +227,80 @@ fn injected_panic_over_the_wire_spares_daemon_and_siblings() {
     let (code, rest) = sigterm_and_wait(child);
     assert_eq!(code, 0);
     assert!(rest.iter().any(|l| l.contains("shutdown complete")));
+}
+
+/// A request that straddles the server's read timeout (100 ms) is one
+/// request: the bytes that arrived before the timeout used to be thrown
+/// away, so `PI` … `NG` answered "unknown command `NG`" and a slow
+/// `XFER` lost its head.
+#[test]
+fn request_split_across_a_read_timeout_is_served_whole() {
+    let (child, mut conn) = spawn_daemon(&[]);
+    assert_eq!(conn.request_split("PING", 2), "OK pong");
+
+    // Two instances of one program fed the same items answer the same
+    // bits; the second gets its `XFER` cut in the middle of a float.
+    let ids = [0; 2].map(|_| open_id(&mut conn, "OPEN fmradio-small"));
+    let items: Vec<String> = (0..64)
+        .map(|i| format!("{}", i as f64 * 0.37 - 9.5))
+        .collect();
+    let xfer = |id: u64| format!("XFER {id} 64 {}", items.join(" "));
+    let whole = conn.request(&xfer(ids[0]));
+    assert!(whole.starts_with("OK 64 "), "{whole}");
+    assert!(whole.split_whitespace().count() > 4, "some output: {whole}");
+    let line = xfer(ids[1]);
+    let mid_float = line.find('.').expect("the first item, -9.5") + 1;
+    assert_eq!(conn.request_split(&line, mid_float), whole);
+
+    let (code, _) = sigterm_and_wait(child);
+    assert_eq!(code, 0);
+}
+
+/// A line that never ends is refused once it is longer than any request
+/// the instance buffer could admit (64 B × 1024 items + 4 KiB), with a
+/// typed error and a closed connection — not buffered without bound —
+/// and other connections are not disturbed.
+#[test]
+fn overlong_line_is_refused_with_bounded_memory() {
+    use std::io::Read;
+    const CAP: usize = 64 * 1024 + 4096;
+    let (child, mut conn) = spawn_daemon(&[]);
+
+    // Exactly one byte too many, so the server has read all there is
+    // and its close cannot overtake the reply.
+    conn.writer.write_all(&vec![b'A'; CAP + 1]).expect("writes");
+    let mut resp = String::new();
+    conn.reader.read_line(&mut resp).expect("reads");
+    assert!(
+        resp.starts_with("ERR E0806 ") && resp.contains(&CAP.to_string()),
+        "{resp}"
+    );
+    let mut rest = Vec::new();
+    assert_eq!(conn.reader.read_to_end(&mut rest).unwrap_or(0), 0, "closed");
+
+    // 64 MiB with no newline: the daemon stops listening to it after
+    // `CAP` bytes (writes fail once it has hung up) and never holds more.
+    let mut flood = Conn::connect(&conn.addr);
+    let chunk = vec![b'A'; 1 << 20];
+    for _ in 0..64 {
+        if flood.writer.write_all(&chunk).is_err() {
+            break;
+        }
+    }
+    let mut sibling = Conn::connect(&conn.addr);
+    assert_eq!(sibling.request("PING"), "OK pong");
+    #[cfg(target_os = "linux")]
+    {
+        let status = std::fs::read_to_string(format!("/proc/{}/status", child.id()))
+            .expect("daemon is running");
+        let peak_kib: u64 = status
+            .lines()
+            .find_map(|l| l.strip_prefix("VmHWM:"))
+            .and_then(|v| v.split_whitespace().next()?.parse().ok())
+            .expect("VmHWM");
+        assert!(peak_kib < 32 * 1024, "daemon peaked at {peak_kib} KiB");
+    }
+
+    let (code, _) = sigterm_and_wait(child);
+    assert_eq!(code, 0);
 }

@@ -255,3 +255,69 @@ fn protocol_surface_round_trips_and_reports_typed_errors() {
     assert!(metrics.starts_with("OK metrics "), "{metrics}");
     assert!(metrics.contains("streamd_instances_admitted_total 2"));
 }
+
+/// The accept loop waits *for a client*, not for its next tick: on an
+/// idle server with a 500 ms poll a new connection is answered at once
+/// (it used to wait out the rest of a `poll_ms` sleep), over TCP and a
+/// unix socket alike, and the shutdown flag is still seen within a poll.
+#[cfg(unix)]
+#[test]
+fn idle_server_accepts_a_connection_when_it_arrives() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::{Duration, Instant};
+    use streamit_streamd::{ListenAddr, Server, ServerConfig};
+
+    fn ping(mut conn: impl Read + Write) -> String {
+        conn.write_all(b"PING\n").expect("writes");
+        let mut resp = String::new();
+        BufReader::new(conn).read_line(&mut resp).expect("reads");
+        resp
+    }
+
+    let sock = std::env::temp_dir().join(format!("streamd-accept-{}.sock", std::process::id()));
+    let listens = [
+        "127.0.0.1:0".parse::<ListenAddr>().expect("tcp address"),
+        ListenAddr::Unix(sock),
+    ];
+    for listen in listens {
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let cfg = ServerConfig {
+            listen,
+            poll_ms: 500,
+            ..ServerConfig::default()
+        };
+        let server = Server::bind(
+            Arc::new(daemon_with(DaemonConfig::default())),
+            cfg,
+            Arc::clone(&shutdown),
+        )
+        .expect("binds");
+        let addr = server.local_addr();
+        let serving = std::thread::spawn(move || server.run());
+        // Let the loop find nobody waiting and go to sleep.
+        std::thread::sleep(Duration::from_millis(100));
+
+        let t0 = Instant::now();
+        let resp = match addr.strip_prefix("unix:") {
+            Some(path) => ping(std::os::unix::net::UnixStream::connect(path).expect("connects")),
+            None => ping(std::net::TcpStream::connect(&addr).expect("connects")),
+        };
+        let waited = t0.elapsed();
+        assert_eq!(resp, "OK pong\n");
+        assert!(
+            waited < Duration::from_millis(100),
+            "{addr}: answered after {waited:?}"
+        );
+
+        let t0 = Instant::now();
+        shutdown.store(true, Ordering::SeqCst);
+        serving.join().expect("server thread joins");
+        // One poll for the accept loop, one for the connection's reader.
+        assert!(
+            t0.elapsed() < Duration::from_millis(1500),
+            "{addr}: shut down after {:?}",
+            t0.elapsed()
+        );
+    }
+}

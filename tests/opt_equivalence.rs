@@ -290,6 +290,38 @@ mod metamorphic {
         assert!(compared >= 8, "only {compared} of 15 apps were compared");
     }
 
+    /// State initialisers take the declared type in every engine and in
+    /// the optimizer's constant seeds: `float g = 1` holds 1.0, so
+    /// `g / 2` is 0.5 (seeded as the int it folded to `x * 0`), and
+    /// `int n = 2.9` holds 2, so `n / 4` is 0.  Reference, opt-0 and
+    /// opt-1 agree bit for bit.
+    #[test]
+    fn state_initialisers_take_the_declared_type() {
+        use streamit::graph::builder::*;
+        use streamit::graph::DataType;
+        let f = FilterBuilder::new("Scale", DataType::Float)
+            .rates(1, 1, 1)
+            .state("g", DataType::Float, 1i64)
+            .state("n", DataType::Int, 2.9)
+            .state_array("a", DataType::Float, vec![3i64.into()])
+            .push(pop() * (var("g") / lit(2i64)) + var("n") / lit(4i64) + idx("a", 0) / lit(2i64))
+            .build_node();
+        let stream = pipeline("Main", vec![f]);
+        let [p0, p1] = programs("state", &stream);
+        let input = varied_input(16);
+        let want: Vec<u64> = input
+            .iter()
+            .map(|x| (x * 0.5 + 0.0 + 1.5).to_bits())
+            .collect();
+        let bits = |out: Vec<f64>| out.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(p0.run(&input, 16).expect("reference runs")), want);
+        for (level, p) in [p0, p1].iter().enumerate() {
+            let cg = p.compile_exec().expect("compiled engine accepts it");
+            let got = cg.run_collect(&input, 16).expect("compiled engine runs");
+            assert_eq!(bits(got), want, "opt-{level} disagrees with the reference");
+        }
+    }
+
     /// The parallel runtime agrees with itself across opt levels at 1,
     /// 2 and 4 worker threads on every app it accepts, bit for bit.
     #[test]

@@ -490,3 +490,389 @@ mod soundness {
         }
     }
 }
+
+// ---- counted-loop summary: equal to the walk, or not taken -------------
+//
+// `absint` finishes a constant-bound loop in closed form when one pass
+// over the loop variable's whole range shows every trip does the same
+// thing.  The trip-by-trip walk it replaces stays callable
+// (`walk_body(.., false)`) and is the oracle here: the two must agree on
+// every field of the result and on the fuel left over, for generated
+// bodies, for the loop shapes that must not be summarized, and for the
+// block filters frequency translation writes.
+
+mod summary {
+    use streamit::analysis::absint::{walk_body, Walked};
+    use streamit::analysis::{analyze_rates, Interval};
+    use streamit::graph::builder::*;
+    use streamit::graph::{DataType, Expr, Filter, Stmt};
+    use streamit::linear::{freq, LinearRep};
+
+    use super::irgen::{gen_block, Gen, Scope};
+
+    fn filter(ty: DataType, work: Vec<Stmt>) -> Filter {
+        let mut f = FilterBuilder::new("p", ty).build();
+        f.work = work;
+        f
+    }
+
+    /// Summary and walk over `f`'s work agree on everything the analysis
+    /// reports and on the fuel left; returns the summarized run.
+    fn agree(f: &Filter) -> Walked {
+        let fast = walk_body(f, &f.work, true);
+        let slow = walk_body(f, &f.work, false);
+        assert_eq!(slow.skipped, 0, "the oracle walks every trip");
+        assert_eq!(fast.analysis, slow.analysis, "{:#?}", f.work);
+        assert_eq!(fast.fuel, slow.fuel, "{:#?}", f.work);
+        fast
+    }
+
+    fn agree_on(work: impl FnOnce(BlockBuilder) -> BlockBuilder) -> Walked {
+        agree(&filter(DataType::Int, work(BlockBuilder::new()).build()))
+    }
+
+    /// `levels` constant-bound loops around a generated body, with
+    /// generated statements before, between and after them.  The loop
+    /// variables are in scope as peek indices.
+    fn nest(g: &mut Gen, sc: &mut Scope, levels: usize) -> Vec<Stmt> {
+        if levels == 0 {
+            return gen_block(g, sc, 2);
+        }
+        let mut out = Vec::new();
+        if g.below(2) == 0 {
+            out.extend(gen_block(g, sc, 1));
+        }
+        let var = format!("w{levels}");
+        let from = g.below(3) as i64;
+        let trips = [0, 1, 2, 3, 4, 5, 9, 17][g.below(8) as usize];
+        let mut inner = sc.clone();
+        inner.loop_vars.push(var.clone());
+        let body = nest(g, &mut inner, levels - 1);
+        sc.fresh = inner.fresh;
+        out.push(Stmt::For {
+            var,
+            from: Expr::IntLit(from),
+            to: Expr::IntLit(from + trips),
+            body,
+        });
+        if g.below(2) == 0 {
+            out.extend(gen_block(g, sc, 1));
+        }
+        out
+    }
+
+    /// The case a seed stands for: a generated body inside one to three
+    /// counted loops, on an int tape or (one time in four) a float one.
+    fn generated(seed: u64) -> Filter {
+        let mut g = Gen(seed | 1);
+        let levels = 1 + g.below(3) as usize;
+        let ty = if g.below(4) == 0 {
+            DataType::Float
+        } else {
+            DataType::Int
+        };
+        filter(ty, nest(&mut g, &mut Scope::default(), levels))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// The summary equals the walk field for field, fuel included.
+        #[test]
+        fn prop_summary_equals_walk(seed in 0u64..u64::MAX) {
+            agree(&generated(seed));
+        }
+    }
+
+    /// The property above is about something: a fair share of the
+    /// generated nests do get summarized, and a fair share do not.
+    #[test]
+    fn generated_nests_fall_on_both_sides() {
+        let taken = (0..512u64)
+            .filter(|seed| agree(&generated(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15))).skipped > 0)
+            .count();
+        assert!((64..=448).contains(&taken), "{taken} of 512 summarized");
+    }
+
+    #[test]
+    fn uniform_loops_are_summarized() {
+        // The block filter's shape: Δ = one push, then pops.
+        let r = agree_on(|b| {
+            b.for_("t", 0, 100, |b| {
+                b.let_("acc", DataType::Float, lit(0.0))
+                    .for_("i", 0, 50, |b| {
+                        b.set("acc", var("acc") + peek(var("t") + var("i")))
+                    })
+                    .push(var("acc"))
+            })
+            .for_("t", 0, 100, |b| b.pop_discard())
+        });
+        // 98 outer trips, 48 inner ones in each executed outer trip, 98 pops.
+        assert_eq!(r.skipped, 98 + 2 * 48 + 98);
+        assert_eq!(r.analysis.need, Interval::constant(149));
+        assert_eq!(r.analysis.pushes, Interval::constant(100));
+        assert!(r.analysis.exact);
+        // An int local that is the same ⊤ on every trip.
+        let r = agree_on(|b| {
+            b.for_("t", 0, 10, |b| {
+                b.let_("v", DataType::Int, pop() + peek(var("t")))
+                    .push(var("v"))
+            })
+        });
+        assert_eq!(r.skipped, 8);
+        // A loop-carried integer that has reached its fixed point.
+        let r = agree_on(|b| {
+            b.let_("k", DataType::Int, lit(4i64)).for_("t", 0, 10, |b| {
+                b.set("k", minf(var("k") + lit(1i64), lit(5i64)))
+                    .push(peek(var("k")))
+            })
+        });
+        assert_eq!(r.skipped, 8);
+    }
+
+    #[test]
+    fn trip_counts_zero_to_three() {
+        for trips in 0..=3i64 {
+            let r =
+                agree_on(|b| b.for_("t", 5, 5 + trips, |b| b.push(peek(var("t"))).pop_discard()));
+            assert_eq!(r.skipped, u64::from(trips == 3), "{trips} trips");
+            assert_eq!(r.analysis.pops, Interval::constant(trips));
+        }
+    }
+
+    #[test]
+    fn branch_on_the_loop_variable_is_walked() {
+        let r = agree_on(|b| {
+            b.for_("t", 0, 8, |b| {
+                b.if_else(
+                    cmp(streamit::graph::BinOp::Lt, var("t"), 3),
+                    |t| t.push(pop()),
+                    |e| e.push(peek(1)).pop_discard().pop_discard(),
+                )
+            })
+        });
+        assert_eq!(r.skipped, 0);
+        assert_eq!(r.analysis.pops, Interval::constant(3 + 2 * 5));
+        assert_eq!(r.analysis.dead_code.len(), 8);
+        // Decided the same way over the whole range, a dead arm would
+        // still be reported once per trip: walked.
+        let r = agree_on(|b| {
+            b.for_("t", 0, 8, |b| {
+                b.if_else(
+                    cmp(streamit::graph::BinOp::Lt, var("t"), 100),
+                    |t| t.push(pop()),
+                    |e| e.pop_discard(),
+                )
+            })
+        });
+        assert_eq!(r.skipped, 0);
+        assert_eq!(r.analysis.dead_code.len(), 8);
+        // With nothing in the dead arm there is nothing to report.
+        let r = agree_on(|b| {
+            b.for_("t", 0, 8, |b| {
+                b.if_(cmp(streamit::graph::BinOp::Lt, var("t"), 100), |t| {
+                    t.push(pop())
+                })
+            })
+        });
+        assert_eq!(r.skipped, 6);
+    }
+
+    #[test]
+    fn nested_bound_on_the_loop_variable_is_walked() {
+        // for t in 0..9 { for j in 0..t { push(pop()) } }
+        let r = agree_on(|b| b.for_("t", 0, 9, |b| b.for_("j", 0, var("t"), |b| b.push(pop()))));
+        // Only the inner loops of four or more trips are summarized.
+        assert_eq!(r.skipped, (3..9).map(|t| t - 2).sum::<u64>());
+        assert_eq!(r.analysis.pops, Interval::constant(36));
+        assert!(r.analysis.exact);
+    }
+
+    #[test]
+    fn loop_carried_integer_is_walked() {
+        // k = k + 1 used as a peek index: need follows k, not Δ.
+        let r = agree_on(|b| {
+            b.let_("k", DataType::Int, lit(0i64)).for_("t", 0, 9, |b| {
+                b.push(peek(var("k") * var("k")))
+                    .set("k", var("k") + lit(1i64))
+            })
+        });
+        assert_eq!(r.skipped, 0);
+        assert_eq!(r.analysis.need, Interval::constant(65));
+        // An integer that depends on the loop variable and is not a
+        // constant over its range.
+        let r = agree_on(|b| {
+            b.for_("t", 0, 9, |b| {
+                b.let_("j", DataType::Int, var("t") * lit(2i64))
+                    .push(peek(var("j")))
+            })
+        });
+        assert_eq!(r.skipped, 0);
+        assert_eq!(r.analysis.need, Interval::constant(17));
+        // A counter nothing in the loop reads, read after it.
+        let r = agree_on(|b| {
+            b.let_("k", DataType::Int, lit(0i64))
+                .for_("t", 0, 9, |b| b.set("k", var("k") + lit(1i64)))
+                .push(peek(var("k")))
+        });
+        assert_eq!(r.skipped, 0);
+        assert_eq!(r.analysis.need, Interval::constant(10));
+        // `(t < 1) * pop()` is ⊤ on the first trip and over the whole
+        // range, but 0 on every later trip: `y` enters the last trip as
+        // 0, not as the ⊤ the first trip left.
+        let r = agree_on(|b| {
+            b.let_("x", DataType::Int, pop())
+                .let_("y", DataType::Int, lit(0i64))
+                .for_("t", 0, 9, |b| {
+                    b.set("y", var("x"))
+                        .set("x", cmp(streamit::graph::BinOp::Lt, var("t"), 1) * pop())
+                })
+                .push(peek(maxf(var("y"), lit(0i64))))
+        });
+        assert_eq!(r.skipped, 0);
+        assert_eq!(r.analysis.need, Interval::constant(11));
+    }
+
+    #[test]
+    fn first_trip_unlike_the_rest_is_walked() {
+        // The first trip pops once, every later one twice: Δ is not the
+        // first trip's.  The same for pushes.
+        let r = agree_on(|b| {
+            b.let_("k", DataType::Int, lit(1i64)).for_("t", 0, 9, |b| {
+                b.for_("j", 0, var("k"), |b| b.pop_discard())
+                    .set("k", lit(2i64))
+            })
+        });
+        assert_eq!(r.skipped, 0);
+        assert_eq!(r.analysis.pops, Interval::constant(17));
+        let r = agree_on(|b| {
+            b.let_("k", DataType::Int, lit(1i64)).for_("t", 0, 9, |b| {
+                b.for_("j", 0, var("k"), |b| b.push(lit(0i64)))
+                    .set("k", lit(2i64))
+            })
+        });
+        assert_eq!(r.skipped, 0);
+        assert_eq!(r.analysis.pushes, Interval::constant(17));
+    }
+
+    #[test]
+    fn need_attained_on_neither_end_is_walked() {
+        // peek(hi - 1 - t): the deepest read is the first trip's, and the
+        // last trip's pops have not caught up with it — attained.
+        let r = agree_on(|b| b.for_("t", 0, 9, |b| b.push(peek(lit(8i64) - var("t")))));
+        assert_eq!(r.skipped, 7);
+        assert_eq!(r.analysis.need, Interval::constant(9));
+        // peek(t * (8 - t)) reaches deepest in the middle of the range.
+        let r = agree_on(|b| {
+            b.for_("t", 0, 9, |b| {
+                b.push(peek(var("t") * (lit(8i64) - var("t"))))
+            })
+        });
+        assert_eq!(r.skipped, 0);
+        assert_eq!(r.analysis.need, Interval::constant(17));
+        // An index that is an interval: its upper end is the same on
+        // every trip (attained), its lower end peaks mid-range.
+        let r = agree_on(|b| {
+            b.let_("x", DataType::Int, abs(pop()) % lit(101i64))
+                .for_("t", 0, 9, |b| {
+                    b.push(peek(maxf(var("t") * (lit(8i64) - var("t")), var("x"))))
+                })
+        });
+        assert_eq!(r.skipped, 0);
+        assert_eq!(r.analysis.need, Interval::range(18, 102));
+    }
+
+    #[test]
+    fn index_negative_on_some_trips_is_walked() {
+        let r = agree_on(|b| b.for_("t", 0, 9, |b| b.push(peek(var("t") - lit(4i64)))));
+        assert_eq!(r.skipped, 0);
+        assert_eq!(r.analysis.neg_peek, Some(Interval::range(-4, -1)));
+        // Negative on the first trip only: the walk's hull is that trip's.
+        let r = agree_on(|b| b.for_("t", -1, 9, |b| b.push(peek(var("t")))));
+        assert_eq!(r.skipped, 0);
+        assert_eq!(r.analysis.neg_peek, Some(Interval::constant(-1)));
+    }
+
+    #[test]
+    fn bounds_near_the_unroll_limit_and_the_ends_of_i64() {
+        for trips in [65_535i64, 65_536, 65_537] {
+            let r = agree_on(|b| b.for_("t", 0, trips, |b| b.push(pop())));
+            let unrolled = trips <= 65_536;
+            assert_eq!(r.analysis.exact, unrolled, "{trips} trips");
+            assert_eq!(r.skipped, if unrolled { trips as u64 - 2 } else { 0 });
+        }
+        let r = agree_on(|b| b.for_("t", i64::MAX - 5, i64::MAX, |b| b.push(pop())));
+        assert_eq!(r.analysis.pops, Interval::constant(5));
+        let r = agree_on(|b| b.for_("t", i64::MIN, i64::MIN + 5, |b| b.push(peek(var("t")))));
+        assert_eq!(r.analysis.pushes, Interval::constant(5));
+        let r = agree_on(|b| b.for_("t", i64::MIN, i64::MAX, |b| b.push(pop())));
+        assert!(!r.analysis.exact);
+    }
+
+    #[test]
+    fn fuel_runs_out_at_the_same_trip() {
+        // 1500 * (3 + 2 * 700) steps is past the 2 M budget: some outer
+        // trip finds too little left for its inner loop and widens.  The
+        // summary must not skip past that trip, and must leave the same
+        // fuel behind.
+        let r = agree_on(|b| {
+            b.for_("t", 0, 1500, |b| {
+                b.for_("i", 0, 700, |b| b.push(peek(var("i"))))
+                    .pop_discard()
+            })
+        });
+        assert!(!r.analysis.exact);
+        assert_eq!(r.analysis.pushes.hi, Interval::POS_INF);
+        // One trip fewer fits: exact, and finished in closed form.
+        let r = agree_on(|b| {
+            b.for_("t", 0, 1400, |b| {
+                b.for_("i", 0, 700, |b| b.push(peek(var("i"))))
+                    .pop_discard()
+            })
+        });
+        assert!(r.analysis.exact);
+        assert_eq!(r.analysis.pushes, Interval::constant(1400 * 700));
+        assert_eq!(r.skipped, 1398 + 2 * 698);
+    }
+
+    /// Every `(taps, block)` the `compile-corpus` benchmark translates
+    /// (seed 1; the generated programs have fixed sizes), the corpus'
+    /// own `plan_block` choices, and block sizes past the fuel budget.
+    #[test]
+    fn frequency_block_filters_keep_their_verdict() {
+        let corpus = [
+            (64, 64),
+            (77, 128),
+            (153, 256),
+            (229, 256),
+            (305, 512),
+            (381, 512),
+            (457, 512),
+            (533, 1024),
+            (609, 1024),
+        ];
+        for (n, block) in corpus {
+            assert_eq!(freq::plan_block(n).map(|p| p.0), Some(block), "{n} taps");
+            let taps: Vec<f64> = (0..n).map(|i| 1.0 / (i + 1) as f64).collect();
+            let f = LinearRep::fir(&taps).materialize_freq("F", block);
+            let r = agree(&f);
+            assert_eq!(r.skipped as usize, 2 * (block - 2) + 2 * (n - 2));
+            assert!(r.analysis.exact);
+            assert_eq!(analyze_rates(&f, "F"), vec![], "{n} taps, block {block}");
+        }
+        // Past the budget the inner loop stops unrolling part-way through
+        // the outer one: widened (L0605, so the engines decline), at the
+        // same trip and with the same message as the walk.
+        for (n, block) in [(609, 4096), (1024, 2048), (1024, 1024)] {
+            let taps = vec![0.5; n];
+            let f = LinearRep::fir(&taps).materialize_freq("F", block);
+            let r = agree(&f);
+            assert!(!r.analysis.exact, "{n} taps, block {block}");
+            let findings = analyze_rates(&f, "F");
+            assert!(
+                !findings.is_empty() && findings.iter().all(|x| x.code == "L0605"),
+                "{n} taps, block {block}: {findings:?}"
+            );
+        }
+    }
+}
