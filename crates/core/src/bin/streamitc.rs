@@ -77,9 +77,9 @@
 //! | 2    | usage error, or lexical/syntax error (`E01xx`) |
 //! | 3    | semantic error (`E02xx`) |
 //! | 4    | verification failure under `--strict` (`E03xx`) |
-//! | 5    | runtime error during `--run` (`E04xx`; or an engine fault
-//!   `E0702`, worker panic `E0705`, or stall `E0706` under
-//!   `--on-engine-fault error`) |
+//! | 5    | runtime error during `--run` (`E04xx`; a run too large to
+//!   allocate, `E0708`; or an engine fault `E0702`, worker panic
+//!   `E0705`, or stall `E0706` under `--on-engine-fault error`) |
 //! | 6    | resource budget exhausted (`E05xx`) |
 //! | 7    | static-analysis failure (`E06xx`) |
 //! | 8    | engine selection failure (`E0701`; only via the library API —
@@ -261,6 +261,25 @@ fn parse_args() -> Args {
     args
 }
 
+/// The input `--run n` feeds: a sine ramp sixteen times as long as the
+/// output asked for.  `n` is the user's, so neither the length nor the
+/// allocation may be assumed to succeed (`E0708` instead of an abort).
+fn synthetic_ramp(n: usize) -> Result<Vec<f64>, streamit::Diag> {
+    let too_large = |items| {
+        let what = "synthetic input ramp";
+        streamit::Diag::from(streamit::exec::ExecError::TooLarge { what, items })
+    };
+    let len = n
+        .max(64)
+        .checked_mul(16)
+        .ok_or_else(|| too_large(u64::MAX))?;
+    let mut ramp = Vec::new();
+    ramp.try_reserve_exact(len)
+        .map_err(|_| too_large(len as u64))?;
+    ramp.extend((0..len).map(|i| (i as f64 * 0.1).sin()));
+    Ok(ramp)
+}
+
 fn main() {
     let args = parse_args();
     let source = match std::fs::read_to_string(&args.file) {
@@ -420,9 +439,10 @@ fn main() {
     }
 
     if let Some(n) = args.run {
-        let input: Vec<f64> = (0..16 * n.max(64))
-            .map(|i| (i as f64 * 0.1).sin())
-            .collect();
+        let input = synthetic_ramp(n).unwrap_or_else(|d| {
+            eprintln!("streamitc: execution failed: {d}");
+            std::process::exit(d.exit_code());
+        });
         let engine = match args.engine {
             Engine::Parallel { .. } => Engine::Parallel {
                 threads: args.threads,

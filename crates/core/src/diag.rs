@@ -40,6 +40,7 @@
 //! | E0705 | Runtime  | a worker panicked; caught and attributed to its stage with the panic payload |
 //! | E0706 | Runtime  | the stall watchdog saw no progress for a full deadline; carries a per-stage snapshot |
 //! | E0707 | Engine   | malformed profile file (`--profile-in`); stale filter names only warn |
+//! | E0708 | Runtime  | a run's input or output ring is too large to allocate (`--run N` past this host's memory); reported before any firing |
 //! | E0801 | Engine   | `streamd` admission rejected: instance table at `--max-instances` |
 //! | E0802 | Engine   | `streamd`: unknown program name in an `OPEN` request |
 //! | E0803 | Runtime  | `streamd`: an instance's worker panicked; the instance was evicted |
@@ -265,6 +266,7 @@ impl From<streamit_exec::ExecError> for Diag {
             ExecError::Fault { .. } => ("E0702", DiagCategory::Runtime),
             ExecError::Starved { .. } => ("E0703", DiagCategory::Runtime),
             ExecError::NoSteadyOutput => ("E0704", DiagCategory::Runtime),
+            ExecError::TooLarge { .. } => ("E0708", DiagCategory::Runtime),
             ExecError::WorkerPanic { .. } => ("E0705", DiagCategory::Runtime),
             ExecError::Stalled { .. } => ("E0706", DiagCategory::Runtime),
         };

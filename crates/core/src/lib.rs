@@ -220,8 +220,8 @@ enum FaultClass {
     /// [`OnEngineFault::Fallback`].
     Recoverable,
     /// A property of the input or the program (starvation, no steady
-    /// output, reference-interpreter errors): every engine would agree,
-    /// so degrading cannot help.
+    /// output, a run too large to allocate, reference-interpreter
+    /// errors): every engine would agree, so degrading cannot help.
     Fatal,
 }
 
@@ -231,7 +231,9 @@ fn classify_exec(e: &exec::ExecError) -> FaultClass {
         exec::ExecError::Fault { .. }
         | exec::ExecError::WorkerPanic { .. }
         | exec::ExecError::Stalled { .. } => FaultClass::Recoverable,
-        exec::ExecError::Starved { .. } | exec::ExecError::NoSteadyOutput => FaultClass::Fatal,
+        exec::ExecError::Starved { .. }
+        | exec::ExecError::NoSteadyOutput
+        | exec::ExecError::TooLarge { .. } => FaultClass::Fatal,
     }
 }
 

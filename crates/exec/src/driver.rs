@@ -34,7 +34,7 @@ use streamit_graph::{DataType, Value};
 
 use crate::bytecode::FilterCode;
 use crate::engine::{run_ops, run_ops_profiled, Frame, OpProfiler, Shard};
-use crate::plan::{Loc, Op, Stats, TapeSpec};
+use crate::plan::{Batch, Loc, Op, Stats, TapeSpec};
 use crate::tape::Tape;
 use crate::{panic_payload, ExecError, FaultKind, FaultPlan};
 
@@ -56,6 +56,10 @@ pub struct Schedule<'p> {
     pub pre: &'p [Op],
     pub branches: &'p [Vec<Op>],
     pub post: &'p [Op],
+    /// The longer stride the plan proved for these op lists, when the
+    /// lender wants it taken: [`build_shards`] then sizes the channel
+    /// tapes for it and [`Driver::drive`] runs scaled rounds.
+    pub batch: Option<&'p Batch>,
 }
 
 /// Why [`Driver::drive`] returned.
@@ -88,53 +92,67 @@ pub fn contain<T>(label: &str, f: impl FnOnce() -> Result<T, ExecError>) -> Resu
 /// (coerced to the plan's input type, like the reference machine's
 /// feed) with room for at least `in_cap` items, the external output
 /// ring with room for `out_cap`, every channel tape sized by the count
-/// simulation and preloaded with its initial items.
-pub fn build_shards(s: &Schedule<'_>, input: &[f64], in_cap: u64, out_cap: u64) -> Vec<Shard> {
+/// simulation (at the batch capacities when `s` lends a batch) and
+/// preloaded with its initial items.  The external rings are as large
+/// as the caller asks, so theirs is the allocation that can be refused:
+/// [`ExecError::TooLarge`].
+pub fn build_shards(
+    s: &Schedule<'_>,
+    input: &[f64],
+    in_cap: u64,
+    out_cap: u64,
+) -> Result<Vec<Shard>, ExecError> {
+    let external = |ty, what, items| {
+        Tape::try_with_capacity(ty, items).ok_or(ExecError::TooLarge { what, items })
+    };
     let tape = |here: Loc, spec: &TapeSpec| {
         if Some(here) == s.ext_in {
-            let mut t = Tape::with_capacity(s.input_ty, in_cap.max(input.len() as u64));
+            let items = in_cap.max(input.len() as u64);
+            let mut t = external(s.input_ty, "input ring", items)?;
             t.extend_from_f64(input);
-            return t;
+            return Ok(t);
         }
         if Some(here) == s.ext_out {
-            return Tape::with_capacity(DataType::Float, out_cap);
+            return external(DataType::Float, "output ring", out_cap);
         }
-        let mut t = Tape::with_capacity(spec.ty, spec.cap);
+        let cap = s.batch.map_or(spec.cap, |b| {
+            b.caps[here.shard as usize][here.slot as usize]
+        });
+        let mut t = Tape::with_capacity(spec.ty, cap);
         for v in &spec.initial {
             let _ = match v {
                 Value::Int(x) => t.push_i(*x),
                 Value::Float(x) => t.push_f(*x),
             };
         }
-        t
+        Ok(t)
     };
-    s.tapes
-        .iter()
-        .zip(s.frames)
-        .enumerate()
-        .map(|(shard, (specs, frames))| Shard {
-            tapes: specs
-                .iter()
-                .enumerate()
-                .map(|(slot, spec)| {
-                    let here = Loc {
-                        shard: shard as u16,
-                        slot: slot as u16,
-                    };
-                    tape(here, spec)
-                })
-                .collect(),
-            frames: frames
-                .iter()
-                .map(|&c| Frame::new(&s.codes[c as usize]))
-                .collect(),
-        })
-        .collect()
+    // Vectors of exactly the plan's sizes (collecting through a
+    // `Result` would over-allocate, and a daemon holds thousands).
+    let mut shards = Vec::with_capacity(s.tapes.len());
+    for (shard, (specs, frames)) in s.tapes.iter().zip(s.frames).enumerate() {
+        let mut tapes = Vec::with_capacity(specs.len());
+        for (slot, spec) in specs.iter().enumerate() {
+            let here = Loc {
+                shard: shard as u16,
+                slot: slot as u16,
+            };
+            tapes.push(tape(here, spec)?);
+        }
+        let frames = frames.iter().map(|&c| Frame::new(&s.codes[c as usize]));
+        shards.push(Shard {
+            tapes,
+            frames: frames.collect(),
+        });
+    }
+    Ok(shards)
 }
 
 /// The one-shot prelude: check `input` covers initialization plus `k`
 /// steady iterations ([`ExecError::Starved`] otherwise), preload it, and
-/// size the output ring for everything those iterations emit.
+/// size the output ring for everything those iterations emit.  A run
+/// shorter than one batch gets unit-capacity tapes: it could never take
+/// the scaled stride, and its set-up is what a first output waits for.
 pub fn preload(s: &Schedule<'_>, input: &[f64], k: u64) -> Result<Vec<Shard>, ExecError> {
     let (needed, have) = (s.stats.required_input(k), input.len() as u64);
     if have < needed {
@@ -142,9 +160,11 @@ pub fn preload(s: &Schedule<'_>, input: &[f64], k: u64) -> Result<Vec<Shard>, Ex
     }
     let emitted = k.saturating_mul(s.stats.round_out);
     let out_cap = s.stats.init_out.saturating_add(emitted);
-    contain("shard allocation", || {
-        Ok(build_shards(s, input, 0, out_cap))
-    })
+    let s = Schedule {
+        batch: s.batch.filter(|b| k >= b.k.into()),
+        ..*s
+    };
+    contain("shard allocation", || build_shards(&s, input, 0, out_cap))
 }
 
 /// Copy out everything on the external output tape (empty when the
@@ -229,11 +249,16 @@ impl Driver {
     /// cannot run against the external rings as they stand, or `None`
     /// when it can.
     pub fn gate(&self, s: &Schedule<'_>) -> Option<Stop> {
-        let (need_in, need_out) = if self.init_done {
-            (s.stats.round_in_required, s.stats.round_out)
+        if self.init_done {
+            self.short(s, s.stats.round_in_required, s.stats.round_out)
         } else {
-            (s.stats.init_in_required, s.stats.init_out)
-        };
+            self.short(s, s.stats.init_in_required, s.stats.init_out)
+        }
+    }
+
+    /// The shortfall of the external rings against a phase that needs
+    /// `need_in` items staged and `need_out` slots free.
+    fn short(&self, s: &Schedule<'_>, need_in: u64, need_out: u64) -> Option<Stop> {
         let staged = s.ext_in.map_or(u64::MAX, |l| self.tape(l).len());
         if staged < need_in {
             return Some(Stop::NeedInput(need_in - staged));
@@ -245,22 +270,54 @@ impl Driver {
         None
     }
 
+    /// Whether every tape has room for a scaled round of `b`
+    /// ([`preload`] builds a short run's tapes at the unit capacities).
+    fn holds(&self, b: &Batch) -> bool {
+        let caps = b.caps.iter().skip(self.base as usize);
+        self.shards.iter().zip(caps).all(|(shard, caps)| {
+            let mut tapes = shard.tapes.iter().zip(caps);
+            tapes.all(|(t, &cap)| t.capacity() >= cap)
+        })
+    }
+
     /// Run initialization once the gate admits it, then up to
     /// `max_iters` steady iterations while the gate keeps admitting
     /// them.  Returns how many ran and why it stopped.  Op faults come
     /// back as errors and so do panics, as [`ExecError::WorkerPanic`];
     /// after either the shards are in no defined state.
+    ///
+    /// The iterations run at two strides.  When the schedule lends a
+    /// batch, no hook is attached (an injected fault names one
+    /// iteration and the profiler samples by iteration) and the shards
+    /// hold it, `k` iterations at a time run as one scaled round for as
+    /// long as `k` of the budget remain and the external rings cover
+    /// all `k`; whatever is left runs as unit rounds, and it is the unit
+    /// shortfall a [`Stop`] reports.
     pub fn drive(&mut self, s: &Schedule<'_>, max_iters: u64) -> Result<(u64, Stop), ExecError> {
         contain(self.label, || {
             if !self.init_done {
                 if let Some(stop) = self.gate(s) {
                     return Ok((0, stop));
                 }
-                run_ops(s.init, &mut self.shards, self.base, s.codes)?;
+                run_ops(s.init, &mut self.shards, self.base, s.codes, 1)?;
                 self.init_done = true;
             }
+            let hooked = self.fault.is_some() || self.prof.is_some();
+            let batch = s
+                .batch
+                .filter(|b| !hooked && max_iters >= b.k.into() && self.holds(b));
             let mut ran = 0;
             while ran < max_iters {
+                let scaled = batch.filter(|b| {
+                    let emitted = s.stats.round_out.saturating_mul(b.k.into());
+                    max_iters - ran >= b.k.into()
+                        && self.short(s, b.round_in_required, emitted).is_none()
+                });
+                if let Some(b) = scaled {
+                    self.round(s, b.k)?;
+                    ran += u64::from(b.k);
+                    continue;
+                }
                 if let Some(stop) = self.gate(s) {
                     return Ok((ran, stop));
                 }
@@ -273,7 +330,7 @@ impl Driver {
         })
     }
 
-    /// One ungated steady iteration: hooks, `pre`, every branch, `post`.
+    /// One ungated steady iteration: hooks, then a unit round.
     /// Returns `false`, having run nothing, when an injected stall holds
     /// this iteration.  Panics propagate: a caller other than
     /// [`Driver::drive`] [`contain`]s them at its thread boundary.
@@ -290,23 +347,31 @@ impl Driver {
         if let Some(p) = self.prof.as_mut() {
             p.begin_iteration();
         }
-        self.fire(s.pre, s.codes)?;
-        for ops in s.branches {
-            self.fire(ops, s.codes)?;
-        }
-        self.fire(s.post, s.codes)?;
+        self.round(s, 1)?;
         if let Some(f) = inj {
             // Only a delay gets this far: the iteration is complete, late.
             std::thread::sleep(Duration::from_millis(f.delay_ms));
         }
-        self.iterations += 1;
         Ok(true)
     }
 
-    fn fire(&mut self, ops: &[Op], codes: &[FilterCode]) -> Result<(), ExecError> {
+    /// `pre`, every branch, `post`, once, with every op fired `scale` ×
+    /// its `times`: `scale` steady iterations.
+    fn round(&mut self, s: &Schedule<'_>, scale: u32) -> Result<(), ExecError> {
+        self.fire(s.pre, s.codes, scale)?;
+        for ops in s.branches {
+            self.fire(ops, s.codes, scale)?;
+        }
+        self.fire(s.post, s.codes, scale)?;
+        self.iterations += u64::from(scale);
+        Ok(())
+    }
+
+    fn fire(&mut self, ops: &[Op], codes: &[FilterCode], scale: u32) -> Result<(), ExecError> {
         match self.prof.as_mut() {
+            // A profiled driver only ever runs unit rounds.
             Some(p) => run_ops_profiled(ops, &mut self.shards, self.base, codes, p),
-            None => run_ops(ops, &mut self.shards, self.base, codes),
+            None => run_ops(ops, &mut self.shards, self.base, codes, scale),
         }
     }
 }

@@ -94,6 +94,21 @@ fn put_tape(shards: &mut [Shard], loc: Loc, base: u16, t: Tape) {
     *tape_mut(shards, loc, base) = t;
 }
 
+/// Two distinct tapes, both borrowed in place; `None` when `a == b` (or
+/// either slot does not exist).
+#[inline]
+fn tape_pair(shards: &mut [Shard], a: Loc, b: Loc, base: u16) -> Option<(&mut Tape, &mut Tape)> {
+    let (sa, sb) = ((a.shard - base) as usize, (b.shard - base) as usize);
+    let (ia, ib) = (a.slot as usize, b.slot as usize);
+    if sa == sb {
+        let [x, y] = shards[sa].tapes.get_disjoint_mut([ia, ib]).ok()?;
+        Some((x, y))
+    } else {
+        let [x, y] = shards.get_disjoint_mut([sa, sb]).ok()?;
+        Some((&mut x.tapes[ia], &mut y.tapes[ib]))
+    }
+}
+
 /// Execute one firing of a lowered body against a frame and its tapes.
 /// Dynamic checks mirror the reference interpreter's runtime errors:
 /// negative peek index, tape underflow, array bounds, division by zero,
@@ -447,7 +462,7 @@ pub(crate) fn run_ops_profiled(
     prof: &mut OpProfiler,
 ) -> Result<(), ExecError> {
     if !prof.sampling {
-        return run_ops(ops, shards, base, codes);
+        return run_ops(ops, shards, base, codes, 1);
     }
     let mut start = 0;
     for (i, op) in ops.iter().enumerate() {
@@ -460,10 +475,10 @@ pub(crate) fn run_ops_profiled(
         {
             let c = *code as usize;
             if start < i {
-                run_ops(&ops[start..i], shards, base, codes)?;
+                run_ops(&ops[start..i], shards, base, codes, 1)?;
             }
             let t0 = Instant::now();
-            run_ops(std::slice::from_ref(op), shards, base, codes)?;
+            run_ops(std::slice::from_ref(op), shards, base, codes, 1)?;
             prof.sampled_ns[c] += t0.elapsed().as_nanos() as u64;
             prof.firings[c] += *times as u64;
             prof.sampled_firings[c] += *times as u64;
@@ -471,24 +486,30 @@ pub(crate) fn run_ops_profiled(
         }
     }
     if start < ops.len() {
-        run_ops(&ops[start..], shards, base, codes)?;
+        run_ops(&ops[start..], shards, base, codes, 1)?;
     }
     Ok(())
 }
 
 /// Execute a flat op list against a shard slice whose first element is
-/// shard `base`.
+/// shard `base`, firing each op `scale` × its `times` (1 for a unit
+/// round, the plan's batch factor for a scaled one).
 pub(crate) fn run_ops(
     ops: &[Op],
     shards: &mut [Shard],
     base: u16,
     codes: &[FilterCode],
+    scale: u32,
 ) -> Result<(), ExecError> {
     let fault = |node: &str, reason: String| ExecError::Fault {
         node: node.to_string(),
         reason,
     };
     for op in ops {
+        let times = op
+            .times()
+            .checked_mul(scale)
+            .ok_or_else(|| fault("schedule", "firing count overflows at this scale".into()))?;
         match op {
             Op::Work {
                 code,
@@ -496,7 +517,7 @@ pub(crate) fn run_ops(
                 input,
                 output,
                 prework,
-                times,
+                ..
             } => {
                 let fc = &codes[*code as usize];
                 let prog = if *prework {
@@ -517,11 +538,11 @@ pub(crate) fn run_ops(
                 // types — so missing ones are a planner bug.
                 if let (Some(kernel), false) = (&fc.kernel, *prework) {
                     res = match (in_t.as_mut(), out_t.as_mut()) {
-                        (Some(i), Some(o)) => kernel.run(i, o, *times, &mut fr.kre, &mut fr.kim),
+                        (Some(i), Some(o)) => kernel.run(i, o, times, &mut fr.kre, &mut fr.kim),
                         _ => Err("kernel filter missing a tape".into()),
                     };
                 } else {
-                    for _ in 0..*times {
+                    for _ in 0..times {
                         if let Err(e) = exec_program(prog, &mut fr, in_t.as_mut(), out_t.as_mut()) {
                             res = Err(e);
                             break;
@@ -537,11 +558,7 @@ pub(crate) fn run_ops(
                 }
                 res.map_err(|reason| fault(&fc.name, reason))?;
             }
-            Op::Dup {
-                input,
-                outputs,
-                times,
-            } => {
+            Op::Dup { input, outputs, .. } => {
                 // One output at a time, then release the input once:
                 // each output sees the same items in the same order as
                 // item-at-a-time duplication, and nothing is allocated.
@@ -549,7 +566,7 @@ pub(crate) fn run_ops(
                 let mut res = Ok(());
                 'outputs: for &l in outputs.iter() {
                     let out = tape_mut(shards, l, base);
-                    for i in 0..*times as u64 {
+                    for i in 0..times as u64 {
                         let Some(v) = src.get(i) else {
                             res = Err("duplicate splitter input underflow".to_string());
                             break 'outputs;
@@ -561,33 +578,31 @@ pub(crate) fn run_ops(
                     }
                 }
                 if res.is_ok() {
-                    src.advance(*times as u64);
+                    src.advance(times as u64);
                 }
                 put_tape(shards, *input, base, src);
                 res.map_err(|reason| fault("duplicate splitter", reason))?;
             }
-            Op::Moves { moves, times } => {
-                for _ in 0..*times {
+            Op::Moves { moves, .. } => {
+                // Both tapes of a move are borrowed where they sit, so
+                // no tape leaves its slot; items still go firing by
+                // firing, move by move (a joiner interleaves its inputs
+                // per firing).
+                for _ in 0..times {
                     for m in moves.iter() {
-                        let mut s = take_tape(shards, m.src, base);
-                        let mut d = take_tape(shards, m.dst, base);
-                        let r = move_items(&mut s, &mut d, m.n as u64);
-                        put_tape(shards, m.src, base, s);
-                        put_tape(shards, m.dst, base, d);
-                        r.map_err(|reason| fault("roundrobin", reason))?;
+                        tape_pair(shards, m.src, m.dst, base)
+                            .ok_or_else(|| "move needs two distinct tapes".to_string())
+                            .and_then(|(s, d)| move_items(s, d, m.n as u64))
+                            .map_err(|reason| fault("roundrobin", reason))?;
                     }
                 }
             }
-            Op::Combine {
-                inputs,
-                output,
-                times,
-            } => {
+            Op::Combine { inputs, output, .. } => {
                 // Inputs are read in place and released once at the
                 // end, so no tape leaves its slot and nothing is
                 // allocated.
                 let mut res = Ok(());
-                'combine: for i in 0..*times as u64 {
+                'combine: for i in 0..times as u64 {
                     let mut acc: Option<Raw> = None;
                     for &l in inputs.iter() {
                         let Some(v) = tape_mut(shards, l, base).get(i) else {
@@ -609,7 +624,7 @@ pub(crate) fn run_ops(
                 }
                 res.map_err(|reason| fault("combine joiner", reason))?;
                 for &l in inputs.iter() {
-                    tape_mut(shards, l, base).advance(*times as u64);
+                    tape_mut(shards, l, base).advance(times as u64);
                 }
             }
         }
@@ -620,6 +635,7 @@ pub(crate) fn run_ops(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::MoveSpec;
     use streamit_graph::DataType;
 
     /// An eight-slot tape of `ty` holding `items`.
@@ -648,9 +664,10 @@ mod tests {
             .collect()
     }
 
-    /// Run `op(times)` once with `times = 3` and three times with
-    /// `times = 1`: the batched form must leave every tape exactly as
-    /// item-at-a-time execution does.
+    /// Run `op(times)` once with `times = 3`, once with `times = 1` at
+    /// scale 3, and three times with `times = 1`: the batched and the
+    /// scaled form must leave every tape exactly as item-at-a-time
+    /// execution does.
     fn batched_matches_single(tapes: &[Tape], op: impl Fn(u32) -> Op) -> Vec<Vec<f64>> {
         let shard = || {
             vec![Shard {
@@ -658,13 +675,30 @@ mod tests {
                 frames: Vec::new(),
             }]
         };
-        let (mut batched, mut single) = (shard(), shard());
-        run_ops(&[op(3)], &mut batched, 0, &[]).expect("batched runs");
+        let (mut batched, mut scaled, mut single) = (shard(), shard(), shard());
+        run_ops(&[op(3)], &mut batched, 0, &[], 1).expect("batched runs");
+        run_ops(&[op(1)], &mut scaled, 0, &[], 3).expect("scaled runs");
         for _ in 0..3 {
-            run_ops(&[op(1)], &mut single, 0, &[]).expect("single runs");
+            run_ops(&[op(1)], &mut single, 0, &[], 1).expect("single runs");
         }
         assert_eq!(contents(&batched), contents(&single));
+        assert_eq!(contents(&scaled), contents(&single));
         contents(&batched)
+    }
+
+    /// The fault `op` raises against `tapes`, which must name `node`.
+    fn fault_reason(op: &Op, node: &str, tapes: Vec<Tape>) -> String {
+        let mut shards = vec![Shard {
+            tapes,
+            frames: Vec::new(),
+        }];
+        match run_ops(std::slice::from_ref(op), &mut shards, 0, &[], 1) {
+            Err(ExecError::Fault { node: n, reason }) => {
+                assert_eq!(n, node);
+                reason
+            }
+            other => panic!("expected a fault, got {other:?}"),
+        }
     }
 
     #[test]
@@ -714,19 +748,7 @@ mod tests {
             outputs: vec![loc(1)].into(),
             times: 2,
         };
-        let reason = |tapes: Vec<Tape>| {
-            let mut shards = vec![Shard {
-                tapes,
-                frames: Vec::new(),
-            }];
-            match run_ops(std::slice::from_ref(&dup), &mut shards, 0, &[]) {
-                Err(ExecError::Fault { node, reason }) => {
-                    assert_eq!(node, "duplicate splitter");
-                    reason
-                }
-                other => panic!("expected a fault, got {other:?}"),
-            }
-        };
+        let reason = |tapes| fault_reason(&dup, "duplicate splitter", tapes);
         assert_eq!(
             reason(vec![tape_f(&[1.0]), tape_f(&[])]),
             "duplicate splitter input underflow"
@@ -736,5 +758,111 @@ mod tests {
             reason(vec![tape_f(&[1.0, 2.0]), full]),
             "duplicate splitter output overflow"
         );
+    }
+
+    /// A 32-slot tape of `ty` holding `items`.
+    fn roomy(ty: DataType, items: &[f64]) -> Tape {
+        let mut t = Tape::with_capacity(ty, 32);
+        assert_eq!(t.extend_from_f64(items), items.len());
+        t
+    }
+
+    #[test]
+    fn batched_moves_match_item_at_a_time_order() {
+        let loc = |slot| Loc { shard: 0, slot };
+        let halves = |n: usize| (0..n).map(|i| i as f64 + 0.5).collect::<Vec<_>>();
+        let (f, i) = (DataType::Float, DataType::Int);
+        // A roundrobin(2, 1, 3) splitter: a float input dealt onto a
+        // float, an int (which truncates) and a float output that
+        // already holds an item; one item stays behind on the input.
+        let after = batched_matches_single(
+            &[
+                roomy(f, &halves(19)),
+                roomy(f, &[]),
+                roomy(i, &[]),
+                roomy(f, &[9.0]),
+            ],
+            |times| Op::Moves {
+                moves: [(1, 2), (2, 1), (3, 3)]
+                    .map(|(dst, n)| MoveSpec {
+                        src: loc(0),
+                        dst: loc(dst),
+                        n,
+                    })
+                    .into(),
+                times,
+            },
+        );
+        assert_eq!(after[0], vec![18.5]);
+        assert_eq!(after[1], vec![0.5, 1.5, 6.5, 7.5, 12.5, 13.5]);
+        assert_eq!(after[2], vec![2.0, 8.0, 14.0]);
+        assert_eq!(after[3][..4], [9.0, 3.5, 4.5, 5.5]);
+        // The matching joiner interleaves its inputs firing by firing.
+        let after = batched_matches_single(
+            &[
+                roomy(f, &halves(7)),
+                roomy(i, &[10.0, 20.0, 30.0]),
+                roomy(f, &halves(9)),
+                roomy(f, &[]),
+            ],
+            |times| Op::Moves {
+                moves: [(0, 2), (1, 1), (2, 3)]
+                    .map(|(src, n)| MoveSpec {
+                        src: loc(src),
+                        dst: loc(3),
+                        n,
+                    })
+                    .into(),
+                times,
+            },
+        );
+        assert_eq!(after[..3], [vec![6.5], vec![], vec![]]);
+        assert_eq!(
+            after[3][..9],
+            [0.5, 1.5, 10.0, 0.5, 1.5, 2.5, 2.5, 3.5, 20.0]
+        );
+        assert_eq!(after[3].len(), 18);
+    }
+
+    #[test]
+    fn moves_underflow_and_overflow_fault() {
+        let loc = |slot| Loc { shard: 0, slot };
+        let mv = |src, dst, n| Op::Moves {
+            moves: vec![MoveSpec {
+                src: loc(src),
+                dst: loc(dst),
+                n,
+            }]
+            .into(),
+            times: 2,
+        };
+        let reason = |op: &Op, tapes| fault_reason(op, "roundrobin", tapes);
+        // The second firing finds one item where it needs two.
+        assert_eq!(
+            reason(&mv(0, 1, 2), vec![tape_f(&[1.0, 2.0, 3.0]), tape_f(&[])]),
+            "tape underflow: need 2, have 1"
+        );
+        assert_eq!(
+            reason(&mv(0, 1, 2), vec![tape_f(&[1.0; 4]), tape_f(&[0.0; 5])]),
+            "tape overflow: need 2 free, have 1"
+        );
+        assert_eq!(
+            reason(&mv(0, 0, 1), vec![tape_f(&[1.0; 4])]),
+            "move needs two distinct tapes"
+        );
+    }
+
+    #[test]
+    fn a_scale_that_overflows_the_firing_count_faults() {
+        let dup = Op::Dup {
+            input: Loc { shard: 0, slot: 0 },
+            outputs: Vec::new().into(),
+            times: 1 << 31,
+        };
+        let mut shards = vec![Shard::default()];
+        match run_ops(&[dup], &mut shards, 0, &[], 2) {
+            Err(ExecError::Fault { node, .. }) => assert_eq!(node, "schedule"),
+            other => panic!("expected a fault, got {other:?}"),
+        }
     }
 }

@@ -61,6 +61,10 @@ pub enum ExecError {
     /// More output was requested than the graph can ever produce (its
     /// steady state emits nothing).
     NoSteadyOutput,
+    /// The run asks for an external ring (`what`) of `items` items,
+    /// which overflows or which the allocator refuses: reported before a
+    /// single firing instead of aborting the process.
+    TooLarge { what: &'static str, items: u64 },
     /// A worker panicked during execution.  The panic was caught at the
     /// stage boundary; `stage` attributes it and `payload` carries the
     /// panic message when it was a string (the overwhelmingly common
@@ -99,6 +103,12 @@ impl fmt::Display for ExecError {
                 write!(f, "insufficient input: need {needed} items, have {have}")
             }
             ExecError::NoSteadyOutput => write!(f, "graph produces no steady-state output"),
+            ExecError::TooLarge { what, items } => {
+                write!(
+                    f,
+                    "run too large: cannot allocate the {what} ({items} items)"
+                )
+            }
             ExecError::WorkerPanic { stage, payload } => {
                 write!(f, "worker panicked in {stage}: {payload}")
             }
@@ -284,6 +294,13 @@ impl CompiledGraph {
                 .map(|ops| count(ops))
                 .sum::<u64>()
             + count(&self.plan.post_ops)
+    }
+
+    /// Steady iterations one scaled round runs, or `None` when the
+    /// planner proved no stride longer than the unit round (see
+    /// [`plan::Batch`]).
+    pub fn batch_factor(&self) -> Option<u32> {
+        self.plan.batch.as_ref().map(|b| b.k)
     }
 
     /// Open an incremental [`Session`] over this graph (shared via
@@ -572,6 +589,72 @@ mod tests {
             }) => {}
             other => panic!("expected Starved, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_batch_is_sixteen_unit_rounds_with_one_peek_window() {
+        // peek 3 / pop 1: sixteen iterations pop 16 and must see 18.
+        let f = FilterBuilder::new("avg", DataType::Float)
+            .rates(3, 1, 1)
+            .work(|b| {
+                b.push((peek(lit(0i64)) + peek(lit(1i64)) + peek(lit(2i64))) / lit(3.0))
+                    .pop_discard()
+            })
+            .build_node();
+        let g = streamit_graph::FlatGraph::from_stream(&f);
+        let c = CompiledGraph::compile(&g, None).expect("supported");
+        assert_eq!(c.batch_factor(), Some(16));
+        let batch = c.plan().batch.as_ref().expect("batches");
+        assert_eq!(batch.round_in_required, 18);
+        assert_eq!(c.required_input(16), 18);
+        // The unit plan is what it was: one firing, a window of three.
+        assert_eq!(c.firings_per_iteration(), 1);
+        assert_eq!(c.plan().stats.round_in_required, 3);
+    }
+
+    #[test]
+    fn shards_built_for_a_short_run_keep_the_driver_on_unit_rounds() {
+        let s = pipeline("p", vec![counter_source("src"), doubler("x2")]);
+        let g = streamit_graph::FlatGraph::from_stream(&s);
+        let c = CompiledGraph::compile(&g, None).expect("supported");
+        let sched = c.plan().schedule();
+        let link = |shards: &[engine::Shard]| shards[0].tapes[2].capacity();
+        let short = driver::preload(&sched, &[], 15).expect("preloads");
+        let long = driver::preload(&sched, &[], 16).expect("preloads");
+        assert_eq!((link(&short), link(&long)), (1, 16));
+        // Unit-sized tapes under a schedule that lends its batch: the
+        // scaled round would overflow the one-item link, so it is not
+        // taken, and forty iterations run one at a time.
+        let unit = driver::Schedule {
+            batch: None,
+            ..sched
+        };
+        let shards = driver::build_shards(&unit, &[], 0, 64).expect("allocates");
+        let mut d = Driver::new(shards, 0, "test", None, None);
+        assert_eq!(d.drive(&sched, 40), Ok((40, Stop::Budget)));
+        let out = driver::read_output(&d.into_parts().0, sched.ext_out).expect("reads");
+        assert_eq!(out, c.run_steady(&[], 40).expect("runs"));
+    }
+
+    #[test]
+    fn rings_no_host_can_hold_are_too_large_instead_of_aborting() {
+        // A source needs no input, so nothing starves first: the output
+        // ring of the whole run is the first thing asked for.
+        let g = streamit_graph::FlatGraph::from_stream(&counter_source("src"));
+        let c = std::sync::Arc::new(CompiledGraph::compile(&g, None).expect("supported"));
+        for k in [1 << 50, u64::MAX] {
+            match c.run_steady(&[], k) {
+                Err(ExecError::TooLarge { what, items }) => {
+                    assert_eq!((what, items), ("output ring", k));
+                }
+                other => panic!("expected TooLarge, got {other:?}"),
+            }
+        }
+        let cfg = SessionConfig::with_buffers(1 << 50);
+        assert!(matches!(
+            c.open_session(&cfg),
+            Err(ExecError::TooLarge { .. })
+        ));
     }
 
     #[test]

@@ -161,6 +161,21 @@ impl Default for LowerOptions {
     }
 }
 
+/// The steady state at a longer stride: `k` unit rounds run as one
+/// round over the same op lists with every `times` multiplied by `k`,
+/// proved by the count simulation from the unit plan's post-init
+/// snapshot.
+#[derive(Debug, Clone)]
+pub struct Batch {
+    pub k: u32,
+    /// Input items that must be staged before a scaled round (its
+    /// `round_req`; never less than `k` × `round_in`).
+    pub round_in_required: u64,
+    /// Tape capacities that hold initialization, unit rounds and scaled
+    /// rounds alike, indexed like [`Plan::tapes`].
+    pub caps: Vec<Vec<u64>>,
+}
+
 /// A fully compiled graph: everything the engine needs, with no
 /// remaining references to the source graph.
 #[derive(Debug, Clone)]
@@ -177,6 +192,9 @@ pub struct Plan {
     /// and may run on separate threads.
     pub branch_ops: Vec<Vec<Op>>,
     pub post_ops: Vec<Op>,
+    /// The longest stride the count simulation proved for these op
+    /// lists, if any; everything else here describes the unit round.
+    pub batch: Option<Batch>,
     pub input_ty: DataType,
     pub stats: Stats,
     /// Typed lowering notes (e.g. `L0701` dropped-kernel-hint warnings),
@@ -200,6 +218,7 @@ impl Plan {
             pre: &self.pre_ops,
             branches: &self.branch_ops,
             post: &self.post_ops,
+            batch: self.batch.as_ref(),
         }
     }
 }
@@ -377,6 +396,21 @@ pub fn firing_io(g: &FlatGraph, node: NodeId, first: bool) -> (Vec<PortUse>, Vec
 
 const MAX_INIT_FIRINGS: usize = 1 << 16;
 const MAX_PRIME_ROUNDS: usize = 10_000;
+/// Batch factors the planner tries, longest first.  `fir-vm` read 630 k
+/// items/s with 1 as the only factor and 954 k / 1.13 M / 1.26 M /
+/// 1.33 M / 1.39 M / 1.43 M with 2 / 4 / 8 / 16 / 32 / 64 (PR 19, 2-vCPU
+/// host, no byte budget): each doubling past 16 buys 3–4 % and doubles
+/// both the tapes and the iterations a run must have left to take a
+/// scaled round at all (`sort-dispatch`'s 32-iteration runs fall back
+/// to 1.67 M at 64).
+const BATCH_FACTORS: [u32; 4] = [16, 8, 4, 2];
+/// Bytes of tape a plan may hold at its batch capacities, bounded from
+/// above as `k` × the unit capacities.  `sort-dispatch` read 1.66 M
+/// items/s at 1 and 2.47 M / 2.57 M / 2.59 M at 8 / 16 / 32 on 148 /
+/// 296 / 592 KiB of tapes: the last 4 % would cost twice the memory, so
+/// a quarter MiB, which picks 8 for `bitonic_sort(32)` and 16 for
+/// `fmradio(10, 64)` (10 KiB).
+pub const BATCH_TAPE_BYTES: u64 = 256 << 10;
 
 /// Abstract (item-count only) simulator used to derive the init firing
 /// sequence: one firing per prework filter plus whatever upstream
@@ -684,6 +718,7 @@ pub fn init_ops_from_seq(g: &FlatGraph, lay: &Layout, seq: &[NodeId]) -> Vec<Op>
 }
 
 /// Count simulation: proves the plan sound and sizes the tapes.
+#[derive(Clone)]
 pub struct CountSim {
     pub occ: Vec<Vec<u64>>,
     pub maxo: Vec<Vec<u64>>,
@@ -720,8 +755,8 @@ impl CountSim {
         }
     }
 
-    fn apply(&mut self, op: &Op, codes: &[FilterCode]) -> Result<(), String> {
-        let times = op.times() as u64;
+    fn apply(&mut self, op: &Op, codes: &[FilterCode], scale: u64) -> Result<(), String> {
+        let times = op.times() as u64 * scale;
         // (loc, pop-per-firing, window slack beyond pop) / (loc, push-per-firing),
         // with same-slot inputs pre-aggregated.
         let mut ins: Vec<(Loc, u64, u64)> = Vec::new();
@@ -812,9 +847,11 @@ impl CountSim {
         Ok(())
     }
 
-    pub fn run(&mut self, ops: &[Op], codes: &[FilterCode]) -> Result<(), String> {
+    /// Apply `ops` in order, each fired `scale` × its `times` (1 for
+    /// the unit round; a batch factor when proving a scaled one).
+    pub fn run(&mut self, ops: &[Op], codes: &[FilterCode], scale: u64) -> Result<(), String> {
         for op in ops {
-            self.apply(op, codes)?;
+            self.apply(op, codes, scale)?;
         }
         Ok(())
     }
@@ -950,28 +987,28 @@ fn assemble(
 
     // Count simulation: init once, then two identical steady rounds.
     let mut sim = CountSim::new(&tapes, EXT_IN, EXT_OUT);
-    sim.run(&init_ops, &codes)?;
+    sim.run(&init_ops, &codes, 1)?;
     let init_in = sim.ext_used;
     let init_in_required = sim.ext_req;
     let init_out = sim.ext_out;
     let snapshot = sim.occ.clone();
 
-    let round = |sim: &mut CountSim| -> Result<(u64, u64, u64), String> {
+    let round = |sim: &mut CountSim, scale: u64| -> Result<(u64, u64, u64), String> {
         let (used0, out0) = (sim.ext_used, sim.ext_out);
         sim.round_base = sim.ext_used;
         sim.round_req = 0;
-        sim.run(&pre_ops, &codes)?;
+        sim.run(&pre_ops, &codes, scale)?;
         for ops in &branch_ops {
-            sim.run(ops, &codes)?;
+            sim.run(ops, &codes, scale)?;
         }
-        sim.run(&post_ops, &codes)?;
+        sim.run(&post_ops, &codes, scale)?;
         Ok((sim.ext_used - used0, sim.ext_out - out0, sim.round_req))
     };
-    let (round_in, round_out, round_req) = round(&mut sim)?;
+    let (round_in, round_out, round_req) = round(&mut sim, 1)?;
     if sim.occ != snapshot {
         return Err("round is not steady (occupancy drifts)".into());
     }
-    let (in2, out2, req2) = round(&mut sim)?;
+    let (in2, out2, req2) = round(&mut sim, 1)?;
     if sim.occ != snapshot || in2 != round_in || out2 != round_out || req2 != round_req {
         return Err("round is not reproducible".into());
     }
@@ -985,6 +1022,29 @@ fn assemble(
         }
     }
 
+    // Execution scaling: the longest stride whose tapes fit the budget
+    // and whose round — the same ops at `k` × `times`, simulated from
+    // the same snapshot — is exactly `k` unit rounds of steady state.
+    // An acyclic graph proves the first factor it can afford; a
+    // feedback loop gets what its enqueued items pay for, often none.
+    let unit_bytes = 8 * tapes.iter().flatten().map(|t| t.cap).sum::<u64>();
+    let steady = pre_ops.iter().chain(branch_ops.iter().flatten());
+    let max_times = steady.chain(&post_ops).map(Op::times).max().unwrap_or(0);
+    let batch = BATCH_FACTORS.into_iter().find_map(|k| {
+        if unit_bytes.saturating_mul(k.into()) > BATCH_TAPE_BYTES {
+            return None;
+        }
+        max_times.checked_mul(k)?;
+        let mut scaled = sim.clone();
+        let (used, out, req) = round(&mut scaled, k.into()).ok()?;
+        let k_rounds = used == round_in * k as u64 && out == round_out * k as u64;
+        (scaled.occ == snapshot && k_rounds).then_some(Batch {
+            k,
+            round_in_required: req,
+            caps: scaled.maxo,
+        })
+    });
+
     Ok(Plan {
         codes,
         tapes,
@@ -993,6 +1053,7 @@ fn assemble(
         pre_ops,
         branch_ops,
         post_ops,
+        batch,
         input_ty,
         notes: Vec::new(),
         stats: Stats {

@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use crate::driver::{build_shards, Driver, Stop};
+use crate::driver::{build_shards, Driver, Schedule, Stop};
 use crate::plan::{EXT_IN, EXT_OUT};
 use crate::tape::Tape;
 use crate::{CompiledGraph, ExecError, FaultPlan};
@@ -71,13 +71,23 @@ pub struct Session {
     poisoned: Option<ExecError>,
 }
 
+/// The graph's schedule at the unit stride only: a session's shards are
+/// built at the unit capacities (memory per instance is what a daemon
+/// multiplies by its instance count), so it never lends the batch.
+fn unit_schedule(graph: &CompiledGraph) -> Schedule<'_> {
+    Schedule {
+        batch: None,
+        ..graph.plan().schedule()
+    }
+}
+
 impl Session {
     /// Open a session over `graph` with staging rings per `cfg`.
     /// Graphs whose steady state emits nothing are rejected with
     /// [`ExecError::NoSteadyOutput`]: a stream served incrementally
     /// must produce a stream.
     pub fn open(graph: Arc<CompiledGraph>, cfg: &SessionConfig) -> Result<Session, ExecError> {
-        let sched = graph.plan().schedule();
+        let sched = unit_schedule(&graph);
         let stats = sched.stats;
         if stats.round_out == 0 {
             return Err(ExecError::NoSteadyOutput);
@@ -87,7 +97,7 @@ impl Session {
             .max(stats.init_in_required)
             .max(stats.round_in_required);
         let out_cap = cfg.out_capacity.max(stats.init_out).max(stats.round_out);
-        let shards = build_shards(&sched, &[], in_cap, out_cap);
+        let shards = build_shards(&sched, &[], in_cap, out_cap)?;
         let driver = Driver::new(shards, 0, "session", cfg.fault, None);
         Ok(Session {
             graph,
@@ -136,7 +146,7 @@ impl Session {
         if let Some(e) = &self.poisoned {
             return Err(e.clone());
         }
-        match self.driver.drive(&self.graph.plan().schedule(), max_iters) {
+        match self.driver.drive(&unit_schedule(&self.graph), max_iters) {
             Ok((ran, _)) => Ok(ran),
             Err(e) => {
                 self.poisoned = Some(e.clone());
@@ -150,7 +160,7 @@ impl Session {
     /// progress.  A session that reports `None` yet steps zero
     /// iterations is stalled — the signal a supervisor acts on.
     pub fn blocked(&self) -> Option<Stop> {
-        self.driver.gate(&self.graph.plan().schedule())
+        self.driver.gate(&unit_schedule(&self.graph))
     }
 
     /// Items currently staged on the input ring (pushed, not consumed).

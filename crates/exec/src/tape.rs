@@ -34,6 +34,23 @@ impl<T: Copy + Default> Ring<T> {
         }
     }
 
+    /// [`Ring::with_capacity`] for a size the caller of a run chose
+    /// rather than the planner: `None` when the rounded capacity
+    /// overflows or the allocator refuses it, where `with_capacity`
+    /// would abort the process.
+    pub fn try_with_capacity(min_cap: u64) -> Option<Ring<T>> {
+        let cap = min_cap.checked_next_power_of_two()?;
+        let mut buf = Vec::new();
+        buf.try_reserve_exact(usize::try_from(cap).ok()?).ok()?;
+        buf.resize(cap as usize, T::default());
+        Some(Ring {
+            buf: buf.into_boxed_slice(),
+            mask: cap - 1,
+            head: 0,
+            tail: 0,
+        })
+    }
+
     /// A zero-capacity placeholder used while a tape is temporarily taken
     /// out of its slot.  Never read or written.
     pub fn placeholder() -> Ring<T> {
@@ -162,6 +179,14 @@ impl Tape {
         }
     }
 
+    /// See [`Ring::try_with_capacity`].
+    pub fn try_with_capacity(ty: DataType, min_cap: u64) -> Option<Tape> {
+        Some(match ty {
+            DataType::Int => Tape::I(Ring::try_with_capacity(min_cap)?),
+            DataType::Float => Tape::F(Ring::try_with_capacity(min_cap)?),
+        })
+    }
+
     /// Placeholder left in a slot while the real tape is taken out.
     pub fn placeholder() -> Tape {
         Tape::I(Ring::placeholder())
@@ -184,11 +209,16 @@ impl Tape {
     }
 
     #[inline]
-    pub fn free(&self) -> u64 {
+    pub fn capacity(&self) -> u64 {
         match self {
-            Tape::I(r) => r.capacity() - r.len(),
-            Tape::F(r) => r.capacity() - r.len(),
+            Tape::I(r) => r.capacity(),
+            Tape::F(r) => r.capacity(),
         }
+    }
+
+    #[inline]
+    pub fn free(&self) -> u64 {
+        self.capacity() - self.len()
     }
 
     /// Push a value held as `i64`, coercing to the tape's element type

@@ -359,7 +359,7 @@ impl ParallelGraph {
                 .zip(&next.stage_of_node)
                 .filter(|(a, b)| a != b)
                 .count();
-            shards = migrate_shards(cur, &next, shards);
+            shards = migrate_shards(cur, &next, shards)?;
             report.events.push(ReplanEvent {
                 at_iteration: done,
                 imbalance: imb,
@@ -409,8 +409,12 @@ fn imbalance(busy: &[f64]) -> f64 {
 /// Called at a steady iteration boundary, where channels are empty and
 /// staging tapes drained — so consumer tapes, the external tapes, and
 /// filter frames are the whole live state.
-fn migrate_shards(old_plan: &StagedPlan, new_plan: &StagedPlan, mut old: Vec<Shard>) -> Vec<Shard> {
-    let mut fresh = build_shards(&new_plan.schedule(), &[], 0, 1);
+fn migrate_shards(
+    old_plan: &StagedPlan,
+    new_plan: &StagedPlan,
+    mut old: Vec<Shard>,
+) -> Result<Vec<Shard>, ExecError> {
+    let mut fresh = build_shards(&new_plan.schedule(), &[], 0, 1)?;
     let mut mv = |from: Loc, to: Loc| {
         if from != plan::NO_EXT && to != plan::NO_EXT {
             fresh[to.shard as usize].tapes[to.slot as usize] = std::mem::replace(
@@ -430,7 +434,7 @@ fn migrate_shards(old_plan: &StagedPlan, new_plan: &StagedPlan, mut old: Vec<Sha
                 std::mem::take(&mut old[f.shard as usize].frames[f.slot as usize]);
         }
     }
-    fresh
+    Ok(fresh)
 }
 
 #[cfg(test)]

@@ -112,6 +112,7 @@ impl StagedPlan {
             pre: &[],
             branches: &[],
             post: &[],
+            batch: None,
         }
     }
 
@@ -392,7 +393,7 @@ pub fn build_staged_plan_costed(
     // Count simulation: init once, then two identical steady rounds
     // (steadiness + reproducibility), sizing every consumer tape.
     let mut sim = CountSim::new(&tapes, consumer_lay.ext_in, consumer_lay.ext_out);
-    sim.run(&init_ops, &codes)?;
+    sim.run(&init_ops, &codes, 1)?;
     let init_in = sim.ext_used;
     let init_in_required = sim.ext_req;
     let init_out = sim.ext_out;
@@ -402,7 +403,7 @@ pub fn build_staged_plan_costed(
         sim.round_base = sim.ext_used;
         sim.round_req = 0;
         for ops in &sim_ops {
-            sim.run(ops, &codes)?;
+            sim.run(ops, &codes, 1)?;
         }
         Ok((sim.ext_used - used0, sim.ext_out - out0, sim.round_req))
     };

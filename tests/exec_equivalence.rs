@@ -59,12 +59,10 @@ fn differential(name: &str, p: &CompiledProgram, n: usize) -> Option<String> {
 }
 
 /// All fifteen benchmark graphs (the twelve-application evaluation suite
-/// plus BeamFormer and both frequency-hopping radio variants), each run
-/// differentially.  Apps the compiled engine declines are listed with
-/// their reason; the four throughput-benchmark apps must be accepted.
-#[test]
-fn apps_run_bit_identical_on_both_engines() {
-    let graphs: Vec<(&str, StreamNode, usize)> = vec![
+/// plus BeamFormer and both frequency-hopping radio variants), with the
+/// output prefix the differential test compares on each.
+fn app_graphs() -> Vec<(&'static str, StreamNode, usize)> {
+    vec![
         ("beamformer", apps::beamformer::beamformer(12, 4, 32), 16),
         ("bitonic", apps::bitonic::bitonic_sort(32), 32),
         (
@@ -84,7 +82,15 @@ fn apps_run_bit_identical_on_both_engines() {
         ("serpent", apps::serpent::serpent(4), 16),
         ("tde", apps::tde::tde(32), 16),
         ("vocoder", apps::vocoder::vocoder(8), 8),
-    ];
+    ]
+}
+
+/// Each of the fifteen run differentially.  Apps the compiled engine
+/// declines are listed with their reason; the four
+/// throughput-benchmark apps must be accepted.
+#[test]
+fn apps_run_bit_identical_on_both_engines() {
+    let graphs = app_graphs();
     let must_support = ["fmradio", "filterbank", "beamformer", "bitonic"];
     let mut declined = Vec::new();
     for (name, stream, n) in graphs {
@@ -123,7 +129,7 @@ mod generated {
     use streamit::analysis::analyze_block;
     use streamit::exec::ExecError;
     use streamit::graph::builder::FilterBuilder;
-    use streamit::graph::DataType;
+    use streamit::graph::{DataType, Stmt, StreamNode};
     use streamit::Compiler;
 
     use super::irgen::{gen_block, selected, Gen, Scope, Selected};
@@ -140,7 +146,10 @@ mod generated {
         Compared(Selected),
     }
 
-    pub(super) fn run_case(seed: u64) -> Case {
+    /// The body seed `seed` generates and the tape type it draws, with
+    /// the `[peek, pop, push]` the interval analysis proves for it;
+    /// `None` when the rates are not exact (or absurd).
+    pub(super) fn generate(seed: u64) -> Option<(Vec<Stmt>, DataType, [usize; 3])> {
         let mut g = Gen(seed | 1);
         let mut sc = Scope::default();
         let block = gen_block(&mut g, &mut sc, 2);
@@ -159,19 +168,33 @@ mod generated {
             analysis.pushes.as_constant(),
             analysis.need.as_constant(),
         ) else {
-            return Case::Skipped;
+            return None;
         };
         if pop < 0 || push < 0 || need < 0 || push > 4096 || need > 4096 {
-            return Case::Skipped;
+            return None;
         }
-        let peek = need.max(pop) as usize;
+        let rates = [need.max(pop) as usize, pop as usize, push as usize];
+        Some((block, ty, rates))
+    }
 
-        let body = block.clone();
-        let f = FilterBuilder::new("gen", ty)
-            .rates(peek, pop as usize, push as usize)
-            .work(move |b| body.iter().cloned().fold(b, |b, s| b.stmt(s)))
-            .build_node();
-        let p = match Compiler::default().compile_stream(f) {
+    /// `block` as a filter named `gen` over `ty` tapes.
+    pub(super) fn filter(
+        block: &[Stmt],
+        ty: DataType,
+        [peek, pop, push]: [usize; 3],
+    ) -> StreamNode {
+        let body = block.to_vec();
+        FilterBuilder::new("gen", ty)
+            .rates(peek, pop, push)
+            .work(move |b| body.into_iter().fold(b, |b, s| b.stmt(s)))
+            .build_node()
+    }
+
+    pub(super) fn run_case(seed: u64) -> Case {
+        let Some((block, ty, rates)) = generate(seed) else {
+            return Case::Skipped;
+        };
+        let p = match Compiler::default().compile_stream(filter(&block, ty, rates)) {
             Ok(p) => p,
             Err(_) => return Case::Skipped,
         };
@@ -258,6 +281,133 @@ fn generated_sweep_compares_a_healthy_fraction() {
     }
 }
 
+// ---- execution scaling -------------------------------------------------
+//
+// A plan may run its steady state `K` iterations at a time (DESIGN.md
+// "Execution scaling").  Bit-identity is Kahn determinism — a filter
+// sees the same items and its own state whatever order filters are
+// entered in — and is shown here rather than argued: the same schedule
+// with and without its batch, by bits, on everything this suite can
+// build.
+
+mod metamorphic {
+    use streamit::exec::driver::{preload, read_output, Driver, Schedule, Stop};
+    use streamit::exec::{CompiledGraph, ExecError};
+    use streamit::graph::builder::{lit, peek, pipeline, FilterBuilder};
+    use streamit::graph::{DataType, StreamNode};
+
+    use super::{app_graphs, compile, generated, varied_input};
+
+    /// What `k` iterations driven through `s` leave behind: the output
+    /// by bits, the driver's iteration count and `drive`'s own answer.
+    fn driven(s: &Schedule<'_>, input: &[f64], k: u64) -> (Vec<u64>, u64, (u64, Stop)) {
+        let shards = preload(s, input, k).expect("input covers the run");
+        let mut d = Driver::new(shards, 0, "metamorphic", None, None);
+        let stop = d.drive(s, k).expect("runs");
+        let iterations = d.iterations();
+        let out = read_output(&d.into_parts().0, s.ext_out).expect("float output tape");
+        (out.iter().map(|v| v.to_bits()).collect(), iterations, stop)
+    }
+
+    /// `batch: Some(K)` == `batch: None` on run lengths either side of
+    /// one, two and five batches.  Returns `K` (`None`: no batch, both
+    /// sides are the unit stride and agree trivially).
+    pub(super) fn strides_agree(name: &str, cg: &CompiledGraph) -> Option<u32> {
+        let batched = cg.plan().schedule();
+        let unit = Schedule {
+            batch: None,
+            ..batched
+        };
+        let factor = cg.batch_factor();
+        let k = u64::from(factor.unwrap_or(1));
+        for iters in [k - 1, k, k + 1, 2 * k + 3, 5 * k] {
+            let input = varied_input(cg.required_input(iters) as usize);
+            let (want, got) = (
+                driven(&unit, &input, iters),
+                driven(&batched, &input, iters),
+            );
+            assert_eq!(want.2, (iters, Stop::Budget), "{name}: {iters} iterations");
+            assert!(
+                want == got,
+                "{name}: {iters} iterations at stride {factor:?} diverge from the unit stride"
+            );
+        }
+        factor
+    }
+
+    /// `peek window pop 1 push 1`: behind a generated filter it puts a
+    /// tape of `window` items into the plan, which is what the byte
+    /// budget weighs.
+    fn tail(ty: DataType, window: usize) -> StreamNode {
+        FilterBuilder::new("tail", ty)
+            .rates(window, 1, 1)
+            .work(|b| b.push(peek(lit(window as i64 - 1))).pop_discard())
+            .build_node()
+    }
+
+    #[test]
+    fn batched_rounds_match_unit_rounds() {
+        for (name, stream, _) in app_graphs() {
+            match compile(name, stream).compile_exec() {
+                Ok(cg) => eprintln!("{name}: stride {:?}", strides_agree(name, &cg)),
+                Err(ExecError::Unsupported { .. }) => {}
+                Err(e) => panic!("{name}: {e}"),
+            }
+        }
+
+        // Every generated body on both tape types.  One seed in sixteen
+        // gets a deep-peeking tail sized to cost it some or all of its
+        // batch, so that the sweep sees every factor and the unit
+        // stride on graphs that do have one.
+        let mut factors = std::collections::BTreeMap::new();
+        for seed in 0..512u64 {
+            let Some((block, _, rates)) = generated::generate(seed) else {
+                continue;
+            };
+            let window = match seed % 64 {
+                0 => 20_000,
+                1 => 12_000,
+                2 => 6_000,
+                3 => 3_000,
+                w => 1 + w as usize % 5,
+            };
+            for ty in [DataType::Int, DataType::Float] {
+                let gen = generated::filter(&block, ty, rates);
+                // A body that pushes nothing cannot feed a tail.
+                let stream = if rates[2] == 0 {
+                    gen
+                } else {
+                    pipeline("p", vec![gen, tail(ty, window)])
+                };
+                let Ok(p) = streamit::Compiler::default().compile_stream(stream) else {
+                    continue;
+                };
+                let Ok(cg) = p.compile_exec() else {
+                    continue;
+                };
+                let factor = strides_agree(&format!("seed {seed} on {ty:?}"), &cg);
+                *factors.entry(factor).or_insert(0usize) += 1;
+            }
+        }
+        let accepted: usize = factors.values().sum();
+        let unbatched = factors.get(&None).copied().unwrap_or(0);
+        let batching = accepted - unbatched;
+        eprintln!("generated: {accepted} accepted, strides {factors:?}");
+        assert!(
+            accepted >= 64,
+            "only {accepted} generated cases were driven"
+        );
+        assert!(
+            batching * 10 >= accepted * 9,
+            "only {batching} of {accepted} generated cases batch: the scaled stride is barely tested"
+        );
+        assert!(
+            unbatched >= 1,
+            "every generated case batches: the fall-back to the unit stride is untested"
+        );
+    }
+}
+
 // ---- fault parity ------------------------------------------------------
 //
 // The static-analysis gate refuses any body that could peek outside its
@@ -269,8 +419,8 @@ fn generated_sweep_compares_a_healthy_fraction() {
 
 mod faults {
     use streamit::exec::bytecode::{lower_filter, Inst};
-    use streamit::exec::driver::{preload, Driver};
-    use streamit::exec::{CompiledGraph, ExecError};
+    use streamit::exec::driver::{preload, Driver, Schedule};
+    use streamit::exec::{CompiledGraph, ExecError, FaultPlan};
     use streamit::graph::builder::*;
     use streamit::graph::{DataType, FlatGraph};
 
@@ -355,6 +505,71 @@ mod faults {
     fn instructions_stay_sixteen_bytes() {
         assert_eq!(std::mem::size_of::<Inst>(), 16);
     }
+
+    /// `id` into `div`, which divides by what it pops, on int tapes.
+    fn dividing_pipeline() -> CompiledGraph {
+        let id = FilterBuilder::new("id", DataType::Int)
+            .rates(1, 1, 1)
+            .work(|b| b.push(pop()))
+            .build_node();
+        let div = FilterBuilder::new("div", DataType::Int)
+            .rates(1, 1, 1)
+            .work(|b| b.push(lit(1000i64) / pop()))
+            .build_node();
+        let g = FlatGraph::from_stream(&pipeline("p", vec![id, div]));
+        let cg = CompiledGraph::compile(&g, Some(DataType::Int)).expect("compiles");
+        assert_eq!(cg.batch_factor(), Some(16));
+        cg
+    }
+
+    /// A scaled round enters `id` sixteen times before `div` once, so
+    /// the zero that iteration 20 pops is met in a different order of
+    /// *entries* — and is the same fault, from the same filter.
+    #[test]
+    fn a_fault_inside_a_batch_is_the_fault_of_the_unit_stride() {
+        let cg = dividing_pipeline();
+        let batched = cg.plan().schedule();
+        let unit = Schedule {
+            batch: None,
+            ..batched
+        };
+        let mut input = vec![7.0; 40];
+        input[20] = 0.0;
+        let fault_of = |s: &Schedule<'_>| {
+            let shards = preload(s, &input, 40).expect("input suffices");
+            Driver::new(shards, 0, "golden", None, None)
+                .drive(s, 40)
+                .expect_err("division by zero must fault")
+        };
+        let want = ExecError::Fault {
+            node: "p/div".into(),
+            reason: "division by zero".into(),
+        };
+        assert_eq!(fault_of(&unit), want);
+        assert_eq!(fault_of(&batched), want);
+    }
+
+    /// An armed fault plan names one iteration, so it keeps the driver
+    /// on unit rounds: the panic fires at 17 (not at the batch boundary
+    /// before or after it), and a delay there changes no output bit.
+    #[test]
+    fn an_armed_fault_plan_fires_at_its_own_iteration_of_a_batching_graph() {
+        let cg = dividing_pipeline();
+        let input = vec![7.0; 40];
+        let panic: FaultPlan = "panic@0:17".parse().expect("parses");
+        match cg.run(&input, 40, Some(panic), None) {
+            Err(ExecError::WorkerPanic { payload, .. }) => {
+                assert!(payload.ends_with("stage 0 iteration 17"), "{payload}")
+            }
+            other => panic!("expected a worker panic, got {other:?}"),
+        }
+        let mut delay: FaultPlan = "delay@0:17".parse().expect("parses");
+        delay.delay_ms = 1;
+        let (delayed, _) = cg.run(&input, 40, Some(delay), None).expect("runs");
+        let clean = cg.run_steady(&input, 40).expect("runs");
+        assert_eq!(clean, vec![142.0; 40]);
+        assert_eq!(delayed, clean);
+    }
 }
 
 // ---- performance-cliff guards -------------------------------------------
@@ -368,7 +583,12 @@ mod faults {
 mod cliffs {
     use streamit::apps;
     use streamit::exec::bytecode::Inst;
+    use streamit::exec::plan::BATCH_TAPE_BYTES;
+    use streamit::exec::CompiledGraph;
+    use streamit::linear::LinearMode;
+    use streamit::{Compiler, Options};
 
+    use super::metamorphic::strides_agree;
     use super::{compile, differential};
 
     /// `(name, work-body length)` of every filter whose name has `part`.
@@ -440,5 +660,130 @@ mod cliffs {
             "{code:?}"
         );
         assert_eq!(differential("fir257", &p, 16), None);
+    }
+
+    /// Bytes of channel tape `cg` holds at its batch capacities.
+    fn batch_tape_bytes(cg: &CompiledGraph) -> u64 {
+        let batch = cg.plan().batch.as_ref().expect("the plan batches");
+        8 * batch.caps.iter().flatten().sum::<u64>()
+    }
+
+    /// The stride is the other half of the VM's speed (`fir-vm` 2.3x,
+    /// `sort-dispatch` 1.8x), and a plan that stops batching changes no
+    /// output: the factors the benchmark apps get are pinned, each
+    /// inside the byte budget that chose it.
+    #[test]
+    fn benchmark_apps_keep_their_batch_factors() {
+        let accepted = |name: &str, stream| {
+            let cg = compile(name, stream).compile_exec().expect("accepted");
+            assert!(batch_tape_bytes(&cg) <= BATCH_TAPE_BYTES, "{name}");
+            cg
+        };
+        let fmradio = accepted("fmradio", apps::fmradio::fmradio(10, 64));
+        assert_eq!(fmradio.batch_factor(), Some(16));
+        // 18.5 KiB of unit tapes: sixteen-fold is past the budget.
+        let bitonic = accepted("bitonic", apps::bitonic::bitonic_sort(32));
+        assert_eq!(bitonic.batch_factor(), Some(8));
+        let filterbank = accepted("filterbank", apps::filterbank::filterbank(8, 32));
+        assert_eq!(filterbank.batch_factor(), Some(16));
+        let beamformer = accepted("beamformer", apps::beamformer::beamformer(12, 4, 32));
+        assert!(beamformer.batch_factor() >= Some(4));
+    }
+
+    /// The `fir-kernel` graph: frequency translation makes block
+    /// filters with FFT-sized tapes, so the budget, not the largest
+    /// factor, decides — and is never exceeded.
+    #[test]
+    fn frequency_translated_fmradio_batches_inside_the_budget() {
+        let options = Options {
+            linear: Some(LinearMode::Frequency),
+            ..Options::default()
+        };
+        let p = Compiler::new(options)
+            .compile_stream(apps::fmradio::fmradio(10, 64))
+            .expect("compiles");
+        let cg = p.compile_exec().expect("accepted");
+        assert!(cg.kernel_filters() > 0);
+        let unit_bytes = 8 * cg.plan().tapes.iter().flatten().map(|t| t.cap).sum::<u64>();
+        eprintln!(
+            "{unit_bytes} B of unit tapes: stride {:?}",
+            cg.batch_factor()
+        );
+        match cg.batch_factor() {
+            Some(k) => {
+                assert!(unit_bytes * u64::from(k) <= BATCH_TAPE_BYTES, "stride {k}");
+                assert!(batch_tape_bytes(&cg) <= BATCH_TAPE_BYTES, "stride {k}");
+            }
+            None => assert!(
+                unit_bytes * 2 > BATCH_TAPE_BYTES,
+                "{unit_bytes} B unbatched"
+            ),
+        }
+        strides_agree("fmradio under frequency translation", &cg);
+    }
+
+    fn compile_text(name: &str, source: &str) -> streamit::CompiledProgram {
+        Compiler::default()
+            .compile_source(source, "Main")
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+    }
+
+    /// Two enqueued items, one still on the loop edge at the snapshot,
+    /// and the joiner's second firing of a scaled round wants it: the
+    /// simulation refuses every factor, and the program stays accepted
+    /// and bit-identical at the unit stride.
+    #[test]
+    fn fibonacci_feedback_loop_is_accepted_at_the_unit_stride_only() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../examples/str/fibonacci.str"
+        );
+        let source = std::fs::read_to_string(path).expect("example is readable");
+        let p = compile_text("fibonacci", &source);
+        let cg = p.compile_exec().expect("accepted");
+        assert_eq!(cg.batch_factor(), None);
+        assert_eq!(differential("fibonacci", &p, 40), None);
+        let out = cg.run_collect(&[], 10).expect("runs");
+        assert_eq!(out, [1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 34.0, 55.0, 89.0]);
+    }
+
+    /// `compile-corpus`'s feedback-loop template (an echo whose loop
+    /// path is `stages` gains, primed with `stages` enqueued items) at
+    /// its eight sizes.  Batching is tried after the unit plan is
+    /// proved and can only add to it: all eight stay accepted, as
+    /// before there was a batch, with the stride their items pay for.
+    #[test]
+    fn corpus_feedback_loops_are_all_still_accepted() {
+        let mut strides = Vec::new();
+        for stages in 1..=8usize {
+            let gains = "    add Gain(0.9);\n".repeat(stages);
+            let enqueued = "    enqueue 0.5;\n".repeat(stages);
+            let source = format!(
+                "float->float filter Mix(float a) {{
+                    work pop 2 push 1 {{ float x = pop(); float fb = pop(); push(x + a * fb); }}
+                }}
+                float->float filter Gain(float g) {{ work pop 1 push 1 {{ push(pop() * g); }} }}
+                float->float pipeline LoopPath() {{\n{gains}}}
+                float->float feedbackloop Main() {{
+                    join roundrobin(1, 1);
+                    body Mix(0.5);
+                    split duplicate;
+                    loop LoopPath();\n{enqueued}}}"
+            );
+            let name = format!("feedback loop of {stages}");
+            let p = compile_text(&name, &source);
+            let cg = p
+                .compile_exec()
+                .unwrap_or_else(|e| panic!("{name}: accepted before batching, now {e}"));
+            assert_eq!(differential(&name, &p, 64), None);
+            strides.push(strides_agree(&name, &cg));
+            // A loop of `stages` items cannot pay for a longer stride.
+            assert!(
+                strides[stages - 1].unwrap_or(1) as usize <= stages,
+                "{name}"
+            );
+        }
+        eprintln!("feedback-loop strides: {strides:?}");
+        assert_eq!(strides[0], None);
     }
 }

@@ -719,6 +719,29 @@ fn streamitc_exit_codes_are_documented_values() {
     let _ = std::fs::remove_file(good);
 }
 
+/// `--run N` sizes the synthetic input (sixteen items per output) and
+/// the one-shot output ring from `N` before a single firing.  An `N` no
+/// host can hold — or one whose sixteen-fold wraps `usize` — is a typed
+/// runtime diagnostic on every engine, not an allocator abort (SIGABRT,
+/// which no `catch_unwind` sees) and not a wrapped length.
+#[test]
+fn streamitc_run_too_large_to_allocate_is_e0708_exit_5_on_every_engine() {
+    let file = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/str/fibonacci.str"
+    );
+    for engine in ["reference", "compiled", "parallel"] {
+        for n in ["1000000000000", "18446744073709551615"] {
+            let t0 = std::time::Instant::now();
+            let out = run_streamitc(&[file, "--run", n, "--engine", engine]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(5), "{engine} --run {n}: {stderr}");
+            assert!(stderr.contains("E0708"), "{engine} --run {n}: {stderr}");
+            assert!(t0.elapsed().as_secs() < 2, "{engine} --run {n}");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // 5. streamitc --engine selection, golden behavior.
 // ---------------------------------------------------------------------

@@ -6,7 +6,9 @@
 //! the same driver over the same op arrays.  The slicing is an input
 //! mode of one harness: fixed mutually prime sizes over the whole
 //! corpus, and random sizes (plus random `drive` splits one level
-//! down) as a property over three representative graphs.
+//! down) as a property over three representative graphs.  A session
+//! stays on unit rounds even where the one-shot path batches, so every
+//! step is also checked against a counting model of the unit gate.
 
 use std::sync::Arc;
 
@@ -64,6 +66,7 @@ fn differential(name: &str, p: &CompiledProgram, n: usize, chunks: Chunks) -> Op
         .run_collect(&input, n)
         .unwrap_or_else(|e| panic!("{name}: one-shot run failed: {e}"));
 
+    let mut model = UnitGate::new(&cg, 32);
     let mut fed = 0usize;
     let mut got = Vec::new();
     let mut idle_rounds = 0;
@@ -71,12 +74,19 @@ fn differential(name: &str, p: &CompiledProgram, n: usize, chunks: Chunks) -> Op
         let before = (fed, got.len());
         let (push, step, pull) = chunks();
         if fed < input.len() {
-            fed += session.push_input(&input[fed..input.len().min(fed + push)]);
+            let accepted = session.push_input(&input[fed..input.len().min(fed + push)]);
+            fed += accepted;
+            model.staged += accepted as u64;
         }
-        session
+        let ran = session
             .step(step)
             .unwrap_or_else(|e| panic!("{name}: session step failed: {e}"));
-        got.extend(session.pull_output(pull));
+        assert_eq!(ran, model.step(step), "{name}: iterations of one step");
+        assert_eq!(session.iterations(), model.iterations, "{name}");
+        assert_eq!(session.blocked(), model.blocked(), "{name}");
+        let pulled = session.pull_output(pull);
+        model.waiting -= pulled.len() as u64;
+        got.extend(pulled);
         // A session fed the full one-shot input must keep advancing;
         // a livelock here means the gating logic lost items.
         idle_rounds = if (fed, got.len()) == before {
@@ -99,6 +109,72 @@ fn differential(name: &str, p: &CompiledProgram, n: usize, chunks: Chunks) -> Op
         "{name}: incremental session diverged from one-shot run"
     );
     None
+}
+
+/// What a session does, counted: initialization once its window is
+/// staged and its output fits, then one steady iteration at a time
+/// while a round's window is staged and a round's output fits.  This is
+/// the gate of the unit stride, which a session keeps whether or not
+/// its graph batches.
+struct UnitGate {
+    stats: streamit::exec::plan::Stats,
+    out_capacity: u64,
+    initialized: bool,
+    staged: u64,
+    waiting: u64,
+    iterations: u64,
+}
+
+impl UnitGate {
+    /// The model of a session opened `with_buffers(requested)`.
+    fn new(cg: &CompiledGraph, requested: u64) -> UnitGate {
+        let stats = cg.plan().stats;
+        UnitGate {
+            stats,
+            // Raised to what one phase emits, then to a power of two.
+            out_capacity: requested
+                .max(stats.init_out)
+                .max(stats.round_out)
+                .next_power_of_two(),
+            initialized: false,
+            staged: 0,
+            waiting: 0,
+            iterations: 0,
+        }
+    }
+
+    fn blocked(&self) -> Option<Stop> {
+        let st = &self.stats;
+        let (need_in, need_out) = if self.initialized {
+            (st.round_in_required, st.round_out)
+        } else {
+            (st.init_in_required, st.init_out)
+        };
+        if self.staged < need_in {
+            return Some(Stop::NeedInput(need_in - self.staged));
+        }
+        let free = self.out_capacity - self.waiting;
+        (free < need_out).then(|| Stop::NeedOutputSpace(need_out - free))
+    }
+
+    fn step(&mut self, max_iters: u64) -> u64 {
+        if !self.initialized {
+            if self.blocked().is_some() {
+                return 0;
+            }
+            self.staged -= self.stats.init_in;
+            self.waiting += self.stats.init_out;
+            self.initialized = true;
+        }
+        let mut ran = 0;
+        while ran < max_iters && self.blocked().is_none() {
+            self.staged -= self.stats.round_in;
+            self.waiting += self.stats.round_out;
+            ran += 1;
+        }
+        self.iterations += ran;
+        ran
+    }
 }
 
 /// The same invariance one level down: a driver resumed across
@@ -170,6 +246,30 @@ fn apps_serve_incrementally_bit_identical_to_one_shot() {
         declined.len() <= 7,
         "session serving declined too many apps: {declined:#?}"
     );
+}
+
+/// `drive` has two strides; splits that straddle the batch factor make
+/// it change stride mid-run, in both directions (the random splits of
+/// the property below are all shorter than a batch).
+#[test]
+fn drive_splits_straddling_a_batch_match_one_drive() {
+    let graphs = [
+        ("fmradio", apps::fmradio::fmradio(10, 64)),
+        ("bitonic", apps::bitonic::bitonic_sort(32)),
+        ("source-only", source_only()),
+    ];
+    for (name, stream) in graphs {
+        let cg = compile(name, stream).compile_exec().expect("accepted");
+        let k = u64::from(cg.batch_factor().expect("batches"));
+        for splits in [
+            &[3, 40, 1, 16, 17][..],
+            &[k, k],
+            &[k - 1, 1],
+            &[1, k, k - 1],
+        ] {
+            drive_splits_match_one_drive(name, &cg, splits);
+        }
+    }
 }
 
 /// A stateful source feeding a doubler: no external input at all, so
