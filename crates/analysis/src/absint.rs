@@ -10,9 +10,11 @@
 //!   each `peek(i)` requires `pops_before + i + 1`).
 //!
 //! Control flow is handled structurally: `if` with a condition that folds
-//! to a constant follows one arm (recording the dead arm for the lint
-//! pass); an unresolvable condition analyzes both arms and joins with the
-//! interval hull.  `for` loops with constant bounds are unrolled exactly
+//! to a constant follows one arm; an unresolvable condition analyzes both
+//! arms and joins with the interval hull.  An arm (or a loop body) is
+//! reported dead when no visit of its statement enters it — a property of
+//! the block, not of a visit, so it is reported once however many trips
+//! skip it.  `for` loops with constant bounds are unrolled exactly
 //! (under a fuel budget, so nested loops cannot blow up compilation) —
 //! trip by trip, or in closed form when one pass over the loop
 //! variable's whole range shows every trip does the same thing
@@ -41,9 +43,8 @@
 //! static-rate restriction), `exact` results permit definite rate-
 //! conformance verdicts even when the intervals are not singletons.
 
-use crate::interval::Interval;
+use crate::interval::{Interval, Truth};
 use std::collections::HashMap;
-use streamit_graph::work::int_binop;
 use streamit_graph::{
     BinOp, DataType, Expr, Filter, Intrinsic, LValue, StateInit, Stmt, UnOp, Value,
 };
@@ -107,6 +108,39 @@ impl Slot {
     }
 }
 
+/// What the walk has seen of a block control flow can skip: an `if` arm
+/// or a `for` body.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Reach {
+    /// Some visit ran it (or may have).
+    Entered,
+    /// Every visit so far passed it by; the first one's reason.
+    Skipped(Skip),
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Skip {
+    ThenOfFalse,
+    ElseOfTrue,
+    EmptyRange(i64, i64),
+}
+
+impl std::fmt::Display for Skip {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Skip::ThenOfFalse => {
+                f.write_str("`then` arm of an `if` whose condition is statically false")
+            }
+            Skip::ElseOfTrue => {
+                f.write_str("`else` arm of an `if` whose condition is statically true")
+            }
+            Skip::EmptyRange(lo, hi) => {
+                write!(f, "`for` loop over the empty range {lo}..{hi} never runs")
+            }
+        }
+    }
+}
+
 /// Abstract machine state threaded through the walk.
 #[derive(Debug, Clone, PartialEq)]
 struct AbsState {
@@ -132,14 +166,6 @@ impl AbsState {
             exact: true,
             neg_peek: None,
         }
-    }
-}
-
-/// Pointwise maximum of two intervals (exact transfer for `max`).
-fn imax(a: &Interval, b: &Interval) -> Interval {
-    Interval {
-        lo: a.lo.max(b.lo),
-        hi: a.hi.max(b.hi),
     }
 }
 
@@ -190,30 +216,11 @@ fn widen(next: &AbsState, prev: &AbsState) -> AbsState {
     }
 }
 
-/// Three-valued truth of a condition interval.
-enum Truth {
-    True,
-    False,
-    Unknown,
-}
-
-fn truth(v: &Interval) -> Truth {
-    if !v.contains(0) {
-        Truth::True
-    } else if v.as_constant() == Some(0) {
-        Truth::False
-    } else {
-        Truth::Unknown
-    }
-}
-
-/// `[0,1]`-valued interval from a three-valued truth.
-fn truth_interval(t: Truth) -> Interval {
-    match t {
-        Truth::True => Interval::constant(1),
-        Truth::False => Interval::constant(0),
-        Truth::Unknown => Interval::range(0, 1),
-    }
+/// What [`Analyzer::reach`] knows a skippable block by: the address of
+/// its first statement (the walked body is borrowed throughout).  An empty
+/// block holds no code to report and has no key.
+fn block_key(block: &[Stmt]) -> Option<*const Stmt> {
+    block.first().map(std::ptr::from_ref)
 }
 
 fn body_size(block: &[Stmt]) -> u64 {
@@ -228,7 +235,10 @@ struct Analyzer {
     /// Reads of the input tape may be floats.
     float_tape: bool,
     fuel: u64,
-    dead_code: Vec<String>,
+    /// Skippable blocks met so far, by [`block_key`].
+    reach: HashMap<*const Stmt, Reach>,
+    /// Times a visit skipped a non-empty block.
+    skips: u64,
     /// Counted loops may be summarized; `false` only in the test oracle.
     summarize: bool,
     /// Trips of this walk (not of a whole-range pass) summarized away.
@@ -293,7 +303,8 @@ fn run(block: &[Stmt], mut st: AbsState, float_tape: bool, summarize: bool) -> W
     let mut a = Analyzer {
         float_tape,
         fuel: UNROLL_FUEL,
-        dead_code: Vec::new(),
+        reach: HashMap::new(),
+        skips: 0,
         summarize,
         skipped: 0,
         ranging: 0,
@@ -307,7 +318,7 @@ fn run(block: &[Stmt], mut st: AbsState, float_tape: bool, summarize: bool) -> W
         need: st.need,
         exact: st.exact,
         neg_peek: st.neg_peek,
-        dead_code: a.dead_code,
+        dead_code: a.dead_code(block),
     };
     Walked {
         analysis,
@@ -321,6 +332,52 @@ impl Analyzer {
         for s in block {
             self.exec_stmt(s, st);
         }
+    }
+
+    /// This visit runs `block` (or may).
+    fn mark_entered(&mut self, block: &[Stmt]) {
+        if let Some(key) = block_key(block) {
+            self.reach.insert(key, Reach::Entered);
+        }
+    }
+
+    fn enter(&mut self, arm: &[Stmt], st: &mut AbsState) {
+        self.mark_entered(arm);
+        self.exec_block(arm, st);
+    }
+
+    /// This visit passes `block` by.
+    fn skip(&mut self, block: &[Stmt], why: Skip) {
+        if let Some(key) = block_key(block) {
+            self.skips += 1;
+            self.reach.entry(key).or_insert(Reach::Skipped(why));
+        }
+    }
+
+    /// The blocks of `block` no visit entered, in source order.
+    fn dead_code(&self, block: &[Stmt]) -> Vec<String> {
+        let mut out = Vec::new();
+        if self.skips == 0 {
+            return out;
+        }
+        let mut report = |b: &[Stmt]| {
+            if let Some(Reach::Skipped(why)) = block_key(b).and_then(|k| self.reach.get(&k)) {
+                out.push(why.to_string());
+            }
+        };
+        streamit_graph::work::visit_block(block, &mut |s| match s {
+            Stmt::If {
+                then_body,
+                else_body,
+                ..
+            } => {
+                report(then_body);
+                report(else_body);
+            }
+            Stmt::For { body, .. } => report(body),
+            _ => {}
+        });
+        out
     }
 
     fn exec_stmt(&mut self, s: &Stmt, st: &mut AbsState) {
@@ -372,31 +429,21 @@ impl Analyzer {
                 else_body,
             } => {
                 let c = self.eval(cond, st);
-                match truth(&c) {
+                match c.truth() {
                     Truth::True => {
-                        if !else_body.is_empty() {
-                            self.dead_code.push(
-                                "`else` arm of an `if` whose condition is statically true"
-                                    .to_string(),
-                            );
-                        }
-                        self.exec_block(then_body, st);
+                        self.skip(else_body, Skip::ElseOfTrue);
+                        self.enter(then_body, st);
                     }
                     Truth::False => {
-                        if !then_body.is_empty() {
-                            self.dead_code.push(
-                                "`then` arm of an `if` whose condition is statically false"
-                                    .to_string(),
-                            );
-                        }
-                        self.exec_block(else_body, st);
+                        self.skip(then_body, Skip::ThenOfFalse);
+                        self.enter(else_body, st);
                     }
                     Truth::Unknown => {
                         self.irregular = true;
                         let mut s1 = st.clone();
-                        self.exec_block(then_body, &mut s1);
+                        self.enter(then_body, &mut s1);
                         let mut s2 = st.clone();
-                        self.exec_block(else_body, &mut s2);
+                        self.enter(else_body, &mut s2);
                         *st = join(&s1, &s2);
                     }
                 }
@@ -436,16 +483,13 @@ impl Analyzer {
         if let (Some(lo), Some(hi)) = (fv.as_constant(), tv.as_constant()) {
             let trips = (hi as i128) - (lo as i128);
             if trips <= 0 {
-                if !body.is_empty() {
-                    self.dead_code.push(format!(
-                        "`for` loop over the empty range {lo}..{hi} never runs"
-                    ));
-                }
+                self.skip(body, Skip::EmptyRange(lo, hi));
                 return;
             }
             let cost = (trips as u64).saturating_mul(body_size(body));
             if trips <= UNROLL_LIMIT as i128 && cost <= self.fuel {
                 self.fuel -= cost;
+                self.mark_entered(body);
                 let before = (st.pops, st.pushes);
                 let at = |i| Slot::Int(Interval::constant(i));
                 self.exec_trip(var, at(lo), body, st);
@@ -478,7 +522,8 @@ impl Analyzer {
     /// counters where the last trip will start.  If that pass
     ///
     /// * decides every branch and finds every nested bound constant,
-    /// * records no dead code and no possibly-negative peek index,
+    /// * skips no arm or loop body that holds code and records no
+    ///   possibly-negative peek index,
     /// * stores no non-constant integer computed from `var`,
     /// * moves the counters by Δ and leaves the environment as it found it,
     ///
@@ -491,7 +536,8 @@ impl Analyzer {
     /// pass's `need.hi` bounds what any trip can require; the summary
     /// stands only if the first and last trips *attain* that bound, so
     /// `need` is the walk's and `exact` keeps its meaning.  On `false`,
-    /// `st`, fuel and dead code are as they were: walk on from trip two.
+    /// `st`, fuel and the blocks reached are as they were: walk on from
+    /// trip two.
     fn summarize_trips(
         &mut self,
         var: &str,
@@ -512,7 +558,8 @@ impl Analyzer {
         s.pushes = plus(st.pushes, d_pushes, skipped);
         s.neg_peek = None;
         let (pops, pushes) = (s.pops, s.pushes);
-        let (fuel, dead) = (self.fuel, self.dead_code.len());
+        let (fuel, skips) = (self.fuel, self.skips);
+        let reach = self.reach.clone();
         let irregular = std::mem::replace(&mut self.irregular, false);
         self.ranging += 1;
         let range = Slot::Ranged(Interval::range(lo, hi - 1));
@@ -526,7 +573,7 @@ impl Analyzer {
             *slot = *v;
         }
         let uniform = !self.irregular
-            && self.dead_code.len() == dead
+            && self.skips == skips
             && s.neg_peek.is_none()
             && s.pops == plus(pops, d_pops, 1)
             && s.pushes == plus(pushes, d_pushes, 1)
@@ -536,7 +583,7 @@ impl Analyzer {
                 .is_some_and(|all| all <= fuel);
         // The pass ran on a copy: what it met is not part of this walk.
         self.irregular = irregular;
-        self.dead_code.truncate(dead);
+        self.reach.clone_from(&reach);
         self.fuel = fuel;
         if !uniform {
             return false;
@@ -561,7 +608,7 @@ impl Analyzer {
             }
         } else {
             self.fuel = fuel;
-            self.dead_code.truncate(dead);
+            self.reach = reach;
         }
         attained
     }
@@ -579,10 +626,11 @@ impl Analyzer {
     ) {
         st.exact = false;
         self.irregular = true;
+        self.mark_entered(body);
         let var_hi = if tv.hi == Interval::POS_INF {
             Interval::POS_INF
         } else {
-            (tv.hi - 1).max(fv.lo)
+            tv.hi.saturating_sub(1).max(fv.lo)
         };
         let var_range = Interval::range(fv.lo, var_hi);
         let mut cur = st.clone();
@@ -655,7 +703,7 @@ impl Analyzer {
             }
             Expr::Pop => {
                 st.pops = st.pops.add(&Interval::constant(1));
-                st.need = imax(&st.need, &st.pops);
+                st.need = st.need.max(&st.pops);
                 (Interval::TOP, self.float_tape)
             }
             Expr::Peek(i) => {
@@ -667,22 +715,17 @@ impl Analyzer {
                 // index at 0 because a negative index faults rather than
                 // reaching backwards.
                 let req = st.pops.add(&vi.max_with(0)).add(&Interval::constant(1));
-                st.need = imax(&st.need, &req);
+                st.need = st.need.max(&req);
                 (Interval::TOP, self.float_tape)
             }
+            // The operators themselves are `Interval`'s table; what is
+            // decided here is only whether the result may be a float.
             Expr::Unary(op, a) => {
                 let (v, float) = self.eval_f(a, st);
                 match op {
-                    UnOp::Neg => (v.neg(), float),
-                    UnOp::Not => (
-                        truth_interval(match truth(&v) {
-                            Truth::True => Truth::False,
-                            Truth::False => Truth::True,
-                            Truth::Unknown => Truth::Unknown,
-                        }),
-                        false,
-                    ),
-                    UnOp::BitNot => (Interval::TOP, false),
+                    UnOp::Neg if float => FLOAT,
+                    // `!` and `~` yield an int; a float operand is ⊤.
+                    _ => (Interval::unop(*op, v), false),
                 }
             }
             Expr::Binary(op, a, b) => {
@@ -697,113 +740,26 @@ impl Analyzer {
                 } else {
                     // Comparisons and logic yield an int; a float operand
                     // is ⊤, so they come out unknown.
-                    (self.binop(*op, va, vb), false)
+                    (Interval::binop(*op, va, vb), false)
                 }
             }
-            Expr::Call(f, args) => {
-                let vs: Vec<(Interval, bool)> = args.iter().map(|a| self.eval_f(a, st)).collect();
-                let float_arg = vs.iter().any(|v| v.1);
-                let int = |v: Interval| (v, false);
-                match (f, vs.as_slice()) {
-                    (Intrinsic::ToInt, [v]) => int(v.0),
-                    (Intrinsic::Abs | Intrinsic::Min | Intrinsic::Max, _) if float_arg => FLOAT,
-                    (Intrinsic::Abs, [(v, _)]) => int(if v.lo >= 0 {
-                        *v
-                    } else if v.hi <= 0 {
-                        v.neg()
-                    } else {
-                        Interval::range(0, v.neg().hi.max(v.hi))
-                    }),
-                    (Intrinsic::Min, [(a, _), (b, _)]) => int(Interval {
-                        lo: a.lo.min(b.lo),
-                        hi: a.hi.min(b.hi),
-                    }),
-                    (Intrinsic::Max, [(a, _), (b, _)]) => int(imax(a, b)),
-                    // Everything else returns a float.
+            Expr::Call(g, args) => {
+                let mut float_arg = false;
+                let vs: Vec<Interval> = args
+                    .iter()
+                    .map(|a| {
+                        let (v, float) = self.eval_f(a, st);
+                        float_arg |= float;
+                        v
+                    })
+                    .collect();
+                // `abs`, `min` and `max` of a float are floats; `int(..)`
+                // casts back (its operand is then ⊤); the rest return one.
+                match Interval::intrinsic(*g, &vs) {
+                    Some(v) if *g == Intrinsic::ToInt || !float_arg => (v, false),
                     _ => FLOAT,
                 }
             }
-        }
-    }
-
-    fn binop(&mut self, op: BinOp, a: Interval, b: Interval) -> Interval {
-        match op {
-            BinOp::Add => a.add(&b),
-            BinOp::Sub => a.sub(&b),
-            BinOp::Mul => a.mul(&b),
-            BinOp::Div | BinOp::Rem => match (a.as_constant(), b.as_constant()) {
-                (Some(x), Some(y)) if y != 0 => {
-                    int_binop(op, x, y).map_or(Interval::TOP, Interval::constant)
-                }
-                // `v % d` with a positive constant divisor stays within
-                // `(-d, d)` (and `[0, d)` for a non-negative dividend) —
-                // the idiom behind bounded peek indices like `pop() % N`.
-                (None, Some(d)) if op == BinOp::Rem && d > 0 => {
-                    if a.lo >= 0 && a.hi < d {
-                        a
-                    } else if a.lo >= 0 {
-                        Interval::range(0, d - 1)
-                    } else {
-                        Interval::range(-(d - 1), d - 1)
-                    }
-                }
-                _ => Interval::TOP,
-            },
-            BinOp::Eq => truth_interval(if a.is_constant() && a == b {
-                Truth::True
-            } else if a.hi < b.lo || b.hi < a.lo {
-                Truth::False
-            } else {
-                Truth::Unknown
-            }),
-            BinOp::Ne => truth_interval(if a.is_constant() && a == b {
-                Truth::False
-            } else if a.hi < b.lo || b.hi < a.lo {
-                Truth::True
-            } else {
-                Truth::Unknown
-            }),
-            BinOp::Lt => truth_interval(if a.hi < b.lo {
-                Truth::True
-            } else if a.lo >= b.hi {
-                Truth::False
-            } else {
-                Truth::Unknown
-            }),
-            BinOp::Le => truth_interval(if a.hi <= b.lo {
-                Truth::True
-            } else if a.lo > b.hi {
-                Truth::False
-            } else {
-                Truth::Unknown
-            }),
-            BinOp::Gt => truth_interval(if a.lo > b.hi {
-                Truth::True
-            } else if a.hi <= b.lo {
-                Truth::False
-            } else {
-                Truth::Unknown
-            }),
-            BinOp::Ge => truth_interval(if a.lo >= b.hi {
-                Truth::True
-            } else if a.hi < b.lo {
-                Truth::False
-            } else {
-                Truth::Unknown
-            }),
-            // `&&`/`||` in the work IR evaluate both operands (no
-            // short-circuit), so evaluating both above was effect-correct.
-            BinOp::And => truth_interval(match (truth(&a), truth(&b)) {
-                (Truth::False, _) | (_, Truth::False) => Truth::False,
-                (Truth::True, Truth::True) => Truth::True,
-                _ => Truth::Unknown,
-            }),
-            BinOp::Or => truth_interval(match (truth(&a), truth(&b)) {
-                (Truth::True, _) | (_, Truth::True) => Truth::True,
-                (Truth::False, Truth::False) => Truth::False,
-                _ => Truth::Unknown,
-            }),
-            BinOp::BitAnd | BinOp::BitOr | BinOp::BitXor | BinOp::Shl | BinOp::Shr => Interval::TOP,
         }
     }
 }

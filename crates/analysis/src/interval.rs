@@ -2,13 +2,39 @@
 //!
 //! Values are closed intervals `[lo, hi]`; the sentinels
 //! [`Interval::NEG_INF`] / [`Interval::POS_INF`] stand for unbounded ends.
-//! All arithmetic saturates into the sentinels, so the domain is closed
-//! under the operations the abstract interpreter needs and never wraps.
-//!
 //! The concretisation is the usual one: `γ([lo, hi]) = {v | lo ≤ v ≤ hi}`.
 //! Every operation here *over-approximates* its concrete counterpart,
 //! which is what the soundness property of the analysis (interpreter
 //! counts always fall inside computed intervals) rests on.
+//!
+//! The analysis computes two kinds of thing with it, and they do not
+//! share arithmetic:
+//!
+//! * **Tape counters** (`pops`, `pushes`, `need`) count events.  They
+//!   start at 0, only grow and never wrap: [`Interval::add`] saturates
+//!   into the sentinels.
+//! * **Program values** are what the machine computes, and the machine
+//!   wraps.  [`Interval::binop`], [`Interval::unop`] and
+//!   [`Interval::intrinsic`] are the abstract counterpart of
+//!   [`streamit_graph::work`]'s table, one arm per operator, under one
+//!   rule:
+//!   1. operands that are all constants go through the concrete table
+//!      itself ([`int_binop`], [`int_unop`], [`int_abs`]), so
+//!      `[MAX, MAX] + [1, 1]` is `[MIN, MIN]`; the table's trap is ⊤;
+//!   2. otherwise `+ - *` and unary `-` are the hull of the results at
+//!      the ends, where a pair of *finite* ends whose result leaves `i64`
+//!      makes the whole result ⊤, and an unbounded end stays unbounded.
+//!      An end is unbounded when it is a sentinel of a non-constant
+//!      interval; a constant is exact even at `i64::MIN` / `i64::MAX`.
+//!
+//!   What rule 2 assumes is that a value behind an unbounded end (a
+//!   widened loop accumulator, tape data) does not itself sit at ±2⁶³,
+//!   and that `abs` is not handed `i64::MIN` — DESIGN.md "Static
+//!   work-function analysis" has the risk note and why the stricter
+//!   rules are not used.
+
+use streamit_graph::work::{int_abs, int_binop, int_unop};
+use streamit_graph::{BinOp, Intrinsic, UnOp};
 
 /// A closed, possibly unbounded interval of `i64` values.
 ///
@@ -102,22 +128,8 @@ impl Interval {
         }
     }
 
-    fn sat_mul(a: i64, b: i64) -> i64 {
-        if a == 0 || b == 0 {
-            return 0;
-        }
-        let negative = (a < 0) != (b < 0);
-        if a == Self::NEG_INF || a == Self::POS_INF || b == Self::NEG_INF || b == Self::POS_INF {
-            return if negative {
-                Self::NEG_INF
-            } else {
-                Self::POS_INF
-            };
-        }
-        a.saturating_mul(b)
-    }
-
-    /// Interval addition.
+    /// Counter addition: saturates into the sentinels.  For tape counters
+    /// only — a program value is [`Interval::binop`]'s.
     pub fn add(&self, other: &Interval) -> Interval {
         Interval {
             lo: Self::sat_add(self.lo, other.lo),
@@ -125,43 +137,11 @@ impl Interval {
         }
     }
 
-    /// Interval subtraction.
-    pub fn sub(&self, other: &Interval) -> Interval {
+    /// Pointwise maximum: `max(a, b)` exactly, and how `need` grows.
+    pub fn max(&self, other: &Interval) -> Interval {
         Interval {
-            lo: Self::sat_add(self.lo, Self::sat_neg(other.hi)),
-            hi: Self::sat_add(self.hi, Self::sat_neg(other.lo)),
-        }
-    }
-
-    fn sat_neg(v: i64) -> i64 {
-        if v == Self::NEG_INF {
-            Self::POS_INF
-        } else if v == Self::POS_INF {
-            Self::NEG_INF
-        } else {
-            -v
-        }
-    }
-
-    /// Interval negation.
-    pub fn neg(&self) -> Interval {
-        Interval {
-            lo: Self::sat_neg(self.hi),
-            hi: Self::sat_neg(self.lo),
-        }
-    }
-
-    /// Interval multiplication (hull over endpoint products).
-    pub fn mul(&self, other: &Interval) -> Interval {
-        let products = [
-            Self::sat_mul(self.lo, other.lo),
-            Self::sat_mul(self.lo, other.hi),
-            Self::sat_mul(self.hi, other.lo),
-            Self::sat_mul(self.hi, other.hi),
-        ];
-        Interval {
-            lo: products.iter().copied().min().unwrap_or(Self::NEG_INF),
-            hi: products.iter().copied().max().unwrap_or(Self::POS_INF),
+            lo: self.lo.max(other.lo),
+            hi: self.hi.max(other.hi),
         }
     }
 
@@ -171,6 +151,206 @@ impl Interval {
             lo: self.lo.max(min),
             hi: self.hi.max(min),
         }
+    }
+}
+
+/// One end of an interval as an extended integer; ordered as such.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum End {
+    NegInf,
+    Fin(i64),
+    PosInf,
+}
+
+impl End {
+    /// `a op b` for `+ - *` at one pair of ends; `None` when both are
+    /// finite and the result leaves `i64`.  (`+` and `-` never meet two
+    /// infinities that pull apart: lower ends are `NegInf` or finite,
+    /// upper ends `PosInf` or finite.)
+    fn arith(op: BinOp, a: End, b: End) -> Option<End> {
+        use End::{Fin, NegInf, PosInf};
+        if let (Fin(x), Fin(y)) = (a, b) {
+            return match op {
+                BinOp::Add => x.checked_add(y),
+                BinOp::Sub => x.checked_sub(y),
+                _ => x.checked_mul(y),
+            }
+            .map(Fin);
+        }
+        let down = match op {
+            BinOp::Add => a == NegInf || b == NegInf,
+            BinOp::Sub => a == NegInf || b == PosInf,
+            _ if a == Fin(0) || b == Fin(0) => return Some(Fin(0)),
+            _ => (a < Fin(0)) != (b < Fin(0)),
+        };
+        Some(if down { NegInf } else { PosInf })
+    }
+
+    fn raw(self) -> i64 {
+        match self {
+            End::NegInf => Interval::NEG_INF,
+            End::Fin(v) => v,
+            End::PosInf => Interval::POS_INF,
+        }
+    }
+}
+
+/// Three-valued truth of a condition interval.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Truth {
+    True,
+    False,
+    Unknown,
+}
+
+impl Truth {
+    fn of(known_true: bool, known_false: bool) -> Truth {
+        match (known_true, known_false) {
+            (true, _) => Truth::True,
+            (_, true) => Truth::False,
+            _ => Truth::Unknown,
+        }
+    }
+
+    /// The `[0, 1]`-valued interval of a comparison or logic result.
+    fn interval(self) -> Interval {
+        match self {
+            Truth::True => Interval::constant(1),
+            Truth::False => Interval::constant(0),
+            Truth::Unknown => Interval::range(0, 1),
+        }
+    }
+}
+
+/// Program values: the abstract counterpart of `graph::work`'s integer
+/// table (see the module docs for the rule).
+impl Interval {
+    /// The ends as extended integers.
+    fn ends(&self) -> (End, End) {
+        if self.is_constant() {
+            return (End::Fin(self.lo), End::Fin(self.hi));
+        }
+        let lo = match self.lo {
+            Self::NEG_INF => End::NegInf,
+            v => End::Fin(v),
+        };
+        let hi = match self.hi {
+            Self::POS_INF => End::PosInf,
+            v => End::Fin(v),
+        };
+        (lo, hi)
+    }
+
+    /// Is the value non-zero, zero, or either?
+    pub(crate) fn truth(&self) -> Truth {
+        Truth::of(!self.contains(0), self.as_constant() == Some(0))
+    }
+
+    /// Integer `a op b`.
+    pub fn binop(op: BinOp, a: Interval, b: Interval) -> Interval {
+        if let (Some(x), Some(y)) = (a.as_constant(), b.as_constant()) {
+            return int_binop(op, x, y).map_or(Interval::TOP, Interval::constant);
+        }
+        match op {
+            BinOp::Add | BinOp::Sub | BinOp::Mul => {
+                let ((al, ah), (bl, bh)) = (a.ends(), b.ends());
+                let pairs: &[(End, End)] = match op {
+                    BinOp::Add => &[(al, bl), (ah, bh)],
+                    BinOp::Sub => &[(al, bh), (ah, bl)],
+                    _ => &[(al, bl), (al, bh), (ah, bl), (ah, bh)],
+                };
+                let (mut lo, mut hi) = (End::PosInf, End::NegInf);
+                for &(x, y) in pairs {
+                    let Some(r) = End::arith(op, x, y) else {
+                        return Interval::TOP;
+                    };
+                    (lo, hi) = (lo.min(r), hi.max(r));
+                }
+                Interval {
+                    lo: lo.raw(),
+                    hi: hi.raw(),
+                }
+            }
+            // `v % d` with a positive constant divisor stays within
+            // `(-d, d)` (and `[0, d)` for a non-negative dividend) — the
+            // idiom behind bounded peek indices like `pop() % N`.
+            BinOp::Rem if b.as_constant().is_some_and(|d| d > 0) => {
+                let d = b.lo;
+                if a.lo >= 0 && a.hi < d {
+                    a
+                } else if a.lo >= 0 {
+                    Interval::range(0, d - 1)
+                } else {
+                    Interval::range(-(d - 1), d - 1)
+                }
+            }
+            BinOp::Div | BinOp::Rem => Interval::TOP,
+            BinOp::Eq => Truth::of(false, a.hi < b.lo || b.hi < a.lo).interval(),
+            BinOp::Ne => Truth::of(a.hi < b.lo || b.hi < a.lo, false).interval(),
+            BinOp::Lt => Truth::of(a.hi < b.lo, a.lo >= b.hi).interval(),
+            BinOp::Le => Truth::of(a.hi <= b.lo, a.lo > b.hi).interval(),
+            BinOp::Gt => Truth::of(a.lo > b.hi, a.hi <= b.lo).interval(),
+            BinOp::Ge => Truth::of(a.lo >= b.hi, a.hi < b.lo).interval(),
+            // `&&`/`||` in the work IR evaluate both operands (no
+            // short-circuit); their effects are the caller's business.
+            BinOp::And => match (a.truth(), b.truth()) {
+                (Truth::False, _) | (_, Truth::False) => Truth::False,
+                (Truth::True, Truth::True) => Truth::True,
+                _ => Truth::Unknown,
+            }
+            .interval(),
+            BinOp::Or => match (a.truth(), b.truth()) {
+                (Truth::True, _) | (_, Truth::True) => Truth::True,
+                (Truth::False, Truth::False) => Truth::False,
+                _ => Truth::Unknown,
+            }
+            .interval(),
+            BinOp::BitAnd | BinOp::BitOr | BinOp::BitXor | BinOp::Shl | BinOp::Shr => Interval::TOP,
+        }
+    }
+
+    /// Integer `op a`.
+    pub fn unop(op: UnOp, a: Interval) -> Interval {
+        if let Some(x) = a.as_constant() {
+            return Interval::constant(int_unop(op, x));
+        }
+        match op {
+            UnOp::Neg => Interval::binop(BinOp::Sub, Interval::constant(0), a),
+            UnOp::Not => match a.truth() {
+                Truth::True => Truth::False,
+                Truth::False => Truth::True,
+                Truth::Unknown => Truth::Unknown,
+            }
+            .interval(),
+            UnOp::BitNot => Interval::TOP,
+        }
+    }
+
+    /// `g(args)` for the intrinsics that map integers to an integer —
+    /// `abs`, `min`, `max` and the cast `int(..)`; `None` for the
+    /// float-valued rest (and for a wrong argument count).
+    pub fn intrinsic(g: Intrinsic, args: &[Interval]) -> Option<Interval> {
+        Some(match (g, args) {
+            (Intrinsic::ToInt, [a]) => *a,
+            (Intrinsic::Abs, [a]) => match a.as_constant() {
+                Some(x) => Interval::constant(int_abs(x)),
+                None if a.lo >= 0 => *a,
+                None => {
+                    let neg = Interval::unop(UnOp::Neg, *a);
+                    if a.hi <= 0 {
+                        neg
+                    } else {
+                        Interval::range(0, neg.hi.max(a.hi))
+                    }
+                }
+            },
+            (Intrinsic::Min, [a, b]) => Interval {
+                lo: a.lo.min(b.lo),
+                hi: a.hi.min(b.hi),
+            },
+            (Intrinsic::Max, [a, b]) => a.max(b),
+            _ => return None,
+        })
     }
 }
 
@@ -222,18 +402,47 @@ mod tests {
         assert_eq!(big.add(&big).hi, Interval::POS_INF);
     }
 
+    fn mul(a: Interval, b: Interval) -> Interval {
+        Interval::binop(BinOp::Mul, a, b)
+    }
+
     #[test]
     fn mul_signs() {
         let a = Interval::range(-2, 3);
         let b = Interval::range(4, 5);
-        assert_eq!(a.mul(&b), Interval::range(-10, 15));
-        assert_eq!(a.neg(), Interval::range(-3, 2));
+        assert_eq!(mul(a, b), Interval::range(-10, 15));
+        assert_eq!(Interval::unop(UnOp::Neg, a), Interval::range(-3, 2));
     }
 
     #[test]
     fn mul_zero_absorbs_infinity() {
         let zero = Interval::constant(0);
-        assert_eq!(Interval::TOP.mul(&zero), Interval::constant(0));
+        assert_eq!(mul(Interval::TOP, zero), Interval::constant(0));
+    }
+
+    #[test]
+    fn values_wrap_where_counters_saturate() {
+        let c = Interval::constant;
+        let add = |a, b| Interval::binop(BinOp::Add, a, b);
+        // Constants are the machine's, at the sentinels too.
+        assert_eq!(add(c(i64::MAX), c(1)), c(i64::MIN));
+        assert_eq!(mul(c(1 << 32), c(1 << 32)), c(0));
+        assert_eq!(Interval::unop(UnOp::Neg, c(i64::MIN)), c(i64::MIN));
+        assert_eq!(Interval::binop(BinOp::Div, c(1), c(0)), Interval::TOP);
+        // Finite ends that leave `i64` say nothing.
+        assert_eq!(add(Interval::range(0, i64::MAX - 1), c(2)), Interval::TOP);
+        assert_eq!(mul(Interval::range(1, 1 << 32), c(1 << 32)), Interval::TOP);
+        // An unbounded end stays unbounded; the finite one moves.
+        assert_eq!(
+            add(Interval::range(0, Interval::POS_INF), c(2)),
+            Interval::range(2, Interval::POS_INF)
+        );
+        // A constant is never "unbounded": `[0, +inf] + MIN` has no
+        // lower end to keep (every sum is negative, in fact).
+        assert_eq!(
+            add(Interval::range(0, Interval::POS_INF), c(i64::MIN)),
+            Interval::TOP
+        );
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! # streamit-analysis
 //!
-//! Static analysis of work functions: a dataflow framework over the
-//! work-function IR ([`streamit_graph::work`]) built on an
-//! interval-domain abstract interpreter ([`absint`]), plus the checks the
-//! compiler hangs on it:
+//! Static analysis of work functions: an interval-domain abstract
+//! interpreter ([`absint`]) over the work-function IR
+//! ([`streamit_graph::work`]), plus the checks the compiler hangs on it:
 //!
 //! 1. **Rate conformance** — the interval of pop/push counts the body can
 //!    perform must equal the declared rates on every path (the paper's
@@ -34,15 +33,17 @@
 //! schedule a program that carries any (exit code 7).  `L`-codes print
 //! and never gate.
 //!
-//! Beyond diagnostics, the crate hosts the optimizing mid-end: an
-//! explicit [`cfg`] over work bodies, a generic monotone [`dataflow`]
-//! solver, the [`sccp`] (constants + value ranges) and [`liveness`]
-//! instances, and the semantics-preserving transform pipeline in
-//! [`opt`] that engines run before bytecode lowering.
+//! Beyond diagnostics, the crate hosts the optimizing mid-end.  The work
+//! IR is structured (straight-line statements, `if`, counted `for`), so
+//! every pass is a recursive walk over `&[Stmt]` and a pure function of
+//! the body: the abstract walk above ([`absint`]: rates, peek bounds, dead
+//! arms), a folding walk ([`opt`]: constants, pruning, unrolling, and lint
+//! `L0607`) and a backward walk ([`liveness`]: dead stores, for the
+//! optimizer and lint `L0606`).  [`sccp`] holds the name scoping they
+//! share; [`opt`] is the semantics-preserving transform pipeline engines
+//! run before bytecode lowering.
 
 pub mod absint;
-pub mod cfg;
-pub mod dataflow;
 pub mod interval;
 mod lint;
 pub mod liveness;
@@ -53,7 +54,6 @@ pub use absint::{analyze_block, BodyAnalysis};
 pub use interval::Interval;
 pub use opt::{optimize_filter, OptStats};
 
-use streamit_graph::work::{eval_const, ConstEnv};
 use streamit_graph::{Filter, Stmt, StreamNode};
 
 /// How severe a finding is: errors gate execution, warnings print.
@@ -313,25 +313,21 @@ pub fn analyze_filter(f: &Filter, path: &str) -> Vec<Finding> {
         ));
     }
 
-    dataflow_lints(f, &f.work, "", path, &mut out);
+    mid_end_lints(f, &f.work, "", path, &mut out);
     if let Some(pw) = &f.prework {
-        dataflow_lints(f, &pw.body, "prework ", path, &mut out);
+        mid_end_lints(f, &pw.body, "prework ", path, &mut out);
     }
 
     out
 }
 
-/// Lints backed by the dataflow mid-end: dead stores (L0606), provably
-/// constant `if` conditions (L0607), and loop-invariant peeks (L0608).
-fn dataflow_lints(f: &Filter, block: &[Stmt], what: &str, path: &str, out: &mut Vec<Finding>) {
+/// Lints backed by the mid-end's passes: dead stores (L0606, the
+/// liveness walk), provably constant `if` conditions (L0607, the constant
+/// folder), and loop-invariant peeks (L0608).
+fn mid_end_lints(f: &Filter, block: &[Stmt], what: &str, path: &str, out: &mut Vec<Finding>) {
     use streamit_graph::Expr;
 
-    let cfg = cfg::Cfg::build(block);
-
-    // L0606 — dead stores.
-    let lv = liveness::Liveness::new(f, block);
-    let lsol = liveness::solve_liveness(&lv, &cfg);
-    for d in liveness::dead_stores(&cfg, &lsol, &lv) {
+    for d in liveness::dead_stores(f, block) {
         let kind = if d.is_let { "local" } else { "variable" };
         out.push(finding(
             "L0606",
@@ -340,47 +336,20 @@ fn dataflow_lints(f: &Filter, block: &[Stmt], what: &str, path: &str, out: &mut 
         ));
     }
 
-    // L0607 — constant conditions, via SCCP first, value ranges second.
-    let cp = sccp::ConstProp::new(f, block);
-    let csol = sccp::solve_consts(&cp, &cfg);
-    let ranges = sccp::Ranges::new(f, block);
-    let rsol = sccp::solve_ranges(&ranges, &cfg);
-    for (id, node) in cfg.nodes.iter().enumerate() {
-        let cfg::Node::Branch { cond, .. } = node else {
-            continue;
-        };
-        // A condition constant without any propagated facts (pure
-        // literal arithmetic) is already reported as unreachable code
-        // (L0602) by the abstract-interpretation walk; L0607 only adds
-        // conditions that *become* constant through propagation.
-        if eval_const(cond, &ConstEnv::EMPTY).is_some() {
-            continue;
-        }
-        let by_const = csol
-            .converged
-            .then(|| csol.before.get(id))
-            .flatten()
-            .and_then(|f| f.as_ref())
-            .and_then(|fact| cp.eval(cond, fact))
-            .map(|v| v.is_truthy());
-        let decided = by_const.or_else(|| {
-            rsol.converged
-                .then(|| rsol.before.get(id))
-                .flatten()
-                .and_then(|f| f.as_ref())
-                .and_then(|fact| ranges.decide(cond, fact))
-        });
-        if let Some(truthy) = decided {
-            out.push(finding(
-                "L0607",
-                path,
-                format!(
-                    "{what}`if` condition is always {}; the {} branch is dead",
-                    if truthy { "true" } else { "false" },
-                    if truthy { "else" } else { "then" },
-                ),
-            ));
-        }
+    // A condition constant without any propagated facts (pure literal
+    // arithmetic) is already reported as unreachable code (L0602) by the
+    // abstract-interpretation walk; L0607 only adds conditions that
+    // *become* constant through propagation.
+    for truthy in opt::constant_conditions(f, block) {
+        out.push(finding(
+            "L0607",
+            path,
+            format!(
+                "{what}`if` condition is always {}; the {} branch is dead",
+                if truthy { "true" } else { "false" },
+                if truthy { "else" } else { "then" },
+            ),
+        ));
     }
 
     // L0608 — loop-invariant peeks: a `peek` inside a loop whose index

@@ -8,9 +8,8 @@
 //! * **Constant folding** uses [`streamit_graph::work::eval_const`], the
 //!   evaluator the interpreter's own arithmetic is defined by (a fold
 //!   that would hide a trap — integer division by zero — is refused).
-//! * **Branch pruning** fires only when the condition folds to a literal
-//!   (or the interval analysis proves it) *and* evaluating the original
-//!   condition could not trap or touch the tape.
+//! * **Branch pruning** fires only when the condition folds to a literal,
+//!   which no expression that can trap or touch the tape does.
 //! * **Loop unrolling** requires literal bounds, a body that declares no
 //!   locals and never writes the loop variable, and stays under a fuel
 //!   budget sized so the bytecode register/code limits cannot overflow.
@@ -35,9 +34,8 @@ use std::collections::{HashMap, HashSet};
 use streamit_graph::work::{eval_const, ConstEnv};
 use streamit_graph::{DataType, Expr, Filter, LValue, Stmt, Value};
 
-use crate::cfg::{Cfg, Node};
-use crate::liveness::{dead_stores, solve_liveness, Liveness};
-use crate::sccp::{pinned_names, scalar_types, solve_ranges, state_seeds, Ranges, StateSeeds};
+use crate::liveness::{dead_stores, DeadStore};
+use crate::sccp::{pinned_names, scalar_types, state_seeds, StateSeeds};
 
 /// Maximum trip count a single loop may be unrolled by.
 const MAX_UNROLL_TRIPS: i64 = 256;
@@ -105,30 +103,23 @@ fn optimize_body(f: &Filter, mut block: Vec<Stmt>, stats: &mut OptStats) -> Vec<
 }
 
 fn one_round(f: &Filter, block: Vec<Stmt>, stats: &mut OptStats) -> Vec<Stmt> {
-    let pinned = pinned_names(f, &block);
-    let seeds = state_seeds(f, &pinned);
-    let tys = scalar_types(f, &block, &pinned);
-    let loop_only = loop_only_names(f, &block, &pinned);
-
-    // Interval-proven branch decisions on the current block, keyed by
-    // statement identity.
-    let decisions = branch_decisions(f, &block);
-
-    let mut fold = Folder {
-        pinned: &pinned,
-        loop_only: &loop_only,
-        seeds: &seeds,
-        tys: &tys,
-        decisions: &decisions,
-        stats,
-        fuel: MAX_UNROLL_TOTAL,
-    };
-    let mut env: ConstMap = seeds.scalars.iter().map(|(k, v)| (k.clone(), *v)).collect();
-    let folded = fold.block(&block, &mut env);
+    let mut fold = Folder::new(f, &block, MAX_UNROLL_TOTAL, stats);
+    let folded = fold.run(&block);
     drop(block);
 
-    let folded = copy_prop(folded, &pinned, &tys, stats);
+    let folded = copy_prop(folded, &fold.pinned, &fold.tys, fold.stats);
     eliminate_dead_stores(f, folded, stats)
+}
+
+/// The truth of every `if` of `block`, a body of `f` as written, whose
+/// condition constant propagation decides and literal arithmetic alone
+/// does not, in source order (lint `L0607`).  Loops stay rolled, so each
+/// `if` is met at most once and a loop counter is never a constant.
+pub(crate) fn constant_conditions(f: &Filter, block: &[Stmt]) -> Vec<bool> {
+    let mut stats = OptStats::default();
+    let mut fold = Folder::new(f, block, 0, &mut stats);
+    fold.run(block);
+    fold.propagated
 }
 
 // ---- constant folding, branch pruning, unrolling ------------------------
@@ -280,39 +271,38 @@ fn subst_var_stmt(s: &Stmt, var: &str, v: Value) -> Stmt {
     }
 }
 
-/// Interval-proven decisions for `if` conditions, keyed by the identity
-/// of the `If` statement in the current block.
-fn branch_decisions(f: &Filter, block: &[Stmt]) -> HashMap<*const Stmt, bool> {
-    let mut out = HashMap::new();
-    let ranges = Ranges::new(f, block);
-    let cfg = Cfg::build(block);
-    let sol = solve_ranges(&ranges, &cfg);
-    if !sol.converged || sol.before.len() != cfg.nodes.len() {
-        return out;
-    }
-    for (id, node) in cfg.nodes.iter().enumerate() {
-        if let Node::Branch { stmt, cond } = node {
-            if let Some(fact) = &sol.before[id] {
-                if let Some(d) = ranges.decide(cond, fact) {
-                    out.insert(*stmt as *const Stmt, d);
-                }
-            }
+struct Folder<'c> {
+    pinned: HashSet<String>,
+    loop_only: HashSet<String>,
+    seeds: StateSeeds,
+    tys: HashMap<String, DataType>,
+    stats: &'c mut OptStats,
+    /// Statements unrolling may still write.
+    fuel: usize,
+    /// See [`constant_conditions`].
+    propagated: Vec<bool>,
+}
+
+impl<'c> Folder<'c> {
+    fn new(f: &Filter, block: &[Stmt], fuel: usize, stats: &'c mut OptStats) -> Folder<'c> {
+        let pinned = pinned_names(f, block);
+        Folder {
+            loop_only: loop_only_names(f, block, &pinned),
+            seeds: state_seeds(f, &pinned),
+            tys: scalar_types(f, block, &pinned),
+            pinned,
+            stats,
+            fuel,
+            propagated: Vec::new(),
         }
     }
-    out
-}
 
-struct Folder<'c> {
-    pinned: &'c HashSet<String>,
-    loop_only: &'c HashSet<String>,
-    seeds: &'c StateSeeds,
-    tys: &'c HashMap<String, DataType>,
-    decisions: &'c HashMap<*const Stmt, bool>,
-    stats: &'c mut OptStats,
-    fuel: usize,
-}
+    /// Fold `block`, a whole body, from the state seeds.
+    fn run(&mut self, block: &[Stmt]) -> Vec<Stmt> {
+        let mut env: ConstMap = self.seeds.scalars.clone();
+        self.block(block, &mut env)
+    }
 
-impl Folder<'_> {
     fn eval(&self, e: &Expr, env: &ConstMap) -> Option<Value> {
         let vars = |name: &str| env.get(name).copied();
         let arrays = |name: &str, idx: i64| {
@@ -450,8 +440,7 @@ impl Folder<'_> {
                 then_body,
                 else_body,
             } => {
-                let decision = self.decisions.get(&(s as *const Stmt)).copied();
-                self.fold_if(cond, then_body, else_body, decision, env, out);
+                self.fold_if(cond, then_body, else_body, env, out);
             }
             Stmt::For {
                 var,
@@ -466,22 +455,19 @@ impl Folder<'_> {
 
     fn fold_if(
         &mut self,
-        cond: &Expr,
+        written: &Expr,
         then_body: &[Stmt],
         else_body: &[Stmt],
-        decision: Option<bool>,
         env: &mut ConstMap,
         out: &mut Vec<Stmt>,
     ) {
-        let cond = self.fold_expr(cond, env);
-        let taken = match self.eval(&cond, env) {
-            Some(v) => Some(v.is_truthy()),
-            // An interval-proven decision may only replace the condition
-            // when evaluating it could not trap or touch the tape.
-            None => decision.filter(|_| pure_total(&cond)),
-        };
+        let cond = self.fold_expr(written, env);
+        let taken = self.eval(&cond, env).map(Value::is_truthy);
         if let Some(truthy) = taken {
             self.stats.pruned_branches += 1;
+            if eval_const(written, &ConstEnv::EMPTY).is_none() {
+                self.propagated.push(truthy);
+            }
             let arm = if truthy { then_body } else { else_body };
             let splices = !arm
                 .iter()
@@ -556,7 +542,7 @@ impl Folder<'_> {
                 self.stats.deleted_stmts += 1;
                 return;
             }
-            let trips = hi - lo;
+            let trips = hi.saturating_sub(lo);
             let stmts = count_stmts(body);
             let cost = stmts.saturating_mul(usize::try_from(trips).unwrap_or(usize::MAX));
             let unrollable = trips <= MAX_UNROLL_TRIPS
@@ -758,31 +744,31 @@ fn cp_block(
 // ---- dead-store elimination --------------------------------------------
 
 fn eliminate_dead_stores(f: &Filter, block: Vec<Stmt>, stats: &mut OptStats) -> Vec<Stmt> {
-    let dead: HashSet<*const Stmt> = {
-        let lv = Liveness::new(f, &block);
-        let cfg = Cfg::build(&block);
-        let sol = solve_liveness(&lv, &cfg);
-        dead_stores(&cfg, &sol, &lv)
-            .into_iter()
-            .map(|d| d.stmt as *const Stmt)
-            .collect()
-    };
+    let dead = dead_stores(f, &block);
     if dead.is_empty() {
         return block;
     }
     let assigned = assigned_names(&block);
-    dse_block(&block, &dead, &assigned, stats)
+    let mut dead = dead.as_slice();
+    let out = dse_block(&block, &mut dead, &assigned, stats);
+    debug_assert!(dead.is_empty(), "dead stores come in source order");
+    out
 }
 
+/// `dead` is what is left of the block's dead stores, in source order —
+/// the order this walk meets statements in.
 fn dse_block(
     block: &[Stmt],
-    dead: &HashSet<*const Stmt>,
+    dead: &mut &[DeadStore<'_>],
     assigned: &HashSet<String>,
     stats: &mut OptStats,
 ) -> Vec<Stmt> {
     let mut out = Vec::with_capacity(block.len());
     for s in block {
-        let is_dead = dead.contains(&(s as *const Stmt));
+        let is_dead = dead.first().is_some_and(|d| std::ptr::eq(d.stmt, s));
+        if is_dead {
+            *dead = &dead[1..];
+        }
         match s {
             Stmt::Let { name, ty, init } if is_dead => {
                 if assigned.contains(name) {
@@ -1311,11 +1297,10 @@ mod tests {
     }
 
     #[test]
-    fn interval_proven_branch_is_pruned() {
-        // for i in 0..8 { if (i < 10) push(1.0) else push(2.0) } — the
-        // loop unrolls (making i literal), so the branch folds; but even
-        // an unrollable-blocked shape proves via intervals.  Use a
-        // pop-bounded loop so unrolling can't fire.
+    fn folded_bound_unrolls_and_its_branches_prune() {
+        // for i in 0..(2 + 0) { if (i < 10) push(1.0) else push(2.0) } —
+        // the bound folds to a literal, so the loop unrolls, `i` becomes a
+        // literal in each copy and the condition folds.
         let f = filter_with(
             vec![],
             vec![Stmt::For {

@@ -1,39 +1,17 @@
-//! Sparse conditional constant propagation over the work IR, plus the
-//! interval-domain value-range instance of the same solver.
+//! Name scoping shared by the mid-end's passes: which names a body can
+//! track by name alone ([`pinned_names`] cannot be), what type each
+//! trackable scalar was declared with (`scalar_types`), and which state
+//! never changes and so seeds constant propagation ([`state_seeds`],
+//! `assigned_state_names`).
 //!
-//! Constants are evaluated by [`streamit_graph::work::eval_const`], the
-//! one definition of the work language's arithmetic that the reference
-//! interpreter runs too; this module keeps only the lattices.
-//!
-//! Constants are wrapped in [`CVal`], whose equality is *bitwise* on
-//! floats — `NaN == NaN` — so lattice facts compare reflexively and the
-//! solver terminates.
+//! The constants themselves are evaluated by
+//! [`streamit_graph::work::eval_const`], the one definition of the work
+//! language's arithmetic that the reference interpreter runs too; the test
+//! here holds the two together.
 
 use std::collections::{HashMap, HashSet};
 
-use streamit_graph::work::{eval_const, ConstEnv};
-use streamit_graph::{
-    BinOp, DataType, Expr, Filter, Intrinsic, LValue, StateInit, Stmt, UnOp, Value,
-};
-
-use crate::cfg::{Cfg, Node};
-use crate::dataflow::{solve, Analysis, Direction, Solution};
-use crate::interval::Interval;
-
-/// A constant value with bitwise (reflexive) float equality.
-#[derive(Debug, Clone, Copy)]
-pub struct CVal(pub Value);
-
-impl PartialEq for CVal {
-    fn eq(&self, other: &Self) -> bool {
-        match (self.0, other.0) {
-            (Value::Int(a), Value::Int(b)) => a == b,
-            (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
-            _ => false,
-        }
-    }
-}
-impl Eq for CVal {}
+use streamit_graph::{DataType, Filter, StateInit, Stmt, Value};
 
 // ---- immutable state seeds ---------------------------------------------
 
@@ -140,479 +118,12 @@ pub(crate) fn scalar_types(
     tys
 }
 
-// ---- the SCCP analysis instance ----------------------------------------
-
-/// Map from trackable scalar name to its known-constant value.  A
-/// missing key means "not constant here".  Unreachable nodes carry no
-/// fact at all (`None` in the solution) — that is the "sparse
-/// conditional" part: facts only ever flow along feasible edges.
-pub type ConstFact = HashMap<String, CVal>;
-
-pub struct ConstProp {
-    seeds: StateSeeds,
-    tys: HashMap<String, DataType>,
-    pinned: HashSet<String>,
-}
-
-impl ConstProp {
-    pub fn new(f: &Filter, block: &[Stmt]) -> ConstProp {
-        let pinned = pinned_names(f, block);
-        ConstProp {
-            seeds: state_seeds(f, &pinned),
-            tys: scalar_types(f, block, &pinned),
-            pinned,
-        }
-    }
-
-    /// Evaluate `e` to a constant under `fact` (plus the state seeds).
-    pub fn eval(&self, e: &Expr, fact: &ConstFact) -> Option<Value> {
-        let vars = |name: &str| fact.get(name).map(|c| c.0);
-        let arrays = |name: &str, idx: i64| {
-            if self.pinned.contains(name) {
-                return None;
-            }
-            let vs = self.seeds.arrays.get(name)?;
-            usize::try_from(idx).ok().and_then(|i| vs.get(i)).copied()
-        };
-        eval_const(
-            e,
-            &ConstEnv {
-                vars: &vars,
-                arrays: &arrays,
-            },
-        )
-    }
-
-    fn record(&self, fact: &mut ConstFact, name: &str, v: Option<Value>) {
-        if self.pinned.contains(name) {
-            return;
-        }
-        match (v, self.tys.get(name)) {
-            (Some(v), Some(ty)) => {
-                fact.insert(name.to_string(), CVal(v.coerce(*ty)));
-            }
-            _ => {
-                fact.remove(name);
-            }
-        }
-    }
-}
-
-impl<'a> Analysis<'a> for ConstProp {
-    type Fact = ConstFact;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-
-    fn boundary(&self) -> ConstFact {
-        self.seeds
-            .scalars
-            .iter()
-            .map(|(k, v)| (k.clone(), CVal(*v)))
-            .collect()
-    }
-
-    fn join(&self, into: &mut ConstFact, from: &ConstFact, _visits: u32) -> bool {
-        let before = into.len();
-        into.retain(|k, v| from.get(k) == Some(v));
-        into.len() != before
-    }
-
-    fn transfer(&self, node: &Node<'a>, fact: &ConstFact) -> ConstFact {
-        let mut f = fact.clone();
-        match node {
-            Node::Stmt(Stmt::Let { name, ty, init }) => {
-                let v = self.eval(init, fact).map(|v| v.coerce(*ty));
-                if self.pinned.contains(name) {
-                    // untrackable
-                } else if let Some(v) = v {
-                    f.insert(name.clone(), CVal(v));
-                } else {
-                    f.remove(name);
-                }
-            }
-            Node::Stmt(Stmt::Assign { target, value }) => match target {
-                LValue::Var(name) => {
-                    let v = self.eval(value, fact);
-                    self.record(&mut f, name, v);
-                }
-                LValue::Index(..) => {
-                    // Arrays are only tracked when immutable; a written
-                    // array never seeds, so nothing to invalidate.
-                }
-            },
-            Node::Stmt(Stmt::LetArray { name, .. }) => {
-                f.remove(name);
-            }
-            Node::LoopHead { var, from, to, .. } => {
-                // The loop variable is only a known constant when the
-                // trip count is exactly one; handled per-edge below.
-                // Here it is conservatively unknown.
-                let _ = (from, to);
-                f.remove(*var);
-            }
-            _ => {}
-        }
-        f
-    }
-
-    fn edge(&self, node: &Node<'a>, k: usize, out: &ConstFact) -> Option<ConstFact> {
-        match node {
-            Node::Branch { cond, .. } => {
-                if let Some(v) = self.eval(cond, out) {
-                    let taken = if v.is_truthy() { 0 } else { 1 };
-                    if k != taken {
-                        return None;
-                    }
-                }
-                Some(out.clone())
-            }
-            Node::LoopHead { var, from, to, .. } => {
-                let lo = self.eval(from, out).map(Value::as_i64);
-                let hi = self.eval(to, out).map(Value::as_i64);
-                match (k, lo, hi) {
-                    // Body edge of a zero-trip loop: dead.
-                    (0, Some(lo), Some(hi)) if lo >= hi => None,
-                    // Body edge of a single-trip loop: the loop variable
-                    // is the constant `from`.
-                    (0, Some(lo), Some(hi)) if lo + 1 == hi && !self.pinned.contains(*var) => {
-                        let mut f = out.clone();
-                        f.insert((*var).to_string(), CVal(Value::Int(lo)));
-                        Some(f)
-                    }
-                    _ => Some(out.clone()),
-                }
-            }
-            _ => Some(out.clone()),
-        }
-    }
-}
-
-/// Solve constant propagation over one body.
-pub fn solve_consts<'a>(cp: &ConstProp, cfg: &Cfg<'a>) -> Solution<ConstFact> {
-    solve(cfg, cp)
-}
-
-// ---- the value-range analysis instance ---------------------------------
-
-/// Map from int-typed scalar name to its interval.  Missing key = ⊤.
-pub type RangeFact = HashMap<String, Interval>;
-
-/// Joins widen after this many visits to guarantee termination on the
-/// infinite-height interval lattice.
-const WIDEN_AFTER: u32 = 8;
-
-pub struct Ranges {
-    int_tys: HashSet<String>,
-    seeds: HashMap<String, i64>,
-    pinned: HashSet<String>,
-}
-
-impl Ranges {
-    pub fn new(f: &Filter, block: &[Stmt]) -> Ranges {
-        let pinned = pinned_names(f, block);
-        let seeds = state_seeds(f, &pinned);
-        let tys = scalar_types(f, block, &pinned);
-        Ranges {
-            int_tys: tys
-                .iter()
-                .filter(|&(_, ty)| *ty == DataType::Int)
-                .map(|(n, _)| n.clone())
-                .collect(),
-            seeds: seeds
-                .scalars
-                .iter()
-                .filter_map(|(n, v)| match v {
-                    Value::Int(i) => Some((n.clone(), *i)),
-                    Value::Float(_) => None,
-                })
-                .collect(),
-            pinned,
-        }
-    }
-
-    /// Interval of an integer-valued expression, `None` when the value
-    /// may be a float or is entirely unknown.  Endpoints saturate into
-    /// the `NEG_INF`/`POS_INF` sentinels, which read as "unbounded" —
-    /// sound with respect to the interpreter's wrapping arithmetic
-    /// because any sum/product that could wrap saturates to a sentinel
-    /// first.
-    pub fn eval(&self, e: &Expr, fact: &RangeFact) -> Option<Interval> {
-        match e {
-            Expr::IntLit(i) => Some(Interval::constant(*i)),
-            Expr::FloatLit(_) => None,
-            Expr::Var(name) => fact.get(name).copied().or_else(|| {
-                if self.int_tys.contains(name) || self.seeds.contains_key(name) {
-                    Some(
-                        self.seeds
-                            .get(name)
-                            .map(|&v| Interval::constant(v))
-                            .unwrap_or(Interval::TOP),
-                    )
-                } else {
-                    None
-                }
-            }),
-            Expr::Index(..) | Expr::Peek(_) | Expr::Pop => None,
-            Expr::Unary(op, a) => match op {
-                UnOp::Neg => Some(self.eval(a, fact)?.neg()),
-                UnOp::Not => Some(Interval::range(0, 1)),
-                UnOp::BitNot => None,
-            },
-            Expr::Binary(op, a, b) => {
-                if matches!(
-                    op,
-                    BinOp::Eq
-                        | BinOp::Ne
-                        | BinOp::Lt
-                        | BinOp::Le
-                        | BinOp::Gt
-                        | BinOp::Ge
-                        | BinOp::And
-                        | BinOp::Or
-                ) {
-                    // Comparisons and logic always produce 0/1, on ints
-                    // and floats alike.
-                    return Some(Interval::range(0, 1));
-                }
-                let ia = self.eval(a, fact)?;
-                let ib = self.eval(b, fact)?;
-                match op {
-                    BinOp::Add => Some(ia.add(&ib)),
-                    BinOp::Sub => Some(ia.sub(&ib)),
-                    BinOp::Mul => Some(ia.mul(&ib)),
-                    _ => Some(Interval::TOP),
-                }
-            }
-            Expr::Call(g, args) => match g {
-                Intrinsic::Max if args.len() == 2 => {
-                    let ia = self.eval(&args[0], fact)?;
-                    let ib = self.eval(&args[1], fact)?;
-                    Some(ia.join(&ib).max_with(ia.lo.max(ib.lo)))
-                }
-                Intrinsic::Abs if args.len() == 1 => {
-                    let ia = self.eval(&args[0], fact)?;
-                    if ia.lo >= 0 {
-                        Some(ia)
-                    } else {
-                        Some(Interval::TOP)
-                    }
-                }
-                _ => None,
-            },
-        }
-    }
-
-    /// Decide a branch condition from intervals alone: `Some(true)` when
-    /// the condition is provably non-zero, `Some(false)` when provably
-    /// zero.
-    pub fn decide(&self, cond: &Expr, fact: &RangeFact) -> Option<bool> {
-        let iv = self.eval(cond, fact)?;
-        if !iv.contains(0) {
-            Some(true)
-        } else if iv.as_constant() == Some(0) {
-            Some(false)
-        } else {
-            None
-        }
-    }
-}
-
-impl<'a> Analysis<'a> for Ranges {
-    type Fact = RangeFact;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-
-    fn boundary(&self) -> RangeFact {
-        self.seeds
-            .iter()
-            .map(|(n, &v)| (n.clone(), Interval::constant(v)))
-            .collect()
-    }
-
-    fn join(&self, into: &mut RangeFact, from: &RangeFact, visits: u32) -> bool {
-        let mut changed = false;
-        into.retain(|k, _| {
-            let keep = from.contains_key(k);
-            changed |= !keep;
-            keep
-        });
-        for (k, iv) in into.iter_mut() {
-            let other = from.get(k).expect("retained above");
-            let joined = iv.join(other);
-            let next = if visits > WIDEN_AFTER {
-                joined.widen(iv)
-            } else {
-                joined
-            };
-            if next != *iv {
-                *iv = next;
-                changed = true;
-            }
-        }
-        changed
-    }
-
-    fn transfer(&self, node: &Node<'a>, fact: &RangeFact) -> RangeFact {
-        let mut f = fact.clone();
-        match node {
-            Node::Stmt(Stmt::Let { name, ty, init }) => {
-                if *ty == DataType::Int && !self.pinned.contains(name) {
-                    match self.eval(init, fact) {
-                        Some(iv) => {
-                            f.insert(name.clone(), iv);
-                        }
-                        None => {
-                            f.remove(name);
-                        }
-                    }
-                } else {
-                    f.remove(name);
-                }
-            }
-            Node::Stmt(Stmt::Assign {
-                target: LValue::Var(name),
-                value,
-            }) => {
-                if self.int_tys.contains(name) && !self.pinned.contains(name) {
-                    match self.eval(value, fact) {
-                        Some(iv) => {
-                            f.insert(name.clone(), iv);
-                        }
-                        None => {
-                            f.remove(name);
-                        }
-                    }
-                } else {
-                    f.remove(name);
-                }
-            }
-            Node::Stmt(Stmt::LetArray { name, .. }) => {
-                f.remove(name);
-            }
-            Node::LoopHead { var, from, to, .. } => {
-                if self.pinned.contains(*var) {
-                    return f;
-                }
-                let lo = self.eval(from, fact);
-                let hi = self.eval(to, fact);
-                let iv = match (lo, hi) {
-                    (Some(lo), Some(hi)) => {
-                        let upper = hi.hi.saturating_sub(1);
-                        if upper >= lo.lo {
-                            Interval::range(lo.lo, upper)
-                        } else {
-                            // Loop provably never runs; the variable is
-                            // never observable, any fact is fine.
-                            Interval::constant(lo.lo)
-                        }
-                    }
-                    _ => Interval::TOP,
-                };
-                f.insert((*var).to_string(), iv);
-            }
-            _ => {}
-        }
-        f
-    }
-}
-
-/// Solve the value-range analysis over one body.
-pub fn solve_ranges<'a>(r: &Ranges, cfg: &Cfg<'a>) -> Solution<RangeFact> {
-    solve(cfg, r)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::cfg::{Cfg, EXIT};
-    use streamit_graph::builder::*;
-
-    fn filter_with(work: Vec<Stmt>) -> Filter {
-        let mut f = FilterBuilder::new("t", DataType::Int)
-            .rates(0, 0, 0)
-            .build();
-        f.work = work;
-        f
-    }
-
-    fn let_(name: &str, ty: DataType, e: Expr) -> Stmt {
-        Stmt::Let {
-            name: name.into(),
-            ty,
-            init: e,
-        }
-    }
-
-    fn assign(name: &str, e: Expr) -> Stmt {
-        Stmt::Assign {
-            target: LValue::Var(name.into()),
-            value: e,
-        }
-    }
+    use streamit_graph::{BinOp, Expr, Stmt, Value};
 
     fn bin(op: BinOp, a: Expr, b: Expr) -> Expr {
         Expr::Binary(op, Box::new(a), Box::new(b))
-    }
-
-    #[test]
-    fn constants_flow_through_straight_line_code() {
-        let work = vec![
-            let_("a", DataType::Int, Expr::IntLit(3)),
-            let_(
-                "b",
-                DataType::Int,
-                bin(BinOp::Mul, Expr::Var("a".into()), Expr::IntLit(7)),
-            ),
-        ];
-        let f = filter_with(work.clone());
-        let cp = ConstProp::new(&f, &f.work);
-        let cfg = Cfg::build(&f.work);
-        let sol = solve_consts(&cp, &cfg);
-        assert!(sol.converged);
-        let exit = sol.before[EXIT].as_ref().expect("reachable");
-        assert_eq!(exit.get("b"), Some(&CVal(Value::Int(21))));
-    }
-
-    #[test]
-    fn conflicting_branch_assignments_are_not_constant() {
-        let work = vec![
-            let_("a", DataType::Int, Expr::IntLit(0)),
-            Stmt::If {
-                cond: Expr::Pop,
-                then_body: vec![assign("a", Expr::IntLit(1))],
-                else_body: vec![assign("a", Expr::IntLit(2))],
-            },
-        ];
-        let f = filter_with(work);
-        let cp = ConstProp::new(&f, &f.work);
-        let cfg = Cfg::build(&f.work);
-        let sol = solve_consts(&cp, &cfg);
-        let exit = sol.before[EXIT].as_ref().expect("reachable");
-        assert_eq!(exit.get("a"), None);
-    }
-
-    #[test]
-    fn dead_branch_does_not_pollute_constants() {
-        // `if (0) a = 99;` — SCCP never propagates through the dead arm,
-        // so `a` stays the constant 1 (plain joining would lose it).
-        let work = vec![
-            let_("a", DataType::Int, Expr::IntLit(1)),
-            Stmt::If {
-                cond: Expr::IntLit(0),
-                then_body: vec![assign("a", Expr::IntLit(99))],
-                else_body: vec![],
-            },
-        ];
-        let f = filter_with(work);
-        let cp = ConstProp::new(&f, &f.work);
-        let cfg = Cfg::build(&f.work);
-        let sol = solve_consts(&cp, &cfg);
-        let exit = sol.before[EXIT].as_ref().expect("reachable");
-        assert_eq!(exit.get("a"), Some(&CVal(Value::Int(1))));
     }
 
     #[test]
@@ -623,52 +134,6 @@ mod tests {
         assert!(BinOp::Div
             .eval(Value::Float(1.0), Value::Float(0.0))
             .is_some());
-    }
-
-    #[test]
-    fn loop_variable_ranges_are_derived_from_bounds() {
-        let work = vec![Stmt::For {
-            var: "i".into(),
-            from: Expr::IntLit(2),
-            to: Expr::IntLit(10),
-            body: vec![let_("x", DataType::Int, Expr::Var("i".into()))],
-        }];
-        let f = filter_with(work);
-        let r = Ranges::new(&f, &f.work);
-        let cfg = Cfg::build(&f.work);
-        let sol = solve_ranges(&r, &cfg);
-        assert!(sol.converged);
-        // Find the Let node inside the body and check `i`'s interval.
-        let let_node = cfg
-            .nodes
-            .iter()
-            .position(|n| matches!(n, Node::Stmt(Stmt::Let { .. })))
-            .expect("let node");
-        let fact = sol.before[let_node].as_ref().expect("reachable");
-        assert_eq!(fact.get("i"), Some(&Interval::range(2, 9)));
-    }
-
-    #[test]
-    fn widening_terminates_an_unbounded_accumulator() {
-        // `s = s + 1` in a loop has an infinite ascending chain; the
-        // widened solution must still converge.
-        let work = vec![
-            let_("s", DataType::Int, Expr::IntLit(0)),
-            Stmt::For {
-                var: "i".into(),
-                from: Expr::IntLit(0),
-                to: Expr::Pop,
-                body: vec![assign(
-                    "s",
-                    bin(BinOp::Add, Expr::Var("s".into()), Expr::IntLit(1)),
-                )],
-            },
-        ];
-        let f = filter_with(work);
-        let r = Ranges::new(&f, &f.work);
-        let cfg = Cfg::build(&f.work);
-        let sol = solve_ranges(&r, &cfg);
-        assert!(sol.converged);
     }
 
     // Differential check: the reference interpreter must agree with the
@@ -735,6 +200,11 @@ mod tests {
             Value::Int(i) => Expr::IntLit(i),
             Value::Float(f) => Expr::FloatLit(f),
         };
+        // Type and bits: `NaN` equals itself, `0.0` is not `-0.0`.
+        let bits = |v: Value| match v {
+            Value::Int(i) => (false, i as u64),
+            Value::Float(f) => (true, f.to_bits()),
+        };
         let mut checked = 0usize;
         for &op in &ops {
             for &a in &vals {
@@ -760,8 +230,8 @@ mod tests {
                             assert!(res.is_ok(), "{op:?} {a:?} {b:?}: interpreter failed");
                             let got = *ctx.out.first().expect("one push");
                             assert_eq!(
-                                CVal(got),
-                                CVal(v),
+                                bits(got),
+                                bits(v),
                                 "{op:?} {a:?} {b:?}: fold disagrees with interpreter"
                             );
                             checked += 1;

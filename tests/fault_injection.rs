@@ -120,6 +120,29 @@ fn adversarial_corpus() -> Vec<String> {
          if (v < 0) { for (int i = 0; i < 9223372036854775807; i++) { s = s + 1; } } \
          push(v + s); } } int->int pipeline Main() { add F(); }"
             .into(),
+        // A product that wraps to 0 deciding a branch.  `i * 2^32` from
+        // `i = 2^32`, in a loop the `let` keeps rolled: a value-range
+        // analysis that saturated where the machine wraps once called the
+        // `else` arm dead, and the fast engines answered 2 where the
+        // reference says 3.  Then the same product from state, guarding the only pop
+        // (`E0601`; it used to be a proved rate and a run-time fault).
+        "int->int filter F() { int x; work pop 1 push 1 { x = pop(); \
+         for (int i = 4294967296; i < 4294967298; i++) { int d = 0; \
+         if (i * 4294967296) { d = 1; } else { d = 2; } x = x + d; } push(x); } } \
+         int->int pipeline Main() { add F(); }"
+            .into(),
+        "int->int filter F() { int K; init { K = 4294967296; } \
+         work pop 1 push 1 { if (K * K) { push(pop() + 7); } } } \
+         int->int pipeline Main() { add F(); }"
+            .into(),
+        // Loop bounds at both ends of `i64`, on a branch the input never
+        // takes: the trip count `hi - lo` is not an `i64`, and the lints'
+        // constant folder meets the loop whether or not an engine admits
+        // the filter.
+        "int->int filter F() { work pop 1 push 1 { int v = pop(); int s = 0; \
+         if (v < 0) { for (int i = -9223372036854775807; i < 9223372036854775807; i++) \
+         { s = s + 1; } } push(v + s); } } int->int pipeline Main() { add F(); }"
+            .into(),
         // Division / modulo by zero in constant position.
         "int->int filter F { work pop 1 push 1 { push(1 / 0); } } \
          int->int pipeline Main() { add F(); }"

@@ -3,7 +3,7 @@
 //! `streamit::graph::work` defines what every `BinOp`, `UnOp` and
 //! intrinsic means; this suite evaluates each of them over edge operands
 //! five ways and requires the results to agree bit for bit, trap for
-//! trap:
+//! trap, and a sixth way that has to *contain* them:
 //!
 //! 1. the table itself (`BinOp::eval`, `UnOp::eval`, `Intrinsic::eval`);
 //! 2. the reference interpreter on a one-`push` body of literals;
@@ -11,7 +11,11 @@
 //! 4. the elaborator on source text with the operands written as
 //!    literals — once inside `work` (`fold_binary`), once as a composite
 //!    argument (`const_eval`);
-//! 5. the compiled VM, the operands arriving on the tape.
+//! 5. the compiled VM, the operands arriving on the tape;
+//! 6. `analysis::Interval`'s table, the abstract counterpart the rate
+//!    gate computes with: over intervals around the integer operands the
+//!    abstract result contains the concrete one, and on constants it *is*
+//!    the concrete one.
 //!
 //! CI runs it in debug and in `--release`: folding happens when the
 //! compiler runs, execution when the program does, and the table has to
@@ -20,6 +24,7 @@
 use std::collections::HashMap;
 use std::hint::black_box;
 
+use streamit::analysis::Interval;
 use streamit::exec::{CompiledGraph, ExecError};
 use streamit::graph::{BinOp, DataType, Expr, Filter, Intrinsic, Stmt, StreamNode, UnOp, Value};
 use streamit::interp::{eval_block_bounded, EvalCtx, RuntimeError};
@@ -381,4 +386,102 @@ fn i64_min_is_total_or_the_one_trap() {
     assert_eq!(BinOp::Div.eval(min, Value::Int(-1)), None);
     assert_eq!(BinOp::Rem.eval(min, Value::Int(-1)), None);
     assert_eq!(BinOp::Mul.eval(min, Value::Int(-1)), Some(min));
+}
+
+// ---- way 6: the interval table ------------------------------------------
+
+/// The integer edge operands, plus `2^32`: the square of a finite end
+/// that leaves `i64` without either factor being near its ends.
+fn int_operands() -> Vec<i64> {
+    let mut ints: Vec<i64> = operands()
+        .into_iter()
+        .filter_map(|v| match v {
+            Value::Int(i) => Some(i),
+            Value::Float(_) => None,
+        })
+        .collect();
+    ints.push(1 << 32);
+    ints
+}
+
+/// Intervals that contain `x`: the singleton (a constant is exact, at
+/// `i64::MIN` and `i64::MAX` too), `[x-1, x+1]`, and the hull of `x` and
+/// the other operand — the last two where their ends are finite, an end
+/// at `i64::MIN` / `i64::MAX` being the domain's "unbounded".
+fn around(x: i64, other: i64) -> Vec<Interval> {
+    let finite = |lo: i64, hi: i64| lo < hi && lo != i64::MIN && hi != i64::MAX;
+    let mut out = vec![Interval::constant(x)];
+    if let (Some(lo), Some(hi)) = (x.checked_sub(1), x.checked_add(1)) {
+        if finite(lo, hi) {
+            out.push(Interval::range(lo, hi));
+        }
+    }
+    if finite(x.min(other), x.max(other)) {
+        out.push(Interval::range(x, other));
+    }
+    out
+}
+
+/// `abstract_` over every choice of intervals around `args` (one or two
+/// of them) contains `concrete`; over the singletons it is exactly
+/// `concrete`, or ⊤ for the trap.  Returns the number of tuples checked.
+fn contained(
+    what: &str,
+    args: &[i64],
+    concrete: Option<i64>,
+    abstract_: impl Fn(&[Interval]) -> Interval,
+) -> usize {
+    let first = around(args[0], args[args.len() - 1]);
+    let tuples: Vec<Vec<Interval>> = match args {
+        [_] => first.iter().map(|&a| vec![a]).collect(),
+        [x, y] => first
+            .iter()
+            .flat_map(|&a| around(*y, *x).into_iter().map(move |b| vec![a, b]))
+            .collect(),
+        _ => unreachable!("operators take one or two operands"),
+    };
+    for ivs in &tuples {
+        let got = abstract_(ivs);
+        if let Some(r) = concrete {
+            assert!(
+                got.contains(r),
+                "{what}{args:?} = {r}, but over {ivs:?} the interval table says {got}"
+            );
+        }
+        if ivs.iter().all(Interval::is_constant) {
+            let want = concrete.map_or(Interval::TOP, Interval::constant);
+            assert_eq!(got, want, "{what}{args:?} on constants");
+        }
+    }
+    tuples.len()
+}
+
+#[test]
+fn interval_table_contains_the_concrete_one() {
+    use streamit::graph::work::{int_abs, int_binop, int_unop};
+    let ints = int_operands();
+    let mut checked = 0;
+    for &a in &ints {
+        for (op, sym) in UNOPS {
+            checked += contained(sym, &[a], Some(int_unop(op, a)), |v| {
+                Interval::unop(op, v[0])
+            });
+        }
+        let call = |g: Intrinsic| move |v: &[Interval]| Interval::intrinsic(g, v).expect("int");
+        checked += contained("abs", &[a], Some(int_abs(a)), call(Intrinsic::Abs));
+        checked += contained("int", &[a], Some(a), call(Intrinsic::ToInt));
+        for &b in &ints {
+            for op in BINOPS {
+                checked += contained(op.symbol(), &[a, b], int_binop(op, a, b), |v| {
+                    Interval::binop(op, v[0], v[1])
+                });
+            }
+            checked += contained("min", &[a, b], Some(a.min(b)), call(Intrinsic::Min));
+            checked += contained("max", &[a, b], Some(a.max(b)), call(Intrinsic::Max));
+        }
+    }
+    // 9 operands; most pairs have all three intervals on each side.
+    assert!(checked > 20 * 9 * 9 * 4, "{checked} interval tuples");
+    // Every float-valued intrinsic is outside the table.
+    assert_eq!(Interval::intrinsic(Intrinsic::Sqrt, &[Interval::TOP]), None);
 }

@@ -181,6 +181,89 @@ fn golden_float_reads_never_decide_a_branch() {
 }
 
 #[test]
+fn golden_l0602_is_per_arm_not_per_visit() {
+    // An arm is unreachable when no visit of its `if` takes it.  In the
+    // first loop each arm is skipped on two trips and runs on the other
+    // two: no finding.  In the second the `else` arm is skipped on all six
+    // trips: one finding, not six.
+    let p = compile(
+        "int->int filter F() {\n\
+         \x20   work pop 1 push 1 {\n\
+         \x20       int x = pop();\n\
+         \x20       for (int i = 0; i < 4; i++) { if (i < 2) { x = x + 1; } else { x = x * 2; } }\n\
+         \x20       push(x);\n\
+         \x20   }\n\
+         }\n\
+         int->int pipeline Main() { add F(); }\n",
+    );
+    assert_eq!(warning_codes(&p), Vec::<&str>::new());
+    let p = compile(
+        "int->int filter F() {\n\
+         \x20   work pop 1 push 1 {\n\
+         \x20       int x = pop();\n\
+         \x20       for (int i = 0; i < 6; i++) { if (i < 9) { x = x + 1; } else { x = x * 2; } }\n\
+         \x20       push(x);\n\
+         \x20   }\n\
+         }\n\
+         int->int pipeline Main() { add F(); }\n",
+    );
+    assert_eq!(warning_codes(&p), vec!["L0602"]);
+    let f = p.analysis.warnings().next().expect("one warning");
+    assert!(f.message.contains("`else` arm"), "{f}");
+}
+
+#[test]
+fn golden_wrapping_product_decides_no_branch() {
+    // `i * 2^32` is 0 on the first trip (`i` is `2^32` and the machine
+    // wraps) and `2^32` on the second, so each arm runs once.  An interval
+    // that saturates instead says `[+inf, +inf]`, "always true": a false
+    // `L0602` per trip and a false `L0607`, and the optimizer pruned the
+    // `else` arm (`tests/fault_injection.rs` holds the engines to the
+    // reference on this program).  The `let` keeps the loop rolled.
+    let p = compile(
+        "int->int filter F() {\n\
+         \x20   int x;\n\
+         \x20   work pop 1 push 1 {\n\
+         \x20       x = pop();\n\
+         \x20       for (int i = 4294967296; i < 4294967298; i++) {\n\
+         \x20           int d = 0;\n\
+         \x20           if (i * 4294967296) { d = 1; } else { d = 2; }\n\
+         \x20           x = x + d;\n\
+         \x20       }\n\
+         \x20       push(x);\n\
+         \x20   }\n\
+         }\n\
+         int->int pipeline Main() { add F(); }\n",
+    );
+    // `int d = 0` really is overwritten on both arms.
+    assert_eq!(warning_codes(&p), vec!["L0606"]);
+    assert_eq!(p.run(&[5.0], 1).expect("runs"), vec![5.0 + 2.0 + 1.0]);
+}
+
+#[test]
+fn golden_e0601_wrapping_product_of_state() {
+    // `K * K` is `2^64`, which is 0: the body pops and pushes nothing
+    // against a declared `pop 1 push 1`.  Saturated to `+inf` the
+    // condition read as true, the rates as proved, and the engines'
+    // run-time rate check was left to catch it (`E0702` / `E0405`).
+    let p = compile(
+        "int->int filter F() {\n\
+         \x20   int K;\n\
+         \x20   init { K = 4294967296; }\n\
+         \x20   work pop 1 push 1 { if (K * K) { push(pop() + 7); } }\n\
+         }\n\
+         int->int pipeline Main() { add F(); }\n",
+    );
+    let errors: Vec<_> = p.analysis.errors().map(|f| f.code).collect();
+    assert_eq!(errors, vec!["E0601", "E0601"], "{:#?}", p.analysis.findings);
+    let warnings: Vec<_> = p.analysis.warnings().map(|f| f.code).collect();
+    assert_eq!(warnings, vec!["L0602", "L0607"]);
+    // The run-time check is still there for whoever runs it anyway.
+    let e = p.run(&[1.0], 1).expect_err("pops nothing");
+    assert_eq!(streamit::Diag::from(e).code, "E0405");
+}
+
+#[test]
 fn golden_l0603_tape_in_branch_condition() {
     let p = compile(
         "int->int filter F() {\n\
@@ -653,9 +736,14 @@ mod summary {
         });
         assert_eq!(r.skipped, 0);
         assert_eq!(r.analysis.pops, Interval::constant(3 + 2 * 5));
-        assert_eq!(r.analysis.dead_code.len(), 8);
-        // Decided the same way over the whole range, a dead arm would
-        // still be reported once per trip: walked.
+        // Each arm is skipped on some trips and runs on others: not dead.
+        assert!(
+            r.analysis.dead_code.is_empty(),
+            "{:?}",
+            r.analysis.dead_code
+        );
+        // Decided the same way over the whole range, with code in the
+        // arm no trip takes: reported once, and still walked.
         let r = agree_on(|b| {
             b.for_("t", 0, 8, |b| {
                 b.if_else(
@@ -666,7 +754,10 @@ mod summary {
             })
         });
         assert_eq!(r.skipped, 0);
-        assert_eq!(r.analysis.dead_code.len(), 8);
+        assert_eq!(
+            r.analysis.dead_code,
+            ["`else` arm of an `if` whose condition is statically true"]
+        );
         // With nothing in the dead arm there is nothing to report.
         let r = agree_on(|b| {
             b.for_("t", 0, 8, |b| {
