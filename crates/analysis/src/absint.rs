@@ -284,7 +284,7 @@ pub struct Walked {
 /// fuel included.  Production code calls [`analyze_body`].
 #[doc(hidden)]
 pub fn walk_body(f: &Filter, block: &[Stmt], summarize: bool) -> Walked {
-    let assigned = crate::sccp::assigned_state_names(f);
+    let assigned = crate::scope::assigned_state_names(f);
     let mut st = AbsState::initial(&HashMap::new());
     for sv in &f.state {
         let slot = match (sv.ty, &sv.init) {

@@ -39,7 +39,7 @@
 //! the body: the abstract walk above ([`absint`]: rates, peek bounds, dead
 //! arms), a folding walk ([`opt`]: constants, pruning, unrolling, and lint
 //! `L0607`) and a backward walk ([`liveness`]: dead stores, for the
-//! optimizer and lint `L0606`).  [`sccp`] holds the name scoping they
+//! optimizer and lint `L0606`).  [`scope`] holds the name scoping they
 //! share; [`opt`] is the semantics-preserving transform pipeline engines
 //! run before bytecode lowering.
 
@@ -48,7 +48,7 @@ pub mod interval;
 mod lint;
 pub mod liveness;
 pub mod opt;
-pub mod sccp;
+pub mod scope;
 
 pub use absint::{analyze_block, BodyAnalysis};
 pub use interval::Interval;

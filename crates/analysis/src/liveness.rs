@@ -20,7 +20,7 @@
 //! The analysis is name-based to match the IR: arrays are treated
 //! monolithically (an indexed store is a *weak* update that leaves the
 //! whole array live), and shadow-ambiguous names (see
-//! [`crate::sccp::pinned_names`]) are never killed and never reported, so
+//! [`crate::scope::pinned_names`]) are never killed and never reported, so
 //! the query never misfires across scopes.
 //!
 //! State variables are live at body exit: filter state persists across
@@ -32,7 +32,7 @@ use std::collections::HashSet;
 
 use streamit_graph::{Expr, Filter, LValue, Stmt};
 
-use crate::sccp::pinned_names;
+use crate::scope::pinned_names;
 
 /// Names live at one program point, pinned names left out.
 type Live<'a> = HashSet<&'a str>;

@@ -24,7 +24,7 @@
 //!   `let` coerces, so a cross-type copy is a conversion, not a copy).
 //!
 //! Scope discipline: name-shadowing is conservatively excluded up front
-//! ([`crate::sccp::pinned_names`]), `if` arms are spliced only when they
+//! ([`crate::scope::pinned_names`]), `if` arms are spliced only when they
 //! declare no top-level locals, and a deleted dead `let` whose name is
 //! re-assigned later keeps its declaration (with a zeroed initializer)
 //! so lowering still sees the binding.
@@ -35,7 +35,7 @@ use streamit_graph::work::{eval_const, ConstEnv};
 use streamit_graph::{DataType, Expr, Filter, LValue, Stmt, Value};
 
 use crate::liveness::{dead_stores, DeadStore};
-use crate::sccp::{pinned_names, scalar_types, state_seeds, StateSeeds};
+use crate::scope::{pinned_names, scalar_types, state_seeds, StateSeeds};
 
 /// Maximum trip count a single loop may be unrolled by.
 const MAX_UNROLL_TRIPS: i64 = 256;

@@ -8,26 +8,18 @@
 //! compiled baseline.
 //!
 //! ```text
-//! bench_parallel [--quick] [--profiled] [--out PATH]
+//! bench_parallel [--quick] [--out PATH]
 //! ```
 //!
 //! `--quick` shortens the measurement window (CI smoke); `--out`
 //! changes the report path (default `BENCH_parallel.json`).
-//!
-//! `--profiled` additionally measures *profile-guided* planning: each
-//! app is profiled on the compiled engine (per-filter measured costs),
-//! the parallel plan is rebuilt from the measured costs, and every
-//! thread-count cell gains additive `profiled_*` fields comparing the
-//! static-cost plan against the measured-cost plan.  Each app row gains
-//! an `opt` object (static vs profiled items/sec at 4 threads) plus the
-//! measured profiler overhead, which is asserted to stay within budget.
 
 use std::time::Instant;
 
 use streamit::exec::CompiledGraph;
 use streamit::graph::StreamNode;
 use streamit::rt::ParallelGraph;
-use streamit::{CompiledProgram, Compiler};
+use streamit::Compiler;
 use streamit_bench::host_json;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -119,64 +111,9 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// Profiler overhead (1-in-32 sampling, the CLI's default) as a
-/// percentage over the unprofiled compiled engine.  The two variants
-/// are timed in *interleaved* pairs — base then profiled, back to back
-/// — and the reported figure is the minimum per-pair ratio.  Adjacency
-/// keeps slow clock-frequency drift out of any single ratio, and the
-/// minimum is the right estimator for *intrinsic* overhead under a
-/// shared, noisy host: scheduler preemption and cache pollution can
-/// only inflate an individual ratio, never deflate all of them.
-fn profiler_overhead_pct(cg: &CompiledGraph, target_s: f64) -> f64 {
-    // An overhead ratio needs a window long enough to dominate timer
-    // and scheduler jitter, so the quick-mode window is floored — this
-    // check is cheap relative to the scaling sweep either way.
-    let target_s = target_s.max(0.2);
-    let mut k = 16u64;
-    let mut input = varied_input(cg.required_input(k) as usize);
-    loop {
-        let t0 = Instant::now();
-        cg.run_steady(&input, k)
-            .unwrap_or_else(|e| panic!("overhead calibration run failed: {e}"));
-        if t0.elapsed().as_secs_f64() >= target_s || k >= 1 << 24 {
-            break;
-        }
-        k *= 4;
-        input = varied_input(cg.required_input(k) as usize);
-    }
-    let mut best_ratio = f64::INFINITY;
-    for _ in 0..6 {
-        let t0 = Instant::now();
-        cg.run_steady(&input, k)
-            .map(|_| ())
-            .unwrap_or_else(|e| panic!("overhead run failed: {e}"));
-        let base = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        cg.run_steady_profiled(&input, k, 32)
-            .map(|_| ())
-            .unwrap_or_else(|e| panic!("profiled overhead run failed: {e}"));
-        let prof = t0.elapsed().as_secs_f64();
-        best_ratio = best_ratio.min(prof / base.max(1e-9));
-    }
-    // A ratio below 1.0 means the overhead is beneath the noise floor;
-    // report that as zero rather than a nonsensical negative cost.
-    ((best_ratio - 1.0) * 100.0).max(0.0)
-}
-
-fn compile_app(name: &str, stream: StreamNode) -> (CompiledProgram, CompiledGraph) {
-    let p = Compiler::default()
-        .compile_stream(stream)
-        .unwrap_or_else(|e| panic!("{name}: app graph must compile: {e}"));
-    let cg = p
-        .compile_exec()
-        .unwrap_or_else(|e| panic!("{name}: compiled engine must accept this app: {e}"));
-    (p, cg)
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let quick = argv.iter().any(|a| a == "--quick");
-    let profiled_mode = argv.iter().any(|a| a == "--profiled");
     let out_path = argv
         .iter()
         .position(|a| a == "--out")
@@ -200,113 +137,30 @@ fn main() {
         "{:<12} {:>14} {:>12} {:>12} {:>12} {:>12}",
         "app", "serial", "1 thread", "2 threads", "4 threads", "8 threads"
     );
-    let mut profiled_speedups = Vec::new();
     for (name, stream) in apps {
-        let (mut p, cg) = compile_app(name, stream);
+        let p = Compiler::default()
+            .compile_stream(stream)
+            .unwrap_or_else(|e| panic!("{name}: app graph must compile: {e}"));
+        let cg = p
+            .compile_exec()
+            .unwrap_or_else(|e| panic!("{name}: compiled engine must accept this app: {e}"));
         let base = measure_compiled(&cg, target_s);
-        // Static-cost plans first, while the program carries no profile.
-        let static_pgs: Vec<ParallelGraph> = THREAD_COUNTS
-            .iter()
-            .map(|&threads| {
-                p.compile_parallel(threads)
-                    .unwrap_or_else(|e| panic!("{name}: parallel engine must accept this app: {e}"))
-            })
-            .collect();
-        // Profile-guided plans: measure per-filter costs on the compiled
-        // engine (dense sampling — this is an offline profiling pass),
-        // feed them back, and rebuild every thread count.
-        let mut overhead_pct = 0.0f64;
-        let mut profiled_pgs: Vec<Option<ParallelGraph>> =
-            THREAD_COUNTS.iter().map(|_| None).collect();
-        if profiled_mode {
-            overhead_pct = profiler_overhead_pct(&cg, target_s);
-            assert!(
-                overhead_pct <= 5.0,
-                "{name}: profiler overhead {overhead_pct:.2}% exceeds the 5% budget"
-            );
-            let prof_k = 64u64;
-            let n = (cg.init_outputs() + prof_k * cg.outputs_per_iteration()) as usize;
-            let input = varied_input(cg.required_input(prof_k) as usize);
-            let (_, prof) = p
-                .profile_run(&input, n, 1)
-                .unwrap_or_else(|e| panic!("{name}: profiling run failed: {e}"));
-            p.set_profile(prof);
-            for (i, &threads) in THREAD_COUNTS.iter().enumerate() {
-                profiled_pgs[i] = Some(p.compile_parallel(threads).unwrap_or_else(|e| {
-                    panic!("{name}: profiled parallel plan must compile: {e}")
-                }));
-            }
-        }
-        // Measure.  In profiled mode the static and profiled plans for a
-        // thread count are timed as interleaved best-of-2 pairs —
-        // static, profiled, static, profiled — so slow clock-frequency
-        // drift cannot masquerade as a planning difference.
-        let mut static_cells = Vec::new();
-        let mut profiled_cells: Vec<Option<(usize, bool, Measurement)>> =
-            THREAD_COUNTS.iter().map(|_| None).collect();
-        let mut static4 = 0.0f64;
-        let mut profiled4 = 0.0f64;
-        for (i, &threads) in THREAD_COUNTS.iter().enumerate() {
-            let pg = &static_pgs[i];
-            let identical = bit_identical(&cg, pg);
-            let mut m = measure_parallel(pg, target_s);
-            if let Some(ppg) = &profiled_pgs[i] {
-                let pidentical = bit_identical(&cg, ppg);
-                let mut pm = measure_parallel(ppg, target_s);
-                let m2 = measure_parallel(pg, target_s);
-                if m2.items_per_sec > m.items_per_sec {
-                    m = m2;
-                }
-                let pm2 = measure_parallel(ppg, target_s);
-                if pm2.items_per_sec > pm.items_per_sec {
-                    pm = pm2;
-                }
-                if threads == 4 {
-                    static4 = m.items_per_sec;
-                    profiled4 = pm.items_per_sec;
-                }
-                profiled_cells[i] = Some((ppg.stages(), pidentical, pm));
-            }
-            static_cells.push((
-                threads,
-                pg.stages(),
-                pg.fission_report().len(),
-                identical,
-                m,
-            ));
-        }
-        let mut opt_row = String::new();
-        if profiled_mode {
-            let speedup = profiled4 / static4.max(1e-9);
-            profiled_speedups.push(speedup);
-            opt_row = format!(
-                ",\n      \"opt\": {{\"baseline_items_per_sec\": {}, \
-                 \"optimized_items_per_sec\": {}, \"speedup\": {}, \
-                 \"profiler_overhead_pct\": {}}}",
-                json_f64(static4),
-                json_f64(profiled4),
-                json_f64(speedup),
-                json_f64(overhead_pct),
-            );
-        }
         let mut curve = Vec::new();
         let mut cells = Vec::new();
-        for (i, (threads, stages, fissed, identical, m)) in static_cells.iter().enumerate() {
+        for threads in THREAD_COUNTS {
+            let pg = p
+                .compile_parallel(threads)
+                .unwrap_or_else(|e| panic!("{name}: parallel engine must accept this app: {e}"));
+            let identical = bit_identical(&cg, &pg);
+            let m = measure_parallel(&pg, target_s);
             let scaling = m.items_per_sec / base.items_per_sec.max(1e-9);
             cells.push(format!("{:>10.0}/s", m.items_per_sec));
-            let profiled_fields = match &profiled_cells[i] {
-                Some((pstages, pidentical, pm)) => format!(
-                    ", \"profiled_items_per_sec\": {}, \"profiled_scaling\": {}, \
-                     \"profiled_bit_identical\": {pidentical}, \"profiled_stages\": {pstages}",
-                    json_f64(pm.items_per_sec),
-                    json_f64(pm.items_per_sec / base.items_per_sec.max(1e-9)),
-                ),
-                None => String::new(),
-            };
             curve.push(format!(
-                "        {{\"threads\": {threads}, \"stages\": {stages}, \"fissed_regions\": {fissed}, \
+                "        {{\"threads\": {threads}, \"stages\": {}, \"fissed_regions\": {}, \
                  \"bit_identical\": {identical}, \"items_per_sec\": {}, \"elapsed_s\": {}, \
-                 \"outputs\": {}, \"iterations\": {}, \"scaling\": {}{profiled_fields}}}",
+                 \"outputs\": {}, \"iterations\": {}, \"scaling\": {}}}",
+                pg.stages(),
+                pg.fission_report().len(),
                 json_f64(m.items_per_sec),
                 json_f64(m.elapsed_s),
                 m.outputs,
@@ -323,7 +177,7 @@ fn main() {
         rows.push(format!(
             "    {{\n      \"name\": \"{name}\",\n      \
              \"serial\": {{\"items_per_sec\": {}, \"elapsed_s\": {}, \"outputs\": {}, \"iterations\": {}}},\n      \
-             \"threads\": [\n{}\n      ]{opt_row}\n    }}",
+             \"threads\": [\n{}\n      ]\n    }}",
             json_f64(base.items_per_sec),
             json_f64(base.elapsed_s),
             base.outputs,
@@ -332,20 +186,8 @@ fn main() {
         ));
     }
 
-    let opt_geomean = if profiled_speedups.is_empty() {
-        String::new()
-    } else {
-        let g = (profiled_speedups
-            .iter()
-            .map(|s| s.max(1e-9).ln())
-            .sum::<f64>()
-            / profiled_speedups.len() as f64)
-            .exp();
-        println!("profiled vs static planning geomean (4 threads): {g:.2}x");
-        format!("\n  \"opt_geomean_speedup\": {},", json_f64(g))
-    };
     let report = format!(
-        "{{\n  \"benchmark\": \"parallel_scaling\",\n  \"host\": {},{opt_geomean}\n  \
+        "{{\n  \"benchmark\": \"parallel_scaling\",\n  \"host\": {},\n  \
          \"quick\": {quick},\n  \"apps\": [\n{}\n  ]\n}}\n",
         host_json(),
         rows.join(",\n")

@@ -7,8 +7,7 @@
 //!           [--engine ENGINE] [--threads N] [--watchdog-ms MS]
 //!           [--on-engine-fault error|fallback]
 //!           [--inject-fault KIND@STAGE:ITER]
-//!           [--profile] [--profile-out FILE] [--profile-in FILE]
-//!           [--replan-threshold RATIO] [--strict]
+//!           [--profile] [--strict]
 //! ```
 //!
 //! * `--outline`   print the elaborated hierarchy
@@ -43,20 +42,13 @@
 //!   `panic@STAGE:ITER`, `stall@STAGE:ITER`, or `delay@STAGE:ITER`
 //! * `--profile`   run `--run` on the compiled engine with the
 //!   per-filter profiler and print a cost table (ns/firing, share of
-//!   total) sorted hottest-first.  Sampling is amortized (every filter
-//!   firing timed during one steady iteration in 32) and the output
-//!   stream is bit-identical
-//! * `--profile-out FILE`  write the measured profile as JSON for a
-//!   later `--profile-in` (implies a profiled run, like `--profile`)
-//! * `--profile-in FILE`  plan the parallel engine with measured costs
-//!   from a previous `--profile-out`.  A structurally malformed file is
-//!   the `E0707` diagnostic (exit 8); profile entries naming filters
-//!   this program doesn't have only warn and are ignored
-//! * `--replan-threshold R`  adaptive re-planning for `--engine
-//!   parallel`: when the measured stage-imbalance ratio (busiest stage
-//!   over the mean) exceeds `R` (≥ 1.0), the run drains at a steady
-//!   iteration boundary, re-partitions with the measured costs, and
-//!   resumes — output stays bit-identical
+//!   total) sorted hottest-first.  One steady iteration in 32 has every
+//!   filter firing timed; the output stream is bit-identical.  It is a
+//!   report on the serial compiled engine, so it cannot be combined with
+//!   another `--engine`, `--threads`, `--watchdog-ms`,
+//!   `--on-engine-fault` or `--inject-fault` (usage error).  Not cheap:
+//!   with a hook attached the driver runs at the unit stride, so a
+//!   profiled `fmradio` run takes 113–118 % longer than a batched one
 //! * `--linear` / `--frequency`  enable the linear optimizer
 //! * `--opt-level N`  work-IR optimization level for the
 //!   compiled/parallel engines: `0` lowers work functions verbatim,
@@ -83,8 +75,7 @@
 //! | 6    | resource budget exhausted (`E05xx`) |
 //! | 7    | static-analysis failure (`E06xx`) |
 //! | 8    | engine selection failure (`E0701`; only via the library API —
-//!   the CLI falls back to the reference engine instead), or a
-//!   malformed `--profile-in` file (`E0707`) |
+//!   the CLI falls back to the reference engine instead) |
 
 use streamit::linear::LinearMode;
 use streamit::rawsim::MachineConfig;
@@ -108,9 +99,6 @@ struct Args {
     lint: bool,
     opt_level: u8,
     profile: bool,
-    profile_out: Option<String>,
-    profile_in: Option<String>,
-    replan_threshold: Option<f64>,
 }
 
 fn usage() -> ! {
@@ -119,8 +107,7 @@ fn usage() -> ! {
          [--outline] [--dot] [--lint] [--opt-level 0|1] [--schedule [TILES]] [--run N] \
          [--budget FIRINGS] [--engine reference|compiled|parallel] [--threads N] \
          [--watchdog-ms MS] [--on-engine-fault error|fallback] \
-         [--inject-fault KIND@STAGE:ITER] [--profile] [--profile-out FILE] \
-         [--profile-in FILE] [--replan-threshold RATIO] [--strict]"
+         [--inject-fault KIND@STAGE:ITER] [--profile] [--strict]"
     );
     std::process::exit(2);
 }
@@ -146,10 +133,10 @@ fn parse_args() -> Args {
         lint: false,
         opt_level: 1,
         profile: false,
-        profile_out: None,
-        profile_in: None,
-        replan_threshold: None,
     };
+    // Flags seen that `--profile` (a serial compiled-engine run) would
+    // have to ignore.
+    let mut beside_profile: Vec<&str> = Vec::new();
     let mut it = std::env::args().skip(1).peekable();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -196,12 +183,16 @@ fn parse_args() -> Args {
                     .next()
                     .and_then(|s| s.parse::<Engine>().ok())
                     .unwrap_or_else(|| usage());
+                if args.engine != Engine::Compiled {
+                    beside_profile.push("--engine");
+                }
             }
             "--threads" => {
                 args.threads = it
                     .next()
                     .and_then(|s| s.parse::<usize>().ok())
                     .unwrap_or_else(|| usage());
+                beside_profile.push("--threads");
             }
             "--watchdog-ms" => {
                 let ms = it
@@ -209,12 +200,14 @@ fn parse_args() -> Args {
                     .and_then(|s| s.parse::<u64>().ok())
                     .unwrap_or_else(|| usage());
                 args.watchdog_ms = if ms == 0 { None } else { Some(ms) };
+                beside_profile.push("--watchdog-ms");
             }
             "--on-engine-fault" => {
                 args.on_fault = it
                     .next()
                     .and_then(|s| s.parse::<OnEngineFault>().ok())
                     .unwrap_or_else(|| usage());
+                beside_profile.push("--on-engine-fault");
             }
             "--inject-fault" => {
                 let plan = it
@@ -222,22 +215,9 @@ fn parse_args() -> Args {
                     .and_then(|s| s.parse::<streamit::exec::FaultPlan>().ok())
                     .unwrap_or_else(|| usage());
                 args.inject_fault = Some(plan);
+                beside_profile.push("--inject-fault");
             }
             "--profile" => args.profile = true,
-            "--profile-out" => {
-                args.profile_out = Some(it.next().unwrap_or_else(|| usage()));
-            }
-            "--profile-in" => {
-                args.profile_in = Some(it.next().unwrap_or_else(|| usage()));
-            }
-            "--replan-threshold" => {
-                let t = it
-                    .next()
-                    .and_then(|s| s.parse::<f64>().ok())
-                    .filter(|t| t.is_finite() && *t >= 1.0)
-                    .unwrap_or_else(|| usage());
-                args.replan_threshold = Some(t);
-            }
             "--help" | "-h" => usage(),
             f if !f.starts_with('-') && args.file.is_empty() => args.file = f.to_string(),
             _ => usage(),
@@ -246,15 +226,15 @@ fn parse_args() -> Args {
     if args.file.is_empty() {
         usage();
     }
-    if args.run.is_none()
-        && (args.profile
-            || args.profile_out.is_some()
-            || args.profile_in.is_some()
-            || args.replan_threshold.is_some())
-    {
+    if args.profile && args.run.is_none() {
+        eprintln!("streamitc: --profile requires --run");
+        usage();
+    }
+    if args.profile && !beside_profile.is_empty() {
         eprintln!(
-            "streamitc: --profile, --profile-out, --profile-in, and \
-             --replan-threshold require --run"
+            "streamitc: --profile measures the serial compiled engine and cannot be \
+             combined with {}",
+            beside_profile.join(", ")
         );
         usage();
     }
@@ -294,7 +274,7 @@ fn main() {
         strict_verify: args.strict,
         opt_level: args.opt_level,
     });
-    let mut program = match compiler.compile_source(&source, &args.main) {
+    let program = match compiler.compile_source(&source, &args.main) {
         Ok(p) => p,
         Err(e) => {
             let d = streamit::Diag::from(e);
@@ -302,36 +282,6 @@ fn main() {
             std::process::exit(d.exit_code());
         }
     };
-
-    // Measured costs for the planner: structural damage is a hard
-    // E0707; names that match no filter (a stale profile) only warn —
-    // the planner falls back to static costs for them.
-    if let Some(path) = &args.profile_in {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("streamitc: cannot read {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        match streamit::sched::ProfileReport::from_json(&text) {
-            Ok(prof) => {
-                for name in program.stale_profile_names(&prof) {
-                    eprintln!(
-                        "streamitc: warning: profile entry `{name}` matches no \
-                         filter in this program (ignored)"
-                    );
-                }
-                program.set_profile(prof);
-            }
-            Err(e) => {
-                let d = streamit::Diag::profile_error(format!("{path}: {e}"));
-                eprintln!("streamitc: {d}");
-                std::process::exit(d.exit_code());
-            }
-        }
-    }
-    let program = program;
 
     println!(
         "compiled `{}` ({} filters, {} flat nodes, {} channels)",
@@ -449,39 +399,20 @@ fn main() {
             },
             e => e,
         };
-        // Supervised execution: compile-time declines (E0701) and —
-        // under the default `fallback` policy — runtime engine faults
-        // (E0702/E0705/E0706) degrade down the engine ladder (parallel
-        // -> compiled -> reference) so `--run` still succeeds; each
-        // attempt's diagnostic and each transition is reported.
-        // A profiling run measures on the compiled serial engine: the
-        // per-filter table and the JSON profile come from the same
-        // amortized-sampling pass, and the output stream is printed
-        // from it (bit-identical to an unprofiled run).
-        if args.profile || args.profile_out.is_some() {
+        // A profiling run measures on the compiled serial engine and
+        // prints its output stream (bit-identical to an unprofiled run).
+        if args.profile {
             // Time every filter firing during one steady iteration in
-            // 32: cheap enough that the profiled run stays within a few
-            // percent of an unprofiled one, dense enough to rank
-            // filters reliably.
+            // 32: dense enough to rank filters reliably.  Not cheap: a
+            // driver with a hook attached runs at the unit stride
+            // (DESIGN.md "Execution scaling"), so the run takes 113–118 %
+            // longer than a batched one on `fmradio`; making probes
+            // batch-aware belongs to ROADMAP's observability item.
             const SAMPLE_PERIOD: u32 = 32;
             match program.profile_run(&input, n, SAMPLE_PERIOD) {
                 Ok((out, prof)) => {
-                    if let Some(path) = &args.profile_out {
-                        if let Err(e) = std::fs::write(path, prof.to_json()) {
-                            eprintln!("streamitc: cannot write {path}: {e}");
-                            std::process::exit(1);
-                        }
-                        eprintln!(
-                            "streamitc: wrote profile ({} filters) to {path}",
-                            prof.filters.len()
-                        );
-                    }
-                    if args.profile {
-                        println!(
-                            "\n== profile (compiled engine, 1-in-{SAMPLE_PERIOD} sampling) =="
-                        );
-                        print!("{}", prof.render_table());
-                    }
+                    println!("\n== profile (compiled engine, 1-in-{SAMPLE_PERIOD} sampling) ==");
+                    print!("{}", prof.render_table());
                     println!("\n== first {n} outputs (compiled engine) ==");
                     for (i, v) in out.iter().take(n).enumerate() {
                         println!("y[{i}] = {v}");
@@ -494,12 +425,16 @@ fn main() {
             }
             return;
         }
+        // Supervised execution: compile-time declines (E0701) and —
+        // under the default `fallback` policy — runtime engine faults
+        // (E0702/E0705/E0706) degrade down the engine ladder (parallel
+        // -> compiled -> reference) so `--run` still succeeds; each
+        // attempt's diagnostic and each transition is reported.
         let cfg = SupervisorConfig {
             watchdog_ms: args.watchdog_ms,
             on_fault: args.on_fault,
             fault_plan: args.inject_fault,
             budget: args.budget,
-            replan_threshold: args.replan_threshold,
             ..SupervisorConfig::default()
         };
         match program.run_supervised(engine, &input, n, &cfg) {

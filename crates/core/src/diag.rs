@@ -39,7 +39,7 @@
 //! | E0704 | Runtime  | compiled run requested output from a graph with none |
 //! | E0705 | Runtime  | a worker panicked; caught and attributed to its stage with the panic payload |
 //! | E0706 | Runtime  | the stall watchdog saw no progress for a full deadline; carries a per-stage snapshot |
-//! | E0707 | Engine   | malformed profile file (`--profile-in`); stale filter names only warn |
+//! | E0707 | —        | retired with `--profile-in` (was: malformed profile file); never reused |
 //! | E0708 | Runtime  | a run's input or output ring is too large to allocate (`--run N` past this host's memory); reported before any firing |
 //! | E0801 | Engine   | `streamd` admission rejected: instance table at `--max-instances` |
 //! | E0802 | Engine   | `streamd`: unknown program name in an `OPEN` request |
@@ -146,15 +146,6 @@ impl Diag {
     /// The process exit code `streamitc` uses for this diagnostic.
     pub fn exit_code(&self) -> i32 {
         self.category.exit_code()
-    }
-
-    /// `E0707`: a profile file (`--profile-in`) is structurally
-    /// malformed — not the schema, truncated, or not JSON at all.
-    /// Stale filter *names* inside a well-formed profile are
-    /// deliberately not an error (the planner falls back to static
-    /// costs for them); only structural damage earns a diagnostic.
-    pub fn profile_error(message: impl Into<String>) -> Diag {
-        Diag::new("E0707", DiagCategory::Engine, message.into(), None)
     }
 
     /// An `E08xx` daemon diagnostic (the `streamd` taxonomy; see the

@@ -168,11 +168,6 @@ pub struct SupervisorConfig {
     pub backoff_ms: u64,
     /// Firing budget for the reference interpreter rung.
     pub budget: u64,
-    /// Adaptive re-planning trigger for the parallel engine: re-cut
-    /// the stage partition online when the measured stage-imbalance
-    /// ratio exceeds this (`None` = off; see
-    /// [`rt::RunConfig::replan_threshold`]).
-    pub replan_threshold: Option<f64>,
 }
 
 impl Default for SupervisorConfig {
@@ -184,7 +179,6 @@ impl Default for SupervisorConfig {
             retries: 1,
             backoff_ms: 10,
             budget: interp::ExecLimits::default().max_firings,
-            replan_threshold: None,
         }
     }
 }
@@ -362,7 +356,6 @@ impl Compiler {
             latencies,
             work_spans,
             opt_level: self.options.opt_level,
-            profile: None,
         })
     }
 }
@@ -387,12 +380,6 @@ pub struct CompiledProgram {
     /// Source span of each filter's `work` declaration by instance path
     /// (empty for builder-API programs).
     pub work_spans: HashMap<String, streamit_frontend::SourcePos>,
-    /// Measured per-filter costs from a profiled run (set with
-    /// [`CompiledProgram::set_profile`]).  When present, the parallel
-    /// engine's fission degrees and stage partition use the measured
-    /// costs instead of the static estimator, with graceful fallback
-    /// for unprofiled filters.
-    pub profile: Option<sched::ProfileReport>,
     /// Work-IR optimization level used when lowering for the
     /// compiled/parallel engines (see [`Options::opt_level`]).
     pub opt_level: u8,
@@ -497,50 +484,26 @@ impl CompiledProgram {
                 reason: "teleport portals require the reference interpreter".into(),
             });
         }
-        let cost = match &self.profile {
-            Some(p) => rt::CostModel::Measured(p.clone()),
-            None => rt::CostModel::Static,
-        };
-        rt::ParallelGraph::compile_costed(
+        rt::ParallelGraph::compile_with(
             &self.flat,
             self.stream.input_type(),
             threads,
             rt::LowerOptions {
                 opt_level: self.opt_level,
             },
-            &cost,
         )
     }
 
-    /// Attach measured per-filter costs from a profiled run; subsequent
-    /// [`CompiledProgram::compile_parallel`] calls plan with them.
-    /// Names that match no filter in this program are ignored by the
-    /// planner (stale profiles degrade the plan, never correctness).
-    pub fn set_profile(&mut self, profile: sched::ProfileReport) {
-        self.profile = Some(profile);
-    }
-
-    /// Profile names that match no filter instance in this program's
-    /// flat graph (e.g. a profile recorded before a source change).
-    pub fn stale_profile_names(&self, profile: &sched::ProfileReport) -> Vec<String> {
-        profile
-            .stale_names(|name| self.flat.nodes.iter().any(|n| n.name == name))
-            .into_iter()
-            .map(str::to_string)
-            .collect()
-    }
-
     /// Run the compiled engine with the per-filter profiler enabled and
-    /// return `n` outputs plus the measured [`sched::ProfileReport`].
-    /// `sample_period` amortizes the clock reads: 1 times every firing,
-    /// `p` times one firing in `p` (per filter).  The output stream is
-    /// bit-identical to an unprofiled run.
+    /// return `n` outputs plus the measured [`exec::ProfileReport`].
+    /// `sample_period` 1 times every steady iteration, `p` one in `p`.
+    /// The output stream is bit-identical to an unprofiled run.
     pub fn profile_run(
         &self,
         input: &[f64],
         n: usize,
         sample_period: u32,
-    ) -> Result<(Vec<f64>, sched::ProfileReport), Diag> {
+    ) -> Result<(Vec<f64>, exec::ProfileReport), Diag> {
         let cg = self.compile_exec()?;
         let k = cg.plan().stats.iterations_for(n as u64)?;
         let (mut out, prof) = cg.run(input, k, None, Some(sample_period))?;
@@ -598,10 +561,9 @@ impl CompiledProgram {
                 let rc = rt::RunConfig {
                     watchdog: cfg.watchdog_ms.map(std::time::Duration::from_millis),
                     fault: cfg.fault_plan,
-                    replan_threshold: cfg.replan_threshold,
                 };
                 let k = pg.plan().stats.iterations_for(n as u64);
-                k.and_then(|k| Ok(pg.run(input, k, &rc)?.0))
+                k.and_then(|k| pg.run(input, k, &rc))
             }
         };
         let mut out = run.map_err(|e| {

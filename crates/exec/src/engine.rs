@@ -17,10 +17,10 @@ use streamit_graph::work::{
     float_arith, float_cmp, float_neg, float_not, int_abs, int_binop, int_unop,
 };
 use streamit_graph::{BinOp, Intrinsic, UnOp};
-use streamit_sched::ProfileReport;
 
 use crate::bytecode::{FilterCode, Inst, Program};
 use crate::plan::{Loc, Op};
+use crate::profile::ProfileReport;
 use crate::tape::{move_items, Raw, Tape};
 use crate::ExecError;
 
@@ -383,8 +383,8 @@ pub struct OpProfiler {
 }
 
 impl OpProfiler {
-    /// `period = 1` times every iteration (re-planning accuracy);
-    /// larger periods amortize clock reads (CLI profiling).
+    /// `period = 1` times every iteration; larger periods time one
+    /// iteration in `period`.
     pub fn new(n_codes: usize, period: u32) -> OpProfiler {
         OpProfiler {
             period: period.max(1),
@@ -414,11 +414,12 @@ impl OpProfiler {
         }
     }
 
-    /// Fold the counters into `report`, keyed by filter-code name.
+    /// The counters as a [`ProfileReport`], keyed by filter-code name.
     /// Firing counts recorded during sampled iterations are scaled to
     /// the full run; the scaling is exact because every steady
     /// iteration fires each filter the same number of times.
-    pub fn merge_into(&self, report: &mut ProfileReport, codes: &[FilterCode]) {
+    pub fn report(&self, codes: &[FilterCode]) -> ProfileReport {
+        let mut report = ProfileReport::default();
         for (c, fc) in codes.iter().enumerate() {
             if self.firings[c] == 0 {
                 continue;
@@ -434,13 +435,7 @@ impl OpProfiler {
             p.sampled_firings += self.sampled_firings[c];
             p.sampled_ns += self.sampled_ns[c];
         }
-    }
-
-    /// The counters as a standalone [`ProfileReport`].
-    pub fn report(&self, codes: &[FilterCode]) -> ProfileReport {
-        let mut r = ProfileReport::default();
-        self.merge_into(&mut r, codes);
-        r
+        report
     }
 }
 

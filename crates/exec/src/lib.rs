@@ -32,16 +32,17 @@ pub mod driver;
 pub mod engine;
 pub mod kernel;
 pub mod plan;
+pub mod profile;
 pub mod session;
 pub mod tape;
 
 pub use driver::Stop;
+pub use profile::{FilterProfile, ProfileReport};
 pub use session::{Session, SessionConfig};
 
 use std::fmt;
 
 use streamit_graph::{DataType, FlatGraph};
-use streamit_sched::ProfileReport;
 
 use crate::driver::Driver;
 use crate::engine::OpProfiler;

@@ -27,7 +27,7 @@ use streamit_exec::plan::{
     Layout, Loc, LowerOptions, LoweredFilters, Op, Stats, TapeSpec,
 };
 use streamit_graph::{repetition_vector, steady_flows, DataType, FlatGraph, FlatNodeKind, NodeId};
-use streamit_sched::{pipeline_stage_partition, CostModel, WorkGraph};
+use streamit_sched::{pipeline_stage_partition, WorkGraph};
 
 /// Sentinel for "this external stream has no site in the graph".
 /// Never equal to a real tape location (slot indices stop well short of
@@ -79,14 +79,6 @@ pub struct StagedPlan {
     pub ext_out: Loc,
     /// Typed lowering notes (e.g. `L0701` dropped-kernel-hint warnings).
     pub notes: Vec<String>,
-    /// Per flat-graph edge id: its consumer tape location.  Two plans
-    /// built from the same graph agree on edge ids, which is what lets
-    /// the adaptive re-planner move channel state from an old partition
-    /// to a new one at a steady iteration boundary.
-    pub edge_tape: Vec<Loc>,
-    /// Per flat-graph node id: its frame location (`None` for sync
-    /// nodes).  Same role as `edge_tape`, for filter state.
-    pub node_frame: Vec<Option<Loc>>,
     /// Per flat-graph node id: the stage that runs it.
     pub stage_of_node: Vec<usize>,
 }
@@ -159,20 +151,6 @@ pub fn build_staged_plan(
     threads: usize,
     opts: LowerOptions,
 ) -> Result<StagedPlan, String> {
-    build_staged_plan_costed(g, input_ty, threads, opts, &CostModel::Static)
-}
-
-/// [`build_staged_plan`] with an explicit cost model for the
-/// pipeline-stage partition: measured per-filter costs move the stage
-/// cuts (the profile-guided path), everything downstream — lowering,
-/// op emission, the proving count simulation — is cost-independent.
-pub fn build_staged_plan_costed(
-    g: &FlatGraph,
-    input_ty: DataType,
-    threads: usize,
-    opts: LowerOptions,
-    cost: &CostModel,
-) -> Result<StagedPlan, String> {
     if g.edges.iter().any(|e| e.is_back_edge) {
         return Err("feedback loops require the single-core engines".into());
     }
@@ -190,8 +168,7 @@ pub fn build_staged_plan_costed(
     // Contiguous stage partition of the topo order, balanced by the
     // scheduler's work estimates (sync nodes weigh ~nothing, so they
     // attach to whichever neighbour balances best).
-    let wg = WorkGraph::from_flat_costed(g, cost)
-        .map_err(|e| format!("no steady-state schedule: {e:?}"))?;
+    let wg = WorkGraph::from_flat(g).map_err(|e| format!("no steady-state schedule: {e:?}"))?;
     let loads: Vec<u64> = topo.iter().map(|&n| wg.nodes[n.0].work.max(1)).collect();
     let stage_of_topo = pipeline_stage_partition(&loads, threads.max(1));
     let n_stages = stage_of_topo.iter().max().map_or(1, |&m| m + 1);
@@ -455,8 +432,6 @@ pub fn build_staged_plan_costed(
         ext_in,
         ext_out,
         notes,
-        edge_tape: consumer_loc,
-        node_frame: frame_loc,
         stage_of_node: stage_of,
     })
 }

@@ -57,9 +57,8 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use streamit_exec::driver::{contain, Driver, Schedule};
-use streamit_exec::engine::{OpProfiler, Shard};
+use streamit_exec::engine::Shard;
 use streamit_exec::{panic_payload, ExecError, FaultPlan, StageSnapshot};
-use streamit_sched::ProfileReport;
 
 use crate::plan::{Link, StagedPlan};
 use crate::spsc::{CachePadded, Channel};
@@ -70,7 +69,7 @@ use crate::spsc::{CachePadded, Channel};
 const CHANNEL_ROUNDS: u64 = 4;
 
 /// Per-run supervision knobs.  The default is a bare run: no watchdog,
-/// no fault injection, no adaptive re-planning.
+/// no fault injection.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunConfig {
     /// Abort with [`ExecError::Stalled`] when no stage completes an
@@ -78,13 +77,6 @@ pub struct RunConfig {
     pub watchdog: Option<Duration>,
     /// Chaos-harness fault injection; `None` in production.
     pub fault: Option<FaultPlan>,
-    /// Adaptive re-planning trigger: when the measured stage-imbalance
-    /// ratio (busiest stage's work over the mean) exceeds this, the run
-    /// stops at a steady iteration boundary, drains, re-partitions with
-    /// the freshly measured costs, and resumes.  `None` (the default)
-    /// disables re-planning entirely; values ≥ 1.0 make sense (1.0 is
-    /// perfectly balanced).
-    pub replan_threshold: Option<f64>,
 }
 
 // Staged-backoff schedule for `wait_until`: pure spins first (the
@@ -165,11 +157,6 @@ struct Pipeline<'p> {
     error: Mutex<Option<ExecError>>,
     status: Vec<StageStatus>,
     fault: Option<FaultPlan>,
-    /// When set, every worker's driver carries a profiler (sampling
-    /// period 1, for re-planning accuracy) and the worker deposits it
-    /// in `profilers` before exiting.
-    measure: bool,
-    profilers: Mutex<Vec<OpProfiler>>,
     /// The stages take turns on one thread ([`run_inline`]): a link that
     /// is not ready will not become so by waiting.
     lockstep: bool,
@@ -184,7 +171,7 @@ struct StageLinks<'p> {
 }
 
 impl<'p> Pipeline<'p> {
-    fn new(plan: &'p StagedPlan, fault: Option<FaultPlan>, measure: bool) -> Pipeline<'p> {
+    fn new(plan: &'p StagedPlan, fault: Option<FaultPlan>) -> Pipeline<'p> {
         Pipeline {
             plan,
             channels: plan
@@ -196,8 +183,6 @@ impl<'p> Pipeline<'p> {
             error: Mutex::new(None),
             status: (0..plan.stages()).map(|_| StageStatus::new()).collect(),
             fault,
-            measure,
-            profilers: Mutex::new(Vec::new()),
             lockstep: false,
         }
     }
@@ -311,21 +296,12 @@ impl<'p> Pipeline<'p> {
 
     /// Worker `s`: `k` drain/fire/publish iterations under panic
     /// containment.  Returns the shard so the output tape survives the
-    /// scope (an empty one after a panic).  Under measurement the
-    /// driver's profiler is deposited in `self.profilers` on every
-    /// non-panicking exit path (including aborts).
+    /// scope (an empty one after a panic).
     fn worker(&self, s: usize, shard: Shard, k: u64) -> Shard {
         contain(&format!("stage {s}"), || {
-            let prof = self
-                .measure
-                .then(|| OpProfiler::new(self.plan.codes.len(), 1));
-            let mut driver = Driver::new(vec![shard], s as u16, "stage", self.fault, prof).primed();
+            let mut driver = Driver::new(vec![shard], s as u16, "stage", self.fault, None).primed();
             self.worker_iters(s, &mut driver, k);
-            let (mut shards, prof) = driver.into_parts();
-            if let (Some(p), Ok(mut slot)) = (prof, self.profilers.lock()) {
-                slot.push(p);
-            }
-            Ok(shards.pop().unwrap_or_default())
+            Ok(driver.into_parts().0.pop().unwrap_or_default())
         })
         .unwrap_or_else(|e| {
             self.fail(e);
@@ -433,7 +409,7 @@ pub(crate) fn run_inline(
 ) -> Result<(Vec<Shard>, u64), ExecError> {
     let pipe = Pipeline {
         lockstep: true,
-        ..Pipeline::new(plan, None, false)
+        ..Pipeline::new(plan, None)
     };
     contain("inline stages", || {
         let mut stages: Vec<(Driver, StageLinks<'_>)> = shards
@@ -473,18 +449,14 @@ pub(crate) fn run_inline(
 /// stage, returning the shards (the caller extracts the output tape) or
 /// the first fault.  Workers are named `rt-stage-N`, panics are caught
 /// and attributed, and — when configured — a watchdog converts silent
-/// stalls into [`ExecError::Stalled`].  With `measure` every worker
-/// times its work ops and the merged [`ProfileReport`] comes back
-/// alongside the shards (empty otherwise); only clock reads are added,
-/// so output is identical either way.
+/// stalls into [`ExecError::Stalled`].
 pub(crate) fn run_pipelined(
     plan: &StagedPlan,
     shards: Vec<Shard>,
     k: u64,
     cfg: &RunConfig,
-    measure: bool,
-) -> Result<(Vec<Shard>, ProfileReport), ExecError> {
-    let pipe = Pipeline::new(plan, cfg.fault, measure);
+) -> Result<Vec<Shard>, ExecError> {
+    let pipe = Pipeline::new(plan, cfg.fault);
     let pipe_ref = &pipe;
     let done = AtomicBool::new(false);
     let done_ref = &done;
@@ -537,11 +509,5 @@ pub(crate) fn run_pipelined(
             return Err(e);
         }
     }
-    let mut report = ProfileReport::default();
-    if let Ok(profs) = pipe.profilers.lock() {
-        for p in profs.iter() {
-            p.merge_into(&mut report, &plan.codes);
-        }
-    }
-    Ok((shards, report))
+    Ok(shards)
 }

@@ -22,7 +22,7 @@
 //! the runtime executes the decisions `sched::partition` scores.
 
 use streamit_graph::{DataType, FlatGraph, FlatNode, FlatNodeKind, Joiner, NodeId, Splitter};
-use streamit_sched::{coarse_fission_degrees, CostModel, FissionCandidate, WorkGraph};
+use streamit_sched::{coarse_fission_degrees, FissionCandidate, WorkGraph};
 
 /// One region the transform replicated, for reports and diagnostics.
 #[derive(Debug, Clone)]
@@ -143,26 +143,15 @@ fn push_node(g: &mut FlatGraph, name: String, kind: FlatNodeKind) -> NodeId {
     id
 }
 
-/// Apply coarse-grained fission to `g` for a `threads`-way machine.
-/// Returns the transformed graph (a plain clone when nothing qualifies)
-/// plus a report of what was replicated.  Requires an acyclic graph —
-/// the caller rejects feedback loops before transforming.
 /// A region elected for fission: chain members, degree, per-member
 /// firings within the block, and the block's batch rates (P in, Q out).
 type Region = (Vec<NodeId>, usize, Vec<u64>, u64, u64);
 
+/// Apply coarse-grained fission to `g` for a `threads`-way machine.
+/// Returns the transformed graph (a plain clone when nothing qualifies)
+/// plus a report of what was replicated.  Requires an acyclic graph —
+/// the caller rejects feedback loops before transforming.
 pub fn fiss_graph(g: &FlatGraph, threads: usize) -> (FlatGraph, Vec<FissedRegion>) {
-    fiss_graph_costed(g, threads, &CostModel::Static)
-}
-
-/// [`fiss_graph`] with an explicit cost model: measured costs change
-/// which chains look worth replicating and how wide (the profile-guided
-/// path of `--profile-in`).
-pub fn fiss_graph_costed(
-    g: &FlatGraph,
-    threads: usize,
-    cost: &CostModel,
-) -> (FlatGraph, Vec<FissedRegion>) {
     if threads < 2 {
         return (g.clone(), Vec::new());
     }
@@ -173,7 +162,7 @@ pub fn fiss_graph_costed(
     }
 
     // Score every chain with the scheduler's own heuristic.
-    let Ok(wg) = WorkGraph::from_flat_costed(g, cost) else {
+    let Ok(wg) = WorkGraph::from_flat(g) else {
         return (g.clone(), Vec::new());
     };
     let flows = {

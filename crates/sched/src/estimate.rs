@@ -13,28 +13,8 @@
 //! (a conservative single-issue estimate).  FLOPs are counted separately
 //! for the MFLOPS metric of Figure `thruput`.
 
-use crate::profile::ProfileReport;
 use streamit_graph::work::{eval_const, ConstEnv};
 use streamit_graph::{BinOp, DataType, Expr, Filter, Intrinsic, Stmt, Value};
-
-/// Where per-filter costs come from when building a
-/// [`WorkGraph`](crate::workgraph::WorkGraph) for the partitioners.
-///
-/// * `Static` — the per-operation cycle table below (the paper's
-///   estimation strategy); always available, sometimes wrong (e.g.
-///   data-dependent loop bounds are assumed to run 8 trips).
-/// * `Measured` — a [`ProfileReport`] from an instrumented run.
-///   Measured nanoseconds are rescaled into the static model's cycle
-///   units by calibrating over the filters both models cover, so
-///   profiled and unprofiled filters stay comparable and every
-///   downstream partitioner works unchanged.  Filters absent from the
-///   report quietly keep their static estimate.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub enum CostModel {
-    #[default]
-    Static,
-    Measured(ProfileReport),
-}
 
 /// Estimated cost of one work-function invocation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -16,10 +16,6 @@
 //!   coarse-grained software pipelining (selective fusion + bin
 //!   packing), their combination, and the ASPLOS'02 space-multiplexing
 //!   baseline.
-//! * [`profile`] — measured filter costs: the [`profile::ProfileReport`]
-//!   a profiled run produces and the [`estimate::CostModel`] that feeds
-//!   it back into the partitioners, with calibration so measured
-//!   nanoseconds and static cycles stay comparable.
 //! * [`mod@characterize`] — the benchmark-characteristics measurements of
 //!   Figure `benchchar` (filter counts, peeking/stateful filters, path
 //!   lengths, computation-to-communication ratio, stateful work %).
@@ -27,15 +23,13 @@
 pub mod characterize;
 pub mod estimate;
 pub mod partition;
-pub mod profile;
 pub mod workgraph;
 
 pub use characterize::{characterize, BenchCharacteristics};
-pub use estimate::{estimate_filter, CostModel, WorkEstimate};
+pub use estimate::{estimate_filter, WorkEstimate};
 pub use partition::{
     coarse_fission_degrees, combined_partition, data_parallel_partition, fine_grained_partition,
     pipeline_stage_partition, software_pipeline, space_multiplex, task_parallel_partition,
     ExecModel, FissionCandidate, MappedProgram, Strategy, COARSE_GRAIN,
 };
-pub use profile::{FilterProfile, ProfileReport};
 pub use workgraph::{WorkGraph, WorkNode};

@@ -9,7 +9,7 @@
 //! synchronization nodes, duplicating the sliding window of peeking
 //! filters.
 
-use crate::estimate::{estimate_filter, CostModel, WorkEstimate};
+use crate::estimate::{estimate_filter, WorkEstimate};
 use streamit_graph::{repetition_vector, steady_flows, FlatGraph, FlatNodeKind, SteadyError};
 
 /// A node of the work graph.
@@ -68,50 +68,8 @@ impl WorkGraph {
     /// Fails only if the graph's rates are inconsistent (no steady
     /// state), which `streamit-sdep`'s verifier reports more usefully.
     pub fn from_flat(g: &FlatGraph) -> Result<WorkGraph, SteadyError> {
-        Self::from_flat_costed(g, &CostModel::Static)
-    }
-
-    /// Build the work graph with an explicit [`CostModel`].
-    ///
-    /// With `CostModel::Measured`, per-filter cycles come from the
-    /// profile where available.  Measured nanoseconds are converted
-    /// into static-model cycle units with a single calibration factor
-    /// `scale = Σ(static_cycles·reps) / Σ(measured_ns·reps)` over the
-    /// filters the profile covers, so measured and static costs remain
-    /// mutually comparable and unprofiled filters (which keep their
-    /// static estimate) aren't systematically over- or under-weighted.
-    /// Fission replica names (`F[2of4]`) fall back to the base filter's
-    /// profile entry.
-    pub fn from_flat_costed(g: &FlatGraph, cost: &CostModel) -> Result<WorkGraph, SteadyError> {
         let reps = repetition_vector(g)?;
         let flows = steady_flows(g, &reps);
-
-        // Calibration pass: relate measured nanoseconds to static
-        // cycles over the filters both models cover.
-        let scale = match cost {
-            CostModel::Static => None,
-            CostModel::Measured(prof) => {
-                let (mut static_cycles, mut measured_ns) = (0.0f64, 0.0f64);
-                for n in &g.nodes {
-                    if let FlatNodeKind::Filter(f) = &n.kind {
-                        if let Some(ns) = prof.lookup(&n.name).and_then(|p| p.ns_per_firing()) {
-                            let r = reps[n.id.0] as f64;
-                            static_cycles += estimate_filter(f).cycles as f64 * r;
-                            measured_ns += ns * r;
-                        }
-                    }
-                }
-                (measured_ns > 0.0).then_some(static_cycles / measured_ns)
-            }
-        };
-        let measured_cycles = |name: &str| -> Option<u64> {
-            let scale = scale?;
-            let CostModel::Measured(prof) = cost else {
-                return None;
-            };
-            let ns = prof.lookup(name)?.ns_per_firing()?;
-            Some(((ns * scale).round() as u64).max(1))
-        };
 
         let nodes = g
             .nodes
@@ -119,7 +77,6 @@ impl WorkGraph {
             .map(|n| match &n.kind {
                 FlatNodeKind::Filter(f) => {
                     let WorkEstimate { cycles, flops } = estimate_filter(f);
-                    let cycles = measured_cycles(&n.name).unwrap_or(cycles);
                     let io = f.is_source() || f.is_sink();
                     WorkNode {
                         name: n.name.clone(),
@@ -650,44 +607,6 @@ mod tests {
             "degenerate scatter/gather contracted: {:?}",
             simplified.nodes.iter().map(|n| &n.name).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn measured_costs_override_static_and_calibrate() {
-        use crate::profile::ProfileReport;
-        let wg_static = simple_wg();
-        // Statically b (20 loops) dominates a and c (10 loops each).
-        assert!(wg_static.nodes[1].work > wg_static.nodes[0].work);
-
-        // Profile says the opposite: a is 10x costlier than b.  Keys
-        // are flat-graph node names (hierarchical paths like `p/a`).
-        let p = pipeline(
-            "p",
-            vec![
-                work_filter("a", 10),
-                work_filter("b", 20),
-                work_filter("c", 10),
-            ],
-        );
-        let g = FlatGraph::from_stream(&p);
-        let mut prof = ProfileReport::default();
-        prof.record_sampled(&g.nodes[0].name, 1000);
-        prof.record_sampled(&g.nodes[1].name, 100);
-        let wg = WorkGraph::from_flat_costed(&g, &CostModel::Measured(prof)).unwrap();
-        assert!(
-            wg.nodes[0].work > wg.nodes[1].work,
-            "measured ranking must win: a={} b={}",
-            wg.nodes[0].work,
-            wg.nodes[1].work
-        );
-        // c is unprofiled: keeps its static estimate exactly.
-        assert_eq!(wg.nodes[2].work, wg_static.nodes[2].work);
-        // Calibration keeps total work in the static model's ballpark:
-        // the covered filters' total is preserved by construction.
-        let covered_static = wg_static.nodes[0].work + wg_static.nodes[1].work;
-        let covered_measured = wg.nodes[0].work + wg.nodes[1].work;
-        let ratio = covered_measured as f64 / covered_static as f64;
-        assert!((0.9..=1.1).contains(&ratio), "ratio {ratio}");
     }
 
     #[test]

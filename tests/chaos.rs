@@ -507,9 +507,8 @@ fn chaos_fault_contract_is_the_same_driver_behind_every_front_end() {
             let cfg = RunConfig {
                 watchdog: Some(Duration::from_millis(STALL_DEADLINE_MS)),
                 fault: f,
-                replan_threshold: None,
             };
-            pg.run(&input, k, &cfg).map(|(out, _)| out)
+            pg.run(&input, k, &cfg)
         };
         let session = |f: Option<FaultPlan>| {
             let cfg = SessionConfig {

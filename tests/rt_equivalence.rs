@@ -34,9 +34,8 @@ fn compile(name: &str, stream: StreamNode) -> CompiledProgram {
 }
 
 /// Compare the parallel engine at every thread count against a
-/// reference output stream, bit-for-bit.  `label` distinguishes the
-/// cost model the plans were built with (static vs profiled).
-fn compare_parallel(name: &str, p: &CompiledProgram, reference: &[f64], n: usize, label: &str) {
+/// reference output stream, bit-for-bit.
+fn compare_parallel(name: &str, p: &CompiledProgram, reference: &[f64], n: usize) {
     for threads in THREAD_COUNTS {
         let pg = match p.compile_parallel(threads) {
             Ok(pg) => pg,
@@ -47,7 +46,7 @@ fn compare_parallel(name: &str, p: &CompiledProgram, reference: &[f64], n: usize
                 assert!(!reason.is_empty(), "{name}: empty parallel decline reason");
                 continue;
             }
-            Err(e) => panic!("{name}: unexpected parallel compile error ({label}): {e}"),
+            Err(e) => panic!("{name}: unexpected parallel compile error: {e}"),
         };
         // The fissed graph's steady state may differ in size; size the
         // input for however many parallel iterations cover `n`.
@@ -57,12 +56,12 @@ fn compare_parallel(name: &str, p: &CompiledProgram, reference: &[f64], n: usize
             (n as u64 - pg.init_outputs()).div_ceil(pg.outputs_per_iteration().max(1))
         };
         let pin = varied_input(pg.required_input(kp) as usize);
-        let parallel = pg.run_collect(&pin, n).unwrap_or_else(|e| {
-            panic!("{name}: parallel run ({threads} threads, {label}) failed: {e}")
-        });
+        let parallel = pg
+            .run_collect(&pin, n)
+            .unwrap_or_else(|e| panic!("{name}: parallel run ({threads} threads) failed: {e}"));
         tolerance::assert_streams_match(
             &format!(
-                "{name}: parallel@{threads} ({label}) vs reference ({} stages, {} fissed regions)",
+                "{name}: parallel@{threads} vs reference ({} stages, {} fissed regions)",
                 pg.stages(),
                 pg.fission_report().len()
             ),
@@ -78,12 +77,12 @@ fn compare_parallel(name: &str, p: &CompiledProgram, reference: &[f64], n: usize
             watchdog: Some(Duration::from_secs(120)),
             ..RunConfig::default()
         };
-        let (mut threaded, _) = pg.run(&pin, kp, &supervised).unwrap_or_else(|e| {
-            panic!("{name}: supervised parallel run ({threads} threads, {label}) failed: {e}")
+        let mut threaded = pg.run(&pin, kp, &supervised).unwrap_or_else(|e| {
+            panic!("{name}: supervised parallel run ({threads} threads) failed: {e}")
         });
         threaded.truncate(n);
         tolerance::assert_streams_match(
-            &format!("{name}: parallel@{threads} ({label}, one worker per stage) vs reference"),
+            &format!("{name}: parallel@{threads} (one worker per stage) vs reference"),
             tolerance::Tolerance::Bit,
             &threaded,
             reference,
@@ -92,13 +91,12 @@ fn compare_parallel(name: &str, p: &CompiledProgram, reference: &[f64], n: usize
 }
 
 /// Run the reference interpreter, the serial compiled engine, and the
-/// parallel engine at 1/2/4 threads — first with static-cost plans,
-/// then with profile-guided (measured-cost) plans — and require the
-/// first `n` outputs to be bit-identical everywhere.  Returns the
+/// parallel engine at 1/2/4 threads and require the first `n` outputs
+/// to be bit-identical everywhere.  Returns the
 /// decline reason when the compiled engine rejects the graph (the
 /// parallel engine accepts a subset of the compiled engine's graphs,
 /// so it must then decline too).
-fn differential(name: &str, p: &mut CompiledProgram, n: usize) -> Option<String> {
+fn differential(name: &str, p: &CompiledProgram, n: usize) -> Option<String> {
     let cg = match p.compile_exec() {
         Ok(cg) => cg,
         Err(ExecError::Unsupported { reason }) => {
@@ -139,19 +137,7 @@ fn differential(name: &str, p: &mut CompiledProgram, n: usize) -> Option<String>
         &reference,
     );
 
-    compare_parallel(name, p, &reference, n, "static costs");
-
-    // Profile-guided planning must preserve bit-identity at every
-    // thread count too: measure per-filter costs on the compiled
-    // engine, rebuild the plans from the measured costs, re-compare.
-    let prof_k = 8u64;
-    let prof_n = (cg.init_outputs() + prof_k * cg.outputs_per_iteration()) as usize;
-    let prof_in = varied_input(cg.required_input(prof_k) as usize);
-    let (_, prof) = p
-        .profile_run(&prof_in, prof_n, 4)
-        .unwrap_or_else(|e| panic!("{name}: profiling run failed: {e}"));
-    p.set_profile(prof);
-    compare_parallel(name, p, &reference, n, "measured costs");
+    compare_parallel(name, p, &reference, n);
     None
 }
 
@@ -185,7 +171,7 @@ fn apps_run_bit_identical_on_all_engines_and_thread_counts() {
     let must_support = ["fmradio", "filterbank", "beamformer", "bitonic"];
     let mut declined = Vec::new();
     for (name, stream, n) in graphs {
-        let mut p = compile(name, stream);
+        let p = compile(name, stream);
         if must_support.contains(&name) {
             for threads in THREAD_COUNTS {
                 p.compile_parallel(threads).unwrap_or_else(|e| {
@@ -193,7 +179,7 @@ fn apps_run_bit_identical_on_all_engines_and_thread_counts() {
                 });
             }
         }
-        if let Some(reason) = differential(name, &mut p, n) {
+        if let Some(reason) = differential(name, &p, n) {
             assert!(
                 !must_support.contains(&name),
                 "{name} must run on the compiled engine, but it declined: {reason}"
@@ -311,7 +297,7 @@ mod generated {
             watchdog: Some(Duration::from_secs(120)),
             ..RunConfig::default()
         };
-        let (threaded, _) = pg
+        let threaded = pg
             .run(&input, k, &supervised)
             .unwrap_or_else(|e| panic!("seed {seed}: supervised run failed: {e}\n{block:#?}"));
         let tb: Vec<u64> = threaded.iter().map(|v| v.to_bits()).collect();
