@@ -1,71 +1,183 @@
 //! # streamit-bench
 //!
-//! The evaluation harness: one binary per table/figure of the paper
-//! (see DESIGN.md's per-experiment index) plus Criterion microbenches.
-//!
-//! | binary | regenerates |
-//! |---|---|
-//! | `table_benchchar` | Figure *benchchar* — benchmark characteristics |
-//! | `fig_main_comp`   | Figure *maingraph* — task / task+data / task+data+SWP speedups |
-//! | `fig_fine_dup`    | Figure *fine-dup* — fine- vs coarse-grained data parallelism |
-//! | `fig_softpipe`    | Figure *softpipe_graph* — task and task+SWP |
-//! | `fig_thruput`     | Figure *thruput* — utilization and MFLOPS of the combined technique |
-//! | `fig_vs_space`    | Figure *vs_space* — combined vs ASPLOS'02 space multiplexing |
-//! | `table_linear`    | abstract — linear extraction/combination/frequency speedups |
-//! | `table_teleport`  | conclusion — teleport messaging vs manual feedback control |
-//! | `table_verify`    | §Program Verification — deadlock/overflow analysis results |
+//! What the one `paper` binary (`src/bin/paper`) measures and reports
+//! with.  Its model subcommands (DESIGN.md's per-experiment index,
+//! E1–E9, A1, A2) are pure functions of the source and need none of
+//! this; `paper host` times this host, and every number it reports goes
+//! through the one helper here: [`Timing::measure`] runs a calibrated
+//! window of each side, repeats it, keeps the median and quartiles, and
+//! interleaves the sides so that a ratio ([`Cell::ratio_to`]) compares
+//! repetitions that saw the same host.  [`timed`] is the only clock
+//! read in the crate, and [`report`] the only writer.
 
-use streamit::rawsim::{MachineConfig, SimResult};
-use streamit::sched::Strategy;
-use streamit::{map_strategy, CompiledProgram, Compiler};
+use std::time::Instant;
 
-/// The machine used throughout the evaluation: 16 tiles (4×4) at
-/// 450 MHz — peak 7200 MFLOPS, as in the paper.
-pub fn machine() -> MachineConfig {
-    MachineConfig::default()
+/// Deterministic varied input usable by both int- and float-typed
+/// apps; `varied_input(a)` is a prefix of `varied_input(b)` for `a <= b`.
+pub fn varied_input(len: usize) -> Vec<f64> {
+    (0..len).map(|i| ((i * 37) % 101) as f64 - 50.0).collect()
 }
 
-/// Compile one benchmark, panicking with its name on failure.
-pub fn compile(name: &str, stream: streamit::graph::StreamNode) -> CompiledProgram {
-    Compiler::default()
-        .compile_stream(stream)
-        .unwrap_or_else(|e| panic!("{name}: {e}"))
+/// `f`'s result and the wall-clock seconds it took.
+pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
+    let t0 = Instant::now();
+    let r = f();
+    (r, t0.elapsed().as_secs_f64())
 }
 
-/// Simulate one strategy for a compiled program; returns
-/// `(baseline, result)`.
-pub fn run_strategy(
-    p: &CompiledProgram,
-    s: Strategy,
-    cfg: &MachineConfig,
-) -> (SimResult, SimResult) {
-    let wg = p.work_graph().expect("schedulable");
-    let base = streamit::rawsim::simulate_single_core(&wg, cfg);
-    let mp = map_strategy(&wg, s, cfg.n_tiles());
-    let r = streamit::rawsim::simulate(&mp, cfg);
-    (base, r)
+/// Quantile `q` of an ascending, non-empty slice (linear interpolation
+/// between neighbours).
+pub fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let at = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (at - lo as f64)
 }
 
-/// Print a horizontal rule sized for the evaluation tables.
-pub fn rule(width: usize) {
-    println!("{}", "-".repeat(width));
+/// One reported number: the median and quartiles of its repetitions,
+/// which are kept in the order they ran.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    pub median: f64,
+    pub q1: f64,
+    pub q3: f64,
+    pub samples: Vec<f64>,
 }
 
-/// Number of hardware threads available to this process (1 on error).
-pub fn host_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1)
+impl Cell {
+    pub fn from_samples(samples: Vec<f64>) -> Cell {
+        let mut sorted = samples.clone();
+        sorted.sort_by(f64::total_cmp);
+        Cell {
+            median: quantile(&sorted, 0.5),
+            q1: quantile(&sorted, 0.25),
+            q3: quantile(&sorted, 0.75),
+            samples,
+        }
+    }
+
+    /// `self / base`, repetition by repetition.  Both must come from
+    /// one [`Timing::measure`] call: repetition `i` of each side then
+    /// ran back to back, so host drift cancels inside each quotient.
+    pub fn ratio_to(&self, base: &Cell) -> Cell {
+        assert_eq!(self.samples.len(), base.samples.len());
+        let quotients = self.samples.iter().zip(&base.samples);
+        Cell::from_samples(quotients.map(|(a, b)| a / b.max(1e-12)).collect())
+    }
+
+    /// `{"median", "q1", "q3", "reps", "unit"}`, and `"base"` — the cell
+    /// this one is a multiple of — when it is a ratio.
+    pub fn json(&self, unit: &str, base: Option<&str>) -> String {
+        let mut fields = vec![
+            ("median", number(self.median)),
+            ("q1", number(self.q1)),
+            ("q3", number(self.q3)),
+            ("reps", self.samples.len().to_string()),
+            ("unit", quoted(unit)),
+        ];
+        fields.extend(base.map(|b| ("base", quoted(b))));
+        object(&fields)
+    }
 }
 
-/// The `"host"` object every `BENCH_*.json` report embeds:
-/// `{"cores": N, "os": "...", "arch": "..."}`.  One definition so the
-/// reports stay schema-compatible with each other.
-pub fn host_json() -> String {
+/// One side of a measurement: called with a scale `n`, it does `n`
+/// units of its work and returns how many items that produced.
+pub type Side<'a> = &'a mut dyn FnMut(u64) -> u64;
+
+/// How long one timed window lasts and how often it is repeated.
+#[derive(Debug, Clone, Copy)]
+pub struct Timing {
+    pub window_s: f64,
+    pub reps: usize,
+}
+
+impl Timing {
+    /// The recorded run, or the smoke run behind `--quick`.
+    pub fn new(quick: bool) -> Timing {
+        match quick {
+            true => Timing {
+                window_s: 0.01,
+                reps: 3,
+            },
+            false => Timing {
+                window_s: 0.2,
+                reps: 7,
+            },
+        }
+    }
+
+    /// Items per second of every side.  Each side's scale is calibrated
+    /// once so that one call fills the window (which also warms it up);
+    /// then every repetition runs each side once, in order.
+    pub fn measure(&self, sides: &mut [Side]) -> Vec<Cell> {
+        let scales: Vec<u64> = sides.iter_mut().map(|s| self.calibrate(s)).collect();
+        let mut rates = vec![Vec::with_capacity(self.reps); sides.len()];
+        for _ in 0..self.reps {
+            for ((side, &n), rate) in sides.iter_mut().zip(&scales).zip(&mut rates) {
+                let (items, s) = timed(|| side(n));
+                rate.push(items as f64 / s.max(1e-9));
+            }
+        }
+        rates.into_iter().map(Cell::from_samples).collect()
+    }
+
+    /// Grow the scale fourfold until a call is long enough to
+    /// extrapolate from, then aim at the window.
+    fn calibrate(&self, side: &mut Side) -> u64 {
+        let mut n = 1u64;
+        loop {
+            let (_, s) = timed(|| side(n));
+            if s >= self.window_s || n >= 1 << 40 {
+                return n;
+            }
+            if s >= self.window_s / 8.0 {
+                return (n as f64 * self.window_s / s).ceil() as u64;
+            }
+            n *= 4;
+        }
+    }
+}
+
+/// A JSON number; a non-finite one is `null`.
+pub fn number(v: f64) -> String {
+    match v.is_finite() {
+        true => format!("{v:.3}"),
+        false => "null".into(),
+    }
+}
+
+/// A JSON string.
+pub fn quoted(s: &str) -> String {
+    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
+}
+
+/// A one-line JSON object of already rendered values, in the order given.
+pub fn object(fields: &[(&str, String)]) -> String {
+    let fields: Vec<String> = fields
+        .iter()
+        .map(|(k, v)| format!("{}: {v}", quoted(k)))
+        .collect();
+    format!("{{{}}}", fields.join(", "))
+}
+
+/// The report `paper host` writes: what ran it (core count, OS,
+/// architecture), how (window, repetitions) and the named cells, each
+/// an [`object`] on its own line.
+pub fn report(quick: bool, timing: Timing, cells: &[(String, String)]) -> String {
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let host = object(&[
+        ("cores", cores.to_string()),
+        ("os", quoted(std::env::consts::OS)),
+        ("arch", quoted(std::env::consts::ARCH)),
+    ]);
+    let cells: Vec<String> = cells
+        .iter()
+        .map(|(name, cell)| format!("    {}: {cell}", quoted(name)))
+        .collect();
     format!(
-        "{{\"cores\": {}, \"os\": \"{}\", \"arch\": \"{}\"}}",
-        host_cores(),
-        std::env::consts::OS,
-        std::env::consts::ARCH
+        "{{\n  \"benchmark\": \"paper host\",\n  \"host\": {host},\n  \"quick\": {quick},\n  \
+         \"window_s\": {},\n  \"reps\": {},\n  \"cells\": {{\n{}\n  }}\n}}\n",
+        number(timing.window_s),
+        timing.reps,
+        cells.join(",\n")
     )
 }

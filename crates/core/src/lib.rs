@@ -391,14 +391,15 @@ impl CompiledProgram {
     /// automatically; messages use the constraint-checked teleport
     /// executor.
     pub fn run(&self, input: &[f64], n: usize) -> Result<Vec<f64>, interp::RuntimeError> {
-        self.run_with_budget(input, n, interp::ExecLimits::default().max_firings)
+        self.run_reference(input, n, interp::ExecLimits::default().max_firings)
     }
 
-    /// Like [`CompiledProgram::run`], but with an explicit firing budget:
-    /// a divergent or rate-starved execution terminates with
-    /// [`interp::RuntimeError::BudgetExhausted`] (or `Starved`) instead of
-    /// spinning.
-    pub fn run_with_budget(
+    /// The reference rung behind [`CompiledProgram::run`] and
+    /// `run_supervised(Engine::Reference, ..)`: a divergent or
+    /// rate-starved execution terminates with
+    /// [`interp::RuntimeError::BudgetExhausted`] (or `Starved`) after
+    /// `max_firings` ([`SupervisorConfig::budget`]) instead of spinning.
+    fn run_reference(
         &self,
         input: &[f64],
         n: usize,
@@ -511,29 +512,6 @@ impl CompiledProgram {
         Ok((out, prof))
     }
 
-    /// Execute on the selected engine, returning `n` outputs.  Both
-    /// engines produce the same deterministic stream (Kahn semantics),
-    /// so the result is bit-identical whenever the compiled engine
-    /// accepts the graph.
-    pub fn run_with_engine(
-        &self,
-        engine: Engine,
-        input: &[f64],
-        n: usize,
-    ) -> Result<Vec<f64>, Diag> {
-        match engine {
-            Engine::Reference => self.run(input, n).map_err(Diag::from),
-            Engine::Compiled => {
-                let cg = self.compile_exec()?;
-                cg.run_collect(input, n).map_err(Diag::from)
-            }
-            Engine::Parallel { threads } => {
-                let pg = self.compile_parallel(threads)?;
-                pg.run_collect(input, n).map_err(Diag::from)
-            }
-        }
-    }
-
     /// One supervised attempt on one engine.
     fn run_engine_once(
         &self,
@@ -548,7 +526,7 @@ impl CompiledProgram {
         let run = match engine {
             Engine::Reference => {
                 return self
-                    .run_with_budget(input, n, cfg.budget)
+                    .run_reference(input, n, cfg.budget)
                     .map_err(|e| (Diag::from(e), FaultClass::Fatal))
             }
             Engine::Compiled => {

@@ -223,68 +223,6 @@ impl Plan {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Port conventions (mirrors the reference machine exactly)
-// ---------------------------------------------------------------------------
-
-/// Number of input ports a node logically has.  A feedback joiner always
-/// has 2 logical inputs even when the external side is the machine's
-/// input tape; a round-robin weight vector can extend the arity further.
-pub fn in_arity(g: &FlatGraph, node: NodeId) -> usize {
-    let n = g.node(node);
-    match &n.kind {
-        FlatNodeKind::Joiner(j) => {
-            let is_feedback = n.inputs.iter().any(|&e| g.edge(e).loop_internal);
-            let base = if is_feedback { 2 } else { n.inputs.len() };
-            match j {
-                Joiner::RoundRobin(w) => w.len().max(base),
-                _ => base,
-            }
-        }
-        FlatNodeKind::Splitter(_) => n.inputs.len(),
-        FlatNodeKind::Filter(_) => 1,
-    }
-}
-
-/// Number of output ports a node logically has (dual of [`in_arity`]).
-pub fn out_arity(g: &FlatGraph, node: NodeId) -> usize {
-    let n = g.node(node);
-    match &n.kind {
-        FlatNodeKind::Splitter(s) => {
-            let is_feedback = n.outputs.iter().any(|&e| g.edge(e).loop_internal);
-            let base = if is_feedback { 2 } else { n.outputs.len() };
-            match s {
-                Splitter::RoundRobin(w) => w.len().max(base),
-                _ => base,
-            }
-        }
-        FlatNodeKind::Joiner(_) => n.outputs.len(),
-        FlatNodeKind::Filter(_) => 1,
-    }
-}
-
-/// Resolve an input port to its edge; `None` is the external input.
-pub fn in_edge_for_port(g: &FlatGraph, node: NodeId, port: usize) -> Option<EdgeId> {
-    let n = g.node(node);
-    let missing = in_arity(g, node).saturating_sub(n.inputs.len());
-    if port < missing {
-        None
-    } else {
-        n.inputs.get(port - missing).copied()
-    }
-}
-
-/// Resolve an output port to its edge; `None` is the external output.
-pub fn out_edge_for_port(g: &FlatGraph, node: NodeId, port: usize) -> Option<EdgeId> {
-    let n = g.node(node);
-    let missing = out_arity(g, node).saturating_sub(n.outputs.len());
-    if port < missing {
-        None
-    } else {
-        n.outputs.get(port - missing).copied()
-    }
-}
-
 /// Input-port demand of one firing: which tape it reads, how many items
 /// must be present (`window`), how many it consumes (`pop`).
 pub struct PortUse {
@@ -331,12 +269,12 @@ pub fn firing_io(g: &FlatGraph, node: NodeId, first: bool) -> (Vec<PortUse>, Vec
             let mut ins = Vec::new();
             if pop > 0 {
                 ins.push(PortUse {
-                    edge: in_edge_for_port(g, node, 0),
+                    edge: g.in_edge_for_port(node, 0),
                     window: pop,
                     pop,
                 });
             }
-            let outs = (0..out_arity(g, node))
+            let outs = (0..g.out_arity(node))
                 .filter_map(|p| {
                     let push = match s {
                         Splitter::Duplicate => 1,
@@ -344,7 +282,7 @@ pub fn firing_io(g: &FlatGraph, node: NodeId, first: bool) -> (Vec<PortUse>, Vec
                         Splitter::Null => 0,
                     };
                     (push > 0).then(|| OutUse {
-                        edge: out_edge_for_port(g, node, p),
+                        edge: g.out_edge_for_port(node, p),
                         push,
                     })
                 })
@@ -352,7 +290,7 @@ pub fn firing_io(g: &FlatGraph, node: NodeId, first: bool) -> (Vec<PortUse>, Vec
             (ins, outs)
         }
         FlatNodeKind::Joiner(j) => {
-            let n_in = in_arity(g, node);
+            let n_in = g.in_arity(node);
             let ins = (0..n_in)
                 .filter_map(|p| {
                     let pop = match j {
@@ -361,7 +299,7 @@ pub fn firing_io(g: &FlatGraph, node: NodeId, first: bool) -> (Vec<PortUse>, Vec
                         Joiner::Null => 0,
                     };
                     (pop > 0).then(|| PortUse {
-                        edge: in_edge_for_port(g, node, p),
+                        edge: g.in_edge_for_port(node, p),
                         window: pop,
                         pop,
                     })
@@ -381,7 +319,7 @@ pub fn firing_io(g: &FlatGraph, node: NodeId, first: bool) -> (Vec<PortUse>, Vec
             let mut outs = Vec::new();
             if push > 0 {
                 outs.push(OutUse {
-                    edge: out_edge_for_port(g, node, 0),
+                    edge: g.out_edge_for_port(node, 0),
                     push,
                 });
             }
@@ -631,9 +569,9 @@ pub fn node_op(g: &FlatGraph, lay: &Layout, node: NodeId, times: u32, prework: b
             })
         }
         FlatNodeKind::Splitter(Splitter::Duplicate) => {
-            let input = lay.in_loc(in_edge_for_port(g, node, 0));
-            let outputs = (0..out_arity(g, node))
-                .map(|p| lay.out_loc(out_edge_for_port(g, node, p)))
+            let input = lay.in_loc(g.in_edge_for_port(node, 0));
+            let outputs = (0..g.out_arity(node))
+                .map(|p| lay.out_loc(g.out_edge_for_port(node, p)))
                 .collect();
             Some(Op::Dup {
                 input,
@@ -642,14 +580,14 @@ pub fn node_op(g: &FlatGraph, lay: &Layout, node: NodeId, times: u32, prework: b
             })
         }
         FlatNodeKind::Splitter(Splitter::RoundRobin(w)) => {
-            let src = lay.in_loc(in_edge_for_port(g, node, 0));
+            let src = lay.in_loc(g.in_edge_for_port(node, 0));
             let moves: Box<[MoveSpec]> = w
                 .iter()
                 .enumerate()
                 .filter(|&(_, &wi)| wi > 0)
                 .map(|(p, &wi)| MoveSpec {
                     src,
-                    dst: lay.out_loc(out_edge_for_port(g, node, p)),
+                    dst: lay.out_loc(g.out_edge_for_port(node, p)),
                     n: wi as u32,
                 })
                 .collect();
@@ -657,13 +595,13 @@ pub fn node_op(g: &FlatGraph, lay: &Layout, node: NodeId, times: u32, prework: b
         }
         FlatNodeKind::Splitter(Splitter::Null) => None,
         FlatNodeKind::Joiner(Joiner::RoundRobin(w)) => {
-            let dst = lay.out_loc(out_edge_for_port(g, node, 0));
+            let dst = lay.out_loc(g.out_edge_for_port(node, 0));
             let moves: Box<[MoveSpec]> = w
                 .iter()
                 .enumerate()
                 .filter(|&(_, &wi)| wi > 0)
                 .map(|(p, &wi)| MoveSpec {
-                    src: lay.in_loc(in_edge_for_port(g, node, p)),
+                    src: lay.in_loc(g.in_edge_for_port(node, p)),
                     dst,
                     n: wi as u32,
                 })
@@ -671,14 +609,14 @@ pub fn node_op(g: &FlatGraph, lay: &Layout, node: NodeId, times: u32, prework: b
             (!moves.is_empty()).then_some(Op::Moves { moves, times })
         }
         FlatNodeKind::Joiner(Joiner::Combine) => {
-            let n_in = in_arity(g, node);
+            let n_in = g.in_arity(node);
             if n_in == 0 {
                 return None;
             }
             let inputs = (0..n_in)
-                .map(|p| lay.in_loc(in_edge_for_port(g, node, p)))
+                .map(|p| lay.in_loc(g.in_edge_for_port(node, p)))
                 .collect();
-            let output = lay.out_loc(out_edge_for_port(g, node, 0));
+            let output = lay.out_loc(g.out_edge_for_port(node, 0));
             Some(Op::Combine {
                 inputs,
                 output,

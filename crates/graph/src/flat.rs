@@ -338,6 +338,71 @@ impl FlatGraph {
         &self.nodes[id.0]
     }
 
+    /// Number of input ports a node logically has.  A feedback joiner
+    /// always has 2 (external, loop) even when the external side is the
+    /// program's input tape rather than an edge — the loop is the whole
+    /// program — and a round-robin weight vector can extend the arity
+    /// further.  These four functions are the port conventions every
+    /// engine resolves tapes through.
+    pub fn in_arity(&self, node: NodeId) -> usize {
+        let n = self.node(node);
+        match &n.kind {
+            FlatNodeKind::Joiner(j) => {
+                let is_feedback = n.inputs.iter().any(|&e| self.edge(e).loop_internal);
+                let base = if is_feedback { 2 } else { n.inputs.len() };
+                match j {
+                    Joiner::RoundRobin(w) => w.len().max(base),
+                    _ => base,
+                }
+            }
+            FlatNodeKind::Splitter(_) => n.inputs.len(),
+            FlatNodeKind::Filter(_) => 1,
+        }
+    }
+
+    /// Number of output ports a node logically has (dual of
+    /// [`FlatGraph::in_arity`]).
+    pub fn out_arity(&self, node: NodeId) -> usize {
+        let n = self.node(node);
+        match &n.kind {
+            FlatNodeKind::Splitter(s) => {
+                let is_feedback = n.outputs.iter().any(|&e| self.edge(e).loop_internal);
+                let base = if is_feedback { 2 } else { n.outputs.len() };
+                match s {
+                    Splitter::RoundRobin(w) => w.len().max(base),
+                    _ => base,
+                }
+            }
+            FlatNodeKind::Joiner(_) => n.outputs.len(),
+            FlatNodeKind::Filter(_) => 1,
+        }
+    }
+
+    /// Resolve an input port to its edge.  Missing leading ports are the
+    /// node's *external* connections (port 0 of a feedback joiner, or a
+    /// program-entry filter): `None` is the program's input tape.
+    pub fn in_edge_for_port(&self, node: NodeId, port: usize) -> Option<EdgeId> {
+        let n = self.node(node);
+        let missing = self.in_arity(node).saturating_sub(n.inputs.len());
+        if port < missing {
+            None
+        } else {
+            n.inputs.get(port - missing).copied()
+        }
+    }
+
+    /// Resolve an output port to its edge; `None` is the program's
+    /// external output.
+    pub fn out_edge_for_port(&self, node: NodeId, port: usize) -> Option<EdgeId> {
+        let n = self.node(node);
+        let missing = self.out_arity(node).saturating_sub(n.outputs.len());
+        if port < missing {
+            None
+        } else {
+            n.outputs.get(port - missing).copied()
+        }
+    }
+
     /// All filter nodes.
     pub fn filters(&self) -> impl Iterator<Item = &FlatNode> {
         self.nodes

@@ -207,73 +207,9 @@ impl<'g> Machine<'g> {
         &self.states[node.0]
     }
 
-    /// Number of input ports a node logically has (a round-robin joiner's
-    /// weight vector fixes its arity even when the external connection is
-    /// absent because the loop is the whole program).
-    fn in_arity(&self, node: NodeId) -> usize {
-        let n = self.graph.node(node);
-        match &n.kind {
-            FlatNodeKind::Joiner(j) => {
-                // A feedback joiner always has 2 logical inputs
-                // (external, loop) even when the external side is the
-                // machine's input tape rather than an edge.
-                let is_feedback = n.inputs.iter().any(|&e| self.graph.edge(e).loop_internal);
-                let base = if is_feedback { 2 } else { n.inputs.len() };
-                match j {
-                    Joiner::RoundRobin(w) => w.len().max(base),
-                    _ => base,
-                }
-            }
-            FlatNodeKind::Splitter(_) => n.inputs.len(),
-            FlatNodeKind::Filter(_) => 1,
-        }
-    }
-
-    /// Number of output ports a node logically has.
-    fn out_arity(&self, node: NodeId) -> usize {
-        let n = self.graph.node(node);
-        match &n.kind {
-            FlatNodeKind::Splitter(s) => {
-                let is_feedback = n.outputs.iter().any(|&e| self.graph.edge(e).loop_internal);
-                let base = if is_feedback { 2 } else { n.outputs.len() };
-                match s {
-                    Splitter::RoundRobin(w) => w.len().max(base),
-                    _ => base,
-                }
-            }
-            FlatNodeKind::Joiner(_) => n.outputs.len(),
-            FlatNodeKind::Filter(_) => 1,
-        }
-    }
-
-    /// Resolve an input port to its edge.  Missing leading ports are the
-    /// node's *external* connections (port 0 of a feedback joiner, or a
-    /// program-entry filter) and read from the machine's input tape.
-    fn in_edge_for_port(&self, node: NodeId, port: usize) -> Option<EdgeId> {
-        let n = self.graph.node(node);
-        let missing = self.in_arity(node).saturating_sub(n.inputs.len());
-        if port < missing {
-            None
-        } else {
-            n.inputs.get(port - missing).copied()
-        }
-    }
-
-    /// Resolve an output port to its edge; `None` is the machine's
-    /// captured external output.
-    fn out_edge_for_port(&self, node: NodeId, port: usize) -> Option<EdgeId> {
-        let n = self.graph.node(node);
-        let missing = self.out_arity(node).saturating_sub(n.outputs.len());
-        if port < missing {
-            None
-        } else {
-            n.outputs.get(port - missing).copied()
-        }
-    }
-
     /// Items available on a node's input port `p`.
     fn avail(&self, node: NodeId, p: usize) -> u64 {
-        match self.in_edge_for_port(node, p) {
+        match self.graph.in_edge_for_port(node, p) {
             Some(e) => self.channels[e.0].len() as u64,
             None => self.input.len() as u64,
         }
@@ -304,7 +240,7 @@ impl<'g> Machine<'g> {
             }
             FlatNodeKind::Splitter(s) => self.avail(node, 0) >= s.pop_rate(),
             FlatNodeKind::Joiner(j) => {
-                (0..self.in_arity(node)).all(|i| self.avail(node, i) >= j.pop_rate(i))
+                (0..self.graph.in_arity(node)).all(|i| self.avail(node, i) >= j.pop_rate(i))
             }
         }
     }
@@ -321,10 +257,11 @@ impl<'g> Machine<'g> {
         match &n.kind {
             FlatNodeKind::Filter(f) => f.input.is_some() && n.inputs.is_empty(),
             FlatNodeKind::Splitter(s) => {
-                s.pop_rate() > 0 && self.in_edge_for_port(node, 0).is_none()
+                s.pop_rate() > 0 && self.graph.in_edge_for_port(node, 0).is_none()
             }
-            FlatNodeKind::Joiner(j) => (0..self.in_arity(node)).all(|p| {
-                self.avail(node, p) >= j.pop_rate(p) || self.in_edge_for_port(node, p).is_none()
+            FlatNodeKind::Joiner(j) => (0..self.graph.in_arity(node)).all(|p| {
+                self.avail(node, p) >= j.pop_rate(p)
+                    || self.graph.in_edge_for_port(node, p).is_none()
             }),
         }
     }
@@ -451,7 +388,7 @@ impl<'g> Machine<'g> {
     }
 
     fn take_from_port(&mut self, node: NodeId, port: usize) -> Result<Value, RuntimeError> {
-        match self.in_edge_for_port(node, port) {
+        match self.graph.in_edge_for_port(node, port) {
             Some(e) => match self.channels[e.0].pop_front() {
                 Some(v) => {
                     self.popped[e.0] += 1;
@@ -480,7 +417,7 @@ impl<'g> Machine<'g> {
     }
 
     fn push_to_port(&mut self, node: NodeId, port: usize, v: Value) -> Result<(), RuntimeError> {
-        match self.out_edge_for_port(node, port) {
+        match self.graph.out_edge_for_port(node, port) {
             Some(e) => {
                 if self.channels[e.0].len() >= self.limits.max_channel_items {
                     return Err(RuntimeError::CapacityExceeded {
@@ -498,7 +435,7 @@ impl<'g> Machine<'g> {
     }
 
     fn fire_splitter(&mut self, node: NodeId, s: &Splitter) -> Result<(), RuntimeError> {
-        let n_out = self.out_arity(node);
+        let n_out = self.graph.out_arity(node);
         match s {
             Splitter::Duplicate => {
                 let v = self.take_from_port(node, 0)?;
@@ -520,7 +457,7 @@ impl<'g> Machine<'g> {
     }
 
     fn fire_joiner(&mut self, node: NodeId, j: &Joiner) -> Result<(), RuntimeError> {
-        let n_in = self.in_arity(node);
+        let n_in = self.graph.in_arity(node);
         match j {
             Joiner::RoundRobin(w) => {
                 for (p, &wi) in w.iter().enumerate() {

@@ -188,14 +188,13 @@ fn parse_args() -> Args {
     args
 }
 
+/// The builtin programs: the four throughput apps at their
+/// `apps::corpus()` parameters, plus a small FMRadio for dense tenancy.
 fn builtin(name: &str) -> Option<streamit::graph::StreamNode> {
     use streamit::apps;
     match name {
-        "fmradio" => Some(apps::fmradio::fmradio(10, 64)),
         "fmradio-small" => Some(apps::fmradio::fmradio(4, 16)),
-        "filterbank" => Some(apps::filterbank::filterbank(8, 32)),
-        "beamformer" => Some(apps::beamformer::beamformer(12, 4, 32)),
-        "bitonic" => Some(apps::bitonic::bitonic_sort(32)),
+        _ if apps::THROUGHPUT_APPS.contains(&name) => Some(apps::corpus_app(name).graph()),
         _ => None,
     }
 }

@@ -16,10 +16,14 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
+use streamit::apps;
 use streamit::exec::{ExecError, FaultPlan, SessionConfig};
-use streamit::graph::StreamNode;
 use streamit::rt::RunConfig;
-use streamit::{apps, CompiledProgram, Compiler, Engine, OnEngineFault, SupervisorConfig};
+use streamit::{CompiledProgram, Engine, OnEngineFault, SupervisorConfig};
+
+#[path = "support/corpus.rs"]
+mod corpus;
+use corpus::{compile, varied_input};
 
 /// Hard per-case bound: generous next to the watchdog deadlines used
 /// below, tight next to a real hang.
@@ -30,62 +34,14 @@ const CASE_TIMEOUT: Duration = Duration::from_secs(60);
 /// fast.
 const STALL_DEADLINE_MS: u64 = 300;
 
-/// Deterministic varied input, same scheme as the equivalence suites.
-fn varied_input(len: usize) -> Vec<f64> {
-    (0..len).map(|i| ((i * 37) % 101) as f64 - 50.0).collect()
-}
-
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// The fifteen benchmark graphs. Constructors are deferred so each
-/// chaos case can build its program inside the timeout-guarded thread.
-fn corpus() -> Vec<(&'static str, Box<dyn Fn() -> StreamNode + Send>, usize)> {
-    vec![
-        (
-            "beamformer",
-            Box::new(|| apps::beamformer::beamformer(12, 4, 32))
-                as Box<dyn Fn() -> StreamNode + Send>,
-            16,
-        ),
-        ("bitonic", Box::new(|| apps::bitonic::bitonic_sort(32)), 32),
-        (
-            "channelvocoder",
-            Box::new(|| apps::channelvocoder::channelvocoder(4, 8)),
-            16,
-        ),
-        ("dct", Box::new(|| apps::dct::dct(16)), 16),
-        ("des", Box::new(|| apps::des::des(4)), 16),
-        ("fft", Box::new(|| apps::fft_app::fft(32)), 16),
-        (
-            "filterbank",
-            Box::new(|| apps::filterbank::filterbank(8, 32)),
-            16,
-        ),
-        ("fmradio", Box::new(|| apps::fmradio::fmradio(10, 64)), 16),
-        (
-            "freqhop_teleport",
-            Box::new(|| apps::freqhop::freqhop_teleport(8, 4)),
-            8,
-        ),
-        (
-            "freqhop_manual",
-            Box::new(|| apps::freqhop::freqhop_manual(8)),
-            8,
-        ),
-        ("mpeg2", Box::new(apps::mpeg2::mpeg2), 16),
-        ("radar", Box::new(|| apps::radar::radar(4, 2)), 8),
-        ("serpent", Box::new(|| apps::serpent::serpent(4)), 16),
-        ("tde", Box::new(|| apps::tde::tde(32)), 16),
-        ("vocoder", Box::new(|| apps::vocoder::vocoder(8)), 8),
-    ]
-}
-
-/// The four apps every engine must accept: on these, an injected
-/// parallel-engine fault is guaranteed to actually fire, so they anchor
-/// the non-vacuity assertions below.
-const MUST_SUPPORT: [&str; 4] = ["fmradio", "filterbank", "beamformer", "bitonic"];
+// The four apps every engine must accept: on these, an injected
+// parallel-engine fault is guaranteed to actually fire, so they anchor
+// the non-vacuity assertions below.
+use streamit::apps::THROUGHPUT_APPS as MUST_SUPPORT;
 
 /// Run `f` on its own thread and fail loudly if it neither finishes nor
 /// panics within [`CASE_TIMEOUT`]: the supervision contract forbids
@@ -113,12 +69,6 @@ fn with_timeout<F: FnOnce() + Send + 'static>(name: &str, f: F) {
             panic!("{name}: chaos case hung past {CASE_TIMEOUT:?} — supervision failed")
         }
     }
-}
-
-fn compile(name: &str, stream: StreamNode) -> CompiledProgram {
-    Compiler::default()
-        .compile_stream(stream)
-        .unwrap_or_else(|e| panic!("{name}: app graph must compile: {e}"))
 }
 
 /// Input sized so *every* rung of the ladder can produce `n` outputs
@@ -234,9 +184,10 @@ fn assert_fallback_identical(
 
 #[test]
 fn chaos_panic_injection_is_isolated_and_recovered() {
-    for (name, build, n) in corpus() {
+    for app in apps::corpus() {
+        let (name, n) = (app.name, app.prefix);
         with_timeout(name, move || {
-            let p = compile(name, build());
+            let p = compile(name, app.graph());
             let input = sized_input(&p, n);
             let plan = "panic@0:0".parse().expect("fault plan parses");
             let fallback_cfg = SupervisorConfig {
@@ -307,9 +258,10 @@ fn chaos_panic_injection_is_isolated_and_recovered() {
 
 #[test]
 fn chaos_stall_injection_trips_watchdog_or_is_benign() {
-    for (name, build, n) in corpus() {
+    for app in apps::corpus() {
+        let (name, n) = (app.name, app.prefix);
         with_timeout(name, move || {
-            let p = compile(name, build());
+            let p = compile(name, app.graph());
             let input = sized_input(&p, n);
             let plan = "stall@0:0".parse().expect("fault plan parses");
             let want = match reference_truth(name, &p, &input, n) {
@@ -385,9 +337,10 @@ fn chaos_delayed_publish_keeps_output_bit_identical() {
     // A delayed publish is a performance fault, not a correctness fault:
     // with the watchdog deadline well above the injected delay the run
     // must complete on the requested engine with bit-identical output.
-    for (name, build, n) in corpus() {
+    for app in apps::corpus() {
+        let (name, n) = (app.name, app.prefix);
         with_timeout(name, move || {
-            let p = compile(name, build());
+            let p = compile(name, app.graph());
             let input = sized_input(&p, n);
             let plan = "delay@0:0".parse().expect("fault plan parses");
             let cfg = SupervisorConfig {
@@ -417,9 +370,12 @@ fn chaos_watchdog_is_zero_interference_without_injection() {
     // armed and no fault injected, all fifteen apps still run
     // bit-identically to the reference (modulo engine declines, which
     // degrade cleanly).
-    for (name, build, n) in corpus() {
+    let mut cases = 0;
+    for app in apps::corpus() {
+        let (name, n) = (app.name, app.prefix);
+        cases += 1;
         with_timeout(name, move || {
-            let p = compile(name, build());
+            let p = compile(name, app.graph());
             let input = sized_input(&p, n);
             let cfg = SupervisorConfig {
                 watchdog_ms: Some(2_000),
@@ -450,6 +406,7 @@ fn chaos_watchdog_is_zero_interference_without_injection() {
             }
         });
     }
+    assert_eq!(cases, apps::corpus().len());
 }
 
 /// What one front end made of one injected fault.
@@ -485,7 +442,7 @@ fn chaos_fault_contract_is_the_same_driver_behind_every_front_end() {
     // against the documented outcome per front end.
     with_timeout("fault-parity", || {
         const AT: u64 = 1;
-        let p = compile("filterbank", apps::filterbank::filterbank(8, 32));
+        let p = compile("filterbank", apps::corpus_app("filterbank").graph());
         let cg = Arc::new(p.compile_exec().expect("compiled engine accepts"));
         let pgs = [1usize, 2].map(|t| p.compile_parallel(t).expect("parallel engine accepts"));
         assert_eq!(pgs.each_ref().map(|pg| pg.stages()), [1, 2]);

@@ -5,27 +5,17 @@
 //! `Unsupported` reason — never silently wrong output.
 
 use streamit::exec::ExecError;
-use streamit::graph::StreamNode;
-use streamit::{apps, CompiledProgram, Compiler};
+use streamit::{apps, CompiledProgram};
+
+#[path = "support/corpus.rs"]
+mod corpus;
+use corpus::{compile, varied_input};
 
 #[path = "support/irgen.rs"]
 mod irgen;
 
 #[path = "support/tolerance.rs"]
 mod tolerance;
-
-/// Deterministic varied input: integers in [-50, 50] as floats, so
-/// int-typed graphs (sorters, ciphers) see real data and float-typed
-/// graphs see a non-trivial signal.
-fn varied_input(len: usize) -> Vec<f64> {
-    (0..len).map(|i| ((i * 37) % 101) as f64 - 50.0).collect()
-}
-
-fn compile(name: &str, stream: StreamNode) -> CompiledProgram {
-    Compiler::default()
-        .compile_stream(stream)
-        .unwrap_or_else(|e| panic!("{name}: app graph must compile: {e}"))
-}
 
 /// Run both engines for `n` outputs and require bit-identical results.
 /// Returns the decline reason when the compiled engine rejects the
@@ -58,56 +48,33 @@ fn differential(name: &str, p: &CompiledProgram, n: usize) -> Option<String> {
     None
 }
 
-/// All fifteen benchmark graphs (the twelve-application evaluation suite
-/// plus BeamFormer and both frequency-hopping radio variants), with the
-/// output prefix the differential test compares on each.
-fn app_graphs() -> Vec<(&'static str, StreamNode, usize)> {
-    vec![
-        ("beamformer", apps::beamformer::beamformer(12, 4, 32), 16),
-        ("bitonic", apps::bitonic::bitonic_sort(32), 32),
-        (
-            "channelvocoder",
-            apps::channelvocoder::channelvocoder(4, 8),
-            16,
-        ),
-        ("dct", apps::dct::dct(16), 16),
-        ("des", apps::des::des(4), 16),
-        ("fft", apps::fft_app::fft(32), 16),
-        ("filterbank", apps::filterbank::filterbank(8, 32), 16),
-        ("fmradio", apps::fmradio::fmradio(10, 64), 16),
-        ("freqhop_teleport", apps::freqhop::freqhop_teleport(8, 4), 8),
-        ("freqhop_manual", apps::freqhop::freqhop_manual(8), 8),
-        ("mpeg2", apps::mpeg2::mpeg2(), 16),
-        ("radar", apps::radar::radar(4, 2), 8),
-        ("serpent", apps::serpent::serpent(4), 16),
-        ("tde", apps::tde::tde(32), 16),
-        ("vocoder", apps::vocoder::vocoder(8), 8),
-    ]
-}
-
 /// Each of the fifteen run differentially.  Apps the compiled engine
 /// declines are listed with their reason; the four
 /// throughput-benchmark apps must be accepted.
 #[test]
 fn apps_run_bit_identical_on_both_engines() {
-    let graphs = app_graphs();
-    let must_support = ["fmradio", "filterbank", "beamformer", "bitonic"];
     let mut declined = Vec::new();
-    for (name, stream, n) in graphs {
-        let p = compile(name, stream);
-        if let Some(reason) = differential(name, &p, n) {
-            assert!(
-                !must_support.contains(&name),
-                "{name} must run on the compiled engine, but it declined: {reason}"
-            );
-            declined.push((name, reason));
-        }
+    let mut compared = 0;
+    for app in apps::corpus() {
+        let name = app.name;
+        let p = compile(name, app.graph());
+        let Some(reason) = differential(name, &p, app.prefix) else {
+            compared += 1;
+            continue;
+        };
+        assert!(
+            !apps::THROUGHPUT_APPS.contains(&name),
+            "{name} must run on the compiled engine, but it declined: {reason}"
+        );
+        declined.push((name, reason));
     }
+    assert_eq!(compared + declined.len(), apps::corpus().len());
     // The engine is allowed to decline apps outside its subset, but a
     // sweeping regression (declining most of the suite) is a bug.
     eprintln!(
-        "compiled engine declined {} of 15 apps: {declined:#?}",
-        declined.len()
+        "compiled engine declined {} of {} apps: {declined:#?}",
+        declined.len(),
+        apps::corpus().len()
     );
     assert!(
         declined.len() <= 7,
@@ -296,7 +263,8 @@ mod metamorphic {
     use streamit::graph::builder::{lit, peek, pipeline, FilterBuilder};
     use streamit::graph::{DataType, StreamNode};
 
-    use super::{app_graphs, compile, generated, varied_input};
+    use super::{compile, generated, varied_input};
+    use streamit::apps;
 
     /// What `k` iterations driven through `s` leave behind: the output
     /// by bits, the driver's iteration count and `drive`'s own answer.
@@ -347,8 +315,9 @@ mod metamorphic {
 
     #[test]
     fn batched_rounds_match_unit_rounds() {
-        for (name, stream, _) in app_graphs() {
-            match compile(name, stream).compile_exec() {
+        for app in apps::corpus() {
+            let name = app.name;
+            match compile(name, app.graph()).compile_exec() {
                 Ok(cg) => eprintln!("{name}: stride {:?}", strides_agree(name, &cg)),
                 Err(ExecError::Unsupported { .. }) => {}
                 Err(e) => panic!("{name}: {e}"),

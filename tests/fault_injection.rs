@@ -15,7 +15,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use streamit::{Compiler, Diag, DiagCategory, Options};
+use streamit::{CompiledProgram, Compiler, Diag, DiagCategory, Engine, Options, SupervisorConfig};
 
 /// A small well-formed program used as the base for mutations.
 const GOOD: &str = r#"
@@ -27,6 +27,32 @@ const GOOD: &str = r#"
         add Gain(0.5);
     }
 "#;
+
+/// The reference interpreter under an explicit firing budget, so a
+/// divergent program cannot hang the harness.
+fn run_budgeted(
+    p: &CompiledProgram,
+    input: &[f64],
+    n: usize,
+    budget: u64,
+) -> Result<Vec<f64>, Diag> {
+    let cfg = SupervisorConfig {
+        budget,
+        ..SupervisorConfig::default()
+    };
+    p.run_supervised(Engine::Reference, input, n, &cfg)
+        .map(|outcome| outcome.output)
+}
+
+/// One unsupervised run on a fast engine (no ladder: a decline or a
+/// runtime fault is the result under test).
+fn run_on(p: &CompiledProgram, engine: Engine, input: &[f64], n: usize) -> Result<Vec<f64>, Diag> {
+    match engine {
+        Engine::Reference => p.run(input, n).map_err(Diag::from),
+        Engine::Compiled => Ok(p.compile_exec()?.run_collect(input, n)?),
+        Engine::Parallel { threads } => Ok(p.compile_parallel(threads)?.run_collect(input, n)?),
+    }
+}
 
 /// Compile `src` and return the diagnostic, if any.
 fn compile_diag(src: &str) -> Option<Diag> {
@@ -236,7 +262,7 @@ fn adversarial_corpus_runs_never_panic() {
         let result = catch_unwind(AssertUnwindSafe(|| {
             if let Ok(p) = Compiler::default().compile_source(&src, "Main") {
                 let input: Vec<f64> = (0..256).map(|x| x as f64).collect();
-                let _ = p.run_with_budget(&input, 8, 10_000);
+                let _ = run_budgeted(&p, &input, 8, 10_000);
             }
         }));
         assert!(
@@ -262,18 +288,15 @@ fn adversarial_corpus_engines_never_panic_and_agree() {
     // bit-identical.  Failures must be *typed* and code-equivalent:
     // engine errors are always E07xx, and an engine may only succeed
     // where the reference failed if the reference hit a budget bound.
-    let engines = [
-        streamit::Engine::Compiled,
-        streamit::Engine::Parallel { threads: 2 },
-    ];
+    let engines = [Engine::Compiled, Engine::Parallel { threads: 2 }];
     for (i, src) in adversarial_corpus().into_iter().enumerate() {
         let Ok(p) = Compiler::default().compile_source(&src, "Main") else {
             continue;
         };
         let input: Vec<f64> = (0..256).map(|x| x as f64).collect();
-        let reference = p.run_with_budget(&input, 8, 10_000).map_err(Diag::from);
+        let reference = run_budgeted(&p, &input, 8, 10_000);
         for engine in engines {
-            let got = catch_unwind(AssertUnwindSafe(|| p.run_with_engine(engine, &input, 8)));
+            let got = catch_unwind(AssertUnwindSafe(|| run_on(&p, engine, &input, 8)));
             let Ok(got) = got else {
                 panic!("{engine} engine panicked on adversarial input #{i}:\n{src}");
             };
@@ -342,13 +365,13 @@ proptest::proptest! {
                 return;
             };
             let input: Vec<f64> = (0..64).map(|x| x as f64).collect();
-            let reference = p.run_with_budget(&input, 4, 10_000);
+            let reference = run_budgeted(&p, &input, 4, 10_000);
             for engine in [
-                streamit::Engine::Compiled,
-                streamit::Engine::Parallel { threads: 2 },
+                Engine::Compiled,
+                Engine::Parallel { threads: 2 },
             ] {
                 if let (Ok(want), Ok(out)) =
-                    (&reference, &p.run_with_engine(engine, &input, 4))
+                    (&reference, &run_on(&p, engine, &input, 4))
                 {
                     assert_eq!(want, out, "{engine} diverged on: {soup:?}");
                 }
@@ -587,10 +610,8 @@ fn exhausted_firing_budget_reports_e0501() {
     let p = Compiler::default().compile_source(GOOD, "Main").unwrap();
     // Plenty of input, tiny budget: the fuel runs out first.
     let input: Vec<f64> = (0..100_000).map(|x| x as f64).collect();
-    let e = p
-        .run_with_budget(&input, 90_000, 50)
-        .expect_err("50 firings cannot produce 90k outputs");
-    let d = Diag::from(e);
+    let d =
+        run_budgeted(&p, &input, 90_000, 50).expect_err("50 firings cannot produce 90k outputs");
     assert_eq!(d.code, "E0501", "{d}");
     assert_eq!(d.category, DiagCategory::Budget);
     assert_eq!(d.exit_code(), 6);

@@ -15,49 +15,16 @@ use streamit::graph::StreamNode;
 use streamit::linear::LinearMode;
 use streamit::{apps, CompiledProgram, Compiler, Options};
 
+#[path = "support/corpus.rs"]
+mod corpus;
+use corpus::varied_input;
+
 #[path = "support/tolerance.rs"]
 mod tolerance;
 
 use tolerance::{approx, assert_streams_match, Tolerance};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// Deterministic varied input: integers in [-50, 50] as floats, so
-/// int-typed graphs (sorters, ciphers) see real data and float-typed
-/// graphs see a non-trivial signal.  `varied_input(a)` is a prefix of
-/// `varied_input(b)` for `a <= b`, so engines may size their own
-/// inputs and still consume the same stream.
-fn varied_input(len: usize) -> Vec<f64> {
-    (0..len).map(|i| ((i * 37) % 101) as f64 - 50.0).collect()
-}
-
-/// The fifteen-app corpus, shared with the engine-equivalence suites.
-fn corpus() -> Vec<(&'static str, StreamNode, usize)> {
-    vec![
-        ("beamformer", apps::beamformer::beamformer(12, 4, 32), 16),
-        ("bitonic", apps::bitonic::bitonic_sort(32), 32),
-        (
-            "channelvocoder",
-            apps::channelvocoder::channelvocoder(4, 8),
-            16,
-        ),
-        ("dct", apps::dct::dct(16), 16),
-        ("des", apps::des::des(4), 16),
-        ("fft", apps::fft_app::fft(32), 16),
-        ("filterbank", apps::filterbank::filterbank(8, 32), 16),
-        ("fmradio", apps::fmradio::fmradio(10, 64), 16),
-        ("freqhop_teleport", apps::freqhop::freqhop_teleport(8, 4), 8),
-        ("freqhop_manual", apps::freqhop::freqhop_manual(8), 8),
-        ("mpeg2", apps::mpeg2::mpeg2(), 16),
-        ("radar", apps::radar::radar(4, 2), 8),
-        ("serpent", apps::serpent::serpent(4), 16),
-        ("tde", apps::tde::tde(32), 16),
-        ("vocoder", apps::vocoder::vocoder(8), 8),
-    ]
-}
-
-/// The FIR-heavy apps every engine must accept in every linear mode.
-const MUST_SUPPORT: [&str; 4] = ["fmradio", "filterbank", "beamformer", "bitonic"];
 
 fn compile(name: &str, stream: StreamNode, linear: Option<LinearMode>) -> CompiledProgram {
     Compiler::new(Options {
@@ -127,7 +94,7 @@ fn differential(name: &str, stream: StreamNode, n: usize, mode: LinearMode) -> O
             Err(ExecError::Unsupported { reason }) => {
                 assert!(!reason.is_empty(), "{name}: empty parallel decline reason");
                 assert!(
-                    !MUST_SUPPORT.contains(&name),
+                    !apps::THROUGHPUT_APPS.contains(&name),
                     "{name}/{mode:?} must run on the parallel engine at {threads} threads: {reason}"
                 );
                 continue;
@@ -155,18 +122,24 @@ fn differential(name: &str, stream: StreamNode, n: usize, mode: LinearMode) -> O
 
 fn run_suite(mode: LinearMode) {
     let mut declined = Vec::new();
-    for (name, stream, n) in corpus() {
-        if let Some(reason) = differential(name, stream, n, mode) {
-            assert!(
-                !MUST_SUPPORT.contains(&name),
-                "{name}/{mode:?} must run on the compiled engine, but it declined: {reason}"
-            );
-            declined.push((name, reason));
-        }
+    let mut compared = 0;
+    for app in apps::corpus() {
+        let name = app.name;
+        let Some(reason) = differential(name, app.graph(), app.prefix, mode) else {
+            compared += 1;
+            continue;
+        };
+        assert!(
+            !apps::THROUGHPUT_APPS.contains(&name),
+            "{name}/{mode:?} must run on the compiled engine, but it declined: {reason}"
+        );
+        declined.push((name, reason));
     }
+    assert_eq!(compared + declined.len(), apps::corpus().len());
     eprintln!(
-        "compiled engine declined {} of 15 optimized ({mode:?}) apps: {declined:#?}",
-        declined.len()
+        "compiled engine declined {} of {} optimized ({mode:?}) apps: {declined:#?}",
+        declined.len(),
+        apps::corpus().len()
     );
     assert!(
         declined.len() <= 7,
@@ -192,11 +165,12 @@ fn frequency_mode_matches_reference_on_all_engines() {
 /// the planner, and (in frequency mode) FFT plans elected.
 #[test]
 fn optimized_apps_actually_run_kernels() {
-    for (name, stream, want_freq) in [
-        ("fmradio", apps::fmradio::fmradio(10, 64), true),
-        ("filterbank", apps::filterbank::filterbank(8, 32), false),
-        ("beamformer", apps::beamformer::beamformer(12, 4, 32), true),
+    for (name, want_freq) in [
+        ("fmradio", true),
+        ("filterbank", false),
+        ("beamformer", true),
     ] {
+        let stream = apps::corpus_app(name).graph();
         let rep = compile(name, stream.clone(), Some(LinearMode::Replacement));
         let report = rep.linear_report.as_ref().unwrap();
         assert!(report.extracted > 0, "{name}: no linear filters extracted");

@@ -22,15 +22,14 @@ use streamit::graph::builder::FilterBuilder;
 use streamit::graph::{DataType, Filter, Value};
 use streamit::interp::{eval_block_bounded, EvalCtx, RuntimeError};
 
+#[path = "support/corpus.rs"]
+mod corpus;
+use corpus::varied_input;
+
 #[path = "support/irgen.rs"]
 mod irgen;
 
 use irgen::{gen_block, selected, Gen, Scope, Selected, SELECTED};
-
-/// Deterministic varied input, matching the engine differential suite.
-fn varied_input(len: usize) -> Vec<f64> {
-    (0..len).map(|i| ((i * 37) % 101) as f64 - 50.0).collect()
-}
 
 // ---- 1. interpreter-level optimizer differential ----------------------
 
@@ -217,30 +216,6 @@ mod metamorphic {
 
     use super::varied_input;
 
-    fn corpus() -> Vec<(&'static str, StreamNode, usize)> {
-        vec![
-            ("beamformer", apps::beamformer::beamformer(12, 4, 32), 16),
-            ("bitonic", apps::bitonic::bitonic_sort(32), 32),
-            (
-                "channelvocoder",
-                apps::channelvocoder::channelvocoder(4, 8),
-                16,
-            ),
-            ("dct", apps::dct::dct(16), 16),
-            ("des", apps::des::des(4), 16),
-            ("fft", apps::fft_app::fft(32), 16),
-            ("filterbank", apps::filterbank::filterbank(8, 32), 16),
-            ("fmradio", apps::fmradio::fmradio(10, 64), 16),
-            ("freqhop_teleport", apps::freqhop::freqhop_teleport(8, 4), 8),
-            ("freqhop_manual", apps::freqhop::freqhop_manual(8), 8),
-            ("mpeg2", apps::mpeg2::mpeg2(), 16),
-            ("radar", apps::radar::radar(4, 2), 8),
-            ("serpent", apps::serpent::serpent(4), 16),
-            ("tde", apps::tde::tde(32), 16),
-            ("vocoder", apps::vocoder::vocoder(8), 8),
-        ]
-    }
-
     fn programs(name: &str, stream: &StreamNode) -> [streamit::CompiledProgram; 2] {
         [0u8, 1u8].map(|opt_level| {
             Compiler::new(Options {
@@ -256,12 +231,14 @@ mod metamorphic {
     /// app it accepts, bit for bit — and accepts the same apps.
     #[test]
     fn compiled_engine_agrees_across_opt_levels() {
-        let mut compared = 0usize;
-        for (name, stream, n) in corpus() {
-            let [p0, p1] = programs(name, &stream);
+        let (mut compared, mut declined) = (0usize, 0usize);
+        for app in apps::corpus() {
+            let (name, n) = (app.name, app.prefix);
+            let [p0, p1] = programs(name, &app.graph());
             let (cg0, cg1) = match (p0.compile_exec(), p1.compile_exec()) {
                 (Ok(a), Ok(b)) => (a, b),
                 (Err(ExecError::Unsupported { .. }), Err(ExecError::Unsupported { .. })) => {
+                    declined += 1;
                     continue;
                 }
                 (a, b) => panic!(
@@ -287,7 +264,8 @@ mod metamorphic {
             assert_eq!(ab, bb, "{name}: opt levels disagree on the compiled engine");
             compared += 1;
         }
-        assert!(compared >= 8, "only {compared} of 15 apps were compared");
+        assert_eq!(compared + declined, apps::corpus().len());
+        assert!(compared >= 8, "only {compared} apps were compared");
     }
 
     /// State initialisers take the declared type in every engine and in
@@ -326,14 +304,16 @@ mod metamorphic {
     /// 2 and 4 worker threads on every app it accepts, bit for bit.
     #[test]
     fn parallel_runtime_agrees_across_opt_levels() {
-        let mut compared = 0usize;
-        for (name, stream, n) in corpus() {
-            let [p0, p1] = programs(name, &stream);
+        let (mut compared, mut declined) = (0usize, 0usize);
+        for app in apps::corpus() {
+            let (name, n) = (app.name, app.prefix);
+            let [p0, p1] = programs(name, &app.graph());
             for threads in [1usize, 2, 4] {
                 let (pg0, pg1) = match (p0.compile_parallel(threads), p1.compile_parallel(threads))
                 {
                     (Ok(a), Ok(b)) => (a, b),
                     (Err(ExecError::Unsupported { .. }), Err(ExecError::Unsupported { .. })) => {
+                        declined += 1;
                         continue;
                     }
                     (a, b) => panic!(
@@ -364,6 +344,7 @@ mod metamorphic {
                 compared += 1;
             }
         }
+        assert_eq!(compared + declined, 3 * apps::corpus().len());
         assert!(
             compared >= 8,
             "only {compared} app×thread cases were compared"

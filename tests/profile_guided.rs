@@ -2,16 +2,14 @@
 //! static cost estimator: its ranking of the hottest filters against the
 //! VM's per-filter loop steps, plus golden CLI tests for `--profile`.
 
+use streamit::apps;
 use streamit::exec::bytecode::Inst;
 use streamit::graph::repetition_vector;
 use streamit::sched::WorkGraph;
-use streamit::{apps, CompiledProgram, Compiler};
 
-fn compile(name: &str, stream: streamit::graph::StreamNode) -> CompiledProgram {
-    Compiler::default()
-        .compile_stream(stream)
-        .unwrap_or_else(|e| panic!("{name}: app graph must compile: {e}"))
-}
+#[path = "support/corpus.rs"]
+mod corpus;
+use corpus::compile;
 
 /// The `count` costliest entries, costliest first (ties by name).
 fn hottest(mut costs: Vec<(String, u64)>, count: usize) -> Vec<(String, u64)> {
@@ -49,14 +47,8 @@ fn loop_steps(name: &str, code: &[Inst]) -> u64 {
 /// host cost model off the bytecode (ROADMAP, cost-model item) inherits.
 #[test]
 fn static_and_measured_hot_filter_rankings_overlap() {
-    let bench_apps: Vec<(&str, streamit::graph::StreamNode)> = vec![
-        ("fmradio", apps::fmradio::fmradio(10, 64)),
-        ("filterbank", apps::filterbank::filterbank(8, 32)),
-        ("beamformer", apps::beamformer::beamformer(12, 4, 32)),
-        ("bitonic", apps::bitonic::bitonic_sort(32)),
-    ];
-    for (name, stream) in bench_apps {
-        let p = compile(name, stream);
+    for name in apps::THROUGHPUT_APPS {
+        let p = compile(name, apps::corpus_app(name).graph());
         let wg = WorkGraph::from_flat(&p.flat)
             .unwrap_or_else(|e| panic!("{name}: static work graph must build: {e}"));
         let reps =

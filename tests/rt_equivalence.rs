@@ -8,9 +8,12 @@
 use std::time::Duration;
 
 use streamit::exec::ExecError;
-use streamit::graph::StreamNode;
 use streamit::rt::RunConfig;
-use streamit::{apps, CompiledProgram, Compiler};
+use streamit::{apps, CompiledProgram};
+
+#[path = "support/corpus.rs"]
+mod corpus;
+use corpus::{compile, varied_input};
 
 #[path = "support/irgen.rs"]
 mod irgen;
@@ -19,19 +22,6 @@ mod irgen;
 mod tolerance;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// Deterministic varied input: integers in [-50, 50] as floats, so
-/// int-typed graphs (sorters, ciphers) see real data and float-typed
-/// graphs see a non-trivial signal.
-fn varied_input(len: usize) -> Vec<f64> {
-    (0..len).map(|i| ((i * 37) % 101) as f64 - 50.0).collect()
-}
-
-fn compile(name: &str, stream: StreamNode) -> CompiledProgram {
-    Compiler::default()
-        .compile_stream(stream)
-        .unwrap_or_else(|e| panic!("{name}: app graph must compile: {e}"))
-}
 
 /// Compare the parallel engine at every thread count against a
 /// reference output stream, bit-for-bit.
@@ -147,49 +137,34 @@ fn differential(name: &str, p: &CompiledProgram, n: usize) -> Option<String> {
 /// apps must be accepted by every engine.
 #[test]
 fn apps_run_bit_identical_on_all_engines_and_thread_counts() {
-    let graphs: Vec<(&str, StreamNode, usize)> = vec![
-        ("beamformer", apps::beamformer::beamformer(12, 4, 32), 16),
-        ("bitonic", apps::bitonic::bitonic_sort(32), 32),
-        (
-            "channelvocoder",
-            apps::channelvocoder::channelvocoder(4, 8),
-            16,
-        ),
-        ("dct", apps::dct::dct(16), 16),
-        ("des", apps::des::des(4), 16),
-        ("fft", apps::fft_app::fft(32), 16),
-        ("filterbank", apps::filterbank::filterbank(8, 32), 16),
-        ("fmradio", apps::fmradio::fmradio(10, 64), 16),
-        ("freqhop_teleport", apps::freqhop::freqhop_teleport(8, 4), 8),
-        ("freqhop_manual", apps::freqhop::freqhop_manual(8), 8),
-        ("mpeg2", apps::mpeg2::mpeg2(), 16),
-        ("radar", apps::radar::radar(4, 2), 8),
-        ("serpent", apps::serpent::serpent(4), 16),
-        ("tde", apps::tde::tde(32), 16),
-        ("vocoder", apps::vocoder::vocoder(8), 8),
-    ];
-    let must_support = ["fmradio", "filterbank", "beamformer", "bitonic"];
     let mut declined = Vec::new();
-    for (name, stream, n) in graphs {
-        let p = compile(name, stream);
-        if must_support.contains(&name) {
+    let mut compared = 0;
+    for app in apps::corpus() {
+        let name = app.name;
+        let must_support = apps::THROUGHPUT_APPS.contains(&name);
+        let p = compile(name, app.graph());
+        if must_support {
             for threads in THREAD_COUNTS {
                 p.compile_parallel(threads).unwrap_or_else(|e| {
                     panic!("{name} must run on the parallel engine at {threads} threads: {e}")
                 });
             }
         }
-        if let Some(reason) = differential(name, &p, n) {
-            assert!(
-                !must_support.contains(&name),
-                "{name} must run on the compiled engine, but it declined: {reason}"
-            );
-            declined.push((name, reason));
-        }
+        let Some(reason) = differential(name, &p, app.prefix) else {
+            compared += 1;
+            continue;
+        };
+        assert!(
+            !must_support,
+            "{name} must run on the compiled engine, but it declined: {reason}"
+        );
+        declined.push((name, reason));
     }
+    assert_eq!(compared + declined.len(), apps::corpus().len());
     eprintln!(
-        "compiled/parallel engines declined {} of 15 apps: {declined:#?}",
-        declined.len()
+        "compiled/parallel engines declined {} of {} apps: {declined:#?}",
+        declined.len(),
+        apps::corpus().len()
     );
     assert!(
         declined.len() <= 7,

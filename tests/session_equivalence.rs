@@ -16,18 +16,11 @@ use streamit::exec::driver::{preload, read_output, Driver, Stop};
 use streamit::exec::{CompiledGraph, ExecError, SessionConfig};
 use streamit::graph::builder::{lit, pipeline, pop, var, FilterBuilder};
 use streamit::graph::{DataType, StreamNode, Value};
-use streamit::{apps, CompiledProgram, Compiler};
+use streamit::{apps, CompiledProgram};
 
-/// Deterministic varied input (same convention as `exec_equivalence`).
-fn varied_input(len: usize) -> Vec<f64> {
-    (0..len).map(|i| ((i * 37) % 101) as f64 - 50.0).collect()
-}
-
-fn compile(name: &str, stream: StreamNode) -> CompiledProgram {
-    Compiler::default()
-        .compile_stream(stream)
-        .unwrap_or_else(|e| panic!("{name}: app graph must compile: {e}"))
-}
+#[path = "support/corpus.rs"]
+mod corpus;
+use corpus::{compile, varied_input};
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -204,43 +197,27 @@ fn drive_splits_match_one_drive(name: &str, cg: &CompiledGraph, splits: &[u64]) 
 /// servable; the rest may decline with a reason.
 #[test]
 fn apps_serve_incrementally_bit_identical_to_one_shot() {
-    let graphs: Vec<(&str, StreamNode, usize)> = vec![
-        ("beamformer", apps::beamformer::beamformer(12, 4, 32), 16),
-        ("bitonic", apps::bitonic::bitonic_sort(32), 32),
-        (
-            "channelvocoder",
-            apps::channelvocoder::channelvocoder(4, 8),
-            16,
-        ),
-        ("dct", apps::dct::dct(16), 16),
-        ("des", apps::des::des(4), 16),
-        ("fft", apps::fft_app::fft(32), 16),
-        ("filterbank", apps::filterbank::filterbank(8, 32), 16),
-        ("fmradio", apps::fmradio::fmradio(10, 64), 16),
-        ("freqhop_teleport", apps::freqhop::freqhop_teleport(8, 4), 8),
-        ("freqhop_manual", apps::freqhop::freqhop_manual(8), 8),
-        ("mpeg2", apps::mpeg2::mpeg2(), 16),
-        ("radar", apps::radar::radar(4, 2), 8),
-        ("serpent", apps::serpent::serpent(4), 16),
-        ("tde", apps::tde::tde(32), 16),
-        ("vocoder", apps::vocoder::vocoder(8), 8),
-    ];
-    let must_serve = ["fmradio", "filterbank", "beamformer", "bitonic"];
     let mut declined = Vec::new();
-    for (name, stream, n) in graphs {
-        let p = compile(name, stream);
+    let mut served = 0;
+    for app in apps::corpus() {
+        let name = app.name;
+        let p = compile(name, app.graph());
         // Mutually prime sizes, the same every round.
-        if let Some(reason) = differential(name, &p, n, &mut || (13, 3, 7)) {
-            assert!(
-                !must_serve.contains(&name),
-                "{name} must be servable incrementally, but declined: {reason}"
-            );
-            declined.push((name, reason));
-        }
+        let Some(reason) = differential(name, &p, app.prefix, &mut || (13, 3, 7)) else {
+            served += 1;
+            continue;
+        };
+        assert!(
+            !apps::THROUGHPUT_APPS.contains(&name),
+            "{name} must be servable incrementally, but declined: {reason}"
+        );
+        declined.push((name, reason));
     }
+    assert_eq!(served + declined.len(), apps::corpus().len());
     eprintln!(
-        "session serving declined {} of 15 apps: {declined:#?}",
-        declined.len()
+        "session serving declined {} of {} apps: {declined:#?}",
+        declined.len(),
+        apps::corpus().len()
     );
     assert!(
         declined.len() <= 7,
@@ -254,8 +231,8 @@ fn apps_serve_incrementally_bit_identical_to_one_shot() {
 #[test]
 fn drive_splits_straddling_a_batch_match_one_drive() {
     let graphs = [
-        ("fmradio", apps::fmradio::fmradio(10, 64)),
-        ("bitonic", apps::bitonic::bitonic_sort(32)),
+        ("fmradio", apps::corpus_app("fmradio").graph()),
+        ("bitonic", apps::corpus_app("bitonic").graph()),
         ("source-only", source_only()),
     ];
     for (name, stream) in graphs {
@@ -300,8 +277,8 @@ proptest::proptest! {
         splits in proptest::collection::vec(0u64..5, 1..8),
     ) {
         let graphs: Vec<(&str, StreamNode, usize)> = vec![
-            ("fmradio", apps::fmradio::fmradio(10, 64), 24),
-            ("bitonic", apps::bitonic::bitonic_sort(32), 96),
+            ("fmradio", apps::corpus_app("fmradio").graph(), 24),
+            ("bitonic", apps::corpus_app("bitonic").graph(), 96),
             ("source-only", source_only(), 40),
         ];
         for (name, stream, n) in graphs {
