@@ -356,6 +356,7 @@ impl Compiler {
             latencies,
             work_spans,
             opt_level: self.options.opt_level,
+            lowering: exec::LoweringCache::default(),
         })
     }
 }
@@ -383,6 +384,12 @@ pub struct CompiledProgram {
     /// Work-IR optimization level used when lowering for the
     /// compiled/parallel engines (see [`Options::opt_level`]).
     pub opt_level: u8,
+    /// Every filter body lowered for this program so far, shared by
+    /// [`CompiledProgram::compile_exec`], both attempts of
+    /// [`CompiledProgram::compile_parallel`] and every rung of
+    /// [`CompiledProgram::run_supervised`]: whichever lowers a body first
+    /// lowers it for all.
+    lowering: exec::LoweringCache,
 }
 
 impl CompiledProgram {
@@ -445,13 +452,20 @@ impl CompiledProgram {
                 reason: "teleport portals require the reference interpreter".into(),
             });
         }
-        exec::CompiledGraph::compile_with(
+        exec::CompiledGraph::compile_cached(
             &self.flat,
             self.stream.input_type(),
             exec::plan::LowerOptions {
                 opt_level: self.opt_level,
             },
+            &self.lowering,
         )
+    }
+
+    /// The filter bodies this program's engines have lowered so far
+    /// (see [`exec::LoweringCache`]).
+    pub fn lowering_cache(&self) -> &exec::LoweringCache {
+        &self.lowering
     }
 
     /// Open an incremental [`exec::Session`] over this program: a
@@ -485,13 +499,14 @@ impl CompiledProgram {
                 reason: "teleport portals require the reference interpreter".into(),
             });
         }
-        rt::ParallelGraph::compile_with(
+        rt::ParallelGraph::compile_cached(
             &self.flat,
             self.stream.input_type(),
             threads,
             rt::LowerOptions {
                 opt_level: self.opt_level,
             },
+            &self.lowering,
         )
     }
 

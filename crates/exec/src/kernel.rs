@@ -2,7 +2,7 @@
 //!
 //! The linear optimizer attaches a [`KernelSpec`] to every filter it
 //! materializes, describing the affine map the work function computes.
-//! At plan time ([`crate::plan::lower_graph`]) the hint is validated
+//! At plan time ([`crate::lowering`]) the hint is validated
 //! against the node's declared rates and tape types and compiled into a
 //! [`KernelCode`]; at run time the engine dispatches the kernel instead
 //! of the bytecode VM — a tight loop over the ring tape's unboxed `f64`

@@ -31,12 +31,14 @@ pub mod bytecode;
 pub mod driver;
 pub mod engine;
 pub mod kernel;
+pub mod lowering;
 pub mod plan;
 pub mod profile;
 pub mod session;
 pub mod tape;
 
 pub use driver::Stop;
+pub use lowering::LoweringCache;
 pub use profile::{FilterProfile, ProfileReport};
 pub use session::{Session, SessionConfig};
 
@@ -244,8 +246,20 @@ impl CompiledGraph {
         input_ty: Option<DataType>,
         opts: plan::LowerOptions,
     ) -> Result<CompiledGraph, ExecError> {
+        CompiledGraph::compile_cached(g, input_ty, opts, &LoweringCache::default())
+    }
+
+    /// [`CompiledGraph::compile_with`] lowering through `cache`: a
+    /// filter body the cache has already lowered, with the same tape
+    /// types and options, is not gated, optimized or lowered again.
+    pub fn compile_cached(
+        g: &FlatGraph,
+        input_ty: Option<DataType>,
+        opts: plan::LowerOptions,
+        cache: &LoweringCache,
+    ) -> Result<CompiledGraph, ExecError> {
         let ty = input_ty.unwrap_or(DataType::Float);
-        plan::build_plan(g, ty, opts)
+        plan::build_plan(g, ty, opts, cache)
             .map(|plan| CompiledGraph { plan })
             .map_err(|reason| ExecError::Unsupported { reason })
     }

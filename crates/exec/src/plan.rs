@@ -15,13 +15,14 @@
 
 use std::collections::HashSet;
 
-use streamit_analysis::{analyze_rates, Severity};
 use streamit_graph::{
-    repetition_vector, DataType, EdgeId, FlatGraph, FlatNodeKind, Joiner, NodeId, Splitter,
+    repetition_vector, DataType, EdgeId, Filter, FlatGraph, FlatNode, FlatNodeKind, Joiner, NodeId,
+    Splitter,
 };
 
-use crate::bytecode::{initial_items_typed, lower_filter, FilterCode, Rates};
+use crate::bytecode::{initial_items_typed, FilterCode, Rates};
 use crate::driver::Schedule;
+use crate::lowering::LoweringCache;
 use crate::ExecError;
 
 /// Address of a tape or frame: which shard owns it, and the index inside
@@ -333,7 +334,9 @@ pub fn firing_io(g: &FlatGraph, node: NodeId, first: bool) -> (Vec<PortUse>, Vec
 // ---------------------------------------------------------------------------
 
 const MAX_INIT_FIRINGS: usize = 1 << 16;
-const MAX_PRIME_ROUNDS: usize = 10_000;
+/// Producer firings priming may ask for (each with whatever upstream
+/// firings its window demands) before the graph is declared unprimable.
+const MAX_PRIME_FIRINGS: usize = 10_000;
 /// Batch factors the planner tries, longest first.  `fir-vm` read 630 k
 /// items/s with 1 as the only factor and 954 k / 1.13 M / 1.26 M /
 /// 1.33 M / 1.39 M / 1.43 M with 2 / 4 / 8 / 16 / 32 / 64 (PR 19, 2-vCPU
@@ -412,8 +415,11 @@ impl InitSim<'_> {
 
     /// Would one steady round (each node fired `reps` times, in
     /// topo-block order, at post-init rates) run without starving an
-    /// internal edge?  Returns the first starved edge on failure.
-    fn validate_round(&self, topo: &[NodeId], reps: &[u64]) -> Result<(), EdgeId> {
+    /// internal edge?  On failure returns the first starved edge and how
+    /// many more items it needs before the round starts (an edge has one
+    /// consumer, checked once per round, so an item added now is an item
+    /// more at that check).
+    fn validate_round(&self, topo: &[NodeId], reps: &[u64]) -> Result<(), (EdgeId, u64)> {
         let mut occ = self.occ.clone();
         for &node in topo {
             let times = reps[node.0];
@@ -425,8 +431,9 @@ impl InitSim<'_> {
                 if let Some(e) = p.edge {
                     // The binding check is the last firing: earlier
                     // firings leave strictly more slack.
-                    if occ[e.0] < (times - 1) * p.pop + p.window {
-                        return Err(e);
+                    let need = (times - 1) * p.pop + p.window;
+                    if occ[e.0] < need {
+                        return Err((e, need - occ[e.0]));
                     }
                 }
             }
@@ -445,9 +452,9 @@ impl InitSim<'_> {
     }
 }
 
-/// Derive the init firing sequence: prework firings in topo order, then
-/// priming until one steady round validates.
-pub fn build_init(g: &FlatGraph, topo: &[NodeId], reps: &[u64]) -> Result<Vec<NodeId>, String> {
+/// The init simulation after every prework filter's one firing, in topo
+/// order (each with whatever upstream firings its window demands).
+fn prework_fired<'g>(g: &'g FlatGraph, topo: &[NodeId]) -> Result<InitSim<'g>, String> {
     let mut sim = InitSim {
         g,
         occ: g.edges.iter().map(|e| e.initial.len() as u64).collect(),
@@ -461,10 +468,47 @@ pub fn build_init(g: &FlatGraph, topo: &[NodeId], reps: &[u64]) -> Result<Vec<No
             sim.demand_fire(node, &mut HashSet::new())?;
         }
     }
-    for _ in 0..MAX_PRIME_ROUNDS {
+    Ok(sim)
+}
+
+/// Derive the init firing sequence: prework firings in topo order, then
+/// priming until one steady round validates.  Priming goes by deficit:
+/// the first starved edge's producer fires until the edge's shortfall is
+/// in, and only then is the round validated again — once per starved
+/// edge rather than once per firing.
+pub fn build_init(g: &FlatGraph, topo: &[NodeId], reps: &[u64]) -> Result<Vec<NodeId>, String> {
+    let mut sim = prework_fired(g, topo)?;
+    let mut budget = MAX_PRIME_FIRINGS;
+    loop {
+        let (e, short) = match sim.validate_round(topo, reps) {
+            Ok(()) => return Ok(sim.seq),
+            Err(starved) => starved,
+        };
+        let src = g.edge(e).src;
+        let target = sim.occ[e.0] + short;
+        while sim.occ[e.0] < target {
+            if budget == 0 {
+                return Err("could not prime a steady round".into());
+            }
+            budget -= 1;
+            sim.demand_fire(src, &mut HashSet::new())?;
+        }
+    }
+}
+
+/// [`build_init`] as it was before priming went by deficit: one producer
+/// firing per validation.  The oracle its firing counts are held to.
+#[cfg(test)]
+fn build_init_one_firing_per_round(
+    g: &FlatGraph,
+    topo: &[NodeId],
+    reps: &[u64],
+) -> Result<Vec<NodeId>, String> {
+    let mut sim = prework_fired(g, topo)?;
+    for _ in 0..MAX_PRIME_FIRINGS {
         match sim.validate_round(topo, reps) {
             Ok(()) => return Ok(sim.seq),
-            Err(e) => {
+            Err((e, _)) => {
                 let src = g.edge(e).src;
                 sim.demand_fire(src, &mut HashSet::new())?;
             }
@@ -1044,14 +1088,37 @@ pub struct LoweredFilters {
     pub notes: Vec<String>,
 }
 
-/// Per-filter gate and lowering.  Any analysis *error* (or the
-/// rates-not-statically-provable lint L0605) means we cannot prove
-/// block execution matches the reference firing-by-firing semantics.
-/// Returns the lowered codes and the `codes` index per node.
+/// The element types of the tapes filter node `n` (whose filter is `f`)
+/// reads and writes: its edges' types, or on the external streams
+/// `input_ty` in and `Float` out (the output capture applies
+/// `Value::as_f64`); `None` for a port the filter does not declare.
+pub fn tape_types(
+    g: &FlatGraph,
+    n: &FlatNode,
+    f: &Filter,
+    input_ty: DataType,
+) -> (Option<DataType>, Option<DataType>) {
+    let in_ty = n
+        .inputs
+        .first()
+        .map(|&e| g.edge(e).ty)
+        .or(f.input.map(|_| input_ty));
+    let out_ty = n
+        .outputs
+        .first()
+        .map(|&e| g.edge(e).ty)
+        .or(f.output.map(|_| DataType::Float));
+    (in_ty, out_ty)
+}
+
+/// Gate and lower every filter through `cache` (see [`LoweringCache`]),
+/// or say why the compiled engines cannot run the graph.  Returns the
+/// lowered codes and the `codes` index per node.
 pub fn lower_graph(
     g: &FlatGraph,
     input_ty: DataType,
     opts: LowerOptions,
+    cache: &LoweringCache,
 ) -> Result<LoweredFilters, String> {
     let mut codes = Vec::new();
     let mut code_of = vec![None; g.nodes.len()];
@@ -1060,78 +1127,14 @@ pub fn lower_graph(
         let FlatNodeKind::Filter(f) = &n.kind else {
             continue;
         };
-        for finding in analyze_rates(f, &n.name) {
-            if finding.severity == Severity::Error || finding.code == "L0605" {
-                return Err(format!(
-                    "{}: work function not statically safe ({}: {})",
-                    n.name, finding.code, finding.message
-                ));
-            }
-        }
-        let in_ty = n
-            .inputs
-            .first()
-            .map(|&e| g.edge(e).ty)
-            .or(f.input.map(|_| input_ty));
-        let out_ty = n
-            .outputs
-            .first()
-            .map(|&e| g.edge(e).ty)
-            .or(f.output.map(|_| DataType::Float));
         let idx = codes.len();
         if idx > u32::MAX as usize {
             return Err("too many filters".into());
         }
-        // The analysis gate above ran on the author's IR; the optimizer
-        // preserves rates, state, and kernel hints, so lowering the
-        // optimized body is covered by the same proof.
-        let optimized;
-        let f = if opts.opt_level >= 1 {
-            let (of, stats) = streamit_analysis::optimize_filter(f);
-            if stats.changed() {
-                optimized = of;
-                &optimized
-            } else {
-                f
-            }
-        } else {
-            f
-        };
-        let mut fc = lower_filter(f, &n.name, in_ty, out_ty)?;
-        // Optimizer kernel hints: accept only when the hint agrees with
-        // the declared rates and both tapes carry unboxed f64 — any
-        // disagreement falls back to the (always correct) bytecode, with
-        // a typed note explaining what was dropped and why.
-        if let Some(spec) = &f.kernel {
-            if !spec.matches_rates(f.peek, f.pop, f.push) {
-                let kind = match spec {
-                    streamit_graph::KernelSpec::Linear { .. } => "linear",
-                    streamit_graph::KernelSpec::FreqFir { .. } => "freq-fir",
-                };
-                notes.push(format!(
-                    "warning[L0701] {}: kernel hint dropped: {kind} hint disagrees with declared \
-                     rates (peek {}, pop {}, push {}); falling back to bytecode",
-                    n.name, f.peek, f.pop, f.push
-                ));
-            } else if in_ty != Some(DataType::Float) {
-                notes.push(format!(
-                    "warning[L0701] {}: kernel hint dropped: input tape is {}, not float; \
-                     falling back to bytecode",
-                    n.name,
-                    in_ty.map_or("absent".into(), |t| format!("{t:?}").to_lowercase())
-                ));
-            } else if out_ty != Some(DataType::Float) {
-                notes.push(format!(
-                    "warning[L0701] {}: kernel hint dropped: output tape is {}, not float; \
-                     falling back to bytecode",
-                    n.name,
-                    out_ty.map_or("absent".into(), |t| format!("{t:?}").to_lowercase())
-                ));
-            } else {
-                fc.kernel = Some(crate::kernel::KernelCode::build(spec));
-            }
-        }
-        codes.push(fc);
+        let (in_ty, out_ty) = tape_types(g, n, f, input_ty);
+        let (code, note) = cache.lower(f, &n.name, in_ty, out_ty, opts)?;
+        notes.extend(note);
+        codes.push(code);
         code_of[n.id.0] = Some(idx as u32);
     }
     for e in &g.edges {
@@ -1144,9 +1147,15 @@ pub fn lower_graph(
     })
 }
 
-/// Compile a flat graph into a firing plan, or explain (as an
-/// `Unsupported` reason) why the compiled engine cannot run it.
-pub fn build_plan(g: &FlatGraph, input_ty: DataType, opts: LowerOptions) -> Result<Plan, String> {
+/// Compile a flat graph into a firing plan, lowering its filters through
+/// `cache`, or explain (as an `Unsupported` reason) why the compiled
+/// engine cannot run it.
+pub fn build_plan(
+    g: &FlatGraph,
+    input_ty: DataType,
+    opts: LowerOptions,
+    cache: &LoweringCache,
+) -> Result<Plan, String> {
     let reps = repetition_vector(g).map_err(|e| format!("no steady-state schedule: {e:?}"))?;
     let topo = g.topo_order();
     check_io_sites(g)?;
@@ -1154,7 +1163,7 @@ pub fn build_plan(g: &FlatGraph, input_ty: DataType, opts: LowerOptions) -> Resu
         codes,
         code_of,
         notes,
-    } = lower_graph(g, input_ty, opts)?;
+    } = lower_graph(g, input_ty, opts, cache)?;
     let init_seq = build_init(g, &topo, &reps)?;
 
     if let Some(chains) = find_region(g, &topo) {
@@ -1178,4 +1187,186 @@ pub fn build_plan(g: &FlatGraph, input_ty: DataType, opts: LowerOptions) -> Resu
     let mut plan = assemble(g, &topo, &reps, &init_seq, codes, code_of, input_ty, &[])?;
     plan.notes = notes;
     Ok(plan)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use streamit_graph::builder::*;
+    use streamit_graph::{StreamNode, Value};
+    use streamit_linear::LinearMode;
+
+    /// Firings per node of an initialization sequence.
+    fn firings(g: &FlatGraph, seq: &[NodeId]) -> Vec<u64> {
+        let mut n = vec![0; g.nodes.len()];
+        for node in seq {
+            n[node.0] += 1;
+        }
+        n
+    }
+
+    /// Deficit priming fires every node of `stream`'s graph as often as
+    /// one firing per validation does, and declines what that declines.
+    /// Returns the priming firings (beyond prework), 0 for a graph with
+    /// no steady state or one both decline.
+    fn primes_like_one_firing_per_round(what: &str, stream: &StreamNode) -> usize {
+        let g = FlatGraph::from_stream(stream);
+        let Ok(reps) = repetition_vector(&g) else {
+            return 0;
+        };
+        // A loop whose enqueued items cannot feed its joiner one round
+        // can only be declined, after the whole priming budget: skip it.
+        let starved_loop = g.edges.iter().filter(|e| e.is_back_edge).any(|e| {
+            let (ins, _) = firing_io(&g, e.dst, false);
+            ins.iter()
+                .any(|p| p.edge == Some(e.id) && (e.initial.len() as u64) < reps[e.dst.0] * p.pop)
+        });
+        if starved_loop {
+            return 0;
+        }
+        let topo = g.topo_order();
+        match (
+            build_init(&g, &topo, &reps),
+            build_init_one_firing_per_round(&g, &topo, &reps),
+        ) {
+            (Ok(deficit), Ok(single)) => {
+                assert_eq!(firings(&g, &deficit), firings(&g, &single), "{what}");
+                let prework = prework_fired(&g, &topo).expect("primes").seq.len();
+                deficit.len() - prework
+            }
+            (Err(_), Err(_)) => 0,
+            (deficit, single) => panic!("{what}: by deficit {deficit:?}, one by one {single:?}"),
+        }
+    }
+
+    #[test]
+    fn apps_and_example_programs_prime_like_one_firing_per_round() {
+        let mut primed = 0;
+        for app in streamit_apps::corpus() {
+            let stream = app.graph();
+            primed += primes_like_one_firing_per_round(app.name, &stream);
+            for mode in [LinearMode::Replacement, LinearMode::Frequency] {
+                let (optimized, _) = streamit_linear::optimize_stream(&stream, mode);
+                primed += primes_like_one_firing_per_round(app.name, &optimized);
+            }
+        }
+        for (name, source) in [
+            ("combine", include_str!("../../../examples/str/combine.str")),
+            (
+                "fibonacci",
+                include_str!("../../../examples/str/fibonacci.str"),
+            ),
+            (
+                "filterbank",
+                include_str!("../../../examples/str/filterbank.str"),
+            ),
+            ("fmradio", include_str!("../../../examples/str/fmradio.str")),
+        ] {
+            let out = streamit_frontend::compile(source, "Main").expect("example compiles");
+            primed += primes_like_one_firing_per_round(name, &out.stream);
+        }
+        assert!(
+            primed > 1000,
+            "only {primed} priming firings: the check is vacuous"
+        );
+    }
+
+    /// Splitmix64 over a seed.
+    struct Gen(u64);
+
+    impl Gen {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// A filter with the given rates, a peek window up to three items
+    /// wider, and one filter in three with a prework of its own rates.
+    /// Bodies stay empty: initialization reads rates only.
+    fn filter(g: &mut Gen, pop: usize, push: usize) -> StreamNode {
+        let peek = pop + g.below(4) as usize;
+        let mut f = FilterBuilder::new("f", streamit_graph::DataType::Float).rates(peek, pop, push);
+        if g.below(3) == 0 {
+            // Never fewer pushes than pops: a prework that loses items
+            // inside a feedback loop leaves it unprimable.
+            let pw_pop = g.below(4) as usize;
+            let pw_peek = pw_pop + g.below(3) as usize;
+            f = f.prework(pw_peek, pw_pop, pw_pop + g.below(3) as usize, |b| b);
+        }
+        f.build_node()
+    }
+
+    /// A random graph that moves as many items out as in per firing of
+    /// its outer node (so it composes into a consistent graph anywhere):
+    /// rate-preserving filters, round-robin split-joins with matching
+    /// weights, and feedback loops primed with zero to eight items.
+    fn balanced(g: &mut Gen, depth: u32) -> StreamNode {
+        match if depth == 0 { 0 } else { g.below(4) } {
+            0 => {
+                let rate = 1 + g.below(2) as usize;
+                filter(g, rate, rate)
+            }
+            1 => {
+                let n = 2 + g.below(3) as usize;
+                pipeline("p", (0..n).map(|_| balanced(g, depth - 1)).collect())
+            }
+            2 => {
+                let n = 2 + g.below(3) as usize;
+                let w: Vec<u64> = (0..n).map(|_| 1 + g.below(2)).collect();
+                let splitter = if g.below(3) == 0 {
+                    Splitter::Duplicate
+                } else {
+                    Splitter::RoundRobin(w.clone())
+                };
+                let joiner = match splitter {
+                    Splitter::Duplicate => Joiner::Combine,
+                    _ => Joiner::RoundRobin(w),
+                };
+                let branches = (0..n).map(|_| balanced(g, depth - 1)).collect();
+                splitjoin("sj", splitter, branches, joiner)
+            }
+            _ => {
+                let (a, b) = (1 + g.below(2), 1 + g.below(2));
+                let delay = g.below(65) as usize;
+                feedback_loop(
+                    "fb",
+                    Joiner::RoundRobin(vec![a, b]),
+                    balanced(g, 0),
+                    Splitter::RoundRobin(vec![a, b]),
+                    balanced(g, 0),
+                    delay,
+                    |i| Value::Float(i as f64),
+                )
+            }
+        }
+    }
+
+    #[test]
+    fn generated_graphs_prime_like_one_firing_per_round() {
+        let mut primed = 0;
+        for seed in 0..600 {
+            let g = &mut Gen(seed);
+            // Rate-changing filters between balanced parts make the
+            // repetition vector, and so the priming, non-uniform.
+            let parts = (0..1 + g.below(4))
+                .map(|i| match i % 2 {
+                    0 => balanced(g, 3),
+                    _ => {
+                        let (pop, push) = (1 + g.below(2) as usize, 1 + g.below(2) as usize);
+                        filter(g, pop, push)
+                    }
+                })
+                .collect();
+            primed +=
+                primes_like_one_firing_per_round(&format!("seed {seed}"), &pipeline("Main", parts));
+        }
+        assert!(
+            primed > 2000,
+            "only {primed} priming firings: the check is vacuous"
+        );
+    }
 }

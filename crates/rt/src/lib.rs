@@ -42,7 +42,7 @@ pub mod transform;
 
 use streamit_exec::driver::{preload, read_output, Driver};
 pub use streamit_exec::plan::LowerOptions;
-pub use streamit_exec::{ExecError, FaultKind, FaultPlan, StageSnapshot};
+pub use streamit_exec::{ExecError, FaultKind, FaultPlan, LoweringCache, StageSnapshot};
 use streamit_graph::{DataType, FlatGraph};
 
 pub use plan::StagedPlan;
@@ -79,6 +79,21 @@ impl ParallelGraph {
         threads: usize,
         opts: LowerOptions,
     ) -> Result<ParallelGraph, ExecError> {
+        ParallelGraph::compile_cached(g, input_ty, threads, opts, &LoweringCache::default())
+    }
+
+    /// [`ParallelGraph::compile_with`] lowering through `cache`, which
+    /// the fissed attempt and the untransformed retry share: a replica
+    /// is its original's body, so fission adds no lowering, and a body
+    /// the cache already holds (from the compiled engine, say) is not
+    /// lowered again.
+    pub fn compile_cached(
+        g: &FlatGraph,
+        input_ty: Option<DataType>,
+        threads: usize,
+        opts: LowerOptions,
+        cache: &LoweringCache,
+    ) -> Result<ParallelGraph, ExecError> {
         let threads = if threads == 0 {
             std::thread::available_parallelism().map_or(1, usize::from)
         } else {
@@ -91,7 +106,7 @@ impl ParallelGraph {
             });
         }
         let (fissed, regions) = transform::fiss_graph(g, threads);
-        match plan::build_staged_plan(&fissed, ty, threads, opts) {
+        match plan::build_staged_plan(&fissed, ty, threads, opts, cache) {
             Ok(plan) => Ok(ParallelGraph {
                 plan,
                 threads,
@@ -100,7 +115,7 @@ impl ParallelGraph {
             // The transform can push a graph over a planner limit (tape
             // counts, init priming); retry untransformed before giving
             // up so fission is never the reason a graph is declined.
-            Err(first) => match plan::build_staged_plan(g, ty, threads, opts) {
+            Err(first) => match plan::build_staged_plan(g, ty, threads, opts, cache) {
                 Ok(plan) => Ok(ParallelGraph {
                     plan,
                     threads,

@@ -26,6 +26,7 @@ use streamit_exec::plan::{
     build_init, check_io_sites, firing_io, init_ops_from_seq, lower_graph, node_op, CountSim,
     Layout, Loc, LowerOptions, LoweredFilters, Op, Stats, TapeSpec,
 };
+use streamit_exec::LoweringCache;
 use streamit_graph::{repetition_vector, steady_flows, DataType, FlatGraph, FlatNodeKind, NodeId};
 use streamit_sched::{pipeline_stage_partition, WorkGraph};
 
@@ -144,12 +145,14 @@ fn ext_sites(g: &FlatGraph) -> (Option<NodeId>, Option<NodeId>) {
     (reader, writer)
 }
 
-/// Build the staged plan, or explain why the graph cannot be staged.
+/// Build the staged plan, lowering filters through `cache`, or explain
+/// why the graph cannot be staged.
 pub fn build_staged_plan(
     g: &FlatGraph,
     input_ty: DataType,
     threads: usize,
     opts: LowerOptions,
+    cache: &LoweringCache,
 ) -> Result<StagedPlan, String> {
     if g.edges.iter().any(|e| e.is_back_edge) {
         return Err("feedback loops require the single-core engines".into());
@@ -161,7 +164,7 @@ pub fn build_staged_plan(
         codes,
         code_of,
         notes,
-    } = lower_graph(g, input_ty, opts)?;
+    } = lower_graph(g, input_ty, opts, cache)?;
     let init_seq = build_init(g, &topo, &reps)?;
     let flows = steady_flows(g, &reps);
 
