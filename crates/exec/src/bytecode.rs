@@ -317,6 +317,64 @@ pub struct Program {
     /// Float constants addressed by `DotPeekF { at, n }`.
     pub pool: Vec<f64>,
     pub rates: Rates,
+    /// Set when the body is one dot product and nothing else, so that
+    /// the firings of one op are independent sums the engine may run
+    /// side by side (see [`LaneDot`]).
+    pub lane: Option<LaneDot>,
+}
+
+/// A body that is exactly `ConstF*; DotPeekF {d, a, k, n, at}; PushF d;
+/// Skip pop` on a float input and a float output, where `a` was last
+/// written by one of the `ConstF`s (with `acc0`), `pop` is the declared
+/// pop rate and the declared push rate is 1.  Firing `j` of a run then
+/// pushes `acc0 + Σ_t x[j·pop + k + t] · pool[at + t]` and depends on no
+/// other firing; each leaves the frame with the `ConstF` registers set
+/// and `d` holding its sum.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LaneDot {
+    pub acc0: f64,
+    /// How many `ConstF`s lead the body.
+    pub consts: usize,
+    pub d: u16,
+    pub k: u16,
+    pub n: u16,
+    pub at: u32,
+}
+
+impl LaneDot {
+    /// Recognize the shape in a body lowered for tapes `in_ty` / `out_ty`.
+    fn of(
+        code: &[Inst],
+        rates: Rates,
+        in_ty: Option<DataType>,
+        out_ty: Option<DataType>,
+    ) -> Option<LaneDot> {
+        let float = Some(DataType::Float);
+        if in_ty != float || out_ty != float || rates.push != 1 {
+            return None;
+        }
+        let consts = code
+            .iter()
+            .take_while(|i| matches!(i, Inst::ConstF { .. }))
+            .count();
+        let (head, tail) = code.split_at(consts);
+        let &[Inst::DotPeekF { d, a, k, n, at }, Inst::PushF { s }, Inst::Skip { n: pop }] = tail
+        else {
+            return None;
+        };
+        let acc0 = head.iter().rev().find_map(|i| match *i {
+            Inst::ConstF { d, v } if d == a => Some(v),
+            _ => None,
+        })?;
+        (s == d && u64::from(pop) == rates.pop).then_some(LaneDot {
+            acc0,
+            consts,
+            d,
+            k,
+            n,
+            at,
+        })
+    }
 }
 
 /// Everything the VM needs to fire one filter node: bytecode for `work`
@@ -1213,15 +1271,21 @@ pub fn lower_filter(
     lw.lower_stmts(&f.work)
         .map_err(|e| format!("{name}: {e}"))?;
     lw.scopes.truncate(1);
-    let work = Program {
-        code: std::mem::take(&mut lw.code),
-        pool: std::mem::take(&mut lw.pool),
-        rates: Rates {
-            pop: f.pop as u64,
-            window: f.peek.max(f.pop) as u64,
-            push: f.push as u64,
-        },
+    let program = |lw: &mut Lowerer, peek: usize, pop: usize, push: usize| {
+        let code = std::mem::take(&mut lw.code);
+        let rates = Rates {
+            pop: pop as u64,
+            window: peek.max(pop) as u64,
+            push: push as u64,
+        };
+        Program {
+            lane: LaneDot::of(&code, rates, in_ty, out_ty),
+            code,
+            pool: std::mem::take(&mut lw.pool),
+            rates,
+        }
     };
+    let work = program(&mut lw, f.peek, f.pop, f.push);
 
     // Prework shares the register file and arenas (state registers must
     // line up) but has its own instruction stream and rates.
@@ -1230,15 +1294,7 @@ pub fn lower_filter(
             lw.scopes = vec![state_scope, Vec::new()];
             lw.lower_stmts(&pw.body)
                 .map_err(|e| format!("{name} (prework): {e}"))?;
-            Some(Program {
-                code: std::mem::take(&mut lw.code),
-                pool: std::mem::take(&mut lw.pool),
-                rates: Rates {
-                    pop: pw.pop as u64,
-                    window: pw.peek.max(pw.pop) as u64,
-                    push: pw.push as u64,
-                },
-            })
+            Some(program(&mut lw, pw.peek, pw.pop, pw.push))
         }
         None => None,
     };
@@ -1356,6 +1412,47 @@ mod tests {
             &lower(DataType::Float, |b| b.push(tap(1, 2.0) + pop()))
         ));
         assert!(!dot(&lower(DataType::Int, |b| b.push(pop() + tap(1, 2.0)))));
+    }
+
+    #[test]
+    fn only_a_lone_dot_product_from_a_constant_is_a_lane_body() {
+        let fir = |b: BlockBuilder| {
+            b.let_("u", DataType::Float, lit(2.5))
+                .let_("s", DataType::Float, lit(-0.0))
+                .set("s", var("s") + tap(0, 1.0))
+                .set("s", var("s") + tap(1, 2.0))
+        };
+        let p = lower(DataType::Float, |b| fir(b).push(var("s")).pop_discard());
+        let lane = p.lane.expect("a lane body");
+        assert_eq!(lane.acc0.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(
+            (lane.consts, lane.d, lane.k, lane.n, lane.at),
+            (2, 1, 0, 2, 0)
+        );
+        // A sum that starts from a popped value, a push of the constant
+        // rather than the sum, a second pop, a pop before the push, and
+        // an int tape each break the shape.
+        let not = [
+            lower(DataType::Float, |b| {
+                b.let_("s", DataType::Float, lit(0.5))
+                    .let_("t", DataType::Float, var("s") + tap(0, 1.0))
+                    .push(var("s"))
+                    .pop_discard()
+            }),
+            lower(DataType::Float, |b| {
+                b.let_("s", DataType::Float, pop())
+                    .set("s", var("s") + tap(0, 1.0))
+                    .push(var("s"))
+            }),
+            lower(DataType::Float, |b| {
+                fir(b).push(var("s")).pop_discard().pop_discard()
+            }),
+            lower(DataType::Float, |b| fir(b).pop_discard().push(var("s"))),
+            lower(DataType::Int, |b| fir(b).push(var("s")).pop_discard()),
+        ];
+        for p in not {
+            assert_eq!(p.lane, None, "{:?}", p.code);
+        }
     }
 
     #[test]

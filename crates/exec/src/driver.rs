@@ -8,7 +8,8 @@
 //! that owns them and are lent per call as a [`Schedule`], so a
 //! [`crate::Session`] can keep a driver beside its `Arc`'d graph and the
 //! multicore runtime can swap plans between calls.  A one-shot run
-//! [`preload`]s the whole input and calls [`Driver::drive`]`(k)`; a
+//! [`preload`]s the input its `k` iterations read and calls
+//! [`Driver::drive`]`(k)`; a
 //! session drives over bounded staging rings; a multicore stage worker
 //! calls the ungated [`Driver::iterate`] between its channel drain and
 //! publish.
@@ -149,10 +150,12 @@ pub fn build_shards(
 }
 
 /// The one-shot prelude: check `input` covers initialization plus `k`
-/// steady iterations ([`ExecError::Starved`] otherwise), preload it, and
-/// size the output ring for everything those iterations emit.  A run
-/// shorter than one batch gets unit-capacity tapes: it could never take
-/// the scaled stride, and its set-up is what a first output waits for.
+/// steady iterations ([`ExecError::Starved`] otherwise), preload the
+/// part of it they read — the first `required_input(k)` items, whatever
+/// the caller's slice holds beyond — and size the output ring for
+/// everything those iterations emit.  A run shorter than one batch gets
+/// unit-capacity tapes: it could never take the scaled stride, and its
+/// set-up is what a first output waits for.
 pub fn preload(s: &Schedule<'_>, input: &[f64], k: u64) -> Result<Vec<Shard>, ExecError> {
     let (needed, have) = (s.stats.required_input(k), input.len() as u64);
     if have < needed {
@@ -164,7 +167,8 @@ pub fn preload(s: &Schedule<'_>, input: &[f64], k: u64) -> Result<Vec<Shard>, Ex
         batch: s.batch.filter(|b| k >= b.k.into()),
         ..*s
     };
-    contain("shard allocation", || build_shards(&s, input, 0, out_cap))
+    let read = &input[..needed as usize];
+    contain("shard allocation", || build_shards(&s, read, 0, out_cap))
 }
 
 /// Copy out everything on the external output tape (empty when the

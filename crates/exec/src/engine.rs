@@ -18,10 +18,10 @@ use streamit_graph::work::{
 };
 use streamit_graph::{BinOp, Intrinsic, UnOp};
 
-use crate::bytecode::{FilterCode, Inst, Program};
-use crate::plan::{Loc, Op};
+use crate::bytecode::{FilterCode, Inst, LaneDot, Program};
+use crate::plan::{Loc, MoveSpec, Op};
 use crate::profile::ProfileReport;
-use crate::tape::{move_items, Raw, Tape};
+use crate::tape::{copy_at, Raw, Ring, Tape};
 use crate::ExecError;
 
 /// Backward jumps allowed per firing — the analogue of the reference
@@ -242,17 +242,9 @@ fn exec_program(
                     let (head, tail) = r
                         .window(pops + k as u64, n as u64)
                         .ok_or("peek beyond available input")?;
-                    // The sum stays in a machine register; taps are
-                    // added in source order with separate roundings
-                    // (never `mul_add`), exactly as `n` generic taps.
                     let (ch, ct) = coef.split_at(head.len());
-                    let mut sum = fr.f[a as usize];
-                    for (p, c) in head.iter().zip(ch) {
-                        sum += p * c;
-                    }
-                    for (p, c) in tail.iter().zip(ct) {
-                        sum += p * c;
-                    }
+                    let [sum] = dot_lanes([fr.f[a as usize]], head, 0, ch);
+                    let [sum] = dot_lanes([sum], tail, 0, ct);
                     fr.f[d as usize] = sum;
                 }
                 _ => return Err("float peek on non-float tape".into()),
@@ -308,6 +300,112 @@ fn exec_program(
         t.advance(pops);
     }
     Ok(())
+}
+
+/// The one summation order of a dot product, for `L` independent sums
+/// at once: lane `j` adds `x[j·stride + t] · c[t]` to `acc[j]` for
+/// ascending `t`, each product and each sum rounded on its own (never
+/// `mul_add`, never reassociated) — the order `n` generic taps add in.
+/// Lanes only run side by side; no sum is split.  The caller has checked
+/// that `x` holds `(L − 1)·stride + c.len()` items.
+#[inline(always)]
+fn dot_lanes<const L: usize>(mut acc: [f64; L], x: &[f64], stride: usize, c: &[f64]) -> [f64; L] {
+    let xs: [&[f64]; L] = std::array::from_fn(|j| &x[j * stride..][..c.len()]);
+    for (t, &c) in c.iter().enumerate() {
+        for j in 0..L {
+            acc[j] += xs[j][t] * c;
+        }
+    }
+    acc
+}
+
+/// Firings a lane-dot op runs side by side (4 read 1–2 % less on
+/// `fir-vm`); an op with fewer takes the VM.
+const LANES: usize = 8;
+
+/// Fire `times` firings of a [`LaneDot`] body `LANES` at a time and
+/// the remainder one by one, leaving tapes and frame as `times` VM
+/// firings would.  One check up front replaces the VM's per-firing ones:
+/// the body is a lane dot with at least `LANES` firings to run, the
+/// whole input span is staged, `times` output slots are free and the
+/// coefficients exist.  Returns `false`, having touched nothing, when
+/// it does not hold, so that the VM runs the op (and raises any fault
+/// at its own firing).
+#[inline]
+fn fire_lanes(
+    prog: &Program,
+    fr: &mut Frame,
+    input: Option<&mut Tape>,
+    output: Option<&mut Tape>,
+    times: u32,
+) -> bool {
+    match (&prog.lane, input, output) {
+        (Some(lane), Some(Tape::F(inp)), Some(Tape::F(out))) if times as usize >= LANES => {
+            lanes(lane, prog, fr, inp, out, times as usize)
+        }
+        _ => false,
+    }
+}
+
+/// [`fire_lanes`] past its first checks, out of the op loop's way.
+#[inline(never)]
+fn lanes(
+    lane: &LaneDot,
+    prog: &Program,
+    fr: &mut Frame,
+    inp: &mut Ring<f64>,
+    out: &mut Ring<f64>,
+    times: usize,
+) -> bool {
+    let (pop, k, n) = (prog.rates.pop as usize, lane.k as usize, lane.n as usize);
+    let at = lane.at as usize;
+    let (Some(coef), Some(span)) = (
+        prog.pool.get(at..at + n),
+        (times - 1)
+            .checked_mul(pop)
+            .and_then(|s| s.checked_add((k + n).max(pop))),
+    ) else {
+        return false;
+    };
+    if times > out.capacity() as usize - out.len() as usize {
+        return false;
+    }
+    let Some((head, tail)) = inp.window(0, span as u64) else {
+        return false;
+    };
+    // A wrapped span is copied once into the frame's kernel scratch.
+    let mut scratch = mem::take(&mut fr.kre);
+    let x = if tail.is_empty() {
+        head
+    } else {
+        scratch.clear();
+        scratch.extend_from_slice(head);
+        scratch.extend_from_slice(tail);
+        &scratch[..]
+    };
+    let mut last = lane.acc0;
+    let mut j = 0;
+    while j + LANES <= times {
+        let sums = dot_lanes([lane.acc0; LANES], &x[j * pop + k..], pop, coef);
+        for s in sums {
+            let _ = out.push(s);
+        }
+        last = sums[LANES - 1];
+        j += LANES;
+    }
+    for j in j..times {
+        [last] = dot_lanes([lane.acc0], &x[j * pop + k..], 0, coef);
+        let _ = out.push(last);
+    }
+    fr.kre = scratch;
+    inp.advance((times * pop) as u64);
+    for inst in &prog.code[..lane.consts] {
+        if let Inst::ConstF { d, v } = *inst {
+            fr.f[d as usize] = v;
+        }
+    }
+    fr.f[lane.d as usize] = last;
+    true
 }
 
 /// [`float_arith`], or the fault for an operator the lowering never
@@ -486,6 +584,72 @@ pub(crate) fn run_ops_profiled(
     Ok(())
 }
 
+/// `times` firings of an [`Op::Moves`], which the planner builds as a
+/// round-robin splitter (every move from one source) or joiner (every
+/// move into one destination).  Each tape is checked once against the
+/// op's totals before its items move; then all `times` firings' items
+/// are copied to and from their offsets — past the cursors, which stay
+/// put until the end — and every cursor moves once.  The offsets are
+/// those of firing-by-firing execution, so a joiner interleaves its
+/// inputs exactly as before; after a fault the shards are in no defined
+/// state (see [`crate::driver::Driver::drive`]).  Out of line: inlined
+/// into the op loop, builds of one source read 2.3–3.0 M items/s on
+/// `sort-dispatch` depending on where the linker put that loop; out of
+/// line, 2.8–2.9 M.
+#[inline(never)]
+fn move_op(shards: &mut [Shard], base: u16, moves: &[MoveSpec], times: u64) -> Result<(), String> {
+    let Some(first) = moves.first() else {
+        return Ok(());
+    };
+    let (mut width, mut split, mut join) = (0, true, true);
+    for m in moves.iter() {
+        width += u64::from(m.n);
+        split &= m.src == first.src;
+        join &= m.dst == first.dst;
+    }
+    if !(split || join) {
+        return Err("moves neither from one tape nor into one".into());
+    }
+    let mut at = 0;
+    for m in moves.iter() {
+        let (s, d) =
+            tape_pair(shards, m.src, m.dst, base).ok_or("move needs two distinct tapes")?;
+        let n = u64::from(m.n);
+        // Where firing `f` reads and writes, as (first offset, step per
+        // firing): the shared side steps by the op's width, the move's
+        // own by `n`.
+        let (s_at, d_at) = if split {
+            ((at, width), (0, n))
+        } else {
+            ((0, n), (at, width))
+        };
+        let (need, room) = (times * s_at.1, times * d_at.1);
+        if s.len() < need {
+            return Err(format!("tape underflow: need {need}, have {}", s.len()));
+        }
+        if d.free() < room {
+            return Err(format!(
+                "tape overflow: need {room} free, have {}",
+                d.free()
+            ));
+        }
+        copy_at(s, s_at, d, d_at, n, times);
+        // Each move's own side settles now, the shared side once below.
+        if split {
+            d.commit(times * n);
+        } else {
+            s.advance(times * n);
+        }
+        at += n;
+    }
+    if split {
+        tape_mut(shards, first.src, base).advance(times * width);
+    } else {
+        tape_mut(shards, first.dst, base).commit(times * width);
+    }
+    Ok(())
+}
+
 /// Execute a flat op list against a shard slice whose first element is
 /// shard `base`, firing each op `scale` × its `times` (1 for a unit
 /// round, the plan's batch factor for a scaled one).
@@ -536,7 +700,7 @@ pub(crate) fn run_ops(
                         (Some(i), Some(o)) => kernel.run(i, o, times, &mut fr.kre, &mut fr.kim),
                         _ => Err("kernel filter missing a tape".into()),
                     };
-                } else {
+                } else if !fire_lanes(prog, &mut fr, in_t.as_mut(), out_t.as_mut(), times) {
                     for _ in 0..times {
                         if let Err(e) = exec_program(prog, &mut fr, in_t.as_mut(), out_t.as_mut()) {
                             res = Err(e);
@@ -554,43 +718,33 @@ pub(crate) fn run_ops(
                 res.map_err(|reason| fault(&fc.name, reason))?;
             }
             Op::Dup { input, outputs, .. } => {
-                // One output at a time, then release the input once:
-                // each output sees the same items in the same order as
-                // item-at-a-time duplication, and nothing is allocated.
+                // The input is taken out of its slot, so an output that
+                // is the input finds no room.  One copy of all `times`
+                // items per output, then one release.
+                let n = u64::from(times);
                 let mut src = take_tape(shards, *input, base);
-                let mut res = Ok(());
-                'outputs: for &l in outputs.iter() {
-                    let out = tape_mut(shards, l, base);
-                    for i in 0..times as u64 {
-                        let Some(v) = src.get(i) else {
-                            res = Err("duplicate splitter input underflow".to_string());
-                            break 'outputs;
-                        };
-                        if out.push_raw(v).is_err() {
-                            res = Err("duplicate splitter output overflow".to_string());
-                            break 'outputs;
+                let res = if src.len() < n {
+                    Err("duplicate splitter input underflow")
+                } else {
+                    outputs.iter().try_for_each(|&l| {
+                        let out = tape_mut(shards, l, base);
+                        if out.free() < n {
+                            return Err("duplicate splitter output overflow");
                         }
-                    }
-                }
+                        copy_at(&src, (0, 0), out, (0, 0), n, 1);
+                        out.commit(n);
+                        Ok(())
+                    })
+                };
                 if res.is_ok() {
-                    src.advance(times as u64);
+                    src.advance(n);
                 }
                 put_tape(shards, *input, base, src);
-                res.map_err(|reason| fault("duplicate splitter", reason))?;
+                res.map_err(|reason| fault("duplicate splitter", reason.into()))?;
             }
             Op::Moves { moves, .. } => {
-                // Both tapes of a move are borrowed where they sit, so
-                // no tape leaves its slot; items still go firing by
-                // firing, move by move (a joiner interleaves its inputs
-                // per firing).
-                for _ in 0..times {
-                    for m in moves.iter() {
-                        tape_pair(shards, m.src, m.dst, base)
-                            .ok_or_else(|| "move needs two distinct tapes".to_string())
-                            .and_then(|(s, d)| move_items(s, d, m.n as u64))
-                            .map_err(|reason| fault("roundrobin", reason))?;
-                    }
-                }
+                move_op(shards, base, moves, u64::from(times))
+                    .map_err(|reason| fault("roundrobin", reason))?;
             }
             Op::Combine { inputs, output, .. } => {
                 // Inputs are read in place and released once at the
@@ -630,22 +784,36 @@ pub(crate) fn run_ops(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::MoveSpec;
+    use crate::bytecode::{lower_filter, FilterCode};
+    use streamit_graph::builder::*;
     use streamit_graph::DataType;
 
-    /// An eight-slot tape of `ty` holding `items`.
-    fn tape(ty: DataType, items: &[f64]) -> Tape {
-        let mut t = Tape::with_capacity(ty, 8);
+    const F: DataType = DataType::Float;
+    const I: DataType = DataType::Int;
+
+    /// A tape of `ty` with room for `cap` items holding `items`, its
+    /// cursors `skew` slots into the buffer so that the items can wrap.
+    fn skewed(ty: DataType, cap: u64, skew: u64, items: &[f64]) -> Tape {
+        let mut t = Tape::with_capacity(ty, cap);
+        for _ in 0..skew {
+            t.push_f(0.0).expect("fits");
+        }
+        t.advance(skew);
         assert_eq!(t.extend_from_f64(items), items.len());
         t
     }
 
+    /// An eight-slot tape of `ty` holding `items`.
+    fn tape(ty: DataType, items: &[f64]) -> Tape {
+        skewed(ty, 8, 0, items)
+    }
+
     fn tape_f(items: &[f64]) -> Tape {
-        tape(DataType::Float, items)
+        tape(F, items)
     }
 
     fn tape_i(items: &[f64]) -> Tape {
-        tape(DataType::Int, items)
+        tape(I, items)
     }
 
     fn contents(shards: &[Shard]) -> Vec<Vec<f64>> {
@@ -699,19 +867,38 @@ mod tests {
     #[test]
     fn batched_dup_matches_item_at_a_time_order() {
         let loc = |slot| Loc { shard: 0, slot };
+        let dup = |times| Op::Dup {
+            input: loc(0),
+            outputs: vec![loc(1), loc(2)].into(),
+            times,
+        };
         // A float input duplicated onto a float and an int output (the
-        // int one coerces); one item stays behind on the input.
+        // int one coerces); one item stays behind on the input.  Every
+        // tape's items cross the end of its buffer.
         let after = batched_matches_single(
-            &[tape_f(&[1.5, -2.5, 3.5, 4.5]), tape_f(&[9.0]), tape_i(&[])],
-            |times| Op::Dup {
-                input: loc(0),
-                outputs: vec![loc(1), loc(2)].into(),
-                times,
-            },
+            &[
+                skewed(F, 8, 6, &[1.5, -2.5, 3.5, 4.5]),
+                skewed(F, 8, 7, &[9.0]),
+                skewed(I, 8, 6, &[]),
+            ],
+            dup,
         );
         assert_eq!(
             after,
             vec![vec![4.5], vec![9.0, 1.5, -2.5, 3.5], vec![1.0, -2.0, 3.0]]
+        );
+        // An int input onto a float and an int output, wrapping alike.
+        let after = batched_matches_single(
+            &[
+                skewed(I, 8, 7, &[1.0, -2.0, 3.0]),
+                skewed(F, 8, 5, &[]),
+                skewed(I, 8, 6, &[5.0]),
+            ],
+            dup,
+        );
+        assert_eq!(
+            after,
+            vec![vec![], vec![1.0, -2.0, 3.0], vec![5.0, 1.0, -2.0, 3.0]]
         );
     }
 
@@ -755,68 +942,78 @@ mod tests {
         );
     }
 
-    /// A 32-slot tape of `ty` holding `items`.
-    fn roomy(ty: DataType, items: &[f64]) -> Tape {
-        let mut t = Tape::with_capacity(ty, 32);
-        assert_eq!(t.extend_from_f64(items), items.len());
-        t
+    /// `roundrobin` moves from `src` to `dst` of the given weights.
+    fn moves(edges: [(u16, u16, u32); 3], times: u32) -> Op {
+        let loc = |slot| Loc { shard: 0, slot };
+        Op::Moves {
+            moves: edges
+                .map(|(src, dst, n)| MoveSpec {
+                    src: loc(src),
+                    dst: loc(dst),
+                    n,
+                })
+                .into(),
+            times,
+        }
     }
 
     #[test]
     fn batched_moves_match_item_at_a_time_order() {
-        let loc = |slot| Loc { shard: 0, slot };
         let halves = |n: usize| (0..n).map(|i| i as f64 + 0.5).collect::<Vec<_>>();
-        let (f, i) = (DataType::Float, DataType::Int);
+        // A 32-slot tape whose items start `skew` slots in.
+        let roomy = |ty, skew, items: &[f64]| skewed(ty, 32, skew, items);
         // A roundrobin(2, 1, 3) splitter: a float input dealt onto a
         // float, an int (which truncates) and a float output that
         // already holds an item; one item stays behind on the input.
+        let split = |times| moves([(0, 1, 2), (0, 2, 1), (0, 3, 3)], times);
         let after = batched_matches_single(
             &[
-                roomy(f, &halves(19)),
-                roomy(f, &[]),
-                roomy(i, &[]),
-                roomy(f, &[9.0]),
+                roomy(F, 20, &halves(19)),
+                roomy(F, 30, &[]),
+                roomy(I, 31, &[]),
+                roomy(F, 29, &[9.0]),
             ],
-            |times| Op::Moves {
-                moves: [(1, 2), (2, 1), (3, 3)]
-                    .map(|(dst, n)| MoveSpec {
-                        src: loc(0),
-                        dst: loc(dst),
-                        n,
-                    })
-                    .into(),
-                times,
-            },
+            split,
         );
         assert_eq!(after[0], vec![18.5]);
         assert_eq!(after[1], vec![0.5, 1.5, 6.5, 7.5, 12.5, 13.5]);
         assert_eq!(after[2], vec![2.0, 8.0, 14.0]);
         assert_eq!(after[3][..4], [9.0, 3.5, 4.5, 5.5]);
-        // The matching joiner interleaves its inputs firing by firing.
+        // The same splitter dealing an int input onto float outputs.
+        let ints: Vec<f64> = (0..19).map(f64::from).collect();
         let after = batched_matches_single(
             &[
-                roomy(f, &halves(7)),
-                roomy(i, &[10.0, 20.0, 30.0]),
-                roomy(f, &halves(9)),
-                roomy(f, &[]),
+                roomy(I, 25, &ints),
+                roomy(F, 31, &[]),
+                roomy(F, 17, &[]),
+                roomy(I, 30, &[9.0]),
             ],
-            |times| Op::Moves {
-                moves: [(0, 2), (1, 1), (2, 3)]
-                    .map(|(src, n)| MoveSpec {
-                        src: loc(src),
-                        dst: loc(3),
-                        n,
-                    })
-                    .into(),
-                times,
-            },
+            split,
         );
-        assert_eq!(after[..3], [vec![6.5], vec![], vec![]]);
-        assert_eq!(
-            after[3][..9],
-            [0.5, 1.5, 10.0, 0.5, 1.5, 2.5, 2.5, 3.5, 20.0]
-        );
-        assert_eq!(after[3].len(), 18);
+        assert_eq!(after[0], vec![18.0]);
+        assert_eq!(after[1], vec![0.0, 1.0, 6.0, 7.0, 12.0, 13.0]);
+        assert_eq!(after[2], vec![2.0, 8.0, 14.0]);
+        assert_eq!(after[3][..4], [9.0, 3.0, 4.0, 5.0]);
+        // The matching joiner interleaves its inputs firing by firing,
+        // onto a float output and onto an int one.
+        let join = |times| moves([(0, 3, 2), (1, 3, 1), (2, 3, 3)], times);
+        for (out, want) in [
+            (F, [0.5, 1.5, 10.0, 0.5, 1.5, 2.5, 2.5, 3.5, 20.0]),
+            (I, [0.0, 1.0, 10.0, 0.0, 1.0, 2.0, 2.0, 3.0, 20.0]),
+        ] {
+            let after = batched_matches_single(
+                &[
+                    roomy(F, 28, &halves(7)),
+                    roomy(I, 31, &[10.0, 20.0, 30.0]),
+                    roomy(F, 26, &halves(9)),
+                    roomy(out, 27, &[]),
+                ],
+                join,
+            );
+            assert_eq!(after[..3], [vec![6.5], vec![], vec![]]);
+            assert_eq!(after[3][..9], want);
+            assert_eq!(after[3].len(), 18);
+        }
     }
 
     #[test]
@@ -832,18 +1029,31 @@ mod tests {
             times: 2,
         };
         let reason = |op: &Op, tapes| fault_reason(op, "roundrobin", tapes);
-        // The second firing finds one item where it needs two.
+        // The op is checked whole: two firings of two items each.
         assert_eq!(
             reason(&mv(0, 1, 2), vec![tape_f(&[1.0, 2.0, 3.0]), tape_f(&[])]),
-            "tape underflow: need 2, have 1"
+            "tape underflow: need 4, have 3"
         );
         assert_eq!(
             reason(&mv(0, 1, 2), vec![tape_f(&[1.0; 4]), tape_f(&[0.0; 5])]),
-            "tape overflow: need 2 free, have 1"
+            "tape overflow: need 4 free, have 3"
         );
         assert_eq!(
             reason(&mv(0, 0, 1), vec![tape_f(&[1.0; 4])]),
             "move needs two distinct tapes"
+        );
+        // A joiner's output must hold both firings of all its inputs.
+        let join = moves([(0, 2, 1), (1, 2, 1), (3, 2, 0)], 2);
+        let tapes = || vec![tape_f(&[1.0; 2]), tape_f(&[2.0; 2]), tape_f(&[0.0; 5])];
+        let mut four = tapes();
+        four.push(tape_f(&[]));
+        assert_eq!(reason(&join, four), "tape overflow: need 4 free, have 3");
+        let neither = moves([(0, 1, 1), (2, 3, 1), (0, 1, 1)], 1);
+        let mut four = tapes();
+        four.push(tape_f(&[]));
+        assert_eq!(
+            reason(&neither, four),
+            "moves neither from one tape nor into one"
         );
     }
 
@@ -859,5 +1069,215 @@ mod tests {
             Err(ExecError::Fault { node, .. }) => assert_eq!(node, "schedule"),
             other => panic!("expected a fault, got {other:?}"),
         }
+    }
+
+    // ---- lane-dot bodies -------------------------------------------------
+
+    /// What arithmetic on this machine makes of `0 / 0`: the one NaN
+    /// pattern the engines produce.
+    fn hardware_nan() -> f64 {
+        std::hint::black_box(0.0f64) / std::hint::black_box(0.0)
+    }
+
+    /// Splitmix64: ordinary values in [-2, 2), and one draw in 64 from
+    /// ±0, ±inf, ± a subnormal and the hardware NaN.
+    struct Draw(u64);
+
+    impl Draw {
+        fn bits(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn value(&mut self) -> f64 {
+            let specials = [
+                0.0,
+                -0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::MIN_POSITIVE / 8.0,
+                -f64::MIN_POSITIVE / 3.0,
+                hardware_nan(),
+            ];
+            let z = self.bits();
+            if z.is_multiple_of(64) {
+                specials[(z >> 8) as usize % specials.len()]
+            } else {
+                (z >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0
+            }
+        }
+    }
+
+    /// `[let u = 2.5;] let s = acc0; s = s + peek(k)·c0; …; push(s);`
+    /// then `pop` discarded pops, on float tapes: a lane-dot body with
+    /// one or two leading constants.
+    fn fir(acc0: f64, k: usize, taps: &[f64], pop: usize, two_consts: bool) -> FilterCode {
+        let taps = taps.to_vec();
+        let f = FilterBuilder::new("fir", F)
+            .rates((k + taps.len()).max(pop), pop, 1)
+            .work(move |b| {
+                let b = if two_consts {
+                    b.let_("u", F, lit(2.5))
+                } else {
+                    b
+                };
+                let b = b.let_("s", F, lit(acc0));
+                let b = taps.iter().enumerate().fold(b, |b, (t, &c)| {
+                    b.set("s", var("s") + peek(lit((k + t) as i64)) * lit(c))
+                });
+                (0..pop).fold(b.push(var("s")), |b, _| b.pop_discard())
+            })
+            .build();
+        let fc = lower_filter(&f, "fir", Some(F), Some(F)).expect("lowers");
+        assert!(
+            fc.work.lane.is_some(),
+            "not a lane body: {:?}",
+            fc.work.code
+        );
+        fc
+    }
+
+    fn bits(t: &Tape) -> Vec<u64> {
+        match t {
+            Tape::F(r) => r.to_vec().iter().map(|v| v.to_bits()).collect(),
+            Tape::I(r) => r.to_vec().iter().map(|&v| v as u64).collect(),
+        }
+    }
+
+    /// One lane op of `times` firings against `input` (on a ring of
+    /// `cap` slots whose cursors start `skew` in) leaves output,
+    /// remaining input and frame registers as `times` VM firings do, by
+    /// bits.  Returns whether the lanes ran (they must, from `LANES`
+    /// firings on).
+    fn lanes_match_vm(fc: &FilterCode, input: &[f64], cap: u64, skew: u64, times: u32) -> bool {
+        let start = (
+            Frame::new(fc),
+            skewed(F, cap, skew, input),
+            skewed(F, 32, skew % 32, &[]),
+        );
+        let (mut fr, mut inp, mut out) = start.clone();
+        let laned = fire_lanes(&fc.work, &mut fr, Some(&mut inp), Some(&mut out), times);
+        assert_eq!(laned, times as usize >= LANES, "times {times}");
+        let (mut vfr, mut vinp, mut vout) = start;
+        for _ in 0..times {
+            exec_program(&fc.work, &mut vfr, Some(&mut vinp), Some(&mut vout)).expect("VM fires");
+        }
+        if laned {
+            let regs = |fr: &Frame| {
+                (
+                    fr.f.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    fr.i.clone(),
+                )
+            };
+            let what = format!("{:?} × {times} at skew {skew}", fc.work.lane);
+            assert_eq!(bits(&out), bits(&vout), "output of {what}");
+            assert_eq!(bits(&inp), bits(&vinp), "input left by {what}");
+            assert_eq!(regs(&fr), regs(&vfr), "frame after {what}");
+        }
+        laned
+    }
+
+    /// Items a run of `times` firings reads: the last firing's window.
+    fn span(pop: usize, k: usize, n: usize, times: u32) -> usize {
+        (times as usize - 1) * pop + (k + n).max(pop)
+    }
+
+    #[test]
+    fn lane_ops_match_single_firings_by_bits() {
+        let mut draw = Draw(7);
+        let mut laned = 0;
+        for pop in 1..=3 {
+            for k in [0, 2] {
+                for n in 1..=80 {
+                    let taps: Vec<f64> = (0..n).map(|_| draw.value()).collect();
+                    let acc0 = if n % 4 == 0 { -0.0 } else { draw.value() };
+                    let fc = fir(acc0, k, &taps, pop, n % 2 == 0);
+                    for times in 1..=2 * LANES as u32 + 3 {
+                        // A few items past the span, and the ring's
+                        // cursors somewhere new each time.
+                        let items = span(pop, k, n, times) + n % 3;
+                        let input: Vec<f64> = (0..items).map(|_| draw.value()).collect();
+                        let cap = (items as u64).next_power_of_two();
+                        let skew = (n as u64 * 7 + u64::from(times) * 3) % cap;
+                        laned += usize::from(lanes_match_vm(&fc, &input, cap, skew, times));
+                    }
+                }
+            }
+        }
+        assert_eq!(laned, 3 * 2 * 80 * (LANES + 4));
+    }
+
+    #[test]
+    fn lane_windows_wrapping_at_every_ring_offset_match_single_firings() {
+        let mut draw = Draw(11);
+        for (pop, k, n, times) in [(3, 2, 37, 19), (1, 0, 80, 8), (2, 1, 5, 11)] {
+            let taps: Vec<f64> = (0..n).map(|_| draw.value()).collect();
+            let fc = fir(draw.value(), k, &taps, pop, false);
+            let items = span(pop, k, n, times);
+            let input: Vec<f64> = (0..items).map(|_| draw.value()).collect();
+            let cap = (items as u64).next_power_of_two();
+            for skew in 0..cap {
+                assert!(lanes_match_vm(&fc, &input, cap, skew, times));
+            }
+        }
+    }
+
+    /// One item short of the span, or one output slot short: the lanes
+    /// decline, and the VM faults at the firing that finds the gap.
+    #[test]
+    fn a_lane_op_short_of_input_or_room_faults_where_the_vm_does() {
+        let fc = fir(0.0, 1, &[0.5; 6], 2, false);
+        let times = LANES as u32 + 1;
+        let loc = |slot| Loc { shard: 0, slot };
+        let op = Op::Work {
+            code: 0,
+            frame: loc(0),
+            input: Some(loc(0)),
+            output: Some(loc(1)),
+            prework: false,
+            times,
+        };
+        let fault = |input: Tape, output: Tape| {
+            let mut shards = vec![Shard {
+                tapes: vec![input, output],
+                frames: vec![Frame::new(&fc)],
+            }];
+            let mut fr = Frame::new(&fc);
+            let (mut i, mut o) = (shards[0].tapes[0].clone(), shards[0].tapes[1].clone());
+            assert!(!fire_lanes(
+                &fc.work,
+                &mut fr,
+                Some(&mut i),
+                Some(&mut o),
+                times
+            ));
+            run_ops(
+                std::slice::from_ref(&op),
+                &mut shards,
+                0,
+                std::slice::from_ref(&fc),
+                1,
+            )
+            .expect_err("the op must fault")
+        };
+        let short = vec![1.0; span(2, 1, 6, times) - 1];
+        assert_eq!(
+            fault(skewed(F, 32, 30, &short), skewed(F, 16, 0, &[])),
+            ExecError::Fault {
+                node: "fir".into(),
+                reason: "peek beyond available input".into()
+            }
+        );
+        let enough = vec![1.0; span(2, 1, 6, times)];
+        assert_eq!(
+            fault(skewed(F, 32, 30, &enough), skewed(F, 16, 0, &[0.0; 8])),
+            ExecError::Fault {
+                node: "fir".into(),
+                reason: "output tape capacity exceeded".into()
+            }
+        );
     }
 }

@@ -375,6 +375,180 @@ mod metamorphic {
             "every generated case batches: the fall-back to the unit stride is untested"
         );
     }
+
+    /// A run preloads only the input its iterations read: given exactly
+    /// `required_input(k)` items, or four times as many, every app emits
+    /// the same bits on the compiled engine and on `parallel(2)`, over
+    /// runs that take scaled rounds and a unit tail.
+    #[test]
+    fn an_exact_length_input_runs_like_a_longer_one() {
+        let mut parallel = 0;
+        for app in apps::corpus() {
+            let name = app.name;
+            let p = compile(name, app.graph());
+            let Ok(cg) = p.compile_exec() else {
+                continue;
+            };
+            let k = 2 * u64::from(cg.batch_factor().unwrap_or(1)) + 3;
+            let bits = |out: Vec<f64>| out.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            // Exact and four times longer, by the engine's own count.
+            let inputs = |required: u64| {
+                let exact = varied_input(required as usize);
+                let longer = varied_input(4 * exact.len().max(1));
+                (exact, longer)
+            };
+            let (exact, longer) = inputs(cg.required_input(k));
+            let run = |input: &[f64]| bits(cg.run_steady(input, k).expect("runs"));
+            let want = run(&longer);
+            assert_eq!(
+                want.len() as u64,
+                cg.init_outputs() + k * cg.outputs_per_iteration()
+            );
+            assert!(run(&exact) == want, "{name}: the exact input diverges");
+            if let Ok(pg) = p.compile_parallel(2) {
+                let (exact, longer) = inputs(pg.required_input(k));
+                let run = |input: &[f64]| bits(pg.run_steady(input, k).expect("runs"));
+                let want = run(&longer);
+                assert_eq!(
+                    want.len() as u64,
+                    pg.init_outputs() + k * pg.outputs_per_iteration()
+                );
+                assert!(
+                    run(&exact) == want,
+                    "{name}: parallel(2) on the exact input"
+                );
+                parallel += 1;
+            }
+        }
+        assert!(parallel >= 8, "only {parallel} apps ran on parallel(2)");
+    }
+}
+
+// ---- lane-dot bodies ---------------------------------------------------
+//
+// A body that is one dot product and nothing else fires the firings of
+// a batched op as independent sums side by side (DESIGN.md "Execution
+// scaling").  Generated FIR shapes against the reference interpreter,
+// the shapes that must not be recognized, and how many bodies the apps
+// have of it.
+
+mod lanes {
+    use streamit::apps;
+    use streamit::exec::CompiledGraph;
+    use streamit::graph::builder::*;
+    use streamit::graph::{DataType, StreamNode};
+    use streamit::{CompiledProgram, Compiler};
+
+    use super::{compile, differential};
+
+    /// How many of `cg`'s filters have a lane-dot work body.
+    fn lane_bodies(cg: &CompiledGraph) -> usize {
+        cg.plan()
+            .codes
+            .iter()
+            .filter(|c| c.work.lane.is_some())
+            .count()
+    }
+
+    /// Splitmix64.
+    struct Gen(u64);
+
+    impl Gen {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+
+        /// A coefficient: mostly in [-1, 1) with every mantissa bit
+        /// drawn, so that products round (a fused multiply-add would
+        /// show), sometimes ±0 or a subnormal.
+        fn coef(&mut self) -> f64 {
+            match self.below(16) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f64::MIN_POSITIVE / 16.0,
+                _ => self.below(1 << 53) as f64 / (1u64 << 52) as f64 - 1.0,
+            }
+        }
+    }
+
+    /// `float s = acc0; s = s + peek(k)·c0; …; push(s)` `pushes` times,
+    /// then `pop` discarded pops, over `ty` tapes.
+    fn fir(g: &mut Gen, name: &str, ty: DataType, pushes: usize) -> StreamNode {
+        let (n, k, pop) = (1 + g.below(80), g.below(4), 1 + g.below(3));
+        let acc0 = if g.below(4) == 0 { -0.0 } else { g.coef() };
+        let taps: Vec<f64> = (0..n).map(|_| g.coef()).collect();
+        FilterBuilder::new(name, ty)
+            .rates((k + n).max(pop) as usize, pop as usize, pushes)
+            .work(move |b| {
+                let b = b.let_("s", DataType::Float, lit(acc0));
+                let b = taps.iter().enumerate().fold(b, |b, (t, &c)| {
+                    b.set("s", var("s") + peek(lit(k as i64 + t as i64)) * lit(c))
+                });
+                let b = (0..pushes).fold(b, |b, _| b.push(var("s")));
+                (0..pop).fold(b, |b, _| b.pop_discard())
+            })
+            .build_node()
+    }
+
+    fn program(stream: StreamNode) -> CompiledProgram {
+        Compiler::default()
+            .compile_stream(stream)
+            .expect("compiles")
+    }
+
+    /// Two generated FIRs in a row: the second reads a channel tape,
+    /// whose windows wrap, where the first reads the external input.
+    /// Both are lane bodies, and the run, long enough for scaled
+    /// rounds, agrees with the reference interpreter by bits.
+    #[test]
+    fn generated_fir_pipelines_agree_with_the_interpreter() {
+        for seed in 0..48 {
+            let g = &mut Gen(seed);
+            let stream = pipeline(
+                "p",
+                vec![
+                    fir(g, "a", DataType::Float, 1),
+                    fir(g, "b", DataType::Float, 1),
+                ],
+            );
+            let p = program(stream);
+            let cg = p.compile_exec().expect("accepted");
+            assert_eq!(lane_bodies(&cg), 2, "seed {seed}");
+            assert!(cg.batch_factor().is_some(), "seed {seed}");
+            assert_eq!(differential(&format!("seed {seed}"), &p, 96), None);
+        }
+    }
+
+    /// The same bodies over int tapes, or pushing their sum twice, are
+    /// not lane bodies, and still agree with the interpreter.
+    #[test]
+    fn int_tapes_and_second_pushes_are_not_lane_bodies() {
+        for seed in 0..16 {
+            let g = &mut Gen(seed);
+            for (ty, pushes) in [(DataType::Int, 1), (DataType::Float, 2)] {
+                let p = program(fir(g, "f", ty, pushes));
+                let cg = p.compile_exec().expect("accepted");
+                assert_eq!(lane_bodies(&cg), 0, "seed {seed}: {ty:?}, {pushes} pushes");
+                assert_eq!(differential(&format!("seed {seed}"), &p, 64), None);
+            }
+        }
+    }
+
+    /// The lane path is where the apps' FIRs run: every FIR of
+    /// `fmradio(10, 64)` and `filterbank(8, 32)`, and no comparator of
+    /// `bitonic_sort(32)`.
+    #[test]
+    fn benchmark_apps_have_their_lane_bodies() {
+        let count =
+            |name, stream| lane_bodies(&compile(name, stream).compile_exec().expect("accepted"));
+        assert_eq!(count("fmradio", apps::fmradio::fmradio(10, 64)), 11);
+        assert_eq!(count("filterbank", apps::filterbank::filterbank(8, 32)), 16);
+        assert_eq!(count("bitonic", apps::bitonic::bitonic_sort(32)), 0);
+    }
 }
 
 // ---- fault parity ------------------------------------------------------
