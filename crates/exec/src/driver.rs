@@ -40,8 +40,8 @@ use crate::tape::Tape;
 use crate::{panic_payload, ExecError, FaultKind, FaultPlan};
 
 /// What a driver needs from a plan, borrowed from whichever plan owns
-/// it.  One steady iteration is `pre`, then each of `branches`, then
-/// `post`; `Loc`s resolve against the driver's shards.
+/// it.  One steady iteration is one walk of `steady`; `Loc`s resolve
+/// against the driver's shards.
 #[derive(Debug, Clone, Copy)]
 pub struct Schedule<'p> {
     pub codes: &'p [FilterCode],
@@ -54,9 +54,7 @@ pub struct Schedule<'p> {
     pub ext_in: Option<Loc>,
     pub ext_out: Option<Loc>,
     pub init: &'p [Op],
-    pub pre: &'p [Op],
-    pub branches: &'p [Vec<Op>],
-    pub post: &'p [Op],
+    pub steady: &'p [Op],
     /// The longer stride the plan proved for these op lists, when the
     /// lender wants it taken: [`build_shards`] then sizes the channel
     /// tapes for it and [`Driver::drive`] runs scaled rounds.
@@ -318,14 +316,14 @@ impl Driver {
                         && self.short(s, b.round_in_required, emitted).is_none()
                 });
                 if let Some(b) = scaled {
-                    self.round(s, b.k)?;
+                    self.iterate(s, b.k)?;
                     ran += u64::from(b.k);
                     continue;
                 }
                 if let Some(stop) = self.gate(s) {
                     return Ok((ran, stop));
                 }
-                if !self.iterate(s)? {
+                if !self.iterate(s, 1)? {
                     return Ok((ran, Stop::StallInjected));
                 }
                 ran += 1;
@@ -334,11 +332,13 @@ impl Driver {
         })
     }
 
-    /// One ungated steady iteration: hooks, then a unit round.
+    /// `scale` ungated steady iterations as one round: hooks, then the
+    /// steady ops, each fired `scale` × its `times`.  Hooks see rounds,
+    /// so a driver with one attached is only ever asked for `scale` 1.
     /// Returns `false`, having run nothing, when an injected stall holds
     /// this iteration.  Panics propagate: a caller other than
     /// [`Driver::drive`] [`contain`]s them at its thread boundary.
-    pub fn iterate(&mut self, s: &Schedule<'_>) -> Result<bool, ExecError> {
+    pub fn iterate(&mut self, s: &Schedule<'_>, scale: u32) -> Result<bool, ExecError> {
         let inj = self.fault.filter(|f| f.iteration == self.iterations);
         match inj.map(|f| f.kind) {
             Some(FaultKind::Panic) => panic!(
@@ -348,34 +348,19 @@ impl Driver {
             Some(FaultKind::Stall) => return Ok(false),
             Some(FaultKind::DelayPublish) | None => {}
         }
-        if let Some(p) = self.prof.as_mut() {
-            p.begin_iteration();
+        let codes = s.codes;
+        match self.prof.as_mut() {
+            Some(p) => {
+                p.begin_iteration();
+                run_ops_profiled(s.steady, &mut self.shards, self.base, codes, p)?;
+            }
+            None => run_ops(s.steady, &mut self.shards, self.base, codes, scale)?,
         }
-        self.round(s, 1)?;
+        self.iterations += u64::from(scale);
         if let Some(f) = inj {
             // Only a delay gets this far: the iteration is complete, late.
             std::thread::sleep(Duration::from_millis(f.delay_ms));
         }
         Ok(true)
-    }
-
-    /// `pre`, every branch, `post`, once, with every op fired `scale` ×
-    /// its `times`: `scale` steady iterations.
-    fn round(&mut self, s: &Schedule<'_>, scale: u32) -> Result<(), ExecError> {
-        self.fire(s.pre, s.codes, scale)?;
-        for ops in s.branches {
-            self.fire(ops, s.codes, scale)?;
-        }
-        self.fire(s.post, s.codes, scale)?;
-        self.iterations += u64::from(scale);
-        Ok(())
-    }
-
-    fn fire(&mut self, ops: &[Op], codes: &[FilterCode], scale: u32) -> Result<(), ExecError> {
-        match self.prof.as_mut() {
-            // A profiled driver only ever runs unit rounds.
-            Some(p) => run_ops_profiled(ops, &mut self.shards, self.base, codes, p),
-            None => run_ops(ops, &mut self.shards, self.base, codes, scale),
-        }
     }
 }

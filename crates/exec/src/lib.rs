@@ -21,11 +21,11 @@
 //! [`ExecError::Unsupported`]; callers fall back to the reference
 //! interpreter, which remains the semantics oracle.
 //!
-//! The building blocks — bytecode lowering, ring tapes, firing-plan
-//! assembly, and the driver — are public modules: the multicore
-//! runtime (`streamit-rt`) reuses them to build per-stage plans and
-//! drive them on worker threads.  This crate itself stays single-threaded;
-//! all threading lives in `streamit-rt`.
+//! The building blocks — bytecode lowering, ring tapes, the firing plan
+//! and the driver — are public modules: the multicore runtime
+//! (`streamit-rt`) cuts a [`plan::Plan`]'s steady round into pipeline
+//! stages and drives each stage's ops on a worker thread.  This crate
+//! itself stays single-threaded; all threading lives in `streamit-rt`.
 
 pub mod bytecode;
 pub mod driver;
@@ -300,15 +300,11 @@ impl CompiledGraph {
     /// the budget machinery counts, so a per-instance firing budget can
     /// be converted to an iteration allowance.
     pub fn firings_per_iteration(&self) -> u64 {
-        let count = |ops: &[plan::Op]| ops.iter().map(|op| op.times() as u64).sum::<u64>();
-        count(&self.plan.pre_ops)
-            + self
-                .plan
-                .branch_ops
-                .iter()
-                .map(|ops| count(ops))
-                .sum::<u64>()
-            + count(&self.plan.post_ops)
+        self.plan
+            .pre_ops
+            .iter()
+            .map(|op| u64::from(op.times()))
+            .sum()
     }
 
     /// Steady iterations one scaled round runs, or `None` when the
@@ -446,7 +442,7 @@ mod tests {
     }
 
     #[test]
-    fn split_join_branches_partition_and_run_in_order() {
+    fn split_join_branches_run_in_order() {
         let branch = |name: &str, k: i64| {
             FilterBuilder::new(name, DataType::Int)
                 .rates(1, 1, 1)
@@ -467,7 +463,6 @@ mod tests {
         );
         let g = streamit_graph::FlatGraph::from_stream(&s);
         let c = CompiledGraph::compile(&g, None).expect("supported");
-        assert_eq!(c.plan().branch_ops.len(), 2);
         let out = c.run_steady(&[], 8).expect("runs");
         assert_eq!(&out[..4], &[0.0, 0.0, 3.0, 5.0]);
     }

@@ -3,15 +3,17 @@
 //! The planner runs once per graph and produces a [`Plan`]: lowered
 //! bytecode for every filter, a tape slot for every channel, a replayable
 //! initialization op sequence (prework firings plus any priming the
-//! steady round needs), and the steady-round ops split into a serial
-//! *pre* stage, independent *branch* stages (one per split-join branch,
-//! eligible for data-parallel execution), and a serial *post* stage.
+//! steady round needs), and the steady round as one op per node that
+//! moves items, in topological order, each tagged with its node.
 //!
 //! Everything schedule-shaped is resolved here — at run time the engine
 //! only walks flat op arrays.  A count simulation over the ops proves
 //! the round is steady (occupancy returns to its post-init snapshot),
 //! sizes every tape to its maximum simulated occupancy, and derives how
-//! many external input items `k` iterations require.
+//! many external input items `k` iterations require.  It is the only
+//! planner: the multicore runtime cuts this plan's steady round into
+//! pipeline stages and relocates its tapes ([`Op::relocated`]) rather
+//! than planning again.
 
 use std::collections::HashSet;
 
@@ -26,9 +28,9 @@ use crate::lowering::LoweringCache;
 use crate::ExecError;
 
 /// Address of a tape or frame: which shard owns it, and the index inside
-/// that shard.  Shard 0 is the serial shard; shard `b + 1` holds branch
-/// `b`'s tapes and frames so a worker thread can borrow them disjointly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// that shard.  A [`Plan`] has one shard; the multicore runtime gives
+/// each pipeline stage a shard of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Loc {
     pub shard: u16,
     pub slot: u16,
@@ -41,7 +43,7 @@ pub const EXT_OUT: Loc = Loc { shard: 0, slot: 1 };
 
 /// One bulk move inside a [`Op::Moves`] firing: `n` items from the front
 /// of `src` to the tail of `dst`, in spec order within each firing.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MoveSpec {
     pub src: Loc,
     pub dst: Loc,
@@ -49,7 +51,7 @@ pub struct MoveSpec {
 }
 
 /// One schedule entry: fire a node `times` times.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Op {
     /// Run a filter's bytecode against its input/output tapes.
     Work {
@@ -83,6 +85,95 @@ impl Op {
             | Op::Dup { times, .. }
             | Op::Moves { times, .. }
             | Op::Combine { times, .. } => *times,
+        }
+    }
+
+    /// What one firing moves: `(tape, pop, window slack beyond the pop)`
+    /// per input port and `(tape, push)` per output port.  Ports at rate
+    /// zero are not named by the op at all.
+    #[allow(clippy::type_complexity)]
+    pub fn io(
+        &self,
+        codes: &[FilterCode],
+    ) -> Result<(Vec<(Loc, u64, u64)>, Vec<(Loc, u64)>), String> {
+        Ok(match self {
+            Op::Work {
+                code,
+                input,
+                output,
+                prework,
+                ..
+            } => {
+                let fc = &codes[*code as usize];
+                let Rates { pop, window, push } = if *prework {
+                    let body = fc.prework.as_ref();
+                    body.map(|p| p.rates)
+                        .ok_or("prework op without prework body")?
+                } else {
+                    fc.work.rates
+                };
+                let ins = input.map(|l| (l, pop, window.saturating_sub(pop)));
+                (
+                    ins.into_iter().collect(),
+                    output.map(|l| (l, push)).into_iter().collect(),
+                )
+            }
+            Op::Dup { input, outputs, .. } => (
+                vec![(*input, 1, 0)],
+                outputs.iter().map(|&l| (l, 1)).collect(),
+            ),
+            Op::Moves { moves, .. } => moves
+                .iter()
+                .map(|m| ((m.src, m.n.into(), 0), (m.dst, m.n.into())))
+                .unzip(),
+            Op::Combine { inputs, output, .. } => (
+                inputs.iter().map(|&l| (l, 1, 0)).collect(),
+                vec![(*output, 1)],
+            ),
+        })
+    }
+
+    /// This op with every tape address passed through `tape` and its
+    /// frame's through `frame`.
+    pub fn relocated(&self, tape: impl Fn(Loc) -> Loc, frame: impl Fn(Loc) -> Loc) -> Op {
+        let times = self.times();
+        match self {
+            Op::Work {
+                code,
+                frame: f,
+                input,
+                output,
+                prework,
+                ..
+            } => Op::Work {
+                code: *code,
+                frame: frame(*f),
+                input: input.map(&tape),
+                output: output.map(&tape),
+                prework: *prework,
+                times,
+            },
+            Op::Dup { input, outputs, .. } => Op::Dup {
+                input: tape(*input),
+                outputs: outputs.iter().map(|&l| tape(l)).collect(),
+                times,
+            },
+            Op::Moves { moves, .. } => Op::Moves {
+                moves: moves
+                    .iter()
+                    .map(|m| MoveSpec {
+                        src: tape(m.src),
+                        dst: tape(m.dst),
+                        n: m.n,
+                    })
+                    .collect(),
+                times,
+            },
+            Op::Combine { inputs, output, .. } => Op::Combine {
+                inputs: inputs.iter().map(|&l| tape(l)).collect(),
+                output: tape(*output),
+                times,
+            },
         }
     }
 }
@@ -182,16 +273,23 @@ pub struct Batch {
 #[derive(Debug, Clone)]
 pub struct Plan {
     pub codes: Vec<FilterCode>,
-    /// Tape specs per shard (`tapes[0][0]`/`[0][1]` are EXT_IN/EXT_OUT).
+    /// Tape specs per shard.  There is one shard: [`EXT_IN`],
+    /// [`EXT_OUT`], then one tape per edge.
     pub tapes: Vec<Vec<TapeSpec>>,
     /// Frame code indices per shard: `frames[s][i]` is the `codes` index
     /// whose state lives in shard `s`, frame slot `i`.
     pub frames: Vec<Vec<u32>>,
     pub init_ops: Vec<Op>,
+    /// The steady round: one op per node that moves items, in
+    /// topological order.  (The name is from when split-join branches
+    /// had op lists of their own; `streambench`'s plan counts read it.)
     pub pre_ops: Vec<Op>,
-    /// One op list per split-join branch; branches are data-independent
-    /// and may run on separate threads.
+    /// The node each of `pre_ops` fires.
+    pub steady_nodes: Vec<NodeId>,
+    /// Always empty.  Kept only because `streambench`'s plan counts
+    /// read it.
     pub branch_ops: Vec<Vec<Op>>,
+    /// Always empty, for the same reason as `branch_ops`.
     pub post_ops: Vec<Op>,
     /// The longest stride the count simulation proved for these op
     /// lists, if any; everything else here describes the unit round.
@@ -216,9 +314,7 @@ impl Plan {
             ext_in: Some(EXT_IN),
             ext_out: Some(EXT_OUT),
             init: &self.init_ops,
-            pre: &self.pre_ops,
-            branches: &self.branch_ops,
-            post: &self.post_ops,
+            steady: &self.pre_ops,
             batch: self.batch.as_ref(),
         }
     }
@@ -226,21 +322,21 @@ impl Plan {
 
 /// Input-port demand of one firing: which tape it reads, how many items
 /// must be present (`window`), how many it consumes (`pop`).
-pub struct PortUse {
-    pub edge: Option<EdgeId>,
-    pub window: u64,
-    pub pop: u64,
+struct PortUse {
+    edge: Option<EdgeId>,
+    window: u64,
+    pop: u64,
 }
 
 /// Output-port supply of one firing.
-pub struct OutUse {
-    pub edge: Option<EdgeId>,
-    pub push: u64,
+struct OutUse {
+    edge: Option<EdgeId>,
+    push: u64,
 }
 
 /// The I/O profile of one firing of `node` (`first` selects prework
 /// rates for filters that declare one).  Zero-rate ports are omitted.
-pub fn firing_io(g: &FlatGraph, node: NodeId, first: bool) -> (Vec<PortUse>, Vec<OutUse>) {
+fn firing_io(g: &FlatGraph, node: NodeId, first: bool) -> (Vec<PortUse>, Vec<OutUse>) {
     let n = g.node(node);
     match &n.kind {
         FlatNodeKind::Filter(f) => {
@@ -476,7 +572,7 @@ fn prework_fired<'g>(g: &'g FlatGraph, topo: &[NodeId]) -> Result<InitSim<'g>, S
 /// the first starved edge's producer fires until the edge's shortfall is
 /// in, and only then is the round validated again — once per starved
 /// edge rather than once per firing.
-pub fn build_init(g: &FlatGraph, topo: &[NodeId], reps: &[u64]) -> Result<Vec<NodeId>, String> {
+fn build_init(g: &FlatGraph, topo: &[NodeId], reps: &[u64]) -> Result<Vec<NodeId>, String> {
     let mut sim = prework_fired(g, topo)?;
     let mut budget = MAX_PRIME_FIRINGS;
     loop {
@@ -518,96 +614,38 @@ fn build_init_one_firing_per_round(
 }
 
 // ---------------------------------------------------------------------------
-// Parallel-region discovery
-// ---------------------------------------------------------------------------
-
-/// Find the first split-join whose every branch is a non-empty chain of
-/// single-in/single-out filters converging on one joiner.  Such branches
-/// are data-independent and can run on worker threads.
-fn find_region(g: &FlatGraph, topo: &[NodeId]) -> Option<Vec<Vec<NodeId>>> {
-    if g.edges.iter().any(|e| e.is_back_edge) {
-        return None;
-    }
-    'nodes: for &nid in topo {
-        let n = g.node(nid);
-        if !matches!(n.kind, FlatNodeKind::Splitter(_)) || n.outputs.len() < 2 {
-            continue;
-        }
-        let mut chains = Vec::new();
-        let mut join = None;
-        for &e in &n.outputs {
-            let mut chain = Vec::new();
-            let mut cur = g.edge(e).dst;
-            loop {
-                let cn = g.node(cur);
-                match &cn.kind {
-                    FlatNodeKind::Filter(_) if cn.inputs.len() == 1 && cn.outputs.len() == 1 => {
-                        chain.push(cur);
-                        cur = g.edge(cn.outputs[0]).dst;
-                    }
-                    FlatNodeKind::Joiner(_) => break,
-                    _ => continue 'nodes,
-                }
-            }
-            if chain.is_empty() || join.is_some_and(|j| j != cur) {
-                continue 'nodes;
-            }
-            join = Some(cur);
-            chains.push(chain);
-        }
-        if chains.len() >= 2 {
-            return Some(chains);
-        }
-    }
-    None
-}
-
-// ---------------------------------------------------------------------------
 // Assembly: slots, ops, count simulation
 // ---------------------------------------------------------------------------
 
-/// Working tables shared by op emission.  The external-stream locations
-/// are fields (not constants) so a caller with a different shard scheme
-/// — the multicore runtime places the external tapes inside the owning
-/// stage's shard — can reuse the same op emission.
-pub struct Layout {
-    pub edge_loc: Vec<Loc>,
-    pub frame_loc: Vec<Option<Loc>>,
-    pub code_of: Vec<Option<u32>>,
-    pub ext_in: Loc,
-    pub ext_out: Loc,
+/// Working tables shared by op emission.
+struct Layout {
+    edge_loc: Vec<Loc>,
+    frame_loc: Vec<Option<Loc>>,
+    code_of: Vec<Option<u32>>,
 }
 
 impl Layout {
-    pub fn in_loc(&self, e: Option<EdgeId>) -> Loc {
-        e.map_or(self.ext_in, |e| self.edge_loc[e.0])
+    fn in_loc(&self, e: Option<EdgeId>) -> Loc {
+        e.map_or(EXT_IN, |e| self.edge_loc[e.0])
     }
-    pub fn out_loc(&self, e: Option<EdgeId>) -> Loc {
-        e.map_or(self.ext_out, |e| self.edge_loc[e.0])
+    fn out_loc(&self, e: Option<EdgeId>) -> Loc {
+        e.map_or(EXT_OUT, |e| self.edge_loc[e.0])
     }
 }
 
 /// Emit the op for firing `node` `times` times (`prework` selects the
-/// prework body for filters).  Nodes that move nothing emit no op.
-pub fn node_op(g: &FlatGraph, lay: &Layout, node: NodeId, times: u32, prework: bool) -> Option<Op> {
+/// prework body for filters).  Nodes that move nothing emit no op, and
+/// a filter's op names no tape its rates leave at zero.
+fn node_op(g: &FlatGraph, lay: &Layout, node: NodeId, times: u32, prework: bool) -> Option<Op> {
     let n = g.node(node);
     match &n.kind {
-        FlatNodeKind::Filter(f) => {
-            let code = lay.code_of[node.0]?;
-            let frame = lay.frame_loc[node.0]?;
-            let input = f
-                .input
-                .as_ref()
-                .map(|_| lay.in_loc(n.inputs.first().copied()));
-            let output = f
-                .output
-                .as_ref()
-                .map(|_| lay.out_loc(n.outputs.first().copied()));
+        FlatNodeKind::Filter(_) => {
+            let (ins, outs) = firing_io(g, node, prework);
             Some(Op::Work {
-                code,
-                frame,
-                input,
-                output,
+                code: lay.code_of[node.0]?,
+                frame: lay.frame_loc[node.0]?,
+                input: ins.first().map(|p| lay.in_loc(p.edge)),
+                output: outs.first().map(|o| lay.out_loc(o.edge)),
                 prework,
                 times,
             })
@@ -673,7 +711,7 @@ pub fn node_op(g: &FlatGraph, lay: &Layout, node: NodeId, times: u32, prework: b
 
 /// Replay the init firing sequence as ops, splitting each prework
 /// filter's first firing onto its prework body.
-pub fn init_ops_from_seq(g: &FlatGraph, lay: &Layout, seq: &[NodeId]) -> Vec<Op> {
+fn init_ops_from_seq(g: &FlatGraph, lay: &Layout, seq: &[NodeId]) -> Vec<Op> {
     let mut fired = vec![0u64; g.nodes.len()];
     let mut ops = Vec::new();
     let mut i = 0;
@@ -701,25 +739,21 @@ pub fn init_ops_from_seq(g: &FlatGraph, lay: &Layout, seq: &[NodeId]) -> Vec<Op>
 
 /// Count simulation: proves the plan sound and sizes the tapes.
 #[derive(Clone)]
-pub struct CountSim {
-    pub occ: Vec<Vec<u64>>,
-    pub maxo: Vec<Vec<u64>>,
-    pub ext_used: u64,
-    pub ext_req: u64,
-    pub ext_out: u64,
+struct CountSim {
+    occ: Vec<Vec<u64>>,
+    maxo: Vec<Vec<u64>>,
+    ext_used: u64,
+    ext_req: u64,
+    ext_out: u64,
     /// Round-local requirement base (`ext_used` at round start).
-    pub round_base: u64,
-    pub round_req: u64,
-    /// Where the external streams live (compared by `Loc` equality, so
-    /// callers with a different shard scheme supply their own).
-    pub ext_in_loc: Loc,
-    pub ext_out_loc: Loc,
+    round_base: u64,
+    round_req: u64,
 }
 
 impl CountSim {
     /// A simulator whose per-slot occupancy starts at each tape's
     /// initial item count.
-    pub fn new(tapes: &[Vec<TapeSpec>], ext_in_loc: Loc, ext_out_loc: Loc) -> CountSim {
+    fn new(tapes: &[Vec<TapeSpec>]) -> CountSim {
         let occ: Vec<Vec<u64>> = tapes
             .iter()
             .map(|ts| ts.iter().map(|t| t.initial.len() as u64).collect())
@@ -732,75 +766,27 @@ impl CountSim {
             ext_out: 0,
             round_base: 0,
             round_req: 0,
-            ext_in_loc,
-            ext_out_loc,
         }
     }
 
     fn apply(&mut self, op: &Op, codes: &[FilterCode], scale: u64) -> Result<(), String> {
         let times = op.times() as u64 * scale;
-        // (loc, pop-per-firing, window slack beyond pop) / (loc, push-per-firing),
-        // with same-slot inputs pre-aggregated.
+        // (loc, pop-per-firing, window slack beyond pop), with same-slot
+        // inputs (a splitter's moves) pre-aggregated.
+        let (ports, outs) = op.io(codes)?;
         let mut ins: Vec<(Loc, u64, u64)> = Vec::new();
-        let mut outs: Vec<(Loc, u64)> = Vec::new();
-        let mut add_in =
-            |l: Loc, pop: u64, extra: u64| match ins.iter_mut().find(|(il, _, _)| *il == l) {
+        for (l, pop, extra) in ports {
+            match ins.iter_mut().find(|(il, _, _)| *il == l) {
                 Some(slot) => {
                     slot.1 += pop;
                     slot.2 = slot.2.max(extra);
                 }
                 None => ins.push((l, pop, extra)),
-            };
-        match op {
-            Op::Work {
-                code,
-                input,
-                output,
-                prework,
-                ..
-            } => {
-                let fc = &codes[*code as usize];
-                let Rates { pop, window, push } = if *prework {
-                    fc.prework
-                        .as_ref()
-                        .map(|p| p.rates)
-                        .ok_or("prework op without prework body")?
-                } else {
-                    fc.work.rates
-                };
-                if let Some(l) = input {
-                    if window > 0 {
-                        add_in(*l, pop, window.saturating_sub(pop));
-                    }
-                }
-                if let Some(l) = output {
-                    if push > 0 {
-                        outs.push((*l, push));
-                    }
-                }
-            }
-            Op::Dup { input, outputs, .. } => {
-                add_in(*input, 1, 0);
-                for &l in outputs.iter() {
-                    outs.push((l, 1));
-                }
-            }
-            Op::Moves { moves, .. } => {
-                for m in moves.iter() {
-                    add_in(m.src, m.n as u64, 0);
-                    outs.push((m.dst, m.n as u64));
-                }
-            }
-            Op::Combine { inputs, output, .. } => {
-                for &l in inputs.iter() {
-                    add_in(l, 1, 0);
-                }
-                outs.push((*output, 1));
             }
         }
         for &(l, pop, extra) in &ins {
             let need = times * pop + extra;
-            if l == self.ext_in_loc {
+            if l == EXT_IN {
                 self.ext_req = self.ext_req.max(self.ext_used + need);
                 self.round_req = self.round_req.max(self.ext_used - self.round_base + need);
                 self.ext_used += times * pop;
@@ -812,7 +798,7 @@ impl CountSim {
             }
         }
         for &(l, push) in &outs {
-            if l == self.ext_out_loc {
+            if l == EXT_OUT {
                 self.ext_out += times * push;
             } else {
                 let o = &mut self.occ[l.shard as usize][l.slot as usize];
@@ -822,7 +808,7 @@ impl CountSim {
             }
         }
         for &(l, pop, _) in &ins {
-            if l != self.ext_in_loc {
+            if l != EXT_IN {
                 self.occ[l.shard as usize][l.slot as usize] -= times * pop;
             }
         }
@@ -831,7 +817,7 @@ impl CountSim {
 
     /// Apply `ops` in order, each fired `scale` × its `times` (1 for
     /// the unit round; a batch factor when proving a scaled one).
-    pub fn run(&mut self, ops: &[Op], codes: &[FilterCode], scale: u64) -> Result<(), String> {
+    fn run(&mut self, ops: &[Op], codes: &[FilterCode], scale: u64) -> Result<(), String> {
         for op in ops {
             self.apply(op, codes, scale)?;
         }
@@ -839,221 +825,11 @@ impl CountSim {
     }
 }
 
-/// Assemble the plan for a given (possibly empty) branch partition, then
-/// prove it with the count simulation.
-#[allow(clippy::too_many_arguments)]
-fn assemble(
-    g: &FlatGraph,
-    topo: &[NodeId],
-    reps: &[u64],
-    init_seq: &[NodeId],
-    codes: Vec<FilterCode>,
-    code_of: Vec<Option<u32>>,
-    input_ty: DataType,
-    branches: &[Vec<NodeId>],
-) -> Result<Plan, String> {
-    let n_shards = 1 + branches.len();
-
-    // Which branch (if any) owns each node; branch b owns its chain
-    // nodes, their entry edges, internal edges, and exit edges.
-    let mut branch_of_node = vec![None; g.nodes.len()];
-    let mut branch_of_edge = vec![None; g.edges.len()];
-    for (b, chain) in branches.iter().enumerate() {
-        for &node in chain {
-            branch_of_node[node.0] = Some(b);
-            let n = g.node(node);
-            for &e in n.inputs.iter().chain(n.outputs.iter()) {
-                branch_of_edge[e.0] = Some(b);
-            }
-        }
-    }
-
-    // Tape slots: shard 0 reserves 0/1 for the external streams.
-    let mut tapes: Vec<Vec<TapeSpec>> = vec![Vec::new(); n_shards];
-    tapes[0].push(TapeSpec {
-        ty: input_ty,
-        cap: 0,
-        initial: Vec::new(),
-    });
-    tapes[0].push(TapeSpec {
-        ty: DataType::Float,
-        cap: 0,
-        initial: Vec::new(),
-    });
-    let mut edge_loc = vec![EXT_IN; g.edges.len()];
-    for e in &g.edges {
-        let shard = branch_of_edge[e.id.0].map_or(0, |b| b + 1);
-        let slot = tapes[shard].len();
-        if shard >= u16::MAX as usize || slot >= u16::MAX as usize {
-            return Err("too many tapes".into());
-        }
-        edge_loc[e.id.0] = Loc {
-            shard: shard as u16,
-            slot: slot as u16,
-        };
-        tapes[shard].push(TapeSpec {
-            ty: e.ty,
-            cap: 0,
-            initial: e.initial.clone(),
-        });
-    }
-
-    // Frame slots (filter state), placed with their branch.
-    let mut frames: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
-    let mut frame_loc = vec![None; g.nodes.len()];
-    for n in &g.nodes {
-        if let Some(code) = code_of[n.id.0] {
-            let shard = branch_of_node[n.id.0].map_or(0, |b| b + 1);
-            let slot = frames[shard].len();
-            frame_loc[n.id.0] = Some(Loc {
-                shard: shard as u16,
-                slot: slot as u16,
-            });
-            frames[shard].push(code);
-        }
-    }
-
-    let lay = Layout {
-        edge_loc,
-        frame_loc,
-        code_of,
-        ext_in: EXT_IN,
-        ext_out: EXT_OUT,
-    };
-
-    // Stage partition: nodes at/past the joiner run post, branch chains
-    // run in their branch stage, everything else runs pre.
-    let mut stage_post = vec![false; g.nodes.len()];
-    if let Some(first_chain) = branches.first() {
-        let last = first_chain[first_chain.len() - 1];
-        let join = g.edge(g.node(last).outputs[0]).dst;
-        let mut work = vec![join];
-        while let Some(node) = work.pop() {
-            if std::mem::replace(&mut stage_post[node.0], true) {
-                continue;
-            }
-            for &e in &g.node(node).outputs {
-                work.push(g.edge(e).dst);
-            }
-        }
-    }
-
-    let round_times = |node: NodeId| -> Result<u32, String> {
-        u32::try_from(reps[node.0]).map_err(|_| "steady-state multiplicity too large".to_string())
-    };
-    let mut pre_ops = Vec::new();
-    let mut post_ops = Vec::new();
-    for &node in topo {
-        if reps[node.0] == 0 || branch_of_node[node.0].is_some() {
-            continue;
-        }
-        let ops = if stage_post[node.0] {
-            &mut post_ops
-        } else {
-            &mut pre_ops
-        };
-        ops.extend(node_op(g, &lay, node, round_times(node)?, false));
-    }
-    let mut branch_ops = Vec::new();
-    for chain in branches {
-        let mut ops = Vec::new();
-        for &node in chain {
-            if reps[node.0] == 0 {
-                continue;
-            }
-            ops.extend(node_op(g, &lay, node, round_times(node)?, false));
-        }
-        branch_ops.push(ops);
-    }
-    let init_ops = init_ops_from_seq(g, &lay, init_seq);
-
-    // Count simulation: init once, then two identical steady rounds.
-    let mut sim = CountSim::new(&tapes, EXT_IN, EXT_OUT);
-    sim.run(&init_ops, &codes, 1)?;
-    let init_in = sim.ext_used;
-    let init_in_required = sim.ext_req;
-    let init_out = sim.ext_out;
-    let snapshot = sim.occ.clone();
-
-    let round = |sim: &mut CountSim, scale: u64| -> Result<(u64, u64, u64), String> {
-        let (used0, out0) = (sim.ext_used, sim.ext_out);
-        sim.round_base = sim.ext_used;
-        sim.round_req = 0;
-        sim.run(&pre_ops, &codes, scale)?;
-        for ops in &branch_ops {
-            sim.run(ops, &codes, scale)?;
-        }
-        sim.run(&post_ops, &codes, scale)?;
-        Ok((sim.ext_used - used0, sim.ext_out - out0, sim.round_req))
-    };
-    let (round_in, round_out, round_req) = round(&mut sim, 1)?;
-    if sim.occ != snapshot {
-        return Err("round is not steady (occupancy drifts)".into());
-    }
-    let (in2, out2, req2) = round(&mut sim, 1)?;
-    if sim.occ != snapshot || in2 != round_in || out2 != round_out || req2 != round_req {
-        return Err("round is not reproducible".into());
-    }
-
-    for (s, ts) in tapes.iter_mut().enumerate() {
-        for (i, t) in ts.iter_mut().enumerate() {
-            if s == 0 && i < 2 {
-                continue;
-            }
-            t.cap = sim.maxo[s][i];
-        }
-    }
-
-    // Execution scaling: the longest stride whose tapes fit the budget
-    // and whose round — the same ops at `k` × `times`, simulated from
-    // the same snapshot — is exactly `k` unit rounds of steady state.
-    // An acyclic graph proves the first factor it can afford; a
-    // feedback loop gets what its enqueued items pay for, often none.
-    let unit_bytes = 8 * tapes.iter().flatten().map(|t| t.cap).sum::<u64>();
-    let steady = pre_ops.iter().chain(branch_ops.iter().flatten());
-    let max_times = steady.chain(&post_ops).map(Op::times).max().unwrap_or(0);
-    let batch = BATCH_FACTORS.into_iter().find_map(|k| {
-        if unit_bytes.saturating_mul(k.into()) > BATCH_TAPE_BYTES {
-            return None;
-        }
-        max_times.checked_mul(k)?;
-        let mut scaled = sim.clone();
-        let (used, out, req) = round(&mut scaled, k.into()).ok()?;
-        let k_rounds = used == round_in * k as u64 && out == round_out * k as u64;
-        (scaled.occ == snapshot && k_rounds).then_some(Batch {
-            k,
-            round_in_required: req,
-            caps: scaled.maxo,
-        })
-    });
-
-    Ok(Plan {
-        codes,
-        tapes,
-        frames,
-        init_ops,
-        pre_ops,
-        branch_ops,
-        post_ops,
-        batch,
-        input_ty,
-        notes: Vec::new(),
-        stats: Stats {
-            init_in,
-            init_in_required,
-            round_in,
-            round_in_required: round_req,
-            init_out,
-            round_out,
-        },
-    })
-}
-
 /// Census: at most one external-input and one external-output site.
 /// With several, the interleaving of reads/writes on the shared
 /// external stream is schedule-dependent, and block execution would
 /// diverge from the reference machine.
-pub fn check_io_sites(g: &FlatGraph) -> Result<(), String> {
+fn check_io_sites(g: &FlatGraph) -> Result<(), String> {
     let mut ext_in_sites = 0usize;
     let mut ext_out_sites = 0usize;
     for n in &g.nodes {
@@ -1082,10 +858,10 @@ pub fn check_io_sites(g: &FlatGraph) -> Result<(), String> {
 /// Result of [`lower_graph`]: the lowered filter codes, the `codes`
 /// index per flat-graph node, and any human-readable lowering notes
 /// (`warning[L0701]` dropped-hint diagnostics).
-pub struct LoweredFilters {
-    pub codes: Vec<FilterCode>,
-    pub code_of: Vec<Option<u32>>,
-    pub notes: Vec<String>,
+struct LoweredFilters {
+    codes: Vec<FilterCode>,
+    code_of: Vec<Option<u32>>,
+    notes: Vec<String>,
 }
 
 /// The element types of the tapes filter node `n` (whose filter is `f`)
@@ -1114,7 +890,7 @@ pub fn tape_types(
 /// Gate and lower every filter through `cache` (see [`LoweringCache`]),
 /// or say why the compiled engines cannot run the graph.  Returns the
 /// lowered codes and the `codes` index per node.
-pub fn lower_graph(
+fn lower_graph(
     g: &FlatGraph,
     input_ty: DataType,
     opts: LowerOptions,
@@ -1128,7 +904,7 @@ pub fn lower_graph(
             continue;
         };
         let idx = codes.len();
-        if idx > u32::MAX as usize {
+        if idx >= u16::MAX as usize {
             return Err("too many filters".into());
         }
         let (in_ty, out_ty) = tape_types(g, n, f, input_ty);
@@ -1166,27 +942,130 @@ pub fn build_plan(
     } = lower_graph(g, input_ty, opts, cache)?;
     let init_seq = build_init(g, &topo, &reps)?;
 
-    if let Some(chains) = find_region(g, &topo) {
-        match assemble(
-            g,
-            &topo,
-            &reps,
-            &init_seq,
-            codes.clone(),
-            code_of.clone(),
-            input_ty,
-            &chains,
-        ) {
-            Ok(mut plan) => {
-                plan.notes = notes;
-                return Ok(plan);
-            }
-            Err(_) => { /* fall back to the serial partition below */ }
+    // One shard: the external streams in slots 0 and 1, then one tape
+    // per edge; a frame per filter (its state) in node order.
+    if g.edges.len() >= (u16::MAX - 2) as usize {
+        return Err("too many tapes".into());
+    }
+    let ext = |ty| TapeSpec {
+        ty,
+        cap: 0,
+        initial: Vec::new(),
+    };
+    let mut tapes = vec![ext(input_ty), ext(DataType::Float)];
+    let mut edge_loc = Vec::with_capacity(g.edges.len());
+    for e in &g.edges {
+        edge_loc.push(Loc {
+            shard: 0,
+            slot: tapes.len() as u16,
+        });
+        tapes.push(TapeSpec {
+            ty: e.ty,
+            cap: 0,
+            initial: e.initial.clone(),
+        });
+    }
+    let mut tapes = vec![tapes];
+    let mut frames = Vec::new();
+    let frame_loc = code_of
+        .iter()
+        .map(|code| {
+            let slot = frames.len() as u16;
+            frames.extend(*code);
+            code.map(|_| Loc { shard: 0, slot })
+        })
+        .collect();
+    let lay = Layout {
+        edge_loc,
+        frame_loc,
+        code_of,
+    };
+
+    let mut steady_ops = Vec::new();
+    let mut steady_nodes = Vec::new();
+    for &node in &topo {
+        if reps[node.0] == 0 {
+            continue;
+        }
+        let times = u32::try_from(reps[node.0])
+            .map_err(|_| "steady-state multiplicity too large".to_string())?;
+        if let Some(op) = node_op(g, &lay, node, times, false) {
+            steady_ops.push(op);
+            steady_nodes.push(node);
         }
     }
-    let mut plan = assemble(g, &topo, &reps, &init_seq, codes, code_of, input_ty, &[])?;
-    plan.notes = notes;
-    Ok(plan)
+    let init_ops = init_ops_from_seq(g, &lay, &init_seq);
+
+    // Count simulation: init once, then two identical steady rounds.
+    let mut sim = CountSim::new(&tapes);
+    sim.run(&init_ops, &codes, 1)?;
+    let init_in = sim.ext_used;
+    let init_in_required = sim.ext_req;
+    let init_out = sim.ext_out;
+    let snapshot = sim.occ.clone();
+
+    let round = |sim: &mut CountSim, scale: u64| -> Result<(u64, u64, u64), String> {
+        let (used0, out0) = (sim.ext_used, sim.ext_out);
+        sim.round_base = sim.ext_used;
+        sim.round_req = 0;
+        sim.run(&steady_ops, &codes, scale)?;
+        Ok((sim.ext_used - used0, sim.ext_out - out0, sim.round_req))
+    };
+    let (round_in, round_out, round_req) = round(&mut sim, 1)?;
+    if sim.occ != snapshot {
+        return Err("round is not steady (occupancy drifts)".into());
+    }
+    let (in2, out2, req2) = round(&mut sim, 1)?;
+    if sim.occ != snapshot || in2 != round_in || out2 != round_out || req2 != round_req {
+        return Err("round is not reproducible".into());
+    }
+    for (t, &cap) in tapes[0].iter_mut().zip(&sim.maxo[0]).skip(2) {
+        t.cap = cap;
+    }
+
+    // Execution scaling: the longest stride whose tapes fit the budget
+    // and whose round — the same ops at `k` × `times`, simulated from
+    // the same snapshot — is exactly `k` unit rounds of steady state.
+    // An acyclic graph proves the first factor it can afford; a
+    // feedback loop gets what its enqueued items pay for, often none.
+    let unit_bytes = 8 * tapes.iter().flatten().map(|t| t.cap).sum::<u64>();
+    let max_times = steady_ops.iter().map(Op::times).max().unwrap_or(0);
+    let batch = BATCH_FACTORS.into_iter().find_map(|k| {
+        if unit_bytes.saturating_mul(k.into()) > BATCH_TAPE_BYTES {
+            return None;
+        }
+        max_times.checked_mul(k)?;
+        let mut scaled = sim.clone();
+        let (used, out, req) = round(&mut scaled, k.into()).ok()?;
+        let k_rounds = used == round_in * k as u64 && out == round_out * k as u64;
+        (scaled.occ == snapshot && k_rounds).then_some(Batch {
+            k,
+            round_in_required: req,
+            caps: scaled.maxo,
+        })
+    });
+
+    Ok(Plan {
+        codes,
+        tapes,
+        frames: vec![frames],
+        init_ops,
+        pre_ops: steady_ops,
+        steady_nodes,
+        branch_ops: Vec::new(),
+        post_ops: Vec::new(),
+        batch,
+        input_ty,
+        notes,
+        stats: Stats {
+            init_in,
+            init_in_required,
+            round_in,
+            round_in_required: round_req,
+            init_out,
+            round_out,
+        },
+    })
 }
 
 #[cfg(test)]
@@ -1343,6 +1222,53 @@ mod tests {
                 )
             }
         }
+    }
+
+    /// Every port an op names moves items: a pop, a peek window or a
+    /// push.  The multicore runtime homes each tape with the stage that
+    /// moves items on it, so a port named at rate zero would address a
+    /// tape another stage owns.
+    fn ports_all_move_items(what: &str, plan: &Plan) {
+        for op in plan.init_ops.iter().chain(&plan.pre_ops) {
+            let (ins, outs) = op.io(&plan.codes).expect("bodies exist");
+            assert!(
+                ins.iter().all(|&(_, pop, slack)| pop + slack > 0),
+                "{what}: {op:?}"
+            );
+            assert!(outs.iter().all(|&(_, push)| push > 0), "{what}: {op:?}");
+        }
+    }
+
+    #[test]
+    fn no_op_names_a_tape_its_rates_leave_at_zero() {
+        let cache = LoweringCache::default();
+        let plan = |s: &StreamNode| {
+            let g = FlatGraph::from_stream(s);
+            let ty = s.input_type().unwrap_or(DataType::Float);
+            build_plan(&g, ty, LowerOptions::default(), &cache)
+        };
+        let mut planned = 0;
+        for app in streamit_apps::corpus() {
+            if let Ok(p) = plan(&app.graph()) {
+                ports_all_move_items(app.name, &p);
+                planned += 1;
+            }
+        }
+        assert!(planned >= 13, "only {planned} apps planned");
+        // A filter that declares an input it never reads, at the head
+        // of a pipeline: its op reads nothing, not the external input.
+        let counter = FilterBuilder::new("gen", DataType::Int)
+            .rates(0, 0, 1)
+            .state("i", DataType::Int, Value::Int(0))
+            .work(|b| b.push(var("i")).set("i", var("i") + lit(1i64)))
+            .build_node();
+        let twice = FilterBuilder::new("x2", DataType::Int)
+            .rates(1, 1, 1)
+            .work(|b| b.push(pop() * lit(2i64)))
+            .build_node();
+        let p = plan(&pipeline("p", vec![counter, twice])).expect("plans");
+        ports_all_move_items("declared, unread input", &p);
+        assert!(matches!(p.pre_ops[0], Op::Work { input: None, .. }));
     }
 
     #[test]

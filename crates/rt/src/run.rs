@@ -1,22 +1,32 @@
-//! Software-pipelined execution of a staged plan, under supervision.
+//! Software-pipelined execution of a cut plan, under supervision.
 //!
-//! One scoped worker thread per stage.  Worker `s`, iteration `i`:
+//! One scoped worker thread per stage.  Worker `s`, round `i`:
 //!
 //! 1. **Drain**: for every in-link, wait until the channel holds a full
 //!    round's flow, bulk-copy it into the consumer tape, retire it.
-//! 2. **Fire**: one ungated iteration of the stage's
+//! 2. **Fire**: one ungated round of the stage's
 //!    [`Driver`] over its own shard (hooks and op walk live there).
 //! 3. **Publish**: for every out-link, wait until the channel has a
 //!    full round of free space, bulk-copy the staging tape into it,
 //!    publish, drain the staging tape.
 //!
-//! Stage `s` can only start iteration `i` after stage `s-1` published
-//! iteration `i`, but stage `s-1` immediately proceeds to iteration
-//! `i+1` — the pipeline overlap — and is throttled only by channel
-//! capacity (several rounds of headroom), i.e. backpressure instead of
-//! barriers.  Because stages partition a topological order, links only
-//! point forward and every channel holds at least one full round, so
-//! the wait graph is acyclic and the pipeline cannot deadlock.
+//! Stage `s` can only start round `i` after stage `s-1` published
+//! round `i`, but stage `s-1` immediately proceeds to round `i+1` —
+//! the pipeline overlap — and is throttled only by channel capacity
+//! (several rounds of headroom), i.e. backpressure instead of barriers.
+//! Because stages partition a topological order, links only point
+//! forward and every channel holds at least one full round, so the wait
+//! graph is acyclic and the pipeline cannot deadlock.
+//!
+//! # Batched rounds
+//!
+//! A round is the plan's batch of `b` iterations, every op fired `b` ×
+//! its `times` and every link moving `b` × its flow, for as long as `b`
+//! iterations remain; the rest run one at a time.  Every stage works the
+//! same sequence of round sizes out of the iterations left, so a drain
+//! always finds exactly what its producer's round published.  A run with
+//! a fault plan stays at one iteration a round: a fault names an
+//! iteration.
 //!
 //! # Inline first
 //!
@@ -60,12 +70,12 @@ use streamit_exec::driver::{contain, Driver, Schedule};
 use streamit_exec::engine::Shard;
 use streamit_exec::{panic_payload, ExecError, FaultPlan, StageSnapshot};
 
-use crate::plan::{Link, StagedPlan};
 use crate::spsc::{CachePadded, Channel};
+use crate::{Link, ParallelGraph};
 
 /// Channel capacity in rounds of flow: enough headroom that a producer
-/// a few iterations ahead is not throttled, small enough to bound
-/// memory and keep the working set cache-resident.
+/// a few rounds ahead is not throttled, small enough to bound memory
+/// and keep the working set cache-resident.
 const CHANNEL_ROUNDS: u64 = 4;
 
 /// Per-run supervision knobs.  The default is a bare run: no watchdog,
@@ -132,6 +142,14 @@ fn state_publishing(c: usize) -> u64 {
     (c as u64) * 2 + 1
 }
 
+/// Iterations a round of a `k`-iteration run under `fault` takes while
+/// that many remain: the plan's batch factor, or 1 when there is none,
+/// a fault plan names single iterations, or the run is shorter.
+pub(crate) fn stride(pg: &ParallelGraph, fault: Option<FaultPlan>, k: u64) -> u64 {
+    let batch = pg.plan().batch.as_ref().map(|b| u64::from(b.k));
+    batch.filter(|&b| fault.is_none() && k >= b).unwrap_or(1)
+}
+
 /// One stage's supervision slots, each on its own cache line so the
 /// watchdog's polling never contends with a worker's hot loop.
 struct StageStatus {
@@ -151,7 +169,7 @@ impl StageStatus {
 }
 
 struct Pipeline<'p> {
-    plan: &'p StagedPlan,
+    pg: &'p ParallelGraph,
     channels: Vec<Channel>,
     abort: AtomicBool,
     error: Mutex<Option<ExecError>>,
@@ -160,6 +178,8 @@ struct Pipeline<'p> {
     /// The stages take turns on one thread ([`run_inline`]): a link that
     /// is not ready will not become so by waiting.
     lockstep: bool,
+    /// See [`stride`].
+    stride: u64,
 }
 
 /// What a round of stage `s` works on: its ops, and the links it drains
@@ -171,29 +191,42 @@ struct StageLinks<'p> {
 }
 
 impl<'p> Pipeline<'p> {
-    fn new(plan: &'p StagedPlan, fault: Option<FaultPlan>) -> Pipeline<'p> {
+    /// The pipeline for `k` iterations of `pg` under `fault`.
+    fn new(pg: &'p ParallelGraph, fault: Option<FaultPlan>, k: u64) -> Pipeline<'p> {
+        let stride = stride(pg, fault, k);
+        let rounds = CHANNEL_ROUNDS * stride;
         Pipeline {
-            plan,
-            channels: plan
-                .links
+            pg,
+            channels: pg
+                .links()
                 .iter()
-                .map(|l| Channel::with_capacity(l.ty, l.flow.saturating_mul(CHANNEL_ROUNDS)))
+                .map(|l| Channel::with_capacity(l.ty, l.flow.saturating_mul(rounds)))
                 .collect(),
             abort: AtomicBool::new(false),
             error: Mutex::new(None),
-            status: (0..plan.stages()).map(|_| StageStatus::new()).collect(),
+            status: (0..pg.stages()).map(|_| StageStatus::new()).collect(),
             fault,
             lockstep: false,
+            stride,
+        }
+    }
+
+    /// Iterations the next round runs with `left` still to run.
+    fn scale(&self, left: u64) -> u32 {
+        if left >= self.stride {
+            self.stride as u32
+        } else {
+            1
         }
     }
 
     fn stage_links(&self, s: usize) -> StageLinks<'p> {
         let links_where = |pick: fn(&Link) -> usize| -> Vec<(usize, &'p Link)> {
-            let links = self.plan.links.iter().enumerate();
+            let links = self.pg.links().iter().enumerate();
             links.filter(|(_, l)| pick(l) == s).collect()
         };
         StageLinks {
-            sched: self.plan.stage_schedule(s),
+            sched: self.pg.stage_schedule(s),
             ins: links_where(|l| l.dst_stage),
             outs: links_where(|l| l.src_stage),
         }
@@ -233,7 +266,7 @@ impl<'p> Pipeline<'p> {
                         } else {
                             "publishing"
                         };
-                        match self.plan.links.get(c) {
+                        match self.pg.links().get(c) {
                             Some(l) => format!(
                                 "blocked {verb} link {c} (stage {} -> {})",
                                 l.src_stage, l.dst_stage
@@ -294,8 +327,8 @@ impl<'p> Pipeline<'p> {
         }
     }
 
-    /// Worker `s`: `k` drain/fire/publish iterations under panic
-    /// containment.  Returns the shard so the output tape survives the
+    /// Worker `s`: `k` iterations of drain/fire/publish rounds under
+    /// panic containment.  Returns the shard so the output tape survives the
     /// scope (an empty one after a panic).
     fn worker(&self, s: usize, shard: Shard, k: u64) -> Shard {
         contain(&format!("stage {s}"), || {
@@ -311,10 +344,13 @@ impl<'p> Pipeline<'p> {
 
     fn worker_iters(&self, s: usize, driver: &mut Driver, k: u64) {
         let links = self.stage_links(s);
-        for _ in 0..k {
-            if !self.round(s, driver, &links) {
+        let mut left = k;
+        while left > 0 {
+            let scale = self.scale(left);
+            if !self.round(s, driver, &links, scale) {
                 return;
             }
+            left -= u64::from(scale);
         }
         self.status[s]
             .state
@@ -322,10 +358,11 @@ impl<'p> Pipeline<'p> {
             .store(STATE_FINISHED, Ordering::Relaxed);
     }
 
-    /// One drain/fire/publish round of stage `s`.  Returns `false` when
-    /// the run must stop: the pipeline aborted, this stage failed (the
-    /// error is recorded), or a lock-step round found a link not ready.
-    fn round(&self, s: usize, driver: &mut Driver, links: &StageLinks<'_>) -> bool {
+    /// One drain/fire/publish round of stage `s`, `scale` iterations
+    /// long.  Returns `false` when the run must stop: the pipeline
+    /// aborted, this stage failed (the error is recorded), or a
+    /// lock-step round found a link not ready.
+    fn round(&self, s: usize, driver: &mut Driver, links: &StageLinks<'_>, scale: u32) -> bool {
         let fault = |reason: String| ExecError::Fault {
             node: format!("stage {s}"),
             reason,
@@ -333,17 +370,18 @@ impl<'p> Pipeline<'p> {
         let status = &self.status[s];
         for &(c, l) in &links.ins {
             let ch = &self.channels[c];
+            let n = l.flow * u64::from(scale);
             status.state.0.store(state_draining(c), Ordering::Relaxed);
-            if !self.wait(|| ch.available() >= l.flow) {
+            if !self.wait(|| ch.available() >= n) {
                 return false;
             }
-            if let Err(reason) = ch.consume_into_tape(driver.tape_mut(l.dst), l.flow) {
+            if let Err(reason) = ch.consume_into_tape(driver.tape_mut(l.dst), n) {
                 self.fail(fault(reason));
                 return false;
             }
         }
         status.state.0.store(STATE_RUNNING, Ordering::Relaxed);
-        match driver.iterate(&links.sched) {
+        match driver.iterate(&links.sched, scale) {
             Ok(true) => {}
             Ok(false) => {
                 // An injected stall simulates a hung worker: publish
@@ -364,21 +402,22 @@ impl<'p> Pipeline<'p> {
                 return false;
             }
         }
-        // The batch publishes atomically after the iteration, so
-        // consumers only ever see completed iterations — late under
-        // an injected delay, never partial.
+        // The batch publishes atomically after the round, so consumers
+        // only ever see completed rounds — late under an injected
+        // delay, never partial.
         for &(c, l) in &links.outs {
             let ch = &self.channels[c];
+            let n = l.flow * u64::from(scale);
             status.state.0.store(state_publishing(c), Ordering::Relaxed);
-            if !self.wait(|| ch.free() >= l.flow) {
+            if !self.wait(|| ch.free() >= n) {
                 return false;
             }
             let tape = driver.tape_mut(l.staging);
-            if let Err(reason) = ch.produce_from_tape(tape, l.flow) {
+            if let Err(reason) = ch.produce_from_tape(tape, n) {
                 self.fail(fault(reason));
                 return false;
             }
-            tape.advance(l.flow);
+            tape.advance(n);
         }
         status.state.0.store(STATE_RUNNING, Ordering::Relaxed);
         let done = driver.iterations();
@@ -392,24 +431,25 @@ impl<'p> Pipeline<'p> {
 /// joining two of them costs (about 0.2 ms).
 pub(crate) const INLINE_BUDGET: Duration = Duration::from_millis(2);
 
-/// Run steady iterations of a staged plan on the calling thread, the
+/// Run steady iterations of a cut plan on the calling thread, the
 /// stages taking turns: stage 0's round, stage 1's, and so on, each
 /// draining what the one before has just published.  Links only point
 /// forward, so every drain finds its round there and every channel is
-/// empty again when the iteration ends: the shards alone carry the run
-/// on, here or in [`run_pipelined`].  Stops after `k` iterations, or
-/// after the first one that ends past `budget`; returns the shards and
-/// how many ran.  The rounds are the workers' own ([`Pipeline::round`]),
-/// so the output is the same items in the same order.
+/// empty again when the round ends: the shards alone carry the run on,
+/// here or in [`run_pipelined`].  Stops after `k` iterations, or after
+/// the first round that ends past `budget`; returns the shards and how
+/// many iterations ran.  The rounds are the workers' own
+/// ([`Pipeline::round`]), so the output is the same items in the same
+/// order.
 pub(crate) fn run_inline(
-    plan: &StagedPlan,
+    pg: &ParallelGraph,
     shards: Vec<Shard>,
     k: u64,
     budget: Duration,
 ) -> Result<(Vec<Shard>, u64), ExecError> {
     let pipe = Pipeline {
         lockstep: true,
-        ..Pipeline::new(plan, None)
+        ..Pipeline::new(pg, None, k)
     };
     contain("inline stages", || {
         let mut stages: Vec<(Driver, StageLinks<'_>)> = shards
@@ -423,8 +463,9 @@ pub(crate) fn run_inline(
         let start = Instant::now();
         let mut done = 0;
         while done < k {
+            let scale = pipe.scale(k - done);
             for (s, (driver, links)) in stages.iter_mut().enumerate() {
-                if !pipe.round(s, driver, links) {
+                if !pipe.round(s, driver, links, scale) {
                     let recorded = pipe.error.lock().ok().and_then(|mut slot| slot.take());
                     return Err(recorded.unwrap_or_else(|| ExecError::Fault {
                         node: format!("stage {s}"),
@@ -432,7 +473,7 @@ pub(crate) fn run_inline(
                     }));
                 }
             }
-            done += 1;
+            done += u64::from(scale);
             if start.elapsed() >= budget {
                 break;
             }
@@ -445,18 +486,18 @@ pub(crate) fn run_inline(
     })
 }
 
-/// Run `k` steady iterations of a staged plan on one worker thread per
+/// Run `k` steady iterations of a cut plan on one worker thread per
 /// stage, returning the shards (the caller extracts the output tape) or
 /// the first fault.  Workers are named `rt-stage-N`, panics are caught
 /// and attributed, and — when configured — a watchdog converts silent
 /// stalls into [`ExecError::Stalled`].
 pub(crate) fn run_pipelined(
-    plan: &StagedPlan,
+    pg: &ParallelGraph,
     shards: Vec<Shard>,
     k: u64,
     cfg: &RunConfig,
 ) -> Result<Vec<Shard>, ExecError> {
-    let pipe = Pipeline::new(plan, cfg.fault);
+    let pipe = Pipeline::new(pg, cfg.fault, k);
     let pipe_ref = &pipe;
     let done = AtomicBool::new(false);
     let done_ref = &done;

@@ -161,16 +161,10 @@ pub fn fiss_graph(g: &FlatGraph, threads: usize) -> (FlatGraph, Vec<FissedRegion
         return (g.clone(), Vec::new());
     }
 
-    // Score every chain with the scheduler's own heuristic.
+    // Score every chain with the scheduler's own heuristic (its edges
+    // are the graph's, in order, with their steady-state flows).
     let Ok(wg) = WorkGraph::from_flat(g) else {
         return (g.clone(), Vec::new());
-    };
-    let flows = {
-        let reps = match streamit_graph::repetition_vector(g) {
-            Ok(r) => r,
-            Err(_) => return (g.clone(), Vec::new()),
-        };
-        streamit_graph::steady_flows(g, &reps)
     };
     let mut regions: Vec<Region> = Vec::new();
     let mut candidates = Vec::new();
@@ -180,7 +174,7 @@ pub fn fiss_graph(g: &FlatGraph, threads: usize) -> (FlatGraph, Vec<FissedRegion
             continue;
         };
         let work: u64 = chain.iter().map(|n| wg.nodes[n.0].work).sum();
-        let in_items = flows[g.node(chain[0]).inputs[0].0];
+        let in_items = wg.edges[g.node(chain[0]).inputs[0].0].items;
         candidates.push(FissionCandidate {
             work,
             peeking: false,

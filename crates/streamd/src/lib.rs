@@ -21,10 +21,9 @@
 //!   unix sockets on a thread-per-connection pool, plus an HTTP-ish
 //!   metrics endpoint and the stall-sweep watchdog thread.
 //!
-//! Two binaries ship with the crate: `streamd` (the daemon, with
+//! One binary ships with the crate: `streamd` (the daemon, with
 //! `--listen`, `--max-instances`, `--instance-budget`, `--metrics`
-//! flags) and `streamd-load` (a synthetic load generator that opens
-//! many instances and drives them for a fixed duration).
+//! flags).
 //!
 //! ## The E08xx taxonomy
 //!

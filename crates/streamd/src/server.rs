@@ -4,13 +4,13 @@
 //!
 //! Connections are served thread-per-connection (the instance table,
 //! not the connection count, is the scaling axis: one connection can
-//! multiplex any number of instances, which is how `streamd-load`
-//! drives hundreds).  The accept loop waits on the listener for at most
+//! multiplex any number of instances, which is how the `serve-closed`
+//! benchmark drives hundreds).  The accept loop waits on the listener for at most
 //! `poll_ms` and every read uses the same short timeout, so a client is
 //! served when it arrives and the shutdown flag is still seen promptly;
 //! `Server::run` returns only after the accept loops have stopped, the
 //! handlers have drained, and every instance has been closed — the
-//! clean-shutdown contract the CI smoke asserts over SIGTERM.
+//! clean-shutdown contract the CLI tests assert over SIGTERM.
 //!
 //! ## Protocol
 //!

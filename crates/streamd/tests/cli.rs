@@ -1,9 +1,11 @@
 //! Golden CLI tests for the `streamd` binary: every config error must
 //! be a typed `error[E0807]` on stderr with exit code 2, and a live
-//! daemon must serve the wire protocol, survive an injected instance
-//! panic, and shut down cleanly on SIGTERM with exit code 0.
+//! daemon must serve the wire protocol to many instances over several
+//! connections, account for them on its metrics endpoint, survive an
+//! injected instance panic, and shut down cleanly on SIGTERM with exit
+//! code 0.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
@@ -66,6 +68,8 @@ struct Conn {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     addr: String,
+    /// The daemon's metrics endpoint, when it was started with one.
+    metrics: Option<String>,
 }
 
 impl Conn {
@@ -78,6 +82,7 @@ impl Conn {
             reader: BufReader::new(stream.try_clone().expect("clones")),
             writer: stream,
             addr: addr.to_string(),
+            metrics: None,
         }
     }
 
@@ -110,7 +115,8 @@ fn open_id(conn: &mut Conn, spec: &str) -> u64 {
         .expect("id")
 }
 
-/// Spawn `streamd` on an ephemeral port and connect to it.
+/// Spawn `streamd` on an ephemeral port and connect to it.  With
+/// `--metrics` among `extra`, the connection knows that endpoint too.
 fn spawn_daemon(extra: &[&str]) -> (Child, Conn) {
     let mut child = streamd()
         .args(["fmradio-small", "--listen", "127.0.0.1:0"])
@@ -121,15 +127,19 @@ fn spawn_daemon(extra: &[&str]) -> (Child, Conn) {
         .expect("spawns");
     let stdout = child.stdout.take().expect("stdout piped");
     let mut lines = BufReader::new(stdout).lines();
-    let addr = loop {
+    let mut next_line = |prefix: &str| loop {
         let line = lines
             .next()
-            .expect("daemon prints its address before EOF")
+            .expect("daemon prints its addresses before EOF")
             .expect("readable");
-        if let Some(rest) = line.strip_prefix("streamd: listening on ") {
+        if let Some(rest) = line.strip_prefix(prefix) {
             break rest.to_string();
         }
     };
+    let addr = next_line("streamd: listening on ");
+    let metrics = extra
+        .contains(&"--metrics")
+        .then(|| next_line("streamd: metrics on "));
     // Keep draining stdout so the daemon never blocks on a full pipe.
     let collector = std::thread::spawn(move || {
         let mut rest = Vec::new();
@@ -138,7 +148,10 @@ fn spawn_daemon(extra: &[&str]) -> (Child, Conn) {
         }
         rest
     });
-    let conn = Conn::connect(&addr);
+    let conn = Conn {
+        metrics,
+        ..Conn::connect(&addr)
+    };
     // Stash the collector where teardown can find it.
     COLLECTORS.with(|c| c.borrow_mut().push(collector));
     (child, conn)
@@ -165,22 +178,54 @@ fn sigterm_and_wait(mut child: Child) -> (i32, Vec<String>) {
     (status.code().unwrap_or(-1), rest)
 }
 
+/// The metrics page, fetched the way any HTTP client would.
+fn scrape(addr: &str) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connects");
+    stream
+        .write_all(b"GET /metrics HTTP/1.0\r\n\r\n")
+        .expect("writes");
+    let mut page = String::new();
+    stream.read_to_string(&mut page).expect("reads");
+    assert!(page.starts_with("HTTP/1.0 200 OK"), "{page}");
+    page
+}
+
 #[test]
 fn daemon_serves_protocol_and_shuts_down_cleanly_on_sigterm() {
-    let (child, mut conn) = spawn_daemon(&[]);
-    assert_eq!(conn.request("PING"), "OK pong");
+    let (child, conn) = spawn_daemon(&["--metrics", "127.0.0.1:0"]);
+    let metrics = conn.metrics.clone().expect("a metrics endpoint");
+    let mut conns = vec![conn];
+    for _ in 1..4 {
+        conns.push(Conn::connect(&conns[0].addr));
+    }
+    assert_eq!(conns[0].request("PING"), "OK pong");
 
-    let id = open_id(&mut conn, "OPEN fmradio-small");
-    let resp = conn.request(&format!(
-        "XFER {id} 8 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16"
-    ));
-    assert!(resp.starts_with("OK 16 "), "{resp}");
-    let unknown = conn.request("OPEN nope");
+    // A hundred instances over four connections, each fed one transfer.
+    let mut ids = Vec::new();
+    for i in 0..100 {
+        let conn = &mut conns[i % 4];
+        let id = open_id(conn, "OPEN fmradio-small");
+        let resp = conn.request(&format!(
+            "XFER {id} 8 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16"
+        ));
+        assert!(resp.starts_with("OK 16 "), "{resp}");
+        ids.push(id);
+    }
+    let unknown = conns[0].request("OPEN nope");
     assert!(
         unknown.starts_with("ERR E0802 ") && unknown.contains("fmradio-small"),
         "unknown program names the served ones: {unknown}"
     );
-    assert_eq!(conn.request(&format!("CLOSE {id}")), "OK closed");
+    let page = scrape(&metrics);
+    for line in [
+        "streamd_instances_admitted_total 100",
+        "streamd_instances_evicted_total{reason=\"panic\"} 0",
+    ] {
+        assert!(page.lines().any(|l| l == line), "no `{line}` in:\n{page}");
+    }
+    for (i, id) in ids.into_iter().enumerate() {
+        assert_eq!(conns[i % 4].request(&format!("CLOSE {id}")), "OK closed");
+    }
 
     let (code, rest) = sigterm_and_wait(child);
     assert_eq!(code, 0, "clean shutdown exit code");
@@ -262,7 +307,6 @@ fn request_split_across_a_read_timeout_is_served_whole() {
 /// and other connections are not disturbed.
 #[test]
 fn overlong_line_is_refused_with_bounded_memory() {
-    use std::io::Read;
     const CAP: usize = 64 * 1024 + 4096;
     let (child, mut conn) = spawn_daemon(&[]);
 

@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use streamit::exec::ExecError;
+use streamit::exec::{CompiledGraph, ExecError};
 use streamit::rt::RunConfig;
 use streamit::{apps, CompiledProgram};
 
@@ -24,8 +24,15 @@ mod tolerance;
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Compare the parallel engine at every thread count against a
-/// reference output stream, bit-for-bit.
-fn compare_parallel(name: &str, p: &CompiledProgram, reference: &[f64], n: usize) {
+/// reference output stream, bit-for-bit, and against the compiled
+/// engine `cg` either side of one batch of iterations and past two.
+fn compare_parallel(
+    name: &str,
+    p: &CompiledProgram,
+    cg: &CompiledGraph,
+    reference: &[f64],
+    n: usize,
+) {
     for threads in THREAD_COUNTS {
         let pg = match p.compile_parallel(threads) {
             Ok(pg) => pg,
@@ -77,6 +84,28 @@ fn compare_parallel(name: &str, p: &CompiledProgram, reference: &[f64], n: usize
             &threaded,
             reference,
         );
+        // Stage rounds at the plan's batch stride `b`: runs of `b` - 1
+        // iterations take none, `2b + 3` take two and three unit rounds.
+        let b = pg.plan().batch.as_ref().map_or(1, |b| u64::from(b.k));
+        for k in [b - 1, b, b + 1, 2 * b + 3] {
+            let len = pg.init_outputs() + k * pg.outputs_per_iteration();
+            let kc = cg.plan().stats.iterations_for(len).expect("emits");
+            let input = varied_input(pg.required_input(k).max(cg.required_input(kc)) as usize);
+            let want = cg
+                .run_collect(&input, len as usize)
+                .unwrap_or_else(|e| panic!("{name}: compiled run of {len} items failed: {e}"));
+            for (what, cfg) in [("bare", RunConfig::default()), ("supervised", supervised)] {
+                let got = pg.run(&input, k, &cfg).unwrap_or_else(|e| {
+                    panic!("{name}: {what} run of {k} iterations at {threads} threads failed: {e}")
+                });
+                tolerance::assert_streams_match(
+                    &format!("{name}: parallel@{threads}, {what}, {k} iterations vs compiled"),
+                    tolerance::Tolerance::Bit,
+                    &got,
+                    &want,
+                );
+            }
+        }
     }
 }
 
@@ -127,7 +156,7 @@ fn differential(name: &str, p: &CompiledProgram, n: usize) -> Option<String> {
         &reference,
     );
 
-    compare_parallel(name, p, &reference, n);
+    compare_parallel(name, p, &cg, &reference, n);
     None
 }
 
