@@ -32,6 +32,7 @@ pub mod fft_app;
 pub mod filterbank;
 pub mod fmradio;
 pub mod freqhop;
+pub mod linear_suite;
 pub mod mpeg2;
 pub mod radar;
 pub mod serpent;

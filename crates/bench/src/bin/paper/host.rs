@@ -283,7 +283,7 @@ fn linear(h: &mut Host) {
 /// compiled engine, unoptimized bytecode against dense/FFT kernels.
 fn linear_suite(h: &mut Host) {
     let mut gains = Vec::new();
-    for (name, stream) in super::model::linear_suite() {
+    for (name, stream) in apps::linear_suite::linear_suite() {
         let [off, freq] = [None, Some(LinearMode::Frequency)]
             .map(|linear| exec(name, &program(name, stream.clone(), 1, linear)));
         let group = format!("linear_suite.{name}");

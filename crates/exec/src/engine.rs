@@ -39,11 +39,10 @@ pub struct Frame {
     pub f: Vec<f64>,
     pub ai: Vec<i64>,
     pub af: Vec<f64>,
-    /// Native-kernel scratch (batched window / FFT real and imaginary
-    /// work buffers).  Lazily sized on first kernel firing; per-frame
-    /// so threaded shards never share them.
-    pub kre: Vec<f64>,
-    pub kim: Vec<f64>,
+    /// Native-kernel and lane scratch (a staged window, FFT bins,
+    /// outputs before their bulk write).  Lazily sized on first use;
+    /// per-frame so threaded shards never share it.
+    pub scratch: Vec<f64>,
 }
 
 impl Frame {
@@ -53,8 +52,7 @@ impl Frame {
             f: vec![0.0; fc.n_f as usize],
             ai: vec![0; fc.arena_i as usize],
             af: vec![0.0; fc.arena_f as usize],
-            kre: Vec::new(),
-            kim: Vec::new(),
+            scratch: Vec::new(),
         };
         for &(r, v) in &fc.init_i {
             fr.i[r as usize] = v;
@@ -309,7 +307,12 @@ fn exec_program(
 /// Lanes only run side by side; no sum is split.  The caller has checked
 /// that `x` holds `(L − 1)·stride + c.len()` items.
 #[inline(always)]
-fn dot_lanes<const L: usize>(mut acc: [f64; L], x: &[f64], stride: usize, c: &[f64]) -> [f64; L] {
+pub(crate) fn dot_lanes<const L: usize>(
+    mut acc: [f64; L],
+    x: &[f64],
+    stride: usize,
+    c: &[f64],
+) -> [f64; L] {
     let xs: [&[f64]; L] = std::array::from_fn(|j| &x[j * stride..][..c.len()]);
     for (t, &c) in c.iter().enumerate() {
         for j in 0..L {
@@ -321,7 +324,7 @@ fn dot_lanes<const L: usize>(mut acc: [f64; L], x: &[f64], stride: usize, c: &[f
 
 /// Firings a lane-dot op runs side by side (4 read 1–2 % less on
 /// `fir-vm`); an op with fewer takes the VM.
-const LANES: usize = 8;
+pub(crate) const LANES: usize = 8;
 
 /// Fire `times` firings of a [`LaneDot`] body `LANES` at a time and
 /// the remainder one by one, leaving tapes and frame as `times` VM
@@ -374,7 +377,7 @@ fn lanes(
         return false;
     };
     // A wrapped span is copied once into the frame's kernel scratch.
-    let mut scratch = mem::take(&mut fr.kre);
+    let mut scratch = mem::take(&mut fr.scratch);
     let x = if tail.is_empty() {
         head
     } else {
@@ -397,7 +400,7 @@ fn lanes(
         [last] = dot_lanes([lane.acc0], &x[j * pop + k..], 0, coef);
         let _ = out.push(last);
     }
-    fr.kre = scratch;
+    fr.scratch = scratch;
     inp.advance((times * pop) as u64);
     for inst in &prog.code[..lane.consts] {
         if let Inst::ConstF { d, v } = *inst {
@@ -697,7 +700,7 @@ pub(crate) fn run_ops(
                 // types — so missing ones are a planner bug.
                 if let (Some(kernel), false) = (&fc.kernel, *prework) {
                     res = match (in_t.as_mut(), out_t.as_mut()) {
-                        (Some(i), Some(o)) => kernel.run(i, o, times, &mut fr.kre, &mut fr.kim),
+                        (Some(i), Some(o)) => kernel.run(i, o, times, &mut fr.scratch),
                         _ => Err("kernel filter missing a tape".into()),
                     };
                 } else if !fire_lanes(prog, &mut fr, in_t.as_mut(), out_t.as_mut(), times) {
@@ -1279,5 +1282,78 @@ mod tests {
                 reason: "output tape capacity exceeded".into()
             }
         );
+    }
+
+    /// `times` firings of a dense-kernel filter against `input` (on a
+    /// ring of `cap` slots whose cursors start `skew` in) leave output
+    /// and remaining input as `times` VM firings of its own bytecode do,
+    /// by bits.
+    fn dense_matches_vm(fc: &FilterCode, input: &[f64], cap: u64, skew: u64, times: u32) {
+        let room = (fc.work.rates.push * u64::from(times)).next_power_of_two();
+        let start = (
+            skewed(F, cap, skew, input),
+            skewed(F, room, skew % room, &[]),
+        );
+        let (mut inp, mut out) = start.clone();
+        let kernel = fc.kernel.as_ref().expect("a kernel filter");
+        kernel
+            .run(&mut inp, &mut out, times, &mut Vec::new())
+            .expect("kernel fires");
+        let (mut vinp, mut vout) = start;
+        let mut fr = Frame::new(fc);
+        for _ in 0..times {
+            exec_program(&fc.work, &mut fr, Some(&mut vinp), Some(&mut vout)).expect("VM fires");
+        }
+        let what = format!("{} × {times} at skew {skew}", fc.name);
+        assert_eq!(bits(&out), bits(&vout), "output of {what}");
+        assert_eq!(bits(&inp), bits(&vinp), "input left by {what}");
+    }
+
+    /// Every dense kernel the linear optimizer attaches under
+    /// `Replacement` — to the corpus apps and to the linear suite — is
+    /// its filter's bytecode, bit for bit, on either side of a lane
+    /// group and wherever the ring wraps.  Each FIR program has a row
+    /// that takes the lanes.
+    #[test]
+    fn dense_kernels_are_their_bytecode_by_bits() {
+        use crate::kernel::KernelCode;
+        use crate::CompiledGraph;
+        use streamit_apps::{corpus, linear_suite::linear_suite};
+        use streamit_graph::FlatGraph;
+        use streamit_linear::{optimize_stream, LinearMode};
+
+        let apps = corpus().iter().map(|a| (a.name, a.graph()));
+        let mut draw = Draw(13);
+        let mut kernels = 0;
+        for (name, stream) in apps.chain(linear_suite()) {
+            let (opt, _) = optimize_stream(&stream, LinearMode::Replacement);
+            let Ok(cg) = CompiledGraph::compile(&FlatGraph::from_stream(&opt), opt.input_type())
+            else {
+                continue;
+            };
+            let mut banded = false;
+            for fc in &cg.plan().codes {
+                let Some(KernelCode::Dense(k)) = &fc.kernel else {
+                    continue;
+                };
+                kernels += 1;
+                banded |= k.banded_rows() > 0;
+                for times in [1, 7, 8, 9, 16, 17] {
+                    let items = k.pop * (times as usize - 1) + k.window;
+                    let input: Vec<f64> = (0..items).map(|_| draw.value()).collect();
+                    let cap = (items as u64).next_power_of_two();
+                    for skew in [0, 1, cap / 2 + 3, cap - 1] {
+                        dense_matches_vm(fc, &input, cap, skew % cap, times);
+                    }
+                }
+            }
+            let fir = ["fmradio", "filterbank", "beamformer"].contains(&name)
+                || linear_suite().iter().any(|(n, _)| *n == name);
+            assert!(
+                !fir || banded,
+                "{name}: no dense kernel row takes the lanes"
+            );
+        }
+        assert!(kernels > 0);
     }
 }

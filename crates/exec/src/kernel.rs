@@ -6,45 +6,67 @@
 //! against the node's declared rates and tape types and compiled into a
 //! [`KernelCode`]; at run time the engine dispatches the kernel instead
 //! of the bytecode VM — a tight loop over the ring tape's unboxed `f64`
-//! window, with no per-instruction dispatch, no register traffic and no
-//! bounds checks inside the hot loop.
+//! window, with no per-instruction dispatch and no register traffic.
 //!
 //! Two kernels exist, matching the two hint shapes:
 //!
-//! * **Dense** — `y = A·x + b` in CSR form.  Tap order replicates the
-//!   materialized work IR's accumulation order exactly, so dense-kernel
+//! * **Dense** — `y = A·x + b` in CSR form.  Every row is summed by
+//!   [`crate::engine::dot_lanes`], the VM's own dot product, starting
+//!   from the row's constant and adding the taps in hint order, which
+//!   replicates the materialized work IR's accumulation exactly: dense
 //!   output is *bit-identical* to interpreting the bytecode (and to the
-//!   reference interpreter on the same graph).
-//! * **Freq** — overlap-save FFT convolution of a block-expanded FIR,
-//!   reusing `streamit_linear`'s [`Fft`].  FFT convolution reassociates
-//!   the sums, so its output matches the time-domain reference within
-//!   an ULP tolerance, not bitwise — callers compare accordingly.
+//!   reference interpreter on the same graph), at every firing count.
+//!   Rows whose taps are one ascending run of the window (banded FIR
+//!   rows) read it in place, [`LANES`] firings side by side; other rows
+//!   gather their taps first.
+//! * **Freq** — overlap-save FFT convolution of a block-expanded FIR:
+//!   one real-input transform per block ([`RealFft::convolve`]) against
+//!   the precomputed half spectrum of the taps.  FFT convolution
+//!   reassociates the sums, so its output matches the time-domain
+//!   reference within an ULP tolerance, not bitwise — callers compare
+//!   accordingly.  Each block's output depends on its own window only,
+//!   so it does not change with the number of firings one call runs.
 //!
-//! A hint that fails validation is silently dropped: the filter simply
-//! runs its bytecode, which is always present and always correct.
+//! Both check their input and output room before they touch a tape, and
+//! fault at the firing the bytecode would, with its text.  A hint that
+//! fails validation is silently dropped: the filter simply runs its
+//! bytecode, which is always present and always correct.
+
+use std::ops::Range;
 
 use streamit_graph::kernel::KernelSpec;
-use streamit_linear::fft::{spectrum_mul, Fft};
+use streamit_linear::fft::RealFft;
 
+use crate::engine::{dot_lanes, LANES};
 use crate::tape::Tape;
 
 /// Compiled form of [`KernelSpec::Linear`]: the affine map in CSR
-/// layout (`row_off[j]..row_off[j+1]` index the taps of output row `j`).
+/// layout (each row's taps are a range of `tap_idx` / `tap_coef`).
 #[derive(Debug, Clone)]
 pub struct DenseKernel {
     pub window: usize,
     pub pop: usize,
-    row_off: Vec<u32>,
+    rows: Vec<DenseRow>,
     tap_idx: Vec<u32>,
     tap_coef: Vec<f64>,
-    constant: Vec<f64>,
+    /// The most taps of a row that gathers them (see [`DenseRow::band`]).
+    gather: usize,
 }
 
-/// Compiled form of [`KernelSpec::FreqFir`]: precomputed kernel
-/// spectrum plus the overlap-save geometry.
+#[derive(Debug, Clone)]
+struct DenseRow {
+    taps: Range<usize>,
+    constant: f64,
+    /// The first window index when the row's taps are `first, first + 1,
+    /// …` in hint order: the row reads the window in place.
+    band: Option<usize>,
+}
+
+/// Compiled form of [`KernelSpec::FreqFir`]: the real-input plan, the
+/// taps' half spectrum and the overlap-save geometry.
 #[derive(Debug, Clone)]
 pub struct FreqKernel {
-    fft: Fft,
+    fft: RealFft,
     h_re: Vec<f64>,
     h_im: Vec<f64>,
     offset: f64,
@@ -67,26 +89,40 @@ impl KernelCode {
     pub fn build(spec: &KernelSpec) -> KernelCode {
         match spec {
             KernelSpec::Linear { peek, pop, rows } => {
-                let mut row_off = Vec::with_capacity(rows.len() + 1);
                 let mut tap_idx = Vec::new();
                 let mut tap_coef = Vec::new();
-                let mut constant = Vec::with_capacity(rows.len());
-                row_off.push(0u32);
-                for r in rows {
-                    for &(i, c) in &r.taps {
-                        tap_idx.push(i);
-                        tap_coef.push(c);
-                    }
-                    row_off.push(tap_idx.len() as u32);
-                    constant.push(r.constant);
-                }
+                let rows = rows
+                    .iter()
+                    .map(|r| {
+                        let lo = tap_idx.len();
+                        tap_idx.extend(r.taps.iter().map(|&(i, _)| i));
+                        tap_coef.extend(r.taps.iter().map(|&(_, c)| c));
+                        let idx = &tap_idx[lo..];
+                        let first = idx.first().map_or(0, |&i| i as usize);
+                        let banded = idx
+                            .iter()
+                            .enumerate()
+                            .all(|(t, &i)| i as usize == first + t);
+                        DenseRow {
+                            taps: lo..tap_idx.len(),
+                            constant: r.constant,
+                            band: banded.then_some(first),
+                        }
+                    })
+                    .collect::<Vec<_>>();
+                let gather = rows
+                    .iter()
+                    .filter(|r| r.band.is_none())
+                    .map(|r| r.taps.len())
+                    .max()
+                    .unwrap_or(0);
                 KernelCode::Dense(DenseKernel {
                     window: *peek,
                     pop: *pop,
-                    row_off,
+                    rows,
                     tap_idx,
                     tap_coef,
-                    constant,
+                    gather,
                 })
             }
             KernelSpec::FreqFir {
@@ -95,17 +131,13 @@ impl KernelCode {
                 block,
             } => {
                 let n = taps.len();
-                let m = (n + block - 1).next_power_of_two().max(2);
-                let fft = Fft::new(m);
+                let fft = RealFft::new((n + block - 1).next_power_of_two().max(2));
                 // Correlation as circular convolution: load the taps
                 // reversed so the valid outputs sit at offset n-1 (the
                 // same layout as `streamit_linear::freq::FreqFilter`).
-                let mut h_re = vec![0.0; m];
-                let mut h_im = vec![0.0; m];
-                for i in 0..n {
-                    h_re[i] = taps[n - 1 - i];
-                }
-                fft.forward(&mut h_re, &mut h_im);
+                let reversed: Vec<f64> = taps.iter().rev().copied().collect();
+                let (mut h_re, mut h_im) = (vec![0.0; fft.bins()], vec![0.0; fft.bins()]);
+                fft.forward(&reversed, &mut h_re, &mut h_im);
                 KernelCode::Freq(FreqKernel {
                     fft,
                     h_re,
@@ -118,64 +150,111 @@ impl KernelCode {
         }
     }
 
-    /// Run `times` firings against the filter's tapes, using `re`/`im`
-    /// as per-frame scratch (lazily sized; contents are overwritten).
-    /// Pops are applied to `input` on success, exactly as the bytecode
-    /// path does after a firing.
+    /// Run `times` firings against the filter's tapes, using `scratch`
+    /// as work space (sized here; contents are overwritten).  Pops are
+    /// applied to `input` on success, exactly as the bytecode path does
+    /// after a firing.
     pub fn run(
-        &self,
-        input: &mut Tape,
-        output: &mut Tape,
-        times: u32,
-        re: &mut Vec<f64>,
-        im: &mut Vec<f64>,
-    ) -> Result<(), String> {
-        match self {
-            KernelCode::Dense(k) => k.run(input, output, times, re),
-            KernelCode::Freq(k) => k.run(input, output, times, re, im),
-        }
-    }
-}
-
-impl DenseKernel {
-    fn run(
         &self,
         input: &mut Tape,
         output: &mut Tape,
         times: u32,
         scratch: &mut Vec<f64>,
     ) -> Result<(), String> {
+        match self {
+            KernelCode::Dense(k) => k.run(input, output, times as usize, scratch),
+            KernelCode::Freq(k) => k.run(input, output, times, scratch),
+        }
+    }
+}
+
+impl DenseKernel {
+    /// Rows whose taps read the window in place, [`LANES`] firings side
+    /// by side.
+    #[cfg(test)]
+    pub(crate) fn banded_rows(&self) -> usize {
+        self.rows.iter().filter(|r| r.band.is_some()).count()
+    }
+
+    fn run(
+        &self,
+        input: &mut Tape,
+        output: &mut Tape,
+        times: usize,
+        scratch: &mut Vec<f64>,
+    ) -> Result<(), String> {
         if times == 0 {
             return Ok(());
         }
-        let (Tape::F(inp), Tape::F(out)) = (&mut *input, &mut *output) else {
+        let (Tape::F(inp), Tape::F(_)) = (&mut *input, &*output) else {
             return Err("linear kernel on non-float tape".into());
         };
-        // Batch the whole span of `times` firings out of the ring in at
-        // most two memcpy segments, then index flat memory.
-        let total = self.pop as u64 * (times as u64 - 1) + self.window as u64;
-        if inp.len() < total {
+        // The whole span of `times` firings, in at most two runs of the
+        // ring; a wrapped span is copied once.
+        let (pop, push) = (self.pop, self.rows.len());
+        let span = pop * (times - 1) + self.window;
+        let Some((head, tail)) = inp.window(0, span as u64) else {
             return Err("peek beyond available input".into());
+        };
+        // The firings whose outputs fit run; the one after them is the
+        // firing whose push would find the tape full.
+        let fit = match push {
+            0 => times,
+            _ => times.min(output.free() as usize / push),
+        };
+        let staged = if tail.is_empty() { 0 } else { span };
+        scratch.resize(LANES * (push + self.gather) + staged, 0.0);
+        let (y, rest) = scratch.split_at_mut(LANES * push);
+        let (g, xs) = rest.split_at_mut(LANES * self.gather);
+        let x = if tail.is_empty() {
+            head
+        } else {
+            xs[..head.len()].copy_from_slice(head);
+            xs[head.len()..].copy_from_slice(tail);
+            &xs[..]
+        };
+        let mut t = 0;
+        while t + LANES <= fit {
+            self.fire::<LANES>(&x[t * pop..], y, g);
+            output.extend_from_f64(y);
+            t += LANES;
         }
-        scratch.resize(total as usize, 0.0);
-        inp.copy_out(total, scratch);
-        for t in 0..times as usize {
-            let x = &scratch[t * self.pop..t * self.pop + self.window];
-            for j in 0..self.constant.len() {
-                let lo = self.row_off[j] as usize;
-                let hi = self.row_off[j + 1] as usize;
-                // Fold in hint order: bit-identical to the bytecode's
-                // `acc = acc + x[i]*c` accumulation.
-                let mut acc = self.constant[j];
-                for k in lo..hi {
-                    acc += x[self.tap_idx[k] as usize] * self.tap_coef[k];
+        let rest = fit - t;
+        for r in 0..rest {
+            self.fire::<1>(&x[(t + r) * pop..], &mut y[r * push..], g);
+        }
+        output.extend_from_f64(&y[..rest * push]);
+        if fit < times {
+            return Err("output tape capacity exceeded".into());
+        }
+        inp.advance((pop * times) as u64);
+        Ok(())
+    }
+
+    /// `L` firings whose windows start `pop` apart at `x`: output row `j`
+    /// of firing `l` goes to `y[l·push + j]`.
+    #[inline(always)]
+    fn fire<const L: usize>(&self, x: &[f64], y: &mut [f64], g: &mut [f64]) {
+        let push = self.rows.len();
+        for (j, row) in self.rows.iter().enumerate() {
+            let coef = &self.tap_coef[row.taps.clone()];
+            let sums = match row.band {
+                Some(first) => dot_lanes([row.constant; L], &x[first..], self.pop, coef),
+                None => {
+                    let idx = &self.tap_idx[row.taps.clone()];
+                    let n = idx.len();
+                    for (l, g) in g.chunks_exact_mut(n.max(1)).take(L).enumerate() {
+                        for (v, &i) in g.iter_mut().zip(idx) {
+                            *v = x[l * self.pop + i as usize];
+                        }
+                    }
+                    dot_lanes([row.constant; L], g, n, coef)
                 }
-                out.push(acc)
-                    .map_err(|()| "output tape capacity exceeded".to_string())?;
+            };
+            for (l, s) in sums.into_iter().enumerate() {
+                y[l * push + j] = s;
             }
         }
-        inp.advance(self.pop as u64 * times as u64);
-        Ok(())
     }
 }
 
@@ -185,34 +264,59 @@ impl FreqKernel {
         input: &mut Tape,
         output: &mut Tape,
         times: u32,
-        re: &mut Vec<f64>,
-        im: &mut Vec<f64>,
+        scratch: &mut Vec<f64>,
     ) -> Result<(), String> {
-        let (Tape::F(inp), Tape::F(out)) = (&mut *input, &mut *output) else {
+        let (Tape::F(inp), Tape::F(_)) = (&mut *input, &*output) else {
             return Err("frequency kernel on non-float tape".into());
         };
-        let n = self.taps;
-        let window = (self.block + n - 1) as u64;
-        let m = self.fft.len();
-        re.resize(m, 0.0);
-        im.resize(m, 0.0);
+        let window = self.block + self.taps - 1;
+        let bins = self.fft.bins();
+        scratch.resize(2 * bins + window + self.block, 0.0);
+        let (re, rest) = scratch.split_at_mut(bins);
+        let (im, rest) = rest.split_at_mut(bins);
+        let (xs, y) = rest.split_at_mut(window);
         for _ in 0..times {
-            if inp.len() < window {
+            let Some((head, tail)) = inp.window(0, window as u64) else {
                 return Err("peek beyond available input".into());
+            };
+            if output.free() < self.block as u64 {
+                return Err("output tape capacity exceeded".into());
             }
-            inp.copy_out(window, &mut re[..window as usize]);
-            re[window as usize..].fill(0.0);
-            im.fill(0.0);
-            self.fft.forward(re, im);
-            spectrum_mul(re, im, &self.h_re, &self.h_im);
-            self.fft.inverse(re, im);
-            for t in 0..self.block {
-                out.push(re[t + n - 1] + self.offset)
-                    .map_err(|()| "output tape capacity exceeded".to_string())?;
-            }
+            let x = if tail.is_empty() {
+                head
+            } else {
+                xs[..head.len()].copy_from_slice(head);
+                xs[head.len()..].copy_from_slice(tail);
+                &xs[..]
+            };
+            self.fft.convolve(x, &self.h_re, &self.h_im, re, im);
+            self.emit(re, im, y);
+            output.extend_from_f64(y);
             inp.advance(self.block as u64);
         }
         Ok(())
+    }
+
+    /// The block's outputs, samples `taps − 1 ..` of the convolution
+    /// (packed by [`RealFft::convolve`]: sample `2k` in `re[k]`, `2k + 1`
+    /// in `im[k]`) plus the offset, into `y`.
+    #[inline]
+    fn emit(&self, re: &[f64], im: &[f64], y: &mut [f64]) {
+        let (first, off) = (self.taps - 1, self.offset);
+        // An odd first sample is an `im`; after it they come in pairs.
+        let (lead, y) = y.split_at_mut(first % 2);
+        if let [v] = lead {
+            *v = im[first / 2] + off;
+        }
+        let (k, last) = (first.div_ceil(2), first.div_ceil(2) + y.len() / 2);
+        let mut pairs = y.chunks_exact_mut(2);
+        for (p, (&r, &i)) in (&mut pairs).zip(re[k..].iter().zip(&im[k..])) {
+            p[0] = r + off;
+            p[1] = i + off;
+        }
+        if let [v] = pairs.into_remainder() {
+            *v = re[last] + off;
+        }
     }
 }
 
@@ -257,8 +361,7 @@ mod tests {
         let k = KernelCode::build(&spec);
         let mut input = float_tape(&[1.0, 2.0, 3.0, 4.0], 8);
         let mut out = float_tape(&[], 8);
-        let (mut re, mut im) = (Vec::new(), Vec::new());
-        k.run(&mut input, &mut out, 2, &mut re, &mut im)
+        k.run(&mut input, &mut out, 2, &mut Vec::new())
             .expect("runs");
         assert_eq!(drain(&out), vec![0.0, 1.0, 0.0, 1.5]);
         assert_eq!(input.len(), 2);
@@ -277,9 +380,8 @@ mod tests {
         let k = KernelCode::build(&spec);
         let mut input = float_tape(&[1.0, 2.0], 8);
         let mut out = float_tape(&[], 8);
-        let (mut re, mut im) = (Vec::new(), Vec::new());
         let err = k
-            .run(&mut input, &mut out, 1, &mut re, &mut im)
+            .run(&mut input, &mut out, 1, &mut Vec::new())
             .expect_err("underflows");
         assert!(err.contains("peek beyond"), "{err}");
     }
@@ -298,14 +400,152 @@ mod tests {
         let input: Vec<f64> = (0..96).map(|i| ((i as f64) * 0.11).cos()).collect();
         let mut in_t = float_tape(&input, 128);
         let mut out = float_tape(&[], 128);
-        let (mut re, mut im) = (Vec::new(), Vec::new());
-        k.run(&mut in_t, &mut out, 3, &mut re, &mut im)
+        k.run(&mut in_t, &mut out, 3, &mut Vec::new())
             .expect("runs");
         let got = drain(&out);
         assert_eq!(got.len(), 3 * block);
         for (t, &y) in got.iter().enumerate() {
             let expect: f64 = 0.25 + (0..n).map(|i| taps[i] * input[t + i]).sum::<f64>();
             assert!((y - expect).abs() < 1e-9, "output {t}: {y} vs {expect}");
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A `taps`-tap FIR expanded to `block` outputs per firing.
+    fn freq(taps: usize, block: usize) -> (KernelCode, Vec<f64>) {
+        let h: Vec<f64> = (0..taps).map(|i| ((i as f64) * 0.7 + 0.2).sin()).collect();
+        let spec = KernelSpec::FreqFir {
+            taps: h.clone(),
+            constant: -0.5,
+            block,
+        };
+        (KernelCode::build(&spec), h)
+    }
+
+    /// `times` firings of `k` over `input` in one call, against a ring
+    /// whose cursors start `skew` in, leaving the output stream.
+    fn fire(
+        k: &KernelCode,
+        input: &[f64],
+        skew: u64,
+        times: u32,
+        scratch: &mut Vec<f64>,
+    ) -> Vec<f64> {
+        let cap = (input.len() as u64 + 1).next_power_of_two();
+        let mut r: Ring<f64> = Ring::with_capacity(cap);
+        for _ in 0..skew % cap {
+            r.push(0.0).expect("fits");
+        }
+        r.advance(skew % cap);
+        for &v in input {
+            r.push(v).expect("fits");
+        }
+        let mut in_t = Tape::F(r);
+        let mut out = float_tape(&[], 4096);
+        k.run(&mut in_t, &mut out, times, scratch).expect("runs");
+        drain(&out)
+    }
+
+    /// A block's output depends on its own window only: sixteen firings
+    /// in one call are sixteen single firings, bit for bit, wherever the
+    /// ring wraps — and match the time-domain FIR.
+    #[test]
+    fn freq_kernel_firings_do_not_depend_on_the_call() {
+        for (taps, block) in [(64, 65), (24, 16), (5, 4), (2, 1), (1, 1), (1, 8)] {
+            let (k, h) = freq(taps, block);
+            let window = block + taps - 1;
+            let input: Vec<f64> = (0..15 * block + window)
+                .map(|i| ((i * 37 % 101) as f64 - 50.0) / 7.0)
+                .collect();
+            for skew in [0, 3, 61, 200] {
+                let mut scratch = Vec::new();
+                let whole = fire(&k, &input, skew, 16, &mut scratch);
+                let single: Vec<f64> = (0..16)
+                    .flat_map(|f| {
+                        fire(
+                            &k,
+                            &input[f * block..f * block + window],
+                            skew + f as u64,
+                            1,
+                            &mut scratch,
+                        )
+                    })
+                    .collect();
+                assert_eq!(
+                    bits(&whole),
+                    bits(&single),
+                    "taps {taps} block {block} skew {skew}"
+                );
+                for (t, &y) in whole.iter().enumerate() {
+                    let want: f64 = -0.5 + (0..taps).map(|i| h[i] * input[t + i]).sum::<f64>();
+                    assert!(
+                        (y - want).abs() < 1e-9 * (1.0 + want.abs()),
+                        "{taps}/{block} y[{t}] {y} vs {want}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// One tap and one output per block: a 2-point transform whose half
+    /// plan is the identity.
+    #[test]
+    fn tiny_freq_kernel_scales_its_input() {
+        let spec = KernelSpec::FreqFir {
+            taps: vec![3.0],
+            constant: 1.0,
+            block: 1,
+        };
+        let k = KernelCode::build(&spec);
+        let mut in_t = float_tape(&[1.0, -2.0, 0.5], 4);
+        let mut out = float_tape(&[], 4);
+        k.run(&mut in_t, &mut out, 3, &mut Vec::new())
+            .expect("runs");
+        assert_eq!(drain(&out), vec![4.0, -5.0, 2.5]);
+    }
+
+    /// Short of input or of output room, both kernels fault with the
+    /// bytecode's text at the firing that finds the gap, leaving the
+    /// firings before it done.
+    #[test]
+    fn kernels_fault_at_the_firing_that_finds_the_gap() {
+        let dense = KernelCode::build(&KernelSpec::Linear {
+            peek: 2,
+            pop: 1,
+            rows: vec![KernelRow {
+                taps: vec![(0, 1.0), (1, 1.0)],
+                constant: 0.0,
+            }],
+        });
+        let freq = KernelCode::build(&KernelSpec::FreqFir {
+            taps: vec![1.0, 1.0],
+            constant: 0.0,
+            block: 1,
+        });
+        for k in [&dense, &freq] {
+            let input: Vec<f64> = (0..20).map(f64::from).collect();
+            // 19 firings read 20 items; the 20th finds one missing.
+            let mut in_t = float_tape(&input, 32);
+            let mut out = float_tape(&[], 32);
+            let err = k
+                .run(&mut in_t, &mut out, 20, &mut Vec::new())
+                .expect_err("underflows");
+            assert_eq!(err, "peek beyond available input");
+            // An output ring with room for 10: firing 11 finds it full.
+            let mut in_t = float_tape(&input, 32);
+            let mut out = float_tape(&[0.0; 6], 16);
+            let err = k
+                .run(&mut in_t, &mut out, 12, &mut Vec::new())
+                .expect_err("fills");
+            assert_eq!(err, "output tape capacity exceeded");
+            let done = drain(&out);
+            assert_eq!(done.len(), 16);
+            for (t, y) in done[6..].iter().enumerate() {
+                assert!((y - (2 * t + 1) as f64).abs() < 1e-12, "output {t}: {y}");
+            }
         }
     }
 }

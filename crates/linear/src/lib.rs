@@ -14,7 +14,8 @@
 //!   split-joins) into a single linear node, eliminating redundant
 //!   computation.
 //! * [`fft`] — a radix-2 complex FFT, built from scratch as the
-//!   substrate for frequency translation.
+//!   substrate for frequency translation, and the real-input transform
+//!   (one half-size complex FFT) the compiled engine's kernels run.
 //! * [`freq`] — **frequency translation**: executing convolution-style
 //!   linear nodes in the frequency domain by overlap-save block
 //!   convolution, with the cost model that decides when the translation

@@ -16,7 +16,8 @@ use streamit::exec::driver::{preload, read_output, Driver, Stop};
 use streamit::exec::{CompiledGraph, ExecError, SessionConfig};
 use streamit::graph::builder::{lit, pipeline, pop, var, FilterBuilder};
 use streamit::graph::{DataType, StreamNode, Value};
-use streamit::{apps, CompiledProgram};
+use streamit::linear::LinearMode;
+use streamit::{apps, CompiledProgram, Compiler, Options};
 
 #[path = "support/corpus.rs"]
 mod corpus;
@@ -223,6 +224,34 @@ fn apps_serve_incrementally_bit_identical_to_one_shot() {
         declined.len() <= 7,
         "session serving declined too many apps: {declined:#?}"
     );
+}
+
+/// The programs with native kernels: under each linear mode the FIR
+/// apps are served incrementally bit-identical to one shot, where the
+/// one-shot run is long enough to take its batched stride and the
+/// session stays on unit rounds — a kernel's firing depends on its own
+/// window only, not on how many firings its op was handed.
+#[test]
+fn kernel_programs_serve_incrementally_bit_identical_to_one_shot() {
+    for mode in [LinearMode::Replacement, LinearMode::Frequency] {
+        for name in ["fmradio", "filterbank", "beamformer"] {
+            let p = Compiler::new(Options {
+                linear: Some(mode),
+                ..Options::default()
+            })
+            .compile_stream(apps::corpus_app(name).graph())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let cg = p.compile_exec().expect("accepted");
+            assert!(cg.kernel_filters() > 0, "{name} {mode:?}: no kernels");
+            let k = u64::from(cg.batch_factor().expect("batches")) + 1;
+            let n = cg.init_outputs() + k * cg.outputs_per_iteration();
+            let what = format!("{name} {mode:?}");
+            assert_eq!(
+                differential(&what, &p, n as usize, &mut || (97, 2, 61)),
+                None
+            );
+        }
+    }
 }
 
 /// `drive` has two strides; splits that straddle the batch factor make
