@@ -15,7 +15,8 @@
 //! * `--verify`    print the deadlock/overflow report (default on)
 //! * `--lint`      print the full static-analysis report (all findings);
 //!   without it, warnings still print and hard findings still gate
-//! * `--schedule`  partition for TILES tiles (default 16) with every
+//! * `--schedule`  partition for TILES tiles (default 16; at least 1),
+//!   laid out on the factor pair nearest to a square, with every
 //!   strategy and print the simulated throughput table
 //! * `--run N`     execute the program on a synthetic ramp input and
 //!   print the first N outputs
@@ -163,6 +164,9 @@ fn parse_args() -> Args {
                         it.next();
                     })
                     .unwrap_or(16);
+                if tiles == 0 {
+                    usage();
+                }
                 args.schedule = Some(tiles);
             }
             "--run" => {
@@ -363,16 +367,11 @@ fn main() {
     }
 
     if let Some(tiles) = args.schedule {
-        let side = (tiles as f64).sqrt().ceil() as usize;
-        let cfg = MachineConfig {
-            rows: side,
-            cols: side.max(tiles.div_ceil(side)),
-            ..MachineConfig::default()
-        };
+        let cfg = MachineConfig::with_tiles(tiles);
         match program.work_graph() {
             Ok(wg) => {
                 let (base, results) = evaluate_strategies(&wg, &cfg);
-                println!("\n== schedule ({tiles} tiles) ==");
+                println!("\n== schedule ({} tiles) ==", cfg.n_tiles());
                 println!("single core: {} cycles/steady", base.cycles_per_steady);
                 for (s, r) in results {
                     println!(

@@ -317,62 +317,36 @@ pub struct Program {
     /// Float constants addressed by `DotPeekF { at, n }`.
     pub pool: Vec<f64>,
     pub rates: Rates,
-    /// Set when the body is one dot product and nothing else, so that
-    /// the firings of one op are independent sums the engine may run
-    /// side by side (see [`LaneDot`]).
-    pub lane: Option<LaneDot>,
+    /// Set when the firings of one op are independent, so that the
+    /// engine may run them eight at a time, one instruction for all
+    /// eight (DESIGN.md "Execution scaling"): every instruction has a
+    /// lane form (no array arena is touched), no state register is
+    /// written, and every jump belongs to a loop with literal bounds.
+    /// Lowering writes every local before reading it, so only state
+    /// carries a value from one firing to the next.
+    pub lane_safe: bool,
 }
 
-/// A body that is exactly `ConstF*; DotPeekF {d, a, k, n, at}; PushF d;
-/// Skip pop` on a float input and a float output, where `a` was last
-/// written by one of the `ConstF`s (with `acc0`), `pop` is the declared
-/// pop rate and the declared push rate is 1.  Firing `j` of a run then
-/// pushes `acc0 + Σ_t x[j·pop + k + t] · pool[at + t]` and depends on no
-/// other firing; each leaves the frame with the `ConstF` registers set
-/// and `d` holding its sum.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LaneDot {
-    pub acc0: f64,
-    /// How many `ConstF`s lead the body.
-    pub consts: usize,
-    pub d: u16,
-    pub k: u16,
-    pub n: u16,
-    pub at: u32,
-}
-
-impl LaneDot {
-    /// Recognize the shape in a body lowered for tapes `in_ty` / `out_ty`.
-    fn of(
-        code: &[Inst],
-        rates: Rates,
-        in_ty: Option<DataType>,
-        out_ty: Option<DataType>,
-    ) -> Option<LaneDot> {
-        let float = Some(DataType::Float);
-        if in_ty != float || out_ty != float || rates.push != 1 {
-            return None;
-        }
-        let consts = code
-            .iter()
-            .take_while(|i| matches!(i, Inst::ConstF { .. }))
-            .count();
-        let (head, tail) = code.split_at(consts);
-        let &[Inst::DotPeekF { d, a, k, n, at }, Inst::PushF { s }, Inst::Skip { n: pop }] = tail
-        else {
-            return None;
-        };
-        let acc0 = head.iter().rev().find_map(|i| match *i {
-            Inst::ConstF { d, v } if d == a => Some(v),
-            _ => None,
-        })?;
-        (s == d && u64::from(pop) == rates.pop).then_some(LaneDot {
-            acc0,
-            consts,
-            d,
-            k,
-            n,
-            at,
+impl Program {
+    /// The marking of [`Program::lane_safe`] for `code`, whose registers
+    /// below `state` (int, float) hold persistent state.
+    fn is_lane_safe(code: &[Inst], state: (u32, u32)) -> bool {
+        code.iter().all(|inst| {
+            let writes_state = match inst.clone().dest_mut() {
+                Some((Ty::I, &mut d)) => u32::from(d) < state.0,
+                Some((Ty::F, &mut d)) => u32::from(d) < state.1,
+                None => false,
+            };
+            !writes_state
+                && !matches!(
+                    inst,
+                    Inst::LoadI { .. }
+                        | Inst::LoadF { .. }
+                        | Inst::StoreI { .. }
+                        | Inst::StoreF { .. }
+                        | Inst::ZeroI { .. }
+                        | Inst::ZeroF { .. }
+                )
         })
     }
 }
@@ -444,6 +418,10 @@ struct Lowerer {
     scopes: Vec<Vec<(String, Sym)>>,
     in_ty: Option<DataType>,
     out_ty: Option<DataType>,
+    /// Set once the body has a jump whose direction may differ from one
+    /// firing to the next: an `if`, or a loop whose bounds are not
+    /// literals.
+    data_jumps: bool,
 }
 
 impl Lowerer {
@@ -1113,6 +1091,8 @@ impl Lowerer {
                 to,
                 body,
             } => {
+                let literal = |e: &Expr| matches!(e, Expr::IntLit(_));
+                self.data_jumps |= !(literal(from) && literal(to));
                 // The interpreter would silently change the loop
                 // variable's slot type if the body re-declares it in the
                 // loop's own scope; that dynamic behavior has no static
@@ -1175,6 +1155,7 @@ impl Lowerer {
                 then_body,
                 else_body,
             } => {
+                self.data_jumps = true;
                 let c = self.lower_expr(cond)?;
                 let flag = self.truthy(c)?;
                 let to_else = self.code.len();
@@ -1227,6 +1208,7 @@ pub fn lower_filter(
         scopes: vec![Vec::new()],
         in_ty,
         out_ty,
+        data_jumps: false,
     };
 
     // Persistent state: scalars become pinned registers, arrays arena
@@ -1263,6 +1245,7 @@ pub fn lower_filter(
         }
     }
     let state_scope = lw.scopes[0].clone();
+    let state_regs = lw.mark();
 
     // Work body: one fresh local scope above the state scope (work-level
     // `let`s land there, shadowing state like the interpreter's
@@ -1279,7 +1262,8 @@ pub fn lower_filter(
             push: push as u64,
         };
         Program {
-            lane: LaneDot::of(&code, rates, in_ty, out_ty),
+            lane_safe: !std::mem::take(&mut lw.data_jumps)
+                && Program::is_lane_safe(&code, state_regs),
             code,
             pool: std::mem::take(&mut lw.pool),
             rates,
@@ -1415,44 +1399,70 @@ mod tests {
     }
 
     #[test]
-    fn only_a_lone_dot_product_from_a_constant_is_a_lane_body() {
+    fn stateless_bodies_with_literal_loops_only_are_lane_bodies() {
+        use DataType::{Float as F, Int as I};
         let fir = |b: BlockBuilder| {
-            b.let_("u", DataType::Float, lit(2.5))
-                .let_("s", DataType::Float, lit(-0.0))
+            b.let_("s", F, lit(-0.0))
                 .set("s", var("s") + tap(0, 1.0))
                 .set("s", var("s") + tap(1, 2.0))
         };
-        let p = lower(DataType::Float, |b| fir(b).push(var("s")).pop_discard());
-        let lane = p.lane.expect("a lane body");
-        assert_eq!(lane.acc0.to_bits(), (-0.0f64).to_bits());
-        assert_eq!(
-            (lane.consts, lane.d, lane.k, lane.n, lane.at),
-            (2, 1, 0, 2, 0)
-        );
-        // A sum that starts from a popped value, a push of the constant
-        // rather than the sum, a second pop, a pop before the push, and
-        // an int tape each break the shape.
-        let not = [
-            lower(DataType::Float, |b| {
-                b.let_("s", DataType::Float, lit(0.5))
-                    .let_("t", DataType::Float, var("s") + tap(0, 1.0))
-                    .push(var("s"))
+        // A dot product from a constant (the old lone lane shape), int
+        // arithmetic with two pushes and a pop, intrinsics, and a loop
+        // with literal bounds over a dynamic peek.
+        let yes = [
+            lower(F, |b| fir(b).push(var("s")).pop_discard()),
+            lower(I, |b| {
+                b.let_("x", I, pop())
+                    .push(minf(var("x"), peek(lit(0i64))) / lit(3i64))
+                    .push(abs(var("x")) * var("x"))
+            }),
+            lower(F, |b| b.push(sqrt(pop()) + cos(lit(1.0)))),
+            lower(F, |b| {
+                b.for_("i", lit(0i64), lit(3i64), |b| b.push(peek(var("i"))))
                     .pop_discard()
             }),
-            lower(DataType::Float, |b| {
-                b.let_("s", DataType::Float, pop())
-                    .set("s", var("s") + tap(0, 1.0))
-                    .push(var("s"))
+        ];
+        for p in yes {
+            assert!(p.lane_safe, "{:?}", p.code);
+        }
+        // A state write, a local array, an `if`, and a loop bounded by a
+        // popped value each break the marking; a read of state does not.
+        let stateful = |f: FilterBuilder, ty| {
+            let f = f.rates(1, 1, 1).build();
+            lower_filter(&f, "f", Some(ty), Some(ty))
+                .expect("lowers")
+                .work
+        };
+        let counter = FilterBuilder::new("f", I)
+            .state("n", I, Value::Int(0))
+            .work(|b| b.set("n", var("n") + pop()).push(var("n")));
+        let gain = FilterBuilder::new("f", F)
+            .state("g", F, Value::Float(0.5))
+            .work(|b| b.push(pop() * var("g")));
+        assert!(!stateful(counter, I).lane_safe);
+        assert!(stateful(gain, F).lane_safe);
+        let not = [
+            lower(I, |b| {
+                b.let_array("a", I, 2)
+                    .set_idx("a", lit(0i64), pop())
+                    .push(idx("a", lit(0i64)))
             }),
-            lower(DataType::Float, |b| {
-                fir(b).push(var("s")).pop_discard().pop_discard()
+            lower(I, |b| b.if_(peek(lit(0i64)), |b| b).push(pop())),
+            lower(I, |b| {
+                b.let_("n", I, pop())
+                    .for_("i", lit(0i64), var("n"), |b| b)
+                    .push(var("n"))
             }),
-            lower(DataType::Float, |b| fir(b).pop_discard().push(var("s"))),
-            lower(DataType::Int, |b| fir(b).push(var("s")).pop_discard()),
         ];
         for p in not {
-            assert_eq!(p.lane, None, "{:?}", p.code);
+            assert!(!p.lane_safe, "{:?}", p.code);
         }
+        // A `send` is never lowered at all, so never laned.
+        let send = FilterBuilder::new("f", F)
+            .rates(1, 1, 1)
+            .work(|b| b.send("p", "h", vec![], (0, 0)).push(pop()))
+            .build();
+        assert!(lower_filter(&send, "f", Some(F), Some(F)).is_err());
     }
 
     #[test]

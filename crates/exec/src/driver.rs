@@ -34,7 +34,7 @@ use std::time::Duration;
 use streamit_graph::{DataType, Value};
 
 use crate::bytecode::FilterCode;
-use crate::engine::{run_ops, run_ops_profiled, Frame, OpProfiler, Shard};
+use crate::engine::{run_ops, run_ops_profiled, Frame, LaneBank, OpProfiler, Shard};
 use crate::plan::{Batch, Loc, Op, Stats, TapeSpec};
 use crate::tape::Tape;
 use crate::{panic_payload, ExecError, FaultKind, FaultPlan};
@@ -196,6 +196,8 @@ pub struct Driver {
     iterations: u64,
     fault: Option<FaultPlan>,
     prof: Option<OpProfiler>,
+    /// The lane mode's scratch, lent to every op this driver runs.
+    lanes: LaneBank,
 }
 
 impl Driver {
@@ -218,6 +220,7 @@ impl Driver {
             iterations: 0,
             fault: fault.filter(|f| f.stage == base),
             prof,
+            lanes: LaneBank::default(),
         }
     }
 
@@ -301,7 +304,14 @@ impl Driver {
                 if let Some(stop) = self.gate(s) {
                     return Ok((0, stop));
                 }
-                run_ops(s.init, &mut self.shards, self.base, s.codes, 1)?;
+                run_ops(
+                    s.init,
+                    &mut self.shards,
+                    self.base,
+                    s.codes,
+                    1,
+                    &mut self.lanes,
+                )?;
                 self.init_done = true;
             }
             let hooked = self.fault.is_some() || self.prof.is_some();
@@ -348,13 +358,13 @@ impl Driver {
             Some(FaultKind::Stall) => return Ok(false),
             Some(FaultKind::DelayPublish) | None => {}
         }
-        let codes = s.codes;
+        let (codes, shards, lanes) = (s.codes, &mut self.shards, &mut self.lanes);
         match self.prof.as_mut() {
             Some(p) => {
                 p.begin_iteration();
-                run_ops_profiled(s.steady, &mut self.shards, self.base, codes, p)?;
+                run_ops_profiled(s.steady, shards, self.base, codes, p, lanes)?;
             }
-            None => run_ops(s.steady, &mut self.shards, self.base, codes, scale)?,
+            None => run_ops(s.steady, shards, self.base, codes, scale, lanes)?,
         }
         self.iterations += u64::from(scale);
         if let Some(f) = inj {

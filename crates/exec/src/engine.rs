@@ -18,7 +18,7 @@ use streamit_graph::work::{
 };
 use streamit_graph::{BinOp, Intrinsic, UnOp};
 
-use crate::bytecode::{FilterCode, Inst, LaneDot, Program};
+use crate::bytecode::{FilterCode, Inst, Program, Rates};
 use crate::plan::{Loc, MoveSpec, Op};
 use crate::profile::ProfileReport;
 use crate::tape::{copy_at, Raw, Ring, Tape};
@@ -39,9 +39,9 @@ pub struct Frame {
     pub f: Vec<f64>,
     pub ai: Vec<i64>,
     pub af: Vec<f64>,
-    /// Native-kernel and lane scratch (a staged window, FFT bins,
-    /// outputs before their bulk write).  Lazily sized on first use;
-    /// per-frame so threaded shards never share it.
+    /// Native-kernel scratch (a staged window, FFT bins, outputs before
+    /// their bulk write).  Lazily sized on first use; per-frame so
+    /// threaded shards never share it.
     pub scratch: Vec<f64>,
 }
 
@@ -167,33 +167,19 @@ fn exec_program(
             Inst::NotI { d, s } => fr.i[d as usize] = int_unop(UnOp::Not, fr.i[s as usize]),
             Inst::NotF { d, s } => fr.i[d as usize] = float_not(fr.f[s as usize]),
             Inst::BitNotI { d, s } => fr.i[d as usize] = int_unop(UnOp::BitNot, fr.i[s as usize]),
-            Inst::TruthyF { d, s } => fr.i[d as usize] = (fr.f[s as usize] != 0.0) as i64,
+            Inst::TruthyF { d, s } => fr.i[d as usize] = truthy_f(fr.f[s as usize]),
             Inst::Call1F { g, d, s } => {
-                let x = fr.f[s as usize];
-                fr.f[d as usize] = match g {
-                    Intrinsic::Sin => x.sin(),
-                    Intrinsic::Cos => x.cos(),
-                    Intrinsic::Tan => x.tan(),
-                    Intrinsic::Atan => x.atan(),
-                    Intrinsic::Sqrt => x.sqrt(),
-                    Intrinsic::Exp => x.exp(),
-                    Intrinsic::Log => x.ln(),
-                    Intrinsic::Floor => x.floor(),
-                    Intrinsic::Ceil => x.ceil(),
-                    Intrinsic::Round => x.round(),
-                    _ => return Err("non-unary intrinsic in Call1F".into()),
-                };
+                fr.f[d as usize] =
+                    call1_f(g, fr.f[s as usize]).ok_or("non-unary intrinsic in Call1F")?;
             }
             Inst::AbsI { d, s } => fr.i[d as usize] = int_abs(fr.i[s as usize]),
             Inst::AbsF { d, s } => fr.f[d as usize] = fr.f[s as usize].abs(),
             Inst::PowF { d, a, b } => fr.f[d as usize] = fr.f[a as usize].powf(fr.f[b as usize]),
             Inst::MinMaxI { max, d, a, b } => {
-                let (a, b) = (fr.i[a as usize], fr.i[b as usize]);
-                fr.i[d as usize] = if max { a.max(b) } else { a.min(b) };
+                fr.i[d as usize] = min_max_i(max, fr.i[a as usize], fr.i[b as usize]);
             }
             Inst::MinMaxF { max, d, a, b } => {
-                let (a, b) = (fr.f[a as usize], fr.f[b as usize]);
-                fr.f[d as usize] = if max { a.max(b) } else { a.min(b) };
+                fr.f[d as usize] = min_max_f(max, fr.f[a as usize], fr.f[b as usize]);
             }
             Inst::LoadI { d, base, len, idx } => {
                 let k = arena_index(fr.i[idx as usize], len)?;
@@ -322,93 +308,440 @@ pub(crate) fn dot_lanes<const L: usize>(
     acc
 }
 
-/// Firings a lane-dot op runs side by side (4 read 1–2 % less on
-/// `fir-vm`); an op with fewer takes the VM.
+/// Firings the lane mode runs side by side (four read 1–2 % less on
+/// `fir-vm` when only dot products had lanes); an op with fewer takes
+/// the VM.
 pub(crate) const LANES: usize = 8;
 
-/// Fire `times` firings of a [`LaneDot`] body `LANES` at a time and
-/// the remainder one by one, leaving tapes and frame as `times` VM
-/// firings would.  One check up front replaces the VM's per-firing ones:
-/// the body is a lane dot with at least `LANES` firings to run, the
-/// whole input span is staged, `times` output slots are free and the
-/// coefficients exist.  Returns `false`, having touched nothing, when
-/// it does not hold, so that the VM runs the op (and raises any fault
-/// at its own firing).
-#[inline]
-fn fire_lanes(
-    prog: &Program,
-    fr: &mut Frame,
-    input: Option<&mut Tape>,
-    output: Option<&mut Tape>,
-    times: u32,
-) -> bool {
-    match (&prog.lane, input, output) {
-        (Some(lane), Some(Tape::F(inp)), Some(Tape::F(out))) if times as usize >= LANES => {
-            lanes(lane, prog, fr, inp, out, times as usize)
+type LaneI = [i64; LANES];
+type LaneF = [f64; LANES];
+
+/// The lane mode's scratch: one register bank per lane, an op's input
+/// window when it wraps its ring, and one group's outputs.  One per
+/// [`Driver`] (so per shard set and per thread), lent to every op it
+/// runs, and never part of a [`Frame`]: every run builds one frame per
+/// filter before its first output, and five more `Vec`s there made
+/// `fir-vm`'s first output about a third slower.
+///
+/// [`Driver`]: crate::driver::Driver
+#[derive(Debug, Default)]
+pub struct LaneBank {
+    i: Vec<LaneI>,
+    f: Vec<LaneF>,
+    /// An op's input window, when it wraps its ring.
+    wi: Vec<i64>,
+    wf: Vec<f64>,
+    /// A group's outputs, lane `j`'s `p`-th push at `j·push + p`.
+    oi: Vec<i64>,
+    of: Vec<f64>,
+    /// Firings run as lanes so far.
+    pub laned: u64,
+}
+
+/// A group's input window: lane `j` reads `x[j·pop + offset]`.
+#[derive(Clone, Copy)]
+enum Window<'a> {
+    I(&'a [i64]),
+    F(&'a [f64]),
+    None,
+}
+
+impl Window<'_> {
+    /// The window `n` items further on.
+    fn skip(self, n: usize) -> Self {
+        match self {
+            Window::I(x) => Window::I(&x[n..]),
+            Window::F(x) => Window::F(&x[n..]),
+            Window::None => Window::None,
         }
-        _ => false,
     }
 }
 
-/// [`fire_lanes`] past its first checks, out of the op loop's way.
-#[inline(never)]
-fn lanes(
-    lane: &LaneDot,
+/// `times` firings of `prog` against its frame and tapes: whole groups
+/// of [`LANES`] as lanes while the body is lane-safe and each group's
+/// checks hold, then the rest one by one on the VM, which raises any
+/// fault at its own firing with its own text.
+#[inline]
+pub fn fire(
     prog: &Program,
     fr: &mut Frame,
-    inp: &mut Ring<f64>,
-    out: &mut Ring<f64>,
-    times: usize,
-) -> bool {
-    let (pop, k, n) = (prog.rates.pop as usize, lane.k as usize, lane.n as usize);
-    let at = lane.at as usize;
-    let (Some(coef), Some(span)) = (
-        prog.pool.get(at..at + n),
-        (times - 1)
-            .checked_mul(pop)
-            .and_then(|s| s.checked_add((k + n).max(pop))),
-    ) else {
-        return false;
-    };
-    if times > out.capacity() as usize - out.len() as usize {
-        return false;
-    }
-    let Some((head, tail)) = inp.window(0, span as u64) else {
-        return false;
-    };
-    // A wrapped span is copied once into the frame's kernel scratch.
-    let mut scratch = mem::take(&mut fr.scratch);
-    let x = if tail.is_empty() {
-        head
+    mut input: Option<&mut Tape>,
+    mut output: Option<&mut Tape>,
+    times: u32,
+    bank: &mut LaneBank,
+) -> Result<(), String> {
+    let laned = if prog.lane_safe && times as usize >= LANES {
+        lane_groups(prog, fr, &mut input, &mut output, times, bank)
     } else {
-        scratch.clear();
-        scratch.extend_from_slice(head);
-        scratch.extend_from_slice(tail);
-        &scratch[..]
+        0
     };
-    let mut last = lane.acc0;
-    let mut j = 0;
-    while j + LANES <= times {
-        let sums = dot_lanes([lane.acc0; LANES], &x[j * pop + k..], pop, coef);
-        for s in sums {
-            let _ = out.push(s);
+    for _ in laned..times {
+        exec_program(prog, fr, input.as_deref_mut(), output.as_deref_mut())?;
+    }
+    Ok(())
+}
+
+/// [`fire`]'s lanes, out of the op loop's way.  One check up front finds
+/// the whole groups whose windows are all staged and whose outputs all
+/// fit, and one window staged for all of them is read in place (or
+/// copied once, when it wraps the ring).  Groups then run in order,
+/// each one's outputs appended in bulk when [`lane_group`] finishes it;
+/// the first group it refuses is left untouched, with the frame as the
+/// VM would have it there.  Returns the firings run.
+#[inline(never)]
+fn lane_groups(
+    prog: &Program,
+    fr: &mut Frame,
+    input: &mut Option<&mut Tape>,
+    output: &mut Option<&mut Tape>,
+    times: u32,
+    bank: &mut LaneBank,
+) -> u32 {
+    // Declared rates were `usize`s before they were `u64`s.
+    let Rates { pop, window, push } = prog.rates;
+    let (pop, window, push) = (pop as usize, window as usize, push as usize);
+    // The whole groups whose windows are staged and whose pushes fit
+    // (compared, not divided: an op of two groups is common).
+    let staged = input.as_deref().map_or(usize::MAX, |t| t.len() as usize);
+    let room = match (output.as_deref(), push) {
+        (_, 0) => usize::MAX,
+        (Some(o), _) => o.free() as usize,
+        (None, _) => 0,
+    };
+    let mut firings = times as usize / LANES * LANES;
+    while firings > 0 && ((firings - 1) * pop + window > staged || firings * push > room) {
+        firings -= LANES;
+    }
+    if firings == 0 {
+        return 0;
+    }
+    let span = (firings - 1) * pop + window;
+    let x = match input.as_deref() {
+        Some(Tape::I(r)) => stage(r, span, &mut bank.wi).map(Window::I),
+        Some(Tape::F(r)) => stage(r, span, &mut bank.wf).map(Window::F),
+        None => Some(Window::None),
+    };
+    let Some(x) = x else {
+        return 0;
+    };
+    let (i, f, oi, of) = (&mut bank.i, &mut bank.f, &mut bank.oi, &mut bank.of);
+    // Every lane starts from the frame's registers.
+    i.clear();
+    i.extend(fr.i.iter().map(|&v| [v; LANES]));
+    f.clear();
+    f.extend(fr.f.iter().map(|&v| [v; LANES]));
+    match output.as_deref() {
+        Some(Tape::I(_)) => oi.resize(LANES * push, 0),
+        Some(Tape::F(_)) => of.resize(LANES * push, 0.0),
+        None => {}
+    }
+    let mut done = 0;
+    while done < firings {
+        let y = match output.as_deref() {
+            Some(Tape::I(_)) => (&mut oi[..], Default::default()),
+            Some(Tape::F(_)) => (Default::default(), &mut of[..]),
+            None => Default::default(),
+        };
+        let shape = (pop, window, push);
+        if lane_group(prog, i, f, x.skip(done * pop), y, shape).is_none() {
+            break;
         }
-        last = sums[LANES - 1];
-        j += LANES;
-    }
-    for j in j..times {
-        [last] = dot_lanes([lane.acc0], &x[j * pop + k..], 0, coef);
-        let _ = out.push(last);
-    }
-    fr.scratch = scratch;
-    inp.advance((times * pop) as u64);
-    for inst in &prog.code[..lane.consts] {
-        if let Inst::ConstF { d, v } = *inst {
-            fr.f[d as usize] = v;
+        match output.as_deref_mut() {
+            Some(Tape::I(r)) => r.extend_from_slice(oi),
+            Some(Tape::F(r)) => r.extend_from_slice(of),
+            None => {}
         }
+        done += LANES;
     }
-    fr.f[lane.d as usize] = last;
-    true
+    if let Some(t) = input.as_deref_mut() {
+        t.advance((done * pop) as u64);
+    }
+    if done > 0 {
+        // The last lane ran the last firing: its registers are the ones
+        // the VM would leave.
+        for (r, v) in fr.i.iter_mut().zip(i.iter()) {
+            *r = v[LANES - 1];
+        }
+        for (r, v) in fr.f.iter_mut().zip(f.iter()) {
+            *r = v[LANES - 1];
+        }
+        bank.laned += done as u64;
+    }
+    done as u32
+}
+
+/// The first `span` items of `r`, in place when they do not wrap and
+/// copied into `buf` when they do; `None` unless all are present.
+fn stage<'a, T: Copy + Default>(
+    r: &'a Ring<T>,
+    span: usize,
+    buf: &'a mut Vec<T>,
+) -> Option<&'a [T]> {
+    let (head, tail) = r.window(0, span as u64)?;
+    if tail.is_empty() {
+        return Some(head);
+    }
+    buf.clear();
+    buf.extend_from_slice(head);
+    buf.extend_from_slice(tail);
+    Some(buf)
+}
+
+/// `f` applied lane by lane, or `None` when any lane's is.
+#[inline(always)]
+fn try_map<T: Copy, U: Copy + Default>(
+    a: [T; LANES],
+    f: impl Fn(T) -> Option<U>,
+) -> Option<[U; LANES]> {
+    let mut out = [U::default(); LANES];
+    for (o, a) in out.iter_mut().zip(a) {
+        *o = f(a)?;
+    }
+    Some(out)
+}
+
+/// [`try_map`] over two operands.
+#[inline(always)]
+fn lanewise<T: Copy, U: Copy + Default>(
+    a: [T; LANES],
+    b: [T; LANES],
+    f: impl Fn(T, T) -> Option<U>,
+) -> Option<[U; LANES]> {
+    let mut out = [U::default(); LANES];
+    for (o, (a, b)) in out.iter_mut().zip(a.into_iter().zip(b)) {
+        *o = f(a, b)?;
+    }
+    Some(out)
+}
+
+/// Lane `j`'s item `at` past the start of its window, for every lane.
+/// The caller has checked `at < window`, so all lie inside the
+/// `(LANES − 1)·pop + window` staged items.
+#[inline(always)]
+fn gather<T: Copy>(x: &[T], pop: usize, at: usize) -> [T; LANES] {
+    std::array::from_fn(|j| x[j * pop + at])
+}
+
+/// One group: lane `j` runs the group's `j`-th firing, every
+/// instruction once for all lanes and each lane through the VM's own
+/// scalar functions.  Lane `j` reads `x[j·pop..]` and writes its pushes
+/// to `y[j·push..]` (the int or the float one, whichever is not empty).
+/// `None`, with nothing outside the lane registers and `y` written, when
+/// the VM could fault or would disagree: a peek or pop outside the
+/// window, a push past `push` or onto the wrong type, a `None` from the
+/// scalar table in any lane, lanes that disagree on a branch, the back
+/// jump budget spent, or pops and pushes off the declared rates.
+fn lane_group(
+    prog: &Program,
+    ri: &mut [LaneI],
+    rf: &mut [LaneF],
+    x: Window<'_>,
+    (yi, yf): (&mut [i64], &mut [f64]),
+    (pop, window, push): (usize, usize, usize),
+) -> Option<()> {
+    let code = &prog.code[..];
+    let (mut pc, mut pops, mut pushes, mut back_jumps) = (0usize, 0usize, 0usize, 0u64);
+    // Where `n` items `k` past the pops start, when they lie inside the
+    // window.
+    let at = |pops: usize, k: usize, n: usize| {
+        let at = pops.checked_add(k)?;
+        (at.checked_add(n)? <= window).then_some(at)
+    };
+    macro_rules! jump {
+        ($t:expr) => {{
+            let t = $t as usize;
+            if t <= pc {
+                back_jumps += 1;
+                if back_jumps > MAX_BACK_JUMPS {
+                    return None;
+                }
+            }
+            pc = t;
+            continue;
+        }};
+    }
+    while pc < code.len() {
+        match code[pc] {
+            Inst::ConstI { d, v } => ri[d as usize] = [v; LANES],
+            Inst::ConstF { d, v } => rf[d as usize] = [v; LANES],
+            Inst::MovI { d, s } => ri[d as usize] = ri[s as usize],
+            Inst::MovF { d, s } => rf[d as usize] = rf[s as usize],
+            Inst::CastIF { d, s } => rf[d as usize] = ri[s as usize].map(|v| v as f64),
+            Inst::CastFI { d, s } => ri[d as usize] = rf[s as usize].map(|v| v as i64),
+            Inst::BinI { op, d, a, b } => {
+                ri[d as usize] =
+                    lanewise(ri[a as usize], ri[b as usize], |a, b| int_binop(op, a, b))?;
+            }
+            Inst::ArithF { op, d, a, b } => {
+                rf[d as usize] =
+                    lanewise(rf[a as usize], rf[b as usize], |a, b| float_arith(op, a, b))?;
+            }
+            Inst::ArithFK { op, d, a, imm } => {
+                rf[d as usize] =
+                    lanewise(rf[a as usize], [imm; LANES], |a, b| float_arith(op, a, b))?;
+            }
+            Inst::ArithKF { op, d, b, imm } => {
+                rf[d as usize] =
+                    lanewise([imm; LANES], rf[b as usize], |a, b| float_arith(op, a, b))?;
+            }
+            Inst::CmpF { op, d, a, b } => {
+                ri[d as usize] =
+                    lanewise(rf[a as usize], rf[b as usize], |a, b| float_cmp(op, a, b))?;
+            }
+            Inst::NegI { d, s } => ri[d as usize] = ri[s as usize].map(|v| int_unop(UnOp::Neg, v)),
+            Inst::NegF { d, s } => rf[d as usize] = rf[s as usize].map(float_neg),
+            Inst::NotI { d, s } => ri[d as usize] = ri[s as usize].map(|v| int_unop(UnOp::Not, v)),
+            Inst::NotF { d, s } => ri[d as usize] = rf[s as usize].map(float_not),
+            Inst::BitNotI { d, s } => {
+                ri[d as usize] = ri[s as usize].map(|v| int_unop(UnOp::BitNot, v))
+            }
+            Inst::TruthyF { d, s } => ri[d as usize] = rf[s as usize].map(truthy_f),
+            Inst::Call1F { g, d, s } => {
+                rf[d as usize] = try_map(rf[s as usize], |x| call1_f(g, x))?
+            }
+            Inst::AbsI { d, s } => ri[d as usize] = ri[s as usize].map(int_abs),
+            Inst::AbsF { d, s } => rf[d as usize] = rf[s as usize].map(f64::abs),
+            Inst::PowF { d, a, b } => {
+                rf[d as usize] = lanewise(rf[a as usize], rf[b as usize], |a, b| Some(a.powf(b)))?;
+            }
+            Inst::MinMaxI { max, d, a, b } => {
+                ri[d as usize] = lanewise(ri[a as usize], ri[b as usize], |a, b| {
+                    Some(min_max_i(max, a, b))
+                })?;
+            }
+            Inst::MinMaxF { max, d, a, b } => {
+                rf[d as usize] = lanewise(rf[a as usize], rf[b as usize], |a, b| {
+                    Some(min_max_f(max, a, b))
+                })?;
+            }
+            Inst::PeekIK { d, k } => {
+                let (Window::I(x), Some(at)) = (x, at(pops, k as usize, 1)) else {
+                    return None;
+                };
+                ri[d as usize] = gather(x, pop, at);
+            }
+            Inst::PeekFK { d, k } => {
+                let (Window::F(x), Some(at)) = (x, at(pops, k as usize, 1)) else {
+                    return None;
+                };
+                rf[d as usize] = gather(x, pop, at);
+            }
+            Inst::PeekI { d, idx } => {
+                let Window::I(x) = x else { return None };
+                let ats = try_map(ri[idx as usize], |k| at(pops, usize::try_from(k).ok()?, 1))?;
+                ri[d as usize] = std::array::from_fn(|j| x[j * pop + ats[j]]);
+            }
+            Inst::PeekF { d, idx } => {
+                let Window::F(x) = x else { return None };
+                let ats = try_map(ri[idx as usize], |k| at(pops, usize::try_from(k).ok()?, 1))?;
+                rf[d as usize] = std::array::from_fn(|j| x[j * pop + ats[j]]);
+            }
+            Inst::DotPeekF { d, a, k, n, at: c } => {
+                let (Window::F(x), Some(coef), Some(at)) = (
+                    x,
+                    prog.pool.get(c as usize..c as usize + n as usize),
+                    at(pops, k as usize, n as usize),
+                ) else {
+                    return None;
+                };
+                rf[d as usize] = dot_lanes(rf[a as usize], &x[at..], pop, coef);
+            }
+            Inst::Skip { n } => pops = pops.saturating_add(n as usize),
+            Inst::PopI { d } => {
+                let (Window::I(x), Some(at)) = (x, at(pops, 0, 1)) else {
+                    return None;
+                };
+                ri[d as usize] = gather(x, pop, at);
+                pops += 1;
+            }
+            Inst::PopF { d } => {
+                let (Window::F(x), Some(at)) = (x, at(pops, 0, 1)) else {
+                    return None;
+                };
+                rf[d as usize] = gather(x, pop, at);
+                pops += 1;
+            }
+            Inst::PushI { s } => {
+                if pushes >= push || yi.is_empty() {
+                    return None;
+                }
+                for (j, v) in ri[s as usize].into_iter().enumerate() {
+                    yi[j * push + pushes] = v;
+                }
+                pushes += 1;
+            }
+            Inst::PushF { s } => {
+                if pushes >= push || yf.is_empty() {
+                    return None;
+                }
+                for (j, v) in rf[s as usize].into_iter().enumerate() {
+                    yf[j * push + pushes] = v;
+                }
+                pushes += 1;
+            }
+            Inst::Jmp { target } => jump!(target),
+            Inst::Jz { c, target } => {
+                // Every lane must go the same way.
+                let zero = ri[c as usize].map(|v| v == 0);
+                if zero != [zero[0]; LANES] {
+                    return None;
+                }
+                if zero[0] {
+                    jump!(target);
+                }
+            }
+            Inst::LoadI { .. }
+            | Inst::LoadF { .. }
+            | Inst::StoreI { .. }
+            | Inst::StoreF { .. }
+            | Inst::ZeroI { .. }
+            | Inst::ZeroF { .. } => return None,
+        }
+        pc += 1;
+    }
+    (pops == pop && pushes == push).then_some(())
+}
+
+/// The value of a unary float intrinsic, `None` for any other.
+#[inline]
+fn call1_f(g: Intrinsic, x: f64) -> Option<f64> {
+    Some(match g {
+        Intrinsic::Sin => x.sin(),
+        Intrinsic::Cos => x.cos(),
+        Intrinsic::Tan => x.tan(),
+        Intrinsic::Atan => x.atan(),
+        Intrinsic::Sqrt => x.sqrt(),
+        Intrinsic::Exp => x.exp(),
+        Intrinsic::Log => x.ln(),
+        Intrinsic::Floor => x.floor(),
+        Intrinsic::Ceil => x.ceil(),
+        Intrinsic::Round => x.round(),
+        _ => return None,
+    })
+}
+
+#[inline]
+fn min_max_i(max: bool, a: i64, b: i64) -> i64 {
+    if max {
+        a.max(b)
+    } else {
+        a.min(b)
+    }
+}
+
+#[inline]
+fn min_max_f(max: bool, a: f64, b: f64) -> f64 {
+    if max {
+        a.max(b)
+    } else {
+        a.min(b)
+    }
+}
+
+/// `Value::is_truthy` on a float: NaN is truthy.
+#[inline]
+fn truthy_f(x: f64) -> i64 {
+    (x != 0.0) as i64
 }
 
 /// [`float_arith`], or the fault for an operator the lowering never
@@ -556,9 +889,10 @@ pub(crate) fn run_ops_profiled(
     base: u16,
     codes: &[FilterCode],
     prof: &mut OpProfiler,
+    lanes: &mut LaneBank,
 ) -> Result<(), ExecError> {
     if !prof.sampling {
-        return run_ops(ops, shards, base, codes, 1);
+        return run_ops(ops, shards, base, codes, 1, lanes);
     }
     let mut start = 0;
     for (i, op) in ops.iter().enumerate() {
@@ -571,10 +905,10 @@ pub(crate) fn run_ops_profiled(
         {
             let c = *code as usize;
             if start < i {
-                run_ops(&ops[start..i], shards, base, codes, 1)?;
+                run_ops(&ops[start..i], shards, base, codes, 1, lanes)?;
             }
             let t0 = Instant::now();
-            run_ops(std::slice::from_ref(op), shards, base, codes, 1)?;
+            run_ops(std::slice::from_ref(op), shards, base, codes, 1, lanes)?;
             prof.sampled_ns[c] += t0.elapsed().as_nanos() as u64;
             prof.firings[c] += *times as u64;
             prof.sampled_firings[c] += *times as u64;
@@ -582,7 +916,7 @@ pub(crate) fn run_ops_profiled(
         }
     }
     if start < ops.len() {
-        run_ops(&ops[start..], shards, base, codes, 1)?;
+        run_ops(&ops[start..], shards, base, codes, 1, lanes)?;
     }
     Ok(())
 }
@@ -655,13 +989,15 @@ fn move_op(shards: &mut [Shard], base: u16, moves: &[MoveSpec], times: u64) -> R
 
 /// Execute a flat op list against a shard slice whose first element is
 /// shard `base`, firing each op `scale` × its `times` (1 for a unit
-/// round, the plan's batch factor for a scaled one).
+/// round, the plan's batch factor for a scaled one), with `lanes` as the
+/// lane mode's scratch.
 pub(crate) fn run_ops(
     ops: &[Op],
     shards: &mut [Shard],
     base: u16,
     codes: &[FilterCode],
     scale: u32,
+    lanes: &mut LaneBank,
 ) -> Result<(), ExecError> {
     let fault = |node: &str, reason: String| ExecError::Fault {
         node: node.to_string(),
@@ -693,24 +1029,17 @@ pub(crate) fn run_ops(
                 let mut out_t = output.map(|l| take_tape(shards, l, base));
                 let fl = (frame.shard - base) as usize;
                 let mut fr = mem::take(&mut shards[fl].frames[frame.slot as usize]);
-                let mut res = Ok(());
                 // A validated kernel replaces the bytecode VM for the
                 // work body (never for prework).  Kernelized filters
                 // always have both tapes — the planner gates on tape
                 // types — so missing ones are a planner bug.
-                if let (Some(kernel), false) = (&fc.kernel, *prework) {
-                    res = match (in_t.as_mut(), out_t.as_mut()) {
+                let res = match (&fc.kernel, *prework) {
+                    (Some(kernel), false) => match (in_t.as_mut(), out_t.as_mut()) {
                         (Some(i), Some(o)) => kernel.run(i, o, times, &mut fr.scratch),
                         _ => Err("kernel filter missing a tape".into()),
-                    };
-                } else if !fire_lanes(prog, &mut fr, in_t.as_mut(), out_t.as_mut(), times) {
-                    for _ in 0..times {
-                        if let Err(e) = exec_program(prog, &mut fr, in_t.as_mut(), out_t.as_mut()) {
-                            res = Err(e);
-                            break;
-                        }
-                    }
-                }
+                    },
+                    _ => fire(prog, &mut fr, in_t.as_mut(), out_t.as_mut(), times, lanes),
+                };
                 shards[fl].frames[frame.slot as usize] = fr;
                 if let (Some(l), Some(t)) = (*input, in_t) {
                     put_tape(shards, l, base, t);
@@ -842,10 +1171,11 @@ mod tests {
             }]
         };
         let (mut batched, mut scaled, mut single) = (shard(), shard(), shard());
-        run_ops(&[op(3)], &mut batched, 0, &[], 1).expect("batched runs");
-        run_ops(&[op(1)], &mut scaled, 0, &[], 3).expect("scaled runs");
+        let lanes = &mut LaneBank::default();
+        run_ops(&[op(3)], &mut batched, 0, &[], 1, lanes).expect("batched runs");
+        run_ops(&[op(1)], &mut scaled, 0, &[], 3, lanes).expect("scaled runs");
         for _ in 0..3 {
-            run_ops(&[op(1)], &mut single, 0, &[], 1).expect("single runs");
+            run_ops(&[op(1)], &mut single, 0, &[], 1, lanes).expect("single runs");
         }
         assert_eq!(contents(&batched), contents(&single));
         assert_eq!(contents(&scaled), contents(&single));
@@ -858,7 +1188,14 @@ mod tests {
             tapes,
             frames: Vec::new(),
         }];
-        match run_ops(std::slice::from_ref(op), &mut shards, 0, &[], 1) {
+        match run_ops(
+            std::slice::from_ref(op),
+            &mut shards,
+            0,
+            &[],
+            1,
+            &mut LaneBank::default(),
+        ) {
             Err(ExecError::Fault { node: n, reason }) => {
                 assert_eq!(n, node);
                 reason
@@ -1068,13 +1405,13 @@ mod tests {
             times: 1 << 31,
         };
         let mut shards = vec![Shard::default()];
-        match run_ops(&[dup], &mut shards, 0, &[], 2) {
+        match run_ops(&[dup], &mut shards, 0, &[], 2, &mut LaneBank::default()) {
             Err(ExecError::Fault { node, .. }) => assert_eq!(node, "schedule"),
             other => panic!("expected a fault, got {other:?}"),
         }
     }
 
-    // ---- lane-dot bodies -------------------------------------------------
+    // ---- lane bodies -----------------------------------------------------
 
     /// What arithmetic on this machine makes of `0 / 0`: the one NaN
     /// pattern the engines produce.
@@ -1082,17 +1419,13 @@ mod tests {
         std::hint::black_box(0.0f64) / std::hint::black_box(0.0)
     }
 
-    /// Splitmix64: ordinary values in [-2, 2), and one draw in 64 from
-    /// ±0, ±inf, ± a subnormal and the hardware NaN.
-    struct Draw(u64);
+    /// Ordinary values in [-2, 2), and one draw in 64 from ±0, ±inf, ±
+    /// a subnormal and the hardware NaN.
+    struct Draw(proptest::rng::Rng);
 
     impl Draw {
-        fn bits(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+        fn new(seed: u64) -> Draw {
+            Draw(proptest::rng::Rng::from_name(&seed.to_string()))
         }
 
         fn value(&mut self) -> f64 {
@@ -1105,7 +1438,7 @@ mod tests {
                 -f64::MIN_POSITIVE / 3.0,
                 hardware_nan(),
             ];
-            let z = self.bits();
+            let z = self.0.next_u64();
             if z.is_multiple_of(64) {
                 specials[(z >> 8) as usize % specials.len()]
             } else {
@@ -1115,7 +1448,7 @@ mod tests {
     }
 
     /// `[let u = 2.5;] let s = acc0; s = s + peek(k)·c0; …; push(s);`
-    /// then `pop` discarded pops, on float tapes: a lane-dot body with
+    /// then `pop` discarded pops, on float tapes: one dot product with
     /// one or two leading constants.
     fn fir(acc0: f64, k: usize, taps: &[f64], pop: usize, two_consts: bool) -> FilterCode {
         let taps = taps.to_vec();
@@ -1134,12 +1467,13 @@ mod tests {
                 (0..pop).fold(b.push(var("s")), |b, _| b.pop_discard())
             })
             .build();
-        let fc = lower_filter(&f, "fir", Some(F), Some(F)).expect("lowers");
-        assert!(
-            fc.work.lane.is_some(),
-            "not a lane body: {:?}",
-            fc.work.code
-        );
+        lane_body(&f, F)
+    }
+
+    /// `f` lowered over `ty` tapes, which must mark it lane-safe.
+    fn lane_body(f: &streamit_graph::Filter, ty: DataType) -> FilterCode {
+        let fc = lower_filter(f, &f.name, Some(ty), Some(ty)).expect("lowers");
+        assert!(fc.work.lane_safe, "not a lane body: {:?}", fc.work.code);
         fc
     }
 
@@ -1150,37 +1484,62 @@ mod tests {
         }
     }
 
-    /// One lane op of `times` firings against `input` (on a ring of
-    /// `cap` slots whose cursors start `skew` in) leaves output,
-    /// remaining input and frame registers as `times` VM firings do, by
-    /// bits.  Returns whether the lanes ran (they must, from `LANES`
-    /// firings on).
-    fn lanes_match_vm(fc: &FilterCode, input: &[f64], cap: u64, skew: u64, times: u32) -> bool {
-        let start = (
-            Frame::new(fc),
-            skewed(F, cap, skew, input),
-            skewed(F, 32, skew % 32, &[]),
+    fn regs(fr: &Frame) -> (Vec<u64>, Vec<i64>) {
+        (fr.f.iter().map(|v| v.to_bits()).collect(), fr.i.clone())
+    }
+
+    /// An int tape of `cap` slots holding `items`, its cursors `skew`
+    /// slots in.
+    fn ints(cap: u64, skew: u64, items: &[i64]) -> Tape {
+        let mut t = skewed(I, cap, skew, &[]);
+        for &v in items {
+            t.push_i(v).expect("fits");
+        }
+        t
+    }
+
+    /// `times` firings of `fc`'s work body from a fresh frame, once
+    /// through [`fire`] and once on the VM alone, leave tapes and frame
+    /// registers the same by bits, and fault alike.  Returns the firings
+    /// the lanes ran, the VM's result and the output tape.
+    fn lanes_against_vm(
+        fc: &FilterCode,
+        input: Tape,
+        output: Tape,
+        times: u32,
+    ) -> (u64, Result<(), String>, Tape) {
+        let (mut fr, mut inp, mut out) = (Frame::new(fc), input.clone(), output.clone());
+        let mut bank = LaneBank::default();
+        let laned = fire(
+            &fc.work,
+            &mut fr,
+            Some(&mut inp),
+            Some(&mut out),
+            times,
+            &mut bank,
         );
-        let (mut fr, mut inp, mut out) = start.clone();
-        let laned = fire_lanes(&fc.work, &mut fr, Some(&mut inp), Some(&mut out), times);
-        assert_eq!(laned, times as usize >= LANES, "times {times}");
-        let (mut vfr, mut vinp, mut vout) = start;
-        for _ in 0..times {
-            exec_program(&fc.work, &mut vfr, Some(&mut vinp), Some(&mut vout)).expect("VM fires");
-        }
-        if laned {
-            let regs = |fr: &Frame| {
-                (
-                    fr.f.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    fr.i.clone(),
-                )
-            };
-            let what = format!("{:?} × {times} at skew {skew}", fc.work.lane);
-            assert_eq!(bits(&out), bits(&vout), "output of {what}");
-            assert_eq!(bits(&inp), bits(&vinp), "input left by {what}");
-            assert_eq!(regs(&fr), regs(&vfr), "frame after {what}");
-        }
-        laned
+        let (mut vfr, mut vinp, mut vout) = (Frame::new(fc), input, output);
+        let vm = (0..times)
+            .try_for_each(|_| exec_program(&fc.work, &mut vfr, Some(&mut vinp), Some(&mut vout)));
+        let what = format!("{} × {times}", fc.name);
+        assert_eq!(laned, vm, "fault of {what}");
+        assert_eq!(bits(&out), bits(&vout), "output of {what}");
+        assert_eq!(bits(&inp), bits(&vinp), "input left by {what}");
+        assert_eq!(regs(&fr), regs(&vfr), "frame after {what}");
+        (bank.laned, vm, out)
+    }
+
+    /// One op of `times` firings of a FIR against `input` (on a ring of
+    /// `cap` slots whose cursors start `skew` in) is `times` VM firings
+    /// by bits.  Returns whether the lanes ran: every whole group of
+    /// `LANES` must.
+    fn lanes_match_vm(fc: &FilterCode, input: &[f64], cap: u64, skew: u64, times: u32) -> bool {
+        let (input, output) = (skewed(F, cap, skew, input), skewed(F, 32, skew % 32, &[]));
+        let (laned, vm, _) = lanes_against_vm(fc, input, output, times);
+        vm.expect("VM fires");
+        let groups = times as usize / LANES;
+        assert_eq!(laned, (groups * LANES) as u64, "times {times}");
+        groups > 0
     }
 
     /// Items a run of `times` firings reads: the last firing's window.
@@ -1190,7 +1549,7 @@ mod tests {
 
     #[test]
     fn lane_ops_match_single_firings_by_bits() {
-        let mut draw = Draw(7);
+        let mut draw = Draw::new(7);
         let mut laned = 0;
         for pop in 1..=3 {
             for k in [0, 2] {
@@ -1215,7 +1574,7 @@ mod tests {
 
     #[test]
     fn lane_windows_wrapping_at_every_ring_offset_match_single_firings() {
-        let mut draw = Draw(11);
+        let mut draw = Draw::new(11);
         for (pop, k, n, times) in [(3, 2, 37, 19), (1, 0, 80, 8), (2, 1, 5, 11)] {
             let taps: Vec<f64> = (0..n).map(|_| draw.value()).collect();
             let fc = fir(draw.value(), k, &taps, pop, false);
@@ -1229,7 +1588,8 @@ mod tests {
     }
 
     /// One item short of the span, or one output slot short: the lanes
-    /// decline, and the VM faults at the firing that finds the gap.
+    /// run the group that fits, and the VM faults at the firing that
+    /// finds the gap, with its own text.
     #[test]
     fn a_lane_op_short_of_input_or_room_faults_where_the_vm_does() {
         let fc = fir(0.0, 1, &[0.5; 6], 2, false);
@@ -1244,27 +1604,31 @@ mod tests {
             times,
         };
         let fault = |input: Tape, output: Tape| {
+            let (laned, vm, _) = lanes_against_vm(&fc, input.clone(), output.clone(), times);
+            assert_eq!(laned, LANES as u64);
             let mut shards = vec![Shard {
                 tapes: vec![input, output],
                 frames: vec![Frame::new(&fc)],
             }];
-            let mut fr = Frame::new(&fc);
-            let (mut i, mut o) = (shards[0].tapes[0].clone(), shards[0].tapes[1].clone());
-            assert!(!fire_lanes(
-                &fc.work,
-                &mut fr,
-                Some(&mut i),
-                Some(&mut o),
-                times
-            ));
-            run_ops(
+            let codes = std::slice::from_ref(&fc);
+            let mut bank = LaneBank::default();
+            let err = run_ops(
                 std::slice::from_ref(&op),
                 &mut shards,
                 0,
-                std::slice::from_ref(&fc),
+                codes,
                 1,
+                &mut bank,
             )
-            .expect_err("the op must fault")
+            .expect_err("the op must fault");
+            assert_eq!(
+                err,
+                ExecError::Fault {
+                    node: "fir".into(),
+                    reason: vm.expect_err("the VM faults"),
+                }
+            );
+            err
         };
         let short = vec![1.0; span(2, 1, 6, times) - 1];
         assert_eq!(
@@ -1282,6 +1646,58 @@ mod tests {
                 reason: "output tape capacity exceeded".into()
             }
         );
+    }
+
+    /// `a / b` over popped pairs, trapping in lane 5 of the second group
+    /// (`i64::MIN / -1`, then `/ 0`): the first group is laned, the second
+    /// is left to the VM, which faults at firing 13 with its own text
+    /// after the same thirteen outputs.
+    #[test]
+    fn a_trap_in_one_lane_faults_at_the_vm_firing() {
+        let f = FilterBuilder::new("div", I)
+            .rates(2, 2, 1)
+            .work(|b| b.let_("a", I, pop()).push(var("a") / pop()))
+            .build();
+        let fc = lane_body(&f, I);
+        for (a, b) in [(i64::MIN, -1), (7, 0)] {
+            let mut items: Vec<i64> = (0..32)
+                .map(|j| if j % 2 == 0 { 1000 - 37 * j } else { 1 + j % 5 })
+                .collect();
+            (items[26], items[27]) = (a, b);
+            let out = ints(32, 0, &[]);
+            let (laned, vm, out) = lanes_against_vm(&fc, ints(64, 41, &items), out, 16);
+            assert_eq!(laned, LANES as u64);
+            assert_eq!(vm, Err("division by zero".to_string()));
+            assert_eq!(out.len(), 13);
+        }
+    }
+
+    /// A loop bounded by a popped value runs a different trip count in
+    /// each lane: such a body is not marked, and forced through the
+    /// lanes it falls back to the VM at the first group whose lanes
+    /// disagree on the loop's exit.
+    #[test]
+    fn a_loop_whose_trip_count_differs_per_lane_falls_back() {
+        let f = FilterBuilder::new("trip", I)
+            .rates(1, 1, 1)
+            .work(|b| {
+                b.let_("s", I, lit(0i64))
+                    .let_("n", I, pop() & lit(3i64))
+                    .for_("i", lit(0i64), var("n"), |b| {
+                        b.set("s", var("s") + var("i"))
+                    })
+                    .push(var("s"))
+            })
+            .build();
+        let mut fc = lower_filter(&f, "trip", Some(I), Some(I)).expect("lowers");
+        assert!(!fc.work.lane_safe);
+        fc.work.lane_safe = true;
+        // A group of equal trip counts, then one of mixed counts.
+        let items: Vec<i64> = [[2; 8], [0, 1, 2, 3, 3, 2, 1, 0]].concat();
+        let (laned, vm, out) = lanes_against_vm(&fc, ints(16, 3, &items), ints(16, 0, &[]), 16);
+        vm.expect("VM fires");
+        assert_eq!(laned, LANES as u64);
+        assert_eq!(bits(&out)[8..], [0, 0, 1, 3, 3, 1, 0, 0]);
     }
 
     /// `times` firings of a dense-kernel filter against `input` (on a
@@ -1323,7 +1739,7 @@ mod tests {
         use streamit_linear::{optimize_stream, LinearMode};
 
         let apps = corpus().iter().map(|a| (a.name, a.graph()));
-        let mut draw = Draw(13);
+        let mut draw = Draw::new(13);
         let mut kernels = 0;
         for (name, stream) in apps.chain(linear_suite()) {
             let (opt, _) = optimize_stream(&stream, LinearMode::Replacement);

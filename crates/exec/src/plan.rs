@@ -1150,18 +1150,7 @@ mod tests {
         );
     }
 
-    /// Splitmix64 over a seed.
-    struct Gen(u64);
-
-    impl Gen {
-        fn below(&mut self, n: u64) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (z ^ (z >> 31)) % n
-        }
-    }
+    use proptest::rng::Rng as Gen;
 
     /// A filter with the given rates, a peek window up to three items
     /// wider, and one filter in three with a prework of its own rates.
@@ -1275,7 +1264,7 @@ mod tests {
     fn generated_graphs_prime_like_one_firing_per_round() {
         let mut primed = 0;
         for seed in 0..600 {
-            let g = &mut Gen(seed);
+            let g = &mut Gen::from_name(&format!("seed {seed}"));
             // Rate-changing filters between balanced parts make the
             // repetition vector, and so the priming, non-uniform.
             let parts = (0..1 + g.below(4))

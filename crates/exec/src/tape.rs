@@ -186,7 +186,7 @@ impl<T: Copy + Default> Ring<T> {
 
     /// Append `items`; the caller has checked they fit.  At most two
     /// `copy_from_slice` runs.
-    fn extend_from_slice(&mut self, items: &[T]) {
+    pub(crate) fn extend_from_slice(&mut self, items: &[T]) {
         debug_assert!(items.len() as u64 <= self.capacity() - self.len());
         let at = (self.tail & self.mask) as usize;
         let first = items.len().min(self.buf.len() - at);

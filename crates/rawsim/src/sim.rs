@@ -45,6 +45,21 @@ impl Default for MachineConfig {
 }
 
 impl MachineConfig {
+    /// The default chip resized to exactly `tiles` tiles, laid out on
+    /// the factor pair nearest to a square (1 × `tiles` for a prime).
+    pub fn with_tiles(tiles: usize) -> MachineConfig {
+        let rows = (1..=tiles)
+            .take_while(|r| r * r <= tiles)
+            .filter(|r| tiles.is_multiple_of(*r))
+            .last()
+            .unwrap_or(1);
+        MachineConfig {
+            rows,
+            cols: tiles / rows,
+            ..MachineConfig::default()
+        }
+    }
+
     /// Tiles on the chip.
     pub fn n_tiles(&self) -> usize {
         self.rows * self.cols
@@ -589,6 +604,27 @@ mod tests {
             s_comb > 1.5 * s_data,
             "combined {s_comb} should beat data-parallel {s_data} clearly"
         );
+    }
+
+    #[test]
+    fn a_chip_of_n_tiles_has_n_tiles_on_the_squarest_grid() {
+        for n in 1..=16 {
+            let cfg = MachineConfig::with_tiles(n);
+            assert_eq!(cfg.n_tiles(), n);
+            assert!(cfg.rows <= cfg.cols, "{n}: {} × {}", cfg.rows, cfg.cols);
+            // No factor pair of `n` is closer to square.
+            let squarer = (cfg.rows + 1..=cfg.cols).any(|r| n.is_multiple_of(r) && r <= n / r);
+            assert!(!squarer, "{n}: {} × {}", cfg.rows, cfg.cols);
+        }
+        let grid = |n| {
+            let c = MachineConfig::with_tiles(n);
+            (c.rows, c.cols)
+        };
+        assert_eq!(
+            [grid(2), grid(3), grid(12), grid(16)],
+            [(1, 2), (1, 3), (3, 4), (4, 4)]
+        );
+        assert_eq!(MachineConfig::with_tiles(16), MachineConfig::default());
     }
 
     #[test]

@@ -434,20 +434,20 @@ mod metamorphic {
 
 mod lanes {
     use streamit::apps;
+    use streamit::exec::bytecode::{lower_filter, FilterCode};
+    use streamit::exec::engine::{fire, Frame, LaneBank};
+    use streamit::exec::plan::Op;
+    use streamit::exec::tape::Tape;
     use streamit::exec::CompiledGraph;
     use streamit::graph::builder::*;
-    use streamit::graph::{DataType, StreamNode};
+    use streamit::graph::{DataType, StreamNode, Value};
     use streamit::{CompiledProgram, Compiler};
 
-    use super::{compile, differential};
+    use super::{compile, differential, tolerance};
 
-    /// How many of `cg`'s filters have a lane-dot work body.
+    /// How many of `cg`'s filters have a lane-safe work body.
     fn lane_bodies(cg: &CompiledGraph) -> usize {
-        cg.plan()
-            .codes
-            .iter()
-            .filter(|c| c.work.lane.is_some())
-            .count()
+        cg.plan().codes.iter().filter(|c| c.work.lane_safe).count()
     }
 
     /// Splitmix64.
@@ -472,6 +472,255 @@ mod lanes {
                 2 => f64::MIN_POSITIVE / 16.0,
                 _ => self.below(1 << 53) as f64 / (1u64 << 52) as f64 - 1.0,
             }
+        }
+
+        /// A tape item: mostly small, sometimes an edge of the type (the
+        /// ends of `i64`; ±∞ and the one NaN this hardware's arithmetic
+        /// makes, the only NaN two engines can agree on by bits).
+        fn item(&mut self, t: &mut Tape) {
+            let nan = std::hint::black_box(0.0f64) / std::hint::black_box(0.0);
+            let fits = match t {
+                Tape::I(_) => t.push_i(match self.below(16) {
+                    0 => i64::MIN,
+                    1 => i64::MAX,
+                    2 => -1,
+                    _ => self.below(200) as i64 - 100,
+                }),
+                Tape::F(_) => t.push_f(match self.below(16) {
+                    0 => nan,
+                    1 => f64::NEG_INFINITY,
+                    _ => self.coef() * 4.0,
+                }),
+            };
+            fits.expect("fits");
+        }
+    }
+
+    /// A tape of `ty` with room for `cap` items, its cursors `skew`
+    /// slots in, holding `n` drawn items.
+    fn drawn(g: &mut Gen, ty: DataType, cap: u64, skew: u64, n: usize) -> Tape {
+        let mut t = Tape::with_capacity(ty, cap);
+        for _ in 0..skew {
+            t.push_i(0).expect("fits");
+        }
+        t.advance(skew);
+        for _ in 0..n {
+            g.item(&mut t);
+        }
+        t
+    }
+
+    fn bits(t: &Option<Tape>) -> Vec<u64> {
+        match t {
+            Some(Tape::F(r)) => r.to_vec().iter().map(|v| v.to_bits()).collect(),
+            Some(Tape::I(r)) => r.to_vec().iter().map(|&v| v as u64).collect(),
+            None => Vec::new(),
+        }
+    }
+
+    /// `fc`'s work body fired as one op at every `times` of
+    /// `engine::tests::lanes_match_vm` and at four ring skews, from
+    /// drawn items: through the lanes, and with the lanes switched off
+    /// (the scalar VM).  Tapes, frame registers and faults must agree
+    /// by bits.  Returns the firings the lanes ran.
+    fn lanes_are_the_vm(
+        g: &mut Gen,
+        what: &str,
+        fc: &FilterCode,
+        input: Option<DataType>,
+        output: Option<DataType>,
+    ) -> u64 {
+        let mut vm = fc.clone();
+        vm.work.lane_safe = false;
+        let mut bank = LaneBank::default();
+        let rates = fc.work.rates;
+        for times in [1, 7, 8, 9, 16, 17] {
+            let items = (rates.pop * (times - 1) + rates.window) as usize;
+            let cap = (items as u64 + 1).next_power_of_two();
+            let room = (rates.push * times).next_power_of_two();
+            for skew in [0, 1, cap / 2 + 3, cap - 1] {
+                let inp = input.map(|ty| drawn(g, ty, cap, skew % cap, items));
+                let out = output.map(|ty| drawn(g, ty, room, skew % room, 0));
+                let run = |fc: &FilterCode, bank: &mut LaneBank| {
+                    let (mut fr, mut i, mut o) = (Frame::new(fc), inp.clone(), out.clone());
+                    let res = fire(
+                        &fc.work,
+                        &mut fr,
+                        i.as_mut(),
+                        o.as_mut(),
+                        times as u32,
+                        bank,
+                    );
+                    let regs = fr.f.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    (res, bits(&i), bits(&o), regs, fr.i)
+                };
+                let laned = run(fc, &mut bank);
+                let scalar = run(&vm, &mut LaneBank::default());
+                assert!(
+                    laned == scalar,
+                    "{what}: {} × {times} at skew {skew}",
+                    fc.name
+                );
+            }
+        }
+        bank.laned
+    }
+
+    /// The (code, input type, output type) of every steady work op.
+    fn work_sites(cg: &CompiledGraph) -> Vec<(usize, Option<DataType>, Option<DataType>)> {
+        let plan = cg.plan();
+        let ty = |l: Option<streamit::exec::plan::Loc>| {
+            l.map(|l| plan.tapes[l.shard as usize][l.slot as usize].ty)
+        };
+        let sites = plan.pre_ops.iter().filter_map(|op| match op {
+            Op::Work {
+                code,
+                input,
+                output,
+                prework: false,
+                ..
+            } => Some((*code as usize, ty(*input), ty(*output))),
+            _ => None,
+        });
+        sites.collect()
+    }
+
+    /// Every lane body of every app and of every linear-suite graph runs
+    /// in the lanes as on the VM, by bits, at every tested stride and
+    /// skew; each app with lane bodies runs some of its firings laned.
+    #[test]
+    fn lanes_are_the_vm_on_every_app_and_linear_graph() {
+        let g = &mut Gen(5);
+        let apps = apps::corpus().iter().map(|a| (a.name, a.graph()));
+        for (name, stream) in apps.chain(apps::linear_suite::linear_suite()) {
+            let Ok(cg) = compile(name, stream).compile_exec() else {
+                continue;
+            };
+            let mut laned = 0;
+            for (code, input, output) in work_sites(&cg) {
+                let fc = &cg.plan().codes[code];
+                if fc.work.lane_safe {
+                    laned += lanes_are_the_vm(g, name, fc, input, output);
+                }
+            }
+            assert_eq!(laned > 0, lane_bodies(&cg) > 0, "{name}");
+        }
+    }
+
+    /// Generated bodies — branches, data-dependent loops, peeks at loop
+    /// variables, IEEE specials — forced through the lanes whether or
+    /// not lowering marks them (none has state, so any group whose
+    /// lanes agree may run laned): the lanes fall back wherever their
+    /// branches diverge, and agree with the VM by bits everywhere.
+    #[test]
+    fn lanes_are_the_vm_on_generated_bodies() {
+        use super::generated::{filter, generate};
+        let g = &mut Gen(9);
+        let (mut bodies, mut marked, mut laned) = (0, 0, 0);
+        for seed in 0..400 {
+            let Some((block, ty, rates)) = generate(seed) else {
+                continue;
+            };
+            let Ok(p) = Compiler::default().compile_stream(filter(&block, ty, rates)) else {
+                continue;
+            };
+            let Ok(cg) = p.compile_exec() else {
+                continue;
+            };
+            for (code, input, output) in work_sites(&cg) {
+                let mut fc = cg.plan().codes[code].clone();
+                bodies += 1;
+                marked += usize::from(fc.work.lane_safe);
+                fc.work.lane_safe = true;
+                laned += usize::from(
+                    lanes_are_the_vm(g, &format!("seed {seed}"), &fc, input, output) > 0,
+                );
+            }
+        }
+        eprintln!("{bodies} generated bodies: {marked} marked, {laned} ran laned");
+        assert!(
+            bodies >= 100 && laned * 4 >= bodies,
+            "{bodies} bodies, {laned} laned"
+        );
+    }
+
+    /// The edges of the scalar table through the lanes, against the
+    /// reference interpreter: `abs(i64::MIN)`, `*` and `+` wrapping at
+    /// ±2⁶³, and `-0.0` and NaN through `min` and `max`.
+    #[test]
+    fn edge_values_in_the_lanes_match_the_interpreter() {
+        let int = FilterBuilder::new("edges", DataType::Int)
+            .rates(1, 1, 4)
+            .work(|b| {
+                b.let_("x", DataType::Int, pop())
+                    .push(abs(var("x")))
+                    .push(var("x") * lit(3i64))
+                    .push(var("x") + var("x"))
+                    .push(minf(var("x"), lit(-1i64)) - lit(1i64))
+            })
+            .build_node();
+        let float = FilterBuilder::new("edges", DataType::Float)
+            .rates(2, 2, 4)
+            .work(|b| {
+                b.let_("a", DataType::Float, pop())
+                    .let_("b", DataType::Float, pop())
+                    .push(minf(var("a"), var("b")))
+                    .push(maxf(var("a"), var("b")))
+                    .push(minf(var("b"), var("a")))
+                    .push(maxf(var("b"), var("a")))
+            })
+            .build_node();
+        let nan = std::hint::black_box(0.0f64) / std::hint::black_box(0.0);
+        let ints = [
+            i64::MIN as f64,
+            2f64.powi(62),
+            -(2f64.powi(62)),
+            -1.0,
+            0.0,
+            3.0,
+        ];
+        let floats = [
+            -0.0,
+            0.0,
+            nan,
+            1.5,
+            0.0,
+            -0.0,
+            -0.0,
+            nan,
+            nan,
+            nan,
+            -1.0,
+            f64::INFINITY,
+        ];
+        for (stream, items, per) in [(int, &ints[..], 1), (float, &floats[..], 2)] {
+            let p: CompiledProgram = Compiler::default()
+                .compile_stream(stream)
+                .expect("compiles");
+            let cg = p.compile_exec().expect("accepted");
+            let fc = &cg.plan().codes[0];
+            assert!(fc.work.lane_safe);
+            // 64 firings, so that whole groups run laned.
+            let input: Vec<f64> = items.iter().copied().cycle().take(64 * per).collect();
+            let mut bank = LaneBank::default();
+            let mut fr = Frame::new(fc);
+            let ty = cg.plan().input_ty;
+            let mut i = Tape::with_capacity(ty, input.len() as u64);
+            i.extend_from_f64(&input);
+            let mut o = Tape::with_capacity(DataType::Float, 256);
+            fire(&fc.work, &mut fr, Some(&mut i), Some(&mut o), 64, &mut bank).expect("fires");
+            assert_eq!(bank.laned, 64);
+            let Tape::F(laned) = o else {
+                panic!("the output is a float tape")
+            };
+            let reference = p.run(&input, 256).expect("interpreter runs");
+            let what = format!("{ty:?} edges");
+            tolerance::assert_streams_match(
+                &what,
+                tolerance::Tolerance::Bit,
+                &laned.to_vec(),
+                &reference,
+            );
         }
     }
 
@@ -524,30 +773,54 @@ mod lanes {
     }
 
     /// The same bodies over int tapes, or pushing their sum twice, are
-    /// not lane bodies, and still agree with the interpreter.
+    /// lane bodies too; a body that writes its state is not, and one
+    /// that sends a message is not lowered at all.  All agree with the
+    /// interpreter.
     #[test]
-    fn int_tapes_and_second_pushes_are_not_lane_bodies() {
+    fn stateful_and_send_bodies_are_not_lane_bodies() {
         for seed in 0..16 {
             let g = &mut Gen(seed);
             for (ty, pushes) in [(DataType::Int, 1), (DataType::Float, 2)] {
                 let p = program(fir(g, "f", ty, pushes));
                 let cg = p.compile_exec().expect("accepted");
-                assert_eq!(lane_bodies(&cg), 0, "seed {seed}: {ty:?}, {pushes} pushes");
+                assert_eq!(lane_bodies(&cg), 1, "seed {seed}: {ty:?}, {pushes} pushes");
                 assert_eq!(differential(&format!("seed {seed}"), &p, 64), None);
             }
         }
+        let counter = FilterBuilder::new("count", DataType::Int)
+            .rates(1, 1, 1)
+            .state("n", DataType::Int, Value::Int(0))
+            .work(|b| b.set("n", var("n") + pop()).push(var("n")))
+            .build_node();
+        let p = program(counter);
+        assert_eq!(lane_bodies(&p.compile_exec().expect("accepted")), 0);
+        assert_eq!(differential("counter", &p, 64), None);
+        let send = FilterBuilder::new("send", DataType::Float)
+            .rates(1, 1, 1)
+            .work(|b| b.send("p", "h", vec![], (0, 0)).push(pop()))
+            .build();
+        let float = Some(DataType::Float);
+        assert!(lower_filter(&send, "send", float, float).is_err());
     }
 
-    /// The lane path is where the apps' FIRs run: every FIR of
-    /// `fmradio(10, 64)` and `filterbank(8, 32)`, and no comparator of
-    /// `bitonic_sort(32)`.
+    /// The lane path is where the apps' stateless bodies run: every body
+    /// of `fmradio(10, 64)` and `filterbank(8, 32)`, and every comparator
+    /// and permutation of `bitonic_sort(32)`, as (lane bodies, bodies).
     #[test]
     fn benchmark_apps_have_their_lane_bodies() {
-        let count =
-            |name, stream| lane_bodies(&compile(name, stream).compile_exec().expect("accepted"));
-        assert_eq!(count("fmradio", apps::fmradio::fmradio(10, 64)), 11);
-        assert_eq!(count("filterbank", apps::filterbank::filterbank(8, 32)), 16);
-        assert_eq!(count("bitonic", apps::bitonic::bitonic_sort(32)), 0);
+        let count = |name, stream| {
+            let cg = compile(name, stream).compile_exec().expect("accepted");
+            (lane_bodies(&cg), cg.plan().codes.len())
+        };
+        assert_eq!(count("fmradio", apps::fmradio::fmradio(10, 64)), (23, 23));
+        assert_eq!(
+            count("filterbank", apps::filterbank::filterbank(8, 32)),
+            (33, 33)
+        );
+        assert_eq!(
+            count("bitonic", apps::bitonic::bitonic_sort(32)),
+            (270, 270)
+        );
     }
 }
 

@@ -35,8 +35,7 @@ struct Body {
     floats: Vec<u64>,
     pool: Vec<u64>,
     rates: Rates,
-    /// The lane-dot shape, its starting sum by bits.
-    lane: Option<(u64, String)>,
+    lane_safe: bool,
 }
 
 fn body(p: &Program) -> Body {
@@ -54,7 +53,7 @@ fn body(p: &Program) -> Body {
         floats,
         pool: p.pool.iter().map(|x| x.to_bits()).collect(),
         rates: p.rates,
-        lane: p.lane.map(|l| (l.acc0.to_bits(), format!("{l:?}"))),
+        lane_safe: p.lane_safe,
     }
 }
 
