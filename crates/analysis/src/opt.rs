@@ -31,7 +31,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use streamit_graph::work::{eval_const, ConstEnv};
+use streamit_graph::work::{eval_const, int_binop, ConstEnv};
 use streamit_graph::{DataType, Expr, Filter, LValue, Stmt, Value};
 
 use crate::liveness::{dead_stores, DeadStore};
@@ -157,11 +157,12 @@ pub(crate) fn pure_total(e: &Expr) -> bool {
             match op {
                 BinOp::Div | BinOp::Rem => {
                     // Total only when the division is provably float
-                    // (IEEE: no trap) or by an integer literal other
-                    // than 0 and -1 (`i64::MIN / -1` traps).
+                    // (IEEE: no trap) or by an integer literal the
+                    // scalar table divides even `i64::MIN` by (which
+                    // rules out exactly 0 and -1).
                     matches!(**a, Expr::FloatLit(_))
                         || matches!(**b, Expr::FloatLit(_))
-                        || matches!(**b, Expr::IntLit(n) if n != 0 && n != -1)
+                        || matches!(**b, Expr::IntLit(n) if int_binop(*op, i64::MIN, n).is_some())
                 }
                 _ => true,
             }
@@ -1357,5 +1358,23 @@ mod tests {
         let (opt, stats) = optimize_filter(&f);
         assert_eq!(opt.work, f.work);
         assert!(!stats.changed());
+    }
+
+    /// `pure_total` calls an integer `/` or `%` by a literal total
+    /// exactly when the scalar table divides every dividend by it.
+    #[test]
+    fn pure_total_division_agrees_with_the_scalar_table() {
+        let dividends = [i64::MIN, -1, 0, 1, i64::MAX];
+        for n in [0, -1, 1, -2, 2, i64::MIN, i64::MAX] {
+            for op in [BinOp::Div, BinOp::Rem] {
+                let e = Expr::Binary(
+                    op,
+                    Box::new(Expr::Var("x".into())),
+                    Box::new(Expr::IntLit(n)),
+                );
+                let total = dividends.iter().all(|&x| int_binop(op, x, n).is_some());
+                assert_eq!(pure_total(&e), total, "x {op:?} {n}");
+            }
+        }
     }
 }

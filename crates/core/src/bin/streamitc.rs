@@ -43,13 +43,12 @@
 //!   `panic@STAGE:ITER`, `stall@STAGE:ITER`, or `delay@STAGE:ITER`
 //! * `--profile`   run `--run` on the compiled engine with the
 //!   per-filter profiler and print a cost table (ns/firing, share of
-//!   total) sorted hottest-first.  One steady iteration in 32 has every
-//!   filter firing timed; the output stream is bit-identical.  It is a
-//!   report on the serial compiled engine, so it cannot be combined with
-//!   another `--engine`, `--threads`, `--watchdog-ms`,
-//!   `--on-engine-fault` or `--inject-fault` (usage error).  Not cheap:
-//!   with a hook attached the driver runs at the unit stride, so a
-//!   profiled `fmradio` run takes 113–118 % longer than a batched one
+//!   total) sorted hottest-first.  One steady round in 32 has every
+//!   filter firing timed, at the stride an unprofiled run takes; the
+//!   output stream is bit-identical.  It is a report on the serial
+//!   compiled engine, so it cannot be combined with another `--engine`,
+//!   `--threads`, `--watchdog-ms`, `--on-engine-fault` or
+//!   `--inject-fault` (usage error)
 //! * `--linear` / `--frequency`  enable the linear optimizer
 //! * `--opt-level N`  work-IR optimization level for the
 //!   compiled/parallel engines: `0` lowers work functions verbatim,
@@ -401,12 +400,9 @@ fn main() {
         // A profiling run measures on the compiled serial engine and
         // prints its output stream (bit-identical to an unprofiled run).
         if args.profile {
-            // Time every filter firing during one steady iteration in
-            // 32: dense enough to rank filters reliably.  Not cheap: a
-            // driver with a hook attached runs at the unit stride
-            // (DESIGN.md "Execution scaling"), so the run takes 113–118 %
-            // longer than a batched one on `fmradio`; making probes
-            // batch-aware belongs to ROADMAP's observability item.
+            // Time every filter firing during one steady round in 32:
+            // dense enough to rank filters reliably.  The rounds are the
+            // unprofiled run's (DESIGN.md "Per-filter profiler").
             const SAMPLE_PERIOD: u32 = 32;
             match program.profile_run(&input, n, SAMPLE_PERIOD) {
                 Ok((out, prof)) => {

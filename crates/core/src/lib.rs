@@ -512,7 +512,7 @@ impl CompiledProgram {
 
     /// Run the compiled engine with the per-filter profiler enabled and
     /// return `n` outputs plus the measured [`exec::ProfileReport`].
-    /// `sample_period` 1 times every steady iteration, `p` one in `p`.
+    /// `sample_period` 1 times every steady round, `p` one in `p`.
     /// The output stream is bit-identical to an unprofiled run.
     pub fn profile_run(
         &self,

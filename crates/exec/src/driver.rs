@@ -3,30 +3,30 @@
 //! walked.
 //!
 //! A [`Driver`] owns a run's shards, its position (initialization done,
-//! steady iterations completed) and its per-iteration hooks (an injected
+//! steady iterations completed) and its per-round hooks (an injected
 //! [`FaultPlan`], an [`OpProfiler`]).  The op lists stay with the plan
 //! that owns them and are lent per call as a [`Schedule`], so a
 //! [`crate::Session`] can keep a driver beside its `Arc`'d graph and the
 //! multicore runtime can swap plans between calls.  A one-shot run
 //! [`preload`]s the input its `k` iterations read and calls
-//! [`Driver::drive`]`(k)`; a
-//! session drives over bounded staging rings; a multicore stage worker
-//! calls the ungated [`Driver::iterate`] between its channel drain and
-//! publish.
+//! [`Driver::drive`]`(k)`; a session drives over bounded staging rings;
+//! a multicore stage worker calls the ungated [`Driver::iterate`]
+//! between its channel drain and publish.  All of them size every round
+//! with [`round_size`].
 //!
 //! # Injected faults
 //!
-//! A fault fires at the start of the steady iteration it names, on the
-//! driver whose shard base equals its stage.  `panic` panics (reported
-//! as [`ExecError::WorkerPanic`]); `delay` sleeps after the iteration's
-//! ops, before anyone can see its outputs.  `stall` runs nothing and is
-//! surfaced — [`Stop::StallInjected`] from `drive`, `false` from
-//! `iterate` — because what a stall *means* belongs to the caller: a
-//! one-shot run has no peer to block on and nobody watching, so it
-//! never arms one; a session stays frozen at that iteration while its
-//! gate still says runnable (the signature a supervising daemon evicts
-//! on); a stage worker parks until the run is aborted (what the
-//! pipeline watchdog detects).
+//! A fault fires at the start of the round that begins at the steady
+//! iteration it names, on the driver whose shard base equals its stage.
+//! `panic` panics (reported as [`ExecError::WorkerPanic`]); `delay`
+//! sleeps after the round's ops, before anyone can see its outputs.
+//! `stall` runs nothing and is surfaced — [`Stop::StallInjected`] from
+//! `drive`, `false` from `iterate` — because what a stall *means*
+//! belongs to the caller: a one-shot run has no peer to block on and
+//! nobody watching, so it never arms one; a session stays frozen at
+//! that iteration while its gate still says runnable (the signature a
+//! supervising daemon evicts on); a stage worker parks until the run is
+//! aborted (what the pipeline watchdog detects).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -74,6 +74,19 @@ pub enum Stop {
     NeedOutputSpace(u64),
     /// An injected stall is holding the next iteration.
     StallInjected,
+}
+
+/// Iterations the next round runs, `done` run and `left` to go: the
+/// batch's `k` while at least `k` are left and no armed fault
+/// iteration `fault` lies strictly inside the round (`done < fault <
+/// done + k`), one otherwise — so some round starts exactly at it.
+pub fn round_size(k: u32, fault: Option<u64>, done: u64, left: u64) -> u32 {
+    let inside = fault.is_some_and(|f| f > done && f - done < u64::from(k));
+    if left >= u64::from(k) && !inside {
+        k
+    } else {
+        1
+    }
 }
 
 /// Run `f`, converting a panic into [`ExecError::WorkerPanic`]
@@ -194,6 +207,8 @@ pub struct Driver {
     label: &'static str,
     init_done: bool,
     iterations: u64,
+    /// Rounds run at a scale above one.
+    scaled_rounds: u64,
     fault: Option<FaultPlan>,
     prof: Option<OpProfiler>,
     /// The lane mode's scratch, lent to every op this driver runs.
@@ -203,7 +218,7 @@ pub struct Driver {
 impl Driver {
     /// A driver at the start of a run, initialization pending.  `fault`
     /// is armed only if it targets this driver's stage (its shard
-    /// base); `prof` is told about every steady iteration and times the
+    /// base); `prof` is told about every steady round and times the
     /// ones it samples (initialization is never attributed).
     pub fn new(
         shards: Vec<Shard>,
@@ -218,6 +233,7 @@ impl Driver {
             label,
             init_done: false,
             iterations: 0,
+            scaled_rounds: 0,
             fault: fault.filter(|f| f.stage == base),
             prof,
             lanes: LaneBank::default(),
@@ -235,6 +251,11 @@ impl Driver {
     /// Steady iterations completed.
     pub fn iterations(&self) -> u64 {
         self.iterations
+    }
+
+    /// Steady rounds completed at a scale above one.
+    pub fn scaled_rounds(&self) -> u64 {
+        self.scaled_rounds
     }
 
     pub fn tape(&self, l: Loc) -> &Tape {
@@ -291,13 +312,10 @@ impl Driver {
     /// back as errors and so do panics, as [`ExecError::WorkerPanic`];
     /// after either the shards are in no defined state.
     ///
-    /// The iterations run at two strides.  When the schedule lends a
-    /// batch, no hook is attached (an injected fault names one
-    /// iteration and the profiler samples by iteration) and the shards
-    /// hold it, `k` iterations at a time run as one scaled round for as
-    /// long as `k` of the budget remain and the external rings cover
-    /// all `k`; whatever is left runs as unit rounds, and it is the unit
-    /// shortfall a [`Stop`] reports.
+    /// Each round is [`round_size`] iterations long, hooks or none: `k`
+    /// at a time when the schedule lends a batch the shards hold and
+    /// the external rings cover all `k`, one otherwise, and it is the
+    /// unit shortfall a [`Stop`] reports.
     pub fn drive(&mut self, s: &Schedule<'_>, max_iters: u64) -> Result<(u64, Stop), ExecError> {
         contain(self.label, || {
             if !self.init_done {
@@ -314,40 +332,38 @@ impl Driver {
                 )?;
                 self.init_done = true;
             }
-            let hooked = self.fault.is_some() || self.prof.is_some();
-            let batch = s
-                .batch
-                .filter(|b| !hooked && max_iters >= b.k.into() && self.holds(b));
+            let batch = s.batch.filter(|b| max_iters >= b.k.into() && self.holds(b));
+            let armed = self.fault.map(|f| f.iteration);
             let mut ran = 0;
             while ran < max_iters {
                 let scaled = batch.filter(|b| {
                     let emitted = s.stats.round_out.saturating_mul(b.k.into());
-                    max_iters - ran >= b.k.into()
+                    round_size(b.k, armed, self.iterations, max_iters - ran) == b.k
                         && self.short(s, b.round_in_required, emitted).is_none()
                 });
-                if let Some(b) = scaled {
-                    self.iterate(s, b.k)?;
-                    ran += u64::from(b.k);
-                    continue;
-                }
-                if let Some(stop) = self.gate(s) {
-                    return Ok((ran, stop));
-                }
-                if !self.iterate(s, 1)? {
+                let scale = match scaled {
+                    Some(b) => b.k,
+                    None => match self.gate(s) {
+                        Some(stop) => return Ok((ran, stop)),
+                        None => 1,
+                    },
+                };
+                if !self.iterate(s, scale)? {
                     return Ok((ran, Stop::StallInjected));
                 }
-                ran += 1;
+                ran += u64::from(scale);
             }
             Ok((ran, Stop::Budget))
         })
     }
 
     /// `scale` ungated steady iterations as one round: hooks, then the
-    /// steady ops, each fired `scale` × its `times`.  Hooks see rounds,
-    /// so a driver with one attached is only ever asked for `scale` 1.
-    /// Returns `false`, having run nothing, when an injected stall holds
-    /// this iteration.  Panics propagate: a caller other than
-    /// [`Driver::drive`] [`contain`]s them at its thread boundary.
+    /// steady ops, each fired `scale` × its `times`.  The caller sizes
+    /// the round with [`round_size`], so an armed fault's iteration is
+    /// always some round's first.  Returns `false`, having run nothing,
+    /// when an injected stall holds this round.  Panics propagate: a
+    /// caller other than [`Driver::drive`] [`contain`]s them at its
+    /// thread boundary.
     pub fn iterate(&mut self, s: &Schedule<'_>, scale: u32) -> Result<bool, ExecError> {
         let inj = self.fault.filter(|f| f.iteration == self.iterations);
         match inj.map(|f| f.kind) {
@@ -360,15 +376,13 @@ impl Driver {
         }
         let (codes, shards, lanes) = (s.codes, &mut self.shards, &mut self.lanes);
         match self.prof.as_mut() {
-            Some(p) => {
-                p.begin_iteration();
-                run_ops_profiled(s.steady, shards, self.base, codes, p, lanes)?;
-            }
+            Some(p) => run_ops_profiled(s.steady, shards, self.base, codes, scale, p, lanes)?,
             None => run_ops(s.steady, shards, self.base, codes, scale, lanes)?,
         }
         self.iterations += u64::from(scale);
+        self.scaled_rounds += u64::from(scale > 1);
         if let Some(f) = inj {
-            // Only a delay gets this far: the iteration is complete, late.
+            // Only a delay gets this far: the round is complete, late.
             std::thread::sleep(Duration::from_millis(f.delay_ms));
         }
         Ok(true)

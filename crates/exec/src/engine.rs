@@ -789,41 +789,40 @@ fn peek_offset(ix: i64, pops: u64) -> Result<u64, String> {
 /// Amortized-sampling work-op profiler.
 ///
 /// Counters are indexed by filter-code index (one per lowered filter
-/// instance).  Sampling is decided per *steady iteration*, not per op:
-/// the driver announces each iteration, and one iteration in `period`
-/// is a *sampled* iteration during which every work-op invocation is
-/// timed with the monotonic clock (the whole firing batch `times`
-/// attributed to the sample).  Unsampled iterations execute through
-/// plain `run_ops` calls — zero per-op bookkeeping — which keeps
-/// profiler overhead flat even for graphs of many tiny filters.  Because a
-/// steady iteration executes the same op list every time, per-code
-/// firing totals scale exactly from the sampled iterations
-/// (`recorded × iterations / sampled_iterations`).  The first
-/// iteration is always sampled so short runs still cover every filter.
-/// With no profiler attached the hot path (`run_ops`) is all that runs.
+/// instance).  Sampling is decided per *steady round*, not per op: the
+/// driver hands every round to [`run_ops_profiled`] with its scale, and
+/// one round in `period` is a *sampled* round during which every
+/// work-op invocation is timed with the monotonic clock (the whole
+/// firing batch, `scale` × `times`, attributed to the sample).
+/// Unsampled rounds execute through plain `run_ops` calls — zero per-op
+/// bookkeeping — which keeps profiler overhead flat even for graphs of
+/// many tiny filters.  Because every steady iteration executes the same
+/// op list, per-code firing totals scale exactly from the sampled
+/// rounds (`recorded × iterations / sampled_iterations`, both counted
+/// in iterations).  The first round is always sampled so short runs
+/// still cover every filter.  With no profiler attached the hot path
+/// (`run_ops`) is all that runs.
 #[derive(Debug, Clone)]
 pub struct OpProfiler {
     period: u32,
-    /// Countdown to the next sampled iteration.
+    /// Countdown to the next sampled round.
     tick: u32,
-    /// Whether the current iteration is being sampled.
-    sampling: bool,
     iterations: u64,
+    /// Iterations run inside sampled rounds.
     sampled_iterations: u64,
-    /// Firings observed during sampled iterations only.
+    /// Firings observed during sampled rounds only.
     firings: Vec<u64>,
     sampled_firings: Vec<u64>,
     sampled_ns: Vec<u64>,
 }
 
 impl OpProfiler {
-    /// `period = 1` times every iteration; larger periods time one
-    /// iteration in `period`.
+    /// `period = 1` times every round; larger periods time one round
+    /// in `period`.
     pub fn new(n_codes: usize, period: u32) -> OpProfiler {
         OpProfiler {
             period: period.max(1),
             tick: 0,
-            sampling: false,
             iterations: 0,
             sampled_iterations: 0,
             firings: vec![0; n_codes],
@@ -832,26 +831,24 @@ impl OpProfiler {
         }
     }
 
-    /// Announce the start of a steady iteration and decide whether its
-    /// work ops will be timed.  Must be called once per iteration,
-    /// before any of that iteration's [`run_ops_profiled`] calls.
+    /// Count a round of `scale` iterations and say whether it is
+    /// sampled.
     #[inline]
-    pub(crate) fn begin_iteration(&mut self) {
-        self.iterations += 1;
-        if self.tick == 0 {
-            self.tick = self.period - 1;
-            self.sampling = true;
-            self.sampled_iterations += 1;
-        } else {
+    fn begin_round(&mut self, scale: u32) -> bool {
+        self.iterations += u64::from(scale);
+        if self.tick > 0 {
             self.tick -= 1;
-            self.sampling = false;
+            return false;
         }
+        self.tick = self.period - 1;
+        self.sampled_iterations += u64::from(scale);
+        true
     }
 
     /// The counters as a [`ProfileReport`], keyed by filter-code name.
-    /// Firing counts recorded during sampled iterations are scaled to
-    /// the full run; the scaling is exact because every steady
-    /// iteration fires each filter the same number of times.
+    /// Firing counts recorded during sampled rounds are scaled to the
+    /// full run; the scaling is exact because every steady iteration
+    /// fires each filter the same number of times.
     pub fn report(&self, codes: &[FilterCode]) -> ProfileReport {
         let mut report = ProfileReport::default();
         for (c, fc) in codes.iter().enumerate() {
@@ -873,26 +870,27 @@ impl OpProfiler {
     }
 }
 
-/// [`run_ops`] with per-work-op timing recorded into `prof`.
+/// One round of `scale` iterations of [`run_ops`], with per-work-op
+/// timing recorded into `prof`.
 ///
-/// During an unsampled iteration (see
-/// [`OpProfiler::begin_iteration`]) the whole op list passes straight
-/// through one [`run_ops`] call — no per-op work at all.  During a
-/// sampled iteration each work op (steady body, not prework) is
-/// dispatched alone so it can be bracketed by monotonic-clock reads,
-/// with synchronization ops executed in contiguous batches between
-/// samples.  Execution semantics are identical to `run_ops` — this
-/// wrapper only decides when to look at the clock.
+/// An unsampled round passes the whole op list straight through one
+/// [`run_ops`] call — no per-op work at all.  In a sampled round each
+/// work op (steady body, not prework) is dispatched alone so it can be
+/// bracketed by monotonic-clock reads, its nanoseconds covering `scale`
+/// × `times` firings, with synchronization ops executed in contiguous
+/// batches between samples.  Execution semantics are identical to
+/// `run_ops` — this wrapper only decides when to look at the clock.
 pub(crate) fn run_ops_profiled(
     ops: &[Op],
     shards: &mut [Shard],
     base: u16,
     codes: &[FilterCode],
+    scale: u32,
     prof: &mut OpProfiler,
     lanes: &mut LaneBank,
 ) -> Result<(), ExecError> {
-    if !prof.sampling {
-        return run_ops(ops, shards, base, codes, 1, lanes);
+    if !prof.begin_round(scale) {
+        return run_ops(ops, shards, base, codes, scale, lanes);
     }
     let mut start = 0;
     for (i, op) in ops.iter().enumerate() {
@@ -905,18 +903,19 @@ pub(crate) fn run_ops_profiled(
         {
             let c = *code as usize;
             if start < i {
-                run_ops(&ops[start..i], shards, base, codes, 1, lanes)?;
+                run_ops(&ops[start..i], shards, base, codes, scale, lanes)?;
             }
             let t0 = Instant::now();
-            run_ops(std::slice::from_ref(op), shards, base, codes, 1, lanes)?;
+            run_ops(std::slice::from_ref(op), shards, base, codes, scale, lanes)?;
+            let fired = u64::from(*times) * u64::from(scale);
             prof.sampled_ns[c] += t0.elapsed().as_nanos() as u64;
-            prof.firings[c] += *times as u64;
-            prof.sampled_firings[c] += *times as u64;
+            prof.firings[c] += fired;
+            prof.sampled_firings[c] += fired;
             start = i + 1;
         }
     }
     if start < ops.len() {
-        run_ops(&ops[start..], shards, base, codes, 1, lanes)?;
+        run_ops(&ops[start..], shards, base, codes, scale, lanes)?;
     }
     Ok(())
 }

@@ -345,8 +345,9 @@ impl CompiledGraph {
     /// has no peer to block on, so it runs to completion, which is what
     /// the degradation ladder needs from its serial rungs.
     /// `sample_period` attaches the sampling profiler (1 times every
-    /// steady iteration, `n` one in `n`); only clock reads are added, so
-    /// output stays bit-identical.
+    /// steady round, `n` one in `n`); only clock reads are added, so
+    /// output stays bit-identical.  Hooks or none, the rounds are
+    /// [`driver::round_size`]'s.
     pub fn run(
         &self,
         input: &[f64],
@@ -574,9 +575,11 @@ mod tests {
                 assert!(p.ns_per_firing().is_some(), "{name} at period {period}");
             }
         }
-        // Sampling period 8 over 32 one-firing invocations: 4 samples.
+        // 32 iterations are two sixteen-iteration rounds, and period 8
+        // samples the first: sixteen timed firings of each filter.
+        assert_eq!(c.batch_factor(), Some(16));
         let (_, prof) = c.run_steady_profiled(&[], 32, 8).expect("runs");
-        assert_eq!(prof.get("p/src").expect("present").sampled_firings, 4);
+        assert_eq!(prof.get("p/src").expect("present").sampled_firings, 16);
     }
 
     #[test]

@@ -32,13 +32,6 @@ impl FilterProfile {
             Some(self.sampled_ns as f64 / self.sampled_firings as f64)
         }
     }
-
-    /// Fold another measurement of the same filter into this one.
-    pub fn merge(&mut self, other: &FilterProfile) {
-        self.firings += other.firings;
-        self.sampled_firings += other.sampled_firings;
-        self.sampled_ns += other.sampled_ns;
-    }
 }
 
 /// A profiling run's aggregate: measured cost per filter instance name.
@@ -51,26 +44,6 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
-    /// Record `ns` nanoseconds for one *sampled* firing of `name`.
-    pub fn record_sampled(&mut self, name: &str, ns: u64) {
-        let p = self.filters.entry(name.to_string()).or_default();
-        p.firings += 1;
-        p.sampled_firings += 1;
-        p.sampled_ns += ns;
-    }
-
-    /// Record one unsampled firing of `name` (counted, not timed).
-    pub fn record_unsampled(&mut self, name: &str) {
-        self.filters.entry(name.to_string()).or_default().firings += 1;
-    }
-
-    /// Fold `other` into `self` (same-named filters merge).
-    pub fn merge(&mut self, other: &ProfileReport) {
-        for (name, p) in &other.filters {
-            self.filters.entry(name.clone()).or_default().merge(p);
-        }
-    }
-
     /// Exact-name lookup.
     pub fn get(&self, name: &str) -> Option<&FilterProfile> {
         self.filters.get(name)
@@ -120,17 +93,18 @@ mod tests {
     use super::*;
 
     fn sample() -> ProfileReport {
-        let mut r = ProfileReport::default();
-        for _ in 0..10 {
-            r.record_sampled("Heavy", 500);
+        let filters = [("Heavy", 100, 10, 5000), ("Light", 4, 4, 80)];
+        let filters = filters.map(|(name, firings, sampled_firings, sampled_ns)| {
+            let p = FilterProfile {
+                firings,
+                sampled_firings,
+                sampled_ns,
+            };
+            (name.to_string(), p)
+        });
+        ProfileReport {
+            filters: filters.into_iter().collect(),
         }
-        for _ in 0..90 {
-            r.record_unsampled("Heavy");
-        }
-        for _ in 0..4 {
-            r.record_sampled("Light", 20);
-        }
-        r
     }
 
     #[test]
@@ -140,15 +114,6 @@ mod tests {
         assert_eq!(heavy.firings, 100);
         assert_eq!(heavy.sampled_firings, 10);
         assert_eq!(heavy.ns_per_firing(), Some(500.0));
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = sample();
-        let b = sample();
-        a.merge(&b);
-        assert_eq!(a.get("Heavy").unwrap().firings, 200);
-        assert_eq!(a.get("Heavy").unwrap().ns_per_firing(), Some(500.0));
     }
 
     #[test]

@@ -46,6 +46,7 @@ pub mod spsc;
 pub mod transform;
 
 use streamit_exec::driver::{preload, read_output, Driver, Schedule};
+use streamit_exec::engine::Shard;
 pub use streamit_exec::plan::LowerOptions;
 use streamit_exec::plan::{Batch, Loc, Op, Plan, TapeSpec, EXT_IN, EXT_OUT};
 use streamit_exec::CompiledGraph;
@@ -471,8 +472,9 @@ impl ParallelGraph {
     /// two workers could have been started and joined, and a longer one
     /// loses at most that much overlap.  Supervised and fault-injected
     /// runs are about the workers and get them from the first iteration.
-    /// Every round but a fault-injected run's takes the plan's batch
-    /// stride while a batch of iterations remains.
+    /// Every round's size is `driver::round_size`'s: the plan's batch
+    /// stride while a batch of iterations remains and no injected fault
+    /// falls strictly inside it.
     pub fn run(&self, input: &[f64], k: u64, cfg: &RunConfig) -> Result<Vec<f64>, ExecError> {
         self.run_budgeted(input, k, cfg, run::INLINE_BUDGET)
     }
@@ -486,14 +488,11 @@ impl ParallelGraph {
         cfg: &RunConfig,
         inline_budget: std::time::Duration,
     ) -> Result<Vec<f64>, ExecError> {
-        let bare = cfg.watchdog.is_none() && cfg.fault.is_none();
+        let bare = (cfg.watchdog, cfg.fault) == (None, None);
         if bare && self.stages() == 1 {
             return self.graph.run_steady(input, k);
         }
-        let sched = self.schedule();
-        let mut init = Driver::new(preload(&sched, input, k)?, 0, "initialization", None, None);
-        init.drive(&sched, 0)?;
-        let (mut shards, _) = init.into_parts();
+        let mut shards = self.initialized(input, k)?;
         let mut done = 0u64;
         if bare {
             (shards, done) = run::run_inline(self, shards, k, inline_budget)?;
@@ -501,7 +500,15 @@ impl ParallelGraph {
         if done < k {
             shards = run::run_pipelined(self, shards, k - done, cfg)?;
         }
-        read_output(&shards, sched.ext_out)
+        read_output(&shards, self.schedule().ext_out)
+    }
+
+    /// The shards of a `k`-iteration run over `input`, initialized.
+    fn initialized(&self, input: &[f64], k: u64) -> Result<Vec<Shard>, ExecError> {
+        let sched = self.schedule();
+        let mut init = Driver::new(preload(&sched, input, k)?, 0, "initialization", None, None);
+        init.drive(&sched, 0)?;
+        Ok(init.into_parts().0)
     }
 }
 
@@ -738,7 +745,7 @@ mod tests {
             let mut scaled = 0;
             for (name, pg) in apps(threads) {
                 let b = pg.plan().batch.as_ref().map_or(1, |b| u64::from(b.k));
-                scaled += usize::from(run::stride(&pg, None, b) > 1);
+                scaled += usize::from(b > 1);
                 for k in [b - 1, b, b + 1, 2 * b + 3] {
                     let n = pg.required_input(k);
                     let input: Vec<f64> = (0..n).map(|i| ((i * 37) % 101) as f64 - 50.0).collect();
@@ -802,7 +809,7 @@ mod tests {
 
     // ---- supervision -----------------------------------------------
 
-    fn staged_pipeline() -> streamit_graph::StreamNode {
+    pub(crate) fn staged_pipeline() -> streamit_graph::StreamNode {
         // Two heavy stages so the planner cuts at least two pipeline
         // stages at 2 threads.
         pipeline("p", vec![counter_source("src"), heavy("h1"), heavy("h2")])

@@ -21,12 +21,12 @@
 //! # Batched rounds
 //!
 //! A round is the plan's batch of `b` iterations, every op fired `b` ×
-//! its `times` and every link moving `b` × its flow, for as long as `b`
-//! iterations remain; the rest run one at a time.  Every stage works the
-//! same sequence of round sizes out of the iterations left, so a drain
-//! always finds exactly what its producer's round published.  A run with
-//! a fault plan stays at one iteration a round: a fault names an
-//! iteration.
+//! its `times` and every link moving `b` × its flow, or one iteration,
+//! as [`round_size`] decides from the iterations done and left and the
+//! run's fault plan.  Every stage asks it the same questions — the
+//! run's fault, not only its own stage's — so every stage works the same
+//! sequence of round sizes and a drain always finds exactly what its
+//! producer's round published.
 //!
 //! # Inline first
 //!
@@ -66,7 +66,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use streamit_exec::driver::{contain, Driver, Schedule};
+use streamit_exec::driver::{contain, round_size, Driver, Schedule};
 use streamit_exec::engine::Shard;
 use streamit_exec::{panic_payload, ExecError, FaultPlan, StageSnapshot};
 
@@ -142,14 +142,6 @@ fn state_publishing(c: usize) -> u64 {
     (c as u64) * 2 + 1
 }
 
-/// Iterations a round of a `k`-iteration run under `fault` takes while
-/// that many remain: the plan's batch factor, or 1 when there is none,
-/// a fault plan names single iterations, or the run is shorter.
-pub(crate) fn stride(pg: &ParallelGraph, fault: Option<FaultPlan>, k: u64) -> u64 {
-    let batch = pg.plan().batch.as_ref().map(|b| u64::from(b.k));
-    batch.filter(|&b| fault.is_none() && k >= b).unwrap_or(1)
-}
-
 /// One stage's supervision slots, each on its own cache line so the
 /// watchdog's polling never contends with a worker's hot loop.
 struct StageStatus {
@@ -157,6 +149,8 @@ struct StageStatus {
     progress: CachePadded<AtomicU64>,
     /// Blocked-state word (see the `STATE_*` encoding).
     state: CachePadded<AtomicU64>,
+    /// Scaled rounds the stage's driver ran, written when it finishes.
+    scaled_rounds: AtomicU64,
 }
 
 impl StageStatus {
@@ -164,6 +158,7 @@ impl StageStatus {
         StageStatus {
             progress: CachePadded(AtomicU64::new(0)),
             state: CachePadded(AtomicU64::new(STATE_RUNNING)),
+            scaled_rounds: AtomicU64::new(0),
         }
     }
 }
@@ -178,8 +173,8 @@ struct Pipeline<'p> {
     /// The stages take turns on one thread ([`run_inline`]): a link that
     /// is not ready will not become so by waiting.
     lockstep: bool,
-    /// See [`stride`].
-    stride: u64,
+    /// The plan's batch factor, 1 when it has none.
+    batch: u32,
 }
 
 /// What a round of stage `s` works on: its ops, and the links it drains
@@ -193,8 +188,8 @@ struct StageLinks<'p> {
 impl<'p> Pipeline<'p> {
     /// The pipeline for `k` iterations of `pg` under `fault`.
     fn new(pg: &'p ParallelGraph, fault: Option<FaultPlan>, k: u64) -> Pipeline<'p> {
-        let stride = stride(pg, fault, k);
-        let rounds = CHANNEL_ROUNDS * stride;
+        let batch = pg.plan().batch.as_ref().map_or(1, |b| b.k);
+        let rounds = CHANNEL_ROUNDS * u64::from(round_size(batch, None, 0, k));
         Pipeline {
             pg,
             channels: pg
@@ -207,16 +202,7 @@ impl<'p> Pipeline<'p> {
             status: (0..pg.stages()).map(|_| StageStatus::new()).collect(),
             fault,
             lockstep: false,
-            stride,
-        }
-    }
-
-    /// Iterations the next round runs with `left` still to run.
-    fn scale(&self, left: u64) -> u32 {
-        if left >= self.stride {
-            self.stride as u32
-        } else {
-            1
+            batch,
         }
     }
 
@@ -344,18 +330,18 @@ impl<'p> Pipeline<'p> {
 
     fn worker_iters(&self, s: usize, driver: &mut Driver, k: u64) {
         let links = self.stage_links(s);
-        let mut left = k;
-        while left > 0 {
-            let scale = self.scale(left);
+        let mut done = 0;
+        while done < k {
+            let scale = round_size(self.batch, self.fault.map(|f| f.iteration), done, k - done);
             if !self.round(s, driver, &links, scale) {
                 return;
             }
-            left -= u64::from(scale);
+            done += u64::from(scale);
         }
-        self.status[s]
-            .state
-            .0
-            .store(STATE_FINISHED, Ordering::Relaxed);
+        let status = &self.status[s];
+        let scaled = driver.scaled_rounds();
+        status.scaled_rounds.store(scaled, Ordering::Relaxed);
+        status.state.0.store(STATE_FINISHED, Ordering::Relaxed);
     }
 
     /// One drain/fire/publish round of stage `s`, `scale` iterations
@@ -463,7 +449,7 @@ pub(crate) fn run_inline(
         let start = Instant::now();
         let mut done = 0;
         while done < k {
-            let scale = pipe.scale(k - done);
+            let scale = round_size(pipe.batch, pipe.fault.map(|f| f.iteration), done, k - done);
             for (s, (driver, links)) in stages.iter_mut().enumerate() {
                 if !pipe.round(s, driver, links, scale) {
                     let recorded = pipe.error.lock().ok().and_then(|mut slot| slot.take());
@@ -487,18 +473,27 @@ pub(crate) fn run_inline(
 }
 
 /// Run `k` steady iterations of a cut plan on one worker thread per
-/// stage, returning the shards (the caller extracts the output tape) or
-/// the first fault.  Workers are named `rt-stage-N`, panics are caught
-/// and attributed, and — when configured — a watchdog converts silent
-/// stalls into [`ExecError::Stalled`].
+/// stage under `cfg`: [`run_workers`] on a fresh pipeline.
 pub(crate) fn run_pipelined(
     pg: &ParallelGraph,
     shards: Vec<Shard>,
     k: u64,
     cfg: &RunConfig,
 ) -> Result<Vec<Shard>, ExecError> {
-    let pipe = Pipeline::new(pg, cfg.fault, k);
-    let pipe_ref = &pipe;
+    run_workers(&Pipeline::new(pg, cfg.fault, k), shards, k, cfg.watchdog)
+}
+
+/// Run `k` steady iterations of `pipe` from `shards` on one worker
+/// thread per stage, returning the shards (the caller extracts the
+/// output tape) or the first fault.  Workers are named `rt-stage-N`,
+/// panics are caught and attributed, and — given a `watchdog` deadline
+/// — silent stalls become [`ExecError::Stalled`].
+fn run_workers(
+    pipe: &Pipeline<'_>,
+    shards: Vec<Shard>,
+    k: u64,
+    watchdog: Option<Duration>,
+) -> Result<Vec<Shard>, ExecError> {
     let done = AtomicBool::new(false);
     let done_ref = &done;
     let shards = std::thread::scope(|scope| {
@@ -508,21 +503,19 @@ pub(crate) fn run_pipelined(
             .map(|(s, shard)| {
                 std::thread::Builder::new()
                     .name(format!("rt-stage-{s}"))
-                    .spawn_scoped(scope, move || pipe_ref.worker(s, shard, k))
+                    .spawn_scoped(scope, move || pipe.worker(s, shard, k))
             })
             .collect();
         // A failed spawn must abort *before* we join anything: the
         // workers already running may be blocked on the stage that
         // never started.
         if handles.iter().any(|h| h.is_err()) {
-            pipe_ref.fail(ExecError::Fault {
+            pipe.fail(ExecError::Fault {
                 node: "pipeline".into(),
                 reason: "failed to spawn a worker thread".into(),
             });
         }
-        let dog = cfg
-            .watchdog
-            .map(|deadline| scope.spawn(move || pipe_ref.watchdog(deadline, done_ref)));
+        let dog = watchdog.map(|deadline| scope.spawn(move || pipe.watchdog(deadline, done_ref)));
         let shards: Vec<Shard> = handles
             .into_iter()
             .map(|h| match h {
@@ -530,7 +523,7 @@ pub(crate) fn run_pipelined(
                     // Workers convert their own panics; reaching this
                     // arm means the conversion itself panicked.  Keep
                     // the contract anyway.
-                    pipe_ref.fail(ExecError::WorkerPanic {
+                    pipe.fail(ExecError::WorkerPanic {
                         stage: "pipeline".into(),
                         payload: panic_payload(p.as_ref()),
                     });
@@ -551,4 +544,67 @@ pub(crate) fn run_pipelined(
         }
     }
     Ok(shards)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tests::staged_pipeline;
+    use streamit_exec::driver::read_output;
+    use streamit_graph::FlatGraph;
+
+    /// A fault on stage 1 of two at `f = 2b + 3`, in a run of `5b`
+    /// iterations of a plan batching `b`: every stage's rounds go
+    /// `0, b` scaled, `2b, 2b + 1, 2b + 2` unit, `f, f + b` scaled, and
+    /// the last `b - 3` unit.  A round starts at `f`, so each fault
+    /// lands on its own iteration, and both stages count the same four
+    /// scaled rounds.
+    #[test]
+    fn a_fault_on_one_stage_caps_every_stage_round_at_its_iteration() {
+        let pg = ParallelGraph::compile(&FlatGraph::from_stream(&staged_pipeline()), None, 2)
+            .expect("accepts");
+        assert_eq!(pg.stages(), 2);
+        let b = pg.plan().batch.as_ref().map_or(1, |b| u64::from(b.k));
+        assert!(b > 3, "batch {b}");
+        let (f, n) = (2 * b + 3, 5 * b);
+        let plan = |kind: &str| format!("{kind}@1:{f}").parse::<FaultPlan>().ok();
+        let cfg = |kind, watchdog| RunConfig {
+            watchdog,
+            fault: plan(kind),
+        };
+
+        match pg.run(&[], n, &cfg("panic", None)) {
+            Err(ExecError::WorkerPanic { stage, payload }) => {
+                assert_eq!(stage, "stage 1");
+                assert!(
+                    payload.ends_with(&format!("stage 1 iteration {f}")),
+                    "{payload}"
+                );
+            }
+            other => panic!("expected WorkerPanic, got {other:?}"),
+        }
+
+        let mut delay = plan("delay").expect("parses");
+        delay.delay_ms = 1;
+        let pipe = Pipeline::new(&pg, Some(delay), n);
+        let shards = pg.initialized(&[], n).expect("initializes");
+        let shards = run_workers(&pipe, shards, n, None).expect("runs");
+        let bits = |out: Vec<f64>| out.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let delayed = read_output(&shards, pg.schedule().ext_out).expect("reads");
+        let bare = pg.run_steady(&[], n).expect("runs");
+        assert_eq!(bits(delayed), bits(bare));
+        let scaled = pipe
+            .status
+            .iter()
+            .map(|st| st.scaled_rounds.load(Ordering::Relaxed));
+        assert_eq!(scaled.collect::<Vec<_>>(), [4, 4]);
+
+        match pg.run(&[], n, &cfg("stall", Some(Duration::from_millis(100)))) {
+            Err(ExecError::Stalled { stages, .. }) => {
+                assert_eq!(stages[1].iterations, f, "{stages:?}");
+                assert!(stages[1].state.contains("injected"), "{stages:?}");
+            }
+            other => panic!("expected Stalled, got {other:?}"),
+        }
+    }
 }

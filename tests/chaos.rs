@@ -439,28 +439,35 @@ fn outcome(run: Result<Vec<f64>, ExecError>, n: usize) -> Outcome {
 fn chaos_fault_contract_is_the_same_driver_behind_every_front_end() {
     // One driver implements the three fault kinds; each front end only
     // decides what a stall means.  The same plans through all of them,
-    // against the documented outcome per front end.
+    // against the documented outcome per front end, at the first
+    // iteration and at one past two batches, which the batching front
+    // ends reach in scaled rounds.
     with_timeout("fault-parity", || {
-        const AT: u64 = 1;
         let p = compile("filterbank", apps::corpus_app("filterbank").graph());
         let cg = Arc::new(p.compile_exec().expect("compiled engine accepts"));
         let pgs = [1usize, 2].map(|t| p.compile_parallel(t).expect("parallel engine accepts"));
         assert_eq!(pgs.each_ref().map(|pg| pg.stages()), [1, 2]);
+        let batch = pgs
+            .iter()
+            .map(|pg| pg.plan().batch.as_ref().map_or(1, |b| b.k))
+            .fold(cg.batch_factor().unwrap_or(1), u32::max);
+        assert!(batch > 1, "filterbank batches");
+        let far = 2 * u64::from(batch) + 3;
 
-        // Enough outputs that every front end runs past iteration AT.
+        // Enough outputs that every front end runs past iteration `far`.
         let widest = pgs
             .iter()
             .map(|pg| pg.outputs_per_iteration())
             .fold(cg.outputs_per_iteration(), u64::max);
-        let n = (cg.init_outputs() + 4 * widest) as usize;
+        let n = (cg.init_outputs() + (far + 2) * widest) as usize;
         let input = sized_input(&p, n);
         let k = cg.plan().stats.iterations_for(n as u64).expect("emits");
-        assert!(k > AT);
+        assert!(k > far);
 
         let one_shot = |f: Option<FaultPlan>| cg.run(&input, k, f, None).map(|(out, _)| out);
         let parallel = |pg: &streamit::rt::ParallelGraph, f: Option<FaultPlan>| {
             let k = pg.plan().stats.iterations_for(n as u64).expect("emits");
-            assert!(k > AT);
+            assert!(k > far);
             let cfg = RunConfig {
                 watchdog: Some(Duration::from_millis(STALL_DEADLINE_MS)),
                 fault: f,
@@ -491,34 +498,37 @@ fn chaos_fault_contract_is_the_same_driver_behind_every_front_end() {
             assert_eq!(clean, outcome(parallel(pg, None), n));
         }
         assert!(matches!(clean, Outcome::Output(_)));
-        // (plan, one-shot, session, parallel at 1 and 2 stages)
-        let table = [
-            (
-                "panic",
-                Outcome::Panicked,
-                Outcome::Panicked,
-                Outcome::Panicked,
-            ),
-            ("delay", clean.clone(), clean.clone(), clean.clone()),
-            (
-                "stall",
-                clean.clone(),
-                Outcome::Frozen(AT),
-                Outcome::Stalled,
-            ),
-        ];
-        for (kind, want_one_shot, want_session, want_parallel) in table {
-            let f: Option<FaultPlan> = format!("{kind}@0:{AT}").parse().ok();
-            assert!(f.is_some());
-            assert_eq!(outcome(one_shot(f), n), want_one_shot, "{kind}: one-shot");
-            assert_eq!(session(f), want_session, "{kind}: session");
-            for pg in &pgs {
-                let stages = pg.stages();
-                assert_eq!(
-                    outcome(parallel(pg, f), n),
-                    want_parallel,
-                    "{kind}: parallel at {stages} stage(s)"
-                );
+        for at in [1, far] {
+            // (plan, one-shot, session, parallel at 1 and 2 stages)
+            let table = [
+                (
+                    "panic",
+                    Outcome::Panicked,
+                    Outcome::Panicked,
+                    Outcome::Panicked,
+                ),
+                ("delay", clean.clone(), clean.clone(), clean.clone()),
+                (
+                    "stall",
+                    clean.clone(),
+                    Outcome::Frozen(at),
+                    Outcome::Stalled,
+                ),
+            ];
+            for (kind, want_one_shot, want_session, want_parallel) in table {
+                let f: Option<FaultPlan> = format!("{kind}@0:{at}").parse().ok();
+                assert!(f.is_some());
+                let what = format!("{kind} at {at}");
+                assert_eq!(outcome(one_shot(f), n), want_one_shot, "{what}: one-shot");
+                assert_eq!(session(f), want_session, "{what}: session");
+                for pg in &pgs {
+                    let stages = pg.stages();
+                    assert_eq!(
+                        outcome(parallel(pg, f), n),
+                        want_parallel,
+                        "{what}: parallel at {stages} stage(s)"
+                    );
+                }
             }
         }
     });

@@ -434,7 +434,7 @@ mod metamorphic {
 
 mod lanes {
     use streamit::apps;
-    use streamit::exec::bytecode::{lower_filter, FilterCode};
+    use streamit::exec::bytecode::{lower_filter, FilterCode, Inst};
     use streamit::exec::engine::{fire, Frame, LaneBank};
     use streamit::exec::plan::Op;
     use streamit::exec::tape::Tape;
@@ -616,7 +616,7 @@ mod lanes {
     fn lanes_are_the_vm_on_generated_bodies() {
         use super::generated::{filter, generate};
         let g = &mut Gen(9);
-        let (mut bodies, mut marked, mut laned) = (0, 0, 0);
+        let (mut bodies, mut marked, mut laned, mut branching) = (0, 0, 0, 0);
         for seed in 0..400 {
             let Some((block, ty, rates)) = generate(seed) else {
                 continue;
@@ -631,16 +631,23 @@ mod lanes {
                 let mut fc = cg.plan().codes[code].clone();
                 bodies += 1;
                 marked += usize::from(fc.work.lane_safe);
+                // Generated bodies hold no state and no array, so only a
+                // data-dependent jump leaves one unmarked.
+                let jz = fc.work.code.iter().any(|i| matches!(i, Inst::Jz { .. }));
+                branching += usize::from(!fc.work.lane_safe && jz);
                 fc.work.lane_safe = true;
                 laned += usize::from(
                     lanes_are_the_vm(g, &format!("seed {seed}"), &fc, input, output) > 0,
                 );
             }
         }
-        eprintln!("{bodies} generated bodies: {marked} marked, {laned} ran laned");
+        eprintln!(
+            "{bodies} generated bodies: {marked} marked, {laned} ran laned, \
+             {branching} hold a data-dependent Jz"
+        );
         assert!(
-            bodies >= 100 && laned * 4 >= bodies,
-            "{bodies} bodies, {laned} laned"
+            bodies >= 100 && laned * 4 >= bodies && branching * 4 >= bodies,
+            "{bodies} bodies, {laned} laned, {branching} branching"
         );
     }
 
@@ -835,7 +842,7 @@ mod lanes {
 
 mod faults {
     use streamit::exec::bytecode::{lower_filter, Inst};
-    use streamit::exec::driver::{preload, Driver, Schedule};
+    use streamit::exec::driver::{preload, read_output, Driver, Schedule, Stop};
     use streamit::exec::{CompiledGraph, ExecError, FaultPlan};
     use streamit::graph::builder::*;
     use streamit::graph::{DataType, FlatGraph};
@@ -965,23 +972,36 @@ mod faults {
         assert_eq!(fault_of(&batched), want);
     }
 
-    /// An armed fault plan names one iteration, so it keeps the driver
-    /// on unit rounds: the panic fires at 17 (not at the batch boundary
-    /// before or after it), and a delay there changes no output bit.
+    /// An armed fault plan caps the stride, it does not drop it: at
+    /// `k = 16` the driver runs `0..16` as one scaled round, `16` alone
+    /// (a round from 16 would straddle 17), then a round starts at 17.
+    /// The panic fires there and names 17 (not the batch boundary
+    /// before or after it) after one scaled round; a delay there sleeps
+    /// after the scaled round `17..33`, changes no output bit, and the
+    /// run counts two scaled rounds.
     #[test]
     fn an_armed_fault_plan_fires_at_its_own_iteration_of_a_batching_graph() {
         let cg = dividing_pipeline();
+        let s = cg.plan().schedule();
         let input = vec![7.0; 40];
-        let panic: FaultPlan = "panic@0:17".parse().expect("parses");
-        match cg.run(&input, 40, Some(panic), None) {
+        let driver = |f: &str, delay_ms| {
+            let mut fault: FaultPlan = f.parse().expect("parses");
+            fault.delay_ms = delay_ms;
+            let shards = preload(&s, &input, 40).expect("input suffices");
+            Driver::new(shards, 0, "serial engine", Some(fault), None)
+        };
+        let mut panicking = driver("panic@0:17", 0);
+        match panicking.drive(&s, 40) {
             Err(ExecError::WorkerPanic { payload, .. }) => {
                 assert!(payload.ends_with("stage 0 iteration 17"), "{payload}")
             }
             other => panic!("expected a worker panic, got {other:?}"),
         }
-        let mut delay: FaultPlan = "delay@0:17".parse().expect("parses");
-        delay.delay_ms = 1;
-        let (delayed, _) = cg.run(&input, 40, Some(delay), None).expect("runs");
+        assert_eq!(panicking.scaled_rounds(), 1);
+        let mut delayed = driver("delay@0:17", 1);
+        assert_eq!(delayed.drive(&s, 40), Ok((40, Stop::Budget)));
+        assert_eq!(delayed.scaled_rounds(), 2);
+        let delayed = read_output(&delayed.into_parts().0, s.ext_out).expect("reads");
         let clean = cg.run_steady(&input, 40).expect("runs");
         assert_eq!(clean, vec![142.0; 40]);
         assert_eq!(delayed, clean);

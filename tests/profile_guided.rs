@@ -4,6 +4,8 @@
 
 use streamit::apps;
 use streamit::exec::bytecode::Inst;
+use streamit::exec::driver::{preload, read_output, Driver, Stop};
+use streamit::exec::engine::OpProfiler;
 use streamit::graph::repetition_vector;
 use streamit::sched::WorkGraph;
 
@@ -103,6 +105,44 @@ fn static_and_measured_hot_filter_rankings_overlap() {
             "{name}: the static estimate and the VM's step count disagree on every hot filter\n\
              static:   {top_static:?}\nVM steps: {top_steps:?}"
         );
+    }
+}
+
+/// The profiler rides the production stride: a profiled `fmradio(10,
+/// 64)` run of three sixteen-iteration batches and five more runs three
+/// scaled rounds, is bit-identical to the unprofiled run, and counts
+/// every filter's firings exactly — repetitions × iterations — whether
+/// it times every round or one in 32.
+#[test]
+fn a_profiled_run_takes_the_scaled_rounds_and_counts_every_firing() {
+    let p = compile("fmradio", apps::fmradio::fmradio(10, 64));
+    let reps = repetition_vector(&p.flat).expect("steady state");
+    let cg = p.compile_exec().expect("compiled engine accepts");
+    assert_eq!(cg.batch_factor(), Some(16));
+    let k = 3 * 16 + 5;
+    let s = cg.plan().schedule();
+    let input: Vec<f64> = (0..cg.required_input(k)).map(|i| (i % 17) as f64).collect();
+    let bare = cg.run_steady(&input, k).expect("runs");
+    for period in [1, 32] {
+        let prof = OpProfiler::new(s.codes.len(), period);
+        let shards = preload(&s, &input, k).expect("input suffices");
+        let mut d = Driver::new(shards, 0, "profiled", None, Some(prof));
+        assert_eq!(d.drive(&s, k), Ok((k, Stop::Budget)));
+        assert_eq!(d.scaled_rounds(), 3, "period {period}");
+        let (shards, prof) = d.into_parts();
+        let out = read_output(&shards, s.ext_out).expect("reads");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out), bits(&bare), "period {period}");
+        let report = prof.expect("attached").report(s.codes);
+        let mut filters = 0;
+        for (i, node) in p.flat.nodes.iter().enumerate() {
+            if let Some(f) = report.get(&node.name) {
+                assert_eq!(f.firings, reps[i] * k, "{} at period {period}", node.name);
+                filters += 1;
+            }
+        }
+        assert_eq!(filters, report.filters.len(), "period {period}");
+        assert!(filters >= 10, "{filters} filters at period {period}");
     }
 }
 

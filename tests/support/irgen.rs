@@ -5,7 +5,11 @@
 //! The generator produces random bodies (branches, constant and
 //! data-dependent loops, peeks, int and float locals, float literals
 //! including the IEEE special values, discarded pops, and FIR-style
-//! accumulator chains) over the work-function IR.  Peek indices are
+//! accumulator chains) over the work-function IR.  Some branches test
+//! an item the body pops or peeks and have arms that pop nothing and
+//! push alike ([`gen_guard`]): no mid-end can fold their test, and the
+//! body's rates stay exact, so they reach the engines as data-dependent
+//! jumps.  Peek indices are
 //! restricted to constants and loop variables so generated programs
 //! never peek at a negative index at runtime, and no generated operator
 //! can trap.
@@ -195,8 +199,54 @@ fn declare(sc: &mut Scope, ty: DataType) -> String {
     name
 }
 
+/// `if (item < e) { a } else { b }` (or `>`), where `item` is a pop or
+/// a peek and the arms both write one local, or both push one item,
+/// from values that read no tape.
+pub fn gen_guard(g: &mut Gen, sc: &Scope) -> Stmt {
+    let item = if g.below(2) == 0 {
+        Expr::Pop
+    } else {
+        Expr::Peek(Box::new(gen_peek_index(g, sc)))
+    };
+    let cmp = if g.below(2) == 0 {
+        BinOp::Lt
+    } else {
+        BinOp::Gt
+    };
+    let cond = Expr::Binary(cmp, Box::new(item), Box::new(gen_expr(g, sc, 0)));
+    let target = (!sc.vars.is_empty() && g.below(3) != 0)
+        .then(|| sc.vars[g.below(sc.vars.len() as u64) as usize].clone());
+    let arm = |g: &mut Gen| {
+        let leaf = match g.below(3) {
+            0 if !sc.vars.is_empty() => {
+                Expr::Var(sc.vars[g.below(sc.vars.len() as u64) as usize].clone())
+            }
+            0 | 1 => Expr::IntLit(g.below(16) as i64 - 8),
+            _ => Expr::FloatLit(gen_float_lit(g)),
+        };
+        let op = [BinOp::Add, BinOp::Sub, BinOp::Mul][g.below(3) as usize];
+        let value = Expr::Binary(
+            op,
+            Box::new(leaf),
+            Box::new(Expr::FloatLit(gen_float_lit(g))),
+        );
+        vec![match &target {
+            Some(v) => Stmt::Assign {
+                target: LValue::Var(v.clone()),
+                value,
+            },
+            None => Stmt::Push(value),
+        }]
+    };
+    Stmt::If {
+        cond,
+        then_body: arm(g),
+        else_body: arm(g),
+    }
+}
+
 pub fn gen_stmt(g: &mut Gen, sc: &mut Scope, depth: usize) -> Stmt {
-    let max = if depth == 0 { 4 } else { 6 };
+    let max = if depth == 0 { 6 } else { 8 };
     match g.below(max) {
         0 => Stmt::Push(gen_expr(g, sc, 1)),
         1 => Stmt::Expr(Expr::Pop),
@@ -216,7 +266,8 @@ pub fn gen_stmt(g: &mut Gen, sc: &mut Scope, depth: usize) -> Stmt {
             value: gen_expr(g, sc, 1),
         },
         3 => Stmt::Push(Expr::IntLit(1)),
-        4 => {
+        4 | 5 => gen_guard(g, sc),
+        6 => {
             let cond = gen_expr(g, sc, 1);
             // Lets inside an arm go out of scope at its end.
             let mut t_sc = sc.clone();
