@@ -55,6 +55,7 @@ pub use streamit_sched as sched;
 pub use streamit_sdep as sdep;
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 use streamit_graph::{FlatGraph, StreamNode, Value};
 use streamit_linear::{LinearMode, LinearReport};
 use streamit_rawsim::{simulate, simulate_single_core, MachineConfig, SimResult};
@@ -356,7 +357,7 @@ impl Compiler {
             latencies,
             work_spans,
             opt_level: self.options.opt_level,
-            lowering: exec::LoweringCache::default(),
+            compiled: OnceLock::new(),
         })
     }
 }
@@ -384,12 +385,10 @@ pub struct CompiledProgram {
     /// Work-IR optimization level used when lowering for the
     /// compiled/parallel engines (see [`Options::opt_level`]).
     pub opt_level: u8,
-    /// Every filter body lowered for this program so far, shared by
-    /// [`CompiledProgram::compile_exec`], both attempts of
-    /// [`CompiledProgram::compile_parallel`] and every rung of
-    /// [`CompiledProgram::run_supervised`]: whichever lowers a body first
-    /// lowers it for all.
-    lowering: exec::LoweringCache,
+    /// The program's one plan, made on first use by whichever engine
+    /// asks first (see [`CompiledProgram::compile_exec`]).  Made from
+    /// `flat`, `portals` and `opt_level` as they are then.
+    compiled: OnceLock<Result<exec::CompiledGraph, exec::ExecError>>,
 }
 
 impl CompiledProgram {
@@ -441,35 +440,35 @@ impl CompiledProgram {
             .collect())
     }
 
-    /// Compile the flat graph for the steady-state execution engine.
-    /// Fails with [`exec::ExecError::Unsupported`] when the graph is
-    /// outside the engine's statically provable subset — teleport
-    /// portals, unanalyzable work functions, multiple external I/O
-    /// sites, under-primed feedback loops.
+    /// The flat graph compiled for the steady-state execution engine:
+    /// the program's one plan, made on the first call and shared (a
+    /// clone of a [`exec::CompiledGraph`] shares its plan) by every
+    /// later call, [`CompiledProgram::open_session`],
+    /// [`CompiledProgram::profile_run`],
+    /// [`CompiledProgram::compile_parallel`] and both fast rungs of
+    /// [`CompiledProgram::run_supervised`].  Fails with
+    /// [`exec::ExecError::Unsupported`] when the graph is outside the
+    /// engine's statically provable subset — teleport portals,
+    /// unanalyzable work functions, multiple external I/O sites,
+    /// under-primed feedback loops — and then fails the same way on
+    /// every call.
     pub fn compile_exec(&self) -> Result<exec::CompiledGraph, exec::ExecError> {
-        if !self.portals.is_empty() {
-            return Err(exec::ExecError::Unsupported {
-                reason: "teleport portals require the reference interpreter".into(),
-            });
-        }
-        exec::CompiledGraph::compile_cached(
-            &self.flat,
-            self.stream.input_type(),
-            exec::plan::LowerOptions {
+        let compiled = self.compiled.get_or_init(|| {
+            if !self.portals.is_empty() {
+                return Err(exec::ExecError::Unsupported {
+                    reason: "teleport portals require the reference interpreter".into(),
+                });
+            }
+            let opts = exec::plan::LowerOptions {
                 opt_level: self.opt_level,
-            },
-            &self.lowering,
-        )
+            };
+            exec::CompiledGraph::compile_with(&self.flat, self.stream.input_type(), opts)
+        });
+        compiled.clone()
     }
 
-    /// The filter bodies this program's engines have lowered so far
-    /// (see [`exec::LoweringCache`]).
-    pub fn lowering_cache(&self) -> &exec::LoweringCache {
-        &self.lowering
-    }
-
-    /// Open an incremental [`exec::Session`] over this program: a
-    /// reentrant run that accepts pushed input and yields available
+    /// Open an incremental [`exec::Session`] over this program's plan:
+    /// a reentrant run that accepts pushed input and yields available
     /// output steady-iteration-at-a-time through bounded staging
     /// buffers, without running to completion.  This is the API the
     /// `streamd` daemon serves instances through; `cfg` sizes the
@@ -486,32 +485,19 @@ impl CompiledProgram {
         cg.open_session(cfg)
     }
 
-    /// Compile the flat graph for the multicore runtime with a
-    /// `threads`-worker budget (`0` = auto-detect).  Applies the
-    /// fission transform, partitions the graph into pipeline stages,
-    /// and proves the staged schedule with the same count simulation
-    /// the compiled engine uses.  Fails with
-    /// [`exec::ExecError::Unsupported`] on graphs the runtime cannot
-    /// stage (feedback loops, teleport portals, unanalyzable work).
+    /// The program's plan cut into the stages of a `threads`-worker
+    /// pipeline (`0` = auto-detect) by [`rt::ParallelGraph::cut`]: the
+    /// plan of [`CompiledProgram::compile_exec`] as it is, or a plan of
+    /// the fissed graph when fission takes a region.  Fails like
+    /// `compile_exec`, and with [`exec::ExecError::Unsupported`] on
+    /// feedback loops, which the runtime cannot stage.
     pub fn compile_parallel(&self, threads: usize) -> Result<rt::ParallelGraph, exec::ExecError> {
-        if !self.portals.is_empty() {
-            return Err(exec::ExecError::Unsupported {
-                reason: "teleport portals require the reference interpreter".into(),
-            });
-        }
-        rt::ParallelGraph::compile_cached(
-            &self.flat,
-            self.stream.input_type(),
-            threads,
-            rt::LowerOptions {
-                opt_level: self.opt_level,
-            },
-            &self.lowering,
-        )
+        rt::ParallelGraph::cut(&self.compile_exec()?, &self.flat, threads)
     }
 
-    /// Run the compiled engine with the per-filter profiler enabled and
-    /// return `n` outputs plus the measured [`exec::ProfileReport`].
+    /// Run the program's plan ([`CompiledProgram::compile_exec`]) with
+    /// the per-filter profiler enabled and return `n` outputs plus the
+    /// measured [`exec::ProfileReport`].
     /// `sample_period` 1 times every steady round, `p` one in `p`.
     /// The output stream is bit-identical to an unprofiled run.
     pub fn profile_run(
@@ -783,6 +769,49 @@ mod tests {
         let out = p.run(&[1.0; 16], 4).unwrap();
         for v in out {
             assert!((v - 1.0).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn every_engine_of_a_program_runs_its_one_plan() {
+        let compile = || Compiler::default().compile_source(SOURCE, "Main").unwrap();
+        let plan_of = |p: &CompiledProgram| {
+            let made = p.compiled.get()?.as_ref().ok()?;
+            Some(made.plan() as *const exec::plan::Plan)
+        };
+        let input = [1.0; 64];
+        let cfg = SupervisorConfig::default();
+        let p = compile();
+        assert_eq!(plan_of(&p), None, "planned before first use");
+        let plan = p.compile_exec().unwrap();
+        assert!(std::ptr::eq(plan.plan(), p.compile_exec().unwrap().plan()));
+        let session = p.open_session(&exec::SessionConfig::default()).unwrap();
+        assert!(std::ptr::eq(plan.plan(), session.graph().plan()));
+        // Neither moving average is fissed: the stages cut this plan.
+        let pg = p.compile_parallel(2).unwrap();
+        assert!(pg.fission_report().is_empty());
+        assert!(std::ptr::eq(plan.plan(), pg.plan()));
+        p.profile_run(&input, 8, 1).unwrap();
+        for engine in [Engine::Compiled, Engine::Parallel { threads: 2 }] {
+            let ran = p.run_supervised(engine, &input, 8, &cfg).unwrap();
+            assert_eq!((ran.engine, ran.attempts.len()), (engine, 0));
+        }
+        assert_eq!(plan_of(&p), Some(plan.plan() as *const _));
+
+        // Whichever runs first (`None`: the profiler) makes the plan
+        // the others get.
+        for engine in [
+            None,
+            Some(Engine::Compiled),
+            Some(Engine::Parallel { threads: 2 }),
+        ] {
+            let p = compile();
+            match engine {
+                None => drop(p.profile_run(&input, 8, 1).unwrap()),
+                Some(e) => drop(p.run_supervised(e, &input, 8, &cfg).unwrap()),
+            }
+            let made = plan_of(&p).expect("the run made the plan");
+            assert!(std::ptr::eq(made, p.compile_exec().unwrap().plan()));
         }
     }
 

@@ -225,10 +225,11 @@ impl fmt::Display for FaultPlan {
 }
 
 /// A graph compiled for steady-state execution.  Immutable and
-/// shareable: every run materializes its own tapes and frames.
+/// shareable: every run materializes its own tapes and frames, and a
+/// clone shares the plan.
 #[derive(Debug, Clone)]
 pub struct CompiledGraph {
-    plan: plan::Plan,
+    plan: std::sync::Arc<plan::Plan>,
 }
 
 impl CompiledGraph {
@@ -260,7 +261,9 @@ impl CompiledGraph {
     ) -> Result<CompiledGraph, ExecError> {
         let ty = input_ty.unwrap_or(DataType::Float);
         plan::build_plan(g, ty, opts, cache)
-            .map(|plan| CompiledGraph { plan })
+            .map(|plan| CompiledGraph {
+                plan: std::sync::Arc::new(plan),
+            })
             .map_err(|reason| ExecError::Unsupported { reason })
     }
 

@@ -295,6 +295,8 @@ pub struct Plan {
     /// lists, if any; everything else here describes the unit round.
     pub batch: Option<Batch>,
     pub input_ty: DataType,
+    /// The options every filter was lowered with.
+    pub opts: LowerOptions,
     pub stats: Stats,
     /// Typed lowering notes (e.g. `L0701` dropped-kernel-hint warnings),
     /// formatted like analysis findings.
@@ -1056,6 +1058,7 @@ pub fn build_plan(
         post_ops: Vec::new(),
         batch,
         input_ty,
+        opts,
         notes,
         stats: Stats {
             init_in,

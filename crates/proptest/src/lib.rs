@@ -463,7 +463,7 @@ mod tests {
         /// The macro itself round-trips: generated args are in range.
         #[test]
         fn macro_generates_in_range(x in 1usize..9, v in crate::collection::vec(0i64..3, 1..4)) {
-            prop_assert!(x >= 1 && x < 9);
+            prop_assert!((1..9).contains(&x));
             prop_assert!(!v.is_empty() && v.len() < 4);
             prop_assert_eq!(v.len(), v.len());
         }

@@ -4,7 +4,8 @@
 //! parallelism, executed on real threads instead of only scored by the
 //! scheduler's cost model.
 //!
-//! Compilation ([`ParallelGraph::compile`]) proceeds in three layers:
+//! Compilation ([`ParallelGraph::cut`], which takes the compiled
+//! engine's plan of the graph) proceeds in three layers:
 //!
 //! 1. **Graph transformation** (`transform`): maximal stateless
 //!    non-peeking filter chains are treated as fused regions and fissed
@@ -12,10 +13,11 @@
 //!    paper's coarse-grained *data* parallelism, with degrees chosen by
 //!    the same [`streamit_sched::coarse_fission_degrees`] heuristic the
 //!    scheduler's cost model uses.
-//! 2. **Cutting the compiled plan**: the transformed graph is planned by
-//!    the compiled engine's one planner ([`streamit_exec::plan`]), and
-//!    that plan's steady round — one op per node, in topological order
-//!    — is cut into contiguous software-pipeline stages
+//! 2. **Cutting the compiled plan**: the serial plan is cut as it is;
+//!    only a graph fission changed is planned again, by the compiled
+//!    engine's one planner ([`streamit_exec::plan`]).  The plan's steady
+//!    round — one op per node, in topological order — is cut into
+//!    contiguous software-pipeline stages
 //!    ([`streamit_sched::pipeline_stage_partition`] over the static work
 //!    estimates, the cut's only cost input).  One relocation map moves
 //!    every tape to the stage that pops it, with a staging tape where an
@@ -47,10 +49,9 @@ pub mod transform;
 
 use streamit_exec::driver::{preload, read_output, Driver, Schedule};
 use streamit_exec::engine::Shard;
-pub use streamit_exec::plan::LowerOptions;
 use streamit_exec::plan::{Batch, Loc, Op, Plan, TapeSpec, EXT_IN, EXT_OUT};
 use streamit_exec::CompiledGraph;
-pub use streamit_exec::{ExecError, FaultKind, FaultPlan, LoweringCache, StageSnapshot};
+pub use streamit_exec::{ExecError, FaultKind, FaultPlan, StageSnapshot};
 use streamit_graph::{DataType, FlatGraph};
 use streamit_sched::{pipeline_stage_partition, WorkGraph};
 
@@ -254,16 +255,9 @@ fn cut(plan: &Plan, op_stage: &[usize], n_stages: usize) -> Result<(Stages, Relo
     Ok((stages, reloc))
 }
 
-/// Plan `g` with the compiled engine's planner and cut the plan into
-/// the stages of a `threads`-way software pipeline.
-fn plan_stages(
-    g: &FlatGraph,
-    ty: DataType,
-    threads: usize,
-    opts: LowerOptions,
-    cache: &LoweringCache,
-) -> Result<(CompiledGraph, Stages), ExecError> {
-    let graph = CompiledGraph::compile_cached(g, Some(ty), opts, cache)?;
+/// Cut `graph`, the compiled engine's plan of `g`, into the stages of
+/// a `threads`-way software pipeline.
+fn cut_stages(graph: &CompiledGraph, g: &FlatGraph, threads: usize) -> Result<Stages, ExecError> {
     let unsupported = |reason: String| ExecError::Unsupported { reason };
     // Contiguous stage partition of the topo order, balanced by the
     // scheduler's work estimates (sync nodes weigh ~nothing, so they
@@ -284,7 +278,7 @@ fn plan_stages(
     let nodes = &graph.plan().steady_nodes;
     let op_stage: Vec<usize> = nodes.iter().map(|n| stage_of[n.0]).collect();
     let (stages, _) = cut(graph.plan(), &op_stage, n_stages).map_err(unsupported)?;
-    Ok((graph, stages))
+    Ok(stages)
 }
 
 /// A graph compiled for the multicore runtime.  Immutable and
@@ -309,53 +303,39 @@ impl ParallelGraph {
         input_ty: Option<DataType>,
         threads: usize,
     ) -> Result<ParallelGraph, ExecError> {
-        ParallelGraph::compile_with(g, input_ty, threads, LowerOptions::default())
+        ParallelGraph::cut(&CompiledGraph::compile(g, input_ty)?, g, threads)
     }
 
-    /// [`ParallelGraph::compile`] with explicit lowering options
-    /// (opt level 0 disables the analysis mid-end optimizer).
-    pub fn compile_with(
+    /// Cut `serial`, the compiled engine's plan of `g`, into the stages
+    /// of a `threads`-worker pipeline (`0` = auto-detect).  When fission
+    /// takes a region, the fissed graph is planned with `serial`'s input
+    /// type and lowering options and cut instead; if that plan or its
+    /// cut fails, `serial` is cut, so fission is never the reason a
+    /// graph is declined.  Nothing else is planned.
+    pub fn cut(
+        serial: &CompiledGraph,
         g: &FlatGraph,
-        input_ty: Option<DataType>,
         threads: usize,
-        opts: LowerOptions,
-    ) -> Result<ParallelGraph, ExecError> {
-        ParallelGraph::compile_cached(g, input_ty, threads, opts, &LoweringCache::default())
-    }
-
-    /// [`ParallelGraph::compile_with`] lowering through `cache`, which
-    /// the fissed attempt and the untransformed retry share: a replica
-    /// is its original's body, so fission adds no lowering, and a body
-    /// the cache already holds (from the compiled engine, say) is not
-    /// lowered again.
-    pub fn compile_cached(
-        g: &FlatGraph,
-        input_ty: Option<DataType>,
-        threads: usize,
-        opts: LowerOptions,
-        cache: &LoweringCache,
     ) -> Result<ParallelGraph, ExecError> {
         let threads = if threads == 0 {
             std::thread::available_parallelism().map_or(1, usize::from)
         } else {
             threads
         };
-        let ty = input_ty.unwrap_or(DataType::Float);
         if g.edges.iter().any(|e| e.is_back_edge) {
             return Err(ExecError::Unsupported {
                 reason: "feedback loops require the single-core engines".into(),
             });
         }
-        let (fissed, regions) = transform::fiss_graph(g, threads);
-        let (graph, stages, regions) = match plan_stages(&fissed, ty, threads, opts, cache) {
-            Ok((graph, stages)) => (graph, stages, regions),
-            // The transform can push a graph over a planner limit (tape
-            // counts, init priming); retry untransformed before giving
-            // up so fission is never the reason a graph is declined.
-            Err(first) => match plan_stages(g, ty, threads, opts, cache) {
-                Ok((graph, stages)) => (graph, stages, Vec::new()),
-                Err(_) => return Err(first),
-            },
+        let fissed = transform::fiss_graph(g, threads).and_then(|(fg, regions)| {
+            let plan = serial.plan();
+            let graph = CompiledGraph::compile_with(&fg, Some(plan.input_ty), plan.opts).ok()?;
+            let stages = cut_stages(&graph, &fg, threads).ok()?;
+            Some((graph, stages, regions))
+        });
+        let (graph, stages, regions) = match fissed {
+            Some(fissed) => fissed,
+            None => (serial.clone(), cut_stages(serial, g, threads)?, Vec::new()),
         };
         Ok(ParallelGraph {
             graph,

@@ -148,24 +148,22 @@ fn push_node(g: &mut FlatGraph, name: String, kind: FlatNodeKind) -> NodeId {
 type Region = (Vec<NodeId>, usize, Vec<u64>, u64, u64);
 
 /// Apply coarse-grained fission to `g` for a `threads`-way machine.
-/// Returns the transformed graph (a plain clone when nothing qualifies)
-/// plus a report of what was replicated.  Requires an acyclic graph —
+/// Returns the transformed graph plus a report of what was replicated,
+/// or `None` when no region qualifies.  Requires an acyclic graph —
 /// the caller rejects feedback loops before transforming.
-pub fn fiss_graph(g: &FlatGraph, threads: usize) -> (FlatGraph, Vec<FissedRegion>) {
+pub fn fiss_graph(g: &FlatGraph, threads: usize) -> Option<(FlatGraph, Vec<FissedRegion>)> {
     if threads < 2 {
-        return (g.clone(), Vec::new());
+        return None;
     }
     let topo = g.topo_order();
     let chains = find_chains(g, &topo);
     if chains.is_empty() {
-        return (g.clone(), Vec::new());
+        return None;
     }
 
     // Score every chain with the scheduler's own heuristic (its edges
     // are the graph's, in order, with their steady-state flows).
-    let Ok(wg) = WorkGraph::from_flat(g) else {
-        return (g.clone(), Vec::new());
-    };
+    let wg = WorkGraph::from_flat(g).ok()?;
     let mut regions: Vec<Region> = Vec::new();
     let mut candidates = Vec::new();
     let mut blocks = Vec::new();
@@ -189,7 +187,7 @@ pub fn fiss_graph(g: &FlatGraph, threads: usize) -> (FlatGraph, Vec<FissedRegion
         }
     }
     if regions.is_empty() {
-        return (g.clone(), Vec::new());
+        return None;
     }
 
     // Membership tables: which region owns each node, and each node's
@@ -310,7 +308,7 @@ pub fn fiss_graph(g: &FlatGraph, threads: usize) -> (FlatGraph, Vec<FissedRegion
             }
         }
     }
-    (ng, report)
+    Some((ng, report))
 }
 
 #[cfg(test)]
@@ -357,7 +355,7 @@ mod tests {
             vec![source("src"), heavy("h1"), heavy("h2"), sink("snk")],
         );
         let g = FlatGraph::from_stream(&s);
-        let (ng, report) = fiss_graph(&g, 4);
+        let (ng, report) = fiss_graph(&g, 4).expect("the chain is fissed");
         assert_eq!(report.len(), 1, "one region expected: {report:?}");
         assert_eq!(report[0].members, vec!["p/h1", "p/h2"]);
         assert!(report[0].ways >= 2);
@@ -386,17 +384,14 @@ mod tests {
             .build_node();
         let s = pipeline("p", vec![source("src"), peeky, sink("snk")]);
         let g = FlatGraph::from_stream(&s);
-        let (ng, report) = fiss_graph(&g, 8);
-        assert!(report.is_empty(), "{report:?}");
-        assert_eq!(ng.nodes.len(), g.nodes.len());
+        assert!(fiss_graph(&g, 8).is_none());
     }
 
     #[test]
     fn single_thread_budget_disables_fission() {
         let s = pipeline("p", vec![source("src"), heavy("h"), sink("snk")]);
         let g = FlatGraph::from_stream(&s);
-        let (_, report) = fiss_graph(&g, 1);
-        assert!(report.is_empty());
+        assert!(fiss_graph(&g, 1).is_none());
     }
 
     #[test]

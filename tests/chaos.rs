@@ -148,16 +148,15 @@ fn supervised_must_fail_typed(
 }
 
 /// Assert the supervision contract for one (app, fault, engine, policy)
-/// cell: a fallback-policy run must land on *some* engine with output
-/// bit-identical to the reference, and every attempt along the way must
-/// carry one of `allowed_codes`. Returns the codes seen.
+/// cell: a fallback-policy run on `input` must land on *some* engine
+/// with its first `n` outputs bit-identical to the reference's `want`,
+/// and every attempt along the way must carry one of `allowed_codes`.
+/// Returns the codes seen.
 fn assert_fallback_identical(
     name: &str,
     p: &CompiledProgram,
     engine: Engine,
-    input: &[f64],
-    n: usize,
-    want: &[u64],
+    (input, n, want): (&[f64], usize, &[u64]),
     cfg: &SupervisorConfig,
     allowed_codes: &[&str],
 ) -> Vec<&'static str> {
@@ -212,9 +211,7 @@ fn chaos_panic_injection_is_isolated_and_recovered() {
                     name,
                     &p,
                     engine,
-                    &input,
-                    n,
-                    &want,
+                    (&input, n, &want),
                     &cfg,
                     &["E0701", "E0705"],
                 );
@@ -322,9 +319,7 @@ fn chaos_stall_injection_trips_watchdog_or_is_benign() {
                 name,
                 &p,
                 Engine::Parallel { threads: 2 },
-                &input,
-                n,
-                &want,
+                (&input, n, &want),
                 &cfg,
                 &["E0701", "E0706"],
             );
@@ -358,7 +353,7 @@ fn chaos_delayed_publish_keeps_output_bit_identical() {
                 }
             };
             for engine in [Engine::Parallel { threads: 2 }, Engine::Compiled] {
-                assert_fallback_identical(name, &p, engine, &input, n, &want, &cfg, &["E0701"]);
+                assert_fallback_identical(name, &p, engine, (&input, n, &want), &cfg, &["E0701"]);
             }
         });
     }
@@ -392,9 +387,7 @@ fn chaos_watchdog_is_zero_interference_without_injection() {
                 name,
                 &p,
                 Engine::Parallel { threads: 2 },
-                &input,
-                n,
-                &want,
+                (&input, n, &want),
                 &cfg,
                 &["E0701"],
             );

@@ -3,8 +3,9 @@
 //! the same body, tape types and options.  Checked here: what it hands
 //! out is what lowering that filter alone makes (a); two bodies that
 //! differ in anything but the instance name never share an entry (b);
-//! the sharing happens (c); and a program with its cache inside is still
-//! `Send + Sync` (d).
+//! the sharing happens (c); a program's engines share its one plan, so
+//! a graph fission leaves alone is planned once (d); and a program with
+//! its plan inside is still `Send + Sync` (e).
 
 use std::collections::{HashMap, HashSet};
 
@@ -14,15 +15,15 @@ mod irgen;
 use streamit::analysis::analyze_block;
 use streamit::exec::bytecode::{FilterCode, Inst, Program, Rates};
 use streamit::exec::plan::{tape_types, LowerOptions};
-use streamit::exec::LoweringCache;
+use streamit::exec::{CompiledGraph, LoweringCache};
 use streamit::graph::builder::*;
 use streamit::graph::{DataType, Expr, Filter, FlatGraph, KernelRow, KernelSpec, Stmt, StreamNode};
 use streamit::linear::LinearMode;
 use streamit::rt::transform::fiss_graph;
 use streamit::{CompiledProgram, Compiler, Options};
 
-// (d): the cache sits behind a lock, so a program can still be shared
-// between threads (`streamd` serves one to many connections).
+// (e): the plan is made once behind a lock, so a program can still be
+// shared between threads (`streamd` serves one to many connections).
 const _: () = {
     const fn send_sync<T: Send + Sync>() {}
     send_sync::<CompiledProgram>();
@@ -110,8 +111,8 @@ fn lowered_alone(
     (codes, notes)
 }
 
-/// (a) on one program: the codes and notes both engines got from the
-/// program's shared cache are those of every filter lowered alone.
+/// (a) on one program: the codes and notes both engines got, through
+/// each plan's cache, are those of every filter lowered alone.
 /// Returns how many filters were compared.
 fn engines_match_filters_lowered_alone(what: &str, p: &CompiledProgram) -> usize {
     let opts = LowerOptions {
@@ -130,7 +131,7 @@ fn engines_match_filters_lowered_alone(what: &str, p: &CompiledProgram) -> usize
         // The staged plan is of the fissed graph when fission took.
         let g = match pg.fission_report() {
             [] => p.flat.clone(),
-            _ => fiss_graph(&p.flat, 2).0,
+            _ => fiss_graph(&p.flat, 2).expect("fission took").0,
         };
         let (codes, notes) = lowered_alone(&g, ty, opts);
         let shared: Vec<Lowered> = pg.plan().codes.iter().map(lowered).collect();
@@ -426,25 +427,35 @@ fn bitonic_sort_lowers_a_handful_of_bodies_for_its_comparators() {
         .iter()
         .filter(|n| n.as_filter().is_some())
         .count();
-    let cg = p.compile_exec().expect("bitonic runs compiled");
+    let cache = LoweringCache::default();
+    let ty = p.stream.input_type();
+    let cg = CompiledGraph::compile_cached(&p.flat, ty, LowerOptions::default(), &cache)
+        .expect("bitonic runs compiled");
     assert_eq!(cg.plan().codes.len(), filters);
-    let bodies = p.lowering_cache().len();
+    let bodies = cache.len();
     assert!(
         filters >= 250 && bodies <= 16,
         "{filters} filters, {bodies} bodies"
     );
 }
 
+// ---- (d) one plan ----------------------------------------------------
+
 #[test]
-fn the_parallel_engine_lowers_nothing_the_compiled_engine_has_not() {
+fn the_parallel_engine_plans_nothing_the_compiled_engine_has_not() {
+    let mut unfissed = Vec::new();
     for name in streamit::apps::THROUGHPUT_APPS {
         let p = program(streamit::apps::corpus_app(name).graph(), 1, None);
-        p.compile_exec().expect("a throughput app runs compiled");
-        let bodies = p.lowering_cache().len();
         let pg = p
             .compile_parallel(2)
             .expect("a throughput app runs in parallel");
-        assert!(!pg.plan().codes.is_empty(), "{name}");
-        assert_eq!(p.lowering_cache().len(), bodies, "{name}");
+        if pg.fission_report().is_empty() {
+            let cg = p.compile_exec().expect("a throughput app runs compiled");
+            assert!(std::ptr::eq(pg.plan(), cg.plan()), "{name} planned twice");
+            unfissed.push(name);
+        }
+    }
+    for name in ["fmradio", "filterbank"] {
+        assert!(unfissed.contains(&name), "{name} fissed: {unfissed:?}");
     }
 }
