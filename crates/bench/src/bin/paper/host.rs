@@ -520,7 +520,13 @@ pub fn run(quick: bool, out: &str) {
     }
     ablations(&mut h);
 
-    let text = report(quick, h.timing, &h.cells);
+    if !h.timing.steady() {
+        eprintln!(
+            "paper host: warning: the control's quartile distance is over 10 % of its \
+             median; the host did not hold still (report says \"steady\": false)"
+        );
+    }
+    let text = report(quick, &h.timing, &h.cells);
     std::fs::write(out, text).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
     println!("wrote {out}");
     if h.broken > 0 {

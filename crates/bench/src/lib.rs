@@ -7,9 +7,12 @@
 //! through the one helper here: [`Timing::measure`] runs a calibrated
 //! window of each side, repeats it, keeps the median and quartiles, and
 //! interleaves the sides so that a ratio ([`Cell::ratio_to`]) compares
-//! repetitions that saw the same host.  [`timed`] is the only clock
-//! read in the crate, and [`report`] the only writer.
+//! repetitions that saw the same host.  Every repetition also times a
+//! control ([`control_ns_per_step`]) whose spread says whether the host
+//! held still.  [`timed`] is the only clock read in the crate, and
+//! [`report`] the only writer.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Deterministic varied input usable by both int- and float-typed
@@ -23,6 +26,24 @@ pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
     let t0 = Instant::now();
     let r = f();
     (r, t0.elapsed().as_secs_f64())
+}
+
+/// Steps in one timing of the control.
+const CONTROL_STEPS: u32 = 1 << 16;
+
+/// Nanoseconds per step of the control: one chain of dependent
+/// multiply-adds that touches no memory, so its time moves with the
+/// host (clock rate, a neighbour on the core) and with nothing measured.
+pub fn control_ns_per_step() -> f64 {
+    let (x, s) = timed(|| {
+        let mut x = black_box(1.0f64);
+        for _ in 0..CONTROL_STEPS {
+            x = x * 0.999_999 + 1e-6;
+        }
+        x
+    });
+    black_box(x);
+    s * 1e9 / f64::from(CONTROL_STEPS)
 }
 
 /// Quantile `q` of an ascending, non-empty slice (linear interpolation
@@ -84,10 +105,13 @@ impl Cell {
 pub type Side<'a> = &'a mut dyn FnMut(u64) -> u64;
 
 /// How long one timed window lasts and how often it is repeated.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct Timing {
     pub window_s: f64,
     pub reps: usize,
+    /// The control's ns per step, one per repetition of every
+    /// [`Timing::measure`] call so far.
+    pub control: Vec<f64>,
 }
 
 impl Timing {
@@ -97,18 +121,21 @@ impl Timing {
             true => Timing {
                 window_s: 0.01,
                 reps: 3,
+                control: Vec::new(),
             },
             false => Timing {
                 window_s: 0.2,
                 reps: 7,
+                control: Vec::new(),
             },
         }
     }
 
     /// Items per second of every side.  Each side's scale is calibrated
     /// once so that one call fills the window (which also warms it up);
-    /// then every repetition runs each side once, in order.
-    pub fn measure(&self, sides: &mut [Side]) -> Vec<Cell> {
+    /// then every repetition runs each side once, in order, and the
+    /// control once after them.
+    pub fn measure(&mut self, sides: &mut [Side]) -> Vec<Cell> {
         let scales: Vec<u64> = sides.iter_mut().map(|s| self.calibrate(s)).collect();
         let mut rates = vec![Vec::with_capacity(self.reps); sides.len()];
         for _ in 0..self.reps {
@@ -116,8 +143,22 @@ impl Timing {
                 let (items, s) = timed(|| side(n));
                 rate.push(items as f64 / s.max(1e-9));
             }
+            self.control.push(control_ns_per_step());
         }
         rates.into_iter().map(Cell::from_samples).collect()
+    }
+
+    /// The control's cell, once a [`Timing::measure`] call has run it.
+    pub fn control_cell(&self) -> Option<Cell> {
+        (!self.control.is_empty()).then(|| Cell::from_samples(self.control.clone()))
+    }
+
+    /// Whether the host held still while measuring: the control's
+    /// quartile distance within 10 % of its median (vacuously, before
+    /// anything was measured).
+    pub fn steady(&self) -> bool {
+        self.control_cell()
+            .is_none_or(|c| c.q3 - c.q1 <= 0.1 * c.median)
     }
 
     /// Grow the scale fourfold until a call is long enough to
@@ -160,22 +201,29 @@ pub fn object(fields: &[(&str, String)]) -> String {
 }
 
 /// The report `paper host` writes: what ran it (core count, OS,
-/// architecture), how (window, repetitions) and the named cells, each
-/// an [`object`] on its own line.
-pub fn report(quick: bool, timing: Timing, cells: &[(String, String)]) -> String {
+/// architecture), how (window, repetitions), whether the host held
+/// still ([`Timing::steady`]) and the named cells, each an [`object`] on
+/// its own line, led by the control's `host.control` once it has run.
+pub fn report(quick: bool, timing: &Timing, cells: &[(String, String)]) -> String {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let host = object(&[
         ("cores", cores.to_string()),
         ("os", quoted(std::env::consts::OS)),
         ("arch", quoted(std::env::consts::ARCH)),
     ]);
-    let cells: Vec<String> = cells
+    let control = timing.control_cell().map(|c| {
+        let name = "host.control".to_string();
+        (name, c.json("ns/step", None))
+    });
+    let cells: Vec<String> = control
         .iter()
+        .chain(cells)
         .map(|(name, cell)| format!("    {}: {cell}", quoted(name)))
         .collect();
     format!(
         "{{\n  \"benchmark\": \"paper host\",\n  \"host\": {host},\n  \"quick\": {quick},\n  \
-         \"window_s\": {},\n  \"reps\": {},\n  \"cells\": {{\n{}\n  }}\n}}\n",
+         \"steady\": {},\n  \"window_s\": {},\n  \"reps\": {},\n  \"cells\": {{\n{}\n  }}\n}}\n",
+        timing.steady(),
         number(timing.window_s),
         timing.reps,
         cells.join(",\n")

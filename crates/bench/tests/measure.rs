@@ -8,9 +8,10 @@ use streamit_bench::{report, Cell, Timing};
 /// rate that cannot exceed 5 000 units/s (a sleep only overshoots).
 #[test]
 fn measure_orders_quartiles_and_keeps_every_repetition() {
-    let timing = Timing {
+    let mut timing = Timing {
         window_s: 0.004,
         reps: 5,
+        control: Vec::new(),
     };
     let unit = std::time::Duration::from_micros(200);
     let mut slow = |n: u64| {
@@ -23,6 +24,8 @@ fn measure_orders_quartiles_and_keeps_every_repetition() {
     };
     let cells = timing.measure(&mut [&mut slow, &mut slower]);
     assert_eq!(cells.len(), 2);
+    assert_eq!(timing.control.len(), 5, "one control per repetition");
+    assert!(timing.control.iter().all(|&ns| ns > 0.0), "{timing:?}");
     for c in &cells {
         assert_eq!(c.samples.len(), 5);
         assert!(c.q1 <= c.median && c.median <= c.q3, "{c:?}");
@@ -45,15 +48,38 @@ fn quantiles_interpolate() {
 
 #[test]
 fn report_is_one_object_per_cell() {
-    let timing = Timing {
+    let mut timing = Timing {
         window_s: 0.5,
         reps: 3,
+        control: Vec::new(),
     };
     let ratio = Cell::from_samples(vec![2.0, f64::NAN, 2.0]).json("x", Some("a \"b\""));
-    let text = report(true, timing, &[("r".into(), ratio)]);
+    let text = report(true, &timing, &[("r".into(), ratio.clone())]);
     assert!(text.contains("\"window_s\": 0.500,\n  \"reps\": 3,\n  \"cells\": {\n"));
+    assert!(text.contains("\"steady\": true,\n") && !text.contains("host.control"));
     assert!(text.contains(
         "    \"r\": {\"median\": 2.000, \"q1\": 2.000, \"q3\": null, \"reps\": 3, \
          \"unit\": \"x\", \"base\": \"a \\\"b\\\"\"}\n  }\n}\n"
     ));
+    // Once the control has run it leads the cells, and a spread past
+    // 10 % of its median marks the report unsteady.
+    timing.control = vec![2.0, 2.0, 3.0, 3.0];
+    let text = report(true, &timing, &[("r".into(), ratio)]);
+    assert!(text.contains("\"steady\": false,\n"));
+    assert!(text.contains(
+        "\"cells\": {\n    \"host.control\": {\"median\": 2.500, \"q1\": 2.000, \"q3\": 3.000, \
+         \"reps\": 4, \"unit\": \"ns/step\"},\n    \"r\": "
+    ));
+}
+
+#[test]
+fn steady_reads_the_control_spread() {
+    let mut timing = Timing::new(true);
+    assert!(timing.steady(), "nothing measured yet");
+    timing.control = vec![2.0, 2.05, 2.1, 2.0, 2.02];
+    assert!(timing.steady(), "{timing:?}");
+    timing.control.extend([2.6, 2.7, 2.9]);
+    assert!(!timing.steady(), "{timing:?}");
+    let ns = streamit_bench::control_ns_per_step();
+    assert!(ns > 0.0 && ns < 1e3, "{ns} ns per dependent multiply-add");
 }

@@ -229,6 +229,7 @@ impl Parser<'_> {
 fn expected_cells() -> Vec<(String, bool)> {
     let mut cells = Vec::new();
     let mut timed = |name: String| cells.push((name, true));
+    timed("host.control".into());
     for app in ["fmradio", "filterbank", "beamformer", "bitonic"] {
         for cell in ["opt0", "opt1", "opt1_over_opt0"] {
             timed(format!("opt.{app}.{cell}"));
@@ -299,6 +300,10 @@ fn host_quick_exits_zero_and_reports_every_cell() {
     std::fs::remove_file(&out).expect("report removed");
 
     assert_eq!(report.get("quick"), &J::Bool(true));
+    assert!(
+        matches!(report.get("steady"), J::Bool(_)),
+        "`steady` is a bool"
+    );
     assert!(report.get("host").get("cores").num() >= 1.0);
     assert!(report.get("reps").num() >= 3.0);
     let cells = report.get("cells");

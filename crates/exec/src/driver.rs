@@ -388,3 +388,29 @@ impl Driver {
         Ok(true)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::CompiledGraph;
+    use streamit_graph::FlatGraph;
+
+    /// Initialization fires each node in one burst, so a lane-safe
+    /// filter's init firings take the lanes as its steady ones do.
+    #[test]
+    fn fmradio_initialization_takes_the_lanes() {
+        let g = FlatGraph::from_stream(&streamit_apps::fmradio::fmradio(10, 64));
+        let cg = CompiledGraph::compile(&g, None).expect("fmradio compiles");
+        let s = cg.plan().schedule();
+        let input = vec![0.25; s.stats.required_input(0) as usize];
+        let mut d = Driver::new(
+            preload(&s, &input, 0).expect("input"),
+            0,
+            "init",
+            None,
+            None,
+        );
+        assert_eq!(d.drive(&s, 0).expect("init runs"), (0, Stop::Budget));
+        assert!(d.lanes.laned > 0, "no init firing took the lanes");
+    }
+}

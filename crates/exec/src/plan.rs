@@ -189,7 +189,7 @@ pub struct TapeSpec {
 }
 
 /// External-stream accounting derived by the count simulation.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stats {
     /// Input items consumed by the initialization ops.
     pub init_in: u64,
@@ -444,24 +444,41 @@ const MAX_PRIME_FIRINGS: usize = 10_000;
 /// to 1.67 M at 64).
 const BATCH_FACTORS: [u32; 4] = [16, 8, 4, 2];
 /// Bytes of tape a plan may hold at its batch capacities, bounded from
-/// above as `k` × the unit capacities.  `sort-dispatch` read 1.66 M
-/// items/s at 1 and 2.47 M / 2.57 M / 2.59 M at 8 / 16 / 32 on 148 /
-/// 296 / 592 KiB of tapes: the last 4 % would cost twice the memory, so
-/// a quarter MiB, which picks 8 for `bitonic_sort(32)` and 16 for
+/// above per tape as its unit capacity or `k` × its peak in a unit
+/// round, whichever is more.  `sort-dispatch` read 1.66 M items/s at 1
+/// and 2.47 M / 2.57 M / 2.59 M at 8 / 16 / 32 on 148 / 296 / 592 KiB
+/// of tapes: the last 4 % would cost twice the memory, so a quarter
+/// MiB, which picks 8 for `bitonic_sort(32)` and 16 for
 /// `fmradio(10, 64)` (10 KiB).
 pub const BATCH_TAPE_BYTES: u64 = 256 << 10;
 
 /// Abstract (item-count only) simulator used to derive the init firing
-/// sequence: one firing per prework filter plus whatever upstream
-/// priming those firings and the first steady round demand.
+/// counts: one firing per prework filter plus whatever upstream priming
+/// those firings and the first steady round demand.
 struct InitSim<'g> {
     g: &'g FlatGraph,
     occ: Vec<u64>,
     fired: Vec<u64>,
+    /// Firings so far, all nodes together.
+    total: usize,
+    /// Every firing in order, for the tests' interleaved emission.
+    #[cfg(test)]
     seq: Vec<NodeId>,
 }
 
-impl InitSim<'_> {
+impl<'g> InitSim<'g> {
+    /// Nothing fired yet: every edge holds its initial items.
+    fn new(g: &'g FlatGraph) -> InitSim<'g> {
+        InitSim {
+            g,
+            occ: g.edges.iter().map(|e| e.initial.len() as u64).collect(),
+            fired: vec![0; g.nodes.len()],
+            total: 0,
+            #[cfg(test)]
+            seq: Vec::new(),
+        }
+    }
+
     /// First internal input edge whose occupancy is below the node's
     /// next-firing window (external input is assumed plentiful — the
     /// count simulation later derives how much is actually needed).
@@ -488,8 +505,10 @@ impl InitSim<'_> {
             }
         }
         self.fired[node.0] += 1;
+        self.total += 1;
+        #[cfg(test)]
         self.seq.push(node);
-        if self.seq.len() > MAX_INIT_FIRINGS {
+        if self.total > MAX_INIT_FIRINGS {
             return Err("initialization schedule too large".into());
         }
         Ok(())
@@ -553,12 +572,7 @@ impl InitSim<'_> {
 /// The init simulation after every prework filter's one firing, in topo
 /// order (each with whatever upstream firings its window demands).
 fn prework_fired<'g>(g: &'g FlatGraph, topo: &[NodeId]) -> Result<InitSim<'g>, String> {
-    let mut sim = InitSim {
-        g,
-        occ: g.edges.iter().map(|e| e.initial.len() as u64).collect(),
-        fired: vec![0; g.nodes.len()],
-        seq: Vec::new(),
-    };
+    let mut sim = InitSim::new(g);
     for &node in topo {
         let has_prework = matches!(&g.node(node).kind,
             FlatNodeKind::Filter(f) if f.prework.is_some());
@@ -569,17 +583,18 @@ fn prework_fired<'g>(g: &'g FlatGraph, topo: &[NodeId]) -> Result<InitSim<'g>, S
     Ok(sim)
 }
 
-/// Derive the init firing sequence: prework firings in topo order, then
+/// Derive the init firing counts: prework firings in topo order, then
 /// priming until one steady round validates.  Priming goes by deficit:
 /// the first starved edge's producer fires until the edge's shortfall is
 /// in, and only then is the round validated again — once per starved
-/// edge rather than once per firing.
-fn build_init(g: &FlatGraph, topo: &[NodeId], reps: &[u64]) -> Result<Vec<NodeId>, String> {
+/// edge rather than once per firing.  Returns the primed simulation,
+/// whose `fired` are the counts.
+fn build_init<'g>(g: &'g FlatGraph, topo: &[NodeId], reps: &[u64]) -> Result<InitSim<'g>, String> {
     let mut sim = prework_fired(g, topo)?;
     let mut budget = MAX_PRIME_FIRINGS;
     loop {
         let (e, short) = match sim.validate_round(topo, reps) {
-            Ok(()) => return Ok(sim.seq),
+            Ok(()) => return Ok(sim),
             Err(starved) => starved,
         };
         let src = g.edge(e).src;
@@ -594,25 +609,41 @@ fn build_init(g: &FlatGraph, topo: &[NodeId], reps: &[u64]) -> Result<Vec<NodeId
     }
 }
 
-/// [`build_init`] as it was before priming went by deficit: one producer
-/// firing per validation.  The oracle its firing counts are held to.
-#[cfg(test)]
-fn build_init_one_firing_per_round(
-    g: &FlatGraph,
-    topo: &[NodeId],
-    reps: &[u64],
-) -> Result<Vec<NodeId>, String> {
-    let mut sim = prework_fired(g, topo)?;
-    for _ in 0..MAX_PRIME_FIRINGS {
-        match sim.validate_round(topo, reps) {
-            Ok(()) => return Ok(sim.seq),
-            Err((e, _)) => {
-                let src = g.edge(e).src;
-                sim.demand_fire(src, &mut HashSet::new())?;
+/// One init op to be: `(node, times, prework)`.
+type Burst = (NodeId, u32, bool);
+
+/// `primed`'s init firings in maximal bursts: passes over `topo` from
+/// fresh occupancy, each node firing as many of its remaining firings
+/// as its windows allow (a prework filter's first on its prework body).
+/// Each node keeps its count and each tape its one producer's order, so
+/// tapes and frames end as the trace left them.  An acyclic graph takes
+/// one pass; a pass firing nothing is an error, never a loop.
+fn init_bursts(primed: &InitSim, topo: &[NodeId]) -> Result<Vec<Burst>, String> {
+    let (g, want) = (primed.g, &primed.fired);
+    let mut sim = InitSim::new(g);
+    let mut bursts = Vec::new();
+    while sim.total < primed.total {
+        let before = sim.total;
+        for &node in topo {
+            let mut times = 0;
+            while sim.fired[node.0] < want[node.0] && sim.shortage(node).is_none() {
+                let prework = matches!(&g.node(node).kind,
+                    FlatNodeKind::Filter(f) if f.prework.is_some() && sim.fired[node.0] == 0);
+                match prework {
+                    true => bursts.push((node, 1, true)),
+                    false => times += 1,
+                }
+                sim.fire(node)?;
+            }
+            if times > 0 {
+                bursts.push((node, times, false));
             }
         }
+        if sim.total == before {
+            return Err("initialization stalls before its counts".into());
+        }
     }
-    Err("could not prime a steady round".into())
+    Ok(bursts)
 }
 
 // ---------------------------------------------------------------------------
@@ -709,34 +740,6 @@ fn node_op(g: &FlatGraph, lay: &Layout, node: NodeId, times: u32, prework: bool)
         }
         FlatNodeKind::Joiner(Joiner::Null) => None,
     }
-}
-
-/// Replay the init firing sequence as ops, splitting each prework
-/// filter's first firing onto its prework body.
-fn init_ops_from_seq(g: &FlatGraph, lay: &Layout, seq: &[NodeId]) -> Vec<Op> {
-    let mut fired = vec![0u64; g.nodes.len()];
-    let mut ops = Vec::new();
-    let mut i = 0;
-    while i < seq.len() {
-        let node = seq[i];
-        let mut c = 1usize;
-        while i + c < seq.len() && seq[i + c] == node {
-            c += 1;
-        }
-        let has_prework = matches!(&g.node(node).kind,
-            FlatNodeKind::Filter(f) if f.prework.is_some());
-        if has_prework && fired[node.0] == 0 {
-            ops.extend(node_op(g, lay, node, 1, true));
-            if c > 1 {
-                ops.extend(node_op(g, lay, node, (c - 1) as u32, false));
-            }
-        } else {
-            ops.extend(node_op(g, lay, node, c as u32, false));
-        }
-        fired[node.0] += c as u64;
-        i += c;
-    }
-    ops
 }
 
 /// Count simulation: proves the plan sound and sizes the tapes.
@@ -934,6 +937,18 @@ pub fn build_plan(
     opts: LowerOptions,
     cache: &LoweringCache,
 ) -> Result<Plan, String> {
+    plan_with(g, input_ty, opts, cache, init_bursts)
+}
+
+/// [`build_plan`], initialization emitted by `emit` from the primed
+/// simulation.
+fn plan_with(
+    g: &FlatGraph,
+    input_ty: DataType,
+    opts: LowerOptions,
+    cache: &LoweringCache,
+    emit: fn(&InitSim, &[NodeId]) -> Result<Vec<Burst>, String>,
+) -> Result<Plan, String> {
     let reps = repetition_vector(g).map_err(|e| format!("no steady-state schedule: {e:?}"))?;
     let topo = g.topo_order();
     check_io_sites(g)?;
@@ -942,7 +957,7 @@ pub fn build_plan(
         code_of,
         notes,
     } = lower_graph(g, input_ty, opts, cache)?;
-    let init_seq = build_init(g, &topo, &reps)?;
+    let init = emit(&build_init(g, &topo, &reps)?, &topo)?;
 
     // One shard: the external streams in slots 0 and 1, then one tape
     // per edge; a frame per filter (its state) in node order.
@@ -996,7 +1011,10 @@ pub fn build_plan(
             steady_nodes.push(node);
         }
     }
-    let init_ops = init_ops_from_seq(g, &lay, &init_seq);
+    let init_ops: Vec<Op> = init
+        .into_iter()
+        .filter_map(|(node, times, prework)| node_op(g, &lay, node, times, prework))
+        .collect();
 
     // Count simulation: init once, then two identical steady rounds.
     let mut sim = CountSim::new(&tapes);
@@ -1030,10 +1048,16 @@ pub fn build_plan(
     // the same snapshot — is exactly `k` unit rounds of steady state.
     // An acyclic graph proves the first factor it can afford; a
     // feedback loop gets what its enqueued items pay for, often none.
-    let unit_bytes = 8 * tapes.iter().flatten().map(|t| t.cap).sum::<u64>();
+    // Initialization's peaks are the same at any stride, so the budget
+    // scales only the peaks of a unit round on its own.
+    let mut own = sim.clone();
+    own.maxo = snapshot.clone();
+    round(&mut own, 1)?;
+    let caps = sim.maxo.iter().flatten().zip(own.maxo.iter().flatten());
+    let bytes = |k: u64| 8 * caps.clone().map(|(&c, &r)| c.max(k * r)).sum::<u64>();
     let max_times = steady_ops.iter().map(Op::times).max().unwrap_or(0);
     let batch = BATCH_FACTORS.into_iter().find_map(|k| {
-        if unit_bytes.saturating_mul(k.into()) > BATCH_TAPE_BYTES {
+        if bytes(k.into()) > BATCH_TAPE_BYTES {
             return None;
         }
         max_times.checked_mul(k)?;
@@ -1078,13 +1102,60 @@ mod tests {
     use streamit_graph::{StreamNode, Value};
     use streamit_linear::LinearMode;
 
-    /// Firings per node of an initialization sequence.
-    fn firings(g: &FlatGraph, seq: &[NodeId]) -> Vec<u64> {
-        let mut n = vec![0; g.nodes.len()];
-        for node in seq {
-            n[node.0] += 1;
+    /// [`build_init`] as it was before priming went by deficit: one
+    /// producer firing per validation.  The oracle its firing counts are
+    /// held to.
+    fn build_init_one_firing_per_round<'g>(
+        g: &'g FlatGraph,
+        topo: &[NodeId],
+        reps: &[u64],
+    ) -> Result<InitSim<'g>, String> {
+        let mut sim = prework_fired(g, topo)?;
+        for _ in 0..MAX_PRIME_FIRINGS {
+            match sim.validate_round(topo, reps) {
+                Ok(()) => return Ok(sim),
+                Err((e, _)) => {
+                    let src = g.edge(e).src;
+                    sim.demand_fire(src, &mut HashSet::new())?;
+                }
+            }
         }
-        n
+        Err("could not prime a steady round".into())
+    }
+
+    /// The emission [`init_bursts`] replaced: the demand trace as it
+    /// ran, adjacent repeats merged, each prework filter's first firing
+    /// split onto its prework body.
+    fn interleaved(primed: &InitSim, _topo: &[NodeId]) -> Result<Vec<Burst>, String> {
+        let mut bursts: Vec<Burst> = Vec::new();
+        let mut fired = vec![0u64; primed.g.nodes.len()];
+        for &node in &primed.seq {
+            let prework = fired[node.0] == 0
+                && matches!(&primed.g.node(node).kind,
+                    FlatNodeKind::Filter(f) if f.prework.is_some());
+            fired[node.0] += 1;
+            match bursts.last_mut() {
+                Some((n, times, false)) if *n == node && !prework => *times += 1,
+                _ => bursts.push((node, 1, prework)),
+            }
+        }
+        Ok(bursts)
+    }
+
+    /// The graph, its repetition vector and its topological order, or
+    /// `None` when it has no steady state or is a loop whose enqueued
+    /// items cannot feed its joiner one round (which can only be
+    /// declined, after the whole priming budget).
+    fn primable(stream: &StreamNode) -> Option<(FlatGraph, Vec<u64>, Vec<NodeId>)> {
+        let g = FlatGraph::from_stream(stream);
+        let reps = repetition_vector(&g).ok()?;
+        let starved_loop = g.edges.iter().filter(|e| e.is_back_edge).any(|e| {
+            let (ins, _) = firing_io(&g, e.dst, false);
+            ins.iter()
+                .any(|p| p.edge == Some(e.id) && (e.initial.len() as u64) < reps[e.dst.0] * p.pop)
+        });
+        let topo = g.topo_order();
+        (!starved_loop).then_some((g, reps, topo))
     }
 
     /// Deficit priming fires every node of `stream`'s graph as often as
@@ -1092,45 +1163,36 @@ mod tests {
     /// Returns the priming firings (beyond prework), 0 for a graph with
     /// no steady state or one both decline.
     fn primes_like_one_firing_per_round(what: &str, stream: &StreamNode) -> usize {
-        let g = FlatGraph::from_stream(stream);
-        let Ok(reps) = repetition_vector(&g) else {
+        let Some((g, reps, topo)) = primable(stream) else {
             return 0;
         };
-        // A loop whose enqueued items cannot feed its joiner one round
-        // can only be declined, after the whole priming budget: skip it.
-        let starved_loop = g.edges.iter().filter(|e| e.is_back_edge).any(|e| {
-            let (ins, _) = firing_io(&g, e.dst, false);
-            ins.iter()
-                .any(|p| p.edge == Some(e.id) && (e.initial.len() as u64) < reps[e.dst.0] * p.pop)
-        });
-        if starved_loop {
-            return 0;
-        }
-        let topo = g.topo_order();
         match (
             build_init(&g, &topo, &reps),
             build_init_one_firing_per_round(&g, &topo, &reps),
         ) {
             (Ok(deficit), Ok(single)) => {
-                assert_eq!(firings(&g, &deficit), firings(&g, &single), "{what}");
-                let prework = prework_fired(&g, &topo).expect("primes").seq.len();
-                deficit.len() - prework
+                assert_eq!(deficit.fired, single.fired, "{what}");
+                deficit.total - prework_fired(&g, &topo).expect("primes").total
             }
             (Err(_), Err(_)) => 0,
-            (deficit, single) => panic!("{what}: by deficit {deficit:?}, one by one {single:?}"),
+            (deficit, single) => panic!(
+                "{what}: by deficit {:?}, one by one {:?}",
+                deficit.map(|s| s.fired),
+                single.map(|s| s.fired)
+            ),
         }
     }
 
-    #[test]
-    fn apps_and_example_programs_prime_like_one_firing_per_round() {
-        let mut primed = 0;
+    /// The apps in every linear mode and the example programs.
+    fn apps_and_example_programs() -> Vec<(String, StreamNode)> {
+        let mut streams = Vec::new();
         for app in streamit_apps::corpus() {
             let stream = app.graph();
-            primed += primes_like_one_firing_per_round(app.name, &stream);
             for mode in [LinearMode::Replacement, LinearMode::Frequency] {
                 let (optimized, _) = streamit_linear::optimize_stream(&stream, mode);
-                primed += primes_like_one_firing_per_round(app.name, &optimized);
+                streams.push((format!("{} {mode:?}", app.name), optimized));
             }
+            streams.push((app.name.to_string(), stream));
         }
         for (name, source) in [
             ("combine", include_str!("../../../examples/str/combine.str")),
@@ -1145,7 +1207,31 @@ mod tests {
             ("fmradio", include_str!("../../../examples/str/fmradio.str")),
         ] {
             let out = streamit_frontend::compile(source, "Main").expect("example compiles");
-            primed += primes_like_one_firing_per_round(name, &out.stream);
+            streams.push((name.to_string(), out.stream));
+        }
+        // Sixteen 64-tap peeking stages: initialization fills every
+        // window, so bursts hold far more than a round does.
+        let fir = |i| {
+            FilterBuilder::new(format!("fir{i}"), DataType::Float)
+                .rates(64, 1, 1)
+                .work(|b| {
+                    b.push(peek(iconst(63)) * lit(0.5) + peek(iconst(0)))
+                        .pop_discard()
+                })
+                .build_node()
+        };
+        streams.push((
+            "deep fir".into(),
+            pipeline("deep", (0..16).map(fir).collect()),
+        ));
+        streams
+    }
+
+    #[test]
+    fn apps_and_example_programs_prime_like_one_firing_per_round() {
+        let mut primed = 0;
+        for (what, stream) in apps_and_example_programs() {
+            primed += primes_like_one_firing_per_round(&what, &stream);
         }
         assert!(
             primed > 1000,
@@ -1153,20 +1239,139 @@ mod tests {
         );
     }
 
+    /// A tape's item type and items, by bits.
+    fn bits(t: &crate::tape::Tape) -> (bool, Vec<u64>) {
+        match t {
+            crate::tape::Tape::I(r) => (true, r.to_vec().into_iter().map(|v| v as u64).collect()),
+            crate::tape::Tape::F(r) => (false, r.to_vec().into_iter().map(f64::to_bits).collect()),
+        }
+    }
+
+    /// Every shard's tapes and frames (registers and arenas) after
+    /// `plan`'s initialization, on `input`.
+    #[allow(clippy::type_complexity)]
+    fn after_init(plan: &Plan, input: &[f64]) -> Vec<(Vec<(bool, Vec<u64>)>, Vec<[Vec<u64>; 4]>)> {
+        let s = plan.schedule();
+        let shards = crate::driver::preload(&s, input, 0).expect("input covers init");
+        let mut d = crate::driver::Driver::new(shards, 0, "init", None, None);
+        assert_eq!(d.drive(&s, 0).expect("init runs"), (0, crate::Stop::Budget));
+        let f64s = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        let i64s = |v: &[i64]| v.iter().map(|&x| x as u64).collect();
+        let shards = d.into_parts().0.into_iter().map(|shard| {
+            let frames = shard
+                .frames
+                .iter()
+                .map(|fr| [i64s(&fr.i), f64s(&fr.f), i64s(&fr.ai), f64s(&fr.af)]);
+            (shard.tapes.iter().map(bits).collect(), frames.collect())
+        });
+        shards.collect()
+    }
+
+    /// `stream` initialized in bursts: every node fires its init count,
+    /// a graph without feedback in at most one op per node (two for a
+    /// prework filter) in topological order, and — where the compiled
+    /// engine runs it — with the same `Stats` and batch factor as the
+    /// interleaved trace and every tape and frame bit-identical after a
+    /// `drive(0)`.  Returns the init firings run both ways (0 for a
+    /// graph initialization or the compiled engine declines).
+    fn initializes_in_bursts_like_the_trace(what: &str, stream: &StreamNode) -> u64 {
+        let Some((g, reps, topo)) = primable(stream) else {
+            return 0;
+        };
+        let Ok(primed) = build_init(&g, &topo, &reps) else {
+            return 0;
+        };
+        let bursts = init_bursts(&primed, &topo).expect(what);
+        let mut fired = vec![0; g.nodes.len()];
+        for &(node, times, _) in &bursts {
+            fired[node.0] += u64::from(times);
+        }
+        let single = build_init_one_firing_per_round(&g, &topo, &reps).expect(what);
+        assert_eq!(fired, single.fired, "{what}");
+        if !g.edges.iter().any(|e| e.is_back_edge) {
+            let mut at = vec![0; g.nodes.len()];
+            for (i, node) in topo.iter().enumerate() {
+                at[node.0] = i;
+            }
+            let order: Vec<_> = bursts.iter().map(|&(n, _, pw)| (at[n.0], !pw)).collect();
+            assert!(order.windows(2).all(|w| w[0] < w[1]), "{what}: {bursts:?}");
+        }
+
+        let ty = stream.input_type().unwrap_or(DataType::Float);
+        let (opts, cache) = (LowerOptions::default(), LoweringCache::default());
+        let (new, old) = match (
+            plan_with(&g, ty, opts, &cache, init_bursts),
+            plan_with(&g, ty, opts, &cache, interleaved),
+        ) {
+            (Ok(new), Ok(old)) => (new, old),
+            (Err(new), Err(old)) => {
+                assert_eq!(new, old, "{what}");
+                return 0;
+            }
+            (new, old) => panic!("{what}: bursts {:?}, trace {:?}", new.err(), old.err()),
+        };
+        assert_eq!(new.stats, old.stats, "{what}");
+        let k = |p: &Plan| p.batch.as_ref().map(|b| b.k);
+        assert_eq!(k(&new), k(&old), "{what}");
+        assert!(new.init_ops.len() <= old.init_ops.len(), "{what}");
+        let n = new.stats.required_input(0) as usize;
+        let input: Vec<f64> = (0..n).map(|i| ((i * 37) % 101) as f64 - 50.0).collect();
+        assert!(
+            after_init(&new, &input) == after_init(&old, &input),
+            "{what}"
+        );
+        primed.total as u64
+    }
+
+    #[test]
+    fn apps_and_example_programs_initialize_in_bursts_like_the_trace() {
+        let (mut fired, mut fibonacci) = (0, 0);
+        for (what, stream) in apps_and_example_programs() {
+            let n = initializes_in_bursts_like_the_trace(&what, &stream);
+            fired += n;
+            fibonacci += if what == "fibonacci" { n } else { 0 };
+        }
+        assert!(fibonacci > 0, "the feedback loop was not compared");
+        assert!(fired > 3000, "only {fired} init firings compared");
+    }
+
     use proptest::rng::Rng as Gen;
+
+    /// A body that moves exactly its rates: every push a peeked item (or
+    /// one, with no window) halved plus the state `s`, then the pops,
+    /// then `s` counts the firing — so a firing out of order shows.
+    fn body(b: BlockBuilder, window: usize, pop: usize, push: usize) -> BlockBuilder {
+        let mut b = b;
+        for j in 0..push {
+            let item = match window {
+                0 => lit(1.0),
+                _ => peek(iconst((j % window) as i64)),
+            };
+            b = b.push(item * lit(0.5) + var("s"));
+        }
+        for _ in 0..pop {
+            b = b.pop_discard();
+        }
+        b.set("s", var("s") + lit(1.0))
+    }
 
     /// A filter with the given rates, a peek window up to three items
     /// wider, and one filter in three with a prework of its own rates.
-    /// Bodies stay empty: initialization reads rates only.
     fn filter(g: &mut Gen, pop: usize, push: usize) -> StreamNode {
         let peek = pop + g.below(4) as usize;
-        let mut f = FilterBuilder::new("f", streamit_graph::DataType::Float).rates(peek, pop, push);
+        let mut f = FilterBuilder::new("f", streamit_graph::DataType::Float)
+            .rates(peek, pop, push)
+            .state("s", DataType::Float, Value::Float(0.0))
+            .work(|b| body(b, peek, pop, push));
         if g.below(3) == 0 {
             // Never fewer pushes than pops: a prework that loses items
             // inside a feedback loop leaves it unprimable.
             let pw_pop = g.below(4) as usize;
             let pw_peek = pw_pop + g.below(3) as usize;
-            f = f.prework(pw_peek, pw_pop, pw_pop + g.below(3) as usize, |b| b);
+            let pw_push = pw_pop + g.below(3) as usize;
+            f = f.prework(pw_peek, pw_pop, pw_push, |b| {
+                body(b, pw_peek, pw_pop, pw_push)
+            });
         }
         f.build_node()
     }
@@ -1263,28 +1468,42 @@ mod tests {
         assert!(matches!(p.pre_ops[0], Op::Work { input: None, .. }));
     }
 
+    /// Generated graph number `seed`: balanced parts with rate-changing
+    /// filters between them, which make the repetition vector, and so
+    /// the priming, non-uniform.
+    fn generated(seed: u32) -> StreamNode {
+        let g = &mut Gen::from_name(&format!("seed {seed}"));
+        let parts = (0..1 + g.below(4))
+            .map(|i| match i % 2 {
+                0 => balanced(g, 3),
+                _ => {
+                    let (pop, push) = (1 + g.below(2) as usize, 1 + g.below(2) as usize);
+                    filter(g, pop, push)
+                }
+            })
+            .collect();
+        pipeline("Main", parts)
+    }
+
     #[test]
     fn generated_graphs_prime_like_one_firing_per_round() {
         let mut primed = 0;
         for seed in 0..600 {
-            let g = &mut Gen::from_name(&format!("seed {seed}"));
-            // Rate-changing filters between balanced parts make the
-            // repetition vector, and so the priming, non-uniform.
-            let parts = (0..1 + g.below(4))
-                .map(|i| match i % 2 {
-                    0 => balanced(g, 3),
-                    _ => {
-                        let (pop, push) = (1 + g.below(2) as usize, 1 + g.below(2) as usize);
-                        filter(g, pop, push)
-                    }
-                })
-                .collect();
-            primed +=
-                primes_like_one_firing_per_round(&format!("seed {seed}"), &pipeline("Main", parts));
+            primed += primes_like_one_firing_per_round(&format!("seed {seed}"), &generated(seed));
         }
         assert!(
             primed > 2000,
             "only {primed} priming firings: the check is vacuous"
         );
+    }
+
+    #[test]
+    fn generated_graphs_initialize_in_bursts_like_the_trace() {
+        let mut fired = 0;
+        for seed in 0..600 {
+            fired +=
+                initializes_in_bursts_like_the_trace(&format!("seed {seed}"), &generated(seed));
+        }
+        assert!(fired > 5000, "only {fired} init firings compared");
     }
 }
