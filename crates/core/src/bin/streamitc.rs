@@ -45,9 +45,11 @@
 //!   per-filter profiler and print a cost table (ns/firing, share of
 //!   total) sorted hottest-first.  One steady round in 32 has every
 //!   filter firing timed, at the stride an unprofiled run takes; the
-//!   output stream is bit-identical.  It is a report on the serial
-//!   compiled engine, so it cannot be combined with another `--engine`,
-//!   `--threads`, `--watchdog-ms`, `--on-engine-fault` or
+//!   output stream is bit-identical.  The round-robin split-joins the
+//!   plan runs as one filter each are listed after the table, each with
+//!   its branches (DESIGN.md "Horizontal fusion").  It is a report on
+//!   the serial compiled engine, so it cannot be combined with another
+//!   `--engine`, `--threads`, `--watchdog-ms`, `--on-engine-fault` or
 //!   `--inject-fault` (usage error)
 //! * `--linear` / `--frequency`  enable the linear optimizer
 //! * `--opt-level N`  work-IR optimization level for the
@@ -408,6 +410,14 @@ fn main() {
                 Ok((out, prof)) => {
                     println!("\n== profile (compiled engine, 1-in-{SAMPLE_PERIOD} sampling) ==");
                     print!("{}", prof.render_table());
+                    let fused = program.fusion_report();
+                    if !fused.is_empty() {
+                        println!("\n== fused split-joins ({}) ==", fused.len());
+                        for r in fused {
+                            let branches = r.branches.join(", ");
+                            println!("{}: pop {}, push {} <- {branches}", r.name, r.pop, r.push);
+                        }
+                    }
                     println!("\n== first {n} outputs (compiled engine) ==");
                     for (i, v) in out.iter().take(n).enumerate() {
                         println!("y[{i}] = {v}");

@@ -54,7 +54,7 @@ pub use streamit_rt as rt;
 pub use streamit_sched as sched;
 pub use streamit_sdep as sdep;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 use streamit_graph::{FlatGraph, StreamNode, Value};
 use streamit_linear::{LinearMode, LinearReport};
@@ -388,7 +388,15 @@ pub struct CompiledProgram {
     /// The program's one plan, made on first use by whichever engine
     /// asks first (see [`CompiledProgram::compile_exec`]).  Made from
     /// `flat`, `portals` and `opt_level` as they are then.
-    compiled: OnceLock<Result<exec::CompiledGraph, exec::ExecError>>,
+    compiled: OnceLock<ExecPlan>,
+}
+
+/// The plan the fast engines run, and the graph it was made from.
+struct ExecPlan {
+    /// `flat` with its split-joins fused, and what was fused; `None`
+    /// when the plan is of `flat` itself.
+    fused: Option<(FlatGraph, Vec<graph::FusedSplitJoin>)>,
+    compiled: Result<exec::CompiledGraph, exec::ExecError>,
 }
 
 impl CompiledProgram {
@@ -453,18 +461,68 @@ impl CompiledProgram {
     /// under-primed feedback loops — and then fails the same way on
     /// every call.
     pub fn compile_exec(&self) -> Result<exec::CompiledGraph, exec::ExecError> {
-        let compiled = self.compiled.get_or_init(|| {
+        self.exec_plan().compiled.clone()
+    }
+
+    /// The graph the plan of [`CompiledProgram::compile_exec`] runs:
+    /// `flat` with the split-joins of
+    /// [`CompiledProgram::fusion_report`] fused, which is `flat` itself
+    /// when there are none.
+    pub fn exec_graph(&self) -> &FlatGraph {
+        self.exec_plan()
+            .fused
+            .as_ref()
+            .map_or(&self.flat, |(g, _)| g)
+    }
+
+    /// The round-robin split-joins the plan runs as one filter each
+    /// (DESIGN.md "Horizontal fusion"), innermost first: a nest's inner
+    /// fused filter is a branch of its outer one.
+    pub fn fusion_report(&self) -> &[graph::FusedSplitJoin] {
+        self.exec_plan().fused.as_ref().map_or(&[], |(_, r)| r)
+    }
+
+    fn exec_plan(&self) -> &ExecPlan {
+        self.compiled.get_or_init(|| {
             if !self.portals.is_empty() {
-                return Err(exec::ExecError::Unsupported {
-                    reason: "teleport portals require the reference interpreter".into(),
-                });
+                let reason = "teleport portals require the reference interpreter".into();
+                return ExecPlan {
+                    fused: None,
+                    compiled: Err(exec::ExecError::Unsupported { reason }),
+                };
             }
             let opts = exec::plan::LowerOptions {
                 opt_level: self.opt_level,
             };
-            exec::CompiledGraph::compile_with(&self.flat, self.stream.input_type(), opts)
-        });
-        compiled.clone()
+            let plan = |g: &FlatGraph| {
+                exec::CompiledGraph::compile_with(g, self.stream.input_type(), opts)
+            };
+            // The fused graph's plan is kept where every fused branch
+            // passes the admission gate on its own and every fused body
+            // lowered (its rates re-proved) into one that takes the
+            // lanes.  Otherwise the plan is of `flat`: fusion never
+            // declines a program, admits one the gate declines as
+            // written, or slows a body.
+            let fused = graph::fuse::fuse(&self.flat)
+                .filter(|(_, report)| branches_admitted(&self.flat, report))
+                .and_then(|(g, report)| {
+                    let cg = plan(&g).ok()?;
+                    let names: HashSet<&str> = report.iter().map(|r| r.name.as_str()).collect();
+                    let mut codes = cg.plan().codes.iter();
+                    let lanes = codes.all(|c| c.work.lane_safe || !names.contains(c.name.as_str()));
+                    lanes.then_some((g, report, cg))
+                });
+            if let Some((g, report, cg)) = fused {
+                return ExecPlan {
+                    fused: Some((g, report)),
+                    compiled: Ok(cg),
+                };
+            }
+            ExecPlan {
+                fused: None,
+                compiled: plan(&self.flat),
+            }
+        })
     }
 
     /// Open an incremental [`exec::Session`] over this program's plan:
@@ -492,7 +550,7 @@ impl CompiledProgram {
     /// `compile_exec`, and with [`exec::ExecError::Unsupported`] on
     /// feedback loops, which the runtime cannot stage.
     pub fn compile_parallel(&self, threads: usize) -> Result<rt::ParallelGraph, exec::ExecError> {
-        rt::ParallelGraph::cut(&self.compile_exec()?, &self.flat, threads)
+        rt::ParallelGraph::cut(&self.compile_exec()?, self.exec_graph(), threads)
     }
 
     /// Run the program's plan ([`CompiledProgram::compile_exec`]) with
@@ -666,6 +724,30 @@ impl CompiledProgram {
     }
 }
 
+/// Whether every filter of `flat` that `report` fused as a branch
+/// passes, on its own, the gate lowering applies to a body: no
+/// `analysis::analyze_rates` error and no `L0605`.  The fused body's gate
+/// sees only the branches' totals, so two miscounts that cancel, or a
+/// branch peeking into its sibling's items, would pass it where the
+/// graph as written is declined.
+fn branches_admitted(flat: &FlatGraph, report: &[graph::FusedSplitJoin]) -> bool {
+    use streamit_analysis::{analyze_rates, Severity};
+    let branches: HashSet<&str> = report
+        .iter()
+        .flat_map(|r| r.branches.iter().map(String::as_str))
+        .collect();
+    let mut filters = flat
+        .nodes
+        .iter()
+        .filter(|n| branches.contains(n.name.as_str()))
+        .filter_map(|n| n.as_filter());
+    filters.all(|f| {
+        let gate = analyze_rates(f, "");
+        gate.iter()
+            .all(|x| x.severity != Severity::Error && x.code != "L0605")
+    })
+}
+
 /// Resolve a portal registration path to flat-graph receiver nodes:
 /// filters under the path that declare handlers.
 pub fn resolve_portal_path(flat: &FlatGraph, path: &str) -> Vec<streamit_graph::NodeId> {
@@ -776,7 +858,7 @@ mod tests {
     fn every_engine_of_a_program_runs_its_one_plan() {
         let compile = || Compiler::default().compile_source(SOURCE, "Main").unwrap();
         let plan_of = |p: &CompiledProgram| {
-            let made = p.compiled.get()?.as_ref().ok()?;
+            let made = p.compiled.get()?.compiled.as_ref().ok()?;
             Some(made.plan() as *const exec::plan::Plan)
         };
         let input = [1.0; 64];

@@ -149,6 +149,14 @@ impl Filter {
         self.output.is_none()
     }
 
+    /// `true` if a graph pass made this filter — horizontal fusion, or
+    /// fission's replicas — from others.  Such a filter is named after
+    /// its node's path, which holds a `/`, where an elaborated filter
+    /// carries its declared identifier.
+    pub fn made_by_pass(&self) -> bool {
+        self.name.contains('/')
+    }
+
     /// `true` if the filter carries *mutable* state: some state variable is
     /// written by `work` or `prework`, or the filter has message handlers
     /// (whose deliveries mutate state asynchronously).

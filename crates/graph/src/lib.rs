@@ -26,12 +26,14 @@
 //! The hierarchical graph is lowered to a [`flat::FlatGraph`] — filters
 //! plus explicit splitter/joiner nodes connected by typed channels — which
 //! is the form consumed by the scheduler, the SDEP analysis and the
-//! machine simulator.
+//! machine simulator.  [`fuse`] rewrites it for the compiled engines,
+//! replacing round-robin split-joins of plain filters with one filter.
 
 pub mod builder;
 pub mod display;
 pub mod filter;
 pub mod flat;
+pub mod fuse;
 pub mod kernel;
 pub mod steady;
 pub mod stream;
@@ -41,6 +43,7 @@ pub mod work;
 
 pub use filter::{Filter, Handler, PreWork, StateInit, StateVar};
 pub use flat::{Edge, EdgeId, FlatGraph, FlatNode, FlatNodeKind, NodeId};
+pub use fuse::FusedSplitJoin;
 pub use kernel::{KernelRow, KernelSpec};
 pub use steady::{repetition_vector, steady_flows, SteadyError};
 pub use stream::{FeedbackLoop, Joiner, Pipeline, SplitJoin, Splitter, StreamNode};

@@ -45,8 +45,8 @@ const MAX_BATCH: u64 = 1 << 16;
 /// Is this node a fission candidate?  Stateless (no mutated state, no
 /// handlers), no prework (a one-shot prologue is state), non-peeking
 /// (replicas would each need the shared sliding window), and a plain
-/// single-in/single-out pipeline stage.  Names containing `]` mark
-/// replicas from an earlier pass and are never re-fissed.
+/// single-in/single-out pipeline stage.  A filter a pass made — fused,
+/// or an earlier fission's replica — is never fissed.
 fn fissable(g: &FlatGraph, id: NodeId) -> bool {
     let n = g.node(id);
     let FlatNodeKind::Filter(f) = &n.kind else {
@@ -61,7 +61,7 @@ fn fissable(g: &FlatGraph, id: NodeId) -> bool {
         && !f.is_stateful()
         && !f.is_peeking()
         && f.prework.is_none()
-        && !n.name.contains(']')
+        && !f.made_by_pass()
 }
 
 /// Maximal fissable chains, in topological order.  A chain starts at a

@@ -10,6 +10,7 @@
 //! filters.
 
 use crate::estimate::{estimate_filter, WorkEstimate};
+use streamit_graph::fuse::member_list;
 use streamit_graph::{repetition_vector, steady_flows, FlatGraph, FlatNodeKind, SteadyError};
 
 /// A node of the work graph.
@@ -204,7 +205,6 @@ impl WorkGraph {
         assert!(!set.is_empty());
         let in_set = |i: usize| set.contains(&i);
         let multi = set.len() > 1;
-        let mut name_parts: Vec<&str> = Vec::new();
         let mut work = 0u64;
         let mut flops = 0u64;
         let mut stateful = false;
@@ -214,9 +214,6 @@ impl WorkGraph {
         let mut peek_extra_items = 0u64;
         for &i in set {
             let n = &self.nodes[i];
-            if name_parts.len() < 3 {
-                name_parts.push(&n.name);
-            }
             work += n.work;
             flops += n.flops;
             stateful |= n.stateful || (multi && n.peeking);
@@ -225,12 +222,8 @@ impl WorkGraph {
             members += n.members;
             peek_extra_items += n.peek_extra_items;
         }
-        let mut name = name_parts.join("+");
-        if set.len() > 3 {
-            name.push_str(&format!("+{}more", set.len() - 3));
-        }
         let fused = WorkNode {
-            name,
+            name: member_list(set.iter().map(|&i| self.nodes[i].name.as_str())),
             work,
             flops,
             stateful,

@@ -15,7 +15,9 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use streamit::{CompiledProgram, Compiler, Diag, DiagCategory, Engine, Options, SupervisorConfig};
+use streamit::{
+    CompiledProgram, Compiler, Diag, DiagCategory, Engine, OnEngineFault, Options, SupervisorConfig,
+};
 
 /// A small well-formed program used as the base for mutations.
 const GOOD: &str = r#"
@@ -603,6 +605,94 @@ fn starved_run_reports_e0408() {
     assert_eq!(d.code, "E0408", "{d}");
     assert_eq!(d.category, DiagCategory::Runtime);
     assert_eq!(d.exit_code(), 5);
+}
+
+/// An integer division by zero in one branch of a fused split-join
+/// (DESIGN.md "Horizontal fusion") faults on the fast engines under the
+/// fused filter's name, which lists that branch; the ladder then
+/// degrades to the reference interpreter, which runs the graph as
+/// written and names the branch itself — as it does for the same
+/// branch unfused.
+#[test]
+fn division_by_zero_in_a_fused_branch_names_the_branch() {
+    let branches = "int->int filter Inc() { work pop 1 push 1 { push(pop() + 1); } }\n\
+                    int->int filter Bad() { work pop 1 push 1 { push(100 / (pop() - 7)); } }\n\
+                    int->int filter Id() { work pop 1 push 1 { push(pop()); } }\n";
+    let fused = format!(
+        "{branches}int->int splitjoin Bank() {{ split roundrobin; add Inc(); add Bad(); \
+         join roundrobin; }}\nint->int pipeline Main() {{ add Id(); add Bank(); add Id(); }}"
+    );
+    let alone = format!("{branches}int->int pipeline Main() {{ add Id(); add Bad(); add Id(); }}");
+    let p = Compiler::default().compile_source(&fused, "Main").unwrap();
+    let q = Compiler::default().compile_source(&alone, "Main").unwrap();
+    let names: Vec<&str> = p.fusion_report().iter().map(|r| r.name.as_str()).collect();
+    assert_eq!(names, ["Main/Bank/Inc+Bad"]);
+    assert!(q.fusion_report().is_empty());
+    // Item 7 reaches `Bad` (odd positions) in both programs' first 16.
+    let input: Vec<f64> = (0..64).map(|x| x as f64).collect();
+    let fault = |p: &CompiledProgram, engine, on_fault| {
+        let cfg = SupervisorConfig {
+            on_fault,
+            backoff_ms: 0,
+            ..SupervisorConfig::default()
+        };
+        p.run_supervised(engine, &input, 16, &cfg)
+            .expect_err("the branch divides by zero")
+    };
+    for engine in [Engine::Compiled, Engine::Parallel { threads: 2 }] {
+        let d = fault(&p, engine, OnEngineFault::Error);
+        assert_eq!(d.code, "E0702", "{d}");
+        assert!(d.message.contains("Main/Bank/Inc+Bad"), "{d}");
+        assert!(d.message.contains("division by zero"), "{d}");
+        let e = fault(&q, engine, OnEngineFault::Error);
+        assert_eq!(e.code, "E0702", "{e}");
+        // Under the fallback policy both end on the reference rung, the
+        // graph as written: the same E0404 naming the same branch.
+        let d = fault(&p, engine, OnEngineFault::Fallback);
+        let e = fault(&q, engine, OnEngineFault::Fallback);
+        assert_eq!((d.code, e.code), ("E0404", "E0404"), "{d} / {e}");
+        assert!(d.message.contains("Main/Bank/Bad"), "{d}");
+        assert!(e.message.contains("Main/Bad"), "{e}");
+    }
+}
+
+/// Past three branches the fused filter's name counts the rest
+/// (`A+B+C+1more`), so the fast engines' fault names the split-join and
+/// not the faulting branch: `fusion_report` resolves the name to every
+/// branch, and the reference rung names the branch itself.
+#[test]
+fn a_fault_in_a_later_branch_of_a_wide_fused_bank_resolves_through_the_report() {
+    let source = "int->int filter A() { work pop 1 push 1 { push(pop() + 1); } }\n\
+                  int->int filter B() { work pop 1 push 1 { push(pop() + 2); } }\n\
+                  int->int filter C() { work pop 1 push 1 { push(pop() + 3); } }\n\
+                  int->int filter Bad() { work pop 1 push 1 { push(100 / (pop() - 7)); } }\n\
+                  int->int filter Id() { work pop 1 push 1 { push(pop()); } }\n\
+                  int->int splitjoin Bank() { split roundrobin; add A(); add B(); add C(); \
+                  add Bad(); join roundrobin; }\n\
+                  int->int pipeline Main() { add Id(); add Bank(); add Id(); }";
+    let p = Compiler::default().compile_source(source, "Main").unwrap();
+    let [bank] = p.fusion_report() else {
+        panic!("{:?}", p.fusion_report());
+    };
+    assert_eq!(bank.name, "Main/Bank/A+B+C+1more");
+    assert_eq!(bank.branches[3], "Main/Bank/Bad");
+    // Item 7 is the fourth branch's second item.
+    let input: Vec<f64> = (0..64).map(|x| x as f64).collect();
+    for (on_fault, code, node) in [
+        (OnEngineFault::Error, "E0702", bank.name.as_str()),
+        (OnEngineFault::Fallback, "E0404", "Main/Bank/Bad"),
+    ] {
+        let cfg = SupervisorConfig {
+            on_fault,
+            backoff_ms: 0,
+            ..SupervisorConfig::default()
+        };
+        let d = p
+            .run_supervised(Engine::Compiled, &input, 16, &cfg)
+            .expect_err("the branch divides by zero");
+        assert_eq!(d.code, code, "{d}");
+        assert!(d.message.contains(node), "{d}");
+    }
 }
 
 #[test]

@@ -121,17 +121,18 @@ fn engines_match_filters_lowered_alone(what: &str, p: &CompiledProgram) -> usize
     let ty = p.stream.input_type().unwrap_or(DataType::Float);
     let mut compared = 0;
     if let Ok(cg) = p.compile_exec() {
-        let (codes, notes) = lowered_alone(&p.flat, ty, opts);
+        let (codes, notes) = lowered_alone(p.exec_graph(), ty, opts);
         let shared: Vec<Lowered> = cg.plan().codes.iter().map(lowered).collect();
         assert_eq!(shared, codes, "{what}: compiled engine");
         assert_eq!(cg.notes(), notes, "{what}: compiled engine notes");
         compared += codes.len();
     }
     if let Ok(pg) = p.compile_parallel(2) {
-        // The staged plan is of the fissed graph when fission took.
+        // The staged plan is of the fissed graph when fission took,
+        // which fission made from the fused graph the serial plan runs.
         let g = match pg.fission_report() {
-            [] => p.flat.clone(),
-            _ => fiss_graph(&p.flat, 2).expect("fission took").0,
+            [] => p.exec_graph().clone(),
+            _ => fiss_graph(p.exec_graph(), 2).expect("fission took").0,
         };
         let (codes, notes) = lowered_alone(&g, ty, opts);
         let shared: Vec<Lowered> = pg.plan().codes.iter().map(lowered).collect();
