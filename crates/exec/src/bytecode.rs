@@ -297,6 +297,52 @@ impl Inst {
             | Inst::Jz { .. } => None,
         }
     }
+
+    /// The registers this instruction reads, with their banks.
+    fn reads(&self) -> [Option<(Ty, u16)>; 2] {
+        let (i, f) = (|r| Some((Ty::I, r)), |r| Some((Ty::F, r)));
+        match *self {
+            Inst::MovI { s, .. }
+            | Inst::CastIF { s, .. }
+            | Inst::NegI { s, .. }
+            | Inst::NotI { s, .. }
+            | Inst::BitNotI { s, .. }
+            | Inst::AbsI { s, .. }
+            | Inst::PushI { s } => [i(s), None],
+            Inst::MovF { s, .. }
+            | Inst::CastFI { s, .. }
+            | Inst::NegF { s, .. }
+            | Inst::NotF { s, .. }
+            | Inst::TruthyF { s, .. }
+            | Inst::Call1F { s, .. }
+            | Inst::AbsF { s, .. }
+            | Inst::PushF { s } => [f(s), None],
+            Inst::BinI { a, b, .. } | Inst::MinMaxI { a, b, .. } => [i(a), i(b)],
+            Inst::ArithF { a, b, .. }
+            | Inst::CmpF { a, b, .. }
+            | Inst::PowF { a, b, .. }
+            | Inst::MinMaxF { a, b, .. } => [f(a), f(b)],
+            Inst::ArithFK { a, .. } | Inst::DotPeekF { a, .. } => [f(a), None],
+            Inst::ArithKF { b, .. } => [f(b), None],
+            Inst::LoadI { idx, .. }
+            | Inst::LoadF { idx, .. }
+            | Inst::PeekI { idx, .. }
+            | Inst::PeekF { idx, .. } => [i(idx), None],
+            Inst::StoreI { idx, s, .. } => [i(idx), i(s)],
+            Inst::StoreF { idx, s, .. } => [i(idx), f(s)],
+            Inst::Jz { c, .. } => [i(c), None],
+            Inst::ConstI { .. }
+            | Inst::ConstF { .. }
+            | Inst::ZeroI { .. }
+            | Inst::ZeroF { .. }
+            | Inst::PeekIK { .. }
+            | Inst::PeekFK { .. }
+            | Inst::Skip { .. }
+            | Inst::PopI { .. }
+            | Inst::PopF { .. }
+            | Inst::Jmp { .. } => [None, None],
+        }
+    }
 }
 
 /// Declared (pop, window, push) rates of one body, where `window` is
@@ -318,26 +364,42 @@ pub struct Program {
     pub pool: Vec<f64>,
     pub rates: Rates,
     /// Set when the firings of one op are independent, so that the
-    /// engine may run them eight at a time, one instruction for all
-    /// eight (DESIGN.md "Execution scaling"): every instruction has a
-    /// lane form (no array arena is touched), no state register is
-    /// written, and every jump belongs to a loop with literal bounds.
-    /// Lowering writes every local before reading it, so only state
-    /// carries a value from one firing to the next.
+    /// engine may run them side by side, one instruction for many
+    /// (DESIGN.md "Execution scaling"): every instruction has a lane
+    /// form (no array arena is touched), no state register is written,
+    /// no other register is read before an instruction writes it (in
+    /// program order), and every jump belongs to a loop with literal
+    /// bounds.  So only state carries a value from one firing to the
+    /// next.
     pub lane_safe: bool,
+    /// The registers below these (int, float) hold persistent state.
+    pub state: (u32, u32),
 }
 
 impl Program {
     /// The marking of [`Program::lane_safe`] for `code`, whose registers
     /// below `state` (int, float) hold persistent state.
     fn is_lane_safe(code: &[Inst], state: (u32, u32)) -> bool {
+        let is_state = |(ty, r): (Ty, u16)| match ty {
+            Ty::I => u32::from(r) < state.0,
+            Ty::F => u32::from(r) < state.1,
+        };
+        // Written registers, the int and the float `r` at `2r` and `2r + 1`.
+        let slot = |(ty, r): (Ty, u16)| 2 * usize::from(r) + usize::from(ty == Ty::F);
+        let mut written = Vec::new();
         code.iter().all(|inst| {
-            let writes_state = match inst.clone().dest_mut() {
-                Some((Ty::I, &mut d)) => u32::from(d) < state.0,
-                Some((Ty::F, &mut d)) => u32::from(d) < state.1,
-                None => false,
-            };
-            !writes_state
+            let reads_unwritten = inst
+                .reads()
+                .into_iter()
+                .flatten()
+                .any(|r| !is_state(r) && !written.get(slot(r)).is_some_and(|&w| w));
+            let dest = inst.clone().dest_mut().map(|(ty, &mut d)| (ty, d));
+            if let Some(s) = dest.map(slot) {
+                written.resize(written.len().max(s + 1), false);
+                written[s] = true;
+            }
+            !reads_unwritten
+                && !dest.is_some_and(is_state)
                 && !matches!(
                     inst,
                     Inst::LoadI { .. }
@@ -1267,6 +1329,7 @@ pub fn lower_filter(
             code,
             pool: std::mem::take(&mut lw.pool),
             rates,
+            state: state_regs,
         }
     };
     let work = program(&mut lw, f.peek, f.pop, f.push);
@@ -1463,6 +1526,32 @@ mod tests {
             .work(|b| b.send("p", "h", vec![], (0, 0)).push(pop()))
             .build();
         assert!(lower_filter(&send, "f", Some(F), Some(F)).is_err());
+    }
+
+    /// A body that reads a temporary before any instruction writes it
+    /// would see another firing's value: it is not lane-safe.  Reading
+    /// state first, or writing the temporary first, is.
+    #[test]
+    fn a_body_that_reads_a_temporary_first_is_not_a_lane_body() {
+        let sum = |a| Inst::ArithF {
+            op: BinOp::Add,
+            d: 1,
+            a,
+            b: 2,
+        };
+        let reads_first = [Inst::PeekFK { d: 2, k: 0 }, sum(1), Inst::PushF { s: 1 }];
+        assert!(!Program::is_lane_safe(&reads_first, (0, 0)));
+        let mut writes_first = reads_first.to_vec();
+        writes_first.insert(0, Inst::ConstF { d: 1, v: 0.5 });
+        assert!(Program::is_lane_safe(&writes_first, (0, 0)));
+        let reads_state = [Inst::PeekFK { d: 2, k: 0 }, sum(0), Inst::PushF { s: 1 }];
+        assert!(Program::is_lane_safe(&reads_state, (0, 1)));
+        assert!(!Program::is_lane_safe(&reads_state, (0, 0)));
+        // An int temporary read first as a peek index or a branch.
+        let peek = [Inst::PeekI { d: 1, idx: 0 }, Inst::PushI { s: 1 }];
+        assert!(!Program::is_lane_safe(&peek, (0, 0)));
+        let branch = [Inst::Jz { c: 3, target: 1 }, Inst::Skip { n: 1 }];
+        assert!(!Program::is_lane_safe(&branch, (0, 0)));
     }
 
     #[test]

@@ -299,62 +299,88 @@ pub(crate) fn dot_lanes<const L: usize>(
     stride: usize,
     c: &[f64],
 ) -> [f64; L] {
-    let xs: [&[f64]; L] = std::array::from_fn(|j| &x[j * stride..][..c.len()]);
+    // One check up front lets the compiler drop the ones in the loop.
+    let span = (L - 1) * stride + 1;
+    let x = &x[..span - 1 + c.len()];
     for (t, &c) in c.iter().enumerate() {
+        let w = &x[t..][..span];
         for j in 0..L {
-            acc[j] += xs[j][t] * c;
+            acc[j] += w[j * stride] * c;
         }
     }
     acc
 }
 
-/// Firings the lane mode runs side by side (four read 1–2 % less on
-/// `fir-vm` when only dot products had lanes); an op with fewer takes
-/// the VM.
+/// [`dot_lanes`] over windows one item apart (a pop-1 FIR's consecutive
+/// firings, a dense row's): at stride 1 the compiler turns the `L` sums
+/// into vector code.  The same code is compiled once more for AVX and
+/// taken when the host has it: wider registers, the same roundings in
+/// the same order.
+#[inline]
+pub(crate) fn dot_tile<const L: usize>(acc: [f64; L], x: &[f64], c: &[f64]) -> [f64; L] {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx") {
+        // SAFETY: `dot_tile_avx` needs no more than AVX, which the line
+        // above found on this host.
+        return unsafe { dot_tile_avx(acc, x, c) };
+    }
+    dot_lanes(acc, x, 1, c)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn dot_tile_avx<const L: usize>(acc: [f64; L], x: &[f64], c: &[f64]) -> [f64; L] {
+    dot_lanes(acc, x, 1, c)
+}
+
+/// Firings a lane group runs side by side (sixteen made bodies with
+/// many pops slower); an op with fewer takes the VM.
 pub(crate) const LANES: usize = 8;
+
+/// Firings one pop-1 `DotPeekF` sums at a time: sixteen accumulators
+/// are sixteen independent add chains.
+pub(crate) const TILE: usize = 16;
+
+/// Most groups in one chunk: the lane columns hold registers ×
+/// `CHUNK × LANES` values, however many firings the op has.
+const CHUNK: usize = 8;
 
 type LaneI = [i64; LANES];
 type LaneF = [f64; LANES];
 
-/// The lane mode's scratch: one register bank per lane, an op's input
-/// window when it wraps its ring, and one group's outputs.  One per
-/// [`Driver`] (so per shard set and per thread), lent to every op it
-/// runs, and never part of a [`Frame`]: every run builds one frame per
-/// filter before its first output, and five more `Vec`s there made
-/// `fir-vm`'s first output about a third slower.
+/// The lane mode's scratch: register columns, an op's input window when
+/// it wraps its ring, and a chunk's pushes when the ring's free slots
+/// wrap.  One per [`Driver`] (so per shard set and per thread), lent to
+/// every op it runs, and never part of a [`Frame`]: every run builds one
+/// frame per filter before its first output, and five more `Vec`s there
+/// made `fir-vm`'s first output about a third slower.
 ///
 /// [`Driver`]: crate::driver::Driver
 #[derive(Debug, Default)]
 pub struct LaneBank {
+    /// Register `r`'s group `g` of a chunk at `r·w + g`, `w` the op's
+    /// chunk width in groups.
     i: Vec<LaneI>,
     f: Vec<LaneF>,
+    /// The registers a chunk wrote, ints then floats.
+    wrote: Vec<bool>,
     /// An op's input window, when it wraps its ring.
     wi: Vec<i64>,
     wf: Vec<f64>,
-    /// A group's outputs, lane `j`'s `p`-th push at `j·push + p`.
+    /// A chunk's pushes, firing `l`'s `p`-th at `l·push + p`, when the
+    /// ring's free slots wrap.
     oi: Vec<i64>,
     of: Vec<f64>,
     /// Firings run as lanes so far.
     pub laned: u64,
 }
 
-/// A group's input window: lane `j` reads `x[j·pop + offset]`.
+/// A run of firings' input window: firing `l` reads `x[l·pop + offset]`.
 #[derive(Clone, Copy)]
 enum Window<'a> {
     I(&'a [i64]),
     F(&'a [f64]),
     None,
-}
-
-impl Window<'_> {
-    /// The window `n` items further on.
-    fn skip(self, n: usize) -> Self {
-        match self {
-            Window::I(x) => Window::I(&x[n..]),
-            Window::F(x) => Window::F(&x[n..]),
-            Window::None => Window::None,
-        }
-    }
 }
 
 /// `times` firings of `prog` against its frame and tapes: whole groups
@@ -384,10 +410,13 @@ pub fn fire(
 /// [`fire`]'s lanes, out of the op loop's way.  One check up front finds
 /// the whole groups whose windows are all staged and whose outputs all
 /// fit, and one window staged for all of them is read in place (or
-/// copied once, when it wraps the ring).  Groups then run in order,
-/// each one's outputs appended in bulk when [`lane_group`] finishes it;
-/// the first group it refuses is left untouched, with the frame as the
-/// VM would have it there.  Returns the firings run.
+/// copied once, when it wraps the ring).  Chunks of up to [`CHUNK`]
+/// groups then run in order through [`lane_chunk`], their pushes
+/// written into the ring's free slots (staged where those wrap); the
+/// groups a chunk finishes commit, the registers they wrote go to the
+/// frame from the last firing, and the first group it refuses is left
+/// untouched, with the frame as the VM would have it there.  Returns
+/// the firings run.
 #[inline(never)]
 fn lane_groups(
     prog: &Program,
@@ -424,49 +453,51 @@ fn lane_groups(
     let Some(x) = x else {
         return 0;
     };
-    let (i, f, oi, of) = (&mut bank.i, &mut bank.f, &mut bank.oi, &mut bank.of);
-    // Every lane starts from the frame's registers.
-    i.clear();
-    i.extend(fr.i.iter().map(|&v| [v; LANES]));
-    f.clear();
-    f.extend(fr.f.iter().map(|&v| [v; LANES]));
-    match output.as_deref() {
-        Some(Tape::I(_)) => oi.resize(LANES * push, 0),
-        Some(Tape::F(_)) => of.resize(LANES * push, 0.0),
-        None => {}
+    // Columns one chunk wide.  State is the one register a lane body
+    // reads before writing it, and it never writes it: copied in once.
+    let (w, ni, nf) = ((firings / LANES).min(CHUNK), fr.i.len(), fr.f.len());
+    let (i, f) = (
+        grown(&mut bank.i, ni * w, [0; LANES]),
+        grown(&mut bank.f, nf * w, [0.0; LANES]),
+    );
+    let wrote = grown(&mut bank.wrote, ni + nf, false);
+    for (r, &v) in fr.i.iter().enumerate().take(prog.state.0 as usize) {
+        i[r * w..][..w].fill([v; LANES]);
     }
+    for (r, &v) in fr.f.iter().enumerate().take(prog.state.1 as usize) {
+        f[r * w..][..w].fill([v; LANES]);
+    }
+    // Groups run so far.
     let mut done = 0;
-    while done < firings {
-        let y = match output.as_deref() {
-            Some(Tape::I(_)) => (&mut oi[..], Default::default()),
-            Some(Tape::F(_)) => (Default::default(), &mut of[..]),
-            None => Default::default(),
+    while done < firings / LANES {
+        let groups = (firings / LANES - done).min(w);
+        let (n, per, shape) = (groups * LANES * push, LANES * push, (pop, window, push));
+        wrote.fill(false);
+        let mut chunk = |y: (&mut [i64], &mut [f64])| {
+            let cols = (&mut *i, &mut *f, &mut *wrote, w);
+            lane_chunk(prog, cols, (done * LANES * pop, groups), x, y, shape)
         };
-        let shape = (pop, window, push);
-        if lane_group(prog, i, f, x.skip(done * pop), y, shape).is_none() {
+        let ran = match output.as_deref_mut() {
+            Some(Tape::I(r)) => into_ring(r, n, &mut bank.oi, per, |y| chunk((y, &mut []))),
+            Some(Tape::F(r)) => into_ring(r, n, &mut bank.of, per, |y| chunk((&mut [], y))),
+            None => chunk((&mut [], &mut [])),
+        };
+        if ran == 0 {
             break;
         }
-        match output.as_deref_mut() {
-            Some(Tape::I(r)) => r.extend_from_slice(oi),
-            Some(Tape::F(r)) => r.extend_from_slice(of),
-            None => {}
+        let (mi, mf) = wrote.split_at(ni);
+        write_back(&mut fr.i, i, w, mi, ran - 1);
+        write_back(&mut fr.f, f, w, mf, ran - 1);
+        done += ran;
+        if ran < groups {
+            break;
         }
-        done += LANES;
     }
+    let done = done * LANES;
     if let Some(t) = input.as_deref_mut() {
         t.advance((done * pop) as u64);
     }
-    if done > 0 {
-        // The last lane ran the last firing: its registers are the ones
-        // the VM would leave.
-        for (r, v) in fr.i.iter_mut().zip(i.iter()) {
-            *r = v[LANES - 1];
-        }
-        for (r, v) in fr.f.iter_mut().zip(f.iter()) {
-            *r = v[LANES - 1];
-        }
-        bank.laned += done as u64;
-    }
+    bank.laned += done as u64;
     done as u32
 }
 
@@ -487,206 +518,250 @@ fn stage<'a, T: Copy + Default>(
     Some(buf)
 }
 
-/// `f` applied lane by lane, or `None` when any lane's is.
-#[inline(always)]
-fn try_map<T: Copy, U: Copy + Default>(
-    a: [T; LANES],
-    f: impl Fn(T) -> Option<U>,
-) -> Option<[U; LANES]> {
-    let mut out = [U::default(); LANES];
-    for (o, a) in out.iter_mut().zip(a) {
-        *o = f(a)?;
+/// `chunk` handed `n` slots for its pushes — `r`'s own free slots when
+/// they do not wrap, else `buf` — and the first `per` × the groups it
+/// returns of them published on `r`.
+fn into_ring<T: Copy + Default>(
+    r: &mut Ring<T>,
+    n: usize,
+    buf: &mut Vec<T>,
+    per: usize,
+    chunk: impl FnOnce(&mut [T]) -> usize,
+) -> usize {
+    if r.spare_mut().len() >= n {
+        let ran = chunk(&mut r.spare_mut()[..n]);
+        r.commit((ran * per) as u64);
+        return ran;
     }
-    Some(out)
+    let buf = grown(buf, n, T::default());
+    let ran = chunk(buf);
+    r.extend_from_slice(&buf[..ran * per]);
+    ran
 }
 
-/// [`try_map`] over two operands.
-#[inline(always)]
-fn lanewise<T: Copy, U: Copy + Default>(
-    a: [T; LANES],
-    b: [T; LANES],
-    f: impl Fn(T, T) -> Option<U>,
-) -> Option<[U; LANES]> {
-    let mut out = [U::default(); LANES];
-    for (o, (a, b)) in out.iter_mut().zip(a.into_iter().zip(b)) {
-        *o = f(a, b)?;
+/// Each register in `frame` that `wrote` marks takes the value of the
+/// last lane of group `g` of its column (`w` groups wide): the chunk's
+/// last firing.
+fn write_back<T: Copy>(frame: &mut [T], cols: &[[T; LANES]], w: usize, wrote: &[bool], g: usize) {
+    for ((v, c), _) in frame
+        .iter_mut()
+        .zip(cols.chunks_exact(w))
+        .zip(wrote)
+        .filter(|m| *m.1)
+    {
+        *v = c[g][LANES - 1];
     }
-    Some(out)
 }
 
-/// Lane `j`'s item `at` past the start of its window, for every lane.
-/// The caller has checked `at < window`, so all lie inside the
-/// `(LANES − 1)·pop + window` staged items.
-#[inline(always)]
-fn gather<T: Copy>(x: &[T], pop: usize, at: usize) -> [T; LANES] {
-    std::array::from_fn(|j| x[j * pop + at])
+/// The first `n` items of `v`, grown with `fill` to hold them (and
+/// never shrunk, so that ops of different sizes do not refill it).
+fn grown<T: Copy>(v: &mut Vec<T>, n: usize, fill: T) -> &mut [T] {
+    if v.len() < n {
+        v.resize(n, fill);
+    }
+    &mut v[..n]
 }
 
-/// One group: lane `j` runs the group's `j`-th firing, every
-/// instruction once for all lanes and each lane through the VM's own
-/// scalar functions.  Lane `j` reads `x[j·pop..]` and writes its pushes
-/// to `y[j·push..]` (the int or the float one, whichever is not empty).
-/// `None`, with nothing outside the lane registers and `y` written, when
-/// the VM could fault or would disagree: a peek or pop outside the
-/// window, a push past `push` or onto the wrong type, a `None` from the
-/// scalar table in any lane, lanes that disagree on a branch, the back
-/// jump budget spent, or pops and pushes off the declared rates.
-fn lane_group(
+/// One chunk of `groups` groups, firing `l = g·LANES + j` in lane `j` of
+/// group `g`: every instruction runs once for the chunk, as one loop over
+/// its firings, each lane through the VM's own scalar functions, and a
+/// pop-1 `DotPeekF` in tiles of [`TILE`] firings.  Firing `l` reads `x`
+/// from `base + l·pop` and writes its `p`-th push to `y[l·push + p]` (the int
+/// or the float one, whichever is not empty); `wrote` marks each
+/// register written.  The first group where the VM could fault or would
+/// disagree — a `None` from the scalar table in any lane, a lane that
+/// branches otherwise than the chunk's first firing — cuts the chunk
+/// before it.  Returns the groups that finished the body: none when any
+/// of them cannot, on a peek or pop outside the window, a push past
+/// `push` or onto the wrong type, the back-jump budget spent, or pops
+/// and pushes off the declared rates.
+fn lane_chunk(
     prog: &Program,
-    ri: &mut [LaneI],
-    rf: &mut [LaneF],
+    (ri, rf, wrote, w): (&mut [LaneI], &mut [LaneF], &mut [bool], usize),
+    (base, mut groups): (usize, usize),
     x: Window<'_>,
     (yi, yf): (&mut [i64], &mut [f64]),
     (pop, window, push): (usize, usize, usize),
-) -> Option<()> {
-    let code = &prog.code[..];
+) -> usize {
+    let (code, ni) = (&prog.code[..], ri.len() / w);
     let (mut pc, mut pops, mut pushes, mut back_jumps) = (0usize, 0usize, 0usize, 0u64);
-    // Where `n` items `k` past the pops start, when they lie inside the
-    // window.
+    // Where in `x` the chunk's first firing's `n` items `k` past the
+    // pops start, when they lie inside the window.
     let at = |pops: usize, k: usize, n: usize| {
         let at = pops.checked_add(k)?;
-        (at.checked_add(n)? <= window).then_some(at)
+        (at.checked_add(n)? <= window).then_some(base + at)
     };
+    // Register `r`'s group `g`.
+    let ix = |r: u16, g: usize| r as usize * w + g;
     macro_rules! jump {
         ($t:expr) => {{
             let t = $t as usize;
             if t <= pc {
                 back_jumps += 1;
                 if back_jumps > MAX_BACK_JUMPS {
-                    return None;
+                    return 0;
                 }
             }
             pc = t;
             continue;
         }};
     }
+    // Register `d` of bank `ri` or `rf` written: its mark.
+    macro_rules! mark {
+        (ri, $d:expr) => {
+            wrote[$d as usize] = true
+        };
+        (rf, $d:expr) => {
+            wrote[ni + $d as usize] = true
+        };
+    }
+    // Register `d` of bank `$r`, firing by firing (`g`, `j` its group
+    // and lane), the chunk cut before the first group with a `None`.
+    macro_rules! set {
+        ($r:ident, $d:expr, |$g:ident, $j:ident| $val:expr) => {{
+            'groups: for $g in 0..groups {
+                for $j in 0..LANES {
+                    match $val {
+                        Some(v) => $r[ix($d, $g)][$j] = v,
+                        None => {
+                            groups = $g;
+                            break 'groups;
+                        }
+                    }
+                }
+            }
+            mark!($r, $d);
+        }};
+    }
+    // `f` of register `a` of bank `$s`.
+    macro_rules! map {
+        ($r:ident, $d:expr, $s:ident, $a:expr, $f:expr) => {
+            set!($r, $d, |g, j| Some($f($s[ix($a, g)][j])))
+        };
+    }
+    // `f` of registers `a` and `b` of bank `$s`.
+    macro_rules! zip {
+        ($r:ident, $d:expr, $s:ident, $a:expr, $b:expr, $f:expr) => {
+            set!($r, $d, |g, j| $f($s[ix($a, g)][j], $s[ix($b, g)][j]))
+        };
+    }
+    // Item `k` past the pops of each firing's window, then `n` pops.
+    macro_rules! peek {
+        ($r:ident, $ty:ident, $d:expr, $k:expr, $n:expr) => {{
+            let (Window::$ty(x), Some(at)) = (x, at(pops, $k as usize, 1)) else {
+                return 0;
+            };
+            set!($r, $d, |g, j| Some(x[(g * LANES + j) * pop + at]));
+            pops += $n;
+        }};
+    }
+    // Item `idx` (a register) past the pops of each firing's window.
+    macro_rules! peek_at {
+        ($r:ident, $ty:ident, $d:expr, $idx:expr) => {{
+            let Window::$ty(x) = x else { return 0 };
+            set!($r, $d, |g, j| {
+                let k = usize::try_from(ri[ix($idx, g)][j]).ok();
+                k.and_then(|k| at(pops, k, 1))
+                    .map(|at| x[(g * LANES + j) * pop + at])
+            });
+        }};
+    }
+    // Register `s` of bank `$r` as each firing's next push.
+    macro_rules! put {
+        ($r:ident, $y:ident, $s:expr) => {{
+            if pushes >= push || $y.is_empty() {
+                return 0;
+            }
+            for g in 0..groups {
+                for (j, v) in $r[ix($s, g)].into_iter().enumerate() {
+                    $y[(g * LANES + j) * push + pushes] = v;
+                }
+            }
+            pushes += 1;
+        }};
+    }
     while pc < code.len() {
+        if groups == 0 {
+            return 0;
+        }
         match code[pc] {
-            Inst::ConstI { d, v } => ri[d as usize] = [v; LANES],
-            Inst::ConstF { d, v } => rf[d as usize] = [v; LANES],
-            Inst::MovI { d, s } => ri[d as usize] = ri[s as usize],
-            Inst::MovF { d, s } => rf[d as usize] = rf[s as usize],
-            Inst::CastIF { d, s } => rf[d as usize] = ri[s as usize].map(|v| v as f64),
-            Inst::CastFI { d, s } => ri[d as usize] = rf[s as usize].map(|v| v as i64),
-            Inst::BinI { op, d, a, b } => {
-                ri[d as usize] =
-                    lanewise(ri[a as usize], ri[b as usize], |a, b| int_binop(op, a, b))?;
-            }
-            Inst::ArithF { op, d, a, b } => {
-                rf[d as usize] =
-                    lanewise(rf[a as usize], rf[b as usize], |a, b| float_arith(op, a, b))?;
-            }
+            Inst::ConstI { d, v } => set!(ri, d, |_g, _j| Some(v)),
+            Inst::ConstF { d, v } => set!(rf, d, |_g, _j| Some(v)),
+            Inst::MovI { d, s } => map!(ri, d, ri, s, |v| v),
+            Inst::MovF { d, s } => map!(rf, d, rf, s, |v| v),
+            Inst::CastIF { d, s } => map!(rf, d, ri, s, |v| v as f64),
+            Inst::CastFI { d, s } => map!(ri, d, rf, s, |v| v as i64),
+            Inst::BinI { op, d, a, b } => zip!(ri, d, ri, a, b, |a, b| int_binop(op, a, b)),
+            Inst::ArithF { op, d, a, b } => zip!(rf, d, rf, a, b, |a, b| float_arith(op, a, b)),
             Inst::ArithFK { op, d, a, imm } => {
-                rf[d as usize] =
-                    lanewise(rf[a as usize], [imm; LANES], |a, b| float_arith(op, a, b))?;
+                set!(rf, d, |g, j| float_arith(op, rf[ix(a, g)][j], imm))
             }
             Inst::ArithKF { op, d, b, imm } => {
-                rf[d as usize] =
-                    lanewise([imm; LANES], rf[b as usize], |a, b| float_arith(op, a, b))?;
+                set!(rf, d, |g, j| float_arith(op, imm, rf[ix(b, g)][j]))
             }
-            Inst::CmpF { op, d, a, b } => {
-                ri[d as usize] =
-                    lanewise(rf[a as usize], rf[b as usize], |a, b| float_cmp(op, a, b))?;
-            }
-            Inst::NegI { d, s } => ri[d as usize] = ri[s as usize].map(|v| int_unop(UnOp::Neg, v)),
-            Inst::NegF { d, s } => rf[d as usize] = rf[s as usize].map(float_neg),
-            Inst::NotI { d, s } => ri[d as usize] = ri[s as usize].map(|v| int_unop(UnOp::Not, v)),
-            Inst::NotF { d, s } => ri[d as usize] = rf[s as usize].map(float_not),
-            Inst::BitNotI { d, s } => {
-                ri[d as usize] = ri[s as usize].map(|v| int_unop(UnOp::BitNot, v))
-            }
-            Inst::TruthyF { d, s } => ri[d as usize] = rf[s as usize].map(truthy_f),
-            Inst::Call1F { g, d, s } => {
-                rf[d as usize] = try_map(rf[s as usize], |x| call1_f(g, x))?
-            }
-            Inst::AbsI { d, s } => ri[d as usize] = ri[s as usize].map(int_abs),
-            Inst::AbsF { d, s } => rf[d as usize] = rf[s as usize].map(f64::abs),
-            Inst::PowF { d, a, b } => {
-                rf[d as usize] = lanewise(rf[a as usize], rf[b as usize], |a, b| Some(a.powf(b)))?;
-            }
+            Inst::CmpF { op, d, a, b } => zip!(ri, d, rf, a, b, |a, b| float_cmp(op, a, b)),
+            Inst::NegI { d, s } => map!(ri, d, ri, s, |v| int_unop(UnOp::Neg, v)),
+            Inst::NegF { d, s } => map!(rf, d, rf, s, float_neg),
+            Inst::NotI { d, s } => map!(ri, d, ri, s, |v| int_unop(UnOp::Not, v)),
+            Inst::NotF { d, s } => map!(ri, d, rf, s, float_not),
+            Inst::BitNotI { d, s } => map!(ri, d, ri, s, |v| int_unop(UnOp::BitNot, v)),
+            Inst::TruthyF { d, s } => map!(ri, d, rf, s, truthy_f),
+            Inst::Call1F { g: h, d, s } => set!(rf, d, |g, j| call1_f(h, rf[ix(s, g)][j])),
+            Inst::AbsI { d, s } => map!(ri, d, ri, s, int_abs),
+            Inst::AbsF { d, s } => map!(rf, d, rf, s, f64::abs),
+            Inst::PowF { d, a, b } => zip!(rf, d, rf, a, b, |a: f64, b| Some(a.powf(b))),
             Inst::MinMaxI { max, d, a, b } => {
-                ri[d as usize] = lanewise(ri[a as usize], ri[b as usize], |a, b| {
-                    Some(min_max_i(max, a, b))
-                })?;
+                zip!(ri, d, ri, a, b, |a, b| Some(min_max_i(max, a, b)))
             }
             Inst::MinMaxF { max, d, a, b } => {
-                rf[d as usize] = lanewise(rf[a as usize], rf[b as usize], |a, b| {
-                    Some(min_max_f(max, a, b))
-                })?;
+                zip!(rf, d, rf, a, b, |a, b| Some(min_max_f(max, a, b)))
             }
-            Inst::PeekIK { d, k } => {
-                let (Window::I(x), Some(at)) = (x, at(pops, k as usize, 1)) else {
-                    return None;
-                };
-                ri[d as usize] = gather(x, pop, at);
-            }
-            Inst::PeekFK { d, k } => {
-                let (Window::F(x), Some(at)) = (x, at(pops, k as usize, 1)) else {
-                    return None;
-                };
-                rf[d as usize] = gather(x, pop, at);
-            }
-            Inst::PeekI { d, idx } => {
-                let Window::I(x) = x else { return None };
-                let ats = try_map(ri[idx as usize], |k| at(pops, usize::try_from(k).ok()?, 1))?;
-                ri[d as usize] = std::array::from_fn(|j| x[j * pop + ats[j]]);
-            }
-            Inst::PeekF { d, idx } => {
-                let Window::F(x) = x else { return None };
-                let ats = try_map(ri[idx as usize], |k| at(pops, usize::try_from(k).ok()?, 1))?;
-                rf[d as usize] = std::array::from_fn(|j| x[j * pop + ats[j]]);
-            }
+            Inst::PeekIK { d, k } => peek!(ri, I, d, k, 0),
+            Inst::PeekFK { d, k } => peek!(rf, F, d, k, 0),
+            Inst::PopI { d } => peek!(ri, I, d, 0, 1),
+            Inst::PopF { d } => peek!(rf, F, d, 0, 1),
+            Inst::Skip { n } => pops = pops.saturating_add(n as usize),
+            Inst::PeekI { d, idx } => peek_at!(ri, I, d, idx),
+            Inst::PeekF { d, idx } => peek_at!(rf, F, d, idx),
             Inst::DotPeekF { d, a, k, n, at: c } => {
                 let (Window::F(x), Some(coef), Some(at)) = (
                     x,
                     prog.pool.get(c as usize..c as usize + n as usize),
                     at(pops, k as usize, n as usize),
                 ) else {
-                    return None;
+                    return 0;
                 };
-                rf[d as usize] = dot_lanes(rf[a as usize], &x[at..], pop, coef);
-            }
-            Inst::Skip { n } => pops = pops.saturating_add(n as usize),
-            Inst::PopI { d } => {
-                let (Window::I(x), Some(at)) = (x, at(pops, 0, 1)) else {
-                    return None;
-                };
-                ri[d as usize] = gather(x, pop, at);
-                pops += 1;
-            }
-            Inst::PopF { d } => {
-                let (Window::F(x), Some(at)) = (x, at(pops, 0, 1)) else {
-                    return None;
-                };
-                rf[d as usize] = gather(x, pop, at);
-                pops += 1;
-            }
-            Inst::PushI { s } => {
-                if pushes >= push || yi.is_empty() {
-                    return None;
+                // Windows one item apart are summed a tile at a time.
+                let (cols, end) = (rf.as_flattened_mut(), groups * LANES);
+                let (src, dst, mut l) = (ix(a, 0) * LANES, ix(d, 0) * LANES, 0);
+                while l < end {
+                    let x = &x[l * pop + at..];
+                    if pop == 1 && l + TILE <= end {
+                        let acc = &cols[src + l..][..TILE];
+                        let sum = dot_tile::<TILE>(std::array::from_fn(|j| acc[j]), x, coef);
+                        cols[dst + l..][..TILE].copy_from_slice(&sum);
+                        l += TILE;
+                    } else {
+                        let acc: LaneF = std::array::from_fn(|j| cols[src + l + j]);
+                        let sum = match pop {
+                            1 => dot_tile(acc, x, coef),
+                            _ => dot_lanes(acc, x, pop, coef),
+                        };
+                        cols[dst + l..][..LANES].copy_from_slice(&sum);
+                        l += LANES;
+                    }
                 }
-                for (j, v) in ri[s as usize].into_iter().enumerate() {
-                    yi[j * push + pushes] = v;
-                }
-                pushes += 1;
+                mark!(rf, d);
             }
-            Inst::PushF { s } => {
-                if pushes >= push || yf.is_empty() {
-                    return None;
-                }
-                for (j, v) in rf[s as usize].into_iter().enumerate() {
-                    yf[j * push + pushes] = v;
-                }
-                pushes += 1;
-            }
+            Inst::PushI { s } => put!(ri, yi, s),
+            Inst::PushF { s } => put!(rf, yf, s),
             Inst::Jmp { target } => jump!(target),
             Inst::Jz { c, target } => {
-                // Every lane must go the same way.
-                let zero = ri[c as usize].map(|v| v == 0);
-                if zero != [zero[0]; LANES] {
-                    return None;
-                }
-                if zero[0] {
+                // Every firing must go the way the chunk's first goes.
+                let zero = ri[ix(c, 0)][0] == 0;
+                let apart = |g: &usize| ri[ix(c, *g)].iter().any(|&v| (v == 0) != zero);
+                groups = (0..groups).find(apart).unwrap_or(groups);
+                if zero {
                     jump!(target);
                 }
             }
@@ -695,11 +770,15 @@ fn lane_group(
             | Inst::StoreI { .. }
             | Inst::StoreF { .. }
             | Inst::ZeroI { .. }
-            | Inst::ZeroF { .. } => return None,
+            | Inst::ZeroF { .. } => return 0,
         }
         pc += 1;
     }
-    (pops == pop && pushes == push).then_some(())
+    if pops == pop && pushes == push {
+        groups
+    } else {
+        0
+    }
 }
 
 /// The value of a unary float intrinsic, `None` for any other.
@@ -1115,7 +1194,9 @@ pub(crate) fn run_ops(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::{lower_filter, FilterCode};
+    use crate::bytecode::FilterCode;
+    use crate::lowering::LoweringCache;
+    use crate::plan::LowerOptions;
     use streamit_graph::builder::*;
     use streamit_graph::DataType;
 
@@ -1469,9 +1550,16 @@ mod tests {
         lane_body(&f, F)
     }
 
+    /// `f` lowered as written over `ty` tapes.
+    fn lowered(f: &streamit_graph::Filter, ty: DataType) -> FilterCode {
+        let opts = LowerOptions { opt_level: 0 };
+        let lowering = LoweringCache::default().lower(f, &f.name, Some(ty), Some(ty), opts);
+        lowering.expect("lowers").0
+    }
+
     /// `f` lowered over `ty` tapes, which must mark it lane-safe.
     fn lane_body(f: &streamit_graph::Filter, ty: DataType) -> FilterCode {
-        let fc = lower_filter(f, &f.name, Some(ty), Some(ty)).expect("lowers");
+        let fc = lowered(f, ty);
         assert!(fc.work.lane_safe, "not a lane body: {:?}", fc.work.code);
         fc
     }
@@ -1586,6 +1674,88 @@ mod tests {
         }
     }
 
+    /// Dot products at every pop (the pop-1 ones in tiles), at tap counts
+    /// on either side of a lane group and of a tile, and at strides that
+    /// end inside a group, on a group, on a tile and across a chunk: as
+    /// one op they are the VM's firings by bits — tapes, frame registers
+    /// and results — at four ring skews, with room for every output and
+    /// with one slot short, where both fault alike.
+    #[test]
+    fn dot_products_in_the_lanes_match_the_vm_at_every_shape() {
+        let mut draw = Draw::new(17);
+        let mut laned = 0;
+        for pop in 1..=3 {
+            for n in [1, 7, 8, 16, 17, 64] {
+                let taps: Vec<f64> = (0..n).map(|_| draw.value()).collect();
+                let fc = fir(draw.value(), 1, &taps, pop, n % 2 == 1);
+                for times in [1, 7, 8, 9, 16, 17, 128, 129] {
+                    let items = span(pop, 1, n, times);
+                    let input: Vec<f64> = (0..items).map(|_| draw.value()).collect();
+                    let (cap, room) = ((items as u64).next_power_of_two(), 256);
+                    for skew in [0, 1, cap / 2 + 3, cap - 1] {
+                        let (inp, out) = (
+                            skewed(F, cap, skew % cap, &input),
+                            skewed(F, room, skew % room, &[]),
+                        );
+                        let (l, vm, _) = lanes_against_vm(&fc, inp.clone(), out, times);
+                        vm.expect("VM fires");
+                        laned += l;
+                        let full = vec![0.0; (room - u64::from(times)) as usize + 1];
+                        let out = skewed(F, room, skew % room, &full);
+                        let (_, vm, _) = lanes_against_vm(&fc, inp, out, times);
+                        assert_eq!(vm, Err("output tape capacity exceeded".into()));
+                    }
+                }
+            }
+        }
+        // Every whole group of every run with room took the lanes.
+        assert_eq!(laned, 3 * 6 * 4 * (8 + 8 + 16 + 16 + 128 + 128));
+    }
+
+    /// The tile on this host (the AVX copy when the host has AVX) and the
+    /// portable one sum the same windows to the same bits, and each lane
+    /// is the one-at-a-time sum, with ±0, ±∞, subnormals and the hardware
+    /// NaN among the items, coefficients and starting sums.
+    #[test]
+    fn the_avx_tile_is_the_portable_tile_by_bits() {
+        #[cfg(target_arch = "x86_64")]
+        let avx = std::is_x86_feature_detected!("avx");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx = false;
+        if !avx {
+            eprintln!("no AVX on this host: only the portable tile is checked");
+        }
+        let mut draw = Draw::new(19);
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 8.0,
+            -f64::MIN_POSITIVE / 3.0,
+            hardware_nan(),
+        ];
+        let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for n in [1, 7, 8, 16, 17, 64] {
+            for case in 0..64 {
+                // One value in five a special, at a place that moves.
+                let mut value = |i: usize| match (i + case) % 5 {
+                    0 => specials[(i + case) % specials.len()],
+                    _ => draw.value(),
+                };
+                let x: Vec<f64> = (0..TILE - 1 + n).map(&mut value).collect();
+                let c: Vec<f64> = (0..n).map(|i| value(i + 3)).collect();
+                let acc: [f64; TILE] = std::array::from_fn(|j| value(j + 1));
+                let tile = dot_tile(acc, &x, &c);
+                assert_eq!(bits(&tile), bits(&dot_lanes(acc, &x, 1, &c)), "{n} taps");
+                for (j, &sum) in tile.iter().enumerate() {
+                    let [one] = dot_lanes([acc[j]], &x[j..], 0, &c);
+                    assert_eq!(sum.to_bits(), one.to_bits(), "lane {j} of {n} taps");
+                }
+            }
+        }
+    }
+
     /// One item short of the span, or one output slot short: the lanes
     /// run the group that fits, and the VM faults at the firing that
     /// finds the gap, with its own text.
@@ -1647,10 +1817,12 @@ mod tests {
         );
     }
 
-    /// `a / b` over popped pairs, trapping in lane 5 of the second group
-    /// (`i64::MIN / -1`, then `/ 0`): the first group is laned, the second
-    /// is left to the VM, which faults at firing 13 with its own text
-    /// after the same thirteen outputs.
+    /// `a / b` over popped pairs, trapping (`i64::MIN / -1`, then `/ 0`)
+    /// in lane 5 of a later group: of the second group of a two-group
+    /// chunk, of the sixth of an eight-group one, and of the fourth
+    /// group of an op's second chunk.  The groups before it are laned,
+    /// the rest is left to the VM, which faults at the trapping firing
+    /// with its own text after the same outputs.
     #[test]
     fn a_trap_in_one_lane_faults_at_the_vm_firing() {
         let f = FilterBuilder::new("div", I)
@@ -1658,45 +1830,74 @@ mod tests {
             .work(|b| b.let_("a", I, pop()).push(var("a") / pop()))
             .build();
         let fc = lane_body(&f, I);
-        for (a, b) in [(i64::MIN, -1), (7, 0)] {
-            let mut items: Vec<i64> = (0..32)
-                .map(|j| if j % 2 == 0 { 1000 - 37 * j } else { 1 + j % 5 })
-                .collect();
-            (items[26], items[27]) = (a, b);
-            let out = ints(32, 0, &[]);
-            let (laned, vm, out) = lanes_against_vm(&fc, ints(64, 41, &items), out, 16);
-            assert_eq!(laned, LANES as u64);
-            assert_eq!(vm, Err("division by zero".to_string()));
-            assert_eq!(out.len(), 13);
+        for (times, group) in [(16, 1), (64, 5), (136, CHUNK + 3)] {
+            let at = group * LANES + 5;
+            for (a, b) in [(i64::MIN, -1), (7, 0)] {
+                let mut items: Vec<i64> = (0..2 * times as i64)
+                    .map(|j| if j % 2 == 0 { 1000 - 37 * j } else { 1 + j % 5 })
+                    .collect();
+                (items[2 * at], items[2 * at + 1]) = (a, b);
+                let (cap, room) = (4 * u64::from(times), 2 * u64::from(times));
+                let (laned, vm, out) =
+                    lanes_against_vm(&fc, ints(cap, 41, &items), ints(room, 0, &[]), times);
+                assert_eq!(laned, (group * LANES) as u64);
+                assert_eq!(vm, Err("division by zero".to_string()));
+                assert_eq!(out.len(), at as u64);
+            }
         }
     }
 
-    /// A loop bounded by a popped value runs a different trip count in
-    /// each lane: such a body is not marked, and forced through the
-    /// lanes it falls back to the VM at the first group whose lanes
-    /// disagree on the loop's exit.
+    /// A body that reads int and float state it never writes is a lane
+    /// body, and every chunk of a long op reads the frame's state: only
+    /// the state columns are filled from the frame, the rest start as
+    /// whatever the bank held.
     #[test]
-    fn a_loop_whose_trip_count_differs_per_lane_falls_back() {
-        let f = FilterBuilder::new("trip", I)
+    fn lane_bodies_read_the_frames_state_in_every_chunk() {
+        let f = FilterBuilder::new("scale", F)
+            .state("k", I, streamit_graph::Value::Int(3))
+            .state("g", F, streamit_graph::Value::Float(-0.75))
+            .rates(1, 1, 1)
+            .work(|b| b.push(pop() * var("g") + var("k")))
+            .build();
+        let fc = lane_body(&f, F);
+        let mut draw = Draw::new(23);
+        for times in [8, 64, 136] {
+            let input: Vec<f64> = (0..times).map(|_| draw.value()).collect();
+            let (inp, out) = (skewed(F, 256, 5, &input), skewed(F, 256, 9, &[]));
+            let (laned, vm, _) = lanes_against_vm(&fc, inp, out, times);
+            vm.expect("VM fires");
+            assert_eq!(laned, u64::from(times));
+        }
+    }
+
+    /// A branch on a popped value goes one way in some lanes and the
+    /// other way in others: such a body is not marked, and forced
+    /// through the lanes it falls back to the VM at the first group
+    /// whose lanes leave the way the chunk's first firing went — here
+    /// the third group of a four-group chunk.
+    #[test]
+    fn a_branch_that_differs_per_lane_falls_back() {
+        let f = FilterBuilder::new("branch", I)
             .rates(1, 1, 1)
             .work(|b| {
                 b.let_("s", I, lit(0i64))
                     .let_("n", I, pop() & lit(3i64))
-                    .for_("i", lit(0i64), var("n"), |b| {
-                        b.set("s", var("s") + var("i"))
+                    .if_(cmp(BinOp::Gt, var("n"), lit(1i64)), |b| {
+                        b.set("s", var("n") * lit(5i64))
                     })
                     .push(var("s"))
             })
             .build();
-        let mut fc = lower_filter(&f, "trip", Some(I), Some(I)).expect("lowers");
+        let mut fc = lowered(&f, I);
         assert!(!fc.work.lane_safe);
         fc.work.lane_safe = true;
-        // A group of equal trip counts, then one of mixed counts.
-        let items: Vec<i64> = [[2; 8], [0, 1, 2, 3, 3, 2, 1, 0]].concat();
-        let (laned, vm, out) = lanes_against_vm(&fc, ints(16, 3, &items), ints(16, 0, &[]), 16);
+        // Two groups that take the branch, then one of mixed ways.
+        let mixed = [0, 1, 2, 3, 3, 2, 1, 0];
+        let items: Vec<i64> = [[2; 8], [3; 8], mixed, [2; 8]].concat();
+        let (laned, vm, out) = lanes_against_vm(&fc, ints(32, 3, &items), ints(32, 0, &[]), 32);
         vm.expect("VM fires");
-        assert_eq!(laned, LANES as u64);
-        assert_eq!(bits(&out)[8..], [0, 0, 1, 3, 3, 1, 0, 0]);
+        assert_eq!(laned, 2 * LANES as u64);
+        assert_eq!(bits(&out)[16..24], [0, 0, 10, 15, 15, 10, 0, 0]);
     }
 
     /// `times` firings of a dense-kernel filter against `input` (on a

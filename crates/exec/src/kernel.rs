@@ -17,7 +17,9 @@
 //!   output is *bit-identical* to interpreting the bytecode (and to the
 //!   reference interpreter on the same graph), at every firing count.
 //!   Rows whose taps are one ascending run of the window (banded FIR
-//!   rows) read it in place, [`LANES`] firings side by side; other rows
+//!   rows) read it in place, [`LANES`] firings side by side, or a
+//!   [`TILE`] of them through [`crate::engine::dot_tile`] when the
+//!   filter pops one item (its windows are one item apart); other rows
 //!   gather their taps first.
 //! * **Freq** — overlap-save FFT convolution of a block-expanded FIR:
 //!   one real-input transform per block ([`RealFft::convolve`]) against
@@ -37,7 +39,7 @@ use std::ops::Range;
 use streamit_graph::kernel::KernelSpec;
 use streamit_linear::fft::RealFft;
 
-use crate::engine::{dot_lanes, LANES};
+use crate::engine::{dot_lanes, dot_tile, LANES, TILE};
 use crate::tape::Tape;
 
 /// Compiled form of [`KernelSpec::Linear`]: the affine map in CSR
@@ -169,8 +171,7 @@ impl KernelCode {
 }
 
 impl DenseKernel {
-    /// Rows whose taps read the window in place, [`LANES`] firings side
-    /// by side.
+    /// Rows whose taps read the window in place.
     #[cfg(test)]
     pub(crate) fn banded_rows(&self) -> usize {
         self.rows.iter().filter(|r| r.band.is_some()).count()
@@ -203,9 +204,11 @@ impl DenseKernel {
             _ => times.min(output.free() as usize / push),
         };
         let staged = if tail.is_empty() { 0 } else { span };
-        scratch.resize(LANES * (push + self.gather) + staged, 0.0);
-        let (y, rest) = scratch.split_at_mut(LANES * push);
-        let (g, xs) = rest.split_at_mut(LANES * self.gather);
+        // Windows one item apart are summed a tile at a time.
+        let step = if pop == 1 { TILE } else { LANES };
+        scratch.resize(step * (push + self.gather) + staged, 0.0);
+        let (y, rest) = scratch.split_at_mut(step * push);
+        let (g, xs) = rest.split_at_mut(step * self.gather);
         let x = if tail.is_empty() {
             head
         } else {
@@ -214,10 +217,13 @@ impl DenseKernel {
             &xs[..]
         };
         let mut t = 0;
-        while t + LANES <= fit {
-            self.fire::<LANES>(&x[t * pop..], y, g);
+        while t + step <= fit {
+            match step {
+                TILE => self.fire::<TILE>(&x[t * pop..], y, g),
+                _ => self.fire::<LANES>(&x[t * pop..], y, g),
+            }
             output.extend_from_f64(y);
-            t += LANES;
+            t += step;
         }
         let rest = fit - t;
         for r in 0..rest {
@@ -239,6 +245,7 @@ impl DenseKernel {
         for (j, row) in self.rows.iter().enumerate() {
             let coef = &self.tap_coef[row.taps.clone()];
             let sums = match row.band {
+                Some(first) if self.pop == 1 => dot_tile([row.constant; L], &x[first..], coef),
                 Some(first) => dot_lanes([row.constant; L], &x[first..], self.pop, coef),
                 None => {
                     let idx = &self.tap_idx[row.taps.clone()];

@@ -184,6 +184,16 @@ impl<T: Copy + Default> Ring<T> {
         self.tail += n;
     }
 
+    /// The free slots from the write cursor up to where they wrap:
+    /// pushes written here are published by [`Ring::commit`].
+    #[inline]
+    pub(crate) fn spare_mut(&mut self) -> &mut [T] {
+        let at = (self.tail & self.mask) as usize;
+        let free = (self.capacity() - self.len()) as usize;
+        let end = self.buf.len().min(at + free);
+        &mut self.buf[at..end]
+    }
+
     /// Append `items`; the caller has checked they fit.  At most two
     /// `copy_from_slice` runs.
     pub(crate) fn extend_from_slice(&mut self, items: &[T]) {
