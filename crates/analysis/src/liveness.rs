@@ -55,8 +55,17 @@ pub struct DeadStore<'a> {
 /// source order.  Pinned names are never reported.  Dead `LetArray`s are
 /// reported through the unused-state style lints, not here.
 pub fn dead_stores<'a>(f: &'a Filter, block: &'a [Stmt]) -> Vec<DeadStore<'a>> {
+    dead_stores_pinned(f, block, &pinned_names(f, block))
+}
+
+/// [`dead_stores`], `pinned` being `block`'s pinned names.
+pub(crate) fn dead_stores_pinned<'a>(
+    f: &'a Filter,
+    block: &'a [Stmt],
+    pinned: &HashSet<String>,
+) -> Vec<DeadStore<'a>> {
     let mut walk = Walk {
-        pinned: pinned_names(f, block),
+        pinned,
         dead: Vec::new(),
     };
     let mut live: Live<'a> = f.state.iter().map(|sv| sv.name.as_str()).collect();
@@ -74,13 +83,13 @@ fn uses<'a>(e: &'a Expr, live: &mut Live<'a>) {
     });
 }
 
-struct Walk<'a> {
-    pinned: HashSet<String>,
+struct Walk<'a, 'p> {
+    pinned: &'p HashSet<String>,
     /// Dead stores met so far; the walk runs backward, so last first.
     dead: Vec<DeadStore<'a>>,
 }
 
-impl<'a> Walk<'a> {
+impl<'a> Walk<'a, '_> {
     /// Turn `live`, the names live after `block`, into the names live
     /// before it; with `record`, note each store that is dead on the way.
     fn block(&mut self, block: &'a [Stmt], live: &mut Live<'a>, record: bool) {

@@ -28,13 +28,18 @@
 //! declare no top-level locals, and a deleted dead `let` whose name is
 //! re-assigned later keeps its declaration (with a zeroed initializer)
 //! so lowering still sees the binding.
+//!
+//! Every walk rewrites the body in place: statements move, and only an
+//! unrolled loop's body is copied, once per trip.  A round runs only
+//! the walks that can still change the body (DESIGN.md "Optimizing
+//! mid-end"), so no round is spent confirming a fixpoint.
 
 use std::collections::{HashMap, HashSet};
 
 use streamit_graph::work::{eval_const, int_binop, ConstEnv};
 use streamit_graph::{DataType, Expr, Filter, LValue, Stmt, Value};
 
-use crate::liveness::{dead_stores, DeadStore};
+use crate::liveness::dead_stores_pinned;
 use crate::scope::{pinned_names, scalar_types, state_seeds, StateSeeds};
 
 /// Maximum trip count a single loop may be unrolled by.
@@ -43,12 +48,13 @@ const MAX_UNROLL_TRIPS: i64 = 256;
 const MAX_UNROLL_BODY: usize = 1024;
 /// Total statement fuel for unrolling across one body — sized so the
 /// bytecode register budget (fresh register per expression) can't blow.
+/// Each round that folds gets it afresh.
 const MAX_UNROLL_TOTAL: usize = 4096;
-/// Fold/prune/DSE rounds per body.
+/// Rounds per body: each runs the walks the last one left work for.
 const MAX_ROUNDS: usize = 4;
 
-/// Counters for everything the optimizer did (also used for fixpoint
-/// detection, so float-literal `PartialEq` pitfalls never matter).
+/// Counters for everything the optimizer did.  Each counts a change to
+/// the body, never a rewrite to what was already there.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct OptStats {
     pub rounds: u32,
@@ -82,33 +88,73 @@ impl OptStats {
 pub fn optimize_filter(f: &Filter) -> (Filter, OptStats) {
     let mut out = f.clone();
     let mut stats = OptStats::default();
-    out.work = optimize_body(f, std::mem::take(&mut out.work), &mut stats);
-    if let Some(mut pw) = out.prework.take() {
-        pw.body = optimize_body(f, std::mem::take(&mut pw.body), &mut stats);
-        out.prework = Some(pw);
+    optimize_body(f, &mut out.work, &mut stats);
+    if let Some(pw) = out.prework.as_mut() {
+        optimize_body(f, &mut pw.body, &mut stats);
     }
     (out, stats)
 }
 
-fn optimize_body(f: &Filter, mut block: Vec<Stmt>, stats: &mut OptStats) -> Vec<Stmt> {
+/// The walks a round runs: folding (with pruning and unrolling), copy
+/// propagation, dead-store elimination.  A round that folds also
+/// propagates and eliminates, and one that propagates also eliminates,
+/// as a round always did; a walk left out would change nothing.
+#[derive(Clone, Copy)]
+struct Walks {
+    fold: bool,
+    copy: bool,
+    dse: bool,
+}
+
+/// Rounds of fold → copy-propagate → eliminate dead stores until one
+/// changes nothing or no walk is left with work, at most `MAX_ROUNDS`.
+fn optimize_body(f: &Filter, block: &mut Vec<Stmt>, stats: &mut OptStats) {
+    let mut pinned = pinned_names(f, block);
+    let mut walks = Walks {
+        fold: true,
+        copy: true,
+        dse: true,
+    };
     for _ in 0..MAX_ROUNDS {
         let before = stats.work_done();
-        block = one_round(f, block, stats);
+        let tys = scalar_types(f, block, &pinned);
+        let (mut env_shrunk, mut moved) = (false, None);
+        if walks.fold {
+            let mut fold = Folder::new(f, block, &pinned, tys.clone(), MAX_UNROLL_TOTAL, stats);
+            fold.run(block);
+            env_shrunk = fold.env_shrunk;
+            // Only folding unrolls, prunes or deletes a declaration:
+            // copy propagation and dead-store elimination delete only
+            // unpinned `let`s.
+            if stats.work_done() != before {
+                moved = Some(pinned_names(f, block)).filter(|p| *p != pinned);
+            }
+        }
+        if walks.fold || walks.copy {
+            copy_prop(block, &pinned, &tys, stats);
+        }
+        let pinned_moved = moved.is_some();
+        pinned = moved.unwrap_or(pinned);
+        let chain = eliminate_dead_stores(f, block, &pinned, stats);
         stats.rounds += 1;
         if stats.work_done() == before {
             break;
         }
+        // Folding again changes something only where the body now holds
+        // a site a fold acts on, or where what it knows differs: the
+        // names it may track, or a rolled loop that no longer assigns a
+        // name.
+        walks = Walks {
+            fold: env_shrunk
+                || pinned_moved
+                || fold_site(block, &pinned, &loop_only_names(f, block, &pinned)),
+            copy: copy_site(f, block, &pinned),
+            dse: chain,
+        };
+        if !(walks.fold || walks.copy || walks.dse) {
+            break;
+        }
     }
-    block
-}
-
-fn one_round(f: &Filter, block: Vec<Stmt>, stats: &mut OptStats) -> Vec<Stmt> {
-    let mut fold = Folder::new(f, &block, MAX_UNROLL_TOTAL, stats);
-    let folded = fold.run(&block);
-    drop(block);
-
-    let folded = copy_prop(folded, &fold.pinned, &fold.tys, fold.stats);
-    eliminate_dead_stores(f, folded, stats)
 }
 
 /// The truth of every `if` of `block`, a body of `f` as written, whose
@@ -117,9 +163,103 @@ fn one_round(f: &Filter, block: Vec<Stmt>, stats: &mut OptStats) -> Vec<Stmt> {
 /// `if` is met at most once and a loop counter is never a constant.
 pub(crate) fn constant_conditions(f: &Filter, block: &[Stmt]) -> Vec<bool> {
     let mut stats = OptStats::default();
-    let mut fold = Folder::new(f, block, 0, &mut stats);
-    fold.run(block);
+    let pinned = pinned_names(f, block);
+    let tys = scalar_types(f, block, &pinned);
+    let mut fold = Folder::new(f, block, &pinned, tys, 0, &mut stats);
+    fold.run(&mut block.to_vec());
     fold.propagated
+}
+
+// ---- what another round could change ------------------------------------
+
+/// Is there a site in `block`, as the last round left it, where a fold
+/// would change the body whatever it knows: a pure expression
+/// statement, a literal `if` not yet reduced to its kept arm, an `if` or
+/// a loop with nothing left in it, or a loop with literal bounds that
+/// would unroll on fresh fuel?
+fn fold_site(block: &[Stmt], pinned: &HashSet<String>, loop_only: &HashSet<String>) -> bool {
+    block.iter().any(|s| match s {
+        Stmt::Expr(e) => pure_total(e),
+        Stmt::If {
+            cond,
+            then_body,
+            else_body,
+        } => match cond.as_lit().map(Value::is_truthy) {
+            Some(truthy) => {
+                let (arm, dead) = match truthy {
+                    true => (then_body, else_body),
+                    false => (else_body, then_body),
+                };
+                let kept = matches!(cond, Expr::IntLit(c) if *c == truthy as i64)
+                    && dead.is_empty()
+                    && arm.iter().any(declares);
+                !kept || fold_site(arm, pinned, loop_only)
+            }
+            None => {
+                (then_body.is_empty() && else_body.is_empty())
+                    || fold_site(then_body, pinned, loop_only)
+                    || fold_site(else_body, pinned, loop_only)
+            }
+        },
+        Stmt::For {
+            var,
+            from,
+            to,
+            body,
+        } => {
+            let unrolls = match (from, to) {
+                (Expr::IntLit(lo), Expr::IntLit(hi)) => {
+                    hi <= lo || unroll_cost(var, *lo, *hi, body, pinned, loop_only).is_some()
+                }
+                _ => false,
+            };
+            body.is_empty() || unrolls || fold_site(body, pinned, loop_only)
+        }
+        _ => false,
+    })
+}
+
+/// Is there a `let x = y` in `block` that copy propagation would take
+/// now?  (Dead-store elimination can delete the last assignment that
+/// kept one.)
+fn copy_site(f: &Filter, block: &[Stmt], pinned: &HashSet<String>) -> bool {
+    let mut copies = Vec::new();
+    streamit_graph::work::visit_block(block, &mut |s| {
+        if let Stmt::Let {
+            name,
+            init: Expr::Var(y),
+            ..
+        } = s
+        {
+            copies.push((name, y));
+        }
+    });
+    if copies.is_empty() {
+        return false;
+    }
+    let (tys, assigned) = (scalar_types(f, block, pinned), assigned_names(block));
+    copies
+        .into_iter()
+        .any(|(x, y)| propagates(x, y, pinned, &tys, &assigned))
+}
+
+/// May `let x = y` be propagated?  Both names unique and never
+/// reassigned, and of one declared type.
+fn propagates(
+    x: &str,
+    y: &str,
+    pinned: &HashSet<String>,
+    tys: &HashMap<String, DataType>,
+    assigned: &HashSet<String>,
+) -> bool {
+    tys.get(x).zip(tys.get(y)).is_some_and(|(a, b)| a == b)
+        && ![x, y]
+            .iter()
+            .any(|n| pinned.contains(*n) || assigned.contains(*n))
+}
+
+fn declares(s: &Stmt) -> bool {
+    matches!(s, Stmt::Let { .. } | Stmt::LetArray { .. })
 }
 
 // ---- constant folding, branch pruning, unrolling ------------------------
@@ -192,116 +332,135 @@ fn count_stmts(block: &[Stmt]) -> usize {
     n
 }
 
-/// Substitute every read of `var` by the literal `v` (no declarations of
-/// `var` exist below — callers check).
-fn subst_var_expr(e: &Expr, var: &str, v: Value) -> Expr {
+/// Does `e` read any variable or array?
+fn reads(e: &Expr) -> bool {
+    let mut any = false;
+    e.visit(&mut |e| any |= matches!(e, Expr::Var(_) | Expr::Index(..)));
+    any
+}
+
+/// Call `f` on every expression node of `e`, children first.
+fn each_expr_mut(e: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
     match e {
-        Expr::Var(n) if n == var => v.into(),
-        Expr::IntLit(_) | Expr::FloatLit(_) | Expr::Var(_) | Expr::Pop => e.clone(),
-        Expr::Index(n, i) => Expr::Index(n.clone(), Box::new(subst_var_expr(i, var, v))),
-        Expr::Peek(i) => Expr::Peek(Box::new(subst_var_expr(i, var, v))),
-        Expr::Unary(op, a) => Expr::Unary(*op, Box::new(subst_var_expr(a, var, v))),
-        Expr::Binary(op, a, b) => Expr::Binary(
-            *op,
-            Box::new(subst_var_expr(a, var, v)),
-            Box::new(subst_var_expr(b, var, v)),
-        ),
-        Expr::Call(g, args) => {
-            Expr::Call(*g, args.iter().map(|a| subst_var_expr(a, var, v)).collect())
+        Expr::IntLit(_) | Expr::FloatLit(_) | Expr::Var(_) | Expr::Pop => {}
+        Expr::Index(_, a) | Expr::Peek(a) | Expr::Unary(_, a) => each_expr_mut(a, f),
+        Expr::Binary(_, a, b) => {
+            each_expr_mut(a, f);
+            each_expr_mut(b, f);
         }
+        Expr::Call(_, args) => args.iter_mut().for_each(|a| each_expr_mut(a, f)),
+    }
+    f(e);
+}
+
+/// Call `f` on every expression node of `s`'s own expressions (not of
+/// the statements nested in it), children first.
+fn own_exprs_mut(s: &mut Stmt, f: &mut impl FnMut(&mut Expr)) {
+    match s {
+        Stmt::Let { init: e, .. } | Stmt::Push(e) | Stmt::Expr(e) | Stmt::If { cond: e, .. } => {
+            each_expr_mut(e, f)
+        }
+        Stmt::LetArray { .. } => {}
+        Stmt::Assign { target, value } => {
+            if let LValue::Index(_, i) = target {
+                each_expr_mut(i, f);
+            }
+            each_expr_mut(value, f);
+        }
+        Stmt::For { from, to, .. } => {
+            each_expr_mut(from, f);
+            each_expr_mut(to, f);
+        }
+        Stmt::Send { args, .. } => args.iter_mut().for_each(|a| each_expr_mut(a, f)),
     }
 }
 
-fn subst_var_stmt(s: &Stmt, var: &str, v: Value) -> Stmt {
-    let sub = |e: &Expr| subst_var_expr(e, var, v);
-    match s {
-        Stmt::Let { name, ty, init } => Stmt::Let {
-            name: name.clone(),
-            ty: *ty,
-            init: sub(init),
-        },
-        Stmt::LetArray { .. } => s.clone(),
-        Stmt::Assign { target, value } => Stmt::Assign {
-            target: match target {
-                LValue::Var(n) => LValue::Var(n.clone()),
-                LValue::Index(n, i) => LValue::Index(n.clone(), sub(i)),
-            },
-            value: sub(value),
-        },
-        Stmt::Push(e) => Stmt::Push(sub(e)),
-        Stmt::Expr(e) => Stmt::Expr(sub(e)),
+/// The statements nested in `s`: an `if`'s arms or a loop's body.
+fn nested_mut(s: &mut Stmt) -> impl Iterator<Item = &mut Vec<Stmt>> {
+    let (a, b) = match s {
         Stmt::If {
-            cond,
             then_body,
             else_body,
-        } => Stmt::If {
-            cond: sub(cond),
-            then_body: then_body
-                .iter()
-                .map(|t| subst_var_stmt(t, var, v))
-                .collect(),
-            else_body: else_body
-                .iter()
-                .map(|t| subst_var_stmt(t, var, v))
-                .collect(),
-        },
-        Stmt::For {
-            var: lv,
-            from,
-            to,
-            body,
-        } => Stmt::For {
-            var: lv.clone(),
-            from: sub(from),
-            to: sub(to),
-            body: body.iter().map(|t| subst_var_stmt(t, var, v)).collect(),
-        },
-        Stmt::Send {
-            portal,
-            handler,
-            args,
-            latency_min,
-            latency_max,
-        } => Stmt::Send {
-            portal: portal.clone(),
-            handler: handler.clone(),
-            args: args.iter().map(&sub).collect(),
-            latency_min: *latency_min,
-            latency_max: *latency_max,
-        },
+            ..
+        } => (Some(then_body), Some(else_body)),
+        Stmt::For { body, .. } => (Some(body), None),
+        _ => (None, None),
+    };
+    a.into_iter().chain(b)
+}
+
+/// Substitute every read of `var` in `s` by the literal `v` (no
+/// declarations of `var` exist below — callers check).
+fn subst_var(s: &mut Stmt, var: &str, v: Value) {
+    own_exprs_mut(s, &mut |e| {
+        if matches!(e, Expr::Var(n) if n == var) {
+            *e = v.into();
+        }
+    });
+    for b in nested_mut(s) {
+        b.iter_mut().for_each(|s| subst_var(s, var, v));
     }
 }
 
-struct Folder<'c> {
-    pinned: HashSet<String>,
+/// What unrolling the loop `for var in lo..hi { body }` costs in
+/// statements, or `None` when it may not unroll on any fuel.
+fn unroll_cost(
+    var: &str,
+    lo: i64,
+    hi: i64,
+    body: &[Stmt],
+    pinned: &HashSet<String>,
+    loop_only: &HashSet<String>,
+) -> Option<usize> {
+    let trips = hi.saturating_sub(lo);
+    let cost = count_stmts(body).saturating_mul(usize::try_from(trips).unwrap_or(usize::MAX));
+    let unrollable = trips <= MAX_UNROLL_TRIPS
+        && cost <= MAX_UNROLL_BODY.min(MAX_UNROLL_TOTAL)
+        && (!pinned.contains(var) || loop_only.contains(var))
+        && !body_blocks_unroll(body, var);
+    unrollable.then_some(cost)
+}
+
+struct Folder<'c, 'p> {
+    pinned: &'p HashSet<String>,
     loop_only: HashSet<String>,
     seeds: StateSeeds,
     tys: HashMap<String, DataType>,
     stats: &'c mut OptStats,
     /// Statements unrolling may still write.
     fuel: usize,
+    /// A loop left rolled no longer assigns a name its body assigned
+    /// before folding, so the next fold knows more after it.
+    env_shrunk: bool,
     /// See [`constant_conditions`].
     propagated: Vec<bool>,
 }
 
-impl<'c> Folder<'c> {
-    fn new(f: &Filter, block: &[Stmt], fuel: usize, stats: &'c mut OptStats) -> Folder<'c> {
-        let pinned = pinned_names(f, block);
+impl<'c, 'p> Folder<'c, 'p> {
+    fn new(
+        f: &Filter,
+        block: &[Stmt],
+        pinned: &'p HashSet<String>,
+        tys: HashMap<String, DataType>,
+        fuel: usize,
+        stats: &'c mut OptStats,
+    ) -> Folder<'c, 'p> {
         Folder {
-            loop_only: loop_only_names(f, block, &pinned),
-            seeds: state_seeds(f, &pinned),
-            tys: scalar_types(f, block, &pinned),
+            loop_only: loop_only_names(f, block, pinned),
+            seeds: state_seeds(f, pinned),
+            tys,
             pinned,
             stats,
             fuel,
+            env_shrunk: false,
             propagated: Vec::new(),
         }
     }
 
     /// Fold `block`, a whole body, from the state seeds.
-    fn run(&mut self, block: &[Stmt]) -> Vec<Stmt> {
+    fn run(&mut self, block: &mut Vec<Stmt>) {
         let mut env: ConstMap = self.seeds.scalars.clone();
-        self.block(block, &mut env)
+        self.block(block, &mut env);
     }
 
     fn eval(&self, e: &Expr, env: &ConstMap) -> Option<Value> {
@@ -322,30 +481,24 @@ impl<'c> Folder<'c> {
         )
     }
 
-    /// Fold an expression bottom-up: replace every maximal constant
-    /// subtree by its literal.
-    fn fold_expr(&mut self, e: &Expr, env: &ConstMap) -> Expr {
-        if let Some(v) = self.eval(e, env) {
-            let already = matches!(e, Expr::IntLit(_) | Expr::FloatLit(_));
-            if !already {
+    /// Fold an expression bottom-up, replacing every maximal constant
+    /// subtree by its literal.  A node is constant exactly when its
+    /// children have folded to literals and its own operation applies,
+    /// so each node is evaluated once, at one level.
+    fn fold_expr(&mut self, e: &mut Expr, env: &ConstMap) {
+        each_expr_mut(e, &mut |e| {
+            let ready = match e {
+                Expr::IntLit(_) | Expr::FloatLit(_) | Expr::Peek(_) | Expr::Pop => false,
+                Expr::Var(_) => true,
+                Expr::Index(_, a) | Expr::Unary(_, a) => a.as_lit().is_some(),
+                Expr::Binary(_, a, b) => a.as_lit().is_some() && b.as_lit().is_some(),
+                Expr::Call(_, args) => args.iter().all(|a| a.as_lit().is_some()),
+            };
+            if let Some(v) = ready.then(|| self.eval(e, env)).flatten() {
                 self.stats.folds += 1;
+                *e = v.into();
             }
-            return v.into();
-        }
-        match e {
-            Expr::IntLit(_) | Expr::FloatLit(_) | Expr::Var(_) | Expr::Pop => e.clone(),
-            Expr::Index(n, i) => Expr::Index(n.clone(), Box::new(self.fold_expr(i, env))),
-            Expr::Peek(i) => Expr::Peek(Box::new(self.fold_expr(i, env))),
-            Expr::Unary(op, a) => Expr::Unary(*op, Box::new(self.fold_expr(a, env))),
-            Expr::Binary(op, a, b) => Expr::Binary(
-                *op,
-                Box::new(self.fold_expr(a, env)),
-                Box::new(self.fold_expr(b, env)),
-            ),
-            Expr::Call(g, args) => {
-                Expr::Call(*g, args.iter().map(|a| self.fold_expr(a, env)).collect())
-            }
-        }
+        });
     }
 
     fn record(&self, env: &mut ConstMap, name: &str, v: Option<Value>) {
@@ -362,127 +515,99 @@ impl<'c> Folder<'c> {
         }
     }
 
-    fn block(&mut self, block: &[Stmt], env: &mut ConstMap) -> Vec<Stmt> {
-        let mut out = Vec::with_capacity(block.len());
-        for s in block {
-            self.stmt(s, env, &mut out);
+    /// Fold `block` in place: its statements move through, and only
+    /// what a fold rewrites is rebuilt.
+    fn block(&mut self, block: &mut Vec<Stmt>, env: &mut ConstMap) {
+        let old = std::mem::replace(block, Vec::with_capacity(block.len()));
+        for s in old {
+            self.stmt(s, env, block);
         }
-        out
     }
 
-    fn stmt(&mut self, s: &Stmt, env: &mut ConstMap, out: &mut Vec<Stmt>) {
-        match s {
+    fn stmt(&mut self, mut s: Stmt, env: &mut ConstMap, out: &mut Vec<Stmt>) {
+        match &mut s {
             Stmt::Let { name, ty, init } => {
-                let init = self.fold_expr(init, env);
-                let v = self.eval(&init, env).map(|v| v.coerce(*ty));
-                if self.pinned.contains(name) {
+                self.fold_expr(init, env);
+                let v = init.as_lit().map(|v| v.coerce(*ty));
+                if self.pinned.contains(name.as_str()) {
                     // untrackable
                 } else if let Some(v) = v {
                     env.insert(name.clone(), v);
                 } else {
-                    env.remove(name);
+                    env.remove(name.as_str());
                 }
-                out.push(Stmt::Let {
-                    name: name.clone(),
-                    ty: *ty,
-                    init,
-                });
             }
-            Stmt::LetArray { name, ty, len } => {
-                env.remove(name);
-                out.push(Stmt::LetArray {
-                    name: name.clone(),
-                    ty: *ty,
-                    len: *len,
-                });
+            Stmt::LetArray { name, .. } => {
+                env.remove(name.as_str());
             }
             Stmt::Assign { target, value } => {
-                let value = self.fold_expr(value, env);
-                let target = match target {
-                    LValue::Var(name) => {
-                        let v = self.eval(&value, env);
-                        self.record(env, name, v);
-                        LValue::Var(name.clone())
-                    }
-                    LValue::Index(name, i) => LValue::Index(name.clone(), self.fold_expr(i, env)),
-                };
-                out.push(Stmt::Assign { target, value });
-            }
-            Stmt::Push(e) => {
-                let e = self.fold_expr(e, env);
-                out.push(Stmt::Push(e));
-            }
-            Stmt::Expr(e) => {
-                let e = self.fold_expr(e, env);
-                if pure_total(&e) {
-                    self.stats.deleted_stmts += 1;
-                } else {
-                    out.push(Stmt::Expr(e));
+                self.fold_expr(value, env);
+                match target {
+                    LValue::Var(name) => self.record(env, name, value.as_lit()),
+                    LValue::Index(_, i) => self.fold_expr(i, env),
                 }
             }
-            Stmt::Send {
-                portal,
-                handler,
-                args,
-                latency_min,
-                latency_max,
-            } => {
-                let args = args.iter().map(|a| self.fold_expr(a, env)).collect();
-                out.push(Stmt::Send {
-                    portal: portal.clone(),
-                    handler: handler.clone(),
-                    args,
-                    latency_min: *latency_min,
-                    latency_max: *latency_max,
-                });
+            Stmt::Push(e) => self.fold_expr(e, env),
+            Stmt::Expr(e) => {
+                self.fold_expr(e, env);
+                if pure_total(e) {
+                    self.stats.deleted_stmts += 1;
+                    return;
+                }
             }
+            Stmt::Send { args, .. } => args.iter_mut().for_each(|a| self.fold_expr(a, env)),
+            Stmt::If { .. } | Stmt::For { .. } => {}
+        }
+        match s {
             Stmt::If {
                 cond,
                 then_body,
                 else_body,
-            } => {
-                self.fold_if(cond, then_body, else_body, env, out);
-            }
+            } => self.fold_if(cond, then_body, else_body, env, out),
             Stmt::For {
                 var,
                 from,
                 to,
                 body,
-            } => {
-                self.fold_for(var, from, to, body, env, out);
-            }
+            } => self.fold_for(var, from, to, body, env, out),
+            s => out.push(s),
         }
     }
 
     fn fold_if(
         &mut self,
-        written: &Expr,
-        then_body: &[Stmt],
-        else_body: &[Stmt],
+        mut cond: Expr,
+        mut then_body: Vec<Stmt>,
+        mut else_body: Vec<Stmt>,
         env: &mut ConstMap,
         out: &mut Vec<Stmt>,
     ) {
-        let cond = self.fold_expr(written, env);
-        let taken = self.eval(&cond, env).map(Value::is_truthy);
-        if let Some(truthy) = taken {
-            self.stats.pruned_branches += 1;
-            if eval_const(written, &ConstEnv::EMPTY).is_none() {
+        let literal_only = eval_const(&cond, &ConstEnv::EMPTY).is_some();
+        self.fold_expr(&mut cond, env);
+        if let Some(truthy) = cond.as_lit().map(Value::is_truthy) {
+            if !literal_only {
                 self.propagated.push(truthy);
             }
-            let arm = if truthy { then_body } else { else_body };
-            let splices = !arm
-                .iter()
-                .any(|s| matches!(s, Stmt::Let { .. } | Stmt::LetArray { .. }));
-            let arm = self.block(arm, env);
+            let (mut arm, dead) = match truthy {
+                true => (then_body, else_body),
+                false => (else_body, then_body),
+            };
+            let splices = !arm.iter().any(declares);
+            let kept = !splices
+                && dead.is_empty()
+                && matches!(cond, Expr::IntLit(c) if c == truthy as i64);
+            if !kept {
+                self.stats.pruned_branches += 1;
+            }
+            self.block(&mut arm, env);
             if splices {
                 out.extend(arm);
             } else {
                 // Keep the scope wrapper; the dead arm is dropped and
                 // the condition reduced to a trivial literal.
-                let (t, e) = if truthy {
-                    (arm, Vec::new())
-                } else {
-                    (Vec::new(), arm)
+                let (t, e) = match truthy {
+                    true => (arm, Vec::new()),
+                    false => (Vec::new(), arm),
                 };
                 out.push(Stmt::If {
                     cond: Expr::IntLit(truthy as i64),
@@ -494,8 +619,8 @@ impl<'c> Folder<'c> {
         }
         let mut env_then = env.clone();
         let mut env_else = env.clone();
-        let then_body = self.block(then_body, &mut env_then);
-        let else_body = self.block(else_body, &mut env_else);
+        self.block(&mut then_body, &mut env_then);
+        self.block(&mut else_body, &mut env_else);
         // Meet: keep only facts both arms agree on.
         env.clear();
         for (k, v) in env_then {
@@ -522,42 +647,33 @@ impl<'c> Folder<'c> {
 
     fn fold_for(
         &mut self,
-        var: &str,
-        from: &Expr,
-        to: &Expr,
-        body: &[Stmt],
+        var: String,
+        mut from: Expr,
+        mut to: Expr,
+        mut body: Vec<Stmt>,
         env: &mut ConstMap,
         out: &mut Vec<Stmt>,
     ) {
         // Bounds are evaluated once, before the first iteration.
-        let from = self.fold_expr(from, env);
-        let to = self.fold_expr(to, env);
+        self.fold_expr(&mut from, env);
+        self.fold_expr(&mut to, env);
 
-        let bounds = match (&from, &to) {
-            (Expr::IntLit(a), Expr::IntLit(b)) => Some((*a, *b)),
-            _ => None,
-        };
-        if let Some((lo, hi)) = bounds {
+        if let (Expr::IntLit(lo), Expr::IntLit(hi)) = (&from, &to) {
+            let (lo, hi) = (*lo, *hi);
             if hi <= lo {
                 // Zero trips; literal bounds have no effects to keep.
                 self.stats.deleted_stmts += 1;
                 return;
             }
-            let trips = hi.saturating_sub(lo);
-            let stmts = count_stmts(body);
-            let cost = stmts.saturating_mul(usize::try_from(trips).unwrap_or(usize::MAX));
-            let unrollable = trips <= MAX_UNROLL_TRIPS
-                && cost <= MAX_UNROLL_BODY
-                && cost <= self.fuel
-                && (!self.pinned.contains(var) || self.loop_only.contains(var))
-                && !body_blocks_unroll(body, var);
-            if unrollable {
+            let cost = unroll_cost(&var, lo, hi, &body, self.pinned, &self.loop_only);
+            if let Some(cost) = cost.filter(|&c| c <= self.fuel) {
                 self.fuel -= cost;
                 self.stats.unrolled_loops += 1;
                 for i in lo..hi {
-                    for s in body {
-                        let s = subst_var_stmt(s, var, Value::Int(i));
-                        self.stmt(&s, env, out);
+                    for s in &body {
+                        let mut s = s.clone();
+                        subst_var(&mut s, &var, Value::Int(i));
+                        self.stmt(s, env, out);
                     }
                 }
                 return;
@@ -566,13 +682,19 @@ impl<'c> Folder<'c> {
 
         // Not unrolled: facts about names the body writes don't survive
         // the loop (any iteration count, including zero).
-        for n in assigned_names(body) {
-            env.remove(&n);
+        let written = assigned_names(&body);
+        for n in &written {
+            env.remove(n);
         }
         let mut benv = env.clone();
-        benv.remove(var);
-        let body = self.block(body, &mut benv);
+        benv.remove(&var);
+        let before = self.stats.work_done();
+        self.block(&mut body, &mut benv);
         // `benv` gains are per-iteration facts; discard them.
+        if self.stats.work_done() != before && !self.env_shrunk {
+            let still = assigned_names(&body);
+            self.env_shrunk = written.iter().any(|n| !still.contains(n));
+        }
         if body.is_empty() {
             // Only the one-time bound evaluations remain observable.
             for e in [from, to] {
@@ -585,7 +707,7 @@ impl<'c> Folder<'c> {
             return;
         }
         out.push(Stmt::For {
-            var: var.to_string(),
+            var,
             from,
             to,
             body,
@@ -634,195 +756,131 @@ fn body_blocks_unroll(body: &[Stmt], var: &str) -> bool {
 // ---- copy propagation ---------------------------------------------------
 
 fn copy_prop(
-    block: Vec<Stmt>,
+    block: &mut Vec<Stmt>,
     pinned: &HashSet<String>,
     tys: &HashMap<String, DataType>,
     stats: &mut OptStats,
-) -> Vec<Stmt> {
-    let assigned = assigned_names(&block);
+) {
+    let assigned = assigned_names(block);
     let mut subst: HashMap<String, String> = HashMap::new();
-    cp_block(block, pinned, tys, &assigned, &mut subst, stats)
+    cp_block(block, pinned, tys, &assigned, &mut subst, stats);
 }
 
-fn cp_expr(e: &Expr, subst: &HashMap<String, String>) -> Expr {
-    match e {
-        Expr::Var(n) => match subst.get(n) {
-            Some(to) => Expr::Var(to.clone()),
-            None => e.clone(),
-        },
-        Expr::IntLit(_) | Expr::FloatLit(_) | Expr::Pop => e.clone(),
-        Expr::Index(n, i) => Expr::Index(n.clone(), Box::new(cp_expr(i, subst))),
-        Expr::Peek(i) => Expr::Peek(Box::new(cp_expr(i, subst))),
-        Expr::Unary(op, a) => Expr::Unary(*op, Box::new(cp_expr(a, subst))),
-        Expr::Binary(op, a, b) => Expr::Binary(
-            *op,
-            Box::new(cp_expr(a, subst)),
-            Box::new(cp_expr(b, subst)),
-        ),
-        Expr::Call(g, args) => Expr::Call(*g, args.iter().map(|a| cp_expr(a, subst)).collect()),
-    }
-}
-
+/// Propagate copies through `block` in place, in source order: each
+/// statement's own expressions are renamed (only once some copy has
+/// been taken), then the statements nested in it.
 fn cp_block(
-    block: Vec<Stmt>,
+    block: &mut Vec<Stmt>,
     pinned: &HashSet<String>,
     tys: &HashMap<String, DataType>,
     assigned: &HashSet<String>,
     subst: &mut HashMap<String, String>,
     stats: &mut OptStats,
-) -> Vec<Stmt> {
-    let mut out = Vec::with_capacity(block.len());
-    for s in block {
-        match s {
-            Stmt::Let { name, ty, init } => {
-                let init = cp_expr(&init, subst);
-                if let Expr::Var(y) = &init {
-                    let same_ty = tys.get(&name).zip(tys.get(y)).is_some_and(|(a, b)| a == b);
-                    if same_ty
-                        && !pinned.contains(&name)
-                        && !pinned.contains(y)
-                        && !assigned.contains(&name)
-                        && !assigned.contains(y)
-                    {
-                        stats.propagated_copies += 1;
-                        subst.insert(name, y.clone());
-                        continue;
+) {
+    block.retain_mut(|s| {
+        if !subst.is_empty() {
+            own_exprs_mut(s, &mut |e| {
+                if let Expr::Var(n) = e {
+                    if let Some(to) = subst.get(n.as_str()) {
+                        n.clone_from(to);
                     }
                 }
-                out.push(Stmt::Let { name, ty, init });
-            }
-            Stmt::Assign { target, value } => {
-                let target = match target {
-                    LValue::Var(n) => LValue::Var(n),
-                    LValue::Index(n, i) => LValue::Index(n, cp_expr(&i, subst)),
-                };
-                out.push(Stmt::Assign {
-                    target,
-                    value: cp_expr(&value, subst),
-                });
-            }
-            Stmt::Push(e) => out.push(Stmt::Push(cp_expr(&e, subst))),
-            Stmt::Expr(e) => out.push(Stmt::Expr(cp_expr(&e, subst))),
-            Stmt::Send {
-                portal,
-                handler,
-                args,
-                latency_min,
-                latency_max,
-            } => out.push(Stmt::Send {
-                portal,
-                handler,
-                args: args.iter().map(|a| cp_expr(a, subst)).collect(),
-                latency_min,
-                latency_max,
-            }),
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => out.push(Stmt::If {
-                cond: cp_expr(&cond, subst),
-                then_body: cp_block(then_body, pinned, tys, assigned, subst, stats),
-                else_body: cp_block(else_body, pinned, tys, assigned, subst, stats),
-            }),
-            Stmt::For {
-                var,
-                from,
-                to,
-                body,
-            } => out.push(Stmt::For {
-                var,
-                from: cp_expr(&from, subst),
-                to: cp_expr(&to, subst),
-                body: cp_block(body, pinned, tys, assigned, subst, stats),
-            }),
-            s @ Stmt::LetArray { .. } => out.push(s),
+            });
         }
-    }
-    out
+        if let Stmt::Let {
+            name,
+            init: Expr::Var(y),
+            ..
+        } = s
+        {
+            if propagates(name, y, pinned, tys, assigned) {
+                stats.propagated_copies += 1;
+                subst.insert(std::mem::take(name), std::mem::take(y));
+                return false;
+            }
+        }
+        for b in nested_mut(s) {
+            cp_block(b, pinned, tys, assigned, subst, stats);
+        }
+        true
+    });
 }
 
 // ---- dead-store elimination --------------------------------------------
 
-fn eliminate_dead_stores(f: &Filter, block: Vec<Stmt>, stats: &mut OptStats) -> Vec<Stmt> {
-    let dead = dead_stores(f, &block);
+/// Delete (or defuse) the dead stores of `block` in place.  Returns
+/// whether the next liveness walk may find more: a deleted store's
+/// value read a name, which may have been read by nothing else, or an
+/// assignment went, which may have been what kept a dead `let`.
+fn eliminate_dead_stores(
+    f: &Filter,
+    block: &mut Vec<Stmt>,
+    pinned: &HashSet<String>,
+    stats: &mut OptStats,
+) -> bool {
+    let dead: HashSet<*const Stmt> = dead_stores_pinned(f, block, pinned)
+        .iter()
+        .map(|d| d.stmt as *const Stmt)
+        .collect();
     if dead.is_empty() {
-        return block;
+        return false;
     }
-    let assigned = assigned_names(&block);
-    let mut dead = dead.as_slice();
-    let out = dse_block(&block, &mut dead, &assigned, stats);
-    debug_assert!(dead.is_empty(), "dead stores come in source order");
-    out
+    let assigned = assigned_names(block);
+    let mut chain = false;
+    dse_block(block, &dead, &assigned, stats, &mut chain);
+    chain
 }
 
-/// `dead` is what is left of the block's dead stores, in source order —
-/// the order this walk meets statements in.
+/// `dead` holds the addresses of the dead stores (liveness walked this
+/// same body, untouched since): each block marks its own before it
+/// moves any statement.  A block's statements move when it drops one;
+/// the statements nested in them do not.
 fn dse_block(
-    block: &[Stmt],
-    dead: &mut &[DeadStore<'_>],
+    block: &mut Vec<Stmt>,
+    dead: &HashSet<*const Stmt>,
     assigned: &HashSet<String>,
     stats: &mut OptStats,
-) -> Vec<Stmt> {
-    let mut out = Vec::with_capacity(block.len());
-    for s in block {
-        let is_dead = dead.first().is_some_and(|d| std::ptr::eq(d.stmt, s));
-        if is_dead {
-            *dead = &dead[1..];
+    chain: &mut bool,
+) {
+    let mut marks: Vec<bool> = block.iter().map(|s| dead.contains(&(s as *const Stmt))).collect();
+    marks.reverse();
+    block.retain_mut(|s| {
+        for b in nested_mut(s) {
+            dse_block(b, dead, assigned, stats, chain);
         }
+        let is_dead = marks.pop().unwrap_or(false);
         match s {
-            Stmt::Let { name, ty, init } if is_dead => {
-                if assigned.contains(name) {
+            Stmt::Let { name, ty, init } if is_dead && pure_total(init) => {
+                if !assigned.contains(name.as_str()) {
+                    stats.removed_stores += 1;
+                    *chain |= reads(init);
+                    return false;
+                }
+                if !matches!(init, Expr::IntLit(_) | Expr::FloatLit(_)) {
                     // The binding is re-assigned later: keep the
                     // declaration, zero the (unread) initializer.
-                    if pure_total(init) && !matches!(init, Expr::IntLit(_) | Expr::FloatLit(_)) {
-                        stats.removed_stores += 1;
-                        out.push(Stmt::Let {
-                            name: name.clone(),
-                            ty: *ty,
-                            init: zero_lit(*ty),
-                        });
-                    } else {
-                        out.push(s.clone());
-                    }
-                } else if pure_total(init) {
                     stats.removed_stores += 1;
-                } else {
-                    out.push(s.clone());
+                    *chain |= reads(init);
+                    *init = zero_lit(*ty);
                 }
+                true
             }
             Stmt::Assign { value, .. } if is_dead => {
+                // The name may be assigned nowhere else now, and a dead
+                // `let` of it kept for its binding go.
                 stats.removed_stores += 1;
-                if !pure_total(value) {
-                    // Keep the value's effects (pops, possible traps),
-                    // drop the store.
-                    out.push(Stmt::Expr(value.clone()));
+                *chain = true;
+                if pure_total(value) {
+                    return false;
                 }
+                // Keep the value's effects (pops, possible traps), drop
+                // the store.
+                *s = Stmt::Expr(std::mem::replace(value, Expr::Pop));
+                true
             }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => out.push(Stmt::If {
-                cond: cond.clone(),
-                then_body: dse_block(then_body, dead, assigned, stats),
-                else_body: dse_block(else_body, dead, assigned, stats),
-            }),
-            Stmt::For {
-                var,
-                from,
-                to,
-                body,
-            } => out.push(Stmt::For {
-                var: var.clone(),
-                from: from.clone(),
-                to: to.clone(),
-                body: dse_block(body, dead, assigned, stats),
-            }),
-            other => out.push(other.clone()),
+            _ => true,
         }
-    }
-    out
+    });
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@
 use crate::filter::{Filter, StateVar};
 use crate::flat::{Edge, EdgeId, FlatGraph, FlatNode, FlatNodeKind, NodeId};
 use crate::stream::{Joiner, Splitter};
-use crate::work::{visit_block, Expr, LValue, Stmt};
+use crate::work::{Expr, LValue, Stmt};
 
 /// One split-join [`fuse`] replaced with a filter.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,20 +69,118 @@ pub fn member_list<'a>(names: impl IntoIterator<Item = &'a str>) -> String {
 /// `None` when nothing was fused.  Node and edge ids are renumbered;
 /// everything else keeps its relative order, and the fused filter takes
 /// its splitter's place.
+///
+/// The first round reads `g`; the graph it leaves is copied once —
+/// all but the nodes it fused away — and edited in place from then on:
+/// a fused filter takes its splitter's slot and id, and its branches,
+/// joiner and inner edges are marked gone.  A splitter that was no
+/// candidate can become one only when one of its branches has just been
+/// fused, so each later round looks only at the splitters feeding the
+/// last round's fused filters.  The ids are renumbered once, at the end.
 pub fn fuse(g: &FlatGraph) -> Option<(FlatGraph, Vec<FusedSplitJoin>)> {
-    let mut fused: Option<FlatGraph> = None;
-    let mut report = Vec::new();
-    loop {
-        let cur = fused.as_ref().unwrap_or(g);
-        let found: Vec<Candidate> = (0..cur.nodes.len())
-            .filter_map(|s| candidate(cur, NodeId(s)))
-            .collect();
-        if found.is_empty() {
-            return fused.map(|g| (g, report));
-        }
-        let next = rewrite(cur, &found, &mut report);
-        fused = Some(next);
+    let mut gone = vec![false; g.nodes.len()];
+    let mut edge_gone = vec![false; g.edges.len()];
+    let found: Vec<Candidate> = (0..g.nodes.len())
+        .filter_map(|s| candidate(g, NodeId(s)))
+        .collect();
+    if found.is_empty() {
+        return None;
     }
+    let mut report = Vec::new();
+    let mut fused = fuse_round(g, &found, &mut gone, &mut edge_gone, &mut report);
+    let stub = |n: &FlatNode| FlatNode {
+        id: n.id,
+        name: String::new(),
+        kind: FlatNodeKind::Joiner(Joiner::Null),
+        inputs: Vec::new(),
+        outputs: Vec::new(),
+    };
+    let nodes = (g.nodes.iter())
+        .map(|n| if gone[n.id.0] { stub(n) } else { n.clone() })
+        .collect();
+    let mut g = FlatGraph {
+        nodes,
+        edges: g.edges.clone(),
+    };
+    while !fused.is_empty() {
+        let mut feeding = Vec::new();
+        for n in fused {
+            for e in &n.outputs {
+                g.edges[e.0].src = n.id;
+            }
+            feeding.push(g.edge(n.inputs[0]).src);
+            let id = n.id.0;
+            g.nodes[id] = n;
+        }
+        feeding.sort_unstable_by_key(|n| n.0);
+        feeding.dedup();
+        let found: Vec<Candidate> = feeding.into_iter().filter_map(|s| candidate(&g, s)).collect();
+        fused = fuse_round(&g, &found, &mut gone, &mut edge_gone, &mut report);
+    }
+    Some((renumbered(g, &gone, &edge_gone), report))
+}
+
+/// The filter nodes that replace `found`'s split-joins of `g`, each with
+/// its splitter's id and its joiner's outputs; marks what they replace
+/// gone and reports them in order.
+fn fuse_round(
+    g: &FlatGraph,
+    found: &[Candidate],
+    gone: &mut [bool],
+    edge_gone: &mut [bool],
+    report: &mut Vec<FusedSplitJoin>,
+) -> Vec<FlatNode> {
+    let mut fused = Vec::with_capacity(found.len());
+    for c in found {
+        let (filter, fusion) = fused_filter(g, c);
+        report.push(fusion);
+        gone[c.join.0] = true;
+        for e in &g.node(c.split).outputs {
+            edge_gone[e.0] = true;
+        }
+        for &(b, _) in &c.branches {
+            gone[b.0] = true;
+            edge_gone[g.node(b).outputs[0].0] = true;
+        }
+        fused.push(FlatNode {
+            id: c.split,
+            name: filter.name.clone(),
+            kind: FlatNodeKind::Filter(filter),
+            inputs: g.node(c.split).inputs.clone(),
+            outputs: g.node(c.join).outputs.clone(),
+        });
+    }
+    fused
+}
+
+/// `g` without the nodes and edges marked gone, the rest renumbered in
+/// order.
+fn renumbered(g: FlatGraph, gone: &[bool], edge_gone: &[bool]) -> FlatGraph {
+    let mut node_map = vec![NodeId(usize::MAX); g.nodes.len()];
+    let mut next = 0;
+    for (m, _) in node_map.iter_mut().zip(gone).filter(|(_, &gone)| !gone) {
+        *m = NodeId(next);
+        next += 1;
+    }
+    let mut edge_map = vec![EdgeId(usize::MAX); g.edges.len()];
+    let mut edges = Vec::with_capacity(g.edges.len());
+    for mut e in g.edges.into_iter().filter(|e| !edge_gone[e.id.0]) {
+        edge_map[e.id.0] = EdgeId(edges.len());
+        e.id = EdgeId(edges.len());
+        e.src = node_map[e.src.0];
+        e.dst = node_map[e.dst.0];
+        edges.push(e);
+    }
+    let remap = |list: &mut Vec<EdgeId>| list.iter_mut().for_each(|e| *e = edge_map[e.0]);
+    let nodes = (g.nodes.into_iter().filter(|n| !gone[n.id.0]))
+        .map(|mut n| {
+            n.id = node_map[n.id.0];
+            remap(&mut n.inputs);
+            remap(&mut n.outputs);
+            n
+        })
+        .collect();
+    FlatGraph { nodes, edges }
 }
 
 /// A split-join [`fuse`] can replace: its splitter, branches (port
@@ -169,10 +267,9 @@ fn candidate(g: &FlatGraph, s: NodeId) -> Option<Candidate> {
 
 /// A branch the fused body can absorb: an input and an output, peeking
 /// no further than it pops, nothing but its work function — no prework,
-/// handlers, messages or kernel hint — and a `lane_shaped` body.
+/// handlers or kernel hint — and a `lane_shaped` body, which sends no
+/// message.
 fn plain_filter(f: &Filter) -> bool {
-    let mut sends = false;
-    visit_block(&f.work, &mut |s| sends |= matches!(s, Stmt::Send { .. }));
     f.input.is_some()
         && f.output.is_some()
         && f.pop > 0
@@ -180,21 +277,21 @@ fn plain_filter(f: &Filter) -> bool {
         && f.prework.is_none()
         && f.handlers.is_empty()
         && f.kernel.is_none()
-        && !sends
         && lane_shaped(f)
 }
 
 /// Whether `f`'s work body has the shape of one the compiled engine
-/// fires in lanes: it writes no state, keeps and reads no array, and
-/// branches only in loops with literal bounds.  Lowering decides
-/// (`exec`'s `Program::lane_safe`); a body of another shape almost never
-/// passes, and the caller checks every fused body that this shape gave.
+/// fires in lanes: it writes no state, keeps and reads no array, sends
+/// no message, and branches only in loops with literal bounds.
+/// Lowering decides (`exec`'s `Program::lane_safe`); a body of another
+/// shape almost never passes, and the caller checks every fused body
+/// that this shape gave.
 fn lane_shaped(f: &Filter) -> bool {
     let mut shaped = !f.is_stateful();
     for s in &f.work {
         s.visit(&mut |s| {
             shaped &= match s {
-                Stmt::If { .. } | Stmt::LetArray { .. } => false,
+                Stmt::If { .. } | Stmt::LetArray { .. } | Stmt::Send { .. } => false,
                 Stmt::For { from, to, .. } => from.as_lit().is_some() && to.as_lit().is_some(),
                 _ => true,
             }
@@ -202,73 +299,6 @@ fn lane_shaped(f: &Filter) -> bool {
         s.visit_exprs(&mut |e| shaped &= !matches!(e, Expr::Index(..)));
     }
     shaped
-}
-
-/// `g` with every candidate in `found` (disjoint) replaced by its fused
-/// filter; each fusion is appended to `report`.
-fn rewrite(g: &FlatGraph, found: &[Candidate], report: &mut Vec<FusedSplitJoin>) -> FlatGraph {
-    let mut fused_at = vec![None; g.nodes.len()];
-    let mut gone = vec![false; g.nodes.len()];
-    let mut edge_gone = vec![false; g.edges.len()];
-    for (k, c) in found.iter().enumerate() {
-        fused_at[c.split.0] = Some(k);
-        gone[c.join.0] = true;
-        for e in &g.node(c.split).outputs {
-            edge_gone[e.0] = true;
-        }
-        for &(b, _) in &c.branches {
-            gone[b.0] = true;
-            edge_gone[g.node(b).outputs[0].0] = true;
-        }
-    }
-    let mut node_map = vec![NodeId(usize::MAX); g.nodes.len()];
-    let mut next = 0;
-    for (i, m) in node_map.iter_mut().enumerate() {
-        if !gone[i] {
-            *m = NodeId(next);
-            next += 1;
-        }
-    }
-    for c in found {
-        node_map[c.join.0] = node_map[c.split.0];
-    }
-    let mut edge_map = vec![EdgeId(usize::MAX); g.edges.len()];
-    let mut edges = Vec::with_capacity(g.edges.len());
-    for e in g.edges.iter().filter(|e| !edge_gone[e.id.0]) {
-        edge_map[e.id.0] = EdgeId(edges.len());
-        edges.push(Edge {
-            id: EdgeId(edges.len()),
-            src: node_map[e.src.0],
-            dst: node_map[e.dst.0],
-            ..e.clone()
-        });
-    }
-    let remap = |list: &[EdgeId]| list.iter().map(|e| edge_map[e.0]).collect();
-    let mut nodes = Vec::with_capacity(next);
-    for n in g.nodes.iter().filter(|n| !gone[n.id.0]) {
-        let id = node_map[n.id.0];
-        nodes.push(match fused_at[n.id.0] {
-            Some(k) => {
-                let c = &found[k];
-                let (filter, fusion) = fused_filter(g, c);
-                report.push(fusion);
-                FlatNode {
-                    id,
-                    name: filter.name.clone(),
-                    kind: FlatNodeKind::Filter(filter),
-                    inputs: remap(&n.inputs),
-                    outputs: remap(&g.node(c.join).outputs),
-                }
-            }
-            None => FlatNode {
-                id,
-                inputs: remap(&n.inputs),
-                outputs: remap(&n.outputs),
-                ..n.clone()
-            },
-        });
-    }
-    FlatGraph { nodes, edges }
 }
 
 /// The filter that replaces candidate `c`, and its report entry.
@@ -284,7 +314,8 @@ fn fused_filter(g: &FlatGraph, c: &Candidate) -> (Filter, FusedSplitJoin) {
     let mut work = Vec::new();
     for (i, (b, &(_, m))) in branches.iter().zip(&c.branches).enumerate() {
         let f = b.as_filter().expect("candidate branches are filters");
-        let rename = |n: &str| format!("{i}.{n}");
+        let prefix = format!("{i}.");
+        let rename = |n: &str| prefix.clone() + n;
         state.extend(f.state.iter().map(|s| StateVar {
             name: rename(&s.name),
             ..s.clone()

@@ -207,6 +207,136 @@ fn optimizer_sweep_rewrites_a_healthy_fraction() {
     }
 }
 
+// ---- fixpoint: the optimizer's output is its own optimum ---------------
+
+/// Rounds the optimizer runs at most (`MAX_ROUNDS` in
+/// `crates/analysis/src/opt.rs`).
+const MAX_ROUNDS: u32 = 4;
+
+/// `f` optimized, checked to be a fixpoint: optimizing it again changes
+/// nothing, by the counters and by the IR (compared by its `Debug`
+/// form, which tells NaN literals and signed zeros apart).  Returns
+/// whether the first pass changed anything, or `None` for a body the
+/// optimizer ran out of rounds on — one whose loops need more unroll
+/// fuel than its rounds hold, say — which is not a fixpoint.
+fn optimizes_to_a_fixpoint(what: &str, f: &Filter) -> Option<bool> {
+    let (once, stats) = optimize_filter(f);
+    let (twice, again) = optimize_filter(&once);
+    if stats.rounds == MAX_ROUNDS && again.changed() {
+        return None;
+    }
+    assert!(!again.changed(), "{what}: optimizing again did {again:?}");
+    let bodies = |f: &Filter| format!("{:?} {:?}", f.work, f.prework.as_ref().map(|p| &p.body));
+    assert_eq!(bodies(&twice), bodies(&once), "{what}: optimizing again changed the IR");
+    Some(stats.changed())
+}
+
+/// Every filter body of the fifteen apps under every linear mode and of
+/// the example programs, fused or not, and 600 generated bodies, is
+/// optimized to a fixpoint: no walk leaves work behind for a round
+/// that the optimizer skipped.
+#[test]
+fn optimized_bodies_are_fixpoints() {
+    use streamit::graph::FlatNodeKind;
+    use streamit::linear::LinearMode;
+    use streamit::{apps, Compiler, Options};
+
+    let mut programs = Vec::new();
+    let modes = [None, Some(LinearMode::Replacement), Some(LinearMode::Frequency)];
+    for app in apps::corpus() {
+        for linear in modes {
+            let c = Compiler::new(Options {
+                linear,
+                ..Options::default()
+            });
+            let p = c.compile_stream(app.graph()).expect("app compiles");
+            programs.push((format!("{} {linear:?}", app.name), p));
+        }
+    }
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/str");
+    for entry in std::fs::read_dir(dir).expect("examples exist") {
+        let path = entry.expect("readable").path();
+        let source = std::fs::read_to_string(&path).expect("readable");
+        let p = Compiler::default()
+            .compile_source(&source, "Main")
+            .expect("the example compiles");
+        programs.push((path.display().to_string(), p));
+    }
+    let (mut bodies, mut changed, mut out_of_rounds) = (0, 0, Vec::new());
+    let mut check = |what: String, f: &Filter| {
+        match optimizes_to_a_fixpoint(&what, f) {
+            Some(c) => changed += c as usize,
+            None => out_of_rounds.push(what),
+        }
+        bodies += 1;
+    };
+    for (name, p) in &programs {
+        for g in [&p.flat, p.exec_graph()] {
+            for n in &g.nodes {
+                if let FlatNodeKind::Filter(f) = &n.kind {
+                    check(format!("{name} {}", n.name), f);
+                }
+            }
+        }
+    }
+    for seed in 0..600 {
+        let mut g = Gen(seed | 1);
+        let block = gen_block(&mut g, &mut Scope::default(), 2);
+        let ty = if g.below(2) == 0 {
+            DataType::Int
+        } else {
+            DataType::Float
+        };
+        let f = FilterBuilder::new("gen", ty)
+            .rates(0, 0, 0)
+            .work(move |b| block.iter().cloned().fold(b, |b, s| b.stmt(s)))
+            .build();
+        check(format!("seed {seed}"), &f);
+    }
+    // DCT's fused transpose-and-column body unrolls sixteen loops a
+    // round, and more are left.
+    assert!(
+        out_of_rounds.iter().all(|w| w.contains("Transpose+ColumnDCT")),
+        "out of rounds: {out_of_rounds:?}"
+    );
+    assert!(
+        changed >= 1000,
+        "only {changed} of {bodies} bodies changed: the check is near-vacuous"
+    );
+}
+
+/// Eighteen loops of 256 × 4 statements each: one round's unroll fuel
+/// (4096 statements) takes four of them, so the rounds unroll sixteen
+/// and leave two rolled, each round's unrolled locals dead by the next.
+/// The expectation is the optimizer's output from before rounds ran
+/// only the walks with work left.
+#[test]
+fn loops_past_one_rounds_fuel_unroll_as_before() {
+    use streamit::graph::builder::{lit, var};
+    let f = FilterBuilder::new("fuel", DataType::Float)
+        .rates(0, 0, 1)
+        .work(|mut b| {
+            for k in 0..18 {
+                let a = format!("a{k}");
+                b = b
+                    .let_(&a, DataType::Float, lit(0.0))
+                    .for_(&format!("i{k}"), lit(0i64), lit(256i64), |mut l| {
+                        for _ in 0..4 {
+                            l = l.set(&a, var(a.as_str()) + lit(1.0));
+                        }
+                        l
+                    })
+                    .push(var(a.as_str()));
+            }
+            b
+        })
+        .build();
+    let (opt, stats) = optimize_filter(&f);
+    assert_eq!((stats.rounds, stats.unrolled_loops), (MAX_ROUNDS, 16));
+    let want = r#"[Push(FloatLit(1024.0)), Push(FloatLit(1024.0)), Push(FloatLit(1024.0)), Push(FloatLit(1024.0)), Push(FloatLit(1024.0)), Push(FloatLit(1024.0)), Push(FloatLit(1024.0)), Push(FloatLit(1024.0)), Push(FloatLit(1024.0)), Push(FloatLit(1024.0)), Push(FloatLit(1024.0)), Push(FloatLit(1024.0)), Let { name: "a12", ty: Float, init: FloatLit(0.0) }, Push(FloatLit(1024.0)), Let { name: "a13", ty: Float, init: FloatLit(0.0) }, Push(FloatLit(1024.0)), Let { name: "a14", ty: Float, init: FloatLit(0.0) }, Push(FloatLit(1024.0)), Let { name: "a15", ty: Float, init: FloatLit(0.0) }, Push(FloatLit(1024.0)), Let { name: "a16", ty: Float, init: FloatLit(0.0) }, For { var: "i16", from: IntLit(0), to: IntLit(256), body: [Assign { target: Var("a16"), value: Binary(Add, Var("a16"), FloatLit(1.0)) }, Assign { target: Var("a16"), value: Binary(Add, Var("a16"), FloatLit(1.0)) }, Assign { target: Var("a16"), value: Binary(Add, Var("a16"), FloatLit(1.0)) }, Assign { target: Var("a16"), value: Binary(Add, Var("a16"), FloatLit(1.0)) }] }, Push(Var("a16")), Let { name: "a17", ty: Float, init: FloatLit(0.0) }, For { var: "i17", from: IntLit(0), to: IntLit(256), body: [Assign { target: Var("a17"), value: Binary(Add, Var("a17"), FloatLit(1.0)) }, Assign { target: Var("a17"), value: Binary(Add, Var("a17"), FloatLit(1.0)) }, Assign { target: Var("a17"), value: Binary(Add, Var("a17"), FloatLit(1.0)) }, Assign { target: Var("a17"), value: Binary(Add, Var("a17"), FloatLit(1.0)) }] }, Push(Var("a17"))]"#;
+    assert_eq!(format!("{:?}", opt.work), want);
+}
+
 // ---- 2. metamorphic opt-0 == opt-1 over the benchmark corpus ----------
 
 mod metamorphic {
